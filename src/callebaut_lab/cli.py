@@ -16,6 +16,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 from .errors import CallebautLabError, ConfigError
 from .inequalities import (
@@ -29,7 +30,7 @@ from .inequalities import (
     list_inequalities,
 )
 from .oracle import BUILTIN_WITNESSES, dump_catalog, load_catalog, replay_witnesses
-from .sampler import RngState, SpectralBand, derive_rng, sample_family
+from .sampler import RngState, SpectralBand, derive_rng, sample_family, spd_in_band
 from .scalarcore import ExponentPair, ProofChainParams
 
 EXIT_OK = 0
@@ -225,12 +226,14 @@ def run_verify(config: SuiteConfig):
     """Run the verification suite; returns (RunSummary, report lines)."""
     config.validate()
     started = time.perf_counter()
-    combos = _combos(config)
     jobs = []
-    for ineq, variant in combos:
+    # _combos lists each id's variants together, so one grid serves them all;
+    # only the current id's grid is held.
+    for ineq, id_combos in groupby(_combos(config), key=lambda c: c[0]):
         points = grid_points(ineq, config)
-        for k in range(config.trials):
-            jobs.append((ineq, variant, points[k % len(points)], k))
+        for _, variant in id_combos:
+            for k in range(config.trials):
+                jobs.append((ineq, variant, points[k % len(points)], k))
 
     def work(job):
         ineq, variant, point, k = job
@@ -403,8 +406,6 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
             else:
                 j = rng.next_u64() % n
                 redraw_a = rng.next_u64() % 2 == 0
-                from .sampler import spd_in_band
-
                 if redraw_a:
                     new = spd_in_band(d, band.M_lo, band.M_hi, rng, pin_extremes=True)
                     a_list = list(instance.A_list)

@@ -119,19 +119,18 @@ HADAMARD_SUM_IDS = (
 
 @dataclass(frozen=True)
 class LinkReport:
-    """One link of a chain: its Loewner gap plus operand norms."""
+    """One link of a chain: its name and Loewner gap."""
 
     name: str
     gap: LoewnerGap
-    lhs_norm: float
-    rhs_norm: float
 
 
 @dataclass(frozen=True)
 class IneqReport:
     """Evaluation outcome for one (id, variant, instance, params) quadruple.
 
-    ``gap`` is the worst link by relative gap; ``witness`` serializes the
+    ``gap`` is the worst link by relative gap, and ``lhs_norm``/``rhs_norm``
+    are the spectral norms of that link's operands; ``witness`` serializes the
     instance exactly when the inequality is not satisfied.
     """
 
@@ -212,12 +211,6 @@ def _congruence_interval(band: SpectralBand, t: float) -> tuple[float, float]:
     """
     g_hi = (band.m_hi * band.M_hi / (band.m_lo * band.M_lo)) ** abs(t - 0.5)
     return 1.0 / g_hi, g_hi
-
-
-def _pair_terms(a: SymMatrix, b: SymMatrix, exponents) -> dict[float, SymMatrix]:
-    return {e: spectral_pow(a, e) for e in exponents}, {
-        e: spectral_pow(b, e) for e in exponents
-    }
 
 
 def _tensor_sum(a: SymMatrix, b: SymMatrix, u: float) -> SymMatrix:
@@ -703,25 +696,21 @@ def evaluate_inequality(
     relative gap; a witness payload is attached exactly when unsatisfied.
     """
     links, band_used = build_links(ineq, instance, params, variant, band)
-    reports = []
-    for name, lhs, rhs in links:
-        gap = loewner_gap(lhs, rhs, tol)
-        reports.append(
-            LinkReport(
-                name=name,
-                gap=gap,
-                lhs_norm=spectral_norm(lhs),
-                rhs_norm=spectral_norm(rhs),
-            )
-        )
-    worst = min(reports, key=lambda r: r.gap.rel_gap)
+    reports = tuple(
+        LinkReport(name, loewner_gap(lhs, rhs, tol)) for name, lhs, rhs in links
+    )
+    # The worst link is the first with the smallest relative gap; only its
+    # operand norms are reported, so only they are measured.
+    k = min(range(len(reports)), key=lambda i: reports[i].gap.rel_gap)
+    _, worst_lhs, worst_rhs = links[k]
+    gap = reports[k].gap
     if isinstance(instance, FamilyInstance):
         shape = (instance.n, instance.dim)
     else:
         shape = (1, instance[0].dim)
     pdict = _params_dict(ineq, params)
     witness = None
-    if not worst.gap.satisfied:
+    if not gap.satisfied:
         witness = _serialize_instance(instance, band_used, pdict)
     return IneqReport(
         ineq=ineq,
@@ -729,9 +718,9 @@ def evaluate_inequality(
         params=pdict,
         band=band_used,
         shape=shape,
-        links=tuple(reports),
-        gap=worst.gap,
-        lhs_norm=worst.lhs_norm,
-        rhs_norm=worst.rhs_norm,
+        links=reports,
+        gap=gap,
+        lhs_norm=spectral_norm(worst_lhs),
+        rhs_norm=spectral_norm(worst_rhs),
         witness=witness,
     )

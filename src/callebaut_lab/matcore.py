@@ -7,8 +7,13 @@ functions (fractional powers), Kronecker and Hadamard products, the
 compression that maps a tensor product onto the Hadamard product, weighted
 geometric means in congruence form, and signed Loewner-gap measurement.
 
-All operations are pure functions of their inputs; nothing here mutates
-shared state, so unrestricted concurrent use is safe.
+Every operation returns the same result for the same input.  The one piece
+of state is a memo: ``sym_eigen`` stores the read-only decomposition it
+computes on the ``SymMatrix`` it was given, and later calls on that instance
+return it.  A ``SymMatrix`` never changes after construction and the solver
+is deterministic, so a stored result is bit-identical to a recomputed one.
+Two threads may both compute it; they store equal values, so concurrent use
+stays safe.
 """
 
 from __future__ import annotations
@@ -48,11 +53,17 @@ class SymMatrix:
     """Real symmetric matrix with value semantics.
 
     Construction symmetrizes the input exactly, ``(X + X^T) / 2``, so
-    ``entries[i][j] == entries[j][i]`` bitwise.  The backing array is made
-    read-only; treat instances as immutable values.
+    ``entries[i][j] == entries[j][i]`` bitwise.  The backing array is a
+    private copy made read-only; treat instances as immutable values.
+    ``sym_eigen`` memoises its result on the instance, outside the dataclass
+    fields, so equality and ``repr`` ignore it.
     """
 
     array: np.ndarray
+
+    #: The decomposition ``sym_eigen`` stored on this instance, if any.  Left
+    #: unannotated so that it is not a dataclass field.
+    _eigen = None
 
     def __post_init__(self):
         arr = np.asarray(self.array, dtype=np.float64)
@@ -60,7 +71,7 @@ class SymMatrix:
             raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ShapeError("dimension must be at least 1")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError("matrix entries must be finite")
         sym = (arr + arr.T) / 2.0
         sym.flags.writeable = False
@@ -143,7 +154,12 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
     input on a fixed NumPy/LAPACK build.  Raises :class:`SizeError` above
     ``MAX_EIGEN_DIM`` and ``numpy.linalg.LinAlgError`` if LAPACK fails to
     converge, which does not happen for finite input in practice.
+
+    The result is computed once per ``SymMatrix`` instance: it is stored on
+    ``a`` and every later call on ``a`` returns that same read-only object.
     """
+    if a._eigen is not None:
+        return a._eigen
     d = a.dim
     if d > MAX_EIGEN_DIM:
         raise SizeError(f"eigensolver supports dim <= {MAX_EIGEN_DIM}, got {d}")
@@ -152,7 +168,9 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
     q[:, lead < 0.0] *= -1.0
     w.flags.writeable = False
     q.flags.writeable = False
-    return EigenDecomposition(w, q)
+    eig = EigenDecomposition(w, q)
+    object.__setattr__(a, "_eigen", eig)
+    return eig
 
 
 def _rebuild(eigenvalues: np.ndarray, q: np.ndarray) -> SymMatrix:

@@ -7,11 +7,12 @@ from callebaut_lab.inequalities import (
     IneqId,
     REPAIRABLE,
     Variant,
+    build_links,
     evaluate_inequality,
     inequality_info,
     list_inequalities,
 )
-from callebaut_lab.matcore import SymMatrix
+from callebaut_lab.matcore import SymMatrix, spectral_norm
 from callebaut_lab.sampler import FamilyInstance, SpectralBand, derive_rng, sample_family
 from callebaut_lab.scalarcore import ExponentPair, ProofChainParams
 
@@ -115,6 +116,20 @@ class TestChains:
         r = evaluate_inequality(IneqId.CHAIN_34RF, inst, ExponentPair(0.625, 0.9375))
         assert [l.name for l in r.links] == ["geo_vs_s", "s_vs_t", "t_vs_sums"]
         assert r.gap.rel_gap == min(l.gap.rel_gap for l in r.links)
+
+    def test_reported_norms_are_the_worst_links(self):
+        band = SpectralBand(0.5, 1.0, 2.0, 8.0)
+        inst = _spd_family(2, 3, band, 1)
+        pair = ExponentPair(0.875, 0.9375)
+        r = evaluate_inequality(IneqId.CHAIN_34RF, inst, pair)
+        gaps = [l.gap.rel_gap for l in r.links]
+        # The middle link is the worst here, so the first link's norms would fail.
+        assert gaps.index(min(gaps)) == 1
+        links, _ = build_links(IneqId.CHAIN_34RF, inst, pair)
+        _, lhs, rhs = links[1]
+        assert r.lhs_norm == spectral_norm(lhs)
+        assert r.rhs_norm == spectral_norm(rhs)
+        assert r.lhs_norm != r.rhs_norm
 
     def test_maman2_at_s_equals_t_reduces_to_middle_link(self):
         band = SpectralBand(0.1, 0.2, 5.0, 10.0)

@@ -84,9 +84,21 @@ class TestSymEigen:
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         a = _rand_sym(6, rng)
-        e1, e2 = sym_eigen(a), sym_eigen(a)
+        # A fresh instance with equal entries is decomposed anew, bit for bit.
+        e1, e2 = sym_eigen(a), sym_eigen(SymMatrix(a.array.copy()))
+        assert e1 is not e2
         assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
         assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
+
+    def test_memoised_on_the_instance(self):
+        rng = np.random.default_rng(4)
+        a = _rand_sym(5, rng)
+        before = repr(a)
+        e = sym_eigen(a)
+        assert sym_eigen(a) is e
+        assert repr(a) == before
+        assert not e.eigenvalues.flags.writeable
+        assert not e.eigenvectors.flags.writeable
 
     def test_zero_matrix(self):
         e = sym_eigen(SymMatrix.zero(3))
