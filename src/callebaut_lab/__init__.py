@@ -6,7 +6,6 @@ Kantorovich constants, over deterministic band-constrained random instances
 and recorded counterexample witnesses.
 """
 
-from ._kernels import backend_name
 from .inequalities import (
     IneqId,
     IneqReport,
@@ -51,7 +50,6 @@ from .scalarcore import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "backend_name",
     "IneqId",
     "IneqReport",
     "Variant",

@@ -28,16 +28,5 @@ class VariantError(CallebautLabError, ValueError):
     """A variant was requested for an inequality that does not define it."""
 
 
-class ConvergenceError(CallebautLabError, RuntimeError):
-    """The eigensolver exhausted its sweep budget.
-
-    Carries the remaining off-diagonal residual in ``residual``.
-    """
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class ConfigError(CallebautLabError, ValueError):
     """A harness configuration is invalid (bad grid, non-positive trials, ...)."""

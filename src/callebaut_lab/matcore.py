@@ -14,6 +14,13 @@ return it.  A ``SymMatrix`` never changes after construction and the solver
 is deterministic, so a stored result is bit-identical to a recomputed one.
 Two threads may both compute it; they store equal values, so concurrent use
 stays safe.
+
+The lab's matrices are small (d <= 16, mostly d <= 4), where the Python-level
+cost of a call outweighs LAPACK's work.  Three shortcuts keep that cost down,
+each bit-identical to the general route: ``sym_eigen`` answers 1x1 inputs in
+closed form, fixes eigenvector signs with one vector multiply, and results
+that are symmetric bit for bit by construction (sums, differences, scalings,
+Kronecker and Hadamard products, compressions) skip re-symmetrisation.
 """
 
 from __future__ import annotations
@@ -36,25 +43,24 @@ MAX_EIGEN_DIM = 64
 #: Dimension cap for Kronecker products.
 KRON_DIM_CAP = 4096
 
-#: Convergence of the reference Jacobi kernel in ``_kernels`` (which
-#: ``sym_eigen`` does not call): off-diagonal Frobenius norm <= this factor
-#: times ||A||_F.
-JACOBI_REL_TOL = 1e-14
-
-#: Sweep budget for the reference Jacobi kernel, as a multiple of d^2.
-SWEEP_BUDGET_FACTOR = 30
-
 #: Default tolerance for Loewner-order verdicts (relative gap).
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Real symmetric matrix with value semantics.
 
-    Construction symmetrizes the input exactly, ``(X + X^T) / 2``, so
-    ``entries[i][j] == entries[j][i]`` bitwise.  The backing array is a
-    private copy made read-only; treat instances as immutable values.
+    Every instance holds a private, read-only, finite ``float64`` array with
+    ``entries[i][j] == entries[j][i]`` bitwise.  Two routes establish that
+    invariant.  The public constructor symmetrizes its input exactly,
+    ``(X + X^T) / 2``, and rejects non-finite results (including overflow of
+    the sum).  Operations whose fresh result is already symmetric bit for bit
+    (``+``, ``-``, scalar ``*``, ``kron``, ``hadamard``, ``compress``) use the
+    private ``_exact``, which checks finiteness only: on such an array the
+    symmetrization is a bitwise no-op.
+
+    Equality compares entries exactly; instances are not hashable.
     ``sym_eigen`` memoises its result on the instance, outside the dataclass
     fields, so equality and ``repr`` ignore it.
     """
@@ -71,11 +77,30 @@ class SymMatrix:
             raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ShapeError("dimension must be at least 1")
-        if not np.isfinite(arr).all():
-            raise DomainError("matrix entries must be finite")
         sym = (arr + arr.T) / 2.0
+        if not np.isfinite(sym).all():
+            raise DomainError("matrix entries must be finite")
         sym.flags.writeable = False
         object.__setattr__(self, "array", sym)
+
+    @classmethod
+    def _exact(cls, arr: np.ndarray) -> "SymMatrix":
+        """Wrap a fresh square ``float64`` array that is symmetric bit for bit.
+
+        The caller owns ``arr`` and guarantees its shape and exact symmetry;
+        only finiteness is checked here.
+        """
+        if not np.isfinite(arr).all():
+            raise DomainError("matrix entries must be finite")
+        arr.flags.writeable = False
+        m = object.__new__(cls)
+        object.__setattr__(m, "array", arr)
+        return m
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
 
     @property
     def dim(self) -> int:
@@ -99,14 +124,14 @@ class SymMatrix:
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_same_dim(other)
-        return SymMatrix(self.array + other.array)
+        return SymMatrix._exact(self.array + other.array)
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_same_dim(other)
-        return SymMatrix(self.array - other.array)
+        return SymMatrix._exact(self.array - other.array)
 
     def __mul__(self, scalar: float) -> "SymMatrix":
-        return SymMatrix(self.array * float(scalar))
+        return SymMatrix._exact(self.array * float(scalar))
 
     __rmul__ = __mul__
 
@@ -155,6 +180,12 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
     ``MAX_EIGEN_DIM`` and ``numpy.linalg.LinAlgError`` if LAPACK fails to
     converge, which does not happen for finite input in practice.
 
+    A 1x1 input is answered without LAPACK, as LAPACK's own ``n = 1`` branch
+    does: the eigenvalue is the entry (``-0.0`` included) and the
+    eigenvector is ``[[1.0]]``.  The signs are fixed by multiplying every
+    column by ``+1.0`` or ``-1.0``, which is exact; the leading entry is
+    read from the first row unless that row has a zero.
+
     The result is computed once per ``SymMatrix`` instance: it is stored on
     ``a`` and every later call on ``a`` returns that same read-only object.
     """
@@ -163,9 +194,16 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
     d = a.dim
     if d > MAX_EIGEN_DIM:
         raise SizeError(f"eigensolver supports dim <= {MAX_EIGEN_DIM}, got {d}")
-    w, q = np.linalg.eigh(a.array)
-    lead = q[np.argmax(q != 0.0, axis=0), np.arange(d)]
-    q[:, lead < 0.0] *= -1.0
+    if d == 1:
+        w = a.array[0].copy()
+        q = np.ones((1, 1))
+    else:
+        w, q = np.linalg.eigh(a.array)
+        lead = q[0]
+        if not lead.all():
+            # Diagonal and block inputs: find each column's first nonzero.
+            lead = q[np.argmax(q != 0.0, axis=0), np.arange(d)]
+        q *= np.where(lead < 0.0, -1.0, 1.0)
     w.flags.writeable = False
     q.flags.writeable = False
     eig = EigenDecomposition(w, q)
@@ -207,14 +245,14 @@ def kron(a: SymMatrix, b: SymMatrix) -> SymMatrix:
         raise SizeError(
             f"Kronecker product dimension {out_dim} exceeds cap {KRON_DIM_CAP}"
         )
-    return SymMatrix(np.kron(a.array, b.array))
+    return SymMatrix._exact(np.kron(a.array, b.array))
 
 
 def hadamard(a: SymMatrix, b: SymMatrix) -> SymMatrix:
     """Entrywise (Hadamard) product of equal-dimension matrices."""
     if a.dim != b.dim:
         raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return SymMatrix(a.array * b.array)
+    return SymMatrix._exact(a.array * b.array)
 
 
 def compress(t: SymMatrix, d: int) -> SymMatrix:
@@ -227,7 +265,7 @@ def compress(t: SymMatrix, d: int) -> SymMatrix:
     if d < 1 or t.dim != d * d:
         raise ShapeError(f"dimension {t.dim} is not the perfect square of {d}")
     idx = np.arange(d) * (d + 1)
-    return SymMatrix(t.array[np.ix_(idx, idx)])
+    return SymMatrix._exact(t.array[np.ix_(idx, idx)])
 
 
 class MeanPath:

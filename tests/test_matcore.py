@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from callebaut_lab.errors import ConvergenceError, DomainError, ShapeError, SizeError
+from callebaut_lab.errors import DomainError, ShapeError, SizeError
 from callebaut_lab.matcore import (
     EIG_FLOOR,
     SymMatrix,
@@ -31,6 +31,20 @@ def _rand_spd(d, rng, lo=0.5, hi=3.0):
     return SymMatrix((q * w) @ q.T)
 
 
+def _bits_equal(x, y):
+    """Equal shape, dtype and bytes: tells ``-0.0`` from ``0.0``."""
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _reference_eigen(arr):
+    """``eigh`` with each column's first nonzero entry found by search and
+    negative columns flipped under a mask."""
+    w, q = np.linalg.eigh(arr)
+    lead = q[np.argmax(q != 0.0, axis=0), np.arange(arr.shape[0])]
+    q[:, lead < 0.0] *= -1.0
+    return w, q
+
+
 class TestSymMatrix:
     def test_symmetrized_exactly(self):
         m = SymMatrix(np.array([[1.0, 2.0], [4.0, 3.0]]))
@@ -44,11 +58,34 @@ class TestSymMatrix:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             SymMatrix(np.array([[np.nan]]))
+        # Finite entries whose half-sum overflows must not be stored as inf.
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            SymMatrix(np.array([[1e308, 1e308], [1e308, 1e308]]))
 
     def test_readonly(self):
         m = SymMatrix.identity(2)
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
+
+    def test_equality_compares_entries_and_is_unhashable(self):
+        assert SymMatrix(np.eye(2)) == SymMatrix(np.eye(2))
+        assert not SymMatrix(np.eye(2)) != SymMatrix(np.eye(2))
+        assert SymMatrix(np.eye(2)) != SymMatrix.diagonal([1.0, 2.0])
+        assert SymMatrix(np.eye(2)) != SymMatrix(np.eye(3))
+        assert SymMatrix(np.array([[2.0]])) == SymMatrix(np.array([[2.0]]))
+        assert SymMatrix(np.array([[2.0]])) != SymMatrix(np.array([[3.0]]))
+        assert SymMatrix(np.eye(2)) != "eye"
+        assert SymMatrix(np.eye(2)).__eq__(np.eye(2)) is NotImplemented
+        with pytest.raises(TypeError):
+            hash(SymMatrix.identity(2))
+
+    def test_equality_ignores_memoised_decomposition(self):
+        rng = np.random.default_rng(8)
+        a = _rand_sym(3, rng)
+        b = SymMatrix(a.array.copy())
+        sym_eigen(a)
+        assert a == b and b == a
+        assert a != a * 2.0
 
 
 class TestSymEigen:
@@ -99,6 +136,36 @@ class TestSymEigen:
         assert repr(a) == before
         assert not e.eigenvalues.flags.writeable
         assert not e.eigenvectors.flags.writeable
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1e-300, 1e300, -2.5, 5e-324])
+    def test_1x1_matches_lapack(self, x):
+        e = sym_eigen(SymMatrix(np.array([[x]])))
+        w, q = np.linalg.eigh(np.array([[x]]))
+        assert _bits_equal(e.eigenvalues, w)
+        assert _bits_equal(e.eigenvectors, q)
+        assert not e.eigenvalues.flags.writeable
+        assert not e.eigenvectors.flags.writeable
+
+    def test_sign_convention_matches_search_and_mask(self):
+        rng = np.random.default_rng(19)
+        inputs = [rng.standard_normal((d, d)) for d in (2, 3, 4, 5, 8, 16) for _ in range(5)]
+        inputs += [np.diag(rng.standard_normal(d)) for d in (2, 3, 4)]
+        inputs += [np.zeros((d, d)) for d in (2, 3)]
+        perm = rng.permutation(4)
+        inputs.append(np.diag([4.0, 1.0, 3.0, 2.0])[np.ix_(perm, perm)])
+        for _ in range(10):
+            # Blocks below a zero-first-row part leave zeros in q's first row.
+            blk = rng.standard_normal((3, 3))
+            inputs.append(np.block([[np.diag([rng.uniform(1.0, 2.0)]), np.zeros((1, 3))],
+                                    [np.zeros((3, 1)), blk + blk.T]]))
+            inputs.append(np.block([[blk + blk.T, np.zeros((3, 2))],
+                                    [np.zeros((2, 3)), np.diag(rng.uniform(-1.0, 1.0, 2))]]))
+        for x in inputs:
+            a = SymMatrix(x)
+            e = sym_eigen(a)
+            w, q = _reference_eigen(a.array)
+            assert _bits_equal(e.eigenvalues, w)
+            assert _bits_equal(e.eigenvectors, q)
 
     def test_zero_matrix(self):
         e = sym_eigen(SymMatrix.zero(3))
@@ -192,6 +259,49 @@ class TestKronHadamardCompress:
     def test_compress_shape_error(self):
         with pytest.raises(ShapeError):
             compress(SymMatrix.identity(6), 2)
+
+
+class TestExactResults:
+    """Results that skip re-symmetrisation equal the public constructor's."""
+
+    @staticmethod
+    def _assert_same_as_constructor(out, arr):
+        assert _bits_equal(out.array, SymMatrix(arr).array)
+        assert not out.array.flags.writeable
+
+    def test_closed_operations(self):
+        rng = np.random.default_rng(23)
+        for d in (1, 2, 3, 4):
+            for scale in (1.0, 1e-300, 1e150):
+                a = SymMatrix(scale * rng.standard_normal((d, d)))
+                b = SymMatrix(scale * rng.standard_normal((d, d)))
+                c = float(rng.standard_normal())
+                self._assert_same_as_constructor(a + b, a.array + b.array)
+                self._assert_same_as_constructor(a - b, a.array - b.array)
+                self._assert_same_as_constructor(a * c, a.array * c)
+                self._assert_same_as_constructor(c * a, a.array * c)
+                self._assert_same_as_constructor(hadamard(a, b), a.array * b.array)
+                t = kron(a, b)
+                self._assert_same_as_constructor(t, np.kron(a.array, b.array))
+                idx = np.arange(d) * (d + 1)
+                self._assert_same_as_constructor(
+                    compress(t, d), t.array[np.ix_(idx, idx)]
+                )
+
+    def test_overflow_raises(self):
+        x = SymMatrix.diagonal([8e307, 1.0])
+        big = x + x
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError):
+                big + x
+            with pytest.raises(DomainError):
+                big - (-1.0) * x
+            with pytest.raises(DomainError):
+                big * 10.0
+            with pytest.raises(DomainError):
+                hadamard(big, big)
+            with pytest.raises(DomainError):
+                kron(big, big)
 
 
 class TestGeoMean:
