@@ -20,14 +20,13 @@ from itertools import groupby
 
 from .errors import CallebautLabError, ConfigError
 from .inequalities import (
-    BANDED_IDS,
     IneqId,
-    PAIR_IDS,
     REPAIRABLE,
     Variant,
     evaluate_inequality,
     inequality_info,
     list_inequalities,
+    params_dict,
 )
 from .oracle import BUILTIN_WITNESSES, dump_catalog, load_catalog, replay_witnesses
 from .sampler import RngState, SpectralBand, derive_rng, sample_family, spd_in_band
@@ -157,14 +156,6 @@ def grid_points(ineq: IneqId, config: SuiteConfig):
     return ordered
 
 
-def _param_key(p) -> str:
-    if p[0] == "alpha":
-        return f"alpha={p[1]!r}"
-    if p[0] == "ab":
-        return f"alpha={p[1]!r},beta={p[2]!r}"
-    return f"s={p[1]!r},t={p[2]!r}"
-
-
 def _make_params(p):
     if p[0] == "alpha":
         return p[1]
@@ -185,14 +176,13 @@ def _combos(config: SuiteConfig):
 
 def _run_trial(config: SuiteConfig, ineq: IneqId, variant: Variant, point, trial: int):
     band_t, n, d, p = point
-    key = (
-        f"{ineq.value}|{variant.value}|{band_t}|n={n}|d={d}|{_param_key(p)}|trial={trial}"
-    )
+    params = _make_params(p)
+    param_key = ",".join(f"{k}={v!r}" for k, v in params_dict(ineq, params).items())
+    key = f"{ineq.value}|{variant.value}|{band_t}|n={n}|d={d}|{param_key}|trial={trial}"
     stream = _stable_hash(key)
     rng = derive_rng(config.master_seed, stream)
     band = SpectralBand(*band_t)
     instance = sample_family(n, d, band, rng, pin_extremes=False)
-    params = _make_params(p)
     report = evaluate_inequality(ineq, instance, params, variant, tol=config.tol)
     line = {
         "id": ineq.value,

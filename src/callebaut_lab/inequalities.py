@@ -18,6 +18,17 @@ alongside the PAPER_LITERAL one:
   as multiples of the identity; the repaired form carries the scalar bound on
   the squared mean-sum term, which is what the congruence argument produces.
 
+Each statement is defined once: by its registry entry and by its link builder
+in ``_BUILDERS``.  Every builder has the signature
+``(operands, band, params, variant)`` and returns ``(name, LHS, RHS)`` triples
+with ``LHS <= RHS`` claimed; ``operands`` is the pair ``(A, B)`` for
+pair-shaped statements and the memoized Hadamard-sum terms of the family
+otherwise.  ``build_links`` reads the entry and runs the same checks for every
+id before it calls the builder: the variant, the parameter type, the operand
+shape, then the band.  The tensor statements are sums of ``f(A) x g(B)``
+built by one swapped-Kronecker helper, and each statement family takes its
+Kantorovich weight ``K^(+-r')`` from one helper.
+
 Operator means always go through the congruence form (``matcore.MeanPath``);
 scalar shortcuts exist only in the independent oracle module.
 """
@@ -25,6 +36,7 @@ scalar shortcuts exist only in the independent oracle module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,50 +83,6 @@ class IneqId(Enum):
 class Variant(Enum):
     PAPER_LITERAL = "paper"
     REPAIRED = "repaired"
-
-
-#: Ids that define a REPAIRED variant; requesting it elsewhere is an error.
-REPAIRABLE = frozenset(
-    {
-        IneqId.TENSOR_TOOL,
-        IneqId.HAD_MAMAN,
-        IneqId.REV_TENSOR_DEAR,
-        IneqId.REV_HAD_MAINTH,
-        IneqId.REV_T1_REMARK,
-        IneqId.PROP_HBOUNDS,
-    }
-)
-
-#: Pair-shaped ids (single (A, B) rather than a family).
-PAIR_IDS = frozenset(
-    {IneqId.WADA, IneqId.TENSOR_TOOL, IneqId.PROOF_CHAIN, IneqId.REV_TENSOR_DEAR}
-)
-
-#: Ids whose constants use the spectral band hypothesis.
-BANDED_IDS = frozenset(
-    {
-        IneqId.TENSOR_TOOL,
-        IneqId.PROOF_CHAIN,
-        IneqId.HAD_MAMAN,
-        IneqId.REV_TENSOR_DEAR,
-        IneqId.REV_HAD_MAINTH,
-        IneqId.REV_T1_REMARK,
-        IneqId.PROP_HBOUNDS,
-    }
-)
-
-#: Hadamard-sum ids, i.e. those whose terms reduce entrywise on diagonal
-#: families (the oracle's diagonal cross-check applies to exactly these).
-HADAMARD_SUM_IDS = (
-    IneqId.CHAIN_34RF,
-    IneqId.MOJ_MO,
-    IneqId.HAD_MAMAN,
-    IneqId.HAD_MAMAN2,
-    IneqId.COR_BJ_IDENTITY,
-    IneqId.REV_HAD_MAINTH,
-    IneqId.REV_T1_REMARK,
-    IneqId.PROP_HBOUNDS,
-)
 
 
 @dataclass(frozen=True)
@@ -213,18 +181,42 @@ def _congruence_interval(band: SpectralBand, t: float) -> tuple[float, float]:
     return 1.0 / g_hi, g_hi
 
 
-def _tensor_sum(a: SymMatrix, b: SymMatrix, u: float) -> SymMatrix:
-    """``A^u x B^(1-u) + A^(1-u) x B^u``."""
-    return kron(spectral_pow(a, u), spectral_pow(b, 1.0 - u)) + kron(
-        spectral_pow(a, 1.0 - u), spectral_pow(b, u)
+def _swapped_kron(a: SymMatrix, b: SymMatrix, p: float, q: float) -> SymMatrix:
+    """``A^p x B^q + A^q x B^p``."""
+    return kron(spectral_pow(a, p), spectral_pow(b, q)) + kron(
+        spectral_pow(a, q), spectral_pow(b, p)
     )
 
 
+def _tensor_weight(band, pair: ExponentPair, variant: Variant, sign: float) -> float:
+    """Kantorovich weight ``K(c)^(sign r')`` of the tensor statements."""
+    if variant == Variant.REPAIRED:
+        karg = _repaired_karg(band, pair.t)
+    else:
+        karg = _literal_karg(band, pair.t)
+    return kantorovich(karg) ** (sign * pair.r_prime_st)
+
+
+def _hadamard_weight(band, pair: ExponentPair, variant: Variant, sign: float) -> float:
+    """Kantorovich weight ``K^(sign r')`` of the Hadamard-sum statements; the
+    repaired constant is the smallest one over the congruence interval."""
+    if variant == Variant.REPAIRED:
+        k = kantorovich_min_over_interval(*_congruence_interval(band, pair.t))
+    else:
+        k = kantorovich(_literal_karg(band, pair.t))
+    return k ** (sign * pair.r_prime_st)
+
+
 # --- link builders -----------------------------------------------------------
-# Each builder returns a list of (link_name, LHS, RHS) with LHS <= RHS claimed.
+# Each builder takes (operands, band, params, variant) and returns a list of
+# (link_name, LHS, RHS) with LHS <= RHS claimed.
 
 
-def _links_wada(a: SymMatrix, b: SymMatrix, alpha: float):
+def _links_wada(operands, band, alpha, variant):
+    a, b = operands
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise HypothesisError(f"weight must lie in [0, 1], got {alpha}")
     path = MeanPath(a, b)
     g = path.at(0.5)
     gl = path.at(alpha)
@@ -235,7 +227,7 @@ def _links_wada(a: SymMatrix, b: SymMatrix, alpha: float):
     return [("geo_vs_mix", low, mid), ("mix_vs_sum", mid, high)]
 
 
-def _links_chain_34rf(terms: _FamilyTerms, pair: ExponentPair):
+def _links_chain_34rf(terms: _FamilyTerms, band, pair: ExponentPair, variant):
     return [
         ("geo_vs_s", terms.S(0.5), terms.S(pair.s)),
         ("s_vs_t", terms.S(pair.s), terms.S(pair.t)),
@@ -243,7 +235,7 @@ def _links_chain_34rf(terms: _FamilyTerms, pair: ExponentPair):
     ]
 
 
-def _links_moj_mo(terms: _FamilyTerms, pair: ExponentPair):
+def _links_moj_mo(terms: _FamilyTerms, band, pair: ExponentPair, variant):
     if abs(pair.s - 0.5) < 1e-6:
         raise HypothesisError(
             f"s = {pair.s} lies within 1e-06 of 1/2; the middle coefficient "
@@ -255,35 +247,29 @@ def _links_moj_mo(terms: _FamilyTerms, pair: ExponentPair):
     return [("s_vs_mid", ss, mid), ("mid_vs_t", mid, terms.S(pair.t))]
 
 
-def _links_tensor_tool(a, b, band, pair: ExponentPair, variant: Variant):
-    if variant == Variant.REPAIRED:
-        karg = _repaired_karg(band, pair.t)
-    else:
-        karg = _literal_karg(band, pair.t)
-    kf = kantorovich(karg) ** pair.r_prime_st
-    p_s = _tensor_sum(a, b, pair.s)
-    p_t = _tensor_sum(a, b, pair.t)
+def _tensor_terms(a: SymMatrix, b: SymMatrix, pair: ExponentPair):
+    """``P_s``, ``P_t`` and ``P_t - 2 A^(1/2) x B^(1/2)``, where
+    ``P_u = A^u x B^(1-u) + A^(1-u) x B^u``."""
+    p_t = _swapped_kron(a, b, pair.t, 1.0 - pair.t)
     half = kron(spectral_pow(a, 0.5), spectral_pow(b, 0.5))
-    lhs = kf * p_s + pair.c_mid * (p_t - 2.0 * half)
+    return _swapped_kron(a, b, pair.s, 1.0 - pair.s), p_t, p_t - 2.0 * half
+
+
+def _links_tensor_tool(operands, band, pair: ExponentPair, variant: Variant):
+    p_s, p_t, excess = _tensor_terms(*operands, pair)
+    lhs = _tensor_weight(band, pair, variant, 1.0) * p_s + pair.c_mid * excess
     return [("main", lhs, p_t)]
 
 
-def _links_rev_tensor_dear(a, b, band, pair: ExponentPair, variant: Variant):
-    if variant == Variant.REPAIRED:
-        karg = _repaired_karg(band, pair.t)
-        coeff = pair.c_rev_repair
-    else:
-        karg = _literal_karg(band, pair.t)
-        coeff = pair.c_rev_paper
-    kf = kantorovich(karg) ** (-pair.r_prime_st)
-    p_s = _tensor_sum(a, b, pair.s)
-    p_t = _tensor_sum(a, b, pair.t)
-    half = kron(spectral_pow(a, 0.5), spectral_pow(b, 0.5))
-    rhs = kf * p_s + coeff * (p_t - 2.0 * half)
+def _links_rev_tensor_dear(operands, band, pair: ExponentPair, variant: Variant):
+    coeff = pair.c_rev_repair if variant == Variant.REPAIRED else pair.c_rev_paper
+    p_s, p_t, excess = _tensor_terms(*operands, pair)
+    rhs = _tensor_weight(band, pair, variant, -1.0) * p_s + coeff * excess
     return [("main", p_t, rhs)]
 
 
-def _links_proof_chain(a, b, band, params: ProofChainParams):
+def _links_proof_chain(operands, band, params: ProofChainParams, variant):
+    a, b = operands
     al, be, mu = params.alpha, params.beta, params.mu
     kf = kantorovich(band.M_lo ** al / band.m_hi ** al) ** params.r_prime
 
@@ -308,41 +294,28 @@ def _links_proof_chain(a, b, band, params: ProofChainParams):
         SymMatrix(np.array([[worst[1]]])),
     )
 
-    g = lambda e: _tensor_sum_signed(a, b, e)
+    # G_e = A^e x B^-e + swap, and H_e = A^(1+e) x B^(1-e) + swap.
+    g_al = _swapped_kron(a, b, al, -al)
     ident = SymMatrix.identity(a.dim * b.dim)
-    lhs345 = kf * g(be) + (1.0 - mu) * (g(al) - 2.0 * ident)
-    link345 = ("ratio_powers", lhs345, g(al))
+    lhs345 = kf * _swapped_kron(a, b, be, -be) + (1.0 - mu) * (g_al - 2.0 * ident)
+    link345 = ("ratio_powers", lhs345, g_al)
 
-    h = lambda e: kron(spectral_pow(a, 1.0 + e), spectral_pow(b, 1.0 - e)) + kron(
-        spectral_pow(a, 1.0 - e), spectral_pow(b, 1.0 + e)
+    h_al = _swapped_kron(a, b, 1.0 + al, 1.0 - al)
+    lhs3456 = kf * _swapped_kron(a, b, 1.0 + be, 1.0 - be) + (1.0 - mu) * (
+        h_al - 2.0 * kron(a, b)
     )
-    lhs3456 = kf * h(be) + (1.0 - mu) * (h(al) - 2.0 * kron(a, b))
-    link3456 = ("shifted_powers", lhs3456, h(al))
+    link3456 = ("shifted_powers", lhs3456, h_al)
     return [spectra_link, link345, link3456]
 
 
-def _tensor_sum_signed(a: SymMatrix, b: SymMatrix, e: float) -> SymMatrix:
-    """``A^e x B^-e + A^-e x B^e`` (exponents of either sign)."""
-    return kron(spectral_pow(a, e), spectral_pow(b, -e)) + kron(
-        spectral_pow(a, -e), spectral_pow(b, e)
-    )
-
-
-def _maman_factor(band, pair, variant):
-    if variant == Variant.REPAIRED:
-        lo, hi = _congruence_interval(band, pair.t)
-        return kantorovich_min_over_interval(lo, hi) ** pair.r_prime_st
-    return kantorovich(_literal_karg(band, pair.t)) ** pair.r_prime_st
-
-
-def _links_had_maman(terms, band, pair: ExponentPair, variant: Variant):
-    kf = _maman_factor(band, pair, variant)
+def _links_had_maman(terms: _FamilyTerms, band, pair: ExponentPair, variant: Variant):
+    kf = _hadamard_weight(band, pair, variant, 1.0)
     ss, st, l0 = terms.S(pair.s), terms.S(pair.t), terms.S(0.5)
     lhs = kf * ss + pair.c_mid * (st - l0)
     return [("main", lhs, st)]
 
 
-def _links_had_maman2(terms, pair: ExponentPair):
+def _links_had_maman2(terms: _FamilyTerms, band, pair: ExponentPair, variant):
     ss, st, l0 = terms.S(pair.s), terms.S(pair.t), terms.S(0.5)
     bracket = ss + l0 - 2.0 * terms.S((3.0 - 2.0 * pair.s) / 4.0)
     lhs = ss + pair.c_mid * (ss - l0) + pair.r_prime_st * bracket
@@ -350,10 +323,10 @@ def _links_had_maman2(terms, pair: ExponentPair):
     return [("main", lhs, st), ("bracket_psd", zero, bracket)]
 
 
-def _links_cor_bj(inst: FamilyInstance, pair: ExponentPair):
+def _links_cor_bj(terms: _FamilyTerms, band, pair: ExponentPair, variant):
     # Lower family pinned to the identity: means become plain powers of A_j.
     def power_sum(u: float) -> SymMatrix:
-        return sum_matrices(spectral_pow(a, u) for a in inst.A_list)
+        return sum_matrices(spectral_pow(a, u) for a in terms.inst.A_list)
 
     s, t = pair.s, pair.t
     s_s = hadamard(power_sum(1.0 - s), power_sum(s))
@@ -365,32 +338,25 @@ def _links_cor_bj(inst: FamilyInstance, pair: ExponentPair):
     return [("main", lhs, s_t)]
 
 
-def _rev_factor(band, pair, variant):
-    if variant == Variant.REPAIRED:
-        lo, hi = _congruence_interval(band, pair.t)
-        return kantorovich_min_over_interval(lo, hi) ** (-pair.r_prime_st)
-    return kantorovich(_literal_karg(band, pair.t)) ** (-pair.r_prime_st)
-
-
-def _links_rev_had_mainth(terms, band, pair: ExponentPair, variant: Variant):
-    kf = _rev_factor(band, pair, variant)
+def _links_rev_had_mainth(terms: _FamilyTerms, band, pair: ExponentPair, variant: Variant):
+    kf = _hadamard_weight(band, pair, variant, -1.0)
     coeff = pair.c_rev_repair if variant == Variant.REPAIRED else pair.c_rev_paper
     ss, st, l0 = terms.S(pair.s), terms.S(pair.t), terms.S(0.5)
     rhs = kf * ss + coeff * (st - l0)
     return [("main", st, rhs)]
 
 
-def _links_rev_t1(terms, band, pair: ExponentPair, variant: Variant):
+def _links_rev_t1(terms: _FamilyTerms, band, pair: ExponentPair, variant: Variant):
     if pair.t != 1.0:
         raise HypothesisError(f"this statement fixes t = 1, got t = {pair.t}")
-    kf = _rev_factor(band, pair, variant)
+    kf = _hadamard_weight(band, pair, variant, -1.0)
     coeff = 2.0 * pair.s if variant == Variant.REPAIRED else 2.0 * pair.s - 1.0
     ss, l0, top = terms.S(pair.s), terms.S(0.5), terms.top
     rhs = kf * ss + coeff * (top - l0)
     return [("main", top, rhs)]
 
 
-def _links_prop_hbounds(terms, band, pair: ExponentPair, variant: Variant):
+def _links_prop_hbounds(terms: _FamilyTerms, band, pair: ExponentPair, variant: Variant):
     ss, st = terms.S(pair.s), terms.S(pair.t)
     if variant == Variant.PAPER_LITERAL:
         kf = kantorovich(band.h ** (2.0 * pair.t - 1.0)) ** pair.r_prime_st
@@ -538,6 +504,40 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
 }
 
 
+_BUILDERS = {
+    IneqId.WADA: _links_wada,
+    IneqId.CHAIN_34RF: _links_chain_34rf,
+    IneqId.MOJ_MO: _links_moj_mo,
+    IneqId.TENSOR_TOOL: _links_tensor_tool,
+    IneqId.PROOF_CHAIN: _links_proof_chain,
+    IneqId.HAD_MAMAN: _links_had_maman,
+    IneqId.HAD_MAMAN2: _links_had_maman2,
+    IneqId.COR_BJ_IDENTITY: _links_cor_bj,
+    IneqId.REV_TENSOR_DEAR: _links_rev_tensor_dear,
+    IneqId.REV_HAD_MAINTH: _links_rev_had_mainth,
+    IneqId.REV_T1_REMARK: _links_rev_t1,
+    IneqId.PROP_HBOUNDS: _links_prop_hbounds,
+}
+
+#: Parameter type each ``param_kind`` takes.
+_PARAM_TYPES = {
+    "alpha": numbers.Real,
+    "alpha_beta": ProofChainParams,
+    "st": ExponentPair,
+    "st_t1": ExponentPair,
+}
+
+#: Ids that define a REPAIRED variant; requesting it elsewhere is an error.
+REPAIRABLE = frozenset(
+    i for i, info in _REGISTRY.items() if Variant.REPAIRED in info.variants
+)
+
+#: Hadamard-sum ids, i.e. the family-shaped ones, whose terms reduce entrywise
+#: on diagonal families (the oracle's diagonal cross-check applies to exactly
+#: these).
+HADAMARD_SUM_IDS = tuple(i for i in IneqId if not _REGISTRY[i].takes_pair)
+
+
 def list_inequalities() -> tuple[InequalityInfo, ...]:
     """Static registry dump, one entry per operator inequality id."""
     return tuple(_REGISTRY[i] for i in IneqId)
@@ -547,36 +547,21 @@ def inequality_info(ineq: IneqId) -> InequalityInfo:
     return _REGISTRY[ineq]
 
 
-def _coerce_pair(instance, band):
+def _coerce_pair(instance, band) -> FamilyInstance:
+    """The one-pair family holding a pair-shaped statement's operands."""
     if isinstance(instance, FamilyInstance):
         if instance.n != 1:
             raise HypothesisError(
                 f"pair-shaped statement needs a single pair, got n = {instance.n}"
             )
-        return instance.A_list[0], instance.B_list[0], instance.band
+        return instance
     try:
         a, b = instance
     except (TypeError, ValueError):
         raise ShapeError(
             "pair-shaped statement takes (A, B) or a FamilyInstance with n = 1"
         ) from None
-    return a, b, band
-
-
-def _validate_pair_band(a, b, band):
-    wa = sym_eigen(a).eigenvalues
-    wb = sym_eigen(b).eigenvalues
-    slack = 1e-10
-    if wa[0] < band.M_lo * (1 - slack) or wa[-1] > band.M_hi * (1 + slack):
-        raise HypothesisError(
-            f"A spectrum [{wa[0]:.6g}, {wa[-1]:.6g}] violates the band "
-            f"[{band.M_lo}, {band.M_hi}]"
-        )
-    if wb[0] < band.m_lo * (1 - slack) or wb[-1] > band.m_hi * (1 + slack):
-        raise HypothesisError(
-            f"B spectrum [{wb[0]:.6g}, {wb[-1]:.6g}] violates the band "
-            f"[{band.m_lo}, {band.m_hi}]"
-        )
+    return FamilyInstance(n=1, dim=a.dim, A_list=(a,), B_list=(b,), band=band)
 
 
 def build_links(
@@ -600,62 +585,33 @@ def build_links(
 
 def _build_links(ineq, instance, params, variant, band):
     info = _REGISTRY[ineq]
-    if variant == Variant.REPAIRED and ineq not in REPAIRABLE:
-        raise VariantError(f"{ineq.value} defines no repaired variant")
-
+    if variant not in info.variants:
+        raise VariantError(f"{ineq.value} defines no {variant.value} variant")
+    expected = _PARAM_TYPES[info.param_kind]
+    if not isinstance(params, expected):
+        raise HypothesisError(
+            f"{ineq.value} takes {expected.__name__} parameters, "
+            f"got {type(params).__name__}"
+        )
     if info.takes_pair:
-        a, b, band = _coerce_pair(instance, band)
-        if info.needs_band:
-            if band is None:
-                raise HypothesisError(f"{ineq.value} requires a spectral band")
-            _validate_pair_band(a, b, band)
-        if ineq == IneqId.WADA:
-            alpha = float(params)
-            if not 0.0 <= alpha <= 1.0:
-                raise HypothesisError(f"weight must lie in [0, 1], got {alpha}")
-            return _links_wada(a, b, alpha), band
-        if ineq == IneqId.TENSOR_TOOL:
-            return _links_tensor_tool(a, b, band, params, variant), band
-        if ineq == IneqId.REV_TENSOR_DEAR:
-            return _links_rev_tensor_dear(a, b, band, params, variant), band
-        if ineq == IneqId.PROOF_CHAIN:
-            if not isinstance(params, ProofChainParams):
-                raise HypothesisError("proof-chain statement takes ProofChainParams")
-            return _links_proof_chain(a, b, band, params), band
-
-    if not isinstance(instance, FamilyInstance):
+        family = _coerce_pair(instance, band)
+    elif isinstance(instance, FamilyInstance):
+        family = instance
+    else:
         raise ShapeError(f"{ineq.value} takes a FamilyInstance")
     if info.needs_band:
-        validate_band_containment(instance)
-    if not isinstance(params, ExponentPair):
-        raise HypothesisError(f"{ineq.value} takes ExponentPair parameters")
-    terms = _FamilyTerms(instance)
-    if ineq == IneqId.CHAIN_34RF:
-        return _links_chain_34rf(terms, params), instance.band
-    if ineq == IneqId.MOJ_MO:
-        return _links_moj_mo(terms, params), instance.band
-    if ineq == IneqId.HAD_MAMAN:
-        return _links_had_maman(terms, instance.band, params, variant), instance.band
-    if ineq == IneqId.HAD_MAMAN2:
-        return _links_had_maman2(terms, params), instance.band
-    if ineq == IneqId.COR_BJ_IDENTITY:
-        return _links_cor_bj(instance, params), instance.band
-    if ineq == IneqId.REV_HAD_MAINTH:
-        return (
-            _links_rev_had_mainth(terms, instance.band, params, variant),
-            instance.band,
-        )
-    if ineq == IneqId.REV_T1_REMARK:
-        return _links_rev_t1(terms, instance.band, params, variant), instance.band
-    if ineq == IneqId.PROP_HBOUNDS:
-        return (
-            _links_prop_hbounds(terms, instance.band, params, variant),
-            instance.band,
-        )
-    raise ShapeError(f"{ineq.value} does not accept a FamilyInstance")
+        if family.band is None:
+            raise HypothesisError(f"{ineq.value} requires a spectral band")
+        validate_band_containment(family)
+    if info.takes_pair:
+        operands = (family.A_list[0], family.B_list[0])
+    else:
+        operands = _FamilyTerms(family)
+    return _BUILDERS[ineq](operands, family.band, params, variant), family.band
 
 
-def _params_dict(ineq: IneqId, params) -> dict:
+def params_dict(ineq: IneqId, params) -> dict:
+    """Report form of a statement's parameters, keyed by its ``param_kind``."""
     kind = _REGISTRY[ineq].param_kind
     if kind == "alpha":
         return {"alpha": float(params)}
@@ -708,7 +664,7 @@ def evaluate_inequality(
         shape = (instance.n, instance.dim)
     else:
         shape = (1, instance[0].dim)
-    pdict = _params_dict(ineq, params)
+    pdict = params_dict(ineq, params)
     witness = None
     if not gap.satisfied:
         witness = _serialize_instance(instance, band_used, pdict)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .inequalities import (
     IneqId,
     Variant,
@@ -351,18 +351,35 @@ class WitnessRecord:
 
     @staticmethod
     def from_dict(d: dict) -> "WitnessRecord":
+        """Record from its ``to_dict`` form.
+
+        Raises ``KeyError``, ``TypeError`` or ``ValueError`` when ``d`` is not
+        a complete record: a field is missing, the id or variant is unknown,
+        the band does not have four numbers, a matrix is ragged or not
+        numeric, or the params lack ``s`` or ``t``.
+        """
+        band = tuple(map(float, d["band"]))
+        if len(band) != 4:
+            raise ValueError(f"band needs 4 numbers, got {len(band)}")
+        params = d["params"]
         return WitnessRecord(
             ineq=IneqId(d["id"]),
             variant=Variant(d["variant"]),
-            band=tuple(d["band"]),
+            band=band,
             n=int(d["n"]),
             dim=int(d["dim"]),
-            a_entries=tuple(tuple(map(tuple, m)) for m in d["A_list"]),
-            b_entries=tuple(tuple(map(tuple, m)) for m in d["B_list"]),
-            params=dict(d["params"]),
+            a_entries=_entries(d["A_list"]),
+            b_entries=_entries(d["B_list"]),
+            params={"s": float(params["s"]), "t": float(params["t"])},
             expected_gap=float(d["expected_gap"]),
             tolerance=float(d["tolerance"]),
         )
+
+
+def _entries(matrices) -> tuple:
+    """Matrices as nested tuples of floats; ragged or non-numeric entries
+    raise ``ValueError`` or ``TypeError``."""
+    return tuple(tuple(map(tuple, np.array(m, dtype=float).tolist())) for m in matrices)
 
 
 def _witness(ineq, variant, expected, tol, s=0.75, t=1.0):
@@ -468,11 +485,22 @@ def dump_catalog(records, path):
 
 
 def load_catalog(path) -> list[WitnessRecord]:
-    """Read a line-delimited witness catalog (empty file gives zero records)."""
+    """Read a line-delimited witness catalog (empty file gives zero records).
+
+    A line that is not a complete record raises ``ConfigError`` naming the
+    path and the line number.
+    """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 records.append(WitnessRecord.from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"{path}:{lineno}: not a witness record "
+                    f"({type(exc).__name__}: {exc})"
+                ) from None
     return records

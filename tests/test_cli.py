@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -47,6 +48,15 @@ class TestVerify:
         _, _, lines = tiny_reports
         key = [(l["id"], l["variant"], l["stream"]) for l in lines]
         assert key == sorted(key)
+
+    def test_sampling_keys_are_frozen(self, tiny_reports):
+        # Stream ids depend only on blake2b and the pure-Python grid shuffle,
+        # so this digest is the same on every machine and NumPy build.
+        _, _, lines = tiny_reports
+        keys = "".join(f"{l['id']} {l['variant']} {l['stream']}\n" for l in lines)
+        assert hashlib.sha256(keys.encode()).hexdigest() == (
+            "8c12c3bd9031417d00cdc80f71f5f9defde0cb0d03c2f245fd0b30be8524094b"
+        )
 
     def test_byte_identical_reruns(self, tiny_reports, tmp_path):
         _, out, _ = tiny_reports
@@ -153,6 +163,37 @@ class TestWitness:
         path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
         capsys.readouterr()
         assert _run(["witness", "--replay", str(path)]) == cli.EXIT_VIOLATION
+
+
+    def test_unevaluable_record_is_failed_replay(self, tmp_path, capsys):
+        path = tmp_path / "wada.jsonl"
+        _run(["witness", "--export", str(path)])
+        record = json.loads(path.read_text().splitlines()[0])
+        record["id"] = "WADA"  # a pair statement that takes a weight, not (s, t)
+        path.write_text(json.dumps(record) + "\n")
+        capsys.readouterr()
+        assert _run(["witness", "--replay", str(path)]) == cli.EXIT_VIOLATION
+        out = capsys.readouterr().out
+        assert "[FAIL] WADA/paper" in out and "1 failed" in out
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            lambda r: "{not json",
+            lambda r: json.dumps({**r, "id": "NOPE"}),
+            lambda r: json.dumps({**r, "params": {"t": 1.0}}),
+            lambda r: json.dumps({**r, "A_list": [[[4.0], [1.0, 2.0]]]}),
+        ],
+        ids=["bad_json", "unknown_id", "missing_s", "ragged_matrix"],
+    )
+    def test_malformed_catalog_line_is_config_error(self, tmp_path, capsys, line):
+        path = tmp_path / "broken.jsonl"
+        _run(["witness", "--export", str(path)])
+        good = path.read_text().splitlines()[0]
+        path.write_text(good + "\n" + line(json.loads(good)) + "\n")
+        capsys.readouterr()
+        assert _run(["witness", "--replay", str(path)]) == cli.EXIT_CONFIG
+        assert f"{path}:2: not a witness record" in capsys.readouterr().err
 
 
 class TestListAndConfig:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from callebaut_lab.errors import HypothesisError, VariantError
+from callebaut_lab.errors import HypothesisError, ShapeError, VariantError
 from callebaut_lab.inequalities import (
     HADAMARD_SUM_IDS,
     IneqId,
@@ -259,6 +259,15 @@ class TestHypotheses:
         with pytest.raises(HypothesisError, match="single pair"):
             evaluate_inequality(IneqId.TENSOR_TOOL, inst, WITNESS_PAIR)
 
+    def test_pair_operands_share_a_dimension(self):
+        with pytest.raises(ShapeError, match="dimension"):
+            evaluate_inequality(
+                IneqId.TENSOR_TOOL,
+                (SymMatrix.identity(2) * 4.0, SymMatrix.identity(3)),
+                WITNESS_PAIR,
+                band=WITNESS_BAND,
+            )
+
     def test_non_spd_input_is_hypothesis_violation(self):
         inst = FamilyInstance(
             n=1,
@@ -282,7 +291,7 @@ class TestHypotheses:
 
 
 def test_hadamard_sum_ids_cover_the_diagonalizable_statements():
-    assert set(HADAMARD_SUM_IDS) == {
+    assert HADAMARD_SUM_IDS == (
         IneqId.CHAIN_34RF,
         IneqId.MOJ_MO,
         IneqId.HAD_MAMAN,
@@ -291,4 +300,29 @@ def test_hadamard_sum_ids_cover_the_diagonalizable_statements():
         IneqId.REV_HAD_MAINTH,
         IneqId.REV_T1_REMARK,
         IneqId.PROP_HBOUNDS,
-    }
+    )
+
+
+#: One parameter value of each ``param_kind`` a pair-shaped statement takes.
+_PAIR_PARAMS = {
+    "alpha": 0.5,
+    "st": WITNESS_PAIR,
+    "alpha_beta": ProofChainParams(1.0, 0.25),
+}
+
+
+@pytest.mark.parametrize(
+    "ineq, kind",
+    [
+        (ineq, kind)
+        for ineq in IneqId
+        if inequality_info(ineq).takes_pair
+        for kind in _PAIR_PARAMS
+        if kind != inequality_info(ineq).param_kind
+    ],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_wrong_parameter_type_is_hypothesis_error(ineq, kind):
+    pair = (SymMatrix(np.array([[4.0]])), SymMatrix(np.array([[1.0]])))
+    with pytest.raises(HypothesisError, match="parameters"):
+        evaluate_inequality(ineq, pair, _PAIR_PARAMS[kind], band=WITNESS_BAND)
