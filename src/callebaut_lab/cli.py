@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -54,7 +55,7 @@ DEFAULT_BANDS = ((1.0, 1.0, 4.0, 4.0), (0.5, 1.0, 2.0, 8.0), (0.1, 0.2, 5.0, 10.
 
 #: Grid point that reproduces the recorded witnesses (degenerate band, single
 #: 1x1 pair, s = 3/4, t = 1); kept at the head of every relevant sweep.
-WITNESS_POINT = (DEFAULT_BANDS[0], 1, 1, ("st", 0.75, 1.0))
+WITNESS_POINT = (DEFAULT_BANDS[0], 1, 1, ExponentPair(0.75, 1.0))
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ class SuiteConfig:
     def validate(self):
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.variant not in ("paper", "repaired", "both"):
             raise ConfigError(f"variant must be paper|repaired|both, got {self.variant}")
         if self.workers < 1:
@@ -117,7 +118,9 @@ def _shuffled(points, key: str):
 
 
 def grid_points(ineq: IneqId, config: SuiteConfig):
-    """Deterministic sweep points for one id: (band, n, d, param spec).
+    """Deterministic sweep points for one id: (band, n, d, params), where
+    params is the statement's parameter object (``ExponentPair``,
+    ``ProofChainParams`` or the float weight).
 
     The witness grid point leads every sweep that can express it, so the
     default suite always revisits the recorded counterexamples.
@@ -129,20 +132,20 @@ def grid_points(ineq: IneqId, config: SuiteConfig):
         shapes = [(n, d) for n in config.family_sizes for d in config.dims]
     points = []
     if info.param_kind == "alpha":
-        params = [("alpha", k / 8.0) for k in range(9)]
+        params = [k / 8.0 for k in range(9)]
     elif info.param_kind == "alpha_beta":
         params = [
-            ("ab", 2.0 * t - 1.0, 2.0 * s - 1.0)
+            ProofChainParams(2.0 * t - 1.0, 2.0 * s - 1.0)
             for s, t in _st_grid(config.st_step)
             if s != t
         ]
     elif info.param_kind == "st_t1":
         params = [
-            ("st", s, 1.0)
+            ExponentPair(s, 1.0)
             for s in (k / config.st_step for k in range(config.st_step // 2 + 1, config.st_step + 1))
         ]
     else:
-        params = [("st", s, t) for s, t in _st_grid(config.st_step)]
+        params = [ExponentPair(s, t) for s, t in _st_grid(config.st_step)]
     for band in config.bands:
         for n, d in shapes:
             for p in params:
@@ -156,14 +159,6 @@ def grid_points(ineq: IneqId, config: SuiteConfig):
     return ordered
 
 
-def _make_params(p):
-    if p[0] == "alpha":
-        return p[1]
-    if p[0] == "ab":
-        return ProofChainParams(p[1], p[2])
-    return ExponentPair(p[1], p[2])
-
-
 def _combos(config: SuiteConfig):
     combos = []
     for ineq in IneqId:
@@ -175,8 +170,7 @@ def _combos(config: SuiteConfig):
 
 
 def _run_trial(config: SuiteConfig, ineq: IneqId, variant: Variant, point, trial: int):
-    band_t, n, d, p = point
-    params = _make_params(p)
+    band_t, n, d, params = point
     param_key = ",".join(f"{k}={v!r}" for k, v in params_dict(ineq, params).items())
     key = f"{ineq.value}|{variant.value}|{band_t}|n={n}|d={d}|{param_key}|trial={trial}"
     stream = _stable_hash(key)
@@ -315,19 +309,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _mutate_st(p, rng: RngState, step: float):
+def _mutate_st(pair: ExponentPair, rng: RngState, step: float) -> ExponentPair:
     """Nudge one exponent by +-step, staying on an admissible branch."""
-    kind, s, t = p
     for _ in range(8):
         ds = (rng.next_u64() % 3 - 1) * step
         dt = (rng.next_u64() % 3 - 1) * step
-        s2, t2 = s + ds, t + dt
         try:
-            ExponentPair(s2, t2)
+            return ExponentPair(pair.s + ds, pair.t + dt)
         except CallebautLabError:
             continue
-        return (kind, s2, t2)
-    return p
+    return pair
 
 
 def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig):
@@ -341,11 +332,11 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
     if variant == Variant.REPAIRED and ineq not in REPAIRABLE:
         raise ConfigError(f"{ineq.value} defines no repaired variant")
     points = grid_points(ineq, config)
-    best = None  # (rel_gap, line, point, instance, params)
+    best = None  # (rel_gap, line, point, instance)
 
-    def consider(point, instance, params, trial, stream):
+    def consider(point, instance, trial, stream):
         nonlocal best
-        report = evaluate_inequality(ineq, instance, params, variant, tol=config.tol)
+        report = evaluate_inequality(ineq, instance, point[3], variant, tol=config.tol)
         if best is None or report.gap.rel_gap < best[0]:
             line = {
                 "id": ineq.value,
@@ -365,34 +356,30 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
                     "B_list": [m.array.tolist() for m in instance.B_list],
                 },
             }
-            best = (report.gap.rel_gap, line, point, instance, params)
+            best = (report.gap.rel_gap, line, point, instance)
 
     for b in range(budget):
         key = f"falsify|{ineq.value}|{variant.value}|trial={b}"
         stream = _stable_hash(key)
         rng = derive_rng(config.master_seed, stream)
         point = points[rng.next_u64() % len(points)]
-        band_t, n, d, p = point
+        band_t, n, d, _ = point
         instance = sample_family(n, d, SpectralBand(*band_t), rng, pin_extremes=True)
-        consider(point, instance, _make_params(p), b, stream)
+        consider(point, instance, b, stream)
 
     if best is not None:
         for step in range(50):
             key = f"refine|{ineq.value}|{variant.value}|step={step}"
             stream = _stable_hash(key)
             rng = derive_rng(config.master_seed, stream)
-            _, _, point, instance, params = best
-            band_t, n, d, p = point
+            _, _, point, instance = best
+            band_t, n, d, params = point
             band = SpectralBand(*band_t)
-            if p[0] == "st" and rng.uniform() < 0.5:
-                p2 = _mutate_st(p, rng, 1.0 / 32.0)
-                if inequality_info(ineq).param_kind == "st_t1" and p2[2] != 1.0:
-                    p2 = p
-                try:
-                    params2 = _make_params(p2)
-                except CallebautLabError:
-                    continue
-                consider((band_t, n, d, p2), instance, params2, -1, stream)
+            if isinstance(params, ExponentPair) and rng.uniform() < 0.5:
+                p2 = _mutate_st(params, rng, 1.0 / 32.0)
+                if inequality_info(ineq).param_kind == "st_t1" and p2.t != 1.0:
+                    p2 = params
+                consider((band_t, n, d, p2), instance, -1, stream)
             else:
                 j = rng.next_u64() % n
                 redraw_a = rng.next_u64() % 2 == 0
@@ -406,7 +393,7 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
                     b_list = list(instance.B_list)
                     b_list[j] = new
                     cand = replace(instance, B_list=tuple(b_list))
-                consider(point, cand, params, -1, stream)
+                consider(point, cand, -1, stream)
     return best[1] if best is not None else None
 
 

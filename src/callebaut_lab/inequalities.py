@@ -23,7 +23,10 @@ in ``_BUILDERS``.  Every builder has the signature
 ``(operands, band, params, variant)`` and returns ``(name, LHS, RHS)`` triples
 with ``LHS <= RHS`` claimed; ``operands`` is the pair ``(A, B)`` for
 pair-shaped statements and the memoized Hadamard-sum terms of the family
-otherwise.  ``build_links`` reads the entry and runs the same checks for every
+otherwise.  ``evaluate_inequality`` and ``build_links`` take a
+``FamilyInstance`` and nothing else; the pair-shaped statements (the tensor
+ones and WADA) need ``n = 1``, and every statement reads its band from the
+family.  ``build_links`` reads the entry and runs the same checks for every
 id before it calls the builder: the variant, the parameter type, the operand
 shape, then the band.  The tensor statements are sums of ``f(A) x g(B)``
 built by one swapped-Kronecker helper, and each statement family takes its
@@ -105,8 +108,6 @@ class IneqReport:
     ineq: IneqId
     variant: Variant
     params: dict
-    band: SpectralBand | None
-    shape: tuple[int, int]
     links: tuple[LinkReport, ...]
     gap: LoewnerGap
     lhs_norm: float
@@ -547,29 +548,11 @@ def inequality_info(ineq: IneqId) -> InequalityInfo:
     return _REGISTRY[ineq]
 
 
-def _coerce_pair(instance, band) -> FamilyInstance:
-    """The one-pair family holding a pair-shaped statement's operands."""
-    if isinstance(instance, FamilyInstance):
-        if instance.n != 1:
-            raise HypothesisError(
-                f"pair-shaped statement needs a single pair, got n = {instance.n}"
-            )
-        return instance
-    try:
-        a, b = instance
-    except (TypeError, ValueError):
-        raise ShapeError(
-            "pair-shaped statement takes (A, B) or a FamilyInstance with n = 1"
-        ) from None
-    return FamilyInstance(n=1, dim=a.dim, A_list=(a,), B_list=(b,), band=band)
-
-
 def build_links(
     ineq: IneqId,
-    instance,
+    family: FamilyInstance,
     params,
     variant: Variant = Variant.PAPER_LITERAL,
-    band: SpectralBand | None = None,
 ):
     """Construct the (name, LHS, RHS) operand triples for one statement.
 
@@ -578,12 +561,12 @@ def build_links(
     matrix algebra are statement-hypothesis violations at this boundary.
     """
     try:
-        return _build_links(ineq, instance, params, variant, band)
+        return _build_links(ineq, family, params, variant)
     except DomainError as exc:
         raise HypothesisError(str(exc)) from exc
 
 
-def _build_links(ineq, instance, params, variant, band):
+def _build_links(ineq, family, params, variant):
     info = _REGISTRY[ineq]
     if variant not in info.variants:
         raise VariantError(f"{ineq.value} defines no {variant.value} variant")
@@ -593,21 +576,21 @@ def _build_links(ineq, instance, params, variant, band):
             f"{ineq.value} takes {expected.__name__} parameters, "
             f"got {type(params).__name__}"
         )
-    if info.takes_pair:
-        family = _coerce_pair(instance, band)
-    elif isinstance(instance, FamilyInstance):
-        family = instance
-    else:
-        raise ShapeError(f"{ineq.value} takes a FamilyInstance")
+    if not isinstance(family, FamilyInstance):
+        raise ShapeError(
+            f"{ineq.value} takes a FamilyInstance, got {type(family).__name__}"
+        )
+    if info.takes_pair and family.n != 1:
+        raise HypothesisError(
+            f"pair-shaped statement needs a single pair, got n = {family.n}"
+        )
     if info.needs_band:
-        if family.band is None:
-            raise HypothesisError(f"{ineq.value} requires a spectral band")
         validate_band_containment(family)
     if info.takes_pair:
         operands = (family.A_list[0], family.B_list[0])
     else:
         operands = _FamilyTerms(family)
-    return _BUILDERS[ineq](operands, family.band, params, variant), family.band
+    return _BUILDERS[ineq](operands, family.band, params, variant)
 
 
 def params_dict(ineq: IneqId, params) -> dict:
@@ -620,38 +603,30 @@ def params_dict(ineq: IneqId, params) -> dict:
     return {"s": params.s, "t": params.t}
 
 
-def _serialize_instance(instance, band, params_dict) -> dict:
-    payload = {"params": params_dict}
-    if band is not None:
-        payload["band"] = list(band.as_tuple())
-    if isinstance(instance, FamilyInstance):
-        payload["n"] = instance.n
-        payload["dim"] = instance.dim
-        payload["A_list"] = [m.array.tolist() for m in instance.A_list]
-        payload["B_list"] = [m.array.tolist() for m in instance.B_list]
-    else:
-        a, b = instance
-        payload["n"] = 1
-        payload["dim"] = a.dim
-        payload["A_list"] = [a.array.tolist()]
-        payload["B_list"] = [b.array.tolist()]
-    return payload
+def _serialize_instance(family: FamilyInstance, params_dict) -> dict:
+    return {
+        "params": params_dict,
+        "band": list(family.band.as_tuple()),
+        "n": family.n,
+        "dim": family.dim,
+        "A_list": [m.array.tolist() for m in family.A_list],
+        "B_list": [m.array.tolist() for m in family.B_list],
+    }
 
 
 def evaluate_inequality(
     ineq: IneqId,
-    instance,
+    family: FamilyInstance,
     params,
     variant: Variant = Variant.PAPER_LITERAL,
     tol: float = DEFAULT_TOL,
-    band: SpectralBand | None = None,
 ) -> IneqReport:
-    """Evaluate one statement on one instance to an :class:`IneqReport`.
+    """Evaluate one statement on one family to an :class:`IneqReport`.
 
     Multi-link statements report every link and summarize by the worst
     relative gap; a witness payload is attached exactly when unsatisfied.
     """
-    links, band_used = build_links(ineq, instance, params, variant, band)
+    links = build_links(ineq, family, params, variant)
     reports = tuple(
         LinkReport(name, loewner_gap(lhs, rhs, tol)) for name, lhs, rhs in links
     )
@@ -660,20 +635,12 @@ def evaluate_inequality(
     k = min(range(len(reports)), key=lambda i: reports[i].gap.rel_gap)
     _, worst_lhs, worst_rhs = links[k]
     gap = reports[k].gap
-    if isinstance(instance, FamilyInstance):
-        shape = (instance.n, instance.dim)
-    else:
-        shape = (1, instance[0].dim)
     pdict = params_dict(ineq, params)
-    witness = None
-    if not gap.satisfied:
-        witness = _serialize_instance(instance, band_used, pdict)
+    witness = None if gap.satisfied else _serialize_instance(family, pdict)
     return IneqReport(
         ineq=ineq,
         variant=variant,
         params=pdict,
-        band=band_used,
-        shape=shape,
         links=reports,
         gap=gap,
         lhs_norm=spectral_norm(worst_lhs),

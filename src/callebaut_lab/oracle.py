@@ -14,6 +14,14 @@ The scalar side deliberately avoids the eigensolver: sums are compensated
 (``math.fsum``) and powers go through exp/log with one Newton correction step
 for exact-half exponents, so it is meaningfully more accurate than the matrix
 arithmetic it cross-checks.
+
+Where the independence lies: the scalar algebra (``fsum``, ``oracle_pow``,
+``_ScalarTerms`` and each statement's combination of terms) is re-derived
+here.  The Kantorovich weights ``K^(+-r')`` are not: they are scalars of the
+band and the exponents, and the oracle takes them from the same helpers as
+the link builders (``_hadamard_weight``, ``_tensor_weight``), just as it takes
+the same arguments.  The hand-derived gaps of the recorded witnesses remain
+the independent pin on those weights.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from .inequalities import (
     IneqId,
     Variant,
     _congruence_interval,
-    _literal_karg,
-    _repaired_karg,
+    _hadamard_weight,
+    _tensor_weight,
     build_links,
     evaluate_inequality,
     inequality_info,
@@ -103,7 +111,7 @@ def _scalar_entry_links(
     variant: Variant,
     x,
     y,
-    band: SpectralBand | None,
+    band: SpectralBand,
     params,
 ) -> list[tuple[str, float, float]]:
     """Scalar (name, lhs, rhs) values for one diagonal entry, mirroring the
@@ -120,12 +128,7 @@ def _scalar_entry_links(
         mid = fsum((t.S(params.s), c * t.S(params.s), -c * t.S(0.5)))
         return [("s_vs_mid", t.S(params.s), mid), ("mid_vs_t", mid, t.S(params.t))]
     if ineq == IneqId.HAD_MAMAN:
-        if variant == Variant.REPAIRED:
-            kf = kantorovich_min_over_interval(
-                *_congruence_interval(band, params.t)
-            ) ** params.r_prime_st
-        else:
-            kf = kantorovich(_literal_karg(band, params.t)) ** params.r_prime_st
+        kf = _hadamard_weight(band, params, variant, 1.0)
         lhs = fsum(
             (kf * t.S(params.s), params.c_mid * t.S(params.t), -params.c_mid * t.S(0.5))
         )
@@ -159,27 +162,17 @@ def _scalar_entry_links(
         )
         return [("main", lhs, s_t)]
     if ineq == IneqId.REV_HAD_MAINTH:
-        if variant == Variant.REPAIRED:
-            kf = kantorovich_min_over_interval(
-                *_congruence_interval(band, params.t)
-            ) ** (-params.r_prime_st)
-            coeff = params.c_rev_repair
-        else:
-            kf = kantorovich(_literal_karg(band, params.t)) ** (-params.r_prime_st)
-            coeff = params.c_rev_paper
+        kf = _hadamard_weight(band, params, variant, -1.0)
+        coeff = (
+            params.c_rev_repair if variant == Variant.REPAIRED else params.c_rev_paper
+        )
         rhs = fsum(
             (kf * t.S(params.s), coeff * t.S(params.t), -coeff * t.S(0.5))
         )
         return [("main", t.S(params.t), rhs)]
     if ineq == IneqId.REV_T1_REMARK:
-        if variant == Variant.REPAIRED:
-            kf = kantorovich_min_over_interval(
-                *_congruence_interval(band, params.t)
-            ) ** (-params.r_prime_st)
-            coeff = 2.0 * params.s
-        else:
-            kf = kantorovich(_literal_karg(band, params.t)) ** (-params.r_prime_st)
-            coeff = 2.0 * params.s - 1.0
+        kf = _hadamard_weight(band, params, variant, -1.0)
+        coeff = 2.0 * params.s if variant == Variant.REPAIRED else 2.0 * params.s - 1.0
         rhs = fsum((kf * t.S(params.s), coeff * t.top, -coeff * t.S(0.5)))
         return [("main", t.top, rhs)]
     if ineq == IneqId.PROP_HBOUNDS:
@@ -221,12 +214,8 @@ def _scalar_entry_links(
             )
 
         half = 2.0 * oracle_pow(a, 0.5) * oracle_pow(b, 0.5)
-        if variant == Variant.REPAIRED:
-            karg = _repaired_karg(band, params.t)
-        else:
-            karg = _literal_karg(band, params.t)
         if ineq == IneqId.TENSOR_TOOL:
-            kf = kantorovich(karg) ** params.r_prime_st
+            kf = _tensor_weight(band, params, variant, 1.0)
             lhs = fsum(
                 (
                     kf * ptensor(params.s),
@@ -235,7 +224,7 @@ def _scalar_entry_links(
                 )
             )
             return [("main", lhs, ptensor(params.t))]
-        kf = kantorovich(karg) ** (-params.r_prime_st)
+        kf = _tensor_weight(band, params, variant, -1.0)
         coeff = (
             params.c_rev_repair
             if variant == Variant.REPAIRED
@@ -282,11 +271,11 @@ def diagonal_equivalence(
     diagonal with entries given by closed scalar forms.
     """
     _require_diagonal(diag_instance)
-    links, band = build_links(ineq, diag_instance, params, variant)
+    links = build_links(ineq, diag_instance, params, variant)
     xs, ys = _entry_columns(diag_instance)
     dim = diag_instance.dim
     scalar_links = [
-        _scalar_entry_links(ineq, variant, xs[k], ys[k], band, params)
+        _scalar_entry_links(ineq, variant, xs[k], ys[k], diag_instance.band, params)
         for k in range(dim)
     ]
     worst = 0.0

@@ -155,6 +155,10 @@ class FamilyInstance:
     band: SpectralBand
 
     def __post_init__(self):
+        if not isinstance(self.band, SpectralBand):
+            raise HypothesisError(
+                f"family requires a spectral band, got {type(self.band).__name__}"
+            )
         if self.n < 1 or len(self.A_list) != self.n or len(self.B_list) != self.n:
             raise ShapeError(
                 f"family needs n >= 1 matrices per side, got n={self.n}, "
@@ -253,7 +257,11 @@ def sample_scalars(n: int, band: SpectralBand, rng: RngState) -> ScalarTuple:
     return ScalarTuple(x_list=x, y_list=y, band=band)
 
 
-def validate_band_containment(inst: FamilyInstance, rel_slack: float = 1e-10):
+#: Relative slack on each band edge in ``validate_band_containment``.
+BAND_REL_SLACK = 1e-10
+
+
+def validate_band_containment(inst: FamilyInstance):
     """Check every family spectrum against the band (hypothesis error if not)."""
     b = inst.band
     for label, mats, lo, hi in (
@@ -262,7 +270,7 @@ def validate_band_containment(inst: FamilyInstance, rel_slack: float = 1e-10):
     ):
         for j, m in enumerate(mats):
             w = sym_eigen(m).eigenvalues
-            if w[0] < lo * (1 - rel_slack) or w[-1] > hi * (1 + rel_slack):
+            if w[0] < lo * (1 - BAND_REL_SLACK) or w[-1] > hi * (1 + BAND_REL_SLACK):
                 raise HypothesisError(
                     f"{label}_{j + 1} spectrum [{w[0]:.6g}, {w[-1]:.6g}] violates "
                     f"the band [{lo}, {hi}]"

@@ -17,7 +17,13 @@ from callebaut_lab.inequalities import (
 )
 from callebaut_lab.matcore import SymMatrix, compress, hadamard, kron, spectral_pow, sym_eigen
 from callebaut_lab.oracle import diagonal_equivalence, replay_witnesses
-from callebaut_lab.sampler import SpectralBand, derive_rng, sample_family, spd_in_band
+from callebaut_lab.sampler import (
+    FamilyInstance,
+    SpectralBand,
+    derive_rng,
+    sample_family,
+    spd_in_band,
+)
 from callebaut_lab.scalarcore import (
     ExponentPair,
     ScalarIneqId,
@@ -182,7 +188,9 @@ def test_criterion_4_operator_chains():
             inst = sample_family(n, d, band, rng)
             if ineq == IneqId.WADA:
                 params = (k % 9) / 8.0
-                instance = (inst.A_list[0], inst.B_list[0])
+                instance = FamilyInstance(
+                    n=1, dim=d, A_list=inst.A_list[:1], B_list=inst.B_list[:1], band=band
+                )
             else:
                 s, t = ST_GRID[k % len(ST_GRID)]
                 params = ExponentPair(s, t)
@@ -279,8 +287,6 @@ def test_criterion_7_oracle_equivalence():
                 SymMatrix(np.diag([rng.uniform_in(band.m_lo, band.m_hi) for _ in range(d)]))
                 for _ in range(n)
             )
-            from callebaut_lab.sampler import FamilyInstance
-
             inst = FamilyInstance(n=n, dim=d, A_list=a, B_list=b, band=band)
             if ineq == IneqId.REV_T1_REMARK:
                 s, _ = ST_GRID[k % 36]

@@ -4,7 +4,9 @@ import json
 import pytest
 
 from callebaut_lab import cli
-from callebaut_lab.inequalities import IneqId, Variant
+from callebaut_lab.inequalities import IneqId, Variant, params_dict
+from callebaut_lab.sampler import derive_rng
+from callebaut_lab.scalarcore import ExponentPair
 
 
 def _run(argv):
@@ -56,6 +58,21 @@ class TestVerify:
         keys = "".join(f"{l['id']} {l['variant']} {l['stream']}\n" for l in lines)
         assert hashlib.sha256(keys.encode()).hexdigest() == (
             "8c12c3bd9031417d00cdc80f71f5f9defde0cb0d03c2f245fd0b30be8524094b"
+        )
+
+    def test_default_grid_is_frozen(self):
+        # Every default grid point of every id, in sweep order, with its
+        # parameters in report form; pure Python, so the same on every build.
+        config = cli.SuiteConfig()
+        rows = [
+            [ineq.value, list(band), n, d, params_dict(ineq, params)]
+            for ineq in IneqId
+            for band, n, d, params in cli.grid_points(ineq, config)
+        ]
+        assert len(rows) == 20940
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == (
+            "28abc52889e5024d98bda1ff5ce5e169a79a872c7f71f498b3ed398fb113c177"
         )
 
     def test_byte_identical_reruns(self, tiny_reports, tmp_path):
@@ -125,6 +142,32 @@ class TestFalsify:
     def test_repaired_undefined_is_config_error(self):
         rc = _run(["falsify", "--id", "WADA", "--variant", "repaired", "--budget", "1"])
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "start, expected",
+        [
+            ((24, 32), [(23, 31), (25, 32), (23, 31), (25, 32)]),
+            ((8, 4), [(7, 3), (9, 4), (7, 5), (9, 5)]),
+            ((18, 26), [(17, 25), (19, 26), (17, 27), (19, 27)]),
+            ((17, 17), [(17, 18), (17, 17), (17, 18), (18, 18)]),
+        ],
+    )
+    def test_exponent_nudges_are_frozen(self, start, expected):
+        # (s, t) in 32nds, nudged by 1/32 from seed 5, streams 0..3.
+        got = []
+        for stream in range(4):
+            pair = ExponentPair(start[0] / 32, start[1] / 32)
+            pair = cli._mutate_st(pair, derive_rng(5, stream), 1.0 / 32.0)
+            assert isinstance(pair, ExponentPair)
+            got.append((pair.s * 32, pair.t * 32))
+        assert got == expected
+
+    def test_t1_statement_keeps_t_equal_one(self, capsys):
+        # The refinement nudges (s, t); REV_T1_REMARK must stay at t = 1.
+        rc = _run(["falsify", "--id", "REV_T1_REMARK", "--budget", "10", "--seed", "1"])
+        assert rc == cli.EXIT_OK
+        best = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert best["params"]["t"] == 1.0
 
     def test_deterministic(self, capsys, tmp_path):
         out1, out2 = tmp_path / "f1.json", tmp_path / "f2.json"
@@ -212,6 +255,16 @@ class TestListAndConfig:
         with pytest.raises(SystemExit) as exc:
             _run(["verify", "--no-such-flag"])
         assert exc.value.code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--trials", "1"], ["falsify", "--id", "HAD_MAMAN", "--budget", "1"]],
+        ids=["verify", "falsify"],
+    )
+    def test_non_finite_tol_is_config_error(self, tmp_path, argv, tol):
+        out = str(tmp_path / "x.jsonl")
+        assert _run([*argv, "--tol", tol, "--out", out]) == cli.EXIT_CONFIG
 
     def test_unwritable_out_is_io_error(self):
         rc = _run(["verify", "--trials", "1", "--out", "/no/such/dir/report.jsonl"])

@@ -125,7 +125,7 @@ class TestChains:
         gaps = [l.gap.rel_gap for l in r.links]
         # The middle link is the worst here, so the first link's norms would fail.
         assert gaps.index(min(gaps)) == 1
-        links, _ = build_links(IneqId.CHAIN_34RF, inst, pair)
+        links = build_links(IneqId.CHAIN_34RF, inst, pair)
         _, lhs, rhs = links[1]
         assert r.lhs_norm == spectral_norm(lhs)
         assert r.rhs_norm == spectral_norm(rhs)
@@ -145,7 +145,7 @@ class TestChains:
         band = SpectralBand(0.5, 1.0, 2.0, 8.0)
         for stream, alpha in enumerate((0.0, 0.125, 0.5, 0.875, 1.0)):
             inst = _spd_family(1, 3, band, 10 + stream)
-            r = evaluate_inequality(IneqId.WADA, (inst.A_list[0], inst.B_list[0]), alpha)
+            r = evaluate_inequality(IneqId.WADA, inst, alpha)
             assert r.satisfied, (alpha, r.gap)
 
     def test_proof_chain_holds_both_signs(self):
@@ -259,14 +259,12 @@ class TestHypotheses:
         with pytest.raises(HypothesisError, match="single pair"):
             evaluate_inequality(IneqId.TENSOR_TOOL, inst, WITNESS_PAIR)
 
-    def test_pair_operands_share_a_dimension(self):
-        with pytest.raises(ShapeError, match="dimension"):
-            evaluate_inequality(
-                IneqId.TENSOR_TOOL,
-                (SymMatrix.identity(2) * 4.0, SymMatrix.identity(3)),
-                WITNESS_PAIR,
-                band=WITNESS_BAND,
-            )
+    def test_operand_tuple_is_shape_error(self):
+        # Pair-shaped statements take the one-pair FamilyInstance, not (A, B).
+        pair = (SymMatrix(np.array([[4.0]])), SymMatrix(np.array([[1.0]])))
+        for ineq in (IneqId.TENSOR_TOOL, IneqId.CHAIN_34RF):
+            with pytest.raises(ShapeError, match="FamilyInstance"):
+                evaluate_inequality(ineq, pair, WITNESS_PAIR)
 
     def test_non_spd_input_is_hypothesis_violation(self):
         inst = FamilyInstance(
@@ -323,6 +321,12 @@ _PAIR_PARAMS = {
     ids=lambda v: getattr(v, "value", v),
 )
 def test_wrong_parameter_type_is_hypothesis_error(ineq, kind):
-    pair = (SymMatrix(np.array([[4.0]])), SymMatrix(np.array([[1.0]])))
+    pair = FamilyInstance(
+        n=1,
+        dim=1,
+        A_list=(SymMatrix(np.array([[4.0]])),),
+        B_list=(SymMatrix(np.array([[1.0]])),),
+        band=WITNESS_BAND,
+    )
     with pytest.raises(HypothesisError, match="parameters"):
-        evaluate_inequality(ineq, pair, _PAIR_PARAMS[kind], band=WITNESS_BAND)
+        evaluate_inequality(ineq, pair, _PAIR_PARAMS[kind])

@@ -119,6 +119,17 @@ class TestFamilies:
         for a, b in zip(i1.A_list + i1.B_list, i2.A_list + i2.B_list):
             assert np.array_equal(a.array, b.array)
 
+    @pytest.mark.parametrize("band", [None, (1.0, 1.0, 4.0, 4.0)])
+    def test_family_requires_a_spectral_band(self, band):
+        with pytest.raises(HypothesisError, match="requires a spectral band"):
+            FamilyInstance(
+                n=1,
+                dim=1,
+                A_list=(SymMatrix(np.array([[4.0]])),),
+                B_list=(SymMatrix(np.array([[1.0]])),),
+                band=band,
+            )
+
     def test_containment_violation_detected(self):
         band = SpectralBand(1.0, 1.0, 4.0, 4.0)
         inst = FamilyInstance(
