@@ -135,7 +135,7 @@ def grid_points(ineq: IneqId, config: SuiteConfig):
         params = [k / 8.0 for k in range(9)]
     elif info.param_kind == "alpha_beta":
         params = [
-            ProofChainParams(2.0 * t - 1.0, 2.0 * s - 1.0)
+            ProofChainParams.from_exponents(ExponentPair(s, t))
             for s, t in _st_grid(config.st_step)
             if s != t
         ]
@@ -408,6 +408,7 @@ def cmd_falsify(args) -> int:
     config = SuiteConfig(master_seed=args.seed, tol=args.tol)
     if args.budget < 0:
         raise ConfigError(f"budget must be >= 0, got {args.budget}")
+    config.validate()
     if args.budget == 0:
         print("empty result: budget is 0")
         return EXIT_OK

@@ -30,7 +30,8 @@ family.  ``build_links`` reads the entry and runs the same checks for every
 id before it calls the builder: the variant, the parameter type, the operand
 shape, then the band.  The tensor statements are sums of ``f(A) x g(B)``
 built by one swapped-Kronecker helper, and each statement family takes its
-Kantorovich weight ``K^(+-r')`` from one helper.
+Kantorovich weight ``K^(+-r')`` from one helper.  The printed weight
+``K(M_lo^e / m_hi^e)^p`` is ``scalarcore.printed_weight`` everywhere.
 
 Operator means always go through the congruence form (``matcore.MeanPath``);
 scalar shortcuts exist only in the independent oracle module.
@@ -65,6 +66,7 @@ from .scalarcore import (
     ProofChainParams,
     kantorovich,
     kantorovich_min_over_interval,
+    printed_weight,
 )
 
 
@@ -162,15 +164,6 @@ class _FamilyTerms:
         return hadamard(sum_matrices(self.inst.A_list), sum_matrices(self.inst.B_list))
 
 
-def _literal_karg(band: SpectralBand, t: float) -> float:
-    e = 2.0 * t - 1.0
-    return band.M_lo ** e / band.m_hi ** e
-
-
-def _repaired_karg(band: SpectralBand, t: float) -> float:
-    return (band.M_lo / band.m_hi) ** abs(t - 0.5)
-
-
 def _congruence_interval(band: SpectralBand, t: float) -> tuple[float, float]:
     """Spectrum interval of the congruence-transformed tensor operand.
 
@@ -190,22 +183,21 @@ def _swapped_kron(a: SymMatrix, b: SymMatrix, p: float, q: float) -> SymMatrix:
 
 
 def _tensor_weight(band, pair: ExponentPair, variant: Variant, sign: float) -> float:
-    """Kantorovich weight ``K(c)^(sign r')`` of the tensor statements."""
+    """Kantorovich weight ``K(c)^(sign r')`` of the tensor statements: the
+    printed one, or the repaired ``c = (M_lo / m_hi)^|t - 1/2|``."""
+    power = sign * pair.r_prime_st
     if variant == Variant.REPAIRED:
-        karg = _repaired_karg(band, pair.t)
-    else:
-        karg = _literal_karg(band, pair.t)
-    return kantorovich(karg) ** (sign * pair.r_prime_st)
+        return kantorovich((band.M_lo / band.m_hi) ** abs(pair.t - 0.5)) ** power
+    return printed_weight(band, 2.0 * pair.t - 1.0, power)
 
 
 def _hadamard_weight(band, pair: ExponentPair, variant: Variant, sign: float) -> float:
     """Kantorovich weight ``K^(sign r')`` of the Hadamard-sum statements; the
     repaired constant is the smallest one over the congruence interval."""
+    power = sign * pair.r_prime_st
     if variant == Variant.REPAIRED:
-        k = kantorovich_min_over_interval(*_congruence_interval(band, pair.t))
-    else:
-        k = kantorovich(_literal_karg(band, pair.t))
-    return k ** (sign * pair.r_prime_st)
+        return kantorovich_min_over_interval(*_congruence_interval(band, pair.t)) ** power
+    return printed_weight(band, 2.0 * pair.t - 1.0, power)
 
 
 # --- link builders -----------------------------------------------------------
@@ -272,7 +264,7 @@ def _links_rev_tensor_dear(operands, band, pair: ExponentPair, variant: Variant)
 def _links_proof_chain(operands, band, params: ProofChainParams, variant):
     a, b = operands
     al, be, mu = params.alpha, params.beta, params.mu
-    kf = kantorovich(band.M_lo ** al / band.m_hi ** al) ** params.r_prime
+    kf = printed_weight(band, al, params.r_prime)
 
     # Pointwise step on the spectrum of A^alpha x B^-alpha: the Kantorovich-
     # weighted two-term bound at each eigenvalue product, reported at the

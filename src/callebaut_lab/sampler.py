@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, HypothesisError, ShapeError, SizeError
 from .matcore import MAX_EIGEN_DIM, SymMatrix, sym_eigen
+from .scalarcore import check_band_tuples
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -185,13 +186,7 @@ class ScalarTuple:
         if min(self.x_list) <= 0.0 or min(self.y_list) <= 0.0:
             raise DomainError("tuple entries must be positive")
         if self.band is not None:
-            b = self.band
-            for v in self.x_list:
-                if not b.M_lo * (1 - 1e-12) <= v <= b.M_hi * (1 + 1e-12):
-                    raise HypothesisError(f"x entry {v} outside [{b.M_lo}, {b.M_hi}]")
-            for v in self.y_list:
-                if not b.m_lo * (1 - 1e-12) <= v <= b.m_hi * (1 + 1e-12):
-                    raise HypothesisError(f"y entry {v} outside [{b.m_lo}, {b.m_hi}]")
+            check_band_tuples(self.x_list, self.y_list, self.band)
 
 
 def haar_orthogonal(d: int, rng: RngState) -> np.ndarray:

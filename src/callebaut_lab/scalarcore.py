@@ -4,6 +4,11 @@ gaps (RHS - LHS, so a nonnegative gap certifies the instance).
 
 Every gap is assembled with ``math.fsum`` so that algebraic equality cases
 resolve to rounding noise (~1e-15 relative), not accumulation error.
+
+Each term has one definition: ``ScalarParams`` derives the powers and roots
+the Young-type statements share (their products keep one order, since float
+multiplication is not associative), ``_chain_terms`` gives ``S_0, P_s, P_t``,
+and ``printed_weight`` is the paper's weight ``K(M_lo^e / m_hi^e)^p``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ fsum = math.fsum
 
 def kantorovich(x: float) -> float:
     """Kantorovich constant ``(x + 1)^2 / (4 x)``; >= 1 and symmetric in x <-> 1/x."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"Kantorovich constant needs a positive argument, got {x}")
     return (x + 1.0) * (x + 1.0) / (4.0 * x)
 
@@ -50,8 +55,12 @@ class ScalarParams:
     """Positive pair ``(a, b)`` with a Young weight ``nu`` in [0, 1].
 
     Derived once at construction: ``r = min(nu, 1-nu)``,
-    ``r_prime = min(2r, 1-2r)``, and ``nu_max = max(nu, 1-nu)`` (kept under
-    its own name to avoid colliding with the chain exponent ``s``).
+    ``r_prime = min(2r, 1-2r)``, ``nu_max = max(nu, 1-nu)`` (not ``s``, the
+    chain exponent), and the shared terms ``a_nu = a^nu``, ``b_rest = b^(1-nu)``,
+    ``a_rest = a^(1-nu)``, ``b_nu = b^nu``, ``sq_diff = sqrt a - sqrt b`` and
+    ``sqrt_ratio = sqrt(a/b)``.  Statements multiply them in a fixed order,
+    e.g. ``-k * a_nu * b_rest``.  None can raise; ``K(sqrt_ratio)`` (which
+    fails once ``a/b`` underflows to 0) stays in each statement that uses it.
     """
 
     a: float
@@ -60,9 +69,15 @@ class ScalarParams:
     r: float = field(init=False, repr=False, compare=False)
     r_prime: float = field(init=False, repr=False, compare=False)
     nu_max: float = field(init=False, repr=False, compare=False)
+    a_nu: float = field(init=False, repr=False, compare=False)
+    b_rest: float = field(init=False, repr=False, compare=False)
+    a_rest: float = field(init=False, repr=False, compare=False)
+    b_nu: float = field(init=False, repr=False, compare=False)
+    sq_diff: float = field(init=False, repr=False, compare=False)
+    sqrt_ratio: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, a: float, b: float, nu: float):
-        if a <= 0.0 or b <= 0.0:
+        if not (a > 0.0 and b > 0.0):
             raise DomainError(f"a and b must be positive, got a={a}, b={b}")
         if not 0.0 <= nu <= 1.0:
             raise HypothesisError(f"nu must lie in [0, 1], got {nu}")
@@ -75,12 +90,11 @@ class ScalarParams:
         # Writing the instance dict directly bypasses the frozen __setattr__;
         # construction runs once per sampled tuple, so its cost matters.
         self.__dict__.update(
-            a=a,
-            b=b,
-            nu=nu,
-            r=r,
+            a=a, b=b, nu=nu, r=r,
             r_prime=one_minus if one_minus < two_r else two_r,
             nu_max=rest if rest > nu else nu,
+            a_nu=a ** nu, b_rest=b ** rest, a_rest=a ** rest, b_nu=b ** nu,
+            sq_diff=math.sqrt(a) - math.sqrt(b), sqrt_ratio=math.sqrt(a / b),
         )
 
 
@@ -203,48 +217,38 @@ def _require_nu_off_half(nu: float):
 
 def young_classical_gap(p: ScalarParams) -> float:
     """``a^nu b^(1-nu) <= nu a + (1-nu) b``."""
-    a, b, nu = p.a, p.b, p.nu
-    return fsum((nu * a, (1.0 - nu) * b, -(a ** nu) * (b ** (1.0 - nu))))
+    nu = p.nu
+    return fsum((nu * p.a, (1.0 - nu) * p.b, -p.a_nu * p.b_rest))
 
 
 def young_zuo_gap(p: ScalarParams) -> float:
     """``K(sqrt(a/b))^r a^nu b^(1-nu) <= nu a + (1-nu) b``."""
-    a, b, nu = p.a, p.b, p.nu
-    k = kantorovich(math.sqrt(a / b)) ** p.r
-    return fsum((nu * a, (1.0 - nu) * b, -k * (a ** nu) * (b ** (1.0 - nu))))
+    nu = p.nu
+    k = kantorovich(p.sqrt_ratio) ** p.r
+    return fsum((nu * p.a, (1.0 - nu) * p.b, -k * p.a_nu * p.b_rest))
 
 
 def young_wu_zhao_gap(p: ScalarParams) -> float:
     """``K(sqrt(a/b))^r' a^nu b^(1-nu) + r (sqrt a - sqrt b)^2 <= nu a + (1-nu) b``."""
     _require_nu_off_half(p.nu)
-    a, b, nu = p.a, p.b, p.nu
-    k = kantorovich(math.sqrt(a / b)) ** p.r_prime
-    sq = math.sqrt(a) - math.sqrt(b)
-    return fsum(
-        (nu * a, (1.0 - nu) * b, -k * (a ** nu) * (b ** (1.0 - nu)), -p.r * sq * sq)
-    )
+    nu, sq = p.nu, p.sq_diff
+    k = kantorovich(p.sqrt_ratio) ** p.r_prime
+    return fsum((nu * p.a, (1.0 - nu) * p.b, -k * p.a_nu * p.b_rest, -p.r * sq * sq))
 
 
 def lemma_sum_gap(p: ScalarParams) -> float:
     """Two-sided Young sum: ``K^r' (a^nu b^(1-nu) + a^(1-nu) b^nu) + 2r (...)^2 <= a + b``."""
     _require_nu_off_half(p.nu)
-    a, b, nu = p.a, p.b, p.nu
-    k = kantorovich(math.sqrt(a / b)) ** p.r_prime
-    sq = math.sqrt(a) - math.sqrt(b)
+    sq = p.sq_diff
+    k = kantorovich(p.sqrt_ratio) ** p.r_prime
     return fsum(
-        (
-            a,
-            b,
-            -k * (a ** nu) * (b ** (1.0 - nu)),
-            -k * (a ** (1.0 - nu)) * (b ** nu),
-            -2.0 * p.r * sq * sq,
-        )
+        (p.a, p.b, -k * p.a_nu * p.b_rest, -k * p.a_rest * p.b_nu, -2.0 * p.r * sq * sq)
     )
 
 
 def lemma_ttt1_gap(a: float, mu: float) -> float:
     """``K(a)^r' (a^mu + a^-mu) + (1-mu)(a + 1/a - 2) <= a + 1/a`` for mu in (0, 1]."""
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError(f"a must be positive, got {a}")
     if not 0.0 < mu <= 1.0:
         raise HypothesisError(f"mu must lie in (0, 1], got {mu}")
@@ -259,8 +263,7 @@ def lemma_4term_gap(p: ScalarParams) -> float:
     """Four-term refinement with the quarter-power bracket, for nu in (0, 1)."""
     if not 0.0 < p.nu < 1.0:
         raise HypothesisError(f"nu must lie in (0, 1), got {p.nu}")
-    a, b, nu = p.a, p.b, p.nu
-    sq = math.sqrt(a) - math.sqrt(b)
+    a, b, sq = p.a, p.b, p.sq_diff
     bracket = fsum(
         (
             2.0 * math.sqrt(a * b),
@@ -271,48 +274,34 @@ def lemma_4term_gap(p: ScalarParams) -> float:
         )
     )
     return fsum(
-        (
-            a,
-            b,
-            -(a ** nu) * (b ** (1.0 - nu)),
-            -(a ** (1.0 - nu)) * (b ** nu),
-            -2.0 * p.r * sq * sq,
-            -p.r_prime * bracket,
-        )
+        (a, b, -p.a_nu * p.b_rest, -p.a_rest * p.b_nu, -2.0 * p.r * sq * sq,
+         -p.r_prime * bracket)
     )
 
 
 def rev_young_gap(p: ScalarParams) -> float:
     """Reverse: ``nu a + (1-nu) b <= K^-r' a^nu b^(1-nu) + max(nu,1-nu) (...)^2``."""
     _require_nu_off_half(p.nu)
-    a, b, nu = p.a, p.b, p.nu
-    k = kantorovich(math.sqrt(a / b)) ** (-p.r_prime)
-    sq = math.sqrt(a) - math.sqrt(b)
+    nu, sq = p.nu, p.sq_diff
+    k = kantorovich(p.sqrt_ratio) ** (-p.r_prime)
     return fsum(
-        (k * (a ** nu) * (b ** (1.0 - nu)), p.nu_max * sq * sq, -nu * a, -(1.0 - nu) * b)
+        (k * p.a_nu * p.b_rest, p.nu_max * sq * sq, -nu * p.a, -(1.0 - nu) * p.b)
     )
 
 
 def rev_sum_gap(p: ScalarParams) -> float:
     """Reverse of the two-sided sum with coefficient ``2 max(nu, 1-nu)``."""
     _require_nu_off_half(p.nu)
-    a, b, nu = p.a, p.b, p.nu
-    k = kantorovich(math.sqrt(a / b)) ** (-p.r_prime)
-    sq = math.sqrt(a) - math.sqrt(b)
+    sq = p.sq_diff
+    k = kantorovich(p.sqrt_ratio) ** (-p.r_prime)
     return fsum(
-        (
-            k * (a ** nu) * (b ** (1.0 - nu)),
-            k * (a ** (1.0 - nu)) * (b ** nu),
-            2.0 * p.nu_max * sq * sq,
-            -a,
-            -b,
-        )
+        (k * p.a_nu * p.b_rest, k * p.a_rest * p.b_nu, 2.0 * p.nu_max * sq * sq, -p.a, -p.b)
     )
 
 
 def rev_ttt_gap(a: float, nu: float) -> float:
     """``a + 1/a <= K(a)^-r' (a^(1-2nu) + a^-(1-2nu)) + 2(1-nu)(a^(1/2) - a^(-1/2))^2``."""
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError(f"a must be positive, got {a}")
     if not 0.0 <= nu < 0.5:
         raise HypothesisError(f"nu must lie in [0, 1/2), got {nu}")
@@ -323,6 +312,12 @@ def rev_ttt_gap(a: float, nu: float) -> float:
     return fsum(
         (k * (a ** e + a ** (-e)), 2.0 * (1.0 - nu) * sq * sq, -a, -1.0 / a)
     )
+
+
+def printed_weight(band, e: float, power: float) -> float:
+    """The paper's Kantorovich weight ``K(M_lo^e / m_hi^e)^power``: ``e = 2t - 1``
+    in the chain statements, ``e = alpha`` in the tensor proof chain."""
+    return kantorovich(band.M_lo ** e / band.m_hi ** e) ** power
 
 
 def _check_tuples(x: Sequence[float], y: Sequence[float]):
@@ -345,6 +340,13 @@ def weight_product(x: Sequence[float], y: Sequence[float], u: float) -> float:
     return f1 * f2
 
 
+def _chain_terms(x, y, pair: ExponentPair) -> tuple[float, float, float]:
+    """``S_0 = (sum sqrt(x y))^2``, ``P_s`` and ``P_t``.  Callers run their checks
+    and take their weight first, which fixes the error raised when several fail."""
+    s0 = fsum(math.sqrt(xi * yi) for xi, yi in zip(x, y)) ** 2
+    return s0, weight_product(x, y, pair.s), weight_product(x, y, pair.t)
+
+
 def chain_callebaut_gaps(
     x: Sequence[float], y: Sequence[float], pair: ExponentPair
 ) -> tuple[float, float, float]:
@@ -355,14 +357,13 @@ def chain_callebaut_gaps(
     larger product, which is exactly what the two branches encode.
     """
     _check_tuples(x, y)
-    s0 = fsum(math.sqrt(xi * yi) for xi, yi in zip(x, y)) ** 2
-    ps = weight_product(x, y, pair.s)
-    pt = weight_product(x, y, pair.t)
+    s0, ps, pt = _chain_terms(x, y, pair)
     top = fsum(x) * fsum(y)
     return (fsum((ps, -s0)), fsum((pt, -ps)), fsum((top, -pt)))
 
 
-def _check_band_tuples(x, y, band):
+def check_band_tuples(x: Sequence[float], y: Sequence[float], band):
+    """Require ``x`` in the upper and ``y`` in the lower band, up to 1e-12 relative."""
     for j, xi in enumerate(x):
         if not band.M_lo * (1 - 1e-12) <= xi <= band.M_hi * (1 + 1e-12):
             raise HypothesisError(
@@ -378,12 +379,9 @@ def _check_band_tuples(x, y, band):
 def cor_vow13_scalar_gaps(x, y, band, pair: ExponentPair) -> tuple[float, float]:
     """Banded scalar refinement: ``P_s <= K^r' P_s + c_mid (P_t - S_0) <= P_t``."""
     _check_tuples(x, y)
-    _check_band_tuples(x, y, band)
-    e = 2.0 * pair.t - 1.0
-    kf = kantorovich(band.M_lo ** e / band.m_hi ** e) ** pair.r_prime_st
-    s0 = fsum(math.sqrt(xi * yi) for xi, yi in zip(x, y)) ** 2
-    ps = weight_product(x, y, pair.s)
-    pt = weight_product(x, y, pair.t)
+    check_band_tuples(x, y, band)
+    kf = printed_weight(band, 2.0 * pair.t - 1.0, pair.r_prime_st)
+    s0, ps, pt = _chain_terms(x, y, pair)
     mid = fsum((kf * ps, pair.c_mid * pt, -pair.c_mid * s0))
     return (fsum((mid, -ps)), fsum((pt, -mid)))
 
@@ -391,9 +389,7 @@ def cor_vow13_scalar_gaps(x, y, band, pair: ExponentPair) -> tuple[float, float]
 def cor_okmn_scalar_gap(x, y, pair: ExponentPair) -> float:
     """Band-free scalar refinement with the quarter-exponent bracket term."""
     _check_tuples(x, y)
-    s0 = fsum(math.sqrt(xi * yi) for xi, yi in zip(x, y)) ** 2
-    ps = weight_product(x, y, pair.s)
-    pt = weight_product(x, y, pair.t)
+    s0, ps, pt = _chain_terms(x, y, pair)
     tmid = weight_product(x, y, (3.0 - 2.0 * pair.s) / 4.0)
     rp = pair.r_prime_st
     return fsum(
@@ -412,12 +408,9 @@ def cor_okmn_scalar_gap(x, y, pair: ExponentPair) -> float:
 def cor_rev_scalar_gap(x, y, band, pair: ExponentPair) -> float:
     """Banded scalar reverse: ``P_t <= K^-r' P_s + c_rev (P_t - S_0)`` as printed."""
     _check_tuples(x, y)
-    _check_band_tuples(x, y, band)
-    e = 2.0 * pair.t - 1.0
-    kf = kantorovich(band.M_lo ** e / band.m_hi ** e) ** (-pair.r_prime_st)
-    s0 = fsum(math.sqrt(xi * yi) for xi, yi in zip(x, y)) ** 2
-    ps = weight_product(x, y, pair.s)
-    pt = weight_product(x, y, pair.t)
+    check_band_tuples(x, y, band)
+    kf = printed_weight(band, 2.0 * pair.t - 1.0, -pair.r_prime_st)
+    s0, ps, pt = _chain_terms(x, y, pair)
     return fsum((kf * ps, pair.c_rev_paper * pt, -pair.c_rev_paper * s0, -pt))
 
 

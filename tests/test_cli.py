@@ -259,8 +259,12 @@ class TestListAndConfig:
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     @pytest.mark.parametrize(
         "argv",
-        [["verify", "--trials", "1"], ["falsify", "--id", "HAD_MAMAN", "--budget", "1"]],
-        ids=["verify", "falsify"],
+        [
+            ["verify", "--trials", "1"],
+            ["falsify", "--id", "HAD_MAMAN", "--budget", "1"],
+            ["falsify", "--id", "HAD_MAMAN", "--budget", "0"],
+        ],
+        ids=["verify", "falsify", "falsify_budget_0"],
     )
     def test_non_finite_tol_is_config_error(self, tmp_path, argv, tol):
         out = str(tmp_path / "x.jsonl")

@@ -146,5 +146,5 @@ class TestFamilies:
         band = SpectralBand(0.5, 1.0, 2.0, 8.0)
         tup = sample_scalars(4, band, derive_rng(2, 2))
         assert len(tup.x_list) == 4
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError, match=r"x\[0\] = 1.0 outside the upper band"):
             ScalarTuple(x_list=(1.0,), y_list=(0.6,), band=band)

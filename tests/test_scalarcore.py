@@ -42,6 +42,8 @@ class TestKantorovich:
             kantorovich(0.0)
         with pytest.raises(DomainError):
             kantorovich(-1.0)
+        with pytest.raises(DomainError, match="needs a positive argument"):
+            kantorovich(math.nan)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=1e-6, max_value=1e6))
@@ -76,6 +78,43 @@ class TestParams:
             ScalarParams(-1.0, 1.0, 0.5)
         with pytest.raises(HypothesisError):
             ScalarParams(1.0, 1.0, 1.5)
+        for a, b in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError, match="a and b must be positive"):
+                ScalarParams(a, b, 0.3)
+        with pytest.raises(DomainError, match="a must be positive"):
+            scalar_gap(ScalarIneqId.LEMMA_TTT1, extra={"a": math.nan, "mu": 0.5})
+        with pytest.raises(DomainError, match="a must be positive"):
+            scalar_gap(ScalarIneqId.REV_TTT, extra={"a": math.nan, "nu": 0.25})
+
+    def test_shared_terms_match_their_definitions(self):
+        a, b, nu = 3.7, 0.45, 0.3
+        p = ScalarParams(a, b, nu)
+        assert (p.a_nu, p.b_rest, p.a_rest, p.b_nu) == (
+            a ** nu,
+            b ** (1.0 - nu),
+            a ** (1.0 - nu),
+            b ** nu,
+        )
+        assert p.sq_diff == math.sqrt(a) - math.sqrt(b)
+        assert p.sqrt_ratio == math.sqrt(a / b)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0])
+    def test_underflowing_ratio_fails_only_where_it_is_used(self, nu):
+        # a / b underflows to 0: constructing the shared terms must not raise,
+        # and only the statements that take K(sqrt(a/b)) reject the point.
+        p = ScalarParams(5e-324, 1e300, nu)
+        assert math.isfinite(scalar_gap(ScalarIneqId.YOUNG_CLASSICAL, p))
+        for ineq in (
+            ScalarIneqId.YOUNG_ZUO,
+            ScalarIneqId.YOUNG_WU_ZHAO,
+            ScalarIneqId.LEMMA_SUM,
+            ScalarIneqId.REV_YOUNG,
+            ScalarIneqId.REV_SUM,
+        ):
+            with pytest.raises(
+                DomainError, match="Kantorovich constant needs a positive argument"
+            ):
+                scalar_gap(ineq, p)
 
     def test_exponent_pair_branches(self):
         assert ExponentPair(0.75, 1.0).branch == Branch.HIGH
