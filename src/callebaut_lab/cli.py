@@ -30,6 +30,7 @@ from .inequalities import (
     params_dict,
 )
 from .oracle import BUILTIN_WITNESSES, dump_catalog, load_catalog, replay_witnesses
+from .oracle import WITNESS_FAMILY, WITNESS_PAIR
 from .sampler import RngState, SpectralBand, derive_rng, sample_family, spd_in_band
 from .scalarcore import ExponentPair, ProofChainParams
 
@@ -51,11 +52,15 @@ EXPECTED_TRUE_LITERAL = frozenset(
     }
 )
 
-DEFAULT_BANDS = ((1.0, 1.0, 4.0, 4.0), (0.5, 1.0, 2.0, 8.0), (0.1, 0.2, 5.0, 10.0))
+DEFAULT_BANDS = (
+    SpectralBand(1.0, 1.0, 4.0, 4.0),
+    SpectralBand(0.5, 1.0, 2.0, 8.0),
+    SpectralBand(0.1, 0.2, 5.0, 10.0),
+)
 
-#: Grid point that reproduces the recorded witnesses (degenerate band, single
-#: 1x1 pair, s = 3/4, t = 1); kept at the head of every relevant sweep.
-WITNESS_POINT = (DEFAULT_BANDS[0], 1, 1, ExponentPair(0.75, 1.0))
+#: Grid point that reproduces the recorded witnesses; kept at the head of
+#: every relevant sweep.
+WITNESS_POINT = (WITNESS_FAMILY.band, WITNESS_FAMILY.n, WITNESS_FAMILY.dim, WITNESS_PAIR)
 
 
 @dataclass(frozen=True)
@@ -83,8 +88,6 @@ class SuiteConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.st_step < 4:
             raise ConfigError(f"st grid step divisor must be >= 4, got {self.st_step}")
-        for b in self.bands:
-            SpectralBand(*b)  # raises if malformed
 
 
 @dataclass
@@ -169,24 +172,39 @@ def _combos(config: SuiteConfig):
     return combos
 
 
-def _run_trial(config: SuiteConfig, ineq: IneqId, variant: Variant, point, trial: int):
-    band_t, n, d, params = point
-    param_key = ",".join(f"{k}={v!r}" for k, v in params_dict(ineq, params).items())
-    key = f"{ineq.value}|{variant.value}|{band_t}|n={n}|d={d}|{param_key}|trial={trial}"
+def _stream(config: SuiteConfig, key: str):
+    """Stream id of a sampling key and the generator it seeds."""
     stream = _stable_hash(key)
-    rng = derive_rng(config.master_seed, stream)
-    band = SpectralBand(*band_t)
-    instance = sample_family(n, d, band, rng, pin_extremes=False)
-    report = evaluate_inequality(ineq, instance, params, variant, tol=config.tol)
-    line = {
-        "id": ineq.value,
-        "variant": variant.value,
+    return stream, derive_rng(config.master_seed, stream)
+
+
+def _line(config: SuiteConfig, stream: int, point, report) -> dict:
+    """The report-line fields that verify and falsify share."""
+    band, n, d, _ = point
+    return {
+        "id": report.ineq.value,
+        "variant": report.variant.value,
         "seed": config.master_seed,
         "stream": stream,
         "n": n,
         "dim": d,
-        "band": list(band_t),
+        "band": list(band.as_tuple()),
         "params": report.params,
+        "min_eig": report.gap.min_eig,
+        "rel_gap": report.gap.rel_gap,
+        "satisfied": report.satisfied,
+    }
+
+
+def _run_trial(config: SuiteConfig, ineq: IneqId, variant: Variant, point, trial: int):
+    band, n, d, params = point
+    param_key = ",".join(f"{k}={v!r}" for k, v in params_dict(ineq, params).items())
+    key = f"{ineq.value}|{variant.value}|{band.as_tuple()}|n={n}|d={d}|{param_key}|trial={trial}"
+    stream, rng = _stream(config, key)
+    instance = sample_family(n, d, band, rng, pin_extremes=False)
+    report = evaluate_inequality(ineq, instance, params, variant, tol=config.tol)
+    return {
+        **_line(config, stream, point, report),
         "links": [
             {
                 "name": l.name,
@@ -196,14 +214,10 @@ def _run_trial(config: SuiteConfig, ineq: IneqId, variant: Variant, point, trial
             }
             for l in report.links
         ],
-        "min_eig": report.gap.min_eig,
-        "rel_gap": report.gap.rel_gap,
         "lhs_norm": report.lhs_norm,
         "rhs_norm": report.rhs_norm,
-        "satisfied": report.satisfied,
         "witness": report.witness,
     }
-    return line
 
 
 def run_verify(config: SuiteConfig):
@@ -339,18 +353,8 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
         report = evaluate_inequality(ineq, instance, point[3], variant, tol=config.tol)
         if best is None or report.gap.rel_gap < best[0]:
             line = {
-                "id": ineq.value,
-                "variant": variant.value,
-                "seed": config.master_seed,
-                "stream": stream,
+                **_line(config, stream, point, report),
                 "trial": trial,
-                "band": list(point[0]),
-                "n": point[1],
-                "dim": point[2],
-                "params": report.params,
-                "min_eig": report.gap.min_eig,
-                "rel_gap": report.gap.rel_gap,
-                "satisfied": report.satisfied,
                 "instance": {
                     "A_list": [m.array.tolist() for m in instance.A_list],
                     "B_list": [m.array.tolist() for m in instance.B_list],
@@ -359,27 +363,22 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
             best = (report.gap.rel_gap, line, point, instance)
 
     for b in range(budget):
-        key = f"falsify|{ineq.value}|{variant.value}|trial={b}"
-        stream = _stable_hash(key)
-        rng = derive_rng(config.master_seed, stream)
+        stream, rng = _stream(config, f"falsify|{ineq.value}|{variant.value}|trial={b}")
         point = points[rng.next_u64() % len(points)]
-        band_t, n, d, _ = point
-        instance = sample_family(n, d, SpectralBand(*band_t), rng, pin_extremes=True)
+        band, n, d, _ = point
+        instance = sample_family(n, d, band, rng, pin_extremes=True)
         consider(point, instance, b, stream)
 
     if best is not None:
         for step in range(50):
-            key = f"refine|{ineq.value}|{variant.value}|step={step}"
-            stream = _stable_hash(key)
-            rng = derive_rng(config.master_seed, stream)
+            stream, rng = _stream(config, f"refine|{ineq.value}|{variant.value}|step={step}")
             _, _, point, instance = best
-            band_t, n, d, params = point
-            band = SpectralBand(*band_t)
+            band, n, d, params = point
             if isinstance(params, ExponentPair) and rng.uniform() < 0.5:
                 p2 = _mutate_st(params, rng, 1.0 / 32.0)
                 if inequality_info(ineq).param_kind == "st_t1" and p2.t != 1.0:
                     p2 = params
-                consider((band_t, n, d, p2), instance, -1, stream)
+                consider((band, n, d, p2), instance, -1, stream)
             else:
                 j = rng.next_u64() % n
                 redraw_a = rng.next_u64() % 2 == 0
@@ -408,11 +407,10 @@ def cmd_falsify(args) -> int:
     config = SuiteConfig(master_seed=args.seed, tol=args.tol)
     if args.budget < 0:
         raise ConfigError(f"budget must be >= 0, got {args.budget}")
-    config.validate()
-    if args.budget == 0:
+    best = run_falsify(ineq, variant, args.budget, config)
+    if best is None:
         print("empty result: budget is 0")
         return EXIT_OK
-    best = run_falsify(ineq, variant, args.budget, config)
     print(json.dumps(best, sort_keys=True))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -595,17 +595,6 @@ def params_dict(ineq: IneqId, params) -> dict:
     return {"s": params.s, "t": params.t}
 
 
-def _serialize_instance(family: FamilyInstance, params_dict) -> dict:
-    return {
-        "params": params_dict,
-        "band": list(family.band.as_tuple()),
-        "n": family.n,
-        "dim": family.dim,
-        "A_list": [m.array.tolist() for m in family.A_list],
-        "B_list": [m.array.tolist() for m in family.B_list],
-    }
-
-
 def evaluate_inequality(
     ineq: IneqId,
     family: FamilyInstance,
@@ -628,7 +617,7 @@ def evaluate_inequality(
     _, worst_lhs, worst_rhs = links[k]
     gap = reports[k].gap
     pdict = params_dict(ineq, params)
-    witness = None if gap.satisfied else _serialize_instance(family, pdict)
+    witness = None if gap.satisfied else {"params": pdict, **family.to_dict()}
     return IneqReport(
         ineq=ineq,
         variant=variant,

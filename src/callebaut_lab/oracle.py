@@ -17,11 +17,15 @@ arithmetic it cross-checks.
 
 Where the independence lies: the scalar algebra (``fsum``, ``oracle_pow``,
 ``_ScalarTerms`` and each statement's combination of terms) is re-derived
-here.  The Kantorovich weights ``K^(+-r')`` are not: they are scalars of the
-band and the exponents, and the oracle takes them from the same helpers as
-the link builders (``_hadamard_weight``, ``_tensor_weight``), just as it takes
-the same arguments.  The hand-derived gaps of the recorded witnesses remain
-the independent pin on those weights.
+here.  The Kantorovich weights ``K^(+-r')`` mostly are not: they are scalars
+of the band and the exponents, and for the Hadamard and tensor statements the
+oracle takes them from the same helpers as the link builders
+(``_hadamard_weight``, ``_tensor_weight``), just as it takes the same
+arguments.  The hand-derived gaps of the recorded witnesses remain the
+independent pin on those weights.  PROP_HBOUNDS is the exception: no witness
+pins it, so its weights are derived again here, ``K(h^(2t-1))^r'`` for the
+literal form and, for the repaired one, the minimum of ``K`` over the interval
+that ``_congruence_interval`` returns, raised to ``r'``.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .inequalities import (
     evaluate_inequality,
     inequality_info,
 )
-from .matcore import SymMatrix
 from .sampler import FamilyInstance, SpectralBand
 from .scalarcore import (
     ExponentPair,
@@ -303,39 +306,19 @@ class WitnessRecord:
 
     ineq: IneqId
     variant: Variant
-    band: tuple[float, float, float, float]
-    n: int
-    dim: int
-    a_entries: tuple
-    b_entries: tuple
-    params: dict
+    family: FamilyInstance
+    pair: ExponentPair
     expected_gap: float
     tolerance: float
-
-    def instance(self) -> FamilyInstance:
-        return FamilyInstance(
-            n=self.n,
-            dim=self.dim,
-            A_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in self.a_entries),
-            B_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in self.b_entries),
-            band=SpectralBand(*self.band),
-        )
-
-    def exponent_pair(self) -> ExponentPair:
-        return ExponentPair(self.params["s"], self.params["t"])
 
     def to_dict(self) -> dict:
         return {
             "id": self.ineq.value,
             "variant": self.variant.value,
-            "band": list(self.band),
-            "n": self.n,
-            "dim": self.dim,
-            "A_list": [list(map(list, m)) for m in self.a_entries],
-            "B_list": [list(map(list, m)) for m in self.b_entries],
-            "params": dict(self.params),
+            "params": {"s": self.pair.s, "t": self.pair.t},
             "expected_gap": self.expected_gap,
             "tolerance": self.tolerance,
+            **self.family.to_dict(),
         }
 
     @staticmethod
@@ -344,51 +327,35 @@ class WitnessRecord:
 
         Raises ``KeyError``, ``TypeError`` or ``ValueError`` when ``d`` is not
         a complete record: a field is missing, the id or variant is unknown,
-        the band does not have four numbers, a matrix is ragged or not
-        numeric, or the params lack ``s`` or ``t``.
+        ``FamilyInstance.from_dict`` rejects the instance, or ``ExponentPair``
+        rejects the params.
         """
-        band = tuple(map(float, d["band"]))
-        if len(band) != 4:
-            raise ValueError(f"band needs 4 numbers, got {len(band)}")
         params = d["params"]
         return WitnessRecord(
             ineq=IneqId(d["id"]),
             variant=Variant(d["variant"]),
-            band=band,
-            n=int(d["n"]),
-            dim=int(d["dim"]),
-            a_entries=_entries(d["A_list"]),
-            b_entries=_entries(d["B_list"]),
-            params={"s": float(params["s"]), "t": float(params["t"])},
+            family=FamilyInstance.from_dict(d),
+            pair=ExponentPair(float(params["s"]), float(params["t"])),
             expected_gap=float(d["expected_gap"]),
             tolerance=float(d["tolerance"]),
         )
 
 
-def _entries(matrices) -> tuple:
-    """Matrices as nested tuples of floats; ragged or non-numeric entries
-    raise ``ValueError`` or ``TypeError``."""
-    return tuple(tuple(map(tuple, np.array(m, dtype=float).tolist())) for m in matrices)
+#: The instance and exponents of every recorded witness: the degenerate band
+#: (1, 1, 4, 4) with the single 1x1 pair A = [4], B = [1], at s = 3/4, t = 1.
+WITNESS_FAMILY = FamilyInstance.from_dict(
+    {"band": [1.0, 1.0, 4.0, 4.0], "n": 1, "dim": 1, "A_list": [[[4.0]]], "B_list": [[[1.0]]]}
+)
+WITNESS_PAIR = ExponentPair(0.75, 1.0)
 
 
-def _witness(ineq, variant, expected, tol, s=0.75, t=1.0):
-    return WitnessRecord(
-        ineq=ineq,
-        variant=variant,
-        band=(1.0, 1.0, 4.0, 4.0),
-        n=1,
-        dim=1,
-        a_entries=(((4.0,),),),
-        b_entries=(((1.0,),),),
-        params={"s": s, "t": t},
-        expected_gap=expected,
-        tolerance=tol,
-    )
+def _witness(ineq, variant, expected, tol):
+    return WitnessRecord(ineq, variant, WITNESS_FAMILY, WITNESS_PAIR, expected, tol)
 
 
 #: The recorded witnesses.  Expected gaps were derived by hand through the
-#: scalar closed forms at the degenerate band (1, 1, 4, 4) with A = [4],
-#: B = [1], s = 3/4, t = 1, and are reproduced by ``tests`` before use:
+#: scalar closed forms at ``WITNESS_FAMILY`` and ``WITNESS_PAIR``, and are
+#: reproduced by ``tests`` before use:
 #:   TENSOR_TOOL literal:    5 - (K(4)^(1/2) * 3 sqrt(2) + 1/2) = -0.8033008588991066
 #:   TENSOR_TOOL repaired:   5 - (K(2)^(1/2) * 3 sqrt(2) + 1/2) = 0
 #:   HAD_MAMAN literal:      4 - K(4)^(1/2) * 4                 = -1 (all sums equal ab)
@@ -428,11 +395,9 @@ def replay_witnesses(catalog=None) -> list[ReplayOutcome]:
     outcomes = []
     for rec in records:
         try:
-            inst = rec.instance()
-            pair = rec.exponent_pair()
-            report = evaluate_inequality(rec.ineq, inst, pair, rec.variant)
+            report = evaluate_inequality(rec.ineq, rec.family, rec.pair, rec.variant)
             m_gap = report.gap.min_eig
-            s_gap = scalar_min_gap(rec.ineq, inst, pair, rec.variant)
+            s_gap = scalar_min_gap(rec.ineq, rec.family, rec.pair, rec.variant)
         except CallebautLabError as exc:
             # A record the lab cannot evaluate is a failed replay, not a crash.
             outcomes.append(

@@ -171,6 +171,35 @@ class FamilyInstance:
                     f"family dimension mismatch: expected {self.dim}, got {m.dim}"
                 )
 
+    def to_dict(self) -> dict:
+        """The JSON form of the instance, shared by report witnesses and
+        witness catalogs."""
+        return {
+            "band": list(self.band.as_tuple()),
+            "n": self.n,
+            "dim": self.dim,
+            "A_list": [m.array.tolist() for m in self.A_list],
+            "B_list": [m.array.tolist() for m in self.B_list],
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> "FamilyInstance":
+        """Instance from its ``to_dict`` form.
+
+        Raises ``KeyError``, ``TypeError`` or ``ValueError`` (the package's
+        own errors included) when a field is missing, the band is invalid or
+        does not have four numbers, a matrix is ragged, non-numeric,
+        non-square or non-finite, or ``n`` and ``dim`` disagree with the
+        matrices.
+        """
+        return FamilyInstance(
+            n=int(d["n"]),
+            dim=int(d["dim"]),
+            A_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in d["A_list"]),
+            B_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in d["B_list"]),
+            band=SpectralBand(*map(float, d["band"])),
+        )
+
 
 @dataclass(frozen=True)
 class ScalarTuple:

@@ -65,7 +65,7 @@ class TestVerify:
         # parameters in report form; pure Python, so the same on every build.
         config = cli.SuiteConfig()
         rows = [
-            [ineq.value, list(band), n, d, params_dict(ineq, params)]
+            [ineq.value, list(band.as_tuple()), n, d, params_dict(ineq, params)]
             for ineq in IneqId
             for band, n, d, params in cli.grid_points(ineq, config)
         ]
@@ -139,8 +139,9 @@ class TestFalsify:
     def test_unknown_id_is_config_error(self):
         assert _run(["falsify", "--id", "NOPE", "--budget", "1"]) == cli.EXIT_CONFIG
 
-    def test_repaired_undefined_is_config_error(self):
-        rc = _run(["falsify", "--id", "WADA", "--variant", "repaired", "--budget", "1"])
+    @pytest.mark.parametrize("budget", ["0", "1"])
+    def test_repaired_undefined_is_config_error(self, budget):
+        rc = _run(["falsify", "--id", "WADA", "--variant", "repaired", "--budget", budget])
         assert rc == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize(
@@ -226,8 +227,14 @@ class TestWitness:
             lambda r: json.dumps({**r, "id": "NOPE"}),
             lambda r: json.dumps({**r, "params": {"t": 1.0}}),
             lambda r: json.dumps({**r, "A_list": [[[4.0], [1.0, 2.0]]]}),
+            lambda r: json.dumps({**r, "n": 2}),
+            lambda r: json.dumps({**r, "band": [1.0, 4.0, 4.0, 4.0]}),
+            lambda r: json.dumps({**r, "params": {"s": 0.25, "t": 1.0}}),
         ],
-        ids=["bad_json", "unknown_id", "missing_s", "ragged_matrix"],
+        ids=[
+            "bad_json", "unknown_id", "missing_s", "ragged_matrix",
+            "n_mismatch", "bad_band", "off_branch",
+        ],
     )
     def test_malformed_catalog_line_is_config_error(self, tmp_path, capsys, line):
         path = tmp_path / "broken.jsonl"
@@ -237,6 +244,13 @@ class TestWitness:
         capsys.readouterr()
         assert _run(["witness", "--replay", str(path)]) == cli.EXIT_CONFIG
         assert f"{path}:2: not a witness record" in capsys.readouterr().err
+
+    def test_export_bytes_are_frozen(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        assert _run(["witness", "--export", str(path)]) == cli.EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "184c433b0170e28fafccf3bd8746e331ce2ed2f5a044576abb948d7958dcf996"
+        )
 
 
 class TestListAndConfig:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,18 +143,7 @@ class TestWitnessReplay:
 
     def test_mismatch_reported(self):
         rec = BUILTIN_WITNESSES[0]
-        broken = WitnessRecord(
-            ineq=rec.ineq,
-            variant=rec.variant,
-            band=rec.band,
-            n=rec.n,
-            dim=rec.dim,
-            a_entries=rec.a_entries,
-            b_entries=rec.b_entries,
-            params=rec.params,
-            expected_gap=rec.expected_gap + 1.0,
-            tolerance=rec.tolerance,
-        )
+        broken = dataclasses.replace(rec, expected_gap=rec.expected_gap + 1.0)
         out = replay_witnesses([broken])[0]
         assert not out.passed
         assert "TENSOR_TOOL" in out.message
@@ -163,12 +153,14 @@ class TestWitnessReplay:
         broken = WitnessRecord(
             ineq=rec.ineq,
             variant=rec.variant,
-            band=rec.band,
-            n=rec.n,
-            dim=2,
-            a_entries=((((3.0, 0.5), (0.5, 3.0))),),
-            b_entries=(((1.0, 0.0), (0.0, 1.0)),),
-            params=rec.params,
+            family=FamilyInstance(
+                n=1,
+                dim=2,
+                A_list=(SymMatrix(np.array([[3.0, 0.5], [0.5, 3.0]])),),
+                B_list=(SymMatrix(np.eye(2)),),
+                band=rec.family.band,
+            ),
+            pair=rec.pair,
             expected_gap=rec.expected_gap,
             tolerance=rec.tolerance,
         )

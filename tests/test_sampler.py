@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from callebaut_lab.cli import DEFAULT_BANDS
 from callebaut_lab.errors import DomainError, HypothesisError
 from callebaut_lab.matcore import SymMatrix, sym_eigen
 from callebaut_lab.sampler import (
@@ -129,6 +132,18 @@ class TestFamilies:
                 B_list=(SymMatrix(np.array([[1.0]])),),
                 band=band,
             )
+
+    def test_dict_roundtrip(self):
+        # The JSON form written by to_dict reads back to an equal instance,
+        # entry for entry, across the default bands, shapes and pinning.
+        mismatches = 0
+        for k in range(300):
+            n, d = 1 + k % 3, 1 + (k // 3) % 4
+            band = DEFAULT_BANDS[(k // 12) % 3]
+            inst = sample_family(n, d, band, derive_rng(23, k), pin_extremes=k % 2 == 0)
+            back = FamilyInstance.from_dict(json.loads(json.dumps(inst.to_dict())))
+            mismatches += back != inst
+        assert mismatches == 0
 
     def test_containment_violation_detected(self):
         band = SpectralBand(1.0, 1.0, 4.0, 4.0)
