@@ -28,7 +28,15 @@ otherwise.  ``evaluate_inequality`` and ``build_links`` take a
 ones and WADA) need ``n = 1``, and every statement reads its band from the
 family.  ``build_links`` reads the entry and runs the same checks for every
 id before it calls the builder: the variant, the parameter type, the operand
-shape, then the band.  The tensor statements are sums of ``f(A) x g(B)``
+shape, the band, then the condition of the parameter kind.
+
+Each registry entry names its ``ParamKind``: the parameter type, the values
+the sweep visits, the report form and any condition beyond the type.
+``ST_KIND`` is ``(s, t)`` on either branch (``1 >= t >= s > 1/2`` or
+``0 <= t <= s < 1/2``) at step 1/16; ``ST_T1_KIND`` fixes ``t = 1`` (the
+reverse remark); ``ALPHA_BETA_KIND`` is the tensor proof's ``alpha = 2t-1``,
+``beta = 2s-1`` for ``s != t``; ``ALPHA_KIND`` is WADA's weight in [0, 1] at
+step 1/8.  The tensor statements are sums of ``f(A) x g(B)``
 built by one swapped-Kronecker helper, and each statement family takes its
 Kantorovich weight ``K^(+-r')`` from one helper.  The printed weight
 ``K(M_lo^e / m_hi^e)^p`` is ``scalarcore.printed_weight`` everywhere.
@@ -43,6 +51,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable
 
 import numpy as np
 
@@ -121,6 +130,56 @@ class IneqReport:
         return self.gap.satisfied
 
 
+@dataclass(frozen=True, eq=False)
+class ParamKind:
+    """One parameter domain of the paper.  When ``holds`` fails,
+    ``build_links`` raises ``HypothesisError`` with ``violation`` formatted
+    by the report form."""
+
+    name: str
+    type: type
+    values: tuple
+    report: Callable[[Any], dict]
+    holds: Callable[[Any], bool] = lambda params: True
+    violation: str = ""
+
+
+# The parameter kinds; the module docstring describes each one.
+_HIGH = tuple(k / 16 for k in range(9, 17))  # 1/2 < u <= 1
+_LOW = tuple(k / 16 for k in range(8))  # 0 <= u < 1/2
+ST_KIND = ParamKind(
+    "st",
+    ExponentPair,
+    tuple(
+        [ExponentPair(s, t) for t in _HIGH for s in _HIGH if s <= t]
+        + [ExponentPair(s, t) for t in _LOW for s in _LOW if t <= s]
+    ),
+    lambda pair: {"s": pair.s, "t": pair.t},
+)
+ST_T1_KIND = ParamKind(
+    "st_t1",
+    ExponentPair,
+    tuple(ExponentPair(s, 1.0) for s in _HIGH),
+    ST_KIND.report,
+    holds=lambda pair: pair.t == 1.0,
+    violation="this statement fixes t = 1, got t = {t}",
+)
+ALPHA_BETA_KIND = ParamKind(
+    "alpha_beta",
+    ProofChainParams,
+    tuple(ProofChainParams.from_exponents(p) for p in ST_KIND.values if p.s != p.t),
+    lambda params: {"alpha": params.alpha, "beta": params.beta},
+)
+ALPHA_KIND = ParamKind(
+    "alpha",
+    numbers.Real,
+    tuple(k / 8.0 for k in range(9)),
+    lambda alpha: {"alpha": float(alpha)},
+    holds=lambda alpha: 0.0 <= float(alpha) <= 1.0,
+    violation="weight must lie in [0, 1], got {alpha}",
+)
+
+
 @dataclass(frozen=True)
 class InequalityInfo:
     ineq: IneqId
@@ -129,7 +188,7 @@ class InequalityInfo:
     anchor: str
     takes_pair: bool
     needs_band: bool
-    param_kind: str  # "st" | "st_t1" | "alpha" | "alpha_beta"
+    kind: ParamKind
 
 
 class _FamilyTerms:
@@ -208,8 +267,6 @@ def _hadamard_weight(band, pair: ExponentPair, variant: Variant, sign: float) ->
 def _links_wada(operands, band, alpha, variant):
     a, b = operands
     alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise HypothesisError(f"weight must lie in [0, 1], got {alpha}")
     path = MeanPath(a, b)
     g = path.at(0.5)
     gl = path.at(alpha)
@@ -340,8 +397,6 @@ def _links_rev_had_mainth(terms: _FamilyTerms, band, pair: ExponentPair, variant
 
 
 def _links_rev_t1(terms: _FamilyTerms, band, pair: ExponentPair, variant: Variant):
-    if pair.t != 1.0:
-        raise HypothesisError(f"this statement fixes t = 1, got t = {pair.t}")
     kf = _hadamard_weight(band, pair, variant, -1.0)
     coeff = 2.0 * pair.s if variant == Variant.REPAIRED else 2.0 * pair.s - 1.0
     ss, l0, top = terms.S(pair.s), terms.S(0.5), terms.top
@@ -382,7 +437,7 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             "(A#B)x(A#B) <= 1/2{(A#aB)x(A#(1-a)B) + swap} <= 1/2{AxB + BxA}",
             takes_pair=True,
             needs_band=False,
-            param_kind="alpha",
+            kind=ALPHA_KIND,
         ),
         InequalityInfo(
             IneqId.CHAIN_34RF,
@@ -391,7 +446,7 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             "S(1/2) <= S(s) <= S(t) <= (sum A)o(sum B), S(u) = sum(A#uB) o sum(A#(1-u)B)",
             takes_pair=False,
             needs_band=False,
-            param_kind="st",
+            kind=ST_KIND,
         ),
         InequalityInfo(
             IneqId.MOJ_MO,
@@ -400,7 +455,7 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             "S(s) <= S(s) + (t-s)/(s-1/2)(S(s) - S(1/2)) <= S(t)",
             takes_pair=False,
             needs_band=False,
-            param_kind="st",
+            kind=ST_KIND,
         ),
         InequalityInfo(
             IneqId.TENSOR_TOOL,
@@ -410,7 +465,7 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             "c = M^(2t-1)/m^(2t-1) literal, (M/m)^|t-1/2| repaired",
             takes_pair=True,
             needs_band=True,
-            param_kind="st",
+            kind=ST_KIND,
         ),
         InequalityInfo(
             IneqId.PROOF_CHAIN,
@@ -421,7 +476,7 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             "multiplied through by A x B",
             takes_pair=True,
             needs_band=True,
-            param_kind="alpha_beta",
+            kind=ALPHA_BETA_KIND,
         ),
         InequalityInfo(
             IneqId.HAD_MAMAN,
@@ -431,7 +486,7 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             "collapses to 1 (transformed spectrum interval contains 1)",
             takes_pair=False,
             needs_band=True,
-            param_kind="st",
+            kind=ST_KIND,
         ),
         InequalityInfo(
             IneqId.HAD_MAMAN2,
@@ -441,7 +496,7 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             "S(s) + c_mid(S(s) - S(1/2)) + r'(S(s) + S(1/2) - 2 S((3-2s)/4)) <= S(t)",
             takes_pair=False,
             needs_band=False,
-            param_kind="st",
+            kind=ST_KIND,
         ),
         InequalityInfo(
             IneqId.COR_BJ_IDENTITY,
@@ -452,7 +507,7 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             "P(u) = sum A_j^u",
             takes_pair=False,
             needs_band=False,
-            param_kind="st",
+            kind=ST_KIND,
         ),
         InequalityInfo(
             IneqId.REV_TENSOR_DEAR,
@@ -462,7 +517,7 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             "c_rev = (s-1/2)/(t-1/2), repaired (t+s-1)/(t-1/2)",
             takes_pair=True,
             needs_band=True,
-            param_kind="st",
+            kind=ST_KIND,
         ),
         InequalityInfo(
             IneqId.REV_HAD_MAINTH,
@@ -471,7 +526,7 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             "S(t) <= K(c)^-r' S(s) + c_rev(S(t) - S(1/2))",
             takes_pair=False,
             needs_band=True,
-            param_kind="st",
+            kind=ST_KIND,
         ),
         InequalityInfo(
             IneqId.REV_T1_REMARK,
@@ -481,7 +536,7 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             "repaired coefficient 2s, factor 1",
             takes_pair=False,
             needs_band=True,
-            param_kind="st_t1",
+            kind=ST_T1_KIND,
         ),
         InequalityInfo(
             IneqId.PROP_HBOUNDS,
@@ -491,7 +546,7 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             "K(h^(2t-1))^-r' S(s) + c_rev(sqrt(h')-sqrt(1/h'))^2",
             takes_pair=False,
             needs_band=True,
-            param_kind="st",
+            kind=ST_KIND,
         ),
     )
 }
@@ -510,14 +565,6 @@ _BUILDERS = {
     IneqId.REV_HAD_MAINTH: _links_rev_had_mainth,
     IneqId.REV_T1_REMARK: _links_rev_t1,
     IneqId.PROP_HBOUNDS: _links_prop_hbounds,
-}
-
-#: Parameter type each ``param_kind`` takes.
-_PARAM_TYPES = {
-    "alpha": numbers.Real,
-    "alpha_beta": ProofChainParams,
-    "st": ExponentPair,
-    "st_t1": ExponentPair,
 }
 
 #: Ids that define a REPAIRED variant; requesting it elsewhere is an error.
@@ -562,10 +609,10 @@ def _build_links(ineq, family, params, variant):
     info = _REGISTRY[ineq]
     if variant not in info.variants:
         raise VariantError(f"{ineq.value} defines no {variant.value} variant")
-    expected = _PARAM_TYPES[info.param_kind]
-    if not isinstance(params, expected):
+    kind = info.kind
+    if not isinstance(params, kind.type):
         raise HypothesisError(
-            f"{ineq.value} takes {expected.__name__} parameters, "
+            f"{ineq.value} takes {kind.type.__name__} parameters, "
             f"got {type(params).__name__}"
         )
     if not isinstance(family, FamilyInstance):
@@ -578,6 +625,8 @@ def _build_links(ineq, family, params, variant):
         )
     if info.needs_band:
         validate_band_containment(family)
+    if not kind.holds(params):
+        raise HypothesisError(kind.violation.format(**kind.report(params)))
     if info.takes_pair:
         operands = (family.A_list[0], family.B_list[0])
     else:
@@ -586,13 +635,8 @@ def _build_links(ineq, family, params, variant):
 
 
 def params_dict(ineq: IneqId, params) -> dict:
-    """Report form of a statement's parameters, keyed by its ``param_kind``."""
-    kind = _REGISTRY[ineq].param_kind
-    if kind == "alpha":
-        return {"alpha": float(params)}
-    if kind == "alpha_beta":
-        return {"alpha": params.alpha, "beta": params.beta}
-    return {"s": params.s, "t": params.t}
+    """Report form of a statement's parameters, given by its ``ParamKind``."""
+    return _REGISTRY[ineq].kind.report(params)
 
 
 def evaluate_inequality(

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import CallebautLabError, ConfigError, DomainError, ShapeError
 from .inequalities import (
     IneqId,
     Variant,
@@ -45,7 +45,6 @@ from .inequalities import (
     _tensor_weight,
     build_links,
     evaluate_inequality,
-    inequality_info,
 )
 from .sampler import FamilyInstance, SpectralBand
 from .scalarcore import (
@@ -389,8 +388,6 @@ def replay_witnesses(catalog=None) -> list[ReplayOutcome]:
     Each record passes iff the matrix-path gap AND the direct scalar-path gap
     reproduce ``expected_gap`` within the record's tolerance.
     """
-    from .errors import CallebautLabError
-
     records = BUILTIN_WITNESSES if catalog is None else tuple(catalog)
     outcomes = []
     for rec in records:

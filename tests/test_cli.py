@@ -4,7 +4,8 @@ import json
 import pytest
 
 from callebaut_lab import cli
-from callebaut_lab.inequalities import IneqId, Variant, params_dict
+from callebaut_lab.errors import ConfigError
+from callebaut_lab.inequalities import REPAIRABLE, IneqId, Variant, params_dict
 from callebaut_lab.sampler import derive_rng
 from callebaut_lab.scalarcore import ExponentPair
 
@@ -30,9 +31,20 @@ class TestVerify:
     def test_expected_true_all_satisfied(self, tiny_reports):
         _, _, lines = tiny_reports
         for l in lines:
-            ineq = IneqId(l["id"])
-            if l["variant"] == "repaired" or ineq in cli.EXPECTED_TRUE_LITERAL:
+            if l["variant"] == "repaired" or IneqId(l["id"]) not in REPAIRABLE:
                 assert l["satisfied"], l
+
+    def test_only_repairable_paper_violations_are_findings(self, monkeypatch):
+        def violated(config, ineq, variant, point, trial):
+            return {"id": ineq.value, "variant": variant.value, "stream": trial,
+                    "rel_gap": -1.0, "satisfied": False}
+
+        monkeypatch.setattr(cli, "_run_trial", violated)
+        summary, _ = cli.run_verify(cli.SuiteConfig(trials=1))
+        # One trial per combo: 12 paper combos and 6 repaired ones.
+        assert summary.findings == len(REPAIRABLE)
+        assert summary.unexpected == len(IneqId)
+        assert summary.verdict == "FAIL"
 
     def test_line_schema(self, tiny_reports):
         _, _, lines = tiny_reports
@@ -135,6 +147,11 @@ class TestFalsify:
         rc = _run(["falsify", "--id", "HAD_MAMAN", "--budget", "0"])
         assert rc == cli.EXIT_OK
         assert "empty result" in capsys.readouterr().out
+
+    def test_negative_budget_is_config_error(self):
+        assert _run(["falsify", "--id", "HAD_MAMAN", "--budget", "-1"]) == cli.EXIT_CONFIG
+        with pytest.raises(ConfigError, match="budget must be >= 0"):
+            cli.run_falsify(IneqId.HAD_MAMAN, Variant.PAPER_LITERAL, -1, cli.SuiteConfig())
 
     def test_unknown_id_is_config_error(self):
         assert _run(["falsify", "--id", "NOPE", "--budget", "1"]) == cli.EXIT_CONFIG

@@ -3,9 +3,13 @@ import pytest
 
 from callebaut_lab.errors import HypothesisError, ShapeError, VariantError
 from callebaut_lab.inequalities import (
+    ALPHA_BETA_KIND,
+    ALPHA_KIND,
     HADAMARD_SUM_IDS,
     IneqId,
     REPAIRABLE,
+    ST_KIND,
+    ST_T1_KIND,
     Variant,
     build_links,
     evaluate_inequality,
@@ -242,10 +246,16 @@ class TestHypotheses:
         assert r.satisfied
 
     def test_rev_t1_requires_t_equal_one(self, witness_instance):
-        with pytest.raises(HypothesisError, match="t = 1"):
-            evaluate_inequality(
-                IneqId.REV_T1_REMARK, witness_instance, ExponentPair(0.75, 0.9375)
-            )
+        for t in (0.875, 0.9375):
+            with pytest.raises(HypothesisError, match="fixes t = 1"):
+                evaluate_inequality(
+                    IneqId.REV_T1_REMARK, witness_instance, ExponentPair(0.75, t)
+                )
+
+    def test_wada_weight_must_lie_in_unit_interval(self, witness_instance):
+        # Anchored: the matrix path's own check says "mean weight must ...".
+        with pytest.raises(HypothesisError, match=r"^weight must lie in \[0, 1\], got 1\.5$"):
+            evaluate_inequality(IneqId.WADA, witness_instance, 1.5)
 
     def test_moj_mo_excludes_s_near_half(self):
         band = SpectralBand(0.5, 1.0, 2.0, 8.0)
@@ -301,11 +311,11 @@ def test_hadamard_sum_ids_cover_the_diagonalizable_statements():
     )
 
 
-#: One parameter value of each ``param_kind`` a pair-shaped statement takes.
+#: One parameter value of each ``ParamKind`` a pair-shaped statement takes.
 _PAIR_PARAMS = {
-    "alpha": 0.5,
-    "st": WITNESS_PAIR,
-    "alpha_beta": ProofChainParams(1.0, 0.25),
+    ALPHA_KIND: 0.5,
+    ST_KIND: WITNESS_PAIR,
+    ALPHA_BETA_KIND: ProofChainParams(1.0, 0.25),
 }
 
 
@@ -316,9 +326,9 @@ _PAIR_PARAMS = {
         for ineq in IneqId
         if inequality_info(ineq).takes_pair
         for kind in _PAIR_PARAMS
-        if kind != inequality_info(ineq).param_kind
+        if kind is not inequality_info(ineq).kind
     ],
-    ids=lambda v: getattr(v, "value", v),
+    ids=lambda v: v.value if isinstance(v, IneqId) else v.name,
 )
 def test_wrong_parameter_type_is_hypothesis_error(ineq, kind):
     pair = FamilyInstance(
@@ -330,3 +340,11 @@ def test_wrong_parameter_type_is_hypothesis_error(ineq, kind):
     )
     with pytest.raises(HypothesisError, match="parameters"):
         evaluate_inequality(ineq, pair, _PAIR_PARAMS[kind])
+
+
+def test_every_kind_sweeps_only_values_it_admits():
+    kinds = {info.kind for info in list_inequalities()}
+    assert kinds == {ALPHA_KIND, ALPHA_BETA_KIND, ST_KIND, ST_T1_KIND}
+    for kind in kinds:
+        assert kind.values
+        assert all(isinstance(p, kind.type) and kind.holds(p) for p in kind.values)
