@@ -271,11 +271,7 @@ def cmd_verify(args) -> int:
     csv_path = write_report(lines, summary, config.out)
     _print_summary(summary)
     print(f"report: {config.out}  summary: {csv_path}")
-    if summary.unexpected:
-        return EXIT_VIOLATION
-    if summary.findings and config.strict:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return EXIT_OK if summary.verdict == "PASS" else EXIT_VIOLATION
 
 
 def _mutate_st(pair: ExponentPair, rng: RngState, step: float) -> ExponentPair:
@@ -339,18 +335,13 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
                 consider((band, n, d, p2), instance, -1, stream)
             else:
                 j = rng.next_u64() % n
-                redraw_a = rng.next_u64() % 2 == 0
-                if redraw_a:
-                    new = spd_in_band(d, band.M_lo, band.M_hi, rng, pin_extremes=True)
-                    a_list = list(instance.A_list)
-                    a_list[j] = new
-                    cand = replace(instance, A_list=tuple(a_list))
+                if rng.next_u64() % 2 == 0:
+                    attr, lo, hi = "A_list", band.M_lo, band.M_hi
                 else:
-                    new = spd_in_band(d, band.m_lo, band.m_hi, rng, pin_extremes=True)
-                    b_list = list(instance.B_list)
-                    b_list[j] = new
-                    cand = replace(instance, B_list=tuple(b_list))
-                consider(point, cand, -1, stream)
+                    attr, lo, hi = "B_list", band.m_lo, band.m_hi
+                mats = list(getattr(instance, attr))
+                mats[j] = spd_in_band(d, lo, hi, rng, pin_extremes=True)
+                consider(point, replace(instance, **{attr: tuple(mats)}), -1, stream)
     return best[1] if best is not None else None
 
 

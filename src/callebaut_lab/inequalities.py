@@ -20,15 +20,19 @@ alongside the PAPER_LITERAL one:
 
 Each statement is defined once: by its registry entry and by its link builder
 in ``_BUILDERS``.  Every builder has the signature
-``(operands, band, params, variant)`` and returns ``(name, LHS, RHS)`` triples
-with ``LHS <= RHS`` claimed; ``operands`` is the pair ``(A, B)`` for
-pair-shaped statements and the memoized Hadamard-sum terms of the family
-otherwise.  ``evaluate_inequality`` and ``build_links`` take a
-``FamilyInstance`` and nothing else; the pair-shaped statements (the tensor
-ones and WADA) need ``n = 1``, and every statement reads its band from the
-family.  ``build_links`` reads the entry and runs the same checks for every
-id before it calls the builder: the variant, the parameter type, the operand
-shape, the band, then the condition of the parameter kind.
+``(terms, band, params, variant)`` and returns ``(name, LHS, RHS)`` triples
+with ``LHS <= RHS`` claimed; ``terms`` is ``_PairTerms`` (the pair ``.a``,
+``.b``) for pair-shaped statements and ``_FamilyTerms`` otherwise.  Both give
+``S(u)``: ``A^u x B^(1-u) + A^(1-u) x B^u`` for a pair and
+``sum(A_j #_u B_j) o sum(A_j #_(1-u) B_j)`` for a family, so the refinement
+``K^r' S(s) + c_mid (S(t) - S(1/2)) <= S(t)`` and its reverse each have one
+builder, which ``_BUILDERS`` binds to the tensor or the Hadamard-sum weight.
+``evaluate_inequality`` and ``build_links`` take a ``FamilyInstance`` and
+nothing else; the pair-shaped statements (the tensor ones and WADA) need
+``n = 1``, and every statement reads its band from the family.
+``build_links`` reads the entry and runs the same checks for every id before
+it calls the builder: the variant, the parameter type, the operand shape, the
+band, then the condition of the parameter kind.
 
 Each registry entry names its ``ParamKind``: the parameter type, the values
 the sweep visits, the report form and any condition beyond the type.
@@ -36,9 +40,10 @@ the sweep visits, the report form and any condition beyond the type.
 ``0 <= t <= s < 1/2``) at step 1/16; ``ST_T1_KIND`` fixes ``t = 1`` (the
 reverse remark); ``ALPHA_BETA_KIND`` is the tensor proof's ``alpha = 2t-1``,
 ``beta = 2s-1`` for ``s != t``; ``ALPHA_KIND`` is WADA's weight in [0, 1] at
-step 1/8.  The tensor statements are sums of ``f(A) x g(B)``
-built by one swapped-Kronecker helper, and each statement family takes its
-Kantorovich weight ``K^(+-r')`` from one helper.  The printed weight
+step 1/8.  The tensor statements are sums of ``A^p x B^q + A^q x B^p``
+(``_swapped_kron``, which ``_PairTerms`` and PROOF_CHAIN share), and each
+statement family takes its Kantorovich weight ``K^(+-r')`` from one helper,
+``_tensor_weight`` or ``_hadamard_weight``.  The printed weight
 ``K(M_lo^e / m_hi^e)^p`` is ``scalarcore.printed_weight`` everywhere.
 
 Operator means always go through the congruence form (``matcore.MeanPath``);
@@ -51,6 +56,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -223,6 +229,31 @@ class _FamilyTerms:
         return hadamard(sum_matrices(self.inst.A_list), sum_matrices(self.inst.B_list))
 
 
+def _swapped_kron(a: SymMatrix, b: SymMatrix, p: float, q: float) -> SymMatrix:
+    """``A^p x B^q + A^q x B^p``."""
+    return kron(spectral_pow(a, p), spectral_pow(b, q)) + kron(
+        spectral_pow(a, q), spectral_pow(b, p)
+    )
+
+
+class _PairTerms:
+    """Memoized tensor terms of one pair: ``S(u) = A^u x B^(1-u) + A^(1-u) x B^u``.
+
+    ``S(1/2)`` is ``2 A^(1/2) x B^(1/2)``, so the tensor statements read the
+    same terms as their Hadamard-sum counterparts.
+    """
+
+    def __init__(self, a: SymMatrix, b: SymMatrix):
+        self.a, self.b = a, b
+        self._s: dict[float, SymMatrix] = {}
+
+    def S(self, u: float) -> SymMatrix:
+        key = min(u, 1.0 - u)
+        if key not in self._s:
+            self._s[key] = _swapped_kron(self.a, self.b, u, 1.0 - u)
+        return self._s[key]
+
+
 def _congruence_interval(band: SpectralBand, t: float) -> tuple[float, float]:
     """Spectrum interval of the congruence-transformed tensor operand.
 
@@ -232,13 +263,6 @@ def _congruence_interval(band: SpectralBand, t: float) -> tuple[float, float]:
     """
     g_hi = (band.m_hi * band.M_hi / (band.m_lo * band.M_lo)) ** abs(t - 0.5)
     return 1.0 / g_hi, g_hi
-
-
-def _swapped_kron(a: SymMatrix, b: SymMatrix, p: float, q: float) -> SymMatrix:
-    """``A^p x B^q + A^q x B^p``."""
-    return kron(spectral_pow(a, p), spectral_pow(b, q)) + kron(
-        spectral_pow(a, q), spectral_pow(b, p)
-    )
 
 
 def _tensor_weight(band, pair: ExponentPair, variant: Variant, sign: float) -> float:
@@ -260,12 +284,13 @@ def _hadamard_weight(band, pair: ExponentPair, variant: Variant, sign: float) ->
 
 
 # --- link builders -----------------------------------------------------------
-# Each builder takes (operands, band, params, variant) and returns a list of
-# (link_name, LHS, RHS) with LHS <= RHS claimed.
+# Each builder takes (terms, band, params, variant) and returns a list of
+# (link_name, LHS, RHS) with LHS <= RHS claimed.  The refinement and its
+# reverse serve a pair and a family alike; ``_BUILDERS`` binds each id's weight.
 
 
-def _links_wada(operands, band, alpha, variant):
-    a, b = operands
+def _links_wada(terms: _PairTerms, band, alpha, variant):
+    a, b = terms.a, terms.b
     alpha = float(alpha)
     path = MeanPath(a, b)
     g = path.at(0.5)
@@ -297,29 +322,23 @@ def _links_moj_mo(terms: _FamilyTerms, band, pair: ExponentPair, variant):
     return [("s_vs_mid", ss, mid), ("mid_vs_t", mid, terms.S(pair.t))]
 
 
-def _tensor_terms(a: SymMatrix, b: SymMatrix, pair: ExponentPair):
-    """``P_s``, ``P_t`` and ``P_t - 2 A^(1/2) x B^(1/2)``, where
-    ``P_u = A^u x B^(1-u) + A^(1-u) x B^u``."""
-    p_t = _swapped_kron(a, b, pair.t, 1.0 - pair.t)
-    half = kron(spectral_pow(a, 0.5), spectral_pow(b, 0.5))
-    return _swapped_kron(a, b, pair.s, 1.0 - pair.s), p_t, p_t - 2.0 * half
+def _links_refinement(weight, terms, band, pair: ExponentPair, variant: Variant):
+    """``K^r' S(s) + c_mid (S(t) - S(1/2)) <= S(t)`` with the id's ``weight``."""
+    ss, st, l0 = terms.S(pair.s), terms.S(pair.t), terms.S(0.5)
+    lhs = weight(band, pair, variant, 1.0) * ss + pair.c_mid * (st - l0)
+    return [("main", lhs, st)]
 
 
-def _links_tensor_tool(operands, band, pair: ExponentPair, variant: Variant):
-    p_s, p_t, excess = _tensor_terms(*operands, pair)
-    lhs = _tensor_weight(band, pair, variant, 1.0) * p_s + pair.c_mid * excess
-    return [("main", lhs, p_t)]
-
-
-def _links_rev_tensor_dear(operands, band, pair: ExponentPair, variant: Variant):
+def _links_reverse(weight, terms, band, pair: ExponentPair, variant: Variant):
+    """``S(t) <= K^-r' S(s) + c_rev (S(t) - S(1/2))`` with the id's ``weight``."""
     coeff = pair.c_rev_repair if variant == Variant.REPAIRED else pair.c_rev_paper
-    p_s, p_t, excess = _tensor_terms(*operands, pair)
-    rhs = _tensor_weight(band, pair, variant, -1.0) * p_s + coeff * excess
-    return [("main", p_t, rhs)]
+    ss, st, l0 = terms.S(pair.s), terms.S(pair.t), terms.S(0.5)
+    rhs = weight(band, pair, variant, -1.0) * ss + coeff * (st - l0)
+    return [("main", st, rhs)]
 
 
-def _links_proof_chain(operands, band, params: ProofChainParams, variant):
-    a, b = operands
+def _links_proof_chain(terms: _PairTerms, band, params: ProofChainParams, variant):
+    a, b = terms.a, terms.b
     al, be, mu = params.alpha, params.beta, params.mu
     kf = printed_weight(band, al, params.r_prime)
 
@@ -358,13 +377,6 @@ def _links_proof_chain(operands, band, params: ProofChainParams, variant):
     return [spectra_link, link345, link3456]
 
 
-def _links_had_maman(terms: _FamilyTerms, band, pair: ExponentPair, variant: Variant):
-    kf = _hadamard_weight(band, pair, variant, 1.0)
-    ss, st, l0 = terms.S(pair.s), terms.S(pair.t), terms.S(0.5)
-    lhs = kf * ss + pair.c_mid * (st - l0)
-    return [("main", lhs, st)]
-
-
 def _links_had_maman2(terms: _FamilyTerms, band, pair: ExponentPair, variant):
     ss, st, l0 = terms.S(pair.s), terms.S(pair.t), terms.S(0.5)
     bracket = ss + l0 - 2.0 * terms.S((3.0 - 2.0 * pair.s) / 4.0)
@@ -386,14 +398,6 @@ def _links_cor_bj(terms: _FamilyTerms, band, pair: ExponentPair, variant):
     t_mid = hadamard(power_sum((1.0 + 2.0 * s) / 4.0), power_sum((3.0 - 2.0 * s) / 4.0))
     lhs = s_s + pair.c_mid * (s_s - l0) + pair.r_prime_st * (s_s + l0 - 2.0 * t_mid)
     return [("main", lhs, s_t)]
-
-
-def _links_rev_had_mainth(terms: _FamilyTerms, band, pair: ExponentPair, variant: Variant):
-    kf = _hadamard_weight(band, pair, variant, -1.0)
-    coeff = pair.c_rev_repair if variant == Variant.REPAIRED else pair.c_rev_paper
-    ss, st, l0 = terms.S(pair.s), terms.S(pair.t), terms.S(0.5)
-    rhs = kf * ss + coeff * (st - l0)
-    return [("main", st, rhs)]
 
 
 def _links_rev_t1(terms: _FamilyTerms, band, pair: ExponentPair, variant: Variant):
@@ -556,13 +560,13 @@ _BUILDERS = {
     IneqId.WADA: _links_wada,
     IneqId.CHAIN_34RF: _links_chain_34rf,
     IneqId.MOJ_MO: _links_moj_mo,
-    IneqId.TENSOR_TOOL: _links_tensor_tool,
+    IneqId.TENSOR_TOOL: partial(_links_refinement, _tensor_weight),
     IneqId.PROOF_CHAIN: _links_proof_chain,
-    IneqId.HAD_MAMAN: _links_had_maman,
+    IneqId.HAD_MAMAN: partial(_links_refinement, _hadamard_weight),
     IneqId.HAD_MAMAN2: _links_had_maman2,
     IneqId.COR_BJ_IDENTITY: _links_cor_bj,
-    IneqId.REV_TENSOR_DEAR: _links_rev_tensor_dear,
-    IneqId.REV_HAD_MAINTH: _links_rev_had_mainth,
+    IneqId.REV_TENSOR_DEAR: partial(_links_reverse, _tensor_weight),
+    IneqId.REV_HAD_MAINTH: partial(_links_reverse, _hadamard_weight),
     IneqId.REV_T1_REMARK: _links_rev_t1,
     IneqId.PROP_HBOUNDS: _links_prop_hbounds,
 }
@@ -628,10 +632,10 @@ def _build_links(ineq, family, params, variant):
     if not kind.holds(params):
         raise HypothesisError(kind.violation.format(**kind.report(params)))
     if info.takes_pair:
-        operands = (family.A_list[0], family.B_list[0])
+        terms = _PairTerms(family.A_list[0], family.B_list[0])
     else:
-        operands = _FamilyTerms(family)
-    return _BUILDERS[ineq](operands, family.band, params, variant)
+        terms = _FamilyTerms(family)
+    return _BUILDERS[ineq](terms, family.band, params, variant)
 
 
 def params_dict(ineq: IneqId, params) -> dict:

@@ -5,7 +5,11 @@ Two facilities live here:
 * ``diagonal_equivalence`` re-derives every link of a Hadamard-sum statement
   entrywise from scalar closed forms (diagonal families commute, so means and
   Hadamard products reduce to weighted scalar sums) and reports the worst
-  absolute discrepancy against the matrix path.
+  absolute discrepancy against the matrix path.  TENSOR_TOOL and
+  REV_TENSOR_DEAR reduce the same way on 1x1 pairs only: their scalar terms
+  ``S(u) = a^u b^(1-u) + a^(1-u) b^u`` (``_ScalarPairTerms``) go through the
+  Hadamard-sum branches with the tensor weight.  WADA and PROOF_CHAIN have no
+  scalar reduction.
 * ``replay_witnesses`` re-evaluates recorded witness instances through BOTH
   the full matrix path and direct compensated scalar arithmetic and checks
   each against its frozen expected gap.
@@ -16,12 +20,12 @@ for exact-half exponents, so it is meaningfully more accurate than the matrix
 arithmetic it cross-checks.
 
 Where the independence lies: the scalar algebra (``fsum``, ``oracle_pow``,
-``_ScalarTerms`` and each statement's combination of terms) is re-derived
-here.  The Kantorovich weights ``K^(+-r')`` mostly are not: they are scalars
-of the band and the exponents, and for the Hadamard and tensor statements the
-oracle takes them from the same helpers as the link builders
-(``_hadamard_weight``, ``_tensor_weight``), just as it takes the same
-arguments.  The hand-derived gaps of the recorded witnesses remain the
+``_ScalarTerms``, ``_ScalarPairTerms`` and each statement's combination of
+terms) is re-derived here.  The Kantorovich weights ``K^(+-r')`` mostly are
+not: they are scalars of the band and the exponents, and for the Hadamard and
+tensor statements the oracle takes them from the same helpers as the link
+builders (``_hadamard_weight``, ``_tensor_weight``), just as it takes the
+same arguments.  The hand-derived gaps of the recorded witnesses remain the
 independent pin on those weights.  PROP_HBOUNDS is the exception: no witness
 pins it, so its weights are derived again here, ``K(h^(2t-1))^r'`` for the
 literal form and, for the repaired one, the minimum of ``K`` over the interval
@@ -108,17 +112,49 @@ class _ScalarTerms:
         return fsum(self.x) * fsum(self.y)
 
 
-def _scalar_entry_links(
-    ineq: IneqId,
-    variant: Variant,
-    x,
-    y,
-    band: SpectralBand,
-    params,
-) -> list[tuple[str, float, float]]:
-    """Scalar (name, lhs, rhs) values for one diagonal entry, mirroring the
+class _ScalarPairTerms:
+    """Scalar mirror of the pair terms of a 1x1 pair:
+    ``S(u) = a^u b^(1-u) + a^(1-u) b^u``."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self._s: dict[float, float] = {}
+
+    def S(self, u: float) -> float:
+        key = min(u, 1.0 - u)
+        if key not in self._s:
+            a, b = self.a, self.b
+            self._s[key] = fsum(
+                (
+                    oracle_pow(a, u) * oracle_pow(b, 1.0 - u),
+                    oracle_pow(a, 1.0 - u) * oracle_pow(b, u),
+                )
+            )
+        return self._s[key]
+
+
+#: The pair-shaped ids with a scalar reduction, on 1x1 pairs only.
+_TENSOR_IDS = (IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR)
+
+
+def _scalar_links(ineq: IneqId, inst: FamilyInstance, params, variant: Variant):
+    """Scalar (name, lhs, rhs) links of a diagonal instance, one list per
+    diagonal entry."""
+    _require_diagonal(inst)
+    xs, ys = _entry_columns(inst)
+    if ineq in _TENSOR_IDS:
+        if inst.n != 1 or inst.dim != 1:
+            raise ShapeError("tensor statements reduce to scalars only for 1x1 pairs")
+        terms = [_ScalarPairTerms(xs[0][0], ys[0][0])]
+    else:
+        terms = [_ScalarTerms(x, y) for x, y in zip(xs, ys)]
+    return [_scalar_entry_links(ineq, variant, t, inst.band, params) for t in terms]
+
+
+def _scalar_entry_links(ineq: IneqId, variant: Variant, t, band: SpectralBand, params):
+    """Scalar (name, lhs, rhs) values for one terms object, mirroring the
     matrix link builders term by term."""
-    t = _ScalarTerms(x, y)
+    weight = _tensor_weight if ineq in _TENSOR_IDS else _hadamard_weight
     if ineq == IneqId.CHAIN_34RF:
         return [
             ("geo_vs_s", t.S(0.5), t.S(params.s)),
@@ -129,8 +165,8 @@ def _scalar_entry_links(
         c = (params.t - params.s) / (params.s - 0.5)
         mid = fsum((t.S(params.s), c * t.S(params.s), -c * t.S(0.5)))
         return [("s_vs_mid", t.S(params.s), mid), ("mid_vs_t", mid, t.S(params.t))]
-    if ineq == IneqId.HAD_MAMAN:
-        kf = _hadamard_weight(band, params, variant, 1.0)
+    if ineq in (IneqId.HAD_MAMAN, IneqId.TENSOR_TOOL):
+        kf = weight(band, params, variant, 1.0)
         lhs = fsum(
             (kf * t.S(params.s), params.c_mid * t.S(params.t), -params.c_mid * t.S(0.5))
         )
@@ -151,7 +187,7 @@ def _scalar_entry_links(
         return [("main", lhs, t.S(params.t)), ("bracket_psd", 0.0, bracket)]
     if ineq == IneqId.COR_BJ_IDENTITY:
         def psum(u):
-            return fsum(oracle_pow(xi, u) for xi in x)
+            return fsum(oracle_pow(xi, u) for xi in t.x)
 
         s, tt = params.s, params.t
         s_s = psum(1.0 - s) * psum(s)
@@ -163,8 +199,8 @@ def _scalar_entry_links(
             (s_s, params.c_mid * s_s, -params.c_mid * l0, rp * s_s, rp * l0, -2.0 * rp * t_mid)
         )
         return [("main", lhs, s_t)]
-    if ineq == IneqId.REV_HAD_MAINTH:
-        kf = _hadamard_weight(band, params, variant, -1.0)
+    if ineq in (IneqId.REV_HAD_MAINTH, IneqId.REV_TENSOR_DEAR):
+        kf = weight(band, params, variant, -1.0)
         coeff = (
             params.c_rev_repair if variant == Variant.REPAIRED else params.c_rev_paper
         )
@@ -202,40 +238,6 @@ def _scalar_entry_links(
             ("lower", kf * t.S(params.s), t.S(params.t)),
             ("upper", t.S(params.t), upper_rhs),
         ]
-    if ineq in (IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR):
-        if len(x) != 1:
-            raise ShapeError("tensor statements reduce to scalars only for 1x1 pairs")
-        a, b = x[0], y[0]
-
-        def ptensor(u):
-            return fsum(
-                (
-                    oracle_pow(a, u) * oracle_pow(b, 1.0 - u),
-                    oracle_pow(a, 1.0 - u) * oracle_pow(b, u),
-                )
-            )
-
-        half = 2.0 * oracle_pow(a, 0.5) * oracle_pow(b, 0.5)
-        if ineq == IneqId.TENSOR_TOOL:
-            kf = _tensor_weight(band, params, variant, 1.0)
-            lhs = fsum(
-                (
-                    kf * ptensor(params.s),
-                    params.c_mid * ptensor(params.t),
-                    -params.c_mid * half,
-                )
-            )
-            return [("main", lhs, ptensor(params.t))]
-        kf = _tensor_weight(band, params, variant, -1.0)
-        coeff = (
-            params.c_rev_repair
-            if variant == Variant.REPAIRED
-            else params.c_rev_paper
-        )
-        rhs = fsum(
-            (kf * ptensor(params.s), coeff * ptensor(params.t), -coeff * half)
-        )
-        return [("main", ptensor(params.t), rhs)]
     raise ShapeError(f"no scalar reduction is defined for {ineq.value}")
 
 
@@ -246,11 +248,9 @@ def scalar_min_gap(
     variant: Variant = Variant.PAPER_LITERAL,
 ) -> float:
     """Worst link gap of a diagonal instance computed purely in scalars."""
-    _require_diagonal(inst)
-    xs, ys = _entry_columns(inst)
     worst = math.inf
-    for x, y in zip(xs, ys):
-        for _, lhs, rhs in _scalar_entry_links(ineq, variant, x, y, inst.band, params):
+    for entry in _scalar_links(ineq, inst, params, variant):
+        for _, lhs, rhs in entry:
             worst = min(worst, rhs - lhs)
     return worst
 
@@ -274,19 +274,11 @@ def diagonal_equivalence(
     """
     _require_diagonal(diag_instance)
     links = build_links(ineq, diag_instance, params, variant)
-    xs, ys = _entry_columns(diag_instance)
-    dim = diag_instance.dim
-    scalar_links = [
-        _scalar_entry_links(ineq, variant, xs[k], ys[k], diag_instance.band, params)
-        for k in range(dim)
-    ]
+    scalar_links = _scalar_links(ineq, diag_instance, params, variant)
     worst = 0.0
     for li, (name, lhs, rhs) in enumerate(links):
-        # 1x1 pointwise links on the tensor space keep dim 1; everything else
-        # matches the family dimension.
-        ldim = lhs.dim
-        lhs_diag = np.diag([scalar_links[k][li][1] for k in range(ldim)])
-        rhs_diag = np.diag([scalar_links[k][li][2] for k in range(ldim)])
+        lhs_diag = np.diag([entry[li][1] for entry in scalar_links])
+        rhs_diag = np.diag([entry[li][2] for entry in scalar_links])
         worst = max(
             worst,
             float(np.abs(lhs.array - lhs_diag).max()),

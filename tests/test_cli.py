@@ -46,6 +46,29 @@ class TestVerify:
         assert summary.unexpected == len(IneqId)
         assert summary.verdict == "FAIL"
 
+    @pytest.mark.parametrize(
+        "violated, strict, expected",
+        [
+            ({IneqId.CHAIN_34RF}, False, cli.EXIT_VIOLATION),
+            (REPAIRABLE, False, cli.EXIT_OK),
+            (REPAIRABLE, True, cli.EXIT_VIOLATION),
+        ],
+        ids=["unexpected", "findings", "findings_strict"],
+    )
+    def test_exit_code_follows_verdict(self, monkeypatch, tmp_path, violated, strict, expected):
+        # Only the paper variant violates, so a REPAIRABLE id gives findings
+        # and any other id an unexpected violation.
+        def run_trial(config, ineq, variant, point, trial):
+            ok = ineq not in violated or variant == Variant.REPAIRED
+            return {"id": ineq.value, "variant": variant.value, "stream": trial,
+                    "rel_gap": 0.0 if ok else -1.0, "satisfied": ok}
+
+        monkeypatch.setattr(cli, "_run_trial", run_trial)
+        argv = ["verify", "--trials", "1", "--out", str(tmp_path / "v.jsonl")]
+        if strict:
+            argv.append("--strict")
+        assert _run(argv) == expected
+
     def test_line_schema(self, tiny_reports):
         _, _, lines = tiny_reports
         keys = {

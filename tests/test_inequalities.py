@@ -16,9 +16,14 @@ from callebaut_lab.inequalities import (
     inequality_info,
     list_inequalities,
 )
-from callebaut_lab.matcore import SymMatrix, spectral_norm
+from callebaut_lab.matcore import SymMatrix, kron, spectral_norm, spectral_pow
 from callebaut_lab.sampler import FamilyInstance, SpectralBand, derive_rng, sample_family
-from callebaut_lab.scalarcore import ExponentPair, ProofChainParams
+from callebaut_lab.scalarcore import (
+    ExponentPair,
+    ProofChainParams,
+    kantorovich,
+    printed_weight,
+)
 
 WITNESS_BAND = SpectralBand(1.0, 1.0, 4.0, 4.0)
 WITNESS_PAIR = ExponentPair(0.75, 1.0)
@@ -296,6 +301,43 @@ class TestHypotheses:
         assert good.witness is None and good.satisfied
         assert bad.witness["A_list"] == [[[4.0]]]
         assert bad.witness["params"] == {"s": 0.75, "t": 1.0}
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize(
+    "ineq", [IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR], ids=lambda i: i.value
+)
+def test_tensor_links_are_the_printed_statement(ineq, variant):
+    # P_u = A^u x B^(1-u) + A^(1-u) x B^u, written out here from the matrix
+    # primitives; the links must equal it bit for bit on non-diagonal pairs.
+    band = SpectralBand(0.1, 0.2, 5.0, 10.0)
+
+    def p(a, b, u):
+        return kron(spectral_pow(a, u), spectral_pow(b, 1.0 - u)) + kron(
+            spectral_pow(a, 1.0 - u), spectral_pow(b, u)
+        )
+
+    for k, pair in enumerate(ST_KIND.values):
+        pair_inst = sample_family(1, 2 + k % 3, band, derive_rng(5, k))
+        a, b = pair_inst.A_list[0], pair_inst.B_list[0]
+        p_s, p_t = p(a, b, pair.s), p(a, b, pair.t)
+        excess = p_t - 2.0 * kron(spectral_pow(a, 0.5), spectral_pow(b, 0.5))
+        sign = 1.0 if ineq == IneqId.TENSOR_TOOL else -1.0
+        if variant == Variant.REPAIRED:
+            c = (band.M_lo / band.m_hi) ** abs(pair.t - 0.5)
+            weight = kantorovich(c) ** (sign * pair.r_prime_st)
+        else:
+            weight = printed_weight(band, 2.0 * pair.t - 1.0, sign * pair.r_prime_st)
+        if ineq == IneqId.TENSOR_TOOL:
+            expected = (weight * p_s + pair.c_mid * excess, p_t)
+        else:
+            coeff = pair.c_rev_repair if variant == Variant.REPAIRED else pair.c_rev_paper
+            expected = (p_t, weight * p_s + coeff * excess)
+        [(name, lhs, rhs)] = build_links(ineq, pair_inst, pair, variant)
+        assert name == "main"
+        assert not lhs.is_diagonal()
+        assert np.array_equal(lhs.array, expected[0].array), (k, pair)
+        assert np.array_equal(rhs.array, expected[1].array), (k, pair)
 
 
 def test_hadamard_sum_ids_cover_the_diagonalizable_statements():

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from callebaut_lab.errors import ShapeError
-from callebaut_lab.inequalities import HADAMARD_SUM_IDS, IneqId, Variant, evaluate_inequality
+from callebaut_lab.inequalities import (
+    HADAMARD_SUM_IDS,
+    ST_KIND,
+    IneqId,
+    Variant,
+    evaluate_inequality,
+)
 from callebaut_lab.matcore import SymMatrix
 from callebaut_lab.oracle import (
     BUILTIN_WITNESSES,
@@ -18,7 +24,7 @@ from callebaut_lab.oracle import (
     scalar_min_gap,
 )
 from callebaut_lab.sampler import FamilyInstance, SpectralBand, derive_rng
-from callebaut_lab.scalarcore import ExponentPair, chain_callebaut_gaps
+from callebaut_lab.scalarcore import ExponentPair, ProofChainParams, chain_callebaut_gaps
 
 BAND = SpectralBand(0.5, 1.0, 2.0, 8.0)
 
@@ -91,6 +97,34 @@ class TestDiagonalEquivalence:
         inst = _diag_instance(2, 2, 7, a_eq_b=True)
         disc = diagonal_equivalence(IneqId.CHAIN_34RF, inst, _pair_for(IneqId.CHAIN_34RF, 0))
         assert disc <= 1e-12 * max(np.abs(inst.A_list[0].array).max() ** 2 * 4, 1.0)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize(
+        "ineq", [IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR], ids=lambda i: i.value
+    )
+    def test_tensor_ids_on_1x1_pairs(self, ineq, variant):
+        for k, pair in enumerate(ST_KIND.values):
+            inst = _diag_instance(1, 1, 200 + k)
+            disc = diagonal_equivalence(ineq, inst, pair, variant)
+            assert disc <= 1e-12, (pair, disc)
+
+    @pytest.mark.parametrize(
+        "ineq, params",
+        [(IneqId.WADA, 0.5), (IneqId.PROOF_CHAIN, ProofChainParams(1.0, 0.25))],
+        ids=["WADA", "PROOF_CHAIN"],
+    )
+    def test_no_scalar_reduction_for_wada_and_proof_chain(self, ineq, params):
+        with pytest.raises(ShapeError, match="no scalar reduction"):
+            scalar_min_gap(ineq, _diag_instance(1, 1, 3), params)
+
+    @pytest.mark.parametrize("check", [scalar_min_gap, diagonal_equivalence])
+    @pytest.mark.parametrize(
+        "ineq", [IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR], ids=lambda i: i.value
+    )
+    def test_tensor_ids_reduce_only_1x1_pairs(self, ineq, check):
+        # A d x d pair has d^2 tensor eigenvalues a_i b_j, not d entries.
+        with pytest.raises(ShapeError, match="1x1 pairs"):
+            check(ineq, _diag_instance(1, 2, 5), ExponentPair(0.75, 1.0))
 
     def test_rejects_non_diagonal(self):
         inst = FamilyInstance(
