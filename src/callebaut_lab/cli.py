@@ -2,8 +2,8 @@
 replay/export, and the registry listing.
 
 Exit codes: 0 = pass (literal-form findings are expected and do not fail the
-run unless --strict), 2 = unexpected violation or witness mismatch, 64 = bad
-configuration or unusable output path.
+run unless --strict), 2 = unexpected violation, failed verify trial or witness
+mismatch, 64 = bad configuration or unusable output path.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 
-from .errors import CallebautLabError, ConfigError
+import numpy as np
+
+from .errors import CallebautLabError, ConfigError, DomainError, HypothesisError
 from .inequalities import (
     IneqId,
     REPAIRABLE,
@@ -133,29 +135,49 @@ def _stream(config: SuiteConfig, key: str):
     return stream, derive_rng(config.master_seed, stream)
 
 
-def _line(config: SuiteConfig, stream: int, point, report) -> dict:
-    """The report-line fields that verify and falsify share."""
+def _head(config: SuiteConfig, stream: int, point, ineq: IneqId, variant: Variant,
+          pdict: dict) -> dict:
+    """The report-line fields that say which trial ran; a trial that raised
+    reports these and its error."""
     band, n, d, _ = point
     return {
-        "id": report.ineq.value,
-        "variant": report.variant.value,
+        "id": ineq.value,
+        "variant": variant.value,
         "seed": config.master_seed,
         "stream": stream,
         "n": n,
         "dim": d,
         "band": list(band.as_tuple()),
-        "params": report.params,
+        "params": pdict,
+    }
+
+
+def _line(config: SuiteConfig, stream: int, point, report) -> dict:
+    """The report-line fields that verify and falsify share."""
+    return {
+        **_head(config, stream, point, report.ineq, report.variant, report.params),
         "min_eig": report.gap.min_eig,
         "rel_gap": report.gap.rel_gap,
         "satisfied": report.satisfied,
     }
 
 
-def _run_trial(config: SuiteConfig, ineq: IneqId, variant: Variant, point, trial: int):
+def _trial_stream(config: SuiteConfig, ineq: IneqId, variant: Variant, point, trial: int):
+    """Stream of one verify trial, keyed by its grid coordinates, and its generator."""
     band, n, d, params = point
     param_key = ",".join(f"{k}={v!r}" for k, v in params_dict(ineq, params).items())
     key = f"{ineq.value}|{variant.value}|{band.as_tuple()}|n={n}|d={d}|{param_key}|trial={trial}"
-    stream, rng = _stream(config, key)
+    return _stream(config, key)
+
+
+#: Failures of one trial that ``run_verify`` reports as an error line and
+#: counts as unexpected, instead of ending the run.
+_TRIAL_ERRORS = (HypothesisError, DomainError, np.linalg.LinAlgError)
+
+
+def _run_trial(config: SuiteConfig, ineq: IneqId, variant: Variant, point, trial: int):
+    band, n, d, params = point
+    stream, rng = _trial_stream(config, ineq, variant, point, trial)
     instance = sample_family(n, d, band, rng, pin_extremes=False)
     report = evaluate_inequality(ineq, instance, params, variant, tol=config.tol)
     return {
@@ -190,7 +212,14 @@ def run_verify(config: SuiteConfig):
 
     def work(job):
         ineq, variant, point, k = job
-        return _run_trial(config, ineq, variant, point, k)
+        try:
+            return _run_trial(config, ineq, variant, point, k)
+        except _TRIAL_ERRORS as exc:
+            stream, _ = _trial_stream(config, ineq, variant, point, k)
+            return {
+                **_head(config, stream, point, ineq, variant, params_dict(ineq, point[3])),
+                "error": f"{type(exc).__name__}: {exc}",
+            }
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -207,6 +236,10 @@ def run_verify(config: SuiteConfig):
             key, {"evaluated": 0, "satisfied": 0, "violated": 0, "min_rel_gap": 0.0}
         )
         counts["evaluated"] += 1
+        if "error" in line:
+            counts["violated"] += 1
+            summary.unexpected += 1
+            continue
         counts["min_rel_gap"] = min(counts["min_rel_gap"], line["rel_gap"])
         if line["satisfied"]:
             counts["satisfied"] += 1

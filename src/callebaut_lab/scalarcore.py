@@ -14,7 +14,7 @@ and ``printed_weight`` is the paper's weight ``K(M_lo^e / m_hi^e)^p``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Sequence
@@ -27,12 +27,21 @@ from .errors import DomainError, HypothesisError
 DELTA_HALF = 1e-6
 
 fsum = math.fsum
+_INF = math.inf
+
+
+def _kantorovich_domain(x: float) -> DomainError:
+    return DomainError(f"Kantorovich constant needs a positive argument, got {x}")
 
 
 def kantorovich(x: float) -> float:
-    """Kantorovich constant ``(x + 1)^2 / (4 x)``; >= 1 and symmetric in x <-> 1/x."""
+    """Kantorovich constant ``(x + 1)^2 / (4 x)``; >= 1 and symmetric in x <-> 1/x.
+
+    The hot scalar statements inline this body (check, message and
+    expression), since the call costs more than the arithmetic.
+    """
     if not x > 0.0:
-        raise DomainError(f"Kantorovich constant needs a positive argument, got {x}")
+        raise _kantorovich_domain(x)
     return (x + 1.0) * (x + 1.0) / (4.0 * x)
 
 
@@ -50,9 +59,17 @@ def kantorovich_min_over_interval(lo: float, hi: float) -> float:
     return min(kantorovich(lo), kantorovich(hi))
 
 
-@dataclass(frozen=True, init=False)
-class ScalarParams:
-    """Positive pair ``(a, b)`` with a Young weight ``nu`` in [0, 1].
+class _OpenParams:
+    """Slot storage that :class:`ScalarParams` fills before it becomes frozen."""
+
+    __slots__ = (
+        "a", "b", "nu", "r", "r_prime", "nu_max",
+        "a_nu", "b_rest", "a_rest", "b_nu", "sq_diff", "sqrt_ratio",
+    )
+
+
+class ScalarParams(_OpenParams):
+    """Positive finite pair ``(a, b)`` with a Young weight ``nu`` in [0, 1].
 
     Derived once at construction: ``r = min(nu, 1-nu)``,
     ``r_prime = min(2r, 1-2r)``, ``nu_max = max(nu, 1-nu)`` (not ``s``, the
@@ -61,41 +78,63 @@ class ScalarParams:
     ``sqrt_ratio = sqrt(a/b)``.  Statements multiply them in a fixed order,
     e.g. ``-k * a_nu * b_rest``.  None can raise; ``K(sqrt_ratio)`` (which
     fails once ``a/b`` underflows to 0) stays in each statement that uses it.
+
+    Immutable, and slotted (no instance ``__dict__``).  Construction runs
+    once per sampled tuple, so it avoids per-field ``object.__setattr__``
+    calls, which cost more than the fields themselves: ``__new__`` fills a
+    plain :class:`_OpenParams` by ordinary attribute stores and then swaps
+    its class to ``ScalarParams``, whose ``__setattr__`` always raises.
+    ``repr``, ``==``, ``hash``, ``copy`` and ``pickle`` see ``(a, b, nu)``
+    only; assignment raises ``dataclasses.FrozenInstanceError``.
     """
 
-    a: float
-    b: float
-    nu: float
-    r: float = field(init=False, repr=False, compare=False)
-    r_prime: float = field(init=False, repr=False, compare=False)
-    nu_max: float = field(init=False, repr=False, compare=False)
-    a_nu: float = field(init=False, repr=False, compare=False)
-    b_rest: float = field(init=False, repr=False, compare=False)
-    a_rest: float = field(init=False, repr=False, compare=False)
-    b_nu: float = field(init=False, repr=False, compare=False)
-    sq_diff: float = field(init=False, repr=False, compare=False)
-    sqrt_ratio: float = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __init__(self, a: float, b: float, nu: float):
-        if not (a > 0.0 and b > 0.0):
-            raise DomainError(f"a and b must be positive, got a={a}, b={b}")
+    def __new__(cls, a: float, b: float, nu: float):
+        if not (0.0 < a < _INF and 0.0 < b < _INF):
+            raise DomainError(f"a and b must be positive and finite, got a={a}, b={b}")
         if not 0.0 <= nu <= 1.0:
             raise HypothesisError(f"nu must lie in [0, 1], got {nu}")
+        self = object.__new__(_OpenParams)
+        self.a = a
+        self.b = b
+        self.nu = nu
         # The conditionals pick exactly what builtin min/max pick (the first
         # argument on ties) at a fraction of the call cost.
         rest = 1.0 - nu
-        r = rest if rest < nu else nu
+        self.r = r = rest if rest < nu else nu
         two_r = 2.0 * r
         one_minus = 1.0 - two_r
-        # Writing the instance dict directly bypasses the frozen __setattr__;
-        # construction runs once per sampled tuple, so its cost matters.
-        self.__dict__.update(
-            a=a, b=b, nu=nu, r=r,
-            r_prime=one_minus if one_minus < two_r else two_r,
-            nu_max=rest if rest > nu else nu,
-            a_nu=a ** nu, b_rest=b ** rest, a_rest=a ** rest, b_nu=b ** nu,
-            sq_diff=math.sqrt(a) - math.sqrt(b), sqrt_ratio=math.sqrt(a / b),
-        )
+        self.r_prime = one_minus if one_minus < two_r else two_r
+        self.nu_max = rest if rest > nu else nu
+        self.a_nu = a ** nu
+        self.b_rest = b ** rest
+        self.a_rest = a ** rest
+        self.b_nu = b ** nu
+        self.sq_diff = math.sqrt(a) - math.sqrt(b)
+        self.sqrt_ratio = math.sqrt(a / b)
+        self.__class__ = cls
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"ScalarParams(a={self.a!r}, b={self.b!r}, nu={self.nu!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.nu) == (other.a, other.b, other.nu)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.nu))
+
+    def __reduce__(self):
+        return (ScalarParams, (self.a, self.b, self.nu))
 
 
 class Branch(Enum):
@@ -208,39 +247,53 @@ class ScalarIneqId(Enum):
     COR_REV_SCALAR = "COR_REV_SCALAR"
 
 
-def _require_nu_off_half(nu: float):
-    if abs(nu - 0.5) < DELTA_HALF:
-        raise HypothesisError(
-            f"nu = {nu} lies within {DELTA_HALF:g} of 1/2 (statement excludes nu = 1/2)"
-        )
+def _nu_at_half(nu: float) -> HypothesisError:
+    return HypothesisError(
+        f"nu = {nu} lies within {DELTA_HALF:g} of 1/2 (statement excludes nu = 1/2)"
+    )
 
 
-def young_classical_gap(p: ScalarParams) -> float:
+# The Young-type statements take ``(params, extra)`` so that they are the
+# ``_GAP_ENTRIES`` values themselves, with no wrapper frame; they ignore
+# ``extra``.  They, LEMMA_TTT1 and REV_TTT inline ``kantorovich`` (its check,
+# its message and its expression) because a call costs more than the
+# arithmetic.  The ``nu != 1/2`` check comes before the Kantorovich check.
+
+
+def young_classical_gap(p: ScalarParams, extra=None) -> float:
     """``a^nu b^(1-nu) <= nu a + (1-nu) b``."""
     nu = p.nu
     return fsum((nu * p.a, (1.0 - nu) * p.b, -p.a_nu * p.b_rest))
 
 
-def young_zuo_gap(p: ScalarParams) -> float:
+def young_zuo_gap(p: ScalarParams, extra=None) -> float:
     """``K(sqrt(a/b))^r a^nu b^(1-nu) <= nu a + (1-nu) b``."""
-    nu = p.nu
-    k = kantorovich(p.sqrt_ratio) ** p.r
+    nu, x = p.nu, p.sqrt_ratio
+    if not x > 0.0:
+        raise _kantorovich_domain(x)
+    k = ((x + 1.0) * (x + 1.0) / (4.0 * x)) ** p.r
     return fsum((nu * p.a, (1.0 - nu) * p.b, -k * p.a_nu * p.b_rest))
 
 
-def young_wu_zhao_gap(p: ScalarParams) -> float:
+def young_wu_zhao_gap(p: ScalarParams, extra=None) -> float:
     """``K(sqrt(a/b))^r' a^nu b^(1-nu) + r (sqrt a - sqrt b)^2 <= nu a + (1-nu) b``."""
-    _require_nu_off_half(p.nu)
-    nu, sq = p.nu, p.sq_diff
-    k = kantorovich(p.sqrt_ratio) ** p.r_prime
+    nu, x, sq = p.nu, p.sqrt_ratio, p.sq_diff
+    if abs(nu - 0.5) < DELTA_HALF:
+        raise _nu_at_half(nu)
+    if not x > 0.0:
+        raise _kantorovich_domain(x)
+    k = ((x + 1.0) * (x + 1.0) / (4.0 * x)) ** p.r_prime
     return fsum((nu * p.a, (1.0 - nu) * p.b, -k * p.a_nu * p.b_rest, -p.r * sq * sq))
 
 
-def lemma_sum_gap(p: ScalarParams) -> float:
+def lemma_sum_gap(p: ScalarParams, extra=None) -> float:
     """Two-sided Young sum: ``K^r' (a^nu b^(1-nu) + a^(1-nu) b^nu) + 2r (...)^2 <= a + b``."""
-    _require_nu_off_half(p.nu)
-    sq = p.sq_diff
-    k = kantorovich(p.sqrt_ratio) ** p.r_prime
+    nu, x, sq = p.nu, p.sqrt_ratio, p.sq_diff
+    if abs(nu - 0.5) < DELTA_HALF:
+        raise _nu_at_half(nu)
+    if not x > 0.0:
+        raise _kantorovich_domain(x)
+    k = ((x + 1.0) * (x + 1.0) / (4.0 * x)) ** p.r_prime
     return fsum(
         (p.a, p.b, -k * p.a_nu * p.b_rest, -k * p.a_rest * p.b_nu, -2.0 * p.r * sq * sq)
     )
@@ -248,18 +301,17 @@ def lemma_sum_gap(p: ScalarParams) -> float:
 
 def lemma_ttt1_gap(a: float, mu: float) -> float:
     """``K(a)^r' (a^mu + a^-mu) + (1-mu)(a + 1/a - 2) <= a + 1/a`` for mu in (0, 1]."""
-    if not a > 0.0:
-        raise DomainError(f"a must be positive, got {a}")
+    if not 0.0 < a < _INF:
+        raise DomainError(f"a must be positive and finite, got {a}")
     if not 0.0 < mu <= 1.0:
         raise HypothesisError(f"mu must lie in (0, 1], got {mu}")
-    k = kantorovich(a) ** min(mu, 1.0 - mu)
+    rest = 1.0 - mu
+    k = ((a + 1.0) * (a + 1.0) / (4.0 * a)) ** (rest if rest < mu else mu)
     inv = 1.0 / a
-    return fsum(
-        (a, inv, -k * (a ** mu + a ** (-mu)), -(1.0 - mu) * (a + inv - 2.0))
-    )
+    return fsum((a, inv, -k * (a ** mu + a ** (-mu)), -rest * (a + inv - 2.0)))
 
 
-def lemma_4term_gap(p: ScalarParams) -> float:
+def lemma_4term_gap(p: ScalarParams, extra=None) -> float:
     """Four-term refinement with the quarter-power bracket, for nu in (0, 1)."""
     if not 0.0 < p.nu < 1.0:
         raise HypothesisError(f"nu must lie in (0, 1), got {p.nu}")
@@ -279,21 +331,27 @@ def lemma_4term_gap(p: ScalarParams) -> float:
     )
 
 
-def rev_young_gap(p: ScalarParams) -> float:
+def rev_young_gap(p: ScalarParams, extra=None) -> float:
     """Reverse: ``nu a + (1-nu) b <= K^-r' a^nu b^(1-nu) + max(nu,1-nu) (...)^2``."""
-    _require_nu_off_half(p.nu)
-    nu, sq = p.nu, p.sq_diff
-    k = kantorovich(p.sqrt_ratio) ** (-p.r_prime)
+    nu, x, sq = p.nu, p.sqrt_ratio, p.sq_diff
+    if abs(nu - 0.5) < DELTA_HALF:
+        raise _nu_at_half(nu)
+    if not x > 0.0:
+        raise _kantorovich_domain(x)
+    k = ((x + 1.0) * (x + 1.0) / (4.0 * x)) ** (-p.r_prime)
     return fsum(
         (k * p.a_nu * p.b_rest, p.nu_max * sq * sq, -nu * p.a, -(1.0 - nu) * p.b)
     )
 
 
-def rev_sum_gap(p: ScalarParams) -> float:
+def rev_sum_gap(p: ScalarParams, extra=None) -> float:
     """Reverse of the two-sided sum with coefficient ``2 max(nu, 1-nu)``."""
-    _require_nu_off_half(p.nu)
-    sq = p.sq_diff
-    k = kantorovich(p.sqrt_ratio) ** (-p.r_prime)
+    nu, x, sq = p.nu, p.sqrt_ratio, p.sq_diff
+    if abs(nu - 0.5) < DELTA_HALF:
+        raise _nu_at_half(nu)
+    if not x > 0.0:
+        raise _kantorovich_domain(x)
+    k = ((x + 1.0) * (x + 1.0) / (4.0 * x)) ** (-p.r_prime)
     return fsum(
         (k * p.a_nu * p.b_rest, k * p.a_rest * p.b_nu, 2.0 * p.nu_max * sq * sq, -p.a, -p.b)
     )
@@ -301,14 +359,15 @@ def rev_sum_gap(p: ScalarParams) -> float:
 
 def rev_ttt_gap(a: float, nu: float) -> float:
     """``a + 1/a <= K(a)^-r' (a^(1-2nu) + a^-(1-2nu)) + 2(1-nu)(a^(1/2) - a^(-1/2))^2``."""
-    if not a > 0.0:
-        raise DomainError(f"a must be positive, got {a}")
+    if not 0.0 < a < _INF:
+        raise DomainError(f"a must be positive and finite, got {a}")
     if not 0.0 <= nu < 0.5:
         raise HypothesisError(f"nu must lie in [0, 1/2), got {nu}")
-    r_prime = min(2.0 * nu, 1.0 - 2.0 * nu)
-    k = kantorovich(a) ** (-r_prime)
-    e = 1.0 - 2.0 * nu
-    sq = math.sqrt(a) - 1.0 / math.sqrt(a)
+    two_nu = 2.0 * nu
+    e = 1.0 - two_nu
+    k = ((a + 1.0) * (a + 1.0) / (4.0 * a)) ** (-(e if e < two_nu else two_nu))
+    root = math.sqrt(a)
+    sq = root - 1.0 / root
     return fsum(
         (k * (a ** e + a ** (-e)), 2.0 * (1.0 - nu) * sq * sq, -a, -1.0 / a)
     )
@@ -422,19 +481,23 @@ def _lemma_ttt1_entry(params, extra):
     return lemma_ttt1_gap(extra["a"], mu)
 
 
+def _rev_ttt_entry(params, extra):
+    return rev_ttt_gap(extra["a"], extra["nu"])
+
+
 #: ``scalar_gap`` dispatch: member name -> ``(params, extra) -> gap``.  Keyed
 #: by ``_name_`` (a plain string) rather than by the member, because hashing
 #: an enum member runs Python-level ``Enum.__hash__`` on every lookup.
 _GAP_ENTRIES = {
-    "YOUNG_CLASSICAL": lambda params, extra: young_classical_gap(params),
-    "YOUNG_ZUO": lambda params, extra: young_zuo_gap(params),
-    "YOUNG_WU_ZHAO": lambda params, extra: young_wu_zhao_gap(params),
-    "LEMMA_SUM": lambda params, extra: lemma_sum_gap(params),
+    "YOUNG_CLASSICAL": young_classical_gap,
+    "YOUNG_ZUO": young_zuo_gap,
+    "YOUNG_WU_ZHAO": young_wu_zhao_gap,
+    "LEMMA_SUM": lemma_sum_gap,
     "LEMMA_TTT1": _lemma_ttt1_entry,
-    "LEMMA_4TERM": lambda params, extra: lemma_4term_gap(params),
-    "REV_YOUNG": lambda params, extra: rev_young_gap(params),
-    "REV_SUM": lambda params, extra: rev_sum_gap(params),
-    "REV_TTT": lambda params, extra: rev_ttt_gap(extra["a"], extra["nu"]),
+    "LEMMA_4TERM": lemma_4term_gap,
+    "REV_YOUNG": rev_young_gap,
+    "REV_SUM": rev_sum_gap,
+    "REV_TTT": _rev_ttt_entry,
     "CHAIN_CALLEBAUT": lambda params, extra: chain_callebaut_gaps(
         extra["x"], extra["y"], params
     ),

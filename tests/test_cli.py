@@ -1,10 +1,11 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from callebaut_lab import cli
-from callebaut_lab.errors import ConfigError
+from callebaut_lab.errors import ConfigError, DomainError, HypothesisError
 from callebaut_lab.inequalities import REPAIRABLE, IneqId, Variant, params_dict
 from callebaut_lab.sampler import derive_rng
 from callebaut_lab.scalarcore import ExponentPair
@@ -68,6 +69,43 @@ class TestVerify:
         if strict:
             argv.append("--strict")
         assert _run(argv) == expected
+
+    @pytest.mark.parametrize(
+        "error", [DomainError, HypothesisError, np.linalg.LinAlgError],
+        ids=lambda e: e.__name__,
+    )
+    def test_failing_trial_is_reported_and_counted(self, monkeypatch, tmp_path, error):
+        argv = ["verify", "--trials", "2", "--variant", "repaired", "--seed", "5"]
+        clean = tmp_path / "clean.jsonl"
+        assert _run(argv + ["--out", str(clean)]) == cli.EXIT_OK
+        run_trial = cli._run_trial
+
+        def failing(config, ineq, variant, point, trial):
+            if ineq == IneqId.HAD_MAMAN and trial == 1:
+                raise error("boom")
+            return run_trial(config, ineq, variant, point, trial)
+
+        monkeypatch.setattr(cli, "_run_trial", failing)
+        out = tmp_path / "failing.jsonl"
+        assert _run(argv + ["--out", str(out)]) == cli.EXIT_VIOLATION
+        expected = clean.read_text().splitlines()
+        got = out.read_text().splitlines()
+        assert len(got) == len(expected)
+        errors = [json.loads(l) for l in got if '"error"' in l]
+        assert len(errors) == 1
+        err = errors[0]
+        assert err["error"] == f"{error.__name__}: boom"
+        index = got.index(json.dumps(err, sort_keys=True, separators=(",", ":")))
+        # The error line keeps the trial's head: same id, stream and grid point.
+        clean_line = json.loads(expected[index])
+        head = {"id", "variant", "seed", "stream", "n", "dim", "band", "params"}
+        assert set(err) == head | {"error"}
+        assert {k: clean_line[k] for k in head} == {k: err[k] for k in head}
+        assert (err["id"], err["variant"]) == ("HAD_MAMAN", "repaired")
+        # Every other trial still runs, and writes the bytes it wrote before.
+        assert got[:index] + got[index + 1:] == expected[:index] + expected[index + 1:]
+        rows = (tmp_path / "failing.summary.csv").read_text().splitlines()
+        assert "HAD_MAMAN,repaired,2,1,1," in "\n".join(rows)
 
     def test_line_schema(self, tiny_reports):
         _, _, lines = tiny_reports
