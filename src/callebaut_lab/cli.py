@@ -9,6 +9,7 @@ mismatch, 64 = bad configuration or unusable output path.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -18,6 +19,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .inequalities import (
 )
 from .oracle import BUILTIN_WITNESSES, dump_catalog, load_catalog, replay_witnesses
 from .oracle import WITNESS_FAMILY, WITNESS_PAIR
-from .sampler import RngState, SpectralBand, derive_rng, sample_family, spd_in_band
+from .sampler import RngState, SpectralBand, derive_rng, sample_families, spd_in_band
 from .scalarcore import ExponentPair
 
 EXIT_OK = 0
@@ -49,6 +51,12 @@ DEFAULT_BANDS = (
 )
 DIMS = (1, 2, 3, 4)
 FAMILY_SIZES = (1, 2, 3)
+
+#: Trials whose families are sampled together: ``sampler.sample_families``
+#: runs one Haar QR and one eigendecomposition per dimension per stage.  A
+#: stage's families are held until its trials are evaluated, so this bounds
+#: the memory that staging adds.
+SAMPLE_STAGE = 32
 
 #: Grid point that reproduces the recorded witnesses; kept at the head of
 #: every relevant sweep.
@@ -162,12 +170,22 @@ def _line(config: SuiteConfig, stream: int, point, report) -> dict:
     }
 
 
-def _trial_stream(config: SuiteConfig, ineq: IneqId, variant: Variant, point, trial: int):
-    """Stream of one verify trial, keyed by its grid coordinates, and its generator."""
+class _Job(NamedTuple):
+    """One verify trial: its statement, grid point, index and stream id."""
+
+    ineq: IneqId
+    variant: Variant
+    point: tuple
+    trial: int
+    stream: int
+
+
+def _trial_stream(ineq: IneqId, variant: Variant, point, trial: int) -> int:
+    """Stream id of one verify trial, keyed by its grid coordinates."""
     band, n, d, params = point
     param_key = ",".join(f"{k}={v!r}" for k, v in params_dict(ineq, params).items())
     key = f"{ineq.value}|{variant.value}|{band.as_tuple()}|n={n}|d={d}|{param_key}|trial={trial}"
-    return _stream(config, key)
+    return _stable_hash(key)
 
 
 #: Failures of one trial that ``run_verify`` reports as an error line and
@@ -175,13 +193,11 @@ def _trial_stream(config: SuiteConfig, ineq: IneqId, variant: Variant, point, tr
 _TRIAL_ERRORS = (HypothesisError, DomainError, np.linalg.LinAlgError)
 
 
-def _run_trial(config: SuiteConfig, ineq: IneqId, variant: Variant, point, trial: int):
-    band, n, d, params = point
-    stream, rng = _trial_stream(config, ineq, variant, point, trial)
-    instance = sample_family(n, d, band, rng, pin_extremes=False)
-    report = evaluate_inequality(ineq, instance, params, variant, tol=config.tol)
+def _run_trial(config: SuiteConfig, job: _Job, family):
+    """Report line of one verify trial on its sampled family."""
+    report = evaluate_inequality(job.ineq, family, job.point[3], job.variant, tol=config.tol)
     return {
-        **_line(config, stream, point, report),
+        **_line(config, job.stream, job.point, report),
         "links": [
             {
                 "name": l.name,
@@ -198,7 +214,12 @@ def _run_trial(config: SuiteConfig, ineq: IneqId, variant: Variant, point, trial
 
 
 def run_verify(config: SuiteConfig):
-    """Run the verification suite; returns (RunSummary, report lines)."""
+    """Run the verification suite; returns (RunSummary, report lines).
+
+    Trials are sampled in stages of ``SAMPLE_STAGE`` and then evaluated one
+    by one.  Every trial draws from its own stream, so staging changes no
+    number.
+    """
     config.validate()
     started = time.perf_counter()
     jobs = []
@@ -208,24 +229,34 @@ def run_verify(config: SuiteConfig):
         points = grid_points(ineq, config)
         for _, variant in id_combos:
             for k in range(config.trials):
-                jobs.append((ineq, variant, points[k % len(points)], k))
+                point = points[k % len(points)]
+                jobs.append(_Job(ineq, variant, point, k, _trial_stream(ineq, variant, point, k)))
 
-    def work(job):
-        ineq, variant, point, k = job
+    def work(item):
+        job, family = item
         try:
-            return _run_trial(config, ineq, variant, point, k)
+            if isinstance(family, Exception):
+                raise family
+            return _run_trial(config, job, family)
         except _TRIAL_ERRORS as exc:
-            stream, _ = _trial_stream(config, ineq, variant, point, k)
+            pdict = params_dict(job.ineq, job.point[3])
             return {
-                **_head(config, stream, point, ineq, variant, params_dict(ineq, point[3])),
+                **_head(config, job.stream, job.point, job.ineq, job.variant, pdict),
                 "error": f"{type(exc).__name__}: {exc}",
             }
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            lines = list(pool.map(work, jobs))
-    else:
-        lines = [work(j) for j in jobs]
+    lines = []
+    pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else contextlib.nullcontext()
+    with pool:
+        run = pool.map if config.workers > 1 else map
+        for start in range(0, len(jobs), SAMPLE_STAGE):
+            stage = jobs[start : start + SAMPLE_STAGE]
+            families = sample_families([
+                (job.point[1], job.point[2], job.point[0],
+                 derive_rng(config.master_seed, job.stream), False)
+                for job in stage
+            ])
+            lines.extend(run(work, zip(stage, families)))
 
     lines.sort(key=lambda l: (l["id"], l["variant"], l["stream"]))
 
@@ -349,12 +380,21 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
             }
             best = (report.gap.rel_gap, line, point, instance)
 
-    for b in range(budget):
-        stream, rng = _stream(config, f"falsify|{ineq.value}|{variant.value}|trial={b}")
-        point = points[rng.next_u64() % len(points)]
-        band, n, d, _ = point
-        instance = sample_family(n, d, band, rng, pin_extremes=True)
-        consider(point, instance, b, stream)
+    # The budget is sampled in stages of SAMPLE_STAGE trials; each trial
+    # draws its grid point and family from its own stream, so staging
+    # changes no number, and trials are still considered in order.
+    for start in range(0, budget, SAMPLE_STAGE):
+        stage, requests = [], []
+        for b in range(start, min(budget, start + SAMPLE_STAGE)):
+            stream, rng = _stream(config, f"falsify|{ineq.value}|{variant.value}|trial={b}")
+            point = points[rng.next_u64() % len(points)]
+            band, n, d, _ = point
+            stage.append((b, stream, point))
+            requests.append((n, d, band, rng, True))
+        for (b, stream, point), instance in zip(stage, sample_families(requests)):
+            if isinstance(instance, Exception):
+                raise instance
+            consider(point, instance, b, stream)
 
     if best is not None:
         for step in range(50):

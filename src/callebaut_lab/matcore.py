@@ -16,11 +16,15 @@ Two threads may both compute it; they store equal values, so concurrent use
 stays safe.
 
 The lab's matrices are small (d <= 16, mostly d <= 4), where the Python-level
-cost of a call outweighs LAPACK's work.  Three shortcuts keep that cost down,
+cost of a call outweighs LAPACK's work.  Four shortcuts keep that cost down,
 each bit-identical to the general route: ``sym_eigen`` answers 1x1 inputs in
 closed form, fixes eigenvector signs with one vector multiply, and results
 that are symmetric bit for bit by construction (sums, differences, scalings,
 Kronecker and Hadamard products, compressions) skip re-symmetrisation.
+``SymMatrix.stack`` and ``sym_eigen_stack`` build and decompose many
+equal-dimension matrices with one call each; the sampler uses them for the
+matrices it draws, and ``tests/test_sampler.py`` checks that they match the
+one-matrix calls bit for bit on the installed build.
 """
 
 from __future__ import annotations
@@ -96,6 +100,29 @@ class SymMatrix:
         m = object.__new__(cls)
         object.__setattr__(m, "array", arr)
         return m
+
+    @classmethod
+    def stack(cls, arrays: np.ndarray) -> list["SymMatrix"]:
+        """``[SymMatrix(x) for x in arrays]`` for a ``(k, d, d)`` stack, built
+        in one pass: the same exact symmetrisation and finiteness check, run
+        once on the whole stack.  Each instance holds a read-only view of one
+        shared result array.
+        """
+        arr = np.asarray(arrays, dtype=np.float64)
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+            raise ShapeError(f"expected a stack of square matrices, got shape {arr.shape}")
+        if arr.shape[1] < 1:
+            raise ShapeError("dimension must be at least 1")
+        sym = (arr + arr.transpose(0, 2, 1)) / 2.0
+        if not np.isfinite(sym).all():
+            raise DomainError("matrix entries must be finite")
+        sym.flags.writeable = False
+        out = []
+        for x in sym:
+            m = object.__new__(cls)
+            object.__setattr__(m, "array", x)
+            out.append(m)
+        return out
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -188,6 +215,8 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
 
     The result is computed once per ``SymMatrix`` instance: it is stored on
     ``a`` and every later call on ``a`` returns that same read-only object.
+    This is the one-matrix case of :func:`sym_eigen_stack`: both run the
+    same solver call and sign rule, on a 2-D array here.
     """
     if a._eigen is not None:
         return a._eigen
@@ -197,18 +226,55 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
     if d == 1:
         w = a.array[0].copy()
         q = np.ones((1, 1))
+        w.flags.writeable = False
+        q.flags.writeable = False
     else:
-        w, q = np.linalg.eigh(a.array)
-        lead = q[0]
-        if not lead.all():
-            # Diagonal and block inputs: find each column's first nonzero.
-            lead = q[np.argmax(q != 0.0, axis=0), np.arange(d)]
-        q *= np.where(lead < 0.0, -1.0, 1.0)
-    w.flags.writeable = False
-    q.flags.writeable = False
+        w, q = _signed_eigh(a.array)
     eig = EigenDecomposition(w, q)
     object.__setattr__(a, "_eigen", eig)
     return eig
+
+
+def sym_eigen_stack(mats: Sequence[SymMatrix]) -> list[EigenDecomposition]:
+    """``[sym_eigen(m) for m in mats]`` for equal-dimension matrices, with
+    one LAPACK call for all of them.
+
+    Matrices whose decomposition is already stored keep it; the rest are
+    stacked, solved by one ``numpy.linalg.eigh`` call, signed by the same
+    rule as ``sym_eigen``, and each result is stored on its matrix.  The
+    symmetric solver treats every matrix of a stack alone, so each result is
+    bit-identical to the one-matrix call on the installed NumPy/LAPACK build
+    (``tests/test_sampler.py`` checks that).
+    """
+    todo = [m for m in mats if m._eigen is None]
+    if todo:
+        d = todo[0].dim
+        for m in todo:
+            if m.dim != d:
+                raise ShapeError(f"dimension mismatch: {d} vs {m.dim}")
+        if d == 1 or d > MAX_EIGEN_DIM:
+            for m in todo:
+                sym_eigen(m)
+        else:
+            w, q = _signed_eigh(np.stack([m.array for m in todo]))
+            for m, wi, qi in zip(todo, w, q):
+                object.__setattr__(m, "_eigen", EigenDecomposition(wi, qi))
+    return [m._eigen for m in mats]
+
+
+def _signed_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``numpy.linalg.eigh`` of a ``(..., d, d)`` array, ``d >= 2``,
+    with every eigenvector column signed so its first nonzero entry is positive."""
+    w, q = np.linalg.eigh(arr)
+    lead = q[..., 0, :]
+    if not lead.all():
+        # Diagonal and block inputs: find each column's first nonzero.
+        first = np.argmax(q != 0.0, axis=-2)
+        lead = np.take_along_axis(q, first[..., None, :], axis=-2)[..., 0, :]
+    q *= np.where(lead < 0.0, -1.0, 1.0)[..., None, :]
+    w.flags.writeable = False
+    q.flags.writeable = False
+    return w, q
 
 
 def _rebuild(eigenvalues: np.ndarray, q: np.ndarray) -> SymMatrix:

@@ -9,6 +9,18 @@ from its report lines alone.
 Matrices with a prescribed spectrum are built directly: eigenvalues are drawn
 inside the band and conjugated by a Haar-distributed orthogonal matrix, so
 containment is exact by construction instead of approximate by rejection.
+
+Families are sampled in two stages.  The draw stage runs each family's draws
+sequentially, in pure Python, on the family's own stream.  The factor stage
+then handles every drawn matrix of one dimension at once: one QR of the
+stacked Gaussian matrices (Mezzadri's R-diagonal sign fix, Notices AMS 2007),
+one stacked rebuild, and one stacked eigendecomposition that is stored on
+each new matrix for band validation and geometric means.  At d <= 4 a LAPACK
+call costs more than its work, so ``sample_families`` shares those calls
+across many families; ``sample_family``, ``spd_in_band`` and
+``haar_orthogonal`` are its one-item cases.  The stacked calls give each
+matrix the bits per-matrix calls would give; ``tests/test_sampler.py``
+checks that on the installed build.
 """
 
 from __future__ import annotations
@@ -19,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, ShapeError, SizeError
-from .matcore import MAX_EIGEN_DIM, SymMatrix, sym_eigen
+from .errors import CallebautLabError, DomainError, HypothesisError, ShapeError, SizeError
+from .matcore import MAX_EIGEN_DIM, SymMatrix, sym_eigen, sym_eigen_stack
 from .scalarcore import check_band_tuples
 
 _MASK = (1 << 64) - 1
@@ -218,20 +230,69 @@ class ScalarTuple:
             check_band_tuples(self.x_list, self.y_list, self.band)
 
 
-def haar_orthogonal(d: int, rng: RngState) -> np.ndarray:
-    """Haar-distributed orthogonal matrix: QR of a Gaussian matrix with the
-    R-diagonal sign correction.  Gaussians fill the matrix row-major."""
+def _check_dim(d: int):
     if d < 1:
         raise ShapeError(f"dimension must be >= 1, got {d}")
     if d > MAX_EIGEN_DIM:
         raise SizeError(f"dimension {d} exceeds cap {MAX_EIGEN_DIM}")
-    g = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            g[i, j] = rng.normal()
+
+
+def _gaussians(d: int, rng: RngState) -> list[float]:
+    """The ``d*d`` Gaussians of one Haar matrix, row-major."""
+    normal = rng.normal
+    return [normal() for _ in range(d * d)]
+
+
+def _haar_stack(g: np.ndarray) -> np.ndarray:
+    """Haar orthogonal matrices from a ``(k, d, d)`` stack of Gaussian
+    matrices: one QR call, then each R-diagonal sign folded into its Q column."""
     q, r = np.linalg.qr(g)
-    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-    return q * signs
+    q *= np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+    return q
+
+
+def haar_orthogonal(d: int, rng: RngState) -> np.ndarray:
+    """Haar-distributed orthogonal matrix: QR of a Gaussian matrix with the
+    R-diagonal sign correction.  Gaussians fill the matrix row-major."""
+    _check_dim(d)
+    return _haar_stack(np.array(_gaussians(d, rng)).reshape(1, d, d))[0]
+
+
+def _draw_matrix(d: int, lo: float, hi: float, rng: RngState, pin_extremes: bool):
+    """The draws of one ``spd_in_band`` matrix: its spectrum, then (for
+    ``d >= 2``) its Gaussian matrix.  Pure Python; no LAPACK call."""
+    if not 0.0 < lo <= hi:
+        raise DomainError(f"need 0 < lo <= hi, got ({lo}, {hi})")
+    _check_dim(d)
+    w = sorted(rng.uniform_in(lo, hi) for _ in range(d))
+    if pin_extremes and d >= 2:
+        w[0] = lo
+        w[-1] = hi
+    return w, _gaussians(d, rng) if d >= 2 else None
+
+
+def _factor(draws) -> list[SymMatrix]:
+    """The matrix of each ``_draw_matrix`` result, in order.
+
+    All matrices of one dimension share one Haar QR, one stacked rebuild
+    ``(q * w) @ q^T`` and one eigendecomposition, which is stored on each
+    matrix for band validation and ``MeanPath``.
+    """
+    by_dim: dict[int, list[int]] = {}
+    for i, (w, _) in enumerate(draws):
+        by_dim.setdefault(len(w), []).append(i)
+    out = [None] * len(draws)
+    for d, idx in by_dim.items():
+        w = np.array([draws[i][0] for i in idx])
+        if d == 1:
+            mats = SymMatrix.stack(w[:, :, None])
+        else:
+            q = _haar_stack(np.array([draws[i][1] for i in idx]).reshape(-1, d, d))
+            mats = SymMatrix.stack((q * w[:, None, :]) @ q.transpose(0, 2, 1))
+            sym_eigen_stack(mats)
+        for i, m in zip(idx, mats):
+            out[i] = m
+    return out
 
 
 def spd_in_band(
@@ -243,18 +304,7 @@ def spd_in_band(
     ``pin_extremes`` and ``d >= 2`` the smallest is set to ``lo`` and the
     largest to ``hi``, which is where Kantorovich-type violations live.
     """
-    if not 0.0 < lo <= hi:
-        raise DomainError(f"need 0 < lo <= hi, got ({lo}, {hi})")
-    if d > MAX_EIGEN_DIM:
-        raise SizeError(f"dimension {d} exceeds cap {MAX_EIGEN_DIM}")
-    w = np.array(sorted(rng.uniform_in(lo, hi) for _ in range(d)))
-    if pin_extremes and d >= 2:
-        w[0] = lo
-        w[-1] = hi
-    if d == 1:
-        return SymMatrix(w.reshape(1, 1))
-    q = haar_orthogonal(d, rng)
-    return SymMatrix((q * w) @ q.T)
+    return _factor([_draw_matrix(d, lo, hi, rng, pin_extremes)])[0]
 
 
 def sample_family(
@@ -265,13 +315,65 @@ def sample_family(
     pin_extremes: bool = False,
 ) -> FamilyInstance:
     """Draw ``n`` upper-band and ``n`` lower-band matrices (A's first)."""
-    a_list = tuple(
-        spd_in_band(d, band.M_lo, band.M_hi, rng, pin_extremes) for _ in range(n)
-    )
-    b_list = tuple(
-        spd_in_band(d, band.m_lo, band.m_hi, rng, pin_extremes) for _ in range(n)
-    )
-    return FamilyInstance(n=n, dim=d, A_list=a_list, B_list=b_list, band=band)
+    (family,) = sample_families([(n, d, band, rng, pin_extremes)])
+    if isinstance(family, Exception):
+        raise family
+    return family
+
+
+#: What sampling one family can raise: the package's own errors (a bad
+#: request, a non-finite matrix) and a LAPACK failure.  ``sample_families``
+#: returns these in the failing family's place.
+_SAMPLING_ERRORS = (CallebautLabError, np.linalg.LinAlgError)
+
+
+def _assemble(n: int, d: int, band: SpectralBand, draws, mats=None):
+    """The family of one request's draws, factoring them alone unless
+    ``mats`` is given; the exception instead if that raises."""
+    try:
+        if mats is None:
+            mats = _factor(draws)
+        return FamilyInstance(
+            n=n, dim=d, A_list=tuple(mats[:n]), B_list=tuple(mats[n:]), band=band
+        )
+    except _SAMPLING_ERRORS as exc:
+        return exc
+
+
+def sample_families(requests: Sequence[tuple]) -> list:
+    """``sample_family(*r)`` for each request ``r = (n, d, band, rng,
+    pin_extremes)``, sampled as one stage.
+
+    The draw stage runs each family's draws in ``sample_family``'s order on
+    its own generator, so no family depends on the others.  The factor stage
+    then builds the matrices of all families together: one Haar QR and one
+    eigendecomposition per dimension.  Item ``i`` is the family of request
+    ``i``, or the package error or ``numpy.linalg.LinAlgError`` that
+    sampling it raised; any other exception propagates.  If a stacked call
+    raises, the factor stage is redone one family at a time, so only the
+    failing family carries the error.
+    """
+    drawn = []
+    for n, d, band, rng, pin_extremes in requests:
+        try:
+            lohi = ((band.M_lo, band.M_hi),) * n + ((band.m_lo, band.m_hi),) * n
+            draws = [_draw_matrix(d, lo, hi, rng, pin_extremes) for lo, hi in lohi]
+            drawn.append((n, d, band, draws))
+        except _SAMPLING_ERRORS as exc:
+            drawn.append(exc)
+    try:
+        mats = _factor([m for x in drawn if not isinstance(x, Exception) for m in x[3]])
+    except _SAMPLING_ERRORS:
+        return [x if isinstance(x, Exception) else _assemble(*x) for x in drawn]
+    out, k = [], 0
+    for x in drawn:
+        if isinstance(x, Exception):
+            out.append(x)
+            continue
+        count = len(x[3])
+        out.append(_assemble(*x, mats[k : k + count]))
+        k += count
+    return out
 
 
 def sample_scalars(n: int, band: SpectralBand, rng: RngState) -> ScalarTuple:

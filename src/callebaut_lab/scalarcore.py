@@ -520,8 +520,13 @@ def scalar_gap(ineq: ScalarIneqId, params=None, extra: dict | None = None):
     :class:`ExponentPair`, or :class:`ProofChainParams`); ``extra`` carries
     whatever else the statement needs (``a``/``mu``/``nu`` for the single-
     variable lemmas, ``x``/``y`` tuples and a band for the chain forms).
-    Chain statements return a tuple of link gaps.
+    Chain statements return a tuple of link gaps.  A finite input on which a
+    power or the ``math.fsum`` of the terms overflows raises
+    :class:`DomainError`.
     """
     if ineq.__class__ is not ScalarIneqId:
         raise DomainError(f"unknown scalar inequality id: {ineq}")
-    return _GAP_ENTRIES[ineq._name_](params, extra or _NO_EXTRA)
+    try:
+        return _GAP_ENTRIES[ineq._name_](params, extra or _NO_EXTRA)
+    except OverflowError as exc:
+        raise DomainError(f"{ineq.value} overflows on this input: {exc}") from exc

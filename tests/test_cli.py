@@ -7,7 +7,7 @@ import pytest
 from callebaut_lab import cli
 from callebaut_lab.errors import ConfigError, DomainError, HypothesisError
 from callebaut_lab.inequalities import REPAIRABLE, IneqId, Variant, params_dict
-from callebaut_lab.sampler import derive_rng
+from callebaut_lab.sampler import derive_rng, sample_family
 from callebaut_lab.scalarcore import ExponentPair
 
 
@@ -36,9 +36,9 @@ class TestVerify:
                 assert l["satisfied"], l
 
     def test_only_repairable_paper_violations_are_findings(self, monkeypatch):
-        def violated(config, ineq, variant, point, trial):
-            return {"id": ineq.value, "variant": variant.value, "stream": trial,
-                    "rel_gap": -1.0, "satisfied": False}
+        def violated(config, job, family):
+            return {"id": job.ineq.value, "variant": job.variant.value,
+                    "stream": job.trial, "rel_gap": -1.0, "satisfied": False}
 
         monkeypatch.setattr(cli, "_run_trial", violated)
         summary, _ = cli.run_verify(cli.SuiteConfig(trials=1))
@@ -59,10 +59,10 @@ class TestVerify:
     def test_exit_code_follows_verdict(self, monkeypatch, tmp_path, violated, strict, expected):
         # Only the paper variant violates, so a REPAIRABLE id gives findings
         # and any other id an unexpected violation.
-        def run_trial(config, ineq, variant, point, trial):
-            ok = ineq not in violated or variant == Variant.REPAIRED
-            return {"id": ineq.value, "variant": variant.value, "stream": trial,
-                    "rel_gap": 0.0 if ok else -1.0, "satisfied": ok}
+        def run_trial(config, job, family):
+            ok = job.ineq not in violated or job.variant == Variant.REPAIRED
+            return {"id": job.ineq.value, "variant": job.variant.value,
+                    "stream": job.trial, "rel_gap": 0.0 if ok else -1.0, "satisfied": ok}
 
         monkeypatch.setattr(cli, "_run_trial", run_trial)
         argv = ["verify", "--trials", "1", "--out", str(tmp_path / "v.jsonl")]
@@ -80,10 +80,10 @@ class TestVerify:
         assert _run(argv + ["--out", str(clean)]) == cli.EXIT_OK
         run_trial = cli._run_trial
 
-        def failing(config, ineq, variant, point, trial):
-            if ineq == IneqId.HAD_MAMAN and trial == 1:
+        def failing(config, job, family):
+            if job.ineq == IneqId.HAD_MAMAN and job.trial == 1:
                 raise error("boom")
-            return run_trial(config, ineq, variant, point, trial)
+            return run_trial(config, job, family)
 
         monkeypatch.setattr(cli, "_run_trial", failing)
         out = tmp_path / "failing.jsonl"
@@ -106,6 +106,46 @@ class TestVerify:
         assert got[:index] + got[index + 1:] == expected[:index] + expected[index + 1:]
         rows = (tmp_path / "failing.summary.csv").read_text().splitlines()
         assert "HAD_MAMAN,repaired,2,1,1," in "\n".join(rows)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failing_stage_is_attributed_to_its_trial(self, monkeypatch, tmp_path, workers):
+        # Families are sampled in stages of SAMPLE_STAGE trials.  When the
+        # stacked eigendecomposition of a stage fails on one trial's matrix,
+        # only that trial reports the error; every other line is unchanged.
+        argv = ["verify", "--trials", "40", "--variant", "repaired", "--seed", "5",
+                "--workers", workers]
+        clean = tmp_path / "clean.jsonl"
+        assert _run(argv + ["--out", str(clean)]) == cli.EXIT_OK
+        ineq, variant = IneqId.HAD_MAMAN, Variant.REPAIRED
+        points = cli.grid_points(ineq, cli.SuiteConfig())
+        k = next(k for k in range(40) if points[k % len(points)][2] >= 2)
+        band, n, d, _ = point = points[k % len(points)]
+        stream = cli._trial_stream(ineq, variant, point, k)
+        family = sample_family(n, d, band, derive_rng(5, stream))
+        poisoned = family.B_list[0].array.tobytes()
+        eigh = np.linalg.eigh
+
+        def failing_eigh(a):
+            if any(x.tobytes() == poisoned for x in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("boom")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        out = tmp_path / "failing.jsonl"
+        assert _run(argv + ["--out", str(out)]) == cli.EXIT_VIOLATION
+        expected = clean.read_text().splitlines()
+        got = out.read_text().splitlines()
+        assert len(got) == len(expected) == 240
+        bad = [i for i, l in enumerate(got) if '"error"' in l]
+        assert len(bad) == 1
+        err, ref = json.loads(got[bad[0]]), json.loads(expected[bad[0]])
+        assert err["error"] == "LinAlgError: boom"
+        assert (err["id"], err["variant"], err["stream"]) == (ineq.value, variant.value, stream)
+        assert {key: ref[key] for key in err if key != "error"} == {
+            key: err[key] for key in err if key != "error"
+        }
+        del got[bad[0]], expected[bad[0]]
+        assert got == expected
 
     def test_line_schema(self, tiny_reports):
         _, _, lines = tiny_reports

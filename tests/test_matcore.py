@@ -17,6 +17,7 @@ from callebaut_lab.matcore import (
     spectral_norm,
     spectral_pow,
     sym_eigen,
+    sym_eigen_stack,
 )
 
 
@@ -166,6 +167,49 @@ class TestSymEigen:
             w, q = _reference_eigen(a.array)
             assert _bits_equal(e.eigenvalues, w)
             assert _bits_equal(e.eigenvectors, q)
+
+    def test_stack_matches_the_one_matrix_rule(self):
+        # Each dimension's matrices in one stack, zero-leading-row cases
+        # included; every result is the one-matrix result, bit for bit.
+        rng = np.random.default_rng(23)
+        for d in (2, 3, 4, 5):
+            xs = [rng.standard_normal((d, d)) for _ in range(12)]
+            xs += [np.diag(rng.standard_normal(d)), np.zeros((d, d))]
+            blk = rng.standard_normal((d - 1, d - 1))
+            xs.append(np.block([[np.ones((1, 1)), np.zeros((1, d - 1))],
+                                [np.zeros((d - 1, 1)), blk + blk.T]]))
+            mats = [SymMatrix(x) for x in xs]
+            stacked = sym_eigen_stack(mats)
+            for m, e in zip(mats, stacked):
+                w, q = _reference_eigen(m.array)
+                assert sym_eigen(m) is e
+                assert _bits_equal(e.eigenvalues, w)
+                assert _bits_equal(e.eigenvectors, q)
+                assert not e.eigenvalues.flags.writeable
+                assert not e.eigenvectors.flags.writeable
+
+    def test_stack_keeps_stored_results(self):
+        rng = np.random.default_rng(24)
+        a, b = _rand_sym(3, rng), _rand_sym(3, rng)
+        ea = sym_eigen(a)
+        got = sym_eigen_stack([a, b])
+        assert got[0] is ea and got[1] is sym_eigen(b)
+        ones = [SymMatrix(np.array([[x]])) for x in (2.0, -0.0)]
+        assert [e.eigenvalues[0] for e in sym_eigen_stack(ones)] == [2.0, -0.0]
+        with pytest.raises(ShapeError):
+            sym_eigen_stack([_rand_sym(2, rng), _rand_sym(3, rng)])
+
+    def test_stack_constructor_matches_one_by_one(self):
+        rng = np.random.default_rng(25)
+        xs = rng.standard_normal((6, 4, 4))
+        for m, x in zip(SymMatrix.stack(xs), xs):
+            assert m == SymMatrix(x) and _bits_equal(m.array, SymMatrix(x).array)
+            assert not m.array.flags.writeable
+        xs[3, 0, 1] = np.inf
+        with pytest.raises(DomainError):
+            SymMatrix.stack(xs)
+        with pytest.raises(ShapeError):
+            SymMatrix.stack(np.ones((2, 3, 4)))
 
     def test_zero_matrix(self):
         e = sym_eigen(SymMatrix.zero(3))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from callebaut_lab.cli import DEFAULT_BANDS
-from callebaut_lab.errors import DomainError, HypothesisError
+from callebaut_lab.errors import DomainError, HypothesisError, ShapeError
 from callebaut_lab.matcore import SymMatrix, sym_eigen
 from callebaut_lab.sampler import (
     FamilyInstance,
@@ -12,6 +12,7 @@ from callebaut_lab.sampler import (
     SpectralBand,
     derive_rng,
     haar_orthogonal,
+    sample_families,
     sample_family,
     sample_scalars,
     spd_in_band,
@@ -163,3 +164,128 @@ class TestFamilies:
         assert len(tup.x_list) == 4
         with pytest.raises(HypothesisError, match=r"x\[0\] = 1.0 outside the upper band"):
             ScalarTuple(x_list=(1.0,), y_list=(0.6,), band=band)
+
+
+# A per-matrix copy of the sampler as it was before stacking: one 2-D QR,
+# one rebuild and one eigendecomposition per matrix.  The stacked sampler must
+# reproduce it bit for bit.  That is a property of the installed NumPy/LAPACK
+# build (each stacked call treats every matrix alone), so it is checked here
+# rather than assumed.
+
+
+def _looped_haar(d, rng):
+    g = np.empty((d, d))
+    for i in range(d):
+        for j in range(d):
+            g[i, j] = rng.normal()
+    q, r = np.linalg.qr(g)
+    return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+
+
+def _looped_spd(d, lo, hi, rng, pin_extremes):
+    """(matrix, eigenvalues, eigenvectors) of one matrix, per-matrix calls."""
+    w = np.array(sorted(rng.uniform_in(lo, hi) for _ in range(d)))
+    if pin_extremes and d >= 2:
+        w[0] = lo
+        w[-1] = hi
+    if d == 1:
+        return w.reshape(1, 1), w.copy(), np.ones((1, 1))
+    q = _looped_haar(d, rng)
+    m = (q * w) @ q.T
+    m = (m + m.T) / 2.0
+    ew, ev = np.linalg.eigh(m)
+    lead = ev[0]
+    if not lead.all():
+        lead = ev[np.argmax(ev != 0.0, axis=0), np.arange(d)]
+    ev *= np.where(lead < 0.0, -1.0, 1.0)
+    return m, ew, ev
+
+
+def _looped_family(n, d, band, rng, pin_extremes):
+    edges = [(band.M_lo, band.M_hi)] * n + [(band.m_lo, band.m_hi)] * n
+    return [_looped_spd(d, lo, hi, rng, pin_extremes) for lo, hi in edges]
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _requests(seed):
+    """180 ``sample_family`` argument tuples, on fresh generators: six streams
+    for each n in 1..3, d in 1..5 and pinning, across the default bands."""
+    shapes = [(n, d, pin) for pin in (False, True) for n in (1, 2, 3)
+              for d in range(1, 6) for _ in range(6)]
+    return [(n, d, DEFAULT_BANDS[k % 3], derive_rng(seed, k), pin)
+            for k, (n, d, pin) in enumerate(shapes)]
+
+
+class TestStackedSampling:
+    def test_stacked_equals_looped(self):
+        mismatches = 0
+        families = sample_families(_requests(31))
+        for (n, d, band, rng, pin), family in zip(_requests(31), families):
+            looped = _looped_family(n, d, band, rng, pin)
+            for m, (arr, ew, ev) in zip(family.A_list + family.B_list, looped):
+                if d >= 2:
+                    assert m._eigen is not None  # stored by the sampler
+                eig = sym_eigen(m)
+                mismatches += not (
+                    _same_bits(m.array, arr)
+                    and _same_bits(eig.eigenvalues, ew)
+                    and _same_bits(eig.eigenvectors, ev)
+                )
+                assert not m.array.flags.writeable
+                assert not eig.eigenvalues.flags.writeable
+                assert not eig.eigenvectors.flags.writeable
+        assert mismatches == 0
+
+    def test_one_stage_equals_each_family_alone(self):
+        together = sample_families(_requests(32))
+        alone = [sample_family(*r) for r in _requests(32)]
+        for fam, ref in zip(together, alone):
+            assert fam == ref
+            for m, r in zip(fam.A_list + fam.B_list, ref.A_list + ref.B_list):
+                assert _same_bits(sym_eigen(m).eigenvectors, sym_eigen(r).eigenvectors)
+                assert _same_bits(sym_eigen(m).eigenvalues, sym_eigen(r).eigenvalues)
+
+    def test_one_item_cases_match_the_loop(self):
+        for k in range(40):
+            d = 1 + k % 5
+            q = haar_orthogonal(d, derive_rng(33, k))
+            assert _same_bits(q, _looped_haar(d, derive_rng(33, k)))
+            m = spd_in_band(d, 0.5, 3.0, derive_rng(34, k), pin_extremes=k % 2 == 0)
+            arr, _, _ = _looped_spd(d, 0.5, 3.0, derive_rng(34, k), k % 2 == 0)
+            assert _same_bits(m.array, arr)
+
+    def test_a_failing_family_carries_its_own_error(self, monkeypatch):
+        requests = _requests(35)[:40]
+        clean = sample_families(_requests(35)[:40])
+        bad = 7  # n = 1, d = 2, unpinned (see _requests)
+        poisoned = clean[bad].A_list[0].array.tobytes()
+        eigh = np.linalg.eigh
+
+        def failing_eigh(a):
+            if any(x.tobytes() == poisoned for x in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        got = sample_families(requests)
+        assert isinstance(got[bad], np.linalg.LinAlgError)
+        for k, (fam, ref) in enumerate(zip(got, clean)):
+            if k != bad:
+                assert fam == ref
+        with pytest.raises(np.linalg.LinAlgError):
+            sample_family(*_requests(35)[bad])
+
+    def test_a_bad_request_fails_alone(self):
+        band = DEFAULT_BANDS[1]
+        got = sample_families([
+            (1, 2, band, derive_rng(36, 0), False),
+            (1, 0, band, derive_rng(36, 1), False),
+            (0, 2, band, derive_rng(36, 2), False),
+            (2, 3, band, derive_rng(36, 3), True),
+        ])
+        assert isinstance(got[1], ShapeError) and isinstance(got[2], ShapeError)
+        assert got[0] == sample_family(1, 2, band, derive_rng(36, 0))
+        assert got[3] == sample_family(2, 3, band, derive_rng(36, 3), True)

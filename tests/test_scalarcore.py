@@ -381,10 +381,13 @@ _GOLDEN_EDGE_PAIRS = (
     (3.7, 3.7),
     (1.0, 1.0),
 )
-#: SHA-256 of the outcomes below, computed on commit 08ee92c: the parent of
-#: the change that slotted ``ScalarParams``, made the statements the dispatch
-#: entries and inlined ``kantorovich``.  That change kept every bit.
-_GOLDEN_SHA256 = "dfae0d794f8d3c5b12b487ab0d6ac0c1bb9150b2fa3d289ed6c099ce684ac304"
+#: SHA-256 of the outcomes below.  First computed on commit 08ee92c, before
+#: ``ScalarParams`` was slotted (which kept every bit).  Updated once on
+#: purpose, when ``scalar_gap`` began to re-raise an overflow as
+#: ``DomainError``: the 17 outcome lines that read ``OverflowError: ...``
+#: (16 powers in LEMMA_TTT1/REV_TTT, one ``fsum`` in REV_YOUNG) now read
+#: ``DomainError: <id> overflows on this input: ...``; no other line changed.
+_GOLDEN_SHA256 = "1f8c0e51d35c7055189269dd3d37b7255b2e143fbd602c29c92ef391524246b1"
 
 
 def _golden_draws():
@@ -439,3 +442,18 @@ def test_scalar_outcomes_match_golden():
         for line in outcomes:
             digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == _GOLDEN_SHA256
+
+
+@pytest.mark.parametrize(
+    "ineq, params, extra",
+    [
+        (ScalarIneqId.REV_YOUNG, ScalarParams(1.7976931348623157e308, 1.0, 1.0), None),
+        (ScalarIneqId.LEMMA_TTT1, None, {"a": 5e-324, "mu": 0.96}),
+    ],
+    ids=["fsum", "power"],
+)
+def test_overflow_is_a_domain_error(ineq, params, extra):
+    # Finite inputs whose terms overflow stay inside the package's error
+    # taxonomy instead of leaking a bare OverflowError.
+    with pytest.raises(DomainError, match=f"{ineq.value} overflows on this input"):
+        scalar_gap(ineq, params, extra=extra)
