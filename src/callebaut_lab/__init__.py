@@ -29,12 +29,10 @@ from .oracle import diagonal_equivalence, replay_witnesses
 from .sampler import (
     FamilyInstance,
     RngState,
-    ScalarTuple,
     SpectralBand,
     derive_rng,
     haar_orthogonal,
     sample_family,
-    sample_scalars,
     spd_in_band,
 )
 from .scalarcore import (
@@ -69,12 +67,10 @@ __all__ = [
     "replay_witnesses",
     "FamilyInstance",
     "RngState",
-    "ScalarTuple",
     "SpectralBand",
     "derive_rng",
     "haar_orthogonal",
     "sample_family",
-    "sample_scalars",
     "spd_in_band",
     "ExponentPair",
     "ProofChainParams",

@@ -9,16 +9,14 @@ mismatch, 64 = bad configuration or unusable output path.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import hashlib
 import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import groupby, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -70,8 +68,6 @@ class SuiteConfig:
     tol: float = 1e-9
     variant: str = "both"  # paper | repaired | both
     strict: bool = False
-    out: str = "verify_report.jsonl"
-    workers: int = 1
 
     def validate(self):
         if self.trials < 1:
@@ -80,8 +76,6 @@ class SuiteConfig:
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.variant not in ("paper", "repaired", "both"):
             raise ConfigError(f"variant must be paper|repaired|both, got {self.variant}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -188,6 +182,21 @@ def _trial_stream(ineq: IneqId, variant: Variant, point, trial: int) -> int:
     return _stable_hash(key)
 
 
+def _staged(work):
+    """``(item, family)`` for each ``(item, request)`` of the iterable ``work``,
+    in order, where ``request`` is a ``sample_families`` request.
+
+    Families are sampled ``SAMPLE_STAGE`` requests at a time, and a family
+    that could not be sampled is the error ``sample_families`` put in its
+    place.  ``work`` is read one stage ahead of the caller; every request
+    draws from its own stream, so staging changes no number.
+    """
+    work = iter(work)
+    while stage := list(islice(work, SAMPLE_STAGE)):
+        items, requests = zip(*stage)
+        yield from zip(items, sample_families(requests))
+
+
 #: Failures of one trial that ``run_verify`` reports as an error line and
 #: counts as unexpected, instead of ending the run.
 _TRIAL_ERRORS = (HypothesisError, DomainError, np.linalg.LinAlgError)
@@ -216,47 +225,36 @@ def _run_trial(config: SuiteConfig, job: _Job, family):
 def run_verify(config: SuiteConfig):
     """Run the verification suite; returns (RunSummary, report lines).
 
-    Trials are sampled in stages of ``SAMPLE_STAGE`` and then evaluated one
-    by one.  Every trial draws from its own stream, so staging changes no
-    number.
+    Trials are sampled in stages (``_staged``) and evaluated one by one.
     """
     config.validate()
     started = time.perf_counter()
-    jobs = []
-    # _combos lists each id's variants together, so one grid serves them all;
-    # only the current id's grid is held.
-    for ineq, id_combos in groupby(_combos(config), key=lambda c: c[0]):
-        points = grid_points(ineq, config)
-        for _, variant in id_combos:
-            for k in range(config.trials):
-                point = points[k % len(points)]
-                jobs.append(_Job(ineq, variant, point, k, _trial_stream(ineq, variant, point, k)))
 
-    def work(item):
-        job, family = item
+    def work():
+        # _combos lists each id's variants together, so one grid serves them
+        # all; only the current id's grid is held.
+        for ineq, id_combos in groupby(_combos(config), key=lambda c: c[0]):
+            points = grid_points(ineq, config)
+            for _, variant in id_combos:
+                for k in range(config.trials):
+                    point = points[k % len(points)]
+                    band, n, d, _ = point
+                    stream = _trial_stream(ineq, variant, point, k)
+                    rng = derive_rng(config.master_seed, stream)
+                    yield _Job(ineq, variant, point, k, stream), (n, d, band, rng, False)
+
+    lines = []
+    for job, family in _staged(work()):
         try:
             if isinstance(family, Exception):
                 raise family
-            return _run_trial(config, job, family)
+            lines.append(_run_trial(config, job, family))
         except _TRIAL_ERRORS as exc:
             pdict = params_dict(job.ineq, job.point[3])
-            return {
+            lines.append({
                 **_head(config, job.stream, job.point, job.ineq, job.variant, pdict),
                 "error": f"{type(exc).__name__}: {exc}",
-            }
-
-    lines = []
-    pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else contextlib.nullcontext()
-    with pool:
-        run = pool.map if config.workers > 1 else map
-        for start in range(0, len(jobs), SAMPLE_STAGE):
-            stage = jobs[start : start + SAMPLE_STAGE]
-            families = sample_families([
-                (job.point[1], job.point[2], job.point[0],
-                 derive_rng(config.master_seed, job.stream), False)
-                for job in stage
-            ])
-            lines.extend(run(work, zip(stage, families)))
+            })
 
     lines.sort(key=lambda l: (l["id"], l["variant"], l["stream"]))
 
@@ -328,13 +326,11 @@ def cmd_verify(args) -> int:
         tol=args.tol,
         variant=args.variant,
         strict=args.strict,
-        out=args.out,
-        workers=args.workers,
     )
     summary, lines = run_verify(config)
-    csv_path = write_report(lines, summary, config.out)
+    csv_path = write_report(lines, summary, args.out)
     _print_summary(summary)
-    print(f"report: {config.out}  summary: {csv_path}")
+    print(f"report: {args.out}  summary: {csv_path}")
     return EXIT_OK if summary.verdict == "PASS" else EXIT_VIOLATION
 
 
@@ -380,21 +376,18 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
             }
             best = (report.gap.rel_gap, line, point, instance)
 
-    # The budget is sampled in stages of SAMPLE_STAGE trials; each trial
-    # draws its grid point and family from its own stream, so staging
-    # changes no number, and trials are still considered in order.
-    for start in range(0, budget, SAMPLE_STAGE):
-        stage, requests = [], []
-        for b in range(start, min(budget, start + SAMPLE_STAGE)):
+    def work():
+        # Each trial draws its grid point from its own stream, then its family.
+        for b in range(budget):
             stream, rng = _stream(config, f"falsify|{ineq.value}|{variant.value}|trial={b}")
             point = points[rng.next_u64() % len(points)]
             band, n, d, _ = point
-            stage.append((b, stream, point))
-            requests.append((n, d, band, rng, True))
-        for (b, stream, point), instance in zip(stage, sample_families(requests)):
-            if isinstance(instance, Exception):
-                raise instance
-            consider(point, instance, b, stream)
+            yield (b, stream, point), (n, d, band, rng, True)
+
+    for (b, stream, point), instance in _staged(work()):
+        if isinstance(instance, Exception):
+            raise instance
+        consider(point, instance, b, stream)
 
     if best is not None:
         for step in range(50):
@@ -494,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--strict", action="store_true",
                           help="fail (exit 2) on literal-form findings too")
     p_verify.add_argument("--out", default="verify_report.jsonl")
-    p_verify.add_argument("--workers", type=int, default=1)
+    # Accepted, with its one value, only because the benchmark passes it.
+    p_verify.add_argument("--workers", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_falsify = sub.add_parser("falsify", help="search for counterexamples")

@@ -12,8 +12,6 @@ of state is a memo: ``sym_eigen`` stores the read-only decomposition it
 computes on the ``SymMatrix`` it was given, and later calls on that instance
 return it.  A ``SymMatrix`` never changes after construction and the solver
 is deterministic, so a stored result is bit-identical to a recomputed one.
-Two threads may both compute it; they store equal values, so concurrent use
-stays safe.
 
 The lab's matrices are small (d <= 16, mostly d <= 4), where the Python-level
 cost of a call outweighs LAPACK's work.  Four shortcuts keep that cost down,

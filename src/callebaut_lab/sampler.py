@@ -1,4 +1,4 @@
-"""Deterministic sampling of scalar tuples and band-constrained SPD families.
+"""Deterministic sampling of band-constrained SPD families.
 
 Randomness comes from explicit ``(master_seed, stream_id)`` pairs: splitmix64
 expands the pair into the state of a xoshiro256** generator, uniform doubles
@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import CallebautLabError, DomainError, HypothesisError, ShapeError, SizeError
 from .matcore import MAX_EIGEN_DIM, SymMatrix, sym_eigen, sym_eigen_stack
-from .scalarcore import check_band_tuples
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -52,7 +51,7 @@ class RngState:
     """xoshiro256** stream with value-style determinism.
 
     Instances are cheap and independent; derive one per trial so execution
-    order and parallel scheduling cannot change any drawn number.
+    order and staging cannot change any drawn number.
     """
 
     __slots__ = ("_s0", "_s1", "_s2", "_s3", "_spare")
@@ -157,6 +156,14 @@ class SpectralBand:
         return (self.m_lo, self.m_hi, self.M_lo, self.M_hi)
 
 
+def _whole(d: dict, key: str) -> int:
+    """``d[key]`` as an int; a bool, a non-number or a fraction is a ValueError."""
+    v = d[key]
+    if type(v) is int or (type(v) is float and v.is_integer()):
+        return int(v)
+    raise ValueError(f"{key} must be a whole number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class FamilyInstance:
     """Sequences ``A_1..A_n`` (upper band) and ``B_1..B_n`` (lower band)."""
@@ -199,35 +206,18 @@ class FamilyInstance:
         """Instance from its ``to_dict`` form.
 
         Raises ``KeyError``, ``TypeError`` or ``ValueError`` (the package's
-        own errors included) when a field is missing, the band is invalid or
-        does not have four numbers, a matrix is ragged, non-numeric,
-        non-square or non-finite, or ``n`` and ``dim`` disagree with the
-        matrices.
+        own errors included) when a field is missing, ``n`` or ``dim`` is not
+        a whole number, the band is invalid or does not have four numbers, a
+        matrix is ragged, non-numeric, non-square or non-finite, or ``n`` and
+        ``dim`` disagree with the matrices.
         """
         return FamilyInstance(
-            n=int(d["n"]),
-            dim=int(d["dim"]),
+            n=_whole(d, "n"),
+            dim=_whole(d, "dim"),
             A_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in d["A_list"]),
             B_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in d["B_list"]),
             band=SpectralBand(*map(float, d["band"])),
         )
-
-
-@dataclass(frozen=True)
-class ScalarTuple:
-    """Positive tuples ``x`` and ``y``, optionally band-constrained."""
-
-    x_list: tuple[float, ...]
-    y_list: tuple[float, ...]
-    band: SpectralBand | None = None
-
-    def __post_init__(self):
-        if len(self.x_list) != len(self.y_list) or not self.x_list:
-            raise ShapeError("x_list and y_list must be non-empty and equal length")
-        if min(self.x_list) <= 0.0 or min(self.y_list) <= 0.0:
-            raise DomainError("tuple entries must be positive")
-        if self.band is not None:
-            check_band_tuples(self.x_list, self.y_list, self.band)
 
 
 def _check_dim(d: int):
@@ -374,13 +364,6 @@ def sample_families(requests: Sequence[tuple]) -> list:
         out.append(_assemble(*x, mats[k : k + count]))
         k += count
     return out
-
-
-def sample_scalars(n: int, band: SpectralBand, rng: RngState) -> ScalarTuple:
-    """Draw band-constrained positive tuples (x's first)."""
-    x = tuple(rng.uniform_in(band.M_lo, band.M_hi) for _ in range(n))
-    y = tuple(rng.uniform_in(band.m_lo, band.m_hi) for _ in range(n))
-    return ScalarTuple(x_list=x, y_list=y, band=band)
 
 
 #: Relative slack on each band edge in ``validate_band_containment``.

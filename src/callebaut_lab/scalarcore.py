@@ -27,6 +27,7 @@ from .errors import DomainError, HypothesisError
 DELTA_HALF = 1e-6
 
 fsum = math.fsum
+_isfinite = math.isfinite
 _INF = math.inf
 
 
@@ -521,12 +522,19 @@ def scalar_gap(ineq: ScalarIneqId, params=None, extra: dict | None = None):
     whatever else the statement needs (``a``/``mu``/``nu`` for the single-
     variable lemmas, ``x``/``y`` tuples and a band for the chain forms).
     Chain statements return a tuple of link gaps.  A finite input on which a
-    power or the ``math.fsum`` of the terms overflows raises
-    :class:`DomainError`.
+    power or the ``math.fsum`` of the terms overflows, or that gives a gap
+    that is not finite (an infinite term, or ``inf / inf`` inside a
+    Kantorovich constant), raises :class:`DomainError`.
     """
     if ineq.__class__ is not ScalarIneqId:
         raise DomainError(f"unknown scalar inequality id: {ineq}")
     try:
-        return _GAP_ENTRIES[ineq._name_](params, extra or _NO_EXTRA)
+        gap = _GAP_ENTRIES[ineq._name_](params, extra or _NO_EXTRA)
     except OverflowError as exc:
         raise DomainError(f"{ineq.value} overflows on this input: {exc}") from exc
+    if gap.__class__ is tuple:
+        if all(map(_isfinite, gap)):
+            return gap
+    elif _isfinite(gap):
+        return gap
+    raise DomainError(f"{ineq.value} overflows on this input: the gap is {gap!r}")

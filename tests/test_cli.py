@@ -107,7 +107,7 @@ class TestVerify:
         rows = (tmp_path / "failing.summary.csv").read_text().splitlines()
         assert "HAD_MAMAN,repaired,2,1,1," in "\n".join(rows)
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("workers", ["1"])
     def test_failing_stage_is_attributed_to_its_trial(self, monkeypatch, tmp_path, workers):
         # Families are sampled in stages of SAMPLE_STAGE trials.  When the
         # stacked eigendecomposition of a stage fails on one trial's matrix,
@@ -222,11 +222,26 @@ class TestVerify:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert lines and all(l["variant"] == "repaired" for l in lines)
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        a, b = tmp_path / "w1.jsonl", tmp_path / "w4.jsonl"
-        _run(["verify", "--seed", "5", "--trials", "4", "--out", str(a)])
-        _run(["verify", "--seed", "5", "--trials", "4", "--workers", "4", "--out", str(b)])
+    def test_workers_flag_accepts_only_one(self, tmp_path):
+        # The benchmark still passes --workers 1; verify runs on one thread.
+        a, b = tmp_path / "plain.jsonl", tmp_path / "w1.jsonl"
+        assert _run(["verify", "--seed", "5", "--trials", "4", "--out", str(a)]) == cli.EXIT_OK
+        assert _run(["verify", "--seed", "5", "--trials", "4", "--workers", "1",
+                     "--out", str(b)]) == cli.EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            _run(["verify", "--trials", "1", "--workers", "2", "--out", str(tmp_path / "w2.jsonl")])
+        assert exc.value.code == cli.EXIT_CONFIG
+
+    def test_report_does_not_depend_on_stage_size(self, monkeypatch, tmp_path):
+        # One trial per stage is the per-trial reference; 40 trials per id
+        # cross the default stage boundary.
+        argv = ["verify", "--trials", "40", "--variant", "repaired", "--seed", "5"]
+        staged, single = tmp_path / "staged.jsonl", tmp_path / "single.jsonl"
+        assert _run(argv + ["--out", str(staged)]) == cli.EXIT_OK
+        monkeypatch.setattr(cli, "SAMPLE_STAGE", 1)
+        assert _run(argv + ["--out", str(single)]) == cli.EXIT_OK
+        assert staged.read_bytes() == single.read_bytes()
 
 
 class TestFalsify:
@@ -256,6 +271,20 @@ class TestFalsify:
 
     def test_unknown_id_is_config_error(self):
         assert _run(["falsify", "--id", "NOPE", "--budget", "1"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("ineq", [IneqId.HAD_MAMAN, IneqId.TENSOR_TOOL])
+    def test_best_line_does_not_depend_on_stage_size(self, monkeypatch, ineq):
+        # Budgets on both sides of the default stage boundaries, against one
+        # trial per stage as the per-trial reference.
+        budgets = (1, 31, 32, 33, 70)
+        config = cli.SuiteConfig(master_seed=1000)
+
+        def best_lines():
+            return [cli.run_falsify(ineq, Variant.PAPER_LITERAL, b, config) for b in budgets]
+
+        staged = best_lines()
+        monkeypatch.setattr(cli, "SAMPLE_STAGE", 1)
+        assert best_lines() == staged
 
     @pytest.mark.parametrize("budget", ["0", "1"])
     def test_repaired_undefined_is_config_error(self, budget):
@@ -348,10 +377,11 @@ class TestWitness:
             lambda r: json.dumps({**r, "n": 2}),
             lambda r: json.dumps({**r, "band": [1.0, 4.0, 4.0, 4.0]}),
             lambda r: json.dumps({**r, "params": {"s": 0.25, "t": 1.0}}),
+            lambda r: json.dumps({**r, "n": 1.9, "dim": 1.5}),
         ],
         ids=[
             "bad_json", "unknown_id", "missing_s", "ragged_matrix",
-            "n_mismatch", "bad_band", "off_branch",
+            "n_mismatch", "bad_band", "off_branch", "fractional_size",
         ],
     )
     def test_malformed_catalog_line_is_config_error(self, tmp_path, capsys, line):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,13 +9,11 @@ from callebaut_lab.errors import DomainError, HypothesisError, ShapeError
 from callebaut_lab.matcore import SymMatrix, sym_eigen
 from callebaut_lab.sampler import (
     FamilyInstance,
-    ScalarTuple,
     SpectralBand,
     derive_rng,
     haar_orthogonal,
     sample_families,
     sample_family,
-    sample_scalars,
     spd_in_band,
     validate_band_containment,
 )
@@ -158,12 +157,15 @@ class TestFamilies:
         with pytest.raises(HypothesisError, match="band"):
             validate_band_containment(inst)
 
-    def test_scalar_tuples(self):
-        band = SpectralBand(0.5, 1.0, 2.0, 8.0)
-        tup = sample_scalars(4, band, derive_rng(2, 2))
-        assert len(tup.x_list) == 4
-        with pytest.raises(HypothesisError, match=r"x\[0\] = 1.0 outside the upper band"):
-            ScalarTuple(x_list=(1.0,), y_list=(0.6,), band=band)
+    @pytest.mark.parametrize("size", [1.9, True, math.inf, "1"], ids=repr)
+    def test_dict_sizes_must_be_whole_numbers(self, size):
+        # int() would read 1.9 and True as 1; 1.0 is a whole number and reads.
+        good = {"band": [1.0, 1.0, 4.0, 4.0], "n": 1, "dim": 1.0,
+                "A_list": [[[4.0]]], "B_list": [[[1.0]]]}
+        assert FamilyInstance.from_dict(good).dim == 1
+        for key in ("n", "dim"):
+            with pytest.raises(ValueError, match=f"{key} must be a whole number"):
+                FamilyInstance.from_dict({**good, key: size})
 
 
 # A per-matrix copy of the sampler as it was before stacking: one 2-D QR,

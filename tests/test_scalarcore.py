@@ -387,7 +387,13 @@ _GOLDEN_EDGE_PAIRS = (
 #: ``DomainError``: the 17 outcome lines that read ``OverflowError: ...``
 #: (16 powers in LEMMA_TTT1/REV_TTT, one ``fsum`` in REV_YOUNG) now read
 #: ``DomainError: <id> overflows on this input: ...``; no other line changed.
-_GOLDEN_SHA256 = "1f8c0e51d35c7055189269dd3d37b7255b2e143fbd602c29c92ef391524246b1"
+#: Updated once more on purpose, when ``scalar_gap`` began to reject a gap
+#: that is not finite: the 374 outcome lines that read ``nan``, ``inf`` or
+#: ``-inf`` (YOUNG_ZUO 39 nan; YOUNG_WU_ZHAO, LEMMA_SUM and REV_YOUNG 33 nan
+#: each; REV_SUM 33 nan and 28 inf; LEMMA_TTT1 56 nan and 76 -inf; REV_TTT
+#: 40 nan and 3 inf) now read ``DomainError: <id> overflows on this input:
+#: the gap is <value>``; no other line changed.
+_GOLDEN_SHA256 = "5702225fa0ca464e094a0ebd9e4dc9ca0fab973565f6e1bcda8479b3d0108cad"
 
 
 def _golden_draws():
@@ -449,11 +455,20 @@ def test_scalar_outcomes_match_golden():
     [
         (ScalarIneqId.REV_YOUNG, ScalarParams(1.7976931348623157e308, 1.0, 1.0), None),
         (ScalarIneqId.LEMMA_TTT1, None, {"a": 5e-324, "mu": 0.96}),
+        (ScalarIneqId.YOUNG_ZUO, ScalarParams(1e300, 1e-300, 0.3), None),
+        (ScalarIneqId.LEMMA_TTT1, None, {"a": 1e300, "mu": 0.4}),
+        (
+            ScalarIneqId.CHAIN_CALLEBAUT,
+            ExponentPair(0.625, 0.75),
+            {"x": (1e200, 1.0), "y": (1.0, 1e200)},
+        ),
     ],
-    ids=["fsum", "power"],
+    ids=["fsum", "power", "nan_gap", "infinite_gap", "infinite_link"],
 )
 def test_overflow_is_a_domain_error(ineq, params, extra):
     # Finite inputs whose terms overflow stay inside the package's error
-    # taxonomy instead of leaking a bare OverflowError.
+    # taxonomy instead of leaking a bare OverflowError or returning a gap
+    # that is not finite (K(inf) is inf / inf, an infinite term, or one
+    # infinite link of a chain).
     with pytest.raises(DomainError, match=f"{ineq.value} overflows on this input"):
         scalar_gap(ineq, params, extra=extra)
