@@ -31,6 +31,7 @@ from .inequalities import (
     list_inequalities,
     params_dict,
 )
+from .matcore import DEFAULT_TOL
 from .oracle import BUILTIN_WITNESSES, dump_catalog, load_catalog, replay_witnesses
 from .oracle import WITNESS_FAMILY, WITNESS_PAIR
 from .sampler import RngState, SpectralBand, derive_rng, sample_families, spd_in_band
@@ -65,7 +66,7 @@ WITNESS_POINT = (WITNESS_FAMILY.band, WITNESS_FAMILY.n, WITNESS_FAMILY.dim, WITN
 class SuiteConfig:
     master_seed: int = 1
     trials: int = 200
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     variant: str = "both"  # paper | repaired | both
     strict: bool = False
 
@@ -446,10 +447,11 @@ def cmd_witness(args) -> int:
     failed = 0
     for out in outcomes:
         status = "pass" if out.passed else "FAIL"
+        reason = f" (reason: {out.message})" if math.isnan(out.matrix_gap) else ""
         print(
             f"[{status}] {out.record.ineq.value}/{out.record.variant.value}: "
             f"expected {out.record.expected_gap:+.10g}, matrix {out.matrix_gap:+.10g}, "
-            f"scalar {out.scalar_gap:+.10g}"
+            f"scalar {out.scalar_gap:+.10g}{reason}"
         )
         if not out.passed:
             failed += 1
@@ -480,10 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--seed", type=int, default=1)
-    p_verify.add_argument("--trials", type=int, default=200, help="trials per (id, variant)")
+    p_verify.add_argument("--seed", type=int, default=SuiteConfig.master_seed)
+    p_verify.add_argument("--trials", type=int, default=SuiteConfig.trials,
+                          help="trials per (id, variant)")
     p_verify.add_argument("--variant", choices=("paper", "repaired", "both"), default="both")
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_verify.add_argument("--strict", action="store_true",
                           help="fail (exit 2) on literal-form findings too")
     p_verify.add_argument("--out", default="verify_report.jsonl")
@@ -495,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_falsify.add_argument("--id", required=True)
     p_falsify.add_argument("--variant", choices=("paper", "repaired"), default="paper")
     p_falsify.add_argument("--budget", type=int, required=True)
-    p_falsify.add_argument("--seed", type=int, default=1)
-    p_falsify.add_argument("--tol", type=float, default=1e-9)
+    p_falsify.add_argument("--seed", type=int, default=SuiteConfig.master_seed)
+    p_falsify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_falsify.add_argument("--out", default=None)
     p_falsify.set_defaults(func=cmd_falsify)
 

@@ -27,6 +27,8 @@ with ``LHS <= RHS`` claimed; ``terms`` is ``_PairTerms`` (the pair ``.a``,
 ``sum(A_j #_u B_j) o sum(A_j #_(1-u) B_j)`` for a family, so the refinement
 ``K^r' S(s) + c_mid (S(t) - S(1/2)) <= S(t)`` and its reverse each have one
 builder, which ``_BUILDERS`` binds to the tensor or the Hadamard-sum weight.
+Both subclass ``_Terms``, the one memo of ``S(u)`` (keyed by ``min(u, 1-u)``),
+which the oracle's scalar terms subclass too.
 ``evaluate_inequality`` and ``build_links`` take a ``FamilyInstance`` and
 nothing else; the pair-shaped statements (the tensor ones and WADA) need
 ``n = 1``, and every statement reads its band from the family.
@@ -77,6 +79,7 @@ from .matcore import (
 )
 from .sampler import FamilyInstance, SpectralBand, validate_band_containment
 from .scalarcore import (
+    DELTA_HALF,
     ExponentPair,
     ProofChainParams,
     kantorovich,
@@ -197,8 +200,23 @@ class InequalityInfo:
     kind: ParamKind
 
 
-class _FamilyTerms:
-    """Memoized Hadamard-sum terms of one family instance.
+class _Terms:
+    """A terms object: ``S(u)`` is symmetric in ``u <-> 1-u``, so it is
+    computed once per ``min(u, 1-u)``, by the subclass's ``_S``, at the first
+    ``u`` asked for."""
+
+    def __init__(self):
+        self._s = {}
+
+    def S(self, u: float):
+        key = min(u, 1.0 - u)
+        if key not in self._s:
+            self._s[key] = self._S(u)
+        return self._s[key]
+
+
+class _FamilyTerms(_Terms):
+    """Hadamard-sum terms of one family instance.
 
     ``S(u)`` is the Hadamard product of the u- and (1-u)-weighted mean sums;
     ``S(1/2)`` is the squared mean-sum and ``top`` the Hadamard product of the
@@ -206,23 +224,20 @@ class _FamilyTerms:
     """
 
     def __init__(self, inst: FamilyInstance):
+        super().__init__()
         self.inst = inst
         self._paths = [
             MeanPath(a, b) for a, b in zip(inst.A_list, inst.B_list)
         ]
         self._sums: dict[float, SymMatrix] = {}
-        self._hadamard: dict[float, SymMatrix] = {}
 
     def mean_sum(self, u: float) -> SymMatrix:
         if u not in self._sums:
             self._sums[u] = sum_matrices(path.at(u) for path in self._paths)
         return self._sums[u]
 
-    def S(self, u: float) -> SymMatrix:
-        key = min(u, 1.0 - u)
-        if key not in self._hadamard:
-            self._hadamard[key] = hadamard(self.mean_sum(u), self.mean_sum(1.0 - u))
-        return self._hadamard[key]
+    def _S(self, u: float) -> SymMatrix:
+        return hadamard(self.mean_sum(u), self.mean_sum(1.0 - u))
 
     @property
     def top(self) -> SymMatrix:
@@ -236,22 +251,19 @@ def _swapped_kron(a: SymMatrix, b: SymMatrix, p: float, q: float) -> SymMatrix:
     )
 
 
-class _PairTerms:
-    """Memoized tensor terms of one pair: ``S(u) = A^u x B^(1-u) + A^(1-u) x B^u``.
+class _PairTerms(_Terms):
+    """Tensor terms of one pair: ``S(u) = A^u x B^(1-u) + A^(1-u) x B^u``.
 
     ``S(1/2)`` is ``2 A^(1/2) x B^(1/2)``, so the tensor statements read the
     same terms as their Hadamard-sum counterparts.
     """
 
     def __init__(self, a: SymMatrix, b: SymMatrix):
+        super().__init__()
         self.a, self.b = a, b
-        self._s: dict[float, SymMatrix] = {}
 
-    def S(self, u: float) -> SymMatrix:
-        key = min(u, 1.0 - u)
-        if key not in self._s:
-            self._s[key] = _swapped_kron(self.a, self.b, u, 1.0 - u)
-        return self._s[key]
+    def _S(self, u: float) -> SymMatrix:
+        return _swapped_kron(self.a, self.b, u, 1.0 - u)
 
 
 def _congruence_interval(band: SpectralBand, t: float) -> tuple[float, float]:
@@ -311,9 +323,9 @@ def _links_chain_34rf(terms: _FamilyTerms, band, pair: ExponentPair, variant):
 
 
 def _links_moj_mo(terms: _FamilyTerms, band, pair: ExponentPair, variant):
-    if abs(pair.s - 0.5) < 1e-6:
+    if abs(pair.s - 0.5) < DELTA_HALF:
         raise HypothesisError(
-            f"s = {pair.s} lies within 1e-06 of 1/2; the middle coefficient "
+            f"s = {pair.s} lies within {DELTA_HALF:g} of 1/2; the middle coefficient "
             "(t-s)/(s-1/2) is undefined there"
         )
     c = (pair.t - pair.s) / (pair.s - 0.5)
@@ -576,9 +588,7 @@ REPAIRABLE = frozenset(
     i for i, info in _REGISTRY.items() if Variant.REPAIRED in info.variants
 )
 
-#: Hadamard-sum ids, i.e. the family-shaped ones, whose terms reduce entrywise
-#: on diagonal families (the oracle's diagonal cross-check applies to exactly
-#: these).
+#: Hadamard-sum ids, i.e. the family-shaped ones.
 HADAMARD_SUM_IDS = tuple(i for i in IneqId if not _REGISTRY[i].takes_pair)
 
 

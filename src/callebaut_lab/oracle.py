@@ -6,10 +6,13 @@ Two facilities live here:
   entrywise from scalar closed forms (diagonal families commute, so means and
   Hadamard products reduce to weighted scalar sums) and reports the worst
   absolute discrepancy against the matrix path.  TENSOR_TOOL and
-  REV_TENSOR_DEAR reduce the same way on 1x1 pairs only: their scalar terms
-  ``S(u) = a^u b^(1-u) + a^(1-u) b^u`` (``_ScalarPairTerms``) go through the
-  Hadamard-sum branches with the tensor weight.  WADA and PROOF_CHAIN have no
-  scalar reduction.
+  REV_TENSOR_DEAR reduce the same way on diagonal pairs of any dimension: the
+  Kronecker product of diagonal ``A`` and ``B`` is diagonal with entry
+  ``a_i b_j`` at ``i*d + j`` (Horn & Johnson, *Topics in Matrix Analysis*,
+  4.2), so each entry's scalar terms ``S(u) = a^u b^(1-u) + a^(1-u) b^u``
+  (``_ScalarPairTerms``) go through the Hadamard-sum branches with the tensor
+  weight.  The registry's ``takes_pair`` says which shape an id has.  WADA
+  and PROOF_CHAIN have no scalar reduction.
 * ``replay_witnesses`` re-evaluates recorded witness instances through BOTH
   the full matrix path and direct compensated scalar arithmetic and checks
   each against its frozen expected gap.
@@ -20,16 +23,19 @@ for exact-half exponents, so it is meaningfully more accurate than the matrix
 arithmetic it cross-checks.
 
 Where the independence lies: the scalar algebra (``fsum``, ``oracle_pow``,
-``_ScalarTerms``, ``_ScalarPairTerms`` and each statement's combination of
-terms) is re-derived here.  The Kantorovich weights ``K^(+-r')`` mostly are
-not: they are scalars of the band and the exponents, and for the Hadamard and
-tensor statements the oracle takes them from the same helpers as the link
-builders (``_hadamard_weight``, ``_tensor_weight``), just as it takes the
-same arguments.  The hand-derived gaps of the recorded witnesses remain the
-independent pin on those weights.  PROP_HBOUNDS is the exception: no witness
-pins it, so its weights are derived again here, ``K(h^(2t-1))^r'`` for the
-literal form and, for the repaired one, the minimum of ``K`` over the interval
-that ``_congruence_interval`` returns, raised to ``r'``.
+the ``_S`` of ``_ScalarTerms`` and ``_ScalarPairTerms`` and each statement's
+combination of terms) is re-derived here.  Only the memo is shared: both
+terms classes subclass ``inequalities._Terms``, which stores ``S(u)`` under
+``min(u, 1-u)`` and derives no term itself.  The Kantorovich weights
+``K^(+-r')`` mostly are not re-derived: they are scalars of the band and the
+exponents, and for the Hadamard and tensor statements the oracle takes them
+from the same helpers as the link builders (``_hadamard_weight``,
+``_tensor_weight``), just as it takes the same arguments.  The hand-derived
+gaps of the recorded witnesses remain the independent pin on those weights.
+PROP_HBOUNDS is the exception: no witness pins it, so its weights are derived
+again here, ``K(h^(2t-1))^r'`` for the literal form and, for the repaired
+one, the minimum of ``K`` over the interval that ``_congruence_interval``
+returns, raised to ``r'``.
 """
 
 from __future__ import annotations
@@ -40,15 +46,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CallebautLabError, ConfigError, DomainError, ShapeError
+from .errors import CallebautLabError, ConfigError, DomainError, HypothesisError
+from .errors import ShapeError
 from .inequalities import (
     IneqId,
     Variant,
     _congruence_interval,
     _hadamard_weight,
     _tensor_weight,
+    _Terms,
     build_links,
     evaluate_inequality,
+    inequality_info,
 )
 from .sampler import FamilyInstance, SpectralBand
 from .scalarcore import (
@@ -85,67 +94,54 @@ def _wsum(x, y, u: float) -> float:
     return fsum(oracle_pow(xi, 1.0 - u) * oracle_pow(yi, u) for xi, yi in zip(x, y))
 
 
-def _entry_columns(inst: FamilyInstance):
-    """Per-diagonal-entry columns ``x_k = (A_j[k,k])_j`` and ``y_k`` likewise."""
-    xs, ys = [], []
-    for k in range(inst.dim):
-        xs.append([m.array[k, k] for m in inst.A_list])
-        ys.append([m.array[k, k] for m in inst.B_list])
-    return xs, ys
-
-
-class _ScalarTerms:
+class _ScalarTerms(_Terms):
     """Scalar mirror of the family terms for one diagonal entry."""
 
     def __init__(self, x, y):
+        super().__init__()
         self.x, self.y = x, y
-        self._s: dict[float, float] = {}
 
-    def S(self, u: float) -> float:
-        key = min(u, 1.0 - u)
-        if key not in self._s:
-            self._s[key] = _wsum(self.x, self.y, u) * _wsum(self.x, self.y, 1.0 - u)
-        return self._s[key]
+    def _S(self, u: float) -> float:
+        return _wsum(self.x, self.y, u) * _wsum(self.x, self.y, 1.0 - u)
 
     @property
     def top(self) -> float:
         return fsum(self.x) * fsum(self.y)
 
 
-class _ScalarPairTerms:
-    """Scalar mirror of the pair terms of a 1x1 pair:
+class _ScalarPairTerms(_Terms):
+    """Scalar mirror of the pair terms at one entry pair ``(a, b)``:
     ``S(u) = a^u b^(1-u) + a^(1-u) b^u``."""
 
     def __init__(self, a, b):
+        super().__init__()
         self.a, self.b = a, b
-        self._s: dict[float, float] = {}
 
-    def S(self, u: float) -> float:
-        key = min(u, 1.0 - u)
-        if key not in self._s:
-            a, b = self.a, self.b
-            self._s[key] = fsum(
-                (
-                    oracle_pow(a, u) * oracle_pow(b, 1.0 - u),
-                    oracle_pow(a, 1.0 - u) * oracle_pow(b, u),
-                )
+    def _S(self, u: float) -> float:
+        a, b = self.a, self.b
+        return fsum(
+            (
+                oracle_pow(a, u) * oracle_pow(b, 1.0 - u),
+                oracle_pow(a, 1.0 - u) * oracle_pow(b, u),
             )
-        return self._s[key]
-
-
-#: The pair-shaped ids with a scalar reduction, on 1x1 pairs only.
-_TENSOR_IDS = (IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR)
+        )
 
 
 def _scalar_links(ineq: IneqId, inst: FamilyInstance, params, variant: Variant):
     """Scalar (name, lhs, rhs) links of a diagonal instance, one list per
-    diagonal entry."""
-    _require_diagonal(inst)
-    xs, ys = _entry_columns(inst)
-    if ineq in _TENSOR_IDS:
-        if inst.n != 1 or inst.dim != 1:
-            raise ShapeError("tensor statements reduce to scalars only for 1x1 pairs")
-        terms = [_ScalarPairTerms(xs[0][0], ys[0][0])]
+    diagonal entry of the statement's operands: entry ``k`` of a family, or
+    entry ``i*d + j`` of a pair's Kronecker products."""
+    if not all(m.is_diagonal() for m in (*inst.A_list, *inst.B_list)):
+        raise ShapeError("diagonal cross-check requires diagonal matrices")
+    # Column k holds entry (k, k) of every A_j (xs) or of every B_j (ys).
+    xs = [[m.array[k, k] for m in inst.A_list] for k in range(inst.dim)]
+    ys = [[m.array[k, k] for m in inst.B_list] for k in range(inst.dim)]
+    if inequality_info(ineq).takes_pair:
+        if inst.n != 1:
+            raise HypothesisError(
+                f"pair-shaped statement needs a single pair, got n = {inst.n}"
+            )
+        terms = [_ScalarPairTerms(x[0], y[0]) for x in xs for y in ys]
     else:
         terms = [_ScalarTerms(x, y) for x, y in zip(xs, ys)]
     return [_scalar_entry_links(ineq, variant, t, inst.band, params) for t in terms]
@@ -154,7 +150,7 @@ def _scalar_links(ineq: IneqId, inst: FamilyInstance, params, variant: Variant):
 def _scalar_entry_links(ineq: IneqId, variant: Variant, t, band: SpectralBand, params):
     """Scalar (name, lhs, rhs) values for one terms object, mirroring the
     matrix link builders term by term."""
-    weight = _tensor_weight if ineq in _TENSOR_IDS else _hadamard_weight
+    weight = _tensor_weight if inequality_info(ineq).takes_pair else _hadamard_weight
     if ineq == IneqId.CHAIN_34RF:
         return [
             ("geo_vs_s", t.S(0.5), t.S(params.s)),
@@ -255,12 +251,6 @@ def scalar_min_gap(
     return worst
 
 
-def _require_diagonal(inst: FamilyInstance):
-    for m in (*inst.A_list, *inst.B_list):
-        if not m.is_diagonal():
-            raise ShapeError("diagonal cross-check requires diagonal matrices")
-
-
 def diagonal_equivalence(
     ineq: IneqId,
     diag_instance: FamilyInstance,
@@ -272,7 +262,6 @@ def diagonal_equivalence(
     Only meaningful for diagonal families, where every operator expression is
     diagonal with entries given by closed scalar forms.
     """
-    _require_diagonal(diag_instance)
     links = build_links(ineq, diag_instance, params, variant)
     scalar_links = _scalar_links(ineq, diag_instance, params, variant)
     worst = 0.0
@@ -367,6 +356,9 @@ BUILTIN_WITNESSES: tuple[WitnessRecord, ...] = (
 
 @dataclass(frozen=True)
 class ReplayOutcome:
+    """One replayed record.  A record that raised has NaN gaps, and its
+    ``message`` holds the error."""
+
     record: WitnessRecord
     matrix_gap: float
     scalar_gap: float

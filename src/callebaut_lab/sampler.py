@@ -211,13 +211,16 @@ class FamilyInstance:
         matrix is ragged, non-numeric, non-square or non-finite, or ``n`` and
         ``dim`` disagree with the matrices.
         """
-        return FamilyInstance(
-            n=_whole(d, "n"),
-            dim=_whole(d, "dim"),
-            A_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in d["A_list"]),
-            B_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in d["B_list"]),
-            band=SpectralBand(*map(float, d["band"])),
-        )
+        # Entries near the float limit overflow when symmetrized; the
+        # finiteness check rejects them, so NumPy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return FamilyInstance(
+                n=_whole(d, "n"),
+                dim=_whole(d, "dim"),
+                A_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in d["A_list"]),
+                B_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in d["B_list"]),
+                band=SpectralBand(*map(float, d["band"])),
+            )
 
 
 def _check_dim(d: int):

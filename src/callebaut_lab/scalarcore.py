@@ -138,18 +138,13 @@ class ScalarParams(_OpenParams):
         return (ScalarParams, (self.a, self.b, self.nu))
 
 
-class Branch(Enum):
-    HIGH = "high"  # 1 >= t >= s > 1/2
-    LOW = "low"    # 0 <= t <= s < 1/2
-
-
 @dataclass(frozen=True)
 class ExponentPair:
     """Chain exponents ``(s, t)`` on one of the two admissible branches.
 
-    Either ``1 >= t >= s > 1/2`` (HIGH) or ``0 <= t <= s < 1/2`` (LOW); on
-    both branches the derived coefficients are nonnegative.  ``t`` must stay
-    clear of the excluded zone around 1/2.
+    Either ``1 >= t >= s > 1/2`` or ``0 <= t <= s < 1/2``; on both branches
+    the derived coefficients are nonnegative.  ``t`` must stay clear of the
+    excluded zone around 1/2.
     """
 
     s: float
@@ -157,11 +152,7 @@ class ExponentPair:
 
     def __post_init__(self):
         s, t = self.s, self.t
-        if 0.5 < s <= t <= 1.0:
-            branch = Branch.HIGH
-        elif 0.0 <= t <= s < 0.5:
-            branch = Branch.LOW
-        else:
+        if not (0.5 < s <= t <= 1.0 or 0.0 <= t <= s < 0.5):
             raise HypothesisError(
                 f"(s, t) = ({s}, {t}) lies on neither branch "
                 "(need 1 >= t >= s > 1/2 or 0 <= t <= s < 1/2)"
@@ -170,11 +161,6 @@ class ExponentPair:
             raise HypothesisError(
                 f"t = {t} lies within {DELTA_HALF:g} of 1/2 (excluded zone)"
             )
-        object.__setattr__(self, "_branch", branch)
-
-    @property
-    def branch(self) -> Branch:
-        return self._branch
 
     @property
     def c_mid(self) -> float:
@@ -478,8 +464,7 @@ _NO_EXTRA = MappingProxyType({})
 
 
 def _lemma_ttt1_entry(params, extra):
-    mu = params.mu if isinstance(params, ProofChainParams) else extra["mu"]
-    return lemma_ttt1_gap(extra["a"], mu)
+    return lemma_ttt1_gap(extra["a"], extra["mu"])
 
 
 def _rev_ttt_entry(params, extra):
@@ -517,20 +502,25 @@ _GAP_ENTRIES = {
 def scalar_gap(ineq: ScalarIneqId, params=None, extra: dict | None = None):
     """Evaluate one scalar statement to its signed gap(s).
 
-    ``params`` carries the statement's parameter object (:class:`ScalarParams`,
-    :class:`ExponentPair`, or :class:`ProofChainParams`); ``extra`` carries
-    whatever else the statement needs (``a``/``mu``/``nu`` for the single-
-    variable lemmas, ``x``/``y`` tuples and a band for the chain forms).
-    Chain statements return a tuple of link gaps.  A finite input on which a
-    power or the ``math.fsum`` of the terms overflows, or that gives a gap
-    that is not finite (an infinite term, or ``inf / inf`` inside a
-    Kantorovich constant), raises :class:`DomainError`.
+    ``params`` carries the statement's parameter object (:class:`ScalarParams`
+    or :class:`ExponentPair`; the single-variable lemmas LEMMA_TTT1 and
+    REV_TTT take none); ``extra`` carries whatever else the statement needs
+    (``a`` with ``mu`` or ``nu`` for the single-variable lemmas, ``x``/``y``
+    tuples and a band for the chain forms).  Chain statements return a tuple
+    of link gaps.  A finite input on which a power or the ``math.fsum`` of the
+    terms overflows, whose terms include both ``inf`` and ``-inf``, or that
+    gives a gap that is not finite (an infinite term, or ``inf / inf`` inside
+    a Kantorovich constant), raises :class:`DomainError`.
     """
     if ineq.__class__ is not ScalarIneqId:
         raise DomainError(f"unknown scalar inequality id: {ineq}")
     try:
         gap = _GAP_ENTRIES[ineq._name_](params, extra or _NO_EXTRA)
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
+        # A bare ValueError is an ``fsum`` of inf and -inf; the package's own
+        # errors subclass ValueError and pass through unchanged.
+        if isinstance(exc, ValueError) and exc.__class__ is not ValueError:
+            raise
         raise DomainError(f"{ineq.value} overflows on this input: {exc}") from exc
     if gap.__class__ is tuple:
         if all(map(_isfinite, gap)):

@@ -367,6 +367,24 @@ class TestWitness:
         out = capsys.readouterr().out
         assert "[FAIL] WADA/paper" in out and "1 failed" in out
 
+    def test_failed_replay_names_its_reason(self, tmp_path, capsys):
+        path = tmp_path / "offdiag.jsonl"
+        _run(["witness", "--export", str(path)])
+        record = json.loads(path.read_text().splitlines()[0])
+        # The matrix path evaluates this pair; the scalar oracle cannot.
+        record.update(
+            band=[1.0, 1.0, 2.0, 4.0],
+            dim=2,
+            A_list=[[[3.0, 0.5], [0.5, 3.0]]],
+            B_list=[[[1.0, 0.0], [0.0, 1.0]]],
+        )
+        path.write_text(json.dumps(record) + "\n")
+        capsys.readouterr()
+        assert _run(["witness", "--replay", str(path)]) == cli.EXIT_VIOLATION
+        fail = capsys.readouterr().out.splitlines()[0]
+        assert fail.startswith("[FAIL] TENSOR_TOOL/paper: ")
+        assert "requires diagonal matrices" in fail
+
     @pytest.mark.parametrize(
         "line",
         [

@@ -1,10 +1,13 @@
 import dataclasses
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from callebaut_lab.errors import ShapeError
+from callebaut_lab.cli import DEFAULT_BANDS
+from callebaut_lab.errors import ConfigError, HypothesisError, ShapeError
 from callebaut_lab.inequalities import (
     HADAMARD_SUM_IDS,
     ST_KIND,
@@ -117,14 +120,31 @@ class TestDiagonalEquivalence:
         with pytest.raises(ShapeError, match="no scalar reduction"):
             scalar_min_gap(ineq, _diag_instance(1, 1, 3), params)
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize(
+        "ineq", [IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR], ids=lambda i: i.value
+    )
+    def test_tensor_ids_on_diagonal_pairs(self, ineq, variant):
+        # A x B of diagonal d x d matrices is diagonal with entry a_i b_j at
+        # i*d + j, so every (a_i, b_j) is one scalar pair.
+        for k, pair in enumerate(ST_KIND.values):
+            band, d = DEFAULT_BANDS[k % 3], 2 + k % 3
+            inst = _diag_instance(1, d, 300 + k, band=band)
+            scale = max(1.0, *(np.abs(m.array).max() for m in inst.A_list + inst.B_list))
+            disc = diagonal_equivalence(ineq, inst, pair, variant)
+            assert disc <= 1e-12 * scale, (pair, band, d, disc)
+            report = evaluate_inequality(ineq, inst, pair, variant)
+            m = min(l.gap.min_eig for l in report.links)
+            s = scalar_min_gap(ineq, inst, pair, variant)
+            assert s == pytest.approx(m, abs=1e-10), (pair, band, d)
+
     @pytest.mark.parametrize("check", [scalar_min_gap, diagonal_equivalence])
     @pytest.mark.parametrize(
         "ineq", [IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR], ids=lambda i: i.value
     )
-    def test_tensor_ids_reduce_only_1x1_pairs(self, ineq, check):
-        # A d x d pair has d^2 tensor eigenvalues a_i b_j, not d entries.
-        with pytest.raises(ShapeError, match="1x1 pairs"):
-            check(ineq, _diag_instance(1, 2, 5), ExponentPair(0.75, 1.0))
+    def test_tensor_ids_need_a_single_pair(self, ineq, check):
+        with pytest.raises(HypothesisError, match="single pair, got n = 2"):
+            check(ineq, _diag_instance(2, 2, 5), ExponentPair(0.75, 1.0))
 
     def test_rejects_non_diagonal(self):
         inst = FamilyInstance(
@@ -200,6 +220,22 @@ class TestWitnessReplay:
         )
         out = replay_witnesses([broken])[0]
         assert not out.passed and "TENSOR_TOOL" in out.message
+
+    def test_overflowing_catalog_line_is_config_error_without_warning(self, tmp_path):
+        # Symmetrizing 1e308 entries overflows; the finiteness check rejects
+        # the line, and NumPy prints no RuntimeWarning first.
+        record = {
+            **BUILTIN_WITNESSES[0].to_dict(),
+            "dim": 2,
+            "A_list": [[[1e308, 1e308], [1e308, 1e308]]],
+            "B_list": [[[1.0, 0.0], [0.0, 1.0]]],
+        }
+        path = tmp_path / "overflow.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="finite"):
+                load_catalog(path)
 
     def test_scalar_min_gap_matches_matrix_on_diagonals(self):
         # scalar_min_gap is the minimum absolute gap over links and entries;
