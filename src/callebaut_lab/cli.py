@@ -27,6 +27,7 @@ from .inequalities import (
     REPAIRABLE,
     Variant,
     evaluate_inequality,
+    evaluate_stage,
     inequality_info,
     list_inequalities,
     params_dict,
@@ -51,10 +52,12 @@ DEFAULT_BANDS = (
 DIMS = (1, 2, 3, 4)
 FAMILY_SIZES = (1, 2, 3)
 
-#: Trials whose families are sampled together: ``sampler.sample_families``
-#: runs one Haar QR and one eigendecomposition per dimension per stage.  A
-#: stage's families are held until its trials are evaluated, so this bounds
-#: the memory that staging adds.
+#: Trials that are sampled and then evaluated together:
+#: ``sampler.sample_families`` runs one Haar QR and one eigendecomposition per
+#: dimension per stage, and ``inequalities.evaluate_stage`` one mean-path and
+#: one link-gap eigendecomposition per dimension per stage.  A stage's
+#: families, links and reports are held until the caller has read them, so
+#: this bounds the memory that staging adds.
 SAMPLE_STAGE = 32
 
 #: Grid point that reproduces the recorded witnesses; kept at the head of
@@ -183,19 +186,29 @@ def _trial_stream(ineq: IneqId, variant: Variant, point, trial: int) -> int:
     return _stable_hash(key)
 
 
-def _staged(work):
-    """``(item, family)`` for each ``(item, request)`` of the iterable ``work``,
-    in order, where ``request`` is a ``sample_families`` request.
+def _staged(work, tol: float):
+    """``(item, family, report)`` for each ``(item, request, (ineq, params,
+    variant))`` of the iterable ``work``, in order, where ``request`` is a
+    ``sample_families`` request.
 
-    Families are sampled ``SAMPLE_STAGE`` requests at a time, and a family
-    that could not be sampled is the error ``sample_families`` put in its
-    place.  ``work`` is read one stage ahead of the caller; every request
-    draws from its own stream, so staging changes no number.
+    ``SAMPLE_STAGE`` items at a time are sampled together
+    (``sample_families``) and then evaluated together (``evaluate_stage``).
+    A family that could not be sampled is the error ``sample_families`` put
+    in its place, and its report is that same error; a trial that raised
+    has its error as its report.  ``work`` is read one stage ahead of the
+    caller; every request draws from its own stream and every trial is
+    measured as it would be alone, so staging changes no number.
     """
     work = iter(work)
     while stage := list(islice(work, SAMPLE_STAGE)):
-        items, requests = zip(*stage)
-        yield from zip(items, sample_families(requests))
+        items, requests, specs = zip(*stage)
+        families = sample_families(requests)
+        sampled = [k for k, f in enumerate(families) if not isinstance(f, Exception)]
+        reports = list(families)
+        trials = [(specs[k][0], families[k], specs[k][1], specs[k][2]) for k in sampled]
+        for k, report in zip(sampled, evaluate_stage(trials, tol)):
+            reports[k] = report
+        yield from zip(items, families, reports)
 
 
 #: Failures of one trial that ``run_verify`` reports as an error line and
@@ -203,9 +216,8 @@ def _staged(work):
 _TRIAL_ERRORS = (HypothesisError, DomainError, np.linalg.LinAlgError)
 
 
-def _run_trial(config: SuiteConfig, job: _Job, family):
-    """Report line of one verify trial on its sampled family."""
-    report = evaluate_inequality(job.ineq, family, job.point[3], job.variant, tol=config.tol)
+def _run_trial(config: SuiteConfig, job: _Job, report):
+    """Report line of one verify trial from its report."""
     return {
         **_line(config, job.stream, job.point, report),
         "links": [
@@ -226,7 +238,8 @@ def _run_trial(config: SuiteConfig, job: _Job, family):
 def run_verify(config: SuiteConfig):
     """Run the verification suite; returns (RunSummary, report lines).
 
-    Trials are sampled in stages (``_staged``) and evaluated one by one.
+    Trials are sampled and evaluated in stages (``_staged``); a trial that
+    raised is reported as an error line.
     """
     config.validate()
     started = time.perf_counter()
@@ -242,14 +255,18 @@ def run_verify(config: SuiteConfig):
                     band, n, d, _ = point
                     stream = _trial_stream(ineq, variant, point, k)
                     rng = derive_rng(config.master_seed, stream)
-                    yield _Job(ineq, variant, point, k, stream), (n, d, band, rng, False)
+                    yield (
+                        _Job(ineq, variant, point, k, stream),
+                        (n, d, band, rng, False),
+                        (ineq, point[3], variant),
+                    )
 
     lines = []
-    for job, family in _staged(work()):
+    for job, _, report in _staged(work(), config.tol):
         try:
-            if isinstance(family, Exception):
-                raise family
-            lines.append(_run_trial(config, job, family))
+            if isinstance(report, Exception):
+                raise report
+            lines.append(_run_trial(config, job, report))
         except _TRIAL_ERRORS as exc:
             pdict = params_dict(job.ineq, job.point[3])
             lines.append({
@@ -363,9 +380,8 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
     points = grid_points(ineq, config)
     best = None  # (rel_gap, line, point, instance)
 
-    def consider(point, instance, trial, stream):
+    def consider(point, instance, trial, stream, report):
         nonlocal best
-        report = evaluate_inequality(ineq, instance, point[3], variant, tol=config.tol)
         if best is None or report.gap.rel_gap < best[0]:
             line = {
                 **_line(config, stream, point, report),
@@ -383,12 +399,12 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
             stream, rng = _stream(config, f"falsify|{ineq.value}|{variant.value}|trial={b}")
             point = points[rng.next_u64() % len(points)]
             band, n, d, _ = point
-            yield (b, stream, point), (n, d, band, rng, True)
+            yield (b, stream, point), (n, d, band, rng, True), (ineq, point[3], variant)
 
-    for (b, stream, point), instance in _staged(work()):
-        if isinstance(instance, Exception):
-            raise instance
-        consider(point, instance, b, stream)
+    for (b, stream, point), instance, report in _staged(work(), config.tol):
+        if isinstance(report, Exception):
+            raise report
+        consider(point, instance, b, stream, report)
 
     if best is not None:
         for step in range(50):
@@ -399,7 +415,7 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
                 p2 = _mutate_st(params, rng, 1.0 / 32.0)
                 if not inequality_info(ineq).kind.holds(p2):
                     p2 = params
-                consider((band, n, d, p2), instance, -1, stream)
+                point = (band, n, d, p2)
             else:
                 j = rng.next_u64() % n
                 if rng.next_u64() % 2 == 0:
@@ -408,7 +424,12 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
                     attr, lo, hi = "B_list", band.m_lo, band.m_hi
                 mats = list(getattr(instance, attr))
                 mats[j] = spd_in_band(d, lo, hi, rng, pin_extremes=True)
-                consider(point, replace(instance, **{attr: tuple(mats)}), -1, stream)
+                instance = replace(instance, **{attr: tuple(mats)})
+            # Each step depends on the best so far, so steps run one at a
+            # time; a step that only nudges (s, t) reuses the family's
+            # stored mean-path factorization.
+            report = evaluate_inequality(ineq, instance, point[3], variant, tol=config.tol)
+            consider(point, instance, -1, stream, report)
     return best[1] if best is not None else None
 
 
@@ -447,7 +468,8 @@ def cmd_witness(args) -> int:
     failed = 0
     for out in outcomes:
         status = "pass" if out.passed else "FAIL"
-        reason = f" (reason: {out.message})" if math.isnan(out.matrix_gap) else ""
+        failed_path = math.isnan(out.matrix_gap) or math.isnan(out.scalar_gap)
+        reason = f" (reason: {out.message})" if failed_path else ""
         print(
             f"[{status}] {out.record.ineq.value}/{out.record.variant.value}: "
             f"expected {out.record.expected_gap:+.10g}, matrix {out.matrix_gap:+.10g}, "

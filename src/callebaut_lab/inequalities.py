@@ -36,6 +36,13 @@ nothing else; the pair-shaped statements (the tensor ones and WADA) need
 it calls the builder: the variant, the parameter type, the operand shape, the
 band, then the condition of the parameter kind.
 
+``evaluate_stage`` evaluates many trials together: the checks run trial by
+trial, then the weighted-mean factorizations of every family that needs them
+are made at once (``matcore.MeanPath.stack``) and stored on the family, then
+each trial's links are built, and then every link of every trial is measured
+at once (``matcore.loewner_gaps``).  Every number is the one the trial gets
+alone; ``evaluate_inequality`` and ``build_links`` are the one-trial cases.
+
 Each registry entry names its ``ParamKind``: the parameter type, the values
 the sweep visits, the report form and any condition beyond the type.
 ``ST_KIND`` is ``(s, t)`` on either branch (``1 >= t >= s > 1/2`` or
@@ -63,7 +70,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, ShapeError, VariantError
+from .errors import CallebautLabError, DomainError, HypothesisError, ShapeError, VariantError
 from .matcore import (
     DEFAULT_TOL,
     LoewnerGap,
@@ -71,7 +78,7 @@ from .matcore import (
     SymMatrix,
     hadamard,
     kron,
-    loewner_gap,
+    loewner_gaps,
     spectral_norm,
     spectral_pow,
     sum_matrices,
@@ -220,20 +227,18 @@ class _FamilyTerms(_Terms):
 
     ``S(u)`` is the Hadamard product of the u- and (1-u)-weighted mean sums;
     ``S(1/2)`` is the squared mean-sum and ``top`` the Hadamard product of the
-    plain sums.  Each pair's congruence factorization is computed once.
+    plain sums.  ``means`` is the family's factored ``MeanPath``.
     """
 
-    def __init__(self, inst: FamilyInstance):
+    def __init__(self, inst: FamilyInstance, means: MeanPath):
         super().__init__()
         self.inst = inst
-        self._paths = [
-            MeanPath(a, b) for a, b in zip(inst.A_list, inst.B_list)
-        ]
+        self.means = means
         self._sums: dict[float, SymMatrix] = {}
 
     def mean_sum(self, u: float) -> SymMatrix:
         if u not in self._sums:
-            self._sums[u] = sum_matrices(path.at(u) for path in self._paths)
+            self._sums[u] = self.means.at(u)
         return self._sums[u]
 
     def _S(self, u: float) -> SymMatrix:
@@ -255,12 +260,14 @@ class _PairTerms(_Terms):
     """Tensor terms of one pair: ``S(u) = A^u x B^(1-u) + A^(1-u) x B^u``.
 
     ``S(1/2)`` is ``2 A^(1/2) x B^(1/2)``, so the tensor statements read the
-    same terms as their Hadamard-sum counterparts.
+    same terms as their Hadamard-sum counterparts.  ``means`` is the pair's
+    factored ``MeanPath`` where the statement takes means (WADA), else None.
     """
 
-    def __init__(self, a: SymMatrix, b: SymMatrix):
+    def __init__(self, a: SymMatrix, b: SymMatrix, means: MeanPath | None):
         super().__init__()
         self.a, self.b = a, b
+        self.means = means
 
     def _S(self, u: float) -> SymMatrix:
         return _swapped_kron(self.a, self.b, u, 1.0 - u)
@@ -304,7 +311,7 @@ def _hadamard_weight(band, pair: ExponentPair, variant: Variant, sign: float) ->
 def _links_wada(terms: _PairTerms, band, alpha, variant):
     a, b = terms.a, terms.b
     alpha = float(alpha)
-    path = MeanPath(a, b)
+    path = terms.means
     g = path.at(0.5)
     gl = path.at(alpha)
     gr = path.at(1.0 - alpha)
@@ -591,6 +598,16 @@ REPAIRABLE = frozenset(
 #: Hadamard-sum ids, i.e. the family-shaped ones.
 HADAMARD_SUM_IDS = tuple(i for i in IneqId if not _REGISTRY[i].takes_pair)
 
+#: Ids whose terms hold the family's ``MeanPath``: every family-shaped id
+#: (its pairs' positivity checks are the factorization's, so even
+#: COR_BJ_IDENTITY, which reads plain powers, is factored) and WADA.
+_MEAN_IDS = frozenset(HADAMARD_SUM_IDS) | {IneqId.WADA}
+
+#: What building or measuring one trial can raise: the package's own errors
+#: and a LAPACK failure.  ``evaluate_stage`` returns these in the trial's
+#: place; any other exception propagates.
+_EVALUATION_ERRORS = (CallebautLabError, np.linalg.LinAlgError)
+
 
 def list_inequalities() -> tuple[InequalityInfo, ...]:
     """Static registry dump, one entry per operator inequality id."""
@@ -613,13 +630,70 @@ def build_links(
     that both see the identical matrix path.  Positivity failures inside the
     matrix algebra are statement-hypothesis violations at this boundary.
     """
-    try:
-        return _build_links(ineq, family, params, variant)
-    except DomainError as exc:
-        raise HypothesisError(str(exc)) from exc
+    (links,) = _build_stage([(ineq, family, params, variant)])
+    if isinstance(links, Exception):
+        raise links
+    return links
 
 
-def _build_links(ineq, family, params, variant):
+def _hypothesis(exc: Exception) -> Exception:
+    """A ``DomainError`` of the matrix algebra as the statement's
+    ``HypothesisError``; any other error unchanged."""
+    if not isinstance(exc, DomainError):
+        return exc
+    err = HypothesisError(str(exc))
+    err.__cause__ = exc
+    return err
+
+
+def _build_stage(trials) -> list:
+    """The links of each trial ``(ineq, family, params, variant)``, or the
+    error that building them raised (a ``DomainError`` as
+    ``HypothesisError``).
+
+    Each trial's checks run first, then the ``MeanPath`` of every checked
+    family in ``_MEAN_IDS`` that has none stored is factored, all together,
+    and stored on the family (``FamilyInstance._means``); then each builder
+    runs.  An error of a stacked call propagates.
+    """
+    out = []
+    for trial in trials:
+        try:
+            _check(*trial)
+            out.append(None)
+        except _EVALUATION_ERRORS as exc:
+            out.append(_hypothesis(exc))
+    todo = {
+        id(family): family
+        for (ineq, family, _, _), built in zip(trials, out)
+        if built is None and ineq in _MEAN_IDS and family._means is None
+    }
+    failed = {}
+    paths = MeanPath.stack([(f.A_list, f.B_list) for f in todo.values()])
+    for family, path in zip(todo.values(), paths):
+        if isinstance(path, Exception):
+            failed[id(family)] = path
+        else:
+            object.__setattr__(family, "_means", path)
+    for k, (ineq, family, params, variant) in enumerate(trials):
+        if out[k] is not None:
+            continue
+        if ineq in _MEAN_IDS and id(family) in failed:
+            out[k] = _hypothesis(failed[id(family)])
+            continue
+        try:
+            if _REGISTRY[ineq].takes_pair:
+                terms = _PairTerms(family.A_list[0], family.B_list[0], family._means)
+            else:
+                terms = _FamilyTerms(family, family._means)
+            out[k] = _BUILDERS[ineq](terms, family.band, params, variant)
+        except _EVALUATION_ERRORS as exc:
+            out[k] = _hypothesis(exc)
+    return out
+
+
+def _check(ineq, family, params, variant):
+    """The checks that every id passes before its builder runs."""
     info = _REGISTRY[ineq]
     if variant not in info.variants:
         raise VariantError(f"{ineq.value} defines no {variant.value} variant")
@@ -641,11 +715,6 @@ def _build_links(ineq, family, params, variant):
         validate_band_containment(family)
     if not kind.holds(params):
         raise HypothesisError(kind.violation.format(**kind.report(params)))
-    if info.takes_pair:
-        terms = _PairTerms(family.A_list[0], family.B_list[0])
-    else:
-        terms = _FamilyTerms(family)
-    return _BUILDERS[ineq](terms, family.band, params, variant)
 
 
 def params_dict(ineq: IneqId, params) -> dict:
@@ -664,25 +733,58 @@ def evaluate_inequality(
 
     Multi-link statements report every link and summarize by the worst
     relative gap; a witness payload is attached exactly when unsatisfied.
+    This is the one-trial case of :func:`evaluate_stage`.
     """
-    links = build_links(ineq, family, params, variant)
-    reports = tuple(
-        LinkReport(name, loewner_gap(lhs, rhs, tol)) for name, lhs, rhs in links
-    )
-    # The worst link is the first with the smallest relative gap; only its
-    # operand norms are reported, so only they are measured.
-    k = min(range(len(reports)), key=lambda i: reports[i].gap.rel_gap)
-    _, worst_lhs, worst_rhs = links[k]
-    gap = reports[k].gap
-    pdict = params_dict(ineq, params)
-    witness = None if gap.satisfied else {"params": pdict, **family.to_dict()}
-    return IneqReport(
-        ineq=ineq,
-        variant=variant,
-        params=pdict,
-        links=reports,
-        gap=gap,
-        lhs_norm=spectral_norm(worst_lhs),
-        rhs_norm=spectral_norm(worst_rhs),
-        witness=witness,
-    )
+    (report,) = evaluate_stage([(ineq, family, params, variant)], tol)
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
+def evaluate_stage(trials, tol: float = DEFAULT_TOL) -> list:
+    """``evaluate_inequality(*t, tol=tol)`` for each trial ``t = (ineq,
+    family, params, variant)``, evaluated together.
+
+    Item ``i`` is the report of trial ``i``, or the package error or
+    ``numpy.linalg.LinAlgError`` that evaluating it raised, with the text it
+    raises alone; any other exception propagates.  The mean-path
+    factorizations and the Loewner gaps of all trials share one stacked
+    eigendecomposition per dimension.  If a stacked call raises, the stage
+    is evaluated again one trial at a time, so only the failing trial
+    carries the error.
+    """
+    trials = list(trials)
+    try:
+        return _evaluate_stage(trials, tol)
+    except _EVALUATION_ERRORS as exc:
+        if len(trials) == 1:
+            return [exc]
+        return [evaluate_stage([trial], tol)[0] for trial in trials]
+
+
+def _evaluate_stage(trials, tol):
+    out = _build_stage(trials)
+    built = [k for k, links in enumerate(out) if not isinstance(links, Exception)]
+    gaps = iter(loewner_gaps([(lhs, rhs) for k in built for _, lhs, rhs in out[k]], tol))
+    for k in built:
+        ineq, family, params, variant = trials[k]
+        links = out[k]
+        reports = tuple(LinkReport(name, next(gaps)) for name, _, _ in links)
+        # The worst link is the first with the smallest relative gap; its
+        # operands were decomposed with the gaps, so their norms are stored.
+        w = min(range(len(reports)), key=lambda i: reports[i].gap.rel_gap)
+        _, worst_lhs, worst_rhs = links[w]
+        gap = reports[w].gap
+        pdict = params_dict(ineq, params)
+        witness = None if gap.satisfied else {"params": pdict, **family.to_dict()}
+        out[k] = IneqReport(
+            ineq=ineq,
+            variant=variant,
+            params=pdict,
+            links=reports,
+            gap=gap,
+            lhs_norm=spectral_norm(worst_lhs),
+            rhs_norm=spectral_norm(worst_rhs),
+            witness=witness,
+        )
+    return out

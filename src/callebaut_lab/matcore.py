@@ -14,15 +14,20 @@ return it.  A ``SymMatrix`` never changes after construction and the solver
 is deterministic, so a stored result is bit-identical to a recomputed one.
 
 The lab's matrices are small (d <= 16, mostly d <= 4), where the Python-level
-cost of a call outweighs LAPACK's work.  Four shortcuts keep that cost down,
+cost of a call outweighs LAPACK's work.  Three shortcuts keep that cost down,
 each bit-identical to the general route: ``sym_eigen`` answers 1x1 inputs in
-closed form, fixes eigenvector signs with one vector multiply, and results
+closed form and fixes eigenvector signs with one vector multiply, and results
 that are symmetric bit for bit by construction (sums, differences, scalings,
 Kronecker and Hadamard products, compressions) skip re-symmetrisation.
-``SymMatrix.stack`` and ``sym_eigen_stack`` build and decompose many
-equal-dimension matrices with one call each; the sampler uses them for the
-matrices it draws, and ``tests/test_sampler.py`` checks that they match the
-one-matrix calls bit for bit on the installed build.
+Beyond those, the work on many equal-dimension matrices is stacked:
+``SymMatrix.stack`` and ``sym_eigen_stack`` build and decompose many matrices
+with one call each, ``MeanPath.stack`` factors the pairs of many mean paths
+with one call per dimension, and ``loewner_gaps`` decomposes every
+difference and operand of many links the same way.  ``sym_eigen``,
+``MeanPath(a, b)``, ``geo_mean`` and ``loewner_gap`` are their one-item
+cases.  NumPy hands each matrix of a stack to LAPACK alone, so a stacked
+call gives each matrix the bits of a one-matrix call on the installed build;
+``tests/test_sampler.py`` checks that.
 """
 
 from __future__ import annotations
@@ -213,63 +218,54 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
 
     The result is computed once per ``SymMatrix`` instance: it is stored on
     ``a`` and every later call on ``a`` returns that same read-only object.
-    This is the one-matrix case of :func:`sym_eigen_stack`: both run the
-    same solver call and sign rule, on a 2-D array here.
+    This is the one-matrix case of :func:`sym_eigen_stack`.
     """
     if a._eigen is not None:
         return a._eigen
-    d = a.dim
-    if d > MAX_EIGEN_DIM:
-        raise SizeError(f"eigensolver supports dim <= {MAX_EIGEN_DIM}, got {d}")
-    if d == 1:
-        w = a.array[0].copy()
-        q = np.ones((1, 1))
-        w.flags.writeable = False
-        q.flags.writeable = False
-    else:
-        w, q = _signed_eigh(a.array)
-    eig = EigenDecomposition(w, q)
-    object.__setattr__(a, "_eigen", eig)
-    return eig
+    return sym_eigen_stack((a,))[0]
 
 
 def sym_eigen_stack(mats: Sequence[SymMatrix]) -> list[EigenDecomposition]:
     """``[sym_eigen(m) for m in mats]`` for equal-dimension matrices, with
     one LAPACK call for all of them.
 
-    Matrices whose decomposition is already stored keep it; the rest are
-    stacked, solved by one ``numpy.linalg.eigh`` call, signed by the same
-    rule as ``sym_eigen``, and each result is stored on its matrix.  The
-    symmetric solver treats every matrix of a stack alone, so each result is
-    bit-identical to the one-matrix call on the installed NumPy/LAPACK build
-    (``tests/test_sampler.py`` checks that).
+    Matrices whose decomposition is already stored keep it; the rest (each
+    instance once) are stacked, solved by one ``numpy.linalg.eigh`` call and
+    signed by the ``sym_eigen`` rule, and each result is stored on its
+    matrix.  The symmetric solver treats every matrix of a stack alone, so
+    each result is bit-identical to the one-matrix call on the installed
+    NumPy/LAPACK build (``tests/test_sampler.py`` checks that).
     """
-    todo = [m for m in mats if m._eigen is None]
+    todo = list({id(m): m for m in mats if m._eigen is None}.values())
     if todo:
         d = todo[0].dim
         for m in todo:
             if m.dim != d:
                 raise ShapeError(f"dimension mismatch: {d} vs {m.dim}")
-        if d == 1 or d > MAX_EIGEN_DIM:
-            for m in todo:
-                sym_eigen(m)
-        else:
-            w, q = _signed_eigh(np.stack([m.array for m in todo]))
-            for m, wi, qi in zip(todo, w, q):
-                object.__setattr__(m, "_eigen", EigenDecomposition(wi, qi))
+        w, q = _eigh_stack(np.stack([m.array for m in todo]))
+        for m, wi, qi in zip(todo, w, q):
+            object.__setattr__(m, "_eigen", EigenDecomposition(wi, qi))
     return [m._eigen for m in mats]
 
 
-def _signed_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``numpy.linalg.eigh`` of a ``(..., d, d)`` array, ``d >= 2``,
-    with every eigenvector column signed so its first nonzero entry is positive."""
-    w, q = np.linalg.eigh(arr)
-    lead = q[..., 0, :]
-    if not lead.all():
-        # Diagonal and block inputs: find each column's first nonzero.
-        first = np.argmax(q != 0.0, axis=-2)
-        lead = np.take_along_axis(q, first[..., None, :], axis=-2)[..., 0, :]
-    q *= np.where(lead < 0.0, -1.0, 1.0)[..., None, :]
+def _eigh_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenvalues ``(k, d)`` and signed eigenvectors ``(k, d, d)``
+    of a ``(k, d, d)`` stack of symmetric matrices, by the ``sym_eigen``
+    rules: 1x1 inputs in closed form, every eigenvector column signed so its
+    first nonzero entry is positive."""
+    d = arr.shape[-1]
+    if d > MAX_EIGEN_DIM:
+        raise SizeError(f"eigensolver supports dim <= {MAX_EIGEN_DIM}, got {d}")
+    if d == 1:
+        w, q = arr[:, 0].copy(), np.ones_like(arr)
+    else:
+        w, q = np.linalg.eigh(arr)
+        lead = q[..., 0, :]
+        if not lead.all():
+            # Diagonal and block inputs: find each column's first nonzero.
+            first = np.argmax(q != 0.0, axis=-2)
+            lead = np.take_along_axis(q, first[..., None, :], axis=-2)[..., 0, :]
+        q *= np.where(lead < 0.0, -1.0, 1.0)[..., None, :]
     w.flags.writeable = False
     q.flags.writeable = False
     return w, q
@@ -333,48 +329,116 @@ def compress(t: SymMatrix, d: int) -> SymMatrix:
 
 
 class MeanPath:
-    """Weighted geometric means of one positive-definite pair.
+    """Weighted geometric means of equal-dimension positive-definite pairs
+    ``(a_j, b_j)``, and their sums.
 
-    Factors the congruence ``a^(1/2) (a^(-1/2) b a^(-1/2))^alpha a^(1/2)`` so
-    that repeated weights on the same pair reuse the two eigendecompositions.
-    ``geo_mean`` is the one-shot wrapper.
+    Factors the congruence ``a^(1/2) (a^(-1/2) b a^(-1/2))^alpha a^(1/2)``
+    of every pair once, so that repeated weights reuse the factorization:
+    ``at(alpha)`` is ``sum_j a_j #_alpha b_j``, one mean for one pair.
+    ``stack`` factors the pairs of many paths together, with one stacked
+    call per dimension; ``MeanPath(a, b)`` and ``geo_mean`` are its one-item
+    cases.
     """
 
-    def __init__(self, a: SymMatrix, b: SymMatrix):
-        if a.dim != b.dim:
-            raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
-        ea = sym_eigen(a)
-        if ea.eigenvalues[0] < EIG_FLOOR:
-            raise DomainError(
-                f"left operand is not positive definite "
-                f"(min eigenvalue {ea.eigenvalues[0]:.6e} < {EIG_FLOOR:g})"
-            )
-        eb = sym_eigen(b)
-        if eb.eigenvalues[0] < EIG_FLOOR:
-            raise DomainError(
-                f"right operand is not positive definite "
-                f"(min eigenvalue {eb.eigenvalues[0]:.6e} < {EIG_FLOOR:g})"
-            )
-        qa = ea.eigenvectors
-        root = np.sqrt(ea.eigenvalues)
-        self._a_half = (qa * root) @ qa.T
-        a_inv_half = (qa * (1.0 / root)) @ qa.T
-        inner = SymMatrix(a_inv_half @ b.array @ a_inv_half)
-        self._inner = sym_eigen(inner)
-        if self._inner.eigenvalues[0] <= 0.0:
-            raise DomainError(
-                "congruence-transformed operand lost positivity "
-                f"(min eigenvalue {self._inner.eigenvalues[0]:.6e}); "
-                "inputs are too ill-conditioned"
-            )
+    __slots__ = ("_a_half", "_w", "_q")
+
+    def __init__(self, a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
+        (path,) = MeanPath.stack([(a, b)])
+        if isinstance(path, Exception):
+            raise path
+        self._a_half, self._w, self._q = path._a_half, path._w, path._q
+
+    @classmethod
+    def stack(cls, groups: Sequence[tuple]) -> list:
+        """``[MeanPath(a, b) for a, b in groups]``, factored together.
+
+        The pairs of all groups of one dimension share one stacked rebuild
+        of ``a^(+-1/2)``, one stacked inner operand ``a^(-1/2) b a^(-1/2)``
+        with its symmetrisation, and one eigendecomposition; each result is
+        the one a one-pair path computes, bit for bit.  Item ``i`` is the
+        path of group ``i``, or the ``DomainError`` of its first failing
+        pair, where each pair checks ``a``, then ``b``, then the inner
+        operand.  A ``ShapeError`` (pairs that do not match), ``SizeError``
+        or ``LinAlgError`` propagates.
+        """
+        groups = [(tuple(a), tuple(b)) for a, b in groups]
+        by_dim: dict[int, list[int]] = {}
+        for g, (a, b) in enumerate(groups):
+            if not a or len(a) != len(b):
+                raise ShapeError(f"a mean path needs pairs, got {len(a)} and {len(b)} matrices")
+            for x, y in zip(a, b):
+                if x.dim != y.dim or x.dim != a[0].dim:
+                    raise ShapeError(f"dimension mismatch: {x.dim} vs {y.dim}")
+            by_dim.setdefault(a[0].dim, []).append(g)
+        out = [None] * len(groups)
+        for gs in by_dim.values():
+            a = [m for g in gs for m in groups[g][0]]
+            b = [m for g in gs for m in groups[g][1]]
+            ea = sym_eigen_stack(a)
+            wa = np.array([e.eigenvalues for e in ea])
+            qa = np.array([e.eigenvectors for e in ea])
+            wb = np.array([e.eigenvalues[0] for e in sym_eigen_stack(b)])
+            # Pairs that fail the a or b check get a stand-in spectrum; their
+            # paths are never built.
+            usable = (wa[:, 0] >= EIG_FLOOR) & (wb >= EIG_FLOOR)
+            root = np.sqrt(np.where(usable[:, None], wa, 1.0))
+            qt = qa.transpose(0, 2, 1)
+            a_half = (qa * root[:, None, :]) @ qt
+            a_inv_half = (qa * (1.0 / root)[:, None, :]) @ qt
+            inner = a_inv_half @ np.array([m.array for m in b]) @ a_inv_half
+            inner = inner + inner.transpose(0, 2, 1)
+            finite = np.isfinite(inner).all(axis=(1, 2))
+            w, q = _eigh_stack(np.where(finite[:, None, None], inner, 2.0) / 2.0)
+            good = (usable & finite & (w[:, 0] > 0.0)).tolist()
+            k = 0
+            for g in gs:
+                n = len(groups[g][0])
+                if all(good[k : k + n]):
+                    path = object.__new__(cls)
+                    path._a_half, path._w, path._q = a_half[k : k + n], w[k : k + n], q[k : k + n]
+                else:
+                    j = k + good[k : k + n].index(False)
+                    path = DomainError(_pair_failure(wa[j, 0], wb[j], finite[j], w[j, 0]))
+                out[g] = path
+                k += n
+        return out
 
     def at(self, alpha: float) -> SymMatrix:
+        """``sum_j a_j #_alpha b_j``, the means summed left to right."""
         alpha = float(alpha)
         if not 0.0 <= alpha <= 1.0:
             raise DomainError(f"mean weight must lie in [0, 1], got {alpha}")
-        qi = self._inner.eigenvectors
-        powered = (qi * np.power(self._inner.eigenvalues, alpha)) @ qi.T
-        return SymMatrix(self._a_half @ powered @ self._a_half)
+        q = self._q
+        powered = (q * np.power(self._w, alpha)[:, None, :]) @ q.transpose(0, 2, 1)
+        means = self._a_half @ powered @ self._a_half
+        means = (means + means.transpose(0, 2, 1)) / 2.0
+        if not np.isfinite(means).all():
+            raise DomainError("matrix entries must be finite")
+        total = means[0]
+        for m in means[1:]:
+            total = total + m
+        return SymMatrix._exact(total)
+
+
+def _pair_failure(a_min: float, b_min: float, finite: bool, inner_min: float) -> str:
+    """Why one pair of a mean path cannot be factored: the first of its
+    checks, in order, that fails."""
+    if a_min < EIG_FLOOR:
+        return (
+            f"left operand is not positive definite "
+            f"(min eigenvalue {a_min:.6e} < {EIG_FLOOR:g})"
+        )
+    if b_min < EIG_FLOOR:
+        return (
+            f"right operand is not positive definite "
+            f"(min eigenvalue {b_min:.6e} < {EIG_FLOOR:g})"
+        )
+    if not finite:
+        return "matrix entries must be finite"
+    return (
+        "congruence-transformed operand lost positivity "
+        f"(min eigenvalue {inner_min:.6e}); inputs are too ill-conditioned"
+    )
 
 
 def geo_mean(a: SymMatrix, b: SymMatrix, alpha: float) -> SymMatrix:
@@ -383,17 +447,39 @@ def geo_mean(a: SymMatrix, b: SymMatrix, alpha: float) -> SymMatrix:
     Equals ``a^(1-alpha) b^alpha`` for commuting inputs; ``alpha = 1/2`` is
     the metric geometric mean.
     """
-    return MeanPath(a, b).at(alpha)
+    return MeanPath((a,), (b,)).at(alpha)
 
 
 def loewner_gap(lhs: SymMatrix, rhs: SymMatrix, tol: float = DEFAULT_TOL) -> LoewnerGap:
-    """Measure the signed gap of ``lhs <= rhs`` in the Loewner order."""
-    if lhs.dim != rhs.dim:
-        raise ShapeError(f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
-    diff = rhs - lhs
-    min_eig = float(sym_eigen(diff).eigenvalues[0])
-    rel = min_eig / max(1.0, spectral_norm(rhs))
-    return LoewnerGap(min_eig=min_eig, rel_gap=rel, satisfied=rel >= -tol)
+    """Measure the signed gap of ``lhs <= rhs`` in the Loewner order; the
+    one-link case of :func:`loewner_gaps`."""
+    return loewner_gaps(((lhs, rhs),), tol)[0]
+
+
+def loewner_gaps(links: Sequence[tuple[SymMatrix, SymMatrix]], tol: float = DEFAULT_TOL) -> list[LoewnerGap]:
+    """``[loewner_gap(lhs, rhs, tol) for lhs, rhs in links]``, measured together.
+
+    Every difference ``rhs - lhs``, right side and left side is decomposed
+    with one ``sym_eigen_stack`` call per dimension, and each decomposition
+    is stored on its matrix, so the operand norms of every link are known
+    afterwards.  Each gap is the one a one-link call measures, bit for bit.
+    """
+    diffs = []
+    for lhs, rhs in links:
+        if lhs.dim != rhs.dim:
+            raise ShapeError(f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
+        diffs.append(rhs - lhs)
+    by_dim: dict[int, list[SymMatrix]] = {}
+    for m in (*diffs, *(rhs for _, rhs in links), *(lhs for lhs, _ in links)):
+        by_dim.setdefault(m.dim, []).append(m)
+    for mats in by_dim.values():
+        sym_eigen_stack(mats)
+    gaps = []
+    for diff, (_, rhs) in zip(diffs, links):
+        min_eig = float(sym_eigen(diff).eigenvalues[0])
+        rel = min_eig / max(1.0, spectral_norm(rhs))
+        gaps.append(LoewnerGap(min_eig=min_eig, rel_gap=rel, satisfied=rel >= -tol))
+    return gaps
 
 
 def sum_matrices(mats: Iterable[SymMatrix]) -> SymMatrix:

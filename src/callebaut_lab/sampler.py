@@ -15,7 +15,8 @@ sequentially, in pure Python, on the family's own stream.  The factor stage
 then handles every drawn matrix of one dimension at once: one QR of the
 stacked Gaussian matrices (Mezzadri's R-diagonal sign fix, Notices AMS 2007),
 one stacked rebuild, and one stacked eigendecomposition that is stored on
-each new matrix for band validation and geometric means.  At d <= 4 a LAPACK
+each new matrix for band validation and the stacked weighted-mean
+factorization (``matcore.MeanPath.stack``).  At d <= 4 a LAPACK
 call costs more than its work, so ``sample_families`` shares those calls
 across many families; ``sample_family``, ``spd_in_band`` and
 ``haar_orthogonal`` are its one-item cases.  The stacked calls give each
@@ -166,13 +167,24 @@ def _whole(d: dict, key: str) -> int:
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """Sequences ``A_1..A_n`` (upper band) and ``B_1..B_n`` (lower band)."""
+    """Sequences ``A_1..A_n`` (upper band) and ``B_1..B_n`` (lower band).
+
+    Equality and ``repr`` compare the fields only.  The evaluator stores the
+    family's factored ``matcore.MeanPath`` on the instance, outside the
+    fields, the way ``sym_eigen`` stores a decomposition on a ``SymMatrix``:
+    the matrices never change and the factorization is deterministic, so a
+    stored path is bit-identical to a recomputed one.
+    """
 
     n: int
     dim: int
     A_list: tuple[SymMatrix, ...]
     B_list: tuple[SymMatrix, ...]
     band: SpectralBand
+
+    #: The factored ``MeanPath`` of the pairs, once the evaluator has made
+    #: it.  Left unannotated so that it is not a dataclass field.
+    _means = None
 
     def __post_init__(self):
         if not isinstance(self.band, SpectralBand):
@@ -269,7 +281,7 @@ def _factor(draws) -> list[SymMatrix]:
 
     All matrices of one dimension share one Haar QR, one stacked rebuild
     ``(q * w) @ q^T`` and one eigendecomposition, which is stored on each
-    matrix for band validation and ``MeanPath``.
+    matrix for band validation and ``MeanPath.stack``.
     """
     by_dim: dict[int, list[int]] = {}
     for i, (w, _) in enumerate(draws):
@@ -282,7 +294,7 @@ def _factor(draws) -> list[SymMatrix]:
         else:
             q = _haar_stack(np.array([draws[i][1] for i in idx]).reshape(-1, d, d))
             mats = SymMatrix.stack((q * w[:, None, :]) @ q.transpose(0, 2, 1))
-            sym_eigen_stack(mats)
+        sym_eigen_stack(mats)
         for i, m in zip(idx, mats):
             out[i] = m
     return out

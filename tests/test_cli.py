@@ -6,7 +6,7 @@ import pytest
 
 from callebaut_lab import cli
 from callebaut_lab.errors import ConfigError, DomainError, HypothesisError
-from callebaut_lab.inequalities import REPAIRABLE, IneqId, Variant, params_dict
+from callebaut_lab.inequalities import REPAIRABLE, IneqId, Variant, build_links, params_dict
 from callebaut_lab.sampler import derive_rng, sample_family
 from callebaut_lab.scalarcore import ExponentPair
 
@@ -123,6 +123,45 @@ class TestVerify:
         stream = cli._trial_stream(ineq, variant, point, k)
         family = sample_family(n, d, band, derive_rng(5, stream))
         poisoned = family.B_list[0].array.tobytes()
+        eigh = np.linalg.eigh
+
+        def failing_eigh(a):
+            if any(x.tobytes() == poisoned for x in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("boom")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        out = tmp_path / "failing.jsonl"
+        assert _run(argv + ["--out", str(out)]) == cli.EXIT_VIOLATION
+        expected = clean.read_text().splitlines()
+        got = out.read_text().splitlines()
+        assert len(got) == len(expected) == 240
+        bad = [i for i, l in enumerate(got) if '"error"' in l]
+        assert len(bad) == 1
+        err, ref = json.loads(got[bad[0]]), json.loads(expected[bad[0]])
+        assert err["error"] == "LinAlgError: boom"
+        assert (err["id"], err["variant"], err["stream"]) == (ineq.value, variant.value, stream)
+        assert {key: ref[key] for key in err if key != "error"} == {
+            key: err[key] for key in err if key != "error"
+        }
+        del got[bad[0]], expected[bad[0]]
+        assert got == expected
+
+    def test_failing_link_gap_is_attributed_to_its_trial(self, monkeypatch, tmp_path):
+        # Trials are evaluated in stages too.  When the stacked Loewner-gap
+        # decomposition of a stage fails on one trial's link, the stage is
+        # evaluated again trial by trial, so only that trial reports it.
+        argv = ["verify", "--trials", "40", "--variant", "repaired", "--seed", "5"]
+        clean = tmp_path / "clean.jsonl"
+        assert _run(argv + ["--out", str(clean)]) == cli.EXIT_OK
+        ineq, variant = IneqId.PROP_HBOUNDS, Variant.REPAIRED
+        points = cli.grid_points(ineq, cli.SuiteConfig())
+        k = next(k for k in range(40) if points[k % len(points)][2] >= 2)
+        band, n, d, params = point = points[k % len(points)]
+        stream = cli._trial_stream(ineq, variant, point, k)
+        family = sample_family(n, d, band, derive_rng(5, stream))
+        (_, lhs, rhs), *_ = build_links(ineq, family, params, variant)
+        poisoned = (rhs - lhs).array.tobytes()
         eigh = np.linalg.eigh
 
         def failing_eigh(a):
@@ -384,6 +423,8 @@ class TestWitness:
         fail = capsys.readouterr().out.splitlines()[0]
         assert fail.startswith("[FAIL] TENSOR_TOOL/paper: ")
         assert "requires diagonal matrices" in fail
+        # The matrix path measured its gap; only the scalar gap is missing.
+        assert "matrix +nan" not in fail and "scalar +nan" in fail
 
     @pytest.mark.parametrize(
         "line",

@@ -221,6 +221,23 @@ class TestWitnessReplay:
         out = replay_witnesses([broken])[0]
         assert not out.passed and "TENSOR_TOOL" in out.message
 
+    def test_scalar_failure_keeps_the_matrix_gap(self):
+        # A non-diagonal pair inside its band: the matrix path measures it,
+        # the scalar oracle cannot reduce it.
+        rec = BUILTIN_WITNESSES[0]
+        family = FamilyInstance(
+            n=1,
+            dim=2,
+            A_list=(SymMatrix(np.array([[3.0, 0.5], [0.5, 3.0]])),),
+            B_list=(SymMatrix(np.eye(2)),),
+            band=SpectralBand(1.0, 1.0, 2.0, 4.0),
+        )
+        out = replay_witnesses([dataclasses.replace(rec, family=family)])[0]
+        measured = evaluate_inequality(rec.ineq, family, rec.pair, rec.variant).gap.min_eig
+        assert math.isfinite(measured) and out.matrix_gap == measured
+        assert math.isnan(out.scalar_gap) and not out.passed
+        assert out.message == "TENSOR_TOOL/paper: diagonal cross-check requires diagonal matrices"
+
     def test_overflowing_catalog_line_is_config_error_without_warning(self, tmp_path):
         # Symmetrizing 1e308 entries overflows; the finiteness check rejects
         # the line, and NumPy prints no RuntimeWarning first.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,16 @@ import pytest
 
 from callebaut_lab.cli import DEFAULT_BANDS
 from callebaut_lab.errors import DomainError, HypothesisError, ShapeError
-from callebaut_lab.matcore import SymMatrix, sym_eigen
+from callebaut_lab.inequalities import (
+    IneqId,
+    Variant,
+    build_links,
+    evaluate_inequality,
+    evaluate_stage,
+    list_inequalities,
+)
+from callebaut_lab.matcore import MeanPath, SymMatrix, sum_matrices, sym_eigen
+from callebaut_lab.oracle import WITNESS_FAMILY, WITNESS_PAIR
 from callebaut_lab.sampler import (
     FamilyInstance,
     SpectralBand,
@@ -291,3 +301,173 @@ class TestStackedSampling:
         assert isinstance(got[1], ShapeError) and isinstance(got[2], ShapeError)
         assert got[0] == sample_family(1, 2, band, derive_rng(36, 0))
         assert got[3] == sample_family(2, 3, band, derive_rng(36, 3), True)
+
+
+# Per-matrix copies of the weighted mean and the eigensolver as they were
+# before evaluation was stacked: 2-D calls, one pair or matrix at a time.
+
+
+def _looped_eigh(m):
+    """Signed eigendecomposition of one matrix, by the ``sym_eigen`` rules."""
+    d = m.shape[0]
+    if d == 1:
+        return m[0].copy(), np.ones((1, 1))
+    w, q = np.linalg.eigh(m)
+    lead = q[0]
+    if not lead.all():
+        lead = q[np.argmax(q != 0.0, axis=0), np.arange(d)]
+    return w, q * np.where(lead < 0.0, -1.0, 1.0)
+
+
+def _looped_mean(a, b, u):
+    """``a #_u b`` by the congruence, with 2-D calls for the one pair."""
+    wa, qa = _looped_eigh(a)
+    root = np.sqrt(wa)
+    a_half = (qa * root) @ qa.T
+    a_inv_half = (qa * (1.0 / root)) @ qa.T
+    inner = a_inv_half @ b @ a_inv_half
+    wi, qi = _looped_eigh((inner + inner.T) / 2.0)
+    mean = a_half @ ((qi * np.power(wi, u)) @ qi.T) @ a_half
+    return (mean + mean.T) / 2.0
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _stage_trials(seed):
+    """Trials ``(ineq, family, params, variant)`` of one mixed stage, built on
+    fresh generators: every (id, variant) combo at d = 1..4 (n = 1..3 for the
+    family-shaped ids), pinned and unpinned, across the default bands, plus
+    the witness grid point of every id that takes (s, t)."""
+    trials, k = [], 0
+    for info in list_inequalities():
+        for variant in info.variants:
+            for d in (1, 2, 3, 4):
+                n = 1 if info.takes_pair else 1 + k % 3
+                family = sample_family(n, d, DEFAULT_BANDS[k % 3], derive_rng(seed, k), k % 2 == 0)
+                params = info.kind.values[(7 * k) % len(info.kind.values)]
+                trials.append((info.ineq, family, params, variant))
+                k += 1
+            if isinstance(WITNESS_PAIR, info.kind.type):
+                family = FamilyInstance.from_dict(WITNESS_FAMILY.to_dict())
+                trials.append((info.ineq, family, WITNESS_PAIR, variant))
+    return trials
+
+
+class TestStackedEvaluation:
+    """``evaluate_stage`` must give every trial the numbers it gets alone,
+    and those must be the per-matrix numbers.  Like stacked sampling, that
+    is a property of the installed NumPy/LAPACK build, so it is checked."""
+
+    def test_stage_equals_the_loop(self):
+        staged = evaluate_stage(_stage_trials(37))
+        alone = _stage_trials(37)  # fresh families: no stored factorization
+        assert len(staged) == len(alone) > 18 * 4
+        for got, trial in zip(staged, alone):
+            ref = evaluate_inequality(*trial)
+            assert got.ineq is ref.ineq and got.variant is ref.variant
+            assert got.params == ref.params and got.witness == ref.witness
+            assert [l.name for l in got.links] == [l.name for l in ref.links]
+            for g, r in zip(got.links, ref.links):
+                assert _bits(g.gap.min_eig) == _bits(r.gap.min_eig)
+                assert _bits(g.gap.rel_gap) == _bits(r.gap.rel_gap)
+                assert g.gap.satisfied == r.gap.satisfied
+            assert _bits(got.lhs_norm) == _bits(ref.lhs_norm)
+            assert _bits(got.rhs_norm) == _bits(ref.rhs_norm)
+            # Each link's gap and operand norm against per-matrix LAPACK calls.
+            for (_, lhs, rhs), g in zip(build_links(*trial), got.links):
+                w_diff, _ = _looped_eigh(rhs.array - lhs.array)
+                w_rhs, _ = _looped_eigh(rhs.array)
+                norm = max(abs(w_rhs[0]), abs(w_rhs[-1]))
+                assert _bits(g.gap.min_eig) == _bits(w_diff[0])
+                assert _bits(g.gap.rel_gap) == _bits(w_diff[0] / max(1.0, norm))
+        assert any(r.witness is not None for r in staged)
+
+    def test_stacked_mean_path_sums_equal_the_pair_loop(self):
+        families = sample_families(_requests(38))
+        paths = MeanPath.stack([(f.A_list, f.B_list) for f in families])
+        for f, path in zip(families, paths):
+            pairs = list(zip(f.A_list, f.B_list))
+            for u in (0.0, 0.25, 0.5, 0.6875, 1.0):
+                got = path.at(u).array
+                looped = sum_matrices(MeanPath((a,), (b,)).at(u) for a, b in pairs)
+                assert _same_bits(got, looped.array)
+                reference = _looped_mean(pairs[0][0].array, pairs[0][1].array, u)
+                for a, b in pairs[1:]:
+                    reference = reference + _looped_mean(a.array, b.array, u)
+                assert _same_bits(got, reference)
+
+    def test_a_failing_pair_keeps_its_message(self):
+        # CHAIN_34RF reads no band, so a non-positive B_2 reaches the means.
+        band = DEFAULT_BANDS[1]
+        good = sample_family(2, 2, band, derive_rng(39, 0))
+        bad = dataclasses.replace(
+            good, B_list=(good.B_list[0], SymMatrix.diagonal([1.0, -1.0]))
+        )
+        pair = WITNESS_PAIR
+        message = "right operand is not positive definite (min eigenvalue -1.000000e+00 < 1e-12)"
+        with pytest.raises(HypothesisError) as alone:
+            evaluate_inequality(IneqId.CHAIN_34RF, bad, pair)
+        assert str(alone.value) == message
+        other = sample_family(2, 2, band, derive_rng(39, 0))
+        got = evaluate_stage([
+            (IneqId.CHAIN_34RF, good, pair, Variant.PAPER_LITERAL),
+            (IneqId.CHAIN_34RF, bad, pair, Variant.PAPER_LITERAL),
+        ])
+        assert isinstance(got[1], HypothesisError) and str(got[1]) == message
+        assert got[0] == evaluate_inequality(IneqId.CHAIN_34RF, other, pair)
+
+    def test_a_factoring_failure_stays_with_the_statements_that_take_means(self):
+        # B sits in its band but below the eigenvalue floor: WADA's mean path
+        # rejects it, and TENSOR_TOOL, which takes no means, fails in its own
+        # spectral power, in a stage as alone.
+        band = SpectralBand(1e-13, 1e-13, 1.0, 1.0)
+        family = FamilyInstance(
+            n=1, dim=2, A_list=(SymMatrix.identity(2),),
+            B_list=(SymMatrix.diagonal([1e-13, 1e-13]),), band=band,
+        )
+        trials = [(IneqId.WADA, family, 0.5, Variant.PAPER_LITERAL),
+                  (IneqId.TENSOR_TOOL, family, WITNESS_PAIR, Variant.PAPER_LITERAL)]
+        got = evaluate_stage(trials)
+        assert str(got[0]).startswith("right operand is not positive definite")
+        assert str(got[1]).startswith("spectral power 0.25 requires eigenvalues")
+        for err, (ineq, _, params, variant) in zip(got, trials):
+            fresh = FamilyInstance.from_dict(family.to_dict())
+            with pytest.raises(HypothesisError) as alone:
+                evaluate_inequality(ineq, fresh, params, variant)
+            assert isinstance(err, HypothesisError) and str(err) == str(alone.value)
+
+    def test_the_first_failing_pair_wins(self):
+        # Pair 1 passes its a and b checks but its inner operand loses
+        # positivity in floating point; pair 2 fails its a check.
+        def rot(theta):
+            c, s = math.cos(theta), math.sin(theta)
+            return np.array([[c, -s], [s, c]])
+
+        def thin(theta):
+            q = rot(theta)
+            return SymMatrix(q @ np.diag([2e-12, 1.0]) @ q.T)
+
+        a1, b1 = thin(0.1), thin(0.42)
+        with pytest.raises(DomainError) as inner:
+            MeanPath((a1,), (b1,))
+        assert str(inner.value).startswith("congruence-transformed operand lost positivity")
+        a2 = SymMatrix.diagonal([-1.0, 1.0])
+        family = FamilyInstance(
+            n=2, dim=2, A_list=(a1, a2), B_list=(b1, SymMatrix.identity(2)),
+            band=DEFAULT_BANDS[0],
+        )
+        with pytest.raises(HypothesisError, match="congruence-transformed") as alone:
+            evaluate_inequality(IneqId.CHAIN_34RF, family, WITNESS_PAIR)
+        assert str(alone.value) == str(inner.value)
+        # The same order in a stage, and with the pairs swapped.
+        swapped = FamilyInstance(
+            n=2, dim=2, A_list=(a2, a1), B_list=(SymMatrix.identity(2), b1),
+            band=DEFAULT_BANDS[0],
+        )
+        trials = [(IneqId.CHAIN_34RF, f, WITNESS_PAIR, Variant.PAPER_LITERAL)
+                  for f in (family, swapped)]
+        got = evaluate_stage(trials)
+        assert str(got[0]) == str(inner.value)
+        assert str(got[1]).startswith("left operand is not positive definite")
