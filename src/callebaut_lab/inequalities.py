@@ -39,8 +39,10 @@ band, then the condition of the parameter kind.
 ``evaluate_stage`` evaluates many trials together: the checks run trial by
 trial, then the weighted-mean factorizations of every family that needs them
 are made at once (``matcore.MeanPath.stack``) and stored on the family, then
-each trial's links are built, and then every link of every trial is measured
-at once (``matcore.loewner_gaps``).  Every number is the one the trial gets
+the weighted-mean sums the builders read (``_MEAN_WEIGHTS``) are computed at
+once (``matcore.MeanPath.sums``), then each trial's links are built, and
+then every link of every trial is measured at once
+(``matcore.loewner_gaps``).  Every number is the one the trial gets
 alone; ``evaluate_inequality`` and ``build_links`` are the one-trial cases.
 
 Each registry entry names its ``ParamKind``: the parameter type, the values
@@ -79,6 +81,7 @@ from .matcore import (
     hadamard,
     kron,
     loewner_gaps,
+    require_positive_pairs,
     spectral_norm,
     spectral_pow,
     sum_matrices,
@@ -210,10 +213,14 @@ class InequalityInfo:
 class _Terms:
     """A terms object: ``S(u)`` is symmetric in ``u <-> 1-u``, so it is
     computed once per ``min(u, 1-u)``, by the subclass's ``_S``, at the first
-    ``u`` asked for."""
+    ``u`` asked for.  ``means`` is the operands' factored ``MeanPath`` where
+    the statement takes means, else None, and ``mean_sum(u)`` its memoised
+    sum at weight ``u``, which ``_fill_mean_sums`` may fill beforehand."""
 
-    def __init__(self):
+    def __init__(self, means: MeanPath | None = None):
         self._s = {}
+        self.means = means
+        self._sums: dict[float, SymMatrix] = {}
 
     def S(self, u: float):
         key = min(u, 1.0 - u)
@@ -221,25 +228,24 @@ class _Terms:
             self._s[key] = self._S(u)
         return self._s[key]
 
+    def mean_sum(self, u: float) -> SymMatrix:
+        if u not in self._sums:
+            self._sums[u] = self.means.at(u)
+        return self._sums[u]
+
 
 class _FamilyTerms(_Terms):
     """Hadamard-sum terms of one family instance.
 
     ``S(u)`` is the Hadamard product of the u- and (1-u)-weighted mean sums;
     ``S(1/2)`` is the squared mean-sum and ``top`` the Hadamard product of the
-    plain sums.  ``means`` is the family's factored ``MeanPath``.
+    plain sums.  ``means`` is the family's factored ``MeanPath`` (None for
+    COR_BJ_IDENTITY, which reads plain powers).
     """
 
-    def __init__(self, inst: FamilyInstance, means: MeanPath):
-        super().__init__()
+    def __init__(self, inst: FamilyInstance, means: MeanPath | None):
+        super().__init__(means)
         self.inst = inst
-        self.means = means
-        self._sums: dict[float, SymMatrix] = {}
-
-    def mean_sum(self, u: float) -> SymMatrix:
-        if u not in self._sums:
-            self._sums[u] = self.means.at(u)
-        return self._sums[u]
 
     def _S(self, u: float) -> SymMatrix:
         return hadamard(self.mean_sum(u), self.mean_sum(1.0 - u))
@@ -265,9 +271,8 @@ class _PairTerms(_Terms):
     """
 
     def __init__(self, a: SymMatrix, b: SymMatrix, means: MeanPath | None):
-        super().__init__()
+        super().__init__(means)
         self.a, self.b = a, b
-        self.means = means
 
     def _S(self, u: float) -> SymMatrix:
         return _swapped_kron(self.a, self.b, u, 1.0 - u)
@@ -311,10 +316,9 @@ def _hadamard_weight(band, pair: ExponentPair, variant: Variant, sign: float) ->
 def _links_wada(terms: _PairTerms, band, alpha, variant):
     a, b = terms.a, terms.b
     alpha = float(alpha)
-    path = terms.means
-    g = path.at(0.5)
-    gl = path.at(alpha)
-    gr = path.at(1.0 - alpha)
+    g = terms.mean_sum(0.5)
+    gl = terms.mean_sum(alpha)
+    gr = terms.mean_sum(1.0 - alpha)
     low = kron(g, g)
     mid = 0.5 * (kron(gl, gr) + kron(gr, gl))
     high = 0.5 * (kron(a, b) + kron(b, a))
@@ -406,6 +410,10 @@ def _links_had_maman2(terms: _FamilyTerms, band, pair: ExponentPair, variant):
 
 def _links_cor_bj(terms: _FamilyTerms, band, pair: ExponentPair, variant):
     # Lower family pinned to the identity: means become plain powers of A_j.
+    # No mean is factored, but a pair that could not enter one fails with
+    # the text the other Hadamard-sum statements give it.
+    require_positive_pairs(terms.inst.A_list, terms.inst.B_list)
+
     def power_sum(u: float) -> SymMatrix:
         return sum_matrices(spectral_pow(a, u) for a in terms.inst.A_list)
 
@@ -590,6 +598,29 @@ _BUILDERS = {
     IneqId.PROP_HBOUNDS: _links_prop_hbounds,
 }
 
+
+def _both(*us: float) -> tuple[float, ...]:
+    """The weights ``u`` and ``1 - u`` that ``S(u)`` reads, for each ``u``."""
+    return tuple(v for u in us for v in (u, 1.0 - u))
+
+
+#: The ids whose terms hold the family's ``MeanPath`` (WADA, and every
+#: family-shaped id except COR_BJ_IDENTITY, which reads plain powers), and
+#: the weights at which each builder reads ``mean_sum``: ``u`` and ``1 - u``
+#: for each ``S(u)`` of a Hadamard-sum builder.  ``_fill_mean_sums`` computes
+#: these for a whole stage at once; a weight missing here is still
+#: computed, by ``MeanPath.at``, when it is read.
+_MEAN_WEIGHTS: dict[IneqId, Callable[[Any], tuple[float, ...]]] = {
+    IneqId.WADA: lambda alpha: (0.5, float(alpha), 1.0 - float(alpha)),
+    **dict.fromkeys(
+        (IneqId.CHAIN_34RF, IneqId.MOJ_MO, IneqId.HAD_MAMAN, IneqId.REV_HAD_MAINTH,
+         IneqId.PROP_HBOUNDS),
+        lambda pair: _both(pair.s, pair.t, 0.5),
+    ),
+    IneqId.HAD_MAMAN2: lambda pair: _both(pair.s, pair.t, 0.5, (3.0 - 2.0 * pair.s) / 4.0),
+    IneqId.REV_T1_REMARK: lambda pair: _both(pair.s, 0.5),
+}
+
 #: Ids that define a REPAIRED variant; requesting it elsewhere is an error.
 REPAIRABLE = frozenset(
     i for i, info in _REGISTRY.items() if Variant.REPAIRED in info.variants
@@ -597,11 +628,6 @@ REPAIRABLE = frozenset(
 
 #: Hadamard-sum ids, i.e. the family-shaped ones.
 HADAMARD_SUM_IDS = tuple(i for i in IneqId if not _REGISTRY[i].takes_pair)
-
-#: Ids whose terms hold the family's ``MeanPath``: every family-shaped id
-#: (its pairs' positivity checks are the factorization's, so even
-#: COR_BJ_IDENTITY, which reads plain powers, is factored) and WADA.
-_MEAN_IDS = frozenset(HADAMARD_SUM_IDS) | {IneqId.WADA}
 
 #: What building or measuring one trial can raise: the package's own errors
 #: and a LAPACK failure.  ``evaluate_stage`` returns these in the trial's
@@ -652,9 +678,10 @@ def _build_stage(trials) -> list:
     ``HypothesisError``).
 
     Each trial's checks run first, then the ``MeanPath`` of every checked
-    family in ``_MEAN_IDS`` that has none stored is factored, all together,
-    and stored on the family (``FamilyInstance._means``); then each builder
-    runs.  An error of a stacked call propagates.
+    family in ``_MEAN_WEIGHTS`` that has none stored is factored, all together,
+    and stored on the family (``FamilyInstance._means``); then the mean sums
+    that the builders read are computed together (``_fill_mean_sums``); then
+    each builder runs.  An error of a stacked call propagates.
     """
     out = []
     for trial in trials:
@@ -666,7 +693,7 @@ def _build_stage(trials) -> list:
     todo = {
         id(family): family
         for (ineq, family, _, _), built in zip(trials, out)
-        if built is None and ineq in _MEAN_IDS and family._means is None
+        if built is None and ineq in _MEAN_WEIGHTS and family._means is None
     }
     failed = {}
     paths = MeanPath.stack([(f.A_list, f.B_list) for f in todo.values()])
@@ -675,21 +702,39 @@ def _build_stage(trials) -> list:
             failed[id(family)] = path
         else:
             object.__setattr__(family, "_means", path)
-    for k, (ineq, family, params, variant) in enumerate(trials):
+    terms = [None] * len(trials)
+    for k, (ineq, family, _, _) in enumerate(trials):
         if out[k] is not None:
             continue
-        if ineq in _MEAN_IDS and id(family) in failed:
+        if ineq in _MEAN_WEIGHTS and id(family) in failed:
             out[k] = _hypothesis(failed[id(family)])
+        elif _REGISTRY[ineq].takes_pair:
+            terms[k] = _PairTerms(family.A_list[0], family.B_list[0], family._means)
+        else:
+            terms[k] = _FamilyTerms(family, family._means)
+    _fill_mean_sums(trials, terms)
+    for k, (ineq, family, params, variant) in enumerate(trials):
+        if terms[k] is None:
             continue
         try:
-            if _REGISTRY[ineq].takes_pair:
-                terms = _PairTerms(family.A_list[0], family.B_list[0], family._means)
-            else:
-                terms = _FamilyTerms(family, family._means)
-            out[k] = _BUILDERS[ineq](terms, family.band, params, variant)
+            out[k] = _BUILDERS[ineq](terms[k], family.band, params, variant)
         except _EVALUATION_ERRORS as exc:
             out[k] = _hypothesis(exc)
     return out
+
+
+def _fill_mean_sums(trials, terms):
+    """Store in each trial's terms the mean sums that its builder reads
+    (``_MEAN_WEIGHTS``), with one ``MeanPath.sums`` call for the stage.  A
+    sum that fails is not stored: the builder's ``MeanPath.at`` raises its
+    error when it reads it."""
+    wanted = []
+    for (ineq, _, params, _), t in zip(trials, terms):
+        if t is not None and ineq in _MEAN_WEIGHTS:
+            wanted += ((t, u) for u in dict.fromkeys(_MEAN_WEIGHTS[ineq](params)))
+    for (t, u), total in zip(wanted, MeanPath.sums([(t.means, u) for t, u in wanted])):
+        if not isinstance(total, Exception):
+            t._sums[u] = total
 
 
 def _check(ineq, family, params, variant):

@@ -22,17 +22,20 @@ Kronecker and Hadamard products, compressions) skip re-symmetrisation.
 Beyond those, the work on many equal-dimension matrices is stacked:
 ``SymMatrix.stack`` and ``sym_eigen_stack`` build and decompose many matrices
 with one call each, ``MeanPath.stack`` factors the pairs of many mean paths
-with one call per dimension, and ``loewner_gaps`` decomposes every
-difference and operand of many links the same way.  ``sym_eigen``,
-``MeanPath(a, b)``, ``geo_mean`` and ``loewner_gap`` are their one-item
-cases.  NumPy hands each matrix of a stack to LAPACK alone, so a stacked
-call gives each matrix the bits of a one-matrix call on the installed build;
-``tests/test_sampler.py`` checks that.
+with one call per dimension, ``MeanPath.sums`` sums many paths at many
+weights with one chain of products per dimension, and ``loewner_gaps``
+decomposes every difference and operand of many links the same way.
+``sym_eigen``, ``MeanPath(a, b)``, ``MeanPath.at``, ``geo_mean`` and
+``loewner_gap`` are their one-item cases.  NumPy hands each matrix of a
+stack to LAPACK alone, so a stacked call gives each matrix the bits of a
+one-matrix call on the installed build; ``tests/test_sampler.py`` checks
+that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,7 +112,9 @@ class SymMatrix:
         """``[SymMatrix(x) for x in arrays]`` for a ``(k, d, d)`` stack, built
         in one pass: the same exact symmetrisation and finiteness check, run
         once on the whole stack.  Each instance holds a read-only view of one
-        shared result array.
+        shared result array.  The stack is also decomposed with one call and
+        each result stored, as ``sym_eigen_stack`` would: the one caller, the
+        sampler, needs every decomposition.
         """
         arr = np.asarray(arrays, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -119,9 +124,18 @@ class SymMatrix:
         sym = (arr + arr.transpose(0, 2, 1)) / 2.0
         if not np.isfinite(sym).all():
             raise DomainError("matrix entries must be finite")
-        sym.flags.writeable = False
+        out = cls._views(sym)
+        _store_eigen(out, sym)
+        return out
+
+    @classmethod
+    def _views(cls, arr: np.ndarray) -> list["SymMatrix"]:
+        """One instance per matrix of a fresh ``(k, d, d)`` stack whose
+        matrices the caller guarantees finite and symmetric bit for bit; each
+        holds a read-only view of ``arr``."""
+        arr.flags.writeable = False
         out = []
-        for x in sym:
+        for x in arr:
             m = object.__new__(cls)
             object.__setattr__(m, "array", x)
             out.append(m)
@@ -242,10 +256,16 @@ def sym_eigen_stack(mats: Sequence[SymMatrix]) -> list[EigenDecomposition]:
         for m in todo:
             if m.dim != d:
                 raise ShapeError(f"dimension mismatch: {d} vs {m.dim}")
-        w, q = _eigh_stack(np.stack([m.array for m in todo]))
-        for m, wi, qi in zip(todo, w, q):
-            object.__setattr__(m, "_eigen", EigenDecomposition(wi, qi))
+        _store_eigen(todo, np.stack([m.array for m in todo]))
     return [m._eigen for m in mats]
+
+
+def _store_eigen(mats: Sequence[SymMatrix], arr: np.ndarray):
+    """Decompose the stack ``arr`` of the matrices ``mats`` with one call and
+    store each result on its matrix."""
+    w, q = _eigh_stack(arr)
+    for m, wi, qi in zip(mats, w, q):
+        object.__setattr__(m, "_eigen", EigenDecomposition(wi, qi))
 
 
 def _eigh_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,7 +325,10 @@ def kron(a: SymMatrix, b: SymMatrix) -> SymMatrix:
         raise SizeError(
             f"Kronecker product dimension {out_dim} exceeds cap {KRON_DIM_CAP}"
         )
-    return SymMatrix._exact(np.kron(a.array, b.array))
+    # Entry (i*db + k, j*db + l) is the one product a[i, j] * b[k, l], as in
+    # np.kron, without np.kron's per-call shape handling.
+    x, y = a.array, b.array
+    return SymMatrix._exact((x[:, None, :, None] * y[None, :, None, :]).reshape(out_dim, out_dim))
 
 
 def hadamard(a: SymMatrix, b: SymMatrix) -> SymMatrix:
@@ -337,7 +360,7 @@ class MeanPath:
     ``at(alpha)`` is ``sum_j a_j #_alpha b_j``, one mean for one pair.
     ``stack`` factors the pairs of many paths together, with one stacked
     call per dimension; ``MeanPath(a, b)`` and ``geo_mean`` are its one-item
-    cases.
+    cases.  ``sums`` computes many ``at`` requests together.
     """
 
     __slots__ = ("_a_half", "_w", "_q")
@@ -404,25 +427,69 @@ class MeanPath:
         return out
 
     def at(self, alpha: float) -> SymMatrix:
-        """``sum_j a_j #_alpha b_j``, the means summed left to right."""
-        alpha = float(alpha)
-        if not 0.0 <= alpha <= 1.0:
-            raise DomainError(f"mean weight must lie in [0, 1], got {alpha}")
-        q = self._q
-        powered = (q * np.power(self._w, alpha)[:, None, :]) @ q.transpose(0, 2, 1)
-        means = self._a_half @ powered @ self._a_half
-        means = (means + means.transpose(0, 2, 1)) / 2.0
-        if not np.isfinite(means).all():
-            raise DomainError("matrix entries must be finite")
-        total = means[0]
-        for m in means[1:]:
-            total = total + m
-        return SymMatrix._exact(total)
+        """``sum_j a_j #_alpha b_j``, the means summed left to right; the
+        one-request case of :meth:`sums`."""
+        (total,) = MeanPath.sums(((self, alpha),))
+        if isinstance(total, Exception):
+            raise total
+        return total
+
+    @staticmethod
+    def sums(requests: Sequence[tuple]) -> list:
+        """``[path.at(alpha) for path, alpha in requests]``, computed together.
+
+        Item ``i`` is the mean sum of request ``(path, alpha)``, or the
+        ``DomainError`` that ``at`` raises for it: a weight outside [0, 1],
+        or a sum that is not finite.  The requests of one dimension share
+        one stacked chain of products; each distinct weight takes one
+        ``np.power`` over the eigenvalues of all its requests, always with
+        the weight as a Python-float scalar exponent (an array of exponents
+        may take another code path, see ``docs/rng.md``); and the requests
+        with the same number of pairs are summed left to right together.
+        Each result is bit for bit the one-request result.
+        """
+        out = [None] * len(requests)
+        by_dim: dict[int, list[tuple[float, int]]] = {}
+        for i, (path, alpha) in enumerate(requests):
+            alpha = float(alpha)
+            if 0.0 <= alpha <= 1.0:
+                by_dim.setdefault(path._w.shape[1], []).append((alpha, i))
+            else:
+                out[i] = DomainError(f"mean weight must lie in [0, 1], got {alpha}")
+        for items in by_dim.values():
+            items.sort()  # equal weights become contiguous rows
+            paths = [requests[i][0] for _, i in items]
+            sizes = [len(p._w) for p in paths]
+            rows = [0, *accumulate(sizes)]
+            w = np.concatenate([p._w for p in paths])
+            cuts = [k for k in range(len(items)) if k == 0 or items[k][0] != items[k - 1][0]]
+            cuts.append(len(items))
+            powered = np.concatenate([
+                np.power(w[rows[lo] : rows[hi]], items[lo][0]) for lo, hi in zip(cuts, cuts[1:])
+            ])
+            q = np.concatenate([p._q for p in paths])
+            a_half = np.concatenate([p._a_half for p in paths])
+            means = a_half @ ((q * powered[:, None, :]) @ q.transpose(0, 2, 1)) @ a_half
+            means = (means + means.transpose(0, 2, 1)) / 2.0
+            by_n: dict[int, list[int]] = {}
+            for k, n in enumerate(sizes):
+                by_n.setdefault(n, []).append(k)
+            for n, ks in by_n.items():
+                first = np.array([rows[k] for k in ks])
+                total = means[first]
+                for j in range(1, n):
+                    total = total + means[first + j]
+                # A mean that is not finite leaves its sum not finite, and
+                # ``at`` gives both the same error.
+                ok = np.isfinite(total).all(axis=(1, 2)).tolist()
+                for k, m, good in zip(ks, SymMatrix._views(total), ok):
+                    out[items[k][1]] = m if good else DomainError("matrix entries must be finite")
+        return out
 
 
-def _pair_failure(a_min: float, b_min: float, finite: bool, inner_min: float) -> str:
-    """Why one pair of a mean path cannot be factored: the first of its
-    checks, in order, that fails."""
+def _operand_failure(a_min: float, b_min: float) -> str | None:
+    """Why a pair with these smallest eigenvalues cannot enter a mean, if
+    one of its operands is not positive definite."""
     if a_min < EIG_FLOOR:
         return (
             f"left operand is not positive definite "
@@ -433,12 +500,34 @@ def _pair_failure(a_min: float, b_min: float, finite: bool, inner_min: float) ->
             f"right operand is not positive definite "
             f"(min eigenvalue {b_min:.6e} < {EIG_FLOOR:g})"
         )
+    return None
+
+
+def _pair_failure(a_min: float, b_min: float, finite: bool, inner_min: float) -> str:
+    """Why one pair of a mean path cannot be factored: the first of its
+    checks, in order, that fails."""
+    operand = _operand_failure(a_min, b_min)
+    if operand is not None:
+        return operand
     if not finite:
         return "matrix entries must be finite"
     return (
         "congruence-transformed operand lost positivity "
         f"(min eigenvalue {inner_min:.6e}); inputs are too ill-conditioned"
     )
+
+
+def require_positive_pairs(a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
+    """Raise the ``DomainError`` that ``MeanPath(a, b)`` raises for the first
+    pair whose ``a`` or ``b`` is not positive definite, without factoring
+    any pair: the smallest eigenvalues come from each matrix's stored
+    decomposition, or from one stacked call per side."""
+    a_min = [e.eigenvalues[0] for e in sym_eigen_stack(a)]
+    b_min = [e.eigenvalues[0] for e in sym_eigen_stack(b)]
+    for x, y in zip(a_min, b_min):
+        operand = _operand_failure(x, y)
+        if operand is not None:
+            raise DomainError(operand)
 
 
 def geo_mean(a: SymMatrix, b: SymMatrix, alpha: float) -> SymMatrix:

@@ -10,34 +10,47 @@ Matrices with a prescribed spectrum are built directly: eigenvalues are drawn
 inside the band and conjugated by a Haar-distributed orthogonal matrix, so
 containment is exact by construction instead of approximate by rejection.
 
-Families are sampled in two stages.  The draw stage runs each family's draws
-sequentially, in pure Python, on the family's own stream.  The factor stage
-then handles every drawn matrix of one dimension at once: one QR of the
-stacked Gaussian matrices (Mezzadri's R-diagonal sign fix, Notices AMS 2007),
-one stacked rebuild, and one stacked eigendecomposition that is stored on
-each new matrix for band validation and the stacked weighted-mean
-factorization (``matcore.MeanPath.stack``).  At d <= 4 a LAPACK
-call costs more than its work, so ``sample_families`` shares those calls
-across many families; ``sample_family``, ``spd_in_band`` and
-``haar_orthogonal`` are its one-item cases.  The stacked calls give each
-matrix the bits per-matrix calls would give; ``tests/test_sampler.py``
-checks that on the installed build.
+Families are sampled in two stages.  The draw stage (``_draw``) draws each
+family in the ``docs/rng.md`` order on the family's own stream.  A window
+of many streams runs xoshiro256** as NumPy ``uint64`` lanes, one lane per
+stream, since a Python ``next_u64`` costs about a microsecond per word;
+each stream's words sit at places fixed by the request's shape (a
+``_Plan``), so the uniforms and Box-Muller pairs of all requests of one
+shape are converted together, in the expressions of ``RngState.normal``.
+The factor stage then handles every drawn matrix of
+one dimension at once: one QR of the stacked Gaussian matrices (Mezzadri's
+R-diagonal sign fix, Notices AMS 2007), one stacked rebuild, and one
+stacked eigendecomposition that is stored on each new matrix for band
+validation and the stacked weighted-mean factorization
+(``matcore.MeanPath.stack``).  At d <= 4 a LAPACK call costs more than its
+work, so ``sample_stages`` shares those calls across the families of a
+stage; ``sample_families`` is its one-stage case and ``sample_family`` and
+``spd_in_band`` its one-item cases.  The lanes give every stream the
+numbers ``RngState`` gives it, and the stacked calls give each matrix the
+bits per-matrix calls would give; ``tests/test_sampler.py`` checks both on
+the installed build.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CallebautLabError, DomainError, HypothesisError, ShapeError, SizeError
-from .matcore import MAX_EIGEN_DIM, SymMatrix, sym_eigen, sym_eigen_stack
+from .matcore import MAX_EIGEN_DIM, SymMatrix, sym_eigen
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
+_EPS = 2.0 ** -53
+
+# The ``uint64`` constants of the lane generator (``_lane_tops``).
+_U5, _U7, _U9, _U11, _U19, _U57 = (np.uint64(c) for c in (5, 7, 9, 11, 19, 57))
+_SHIFTS = np.array([[17], [45]], dtype=np.uint64)
 
 
 def _mix64(z: int) -> int:
@@ -242,12 +255,6 @@ def _check_dim(d: int):
         raise SizeError(f"dimension {d} exceeds cap {MAX_EIGEN_DIM}")
 
 
-def _gaussians(d: int, rng: RngState) -> list[float]:
-    """The ``d*d`` Gaussians of one Haar matrix, row-major."""
-    normal = rng.normal
-    return [normal() for _ in range(d * d)]
-
-
 def _haar_stack(g: np.ndarray) -> np.ndarray:
     """Haar orthogonal matrices from a ``(k, d, d)`` stack of Gaussian
     matrices: one QR call, then each R-diagonal sign folded into its Q column."""
@@ -260,43 +267,235 @@ def haar_orthogonal(d: int, rng: RngState) -> np.ndarray:
     """Haar-distributed orthogonal matrix: QR of a Gaussian matrix with the
     R-diagonal sign correction.  Gaussians fill the matrix row-major."""
     _check_dim(d)
-    return _haar_stack(np.array(_gaussians(d, rng)).reshape(1, d, d))[0]
+    normal = rng.normal
+    return _haar_stack(np.array([normal() for _ in range(d * d)]).reshape(1, d, d))[0]
 
 
-def _draw_matrix(d: int, lo: float, hi: float, rng: RngState, pin_extremes: bool):
-    """The draws of one ``spd_in_band`` matrix: its spectrum, then (for
-    ``d >= 2``) its Gaussian matrix.  Pure Python; no LAPACK call."""
-    if not 0.0 < lo <= hi:
-        raise DomainError(f"need 0 < lo <= hi, got ({lo}, {hi})")
-    _check_dim(d)
-    w = sorted(rng.uniform_in(lo, hi) for _ in range(d))
-    if pin_extremes and d >= 2:
-        w[0] = lo
-        w[-1] = hi
-    return w, _gaussians(d, rng) if d >= 2 else None
+#: Fewest streams in one draw round that run as NumPy ``uint64`` lanes;
+#: below it, each stream's words come from ``RngState.next_u64``.  On a
+#: mix of ``falsify`` requests the two cost the same at about 16 streams:
+#: at 8 the words took 0.73 ms serially and 0.91 ms as lanes, at 32 they
+#: took 3.4 ms and 2.3 ms.
+LANE_MIN = 16
 
 
-def _factor(draws) -> list[SymMatrix]:
-    """The matrix of each ``_draw_matrix`` result, in order.
+class _Plan(NamedTuple):
+    """Where each draw of ``m`` matrices of dimension ``d`` sits in a
+    stream's words: the word of each uniform, ``(m, d)``; the two words of
+    each Box-Muller pair, pair after pair, ``(pairs, 2)``; and the word
+    count."""
+
+    uniforms: np.ndarray
+    pairs: np.ndarray
+    words: int
+
+
+@functools.cache
+def _plan(m: int, d: int, spare: bool) -> _Plan:
+    """The ``_Plan`` of ``m`` matrices of dimension ``d`` on a stream that
+    enters with (``spare``) or without a cached Gaussian: per matrix, ``d``
+    uniforms, then (for ``d >= 2``) ``d*d`` Gaussians, each the cached one
+    if there is one and otherwise the first of a new pair."""
+    uniforms, pairs, pos = [], [], 0
+    for _ in range(m):
+        uniforms.append(range(pos, pos + d))
+        pos += d
+        for _ in range(d * d if d >= 2 else 0):
+            if spare:
+                spare = False
+            else:
+                pairs.append((pos, pos + 1))
+                pos += 2
+                spare = True
+    return _Plan(np.array(uniforms, dtype=np.intp),
+                 np.array(pairs, dtype=np.intp).reshape(-1, 2), pos)
+
+
+def _lane_tops(rngs: Sequence[RngState], counts: Sequence[int]) -> np.ndarray:
+    """The top 53 bits ``x >> 11`` of the first ``counts[r]`` words ``x`` of
+    stream ``rngs[r]``, as row ``r`` of a ``(len(rngs), max(counts))``
+    ``uint64`` array (later entries of a shorter row come from the stream's
+    further words), and each stream advanced past its own words.
+
+    xoshiro256** runs on every stream at once, one NumPy lane per stream,
+    with the state as the rows of one ``(4, lanes)`` array.  A step is six
+    whole-row operations: ``s2 ^= s0; s3 ^= s1`` as one, ``s1 << 17`` and
+    ``s3 << 45`` as one, ``s0 ^= s3; s1 ^= s2`` as one, ``s3 >>= 19``, and
+    one XOR of the two shifts into ``s2`` and ``s3`` (the halves of a
+    rotation share no bit, so XOR is OR there), after keeping ``s1``.  Each
+    output word is scrambled from its kept ``s1`` afterwards, in one pass.
+    Unsigned 64-bit NumPy arithmetic wraps modulo 2^64 as ``docs/rng.md``
+    requires.
+    """
+    lanes, steps = len(rngs), max(counts)
+    state = np.array([(r._s0, r._s1, r._s2, r._s3) for r in rngs], dtype=np.uint64).T.copy()
+    low, high, swapped, odd = state[:2], state[2:], state[3:1:-1], state[1::2]
+    s1, s3 = state[1], state[3]
+    kept = np.empty((steps, lanes), dtype=np.uint64)
+    shifted = np.empty((2, lanes), dtype=np.uint64)
+    ends: dict[int, list[int]] = {}
+    for r, count in enumerate(counts):
+        ends.setdefault(count, []).append(r)
+    final = np.empty((4, lanes), dtype=np.uint64)
+    for k in range(steps):
+        kept[k] = s1
+        high ^= low
+        np.left_shift(odd, _SHIFTS, out=shifted)
+        low ^= swapped
+        s3 >>= _U19
+        high ^= shifted
+        done = ends.get(k + 1)
+        if done is not None:
+            final[:, done] = state[:, done]
+    for r, words in zip(rngs, final.T.tolist()):
+        r._s0, r._s1, r._s2, r._s3 = words
+    kept *= _U5
+    spill = kept >> _U57
+    kept <<= _U7
+    kept |= spill
+    del spill
+    kept *= _U9
+    kept >>= _U11
+    return kept.T
+
+
+def _serial_tops(rngs: Sequence[RngState], counts: Sequence[int]) -> np.ndarray:
+    """``_lane_tops`` from ``RngState.next_u64``, one stream at a time;
+    entries past a stream's count are zero."""
+    width = max(counts)
+    tops = []
+    for rng, count in zip(rngs, counts):
+        nxt = rng.next_u64
+        tops.append([nxt() >> 11 for _ in range(count)] + [0] * (width - count))
+    return np.array(tops, dtype=np.uint64)
+
+
+def _check_request(edges, d: int):
+    """The checks of one draw request, matrix by matrix, as ``spd_in_band``
+    makes them; a repeated band edge gives the same outcome again, so each
+    distinct edge is checked once."""
+    for lo, hi in dict.fromkeys(edges):
+        if not 0.0 < lo <= hi:
+            raise DomainError(f"need 0 < lo <= hi, got ({lo}, {hi})")
+        _check_dim(d)
+
+
+def _draw(items) -> list:
+    """The draws of each item ``(edges, d, rng, pin_extremes)``, whose matrix
+    ``i`` has its spectrum in ``[lo, hi] = edges[i]``.
+
+    Item ``k`` is ``(w, g)``: the spectra ``(m, d)`` of its ``m`` matrices,
+    each sorted ascending and, with ``pin_extremes`` and ``d >= 2``, with
+    its ends set to ``lo`` and ``hi``; and for ``d >= 2`` their Gaussian
+    matrices ``(m, d, d)``, row-major, else None.  A request that fails
+    ``_check_request`` draws nothing and carries its error.
+
+    Each stream's words are drawn in the ``docs/rng.md`` order, the cached
+    Gaussian carried across its matrices and written back.  Items that
+    share a stream run in successive rounds, in item order.  In a round,
+    the items with the same matrix count, dimension, pinning and cached
+    Gaussian share one ``_Plan``, and their uniforms are converted
+    together: the top 53 bits of a word and their scaling by 2^-53 are
+    exact in ``float64``, and ``lo + (hi - lo) * u`` is the same two IEEE
+    operations in NumPy as in Python.  Box-Muller runs on the group's pairs
+    in the expressions of ``RngState.normal``, with ``math``'s logarithm,
+    cosine and sine, one value at a time, and NumPy's correctly rounded
+    square root.  So every number is the one ``RngState.uniform_in`` and
+    ``normal`` give.
+    """
+    out = [None] * len(items)
+    rounds: list[list[int]] = []
+    seen: dict[int, int] = {}
+    for k, (edges, d, rng, _) in enumerate(items):
+        try:
+            _check_request(edges, d)
+        except _SAMPLING_ERRORS as exc:
+            out[k] = exc
+            continue
+        r = seen[id(rng)] = seen.get(id(rng), -1) + 1
+        if r == len(rounds):
+            rounds.append([])
+        rounds[r].append(k)
+    for ks in rounds:
+        _draw_round(items, ks, out)
+    return out
+
+
+def _draw_round(items, ks: list[int], out: list):
+    """``_draw`` for the items ``ks``, whose streams are distinct; the
+    results go into ``out``."""
+    groups: dict[tuple, list[int]] = {}
+    for k in ks:
+        edges, d, rng, pin = items[k]
+        key = (len(edges), d, pin and d >= 2, d >= 2 and rng._spare is not None)
+        groups.setdefault(key, []).append(k)
+    rngs = [items[k][2] for g in groups.values() for k in g]
+    counts = [_plan(m, d, spare).words for (m, d, _, spare), g in groups.items() for _ in g]
+    top = (_lane_tops if len(rngs) >= LANE_MIN else _serial_tops)(rngs, counts)
+    start = 0
+    for (m, d, pin, spare), g in groups.items():
+        plan = _plan(m, d, spare)
+        rows = top[start : start + len(g)]
+        start += len(g)
+        edges = np.array([items[k][0] for k in g])  # (lanes, m, 2)
+        lo = edges[:, :, :1]
+        # lo + (hi - lo) * u, with u = top 2^-53 exact (top < 2^53 converts
+        # exactly); IEEE products and sums commute, so the in-place order
+        # gives the same bits.
+        w = rows[:, plan.uniforms] * _EPS
+        w *= edges[:, :, 1:] - lo
+        w += lo
+        w.sort(axis=-1)
+        if pin:
+            w[:, :, :: d - 1] = edges
+        if d == 1:
+            for k, wk in zip(g, w):
+                out[k] = (wk, None)
+            continue
+        # Box-Muller for the whole group, in the expressions of
+        # RngState.normal: u1 = (top + 1) 2^-53 and u2 = top 2^-53 are exact,
+        # log, cos and sin are math's, one value at a time, and the
+        # arithmetic and the correctly rounded square root are elementwise.
+        z = rows[:, plan.pairs].reshape(-1, 2).astype(np.float64)
+        z[:, 0] += 1.0
+        z *= _EPS
+        size = len(z)
+        radius = np.sqrt(-2.0 * np.fromiter(map(math.log, z[:, 0].tolist()), np.float64, size))
+        angle = (_TWO_PI * z[:, 1]).tolist()
+        z[:, 0] = radius * np.fromiter(map(math.cos, angle), np.float64, size)
+        z[:, 1] = radius * np.fromiter(map(math.sin, angle), np.float64, size)
+        z = z.reshape(len(g), -1)
+        if spare:
+            z = np.concatenate([[[items[k][2]._spare] for k in g], z], axis=1)
+        need = m * d * d
+        left = z[:, need].tolist() if z.shape[1] > need else [None] * len(g)
+        for k, wk, gk, s in zip(g, w, z[:, :need].reshape(len(g), m, d, d), left):
+            items[k][2]._spare = s
+            out[k] = (wk, gk)
+
+
+def _factor(draws) -> list[list[SymMatrix]]:
+    """The matrices of each ``_draw`` result ``(w, g)``, in order.
 
     All matrices of one dimension share one Haar QR, one stacked rebuild
     ``(q * w) @ q^T`` and one eigendecomposition, which is stored on each
     matrix for band validation and ``MeanPath.stack``.
     """
     by_dim: dict[int, list[int]] = {}
-    for i, (w, _) in enumerate(draws):
-        by_dim.setdefault(len(w), []).append(i)
+    for k, (w, _) in enumerate(draws):
+        by_dim.setdefault(w.shape[1], []).append(k)
     out = [None] * len(draws)
-    for d, idx in by_dim.items():
-        w = np.array([draws[i][0] for i in idx])
+    for d, ks in by_dim.items():
+        w = np.concatenate([draws[k][0] for k in ks])
         if d == 1:
             mats = SymMatrix.stack(w[:, :, None])
         else:
-            q = _haar_stack(np.array([draws[i][1] for i in idx]).reshape(-1, d, d))
+            q = _haar_stack(np.concatenate([draws[k][1] for k in ks]))
             mats = SymMatrix.stack((q * w[:, None, :]) @ q.transpose(0, 2, 1))
-        sym_eigen_stack(mats)
-        for i, m in zip(idx, mats):
-            out[i] = m
+        start = 0
+        for k in ks:
+            out[k] = mats[start : start + len(draws[k][0])]
+            start += len(draws[k][0])
     return out
 
 
@@ -309,7 +508,10 @@ def spd_in_band(
     ``pin_extremes`` and ``d >= 2`` the smallest is set to ``lo`` and the
     largest to ``hi``, which is where Kantorovich-type violations live.
     """
-    return _factor([_draw_matrix(d, lo, hi, rng, pin_extremes)])[0]
+    (drawn,) = _draw([(((lo, hi),), d, rng, pin_extremes)])
+    if isinstance(drawn, Exception):
+        raise drawn
+    return _factor([drawn])[0][0]
 
 
 def sample_family(
@@ -332,12 +534,10 @@ def sample_family(
 _SAMPLING_ERRORS = (CallebautLabError, np.linalg.LinAlgError)
 
 
-def _assemble(n: int, d: int, band: SpectralBand, draws, mats=None):
-    """The family of one request's draws, factoring them alone unless
-    ``mats`` is given; the exception instead if that raises."""
+def _family(n: int, d: int, band: SpectralBand, mats):
+    """The family of one request's matrices, or the error that building it
+    raises."""
     try:
-        if mats is None:
-            mats = _factor(draws)
         return FamilyInstance(
             n=n, dim=d, A_list=tuple(mats[:n]), B_list=tuple(mats[n:]), band=band
         )
@@ -345,40 +545,56 @@ def _assemble(n: int, d: int, band: SpectralBand, draws, mats=None):
         return exc
 
 
+def _factor_alone(drawn):
+    """The matrices of one ``_draw`` result, or the error factoring them raises."""
+    try:
+        return _factor([drawn])[0]
+    except _SAMPLING_ERRORS as exc:
+        return exc
+
+
 def sample_families(requests: Sequence[tuple]) -> list:
     """``sample_family(*r)`` for each request ``r = (n, d, band, rng,
-    pin_extremes)``, sampled as one stage.
+    pin_extremes)``, sampled as one stage: ``sample_stages`` with one stage."""
+    return [f for stage in sample_stages(requests, max(1, len(requests))) for f in stage]
 
-    The draw stage runs each family's draws in ``sample_family``'s order on
-    its own generator, so no family depends on the others.  The factor stage
-    then builds the matrices of all families together: one Haar QR and one
-    eigendecomposition per dimension.  Item ``i`` is the family of request
-    ``i``, or the package error or ``numpy.linalg.LinAlgError`` that
-    sampling it raised; any other exception propagates.  If a stacked call
-    raises, the factor stage is redone one family at a time, so only the
-    failing family carries the error.
+
+def sample_stages(requests: Sequence[tuple], size: int):
+    """``sample_families`` of ``size`` requests at a time, as an iterator.
+
+    The draw stage (``_draw``) draws every request at the start, each in
+    ``sample_family``'s order on its own generator, so no family depends on
+    the others, and the streams of a wide window run as NumPy lanes.  Each
+    stage then builds the matrices of its families together (``_factor``):
+    one Haar QR and one eigendecomposition per dimension.  Only the draws
+    and one stage's families are held.  Item ``i`` of a stage is the family
+    of its request ``i``, or the package error or
+    ``numpy.linalg.LinAlgError`` that sampling it raised; any other
+    exception propagates.  If a stacked call raises, the stage is factored
+    again one family at a time, so only the failing family carries the
+    error.
     """
-    drawn = []
-    for n, d, band, rng, pin_extremes in requests:
+    items = {}
+    for k, (n, d, band, rng, pin_extremes) in enumerate(requests):
+        if n >= 1:
+            edges = ((band.M_lo, band.M_hi),) * n + ((band.m_lo, band.m_hi),) * n
+            items[k] = (edges, d, rng, pin_extremes)
+    drawn = dict(zip(items, _draw(list(items.values()))))
+    for start in range(0, len(requests), size):
+        stage = range(start, min(start + size, len(requests)))
+        ok = [k for k in stage if k in drawn and not isinstance(drawn[k], Exception)]
         try:
-            lohi = ((band.M_lo, band.M_hi),) * n + ((band.m_lo, band.m_hi),) * n
-            draws = [_draw_matrix(d, lo, hi, rng, pin_extremes) for lo, hi in lohi]
-            drawn.append((n, d, band, draws))
-        except _SAMPLING_ERRORS as exc:
-            drawn.append(exc)
-    try:
-        mats = _factor([m for x in drawn if not isinstance(x, Exception) for m in x[3]])
-    except _SAMPLING_ERRORS:
-        return [x if isinstance(x, Exception) else _assemble(*x) for x in drawn]
-    out, k = [], 0
-    for x in drawn:
-        if isinstance(x, Exception):
-            out.append(x)
-            continue
-        count = len(x[3])
-        out.append(_assemble(*x, mats[k : k + count]))
-        k += count
-    return out
+            mats = dict(zip(ok, _factor([drawn[k] for k in ok])))
+        except _SAMPLING_ERRORS:
+            mats = {k: _factor_alone(drawn[k]) for k in ok}
+        out = []
+        for k in stage:
+            n, d, band, _, _ = requests[k]
+            # Factored matrices, else the draw's error, else (n < 1) no
+            # matrices, which the family rejects.
+            got = mats.get(k, drawn.get(k, ()))
+            out.append(got if isinstance(got, Exception) else _family(n, d, band, got))
+        yield out
 
 
 #: Relative slack on each band edge in ``validate_band_containment``.

@@ -282,6 +282,16 @@ class TestVerify:
         assert _run(argv + ["--out", str(single)]) == cli.EXIT_OK
         assert staged.read_bytes() == single.read_bytes()
 
+    def test_report_does_not_depend_on_draw_window(self, monkeypatch, tmp_path):
+        # 300 trials cross the default draw window; a window of one request
+        # draws each stream's words serially.
+        argv = ["verify", "--trials", "50", "--variant", "repaired", "--seed", "5"]
+        lanes, serial = tmp_path / "lanes.jsonl", tmp_path / "serial.jsonl"
+        assert _run(argv + ["--out", str(lanes)]) == cli.EXIT_OK
+        monkeypatch.setattr(cli, "DRAW_WINDOW", 1)
+        assert _run(argv + ["--out", str(serial)]) == cli.EXIT_OK
+        assert lanes.read_bytes() == serial.read_bytes()
+
 
 class TestFalsify:
     def test_finds_maman_violation(self, capsys):
@@ -324,6 +334,83 @@ class TestFalsify:
         staged = best_lines()
         monkeypatch.setattr(cli, "SAMPLE_STAGE", 1)
         assert best_lines() == staged
+
+    def test_best_line_does_not_depend_on_draw_window(self, monkeypatch):
+        # Budgets across the default draw window, drawn as lanes (the
+        # default), with one request per window (serial words), and with
+        # windows just wide enough for lanes.
+        budgets = (1, 33, 300)
+        config = cli.SuiteConfig(master_seed=1001)
+
+        def best_lines():
+            return [cli.run_falsify(IneqId.HAD_MAMAN, Variant.PAPER_LITERAL, b, config)
+                    for b in budgets]
+
+        lanes = best_lines()
+        for window in (1, 8):
+            monkeypatch.setattr(cli, "DRAW_WINDOW", window)
+            assert best_lines() == lanes
+
+    def test_failing_trial_is_skipped_and_counted(self, monkeypatch, capsys):
+        # A trial whose sampling fails is skipped: the best line is the one
+        # of a clean run, and stderr counts the skipped trial.
+        argv = ["falsify", "--id", "HAD_MAMAN", "--budget", "40", "--seed", "3"]
+        assert _run(argv) == cli.EXIT_OK
+        clean = capsys.readouterr()
+        assert clean.err == ""
+        best = json.loads(clean.out.strip().splitlines()[-1])
+        points = cli.grid_points(IneqId.HAD_MAMAN, cli.SuiteConfig())
+        for b in range(40):
+            if b == best["trial"]:
+                continue
+            stream, rng = cli._stream(cli.SuiteConfig(master_seed=3), f"falsify|HAD_MAMAN|paper|trial={b}")
+            band, n, d, _ = points[rng.next_u64() % len(points)]
+            if d >= 2:
+                break
+        family = sample_family(n, d, band, rng, True)
+        poisoned = family.A_list[0].array.tobytes()
+        eigh = np.linalg.eigh
+
+        def failing_eigh(a):
+            if any(x.tobytes() == poisoned for x in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("boom")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        assert _run(argv) == cli.EXIT_OK
+        got = capsys.readouterr()
+        assert got.out == clean.out
+        assert got.err == "skipped 1 failing trials or refinement steps\n"
+
+    def test_failing_evaluation_is_skipped_and_counted(self, monkeypatch, capsys):
+        # Every budget trial's evaluation fails, then every refinement step:
+        # no result, exit 2, and the count on stderr.
+        def failing_stage(trials, tol):
+            return [HypothesisError("boom") for _ in trials]
+
+        monkeypatch.setattr(cli, "evaluate_stage", failing_stage)
+        rc = _run(["falsify", "--id", "HAD_MAMAN", "--budget", "5", "--seed", "3"])
+        got = capsys.readouterr()
+        assert rc == cli.EXIT_VIOLATION
+        assert got.out == "empty result: all 5 trials failed\n"
+        assert got.err == "skipped 5 failing trials or refinement steps\n"
+
+    def test_failing_refinement_step_is_not_better(self, monkeypatch, capsys):
+        argv = ["falsify", "--id", "HAD_MAMAN", "--budget", "20", "--seed", "3"]
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("boom")
+
+        monkeypatch.setattr(cli, "evaluate_inequality", failing)
+        assert _run(argv) == cli.EXIT_OK
+        got = capsys.readouterr()
+        assert got.err == "skipped 50 failing trials or refinement steps\n"
+        best = json.loads(got.out.strip().splitlines()[-1])
+        assert best["trial"] >= 0  # no refinement step won
+        best_budget, failed = cli.run_falsify(
+            IneqId.HAD_MAMAN, Variant.PAPER_LITERAL, 20, cli.SuiteConfig(master_seed=3)
+        )
+        assert failed == 50 and best_budget == best
 
     @pytest.mark.parametrize("budget", ["0", "1"])
     def test_repaired_undefined_is_config_error(self, budget):

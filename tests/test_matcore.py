@@ -268,6 +268,22 @@ class TestKronHadamardCompress:
         out = kron(SymMatrix(np.array([[4.0]])), SymMatrix(np.array([[0.25]])))
         assert out.array[0, 0] == 1.0
 
+    def test_kron_equals_numpy_kron_bit_for_bit(self):
+        # Each entry is the one product a[i, j] * b[k, l] either way, so the
+        # broadcast form must give np.kron's bytes, -0.0 and tiny or huge
+        # entries included.
+        rng = np.random.default_rng(41)
+        for da in range(1, 5):
+            for db in range(1, 5):
+                for _ in range(5):
+                    a = SymMatrix(rng.standard_normal((da, da)) * 10.0 ** rng.integers(-150, 150))
+                    b = SymMatrix(rng.standard_normal((db, db)))
+                    got = kron(a, b).array
+                    assert _bits_equal(got, np.kron(a.array, b.array))
+                    assert not got.flags.writeable
+        neg = SymMatrix(np.array([[-0.0, 1.0], [1.0, 2.0]]))
+        assert _bits_equal(kron(neg, neg).array, np.kron(neg.array, neg.array))
+
     def test_kron_cap(self):
         with pytest.raises(SizeError):
             kron(SymMatrix.identity(64), SymMatrix.identity(65))

@@ -16,6 +16,7 @@ from callebaut_lab.inequalities import (
     list_inequalities,
 )
 from callebaut_lab.matcore import MeanPath, SymMatrix, sum_matrices, sym_eigen
+from callebaut_lab import sampler
 from callebaut_lab.oracle import WITNESS_FAMILY, WITNESS_PAIR
 from callebaut_lab.sampler import (
     FamilyInstance,
@@ -303,6 +304,86 @@ class TestStackedSampling:
         assert got[3] == sample_family(2, 3, band, derive_rng(36, 3), True)
 
 
+def _state(rng):
+    return (rng._s0, rng._s1, rng._s2, rng._s3, rng._spare)
+
+
+def _window(seed):
+    """300 ``sample_family`` requests, more than a draw window of evaluation
+    stages: n in 1..3, d in 1..5, pinned and unpinned, across the default
+    bands; every fifth stream enters with a cached Gaussian (one
+    ``normal()`` drawn first) and every seventh has drawn some words."""
+    requests = []
+    for k in range(300):
+        n, d, pin = 1 + k % 3, 1 + (k // 3) % 5, (k // 15) % 2 == 0
+        rng = derive_rng(seed, k)
+        if k % 5 == 0:
+            rng.normal()
+        if k % 7 == 0:
+            for _ in range(k % 4):
+                rng.next_u64()
+        requests.append((n, d, DEFAULT_BANDS[k % 3], rng, pin))
+    return requests
+
+
+class TestLaneDraws:
+    """``sample_families`` draws a wide window's streams as NumPy lanes.
+    Every spectrum and Gaussian, and the state and cached Gaussian each
+    stream is left with, must be what ``RngState`` gives one value at a time."""
+
+    def test_lanes_equal_the_rng_streams(self):
+        requests = _window(51)
+        assert sum(r[3]._spare is not None for r in requests) >= 60
+        families = sample_families(requests)
+        for (n, d, band, rng, pin), ref, family in zip(requests, _window(51), families):
+            ref_rng = ref[3]
+            looped = _looped_family(n, d, band, ref_rng, pin)
+            for m, (arr, ew, ev) in zip(family.A_list + family.B_list, looped):
+                assert _same_bits(m.array, arr)
+                assert _same_bits(sym_eigen(m).eigenvalues, ew)
+                assert _same_bits(sym_eigen(m).eigenvectors, ev)
+            assert _state(rng) == _state(ref_rng)
+            assert rng._spare is None or type(rng._spare) is float
+
+    def test_lanes_and_serial_words_agree(self, monkeypatch):
+        # The same window drawn serially (RngState.next_u64 words) and as
+        # lanes from the first stream on.
+        serial, lanes = _window(52), _window(52)
+        monkeypatch.setattr(sampler, "LANE_MIN", 10**9)
+        by_words = sample_families(serial)
+        monkeypatch.setattr(sampler, "LANE_MIN", 1)
+        by_lanes = sample_families(lanes)
+        assert by_words == by_lanes
+        assert [_state(r[3]) for r in serial] == [_state(r[3]) for r in lanes]
+
+    def test_stages_equal_one_stage(self):
+        stages = list(sampler.sample_stages(_window(55), 32))
+        assert [len(s) for s in stages] == [32] * 9 + [12]
+        assert [f for s in stages for f in s] == sample_families(_window(55))
+
+    def test_a_shared_stream_draws_in_request_order(self):
+        band = DEFAULT_BANDS[2]
+        rng, alone = derive_rng(53, 0), derive_rng(53, 0)
+        requests = [(2, 3, band, rng, True)] + [
+            (1, 2, band, derive_rng(53, k), False) for k in range(1, 20)
+        ] + [(1, 3, band, rng, False)]
+        got = sample_families(requests)
+        assert got[0] == sample_family(2, 3, band, alone, True)
+        assert got[-1] == sample_family(1, 3, band, alone, False)
+        assert _state(rng) == _state(alone)
+
+    def test_spd_in_band_keeps_the_stream(self):
+        for k in range(20):
+            d = 1 + k % 5
+            rng, ref = derive_rng(54, k), derive_rng(54, k)
+            if k % 2:
+                rng.normal(), ref.normal()
+            m = spd_in_band(d, 0.5, 3.0, rng, pin_extremes=k % 3 == 0)
+            arr, _, _ = _looped_spd(d, 0.5, 3.0, ref, k % 3 == 0)
+            assert _same_bits(m.array, arr)
+            assert _state(rng) == _state(ref)
+
+
 # Per-matrix copies of the weighted mean and the eigensolver as they were
 # before evaluation was stacked: 2-D calls, one pair or matrix at a time.
 
@@ -471,3 +552,81 @@ class TestStackedEvaluation:
         got = evaluate_stage(trials)
         assert str(got[0]) == str(inner.value)
         assert str(got[1]).startswith("left operand is not positive definite")
+
+
+class TestStackedMeanSums:
+    """``MeanPath.sums`` computes many ``(path, weight)`` requests together;
+    ``at`` is its one-request case.  Each sum must be the one-request sum
+    and the per-pair reference, bit for bit."""
+
+    WEIGHTS = tuple(k / 16 for k in range(17)) + tuple((3.0 - 2.0 * k / 16) / 4.0 for k in range(9, 17))
+
+    def test_stacked_sums_equal_each_request_alone(self):
+        families = [
+            sample_family(n, d, DEFAULT_BANDS[k % 3], derive_rng(55, k), k % 2 == 0)
+            for k, (n, d) in enumerate((n, d) for n in (1, 2, 3) for d in (1, 2, 3, 4) for _ in range(2))
+        ]
+        paths = MeanPath.stack([(f.A_list, f.B_list) for f in families])
+        requests = [(p, u) for p in paths for u in self.WEIGHTS]
+        got = MeanPath.sums(requests[::-1])[::-1]  # any request order
+        for (path, u), total in zip(requests, got):
+            assert _same_bits(total.array, path.at(u).array)
+            assert not total.array.flags.writeable
+        for f, path in zip(families, paths):
+            pairs = list(zip(f.A_list, f.B_list))
+            for u in (0.5, 0.3125, 0.6875, 0.625):
+                reference = _looped_mean(pairs[0][0].array, pairs[0][1].array, u)
+                for a, b in pairs[1:]:
+                    reference = reference + _looped_mean(a.array, b.array, u)
+                (total,) = MeanPath.sums([(path, u)])
+                assert _same_bits(total.array, reference)
+
+    def test_a_failing_request_keeps_its_error_in_place(self):
+        good = MeanPath.stack([(f.A_list, f.B_list) for f in (
+            sample_family(2, 2, DEFAULT_BANDS[0], derive_rng(56, 0)),
+        )])[0]
+        # Each mean is finite; the sum of the three at weight 0 overflows.
+        huge = SymMatrix.diagonal([8e307, 1.0])
+        wide = MeanPath((huge,) * 3, (SymMatrix.identity(2),) * 3)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError) as alone:
+                wide.at(0.0)
+            got = MeanPath.sums([(good, 0.5), (wide, 0.0), (good, 1.5), (wide, 1.0), (good, 0.25)])
+        assert isinstance(got[1], DomainError) and str(got[1]) == str(alone.value)
+        assert str(got[1]) == "matrix entries must be finite"
+        assert isinstance(got[2], DomainError) and "mean weight must lie in [0, 1]" in str(got[2])
+        assert _same_bits(got[3].array, wide.at(1.0).array)
+        assert _same_bits(got[0].array, good.at(0.5).array)
+        assert _same_bits(got[4].array, good.at(0.25).array)
+
+
+class TestPlainPowerStatement:
+    """COR_BJ_IDENTITY reads plain powers, so its families factor no mean
+    path; a pair that could not enter a mean still fails with the text the
+    mean path gives it."""
+
+    @pytest.mark.parametrize("side, message", [
+        ("B_list", "right operand is not positive definite (min eigenvalue -1.000000e+00 < 1e-12)"),
+        ("A_list", "left operand is not positive definite (min eigenvalue -1.000000e+00 < 1e-12)"),
+    ])
+    def test_a_non_positive_operand_fails_alike_alone_and_in_a_stage(self, side, message):
+        band = DEFAULT_BANDS[1]
+        good = sample_family(2, 2, band, derive_rng(57, 0))
+        mats = getattr(good, side)
+        bad = dataclasses.replace(good, **{side: (mats[0], SymMatrix.diagonal([1.0, -1.0]))})
+        ineq, pair = IneqId.COR_BJ_IDENTITY, WITNESS_PAIR
+        with pytest.raises(HypothesisError) as alone:
+            evaluate_inequality(ineq, bad, pair)
+        assert str(alone.value) == message
+        # The mean path of the same pairs says the same.
+        with pytest.raises(DomainError) as path:
+            MeanPath(bad.A_list, bad.B_list)
+        assert str(path.value) == message
+        other = sample_family(2, 2, band, derive_rng(57, 0))
+        got = evaluate_stage([
+            (ineq, good, pair, Variant.PAPER_LITERAL),
+            (ineq, bad, pair, Variant.PAPER_LITERAL),
+        ])
+        assert isinstance(got[1], HypothesisError) and str(got[1]) == message
+        assert got[0] == evaluate_inequality(ineq, other, pair)
+        assert good._means is None and other._means is None
