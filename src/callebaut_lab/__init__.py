@@ -18,7 +18,6 @@ from .matcore import (
     LoewnerGap,
     SymMatrix,
     compress,
-    geo_mean,
     hadamard,
     kron,
     loewner_gap,
@@ -57,7 +56,6 @@ __all__ = [
     "LoewnerGap",
     "SymMatrix",
     "compress",
-    "geo_mean",
     "hadamard",
     "kron",
     "loewner_gap",

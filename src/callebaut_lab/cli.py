@@ -35,7 +35,7 @@ from .inequalities import (
 from .matcore import DEFAULT_TOL
 from .oracle import BUILTIN_WITNESSES, dump_catalog, load_catalog, replay_witnesses
 from .oracle import WITNESS_FAMILY, WITNESS_PAIR
-from .sampler import RngState, SpectralBand, derive_rng, sample_stages, spd_in_band
+from .sampler import RngState, SpectralBand, derive_rng, sample_families, spd_in_band
 from .scalarcore import ExponentPair
 
 EXIT_OK = 0
@@ -52,20 +52,16 @@ DEFAULT_BANDS = (
 DIMS = (1, 2, 3, 4)
 FAMILY_SIZES = (1, 2, 3)
 
-#: Trials that are factored and then evaluated together:
-#: ``sampler.sample_stages`` runs one Haar QR and one eigendecomposition per
-#: dimension per stage, and ``inequalities.evaluate_stage`` one mean-path
-#: and one link-gap eigendecomposition per dimension per stage.  A stage's
-#: families, links and reports are held until the caller has read them, so
-#: this bounds the memory that staging adds.
-SAMPLE_STAGE = 32
-
-#: Trials whose families are drawn together: ``sampler.sample_stages`` runs
-#: their streams as NumPy lanes, which pay only when many streams run at
-#: once, and then factors and hands over one stage of ``SAMPLE_STAGE`` at a
-#: time, so only the window's draws are held.  At 256, ``falsify``'s peak
-#: RSS was 0.6 MB higher than at 128, with no speed difference seen.
-DRAW_WINDOW = 128
+#: Trials that are sampled and then evaluated together, the unit of
+#: ``_staged``: ``sampler.sample_families`` runs their streams as NumPy
+#: lanes, which pay only when many streams draw at once, and one Haar QR
+#: and one eigendecomposition per dimension; ``inequalities.evaluate_stage``
+#: runs one mean-path and one link-gap eigendecomposition per dimension.  A
+#: stage's draws, families, links and reports are held until the caller
+#: has read them, so this bounds the memory that staging adds.  At 256,
+#: ``falsify``'s peak RSS was 0.6 MB higher than at 128, with no speed
+#: difference seen.
+STAGE = 128
 
 #: Grid point that reproduces the recorded witnesses; kept at the head of
 #: every relevant sweep.
@@ -211,29 +207,24 @@ def _staged(work, tol: float):
     variant))`` of the iterable ``work``, in order, where ``request`` is a
     ``sample_families`` request.
 
-    ``DRAW_WINDOW`` items at a time are drawn together, and ``SAMPLE_STAGE``
-    of those at a time are factored together (``sample_stages``) and then
-    evaluated together (``evaluate_stage``).  A family that could not be
-    sampled is the error ``sample_stages`` put in its place, and its report
-    is that same error; a trial that raised has its error as its report.
-    ``work`` is read one window ahead of the caller; every request draws
-    from its own stream and every trial is measured as it would be alone,
-    so neither size changes a number.
+    ``STAGE`` items at a time are sampled together (``sample_families``)
+    and then evaluated together (``evaluate_stage``).  A family that could
+    not be sampled is the error ``sample_families`` put in its place, and
+    its report is that same error; a trial that raised has its error as its
+    report.  ``work`` is read one stage ahead of the caller; every request
+    draws from its own stream and every trial is measured as it would be
+    alone, so the stage size changes no number.
     """
     work = iter(work)
-    while window := list(islice(work, DRAW_WINDOW)):
-        items, requests, specs = zip(*window)
-        start = 0
-        for families in sample_stages(requests, SAMPLE_STAGE):
-            end = start + len(families)
-            stage = specs[start:end]
-            sampled = [k for k, f in enumerate(families) if not isinstance(f, Exception)]
-            reports = list(families)
-            trials = [(stage[k][0], families[k], stage[k][1], stage[k][2]) for k in sampled]
-            for k, report in zip(sampled, evaluate_stage(trials, tol)):
-                reports[k] = report
-            yield from zip(items[start:end], families, reports)
-            start = end
+    while stage := list(islice(work, STAGE)):
+        items, requests, specs = zip(*stage)
+        families = sample_families(requests)
+        sampled = [k for k, f in enumerate(families) if not isinstance(f, Exception)]
+        reports = list(families)
+        trials = [(specs[k][0], families[k], specs[k][1], specs[k][2]) for k in sampled]
+        for k, report in zip(sampled, evaluate_stage(trials, tol)):
+            reports[k] = report
+        yield from zip(items, families, reports)
 
 
 #: Failures of one trial that end neither run: ``run_verify`` reports the

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and ``each_alone``, the rule
+that keeps a failing item's error in its place when many run as one call."""
 
 
 class CallebautLabError(Exception):
@@ -30,3 +31,22 @@ class VariantError(CallebautLabError, ValueError):
 
 class ConfigError(CallebautLabError, ValueError):
     """A harness configuration is invalid (bad grid, non-positive trials, ...)."""
+
+
+def each_alone(stacked, items, errors):
+    """``stacked(items)``, the list of one result per item, computed together;
+    if that call raises one of ``errors``, each item is computed again alone,
+    ``stacked([item])``, and an item whose call raises one of ``errors``
+    gets that error in its place.  Any other exception propagates.
+
+    This is the one rule of the stacked stages (``sampler.sample_families``,
+    ``inequalities.evaluate_stage``): the stacked results, or every item's
+    own result or error as if it ran alone.
+    """
+    items = list(items)
+    try:
+        return stacked(items)
+    except errors as exc:
+        if len(items) == 1:
+            return [exc]
+    return [each_alone(stacked, [item], errors)[0] for item in items]

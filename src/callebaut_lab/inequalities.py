@@ -40,10 +40,12 @@ band, then the condition of the parameter kind.
 trial, then the weighted-mean factorizations of every family that needs them
 are made at once (``matcore.MeanPath.stack``) and stored on the family, then
 the weighted-mean sums the builders read (``_MEAN_WEIGHTS``) are computed at
-once (``matcore.MeanPath.sums``), then each trial's links are built, and
-then every link of every trial is measured at once
-(``matcore.loewner_gaps``).  Every number is the one the trial gets
-alone; ``evaluate_inequality`` and ``build_links`` are the one-trial cases.
+once (``matcore.MeanPath.sums``) and stored, each as its matrix or its
+error, then each trial's links are built from the stored sums, and then
+every link of every trial is measured at once (``matcore.loewner_gaps``).
+Every number is the one the trial gets alone; if a stacked call raises,
+``errors.each_alone`` evaluates each trial again alone.
+``evaluate_inequality`` and ``build_links`` are the one-trial cases.
 
 Each registry entry names its ``ParamKind``: the parameter type, the values
 the sweep visits, the report form and any condition beyond the type.
@@ -73,6 +75,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import CallebautLabError, DomainError, HypothesisError, ShapeError, VariantError
+from .errors import each_alone
 from .matcore import (
     DEFAULT_TOL,
     LoewnerGap,
@@ -213,14 +216,14 @@ class InequalityInfo:
 class _Terms:
     """A terms object: ``S(u)`` is symmetric in ``u <-> 1-u``, so it is
     computed once per ``min(u, 1-u)``, by the subclass's ``_S``, at the first
-    ``u`` asked for.  ``means`` is the operands' factored ``MeanPath`` where
-    the statement takes means, else None, and ``mean_sum(u)`` its memoised
-    sum at weight ``u``, which ``_fill_mean_sums`` may fill beforehand."""
+    ``u`` asked for.  ``mean_sum(u)`` is the operands' weighted-mean sum at
+    weight ``u``, for the statements that take means: ``_fill_mean_sums``
+    stores it, or the ``DomainError`` computing it gave, at every weight in
+    ``_MEAN_WEIGHTS`` before the builder runs."""
 
-    def __init__(self, means: MeanPath | None = None):
+    def __init__(self):
         self._s = {}
-        self.means = means
-        self._sums: dict[float, SymMatrix] = {}
+        self._sums: dict[float, SymMatrix | DomainError] = {}
 
     def S(self, u: float):
         key = min(u, 1.0 - u)
@@ -229,9 +232,10 @@ class _Terms:
         return self._s[key]
 
     def mean_sum(self, u: float) -> SymMatrix:
-        if u not in self._sums:
-            self._sums[u] = self.means.at(u)
-        return self._sums[u]
+        total = self._sums[u]
+        if isinstance(total, DomainError):
+            raise total
+        return total
 
 
 class _FamilyTerms(_Terms):
@@ -239,12 +243,11 @@ class _FamilyTerms(_Terms):
 
     ``S(u)`` is the Hadamard product of the u- and (1-u)-weighted mean sums;
     ``S(1/2)`` is the squared mean-sum and ``top`` the Hadamard product of the
-    plain sums.  ``means`` is the family's factored ``MeanPath`` (None for
-    COR_BJ_IDENTITY, which reads plain powers).
+    plain sums.
     """
 
-    def __init__(self, inst: FamilyInstance, means: MeanPath | None):
-        super().__init__(means)
+    def __init__(self, inst: FamilyInstance):
+        super().__init__()
         self.inst = inst
 
     def _S(self, u: float) -> SymMatrix:
@@ -266,12 +269,11 @@ class _PairTerms(_Terms):
     """Tensor terms of one pair: ``S(u) = A^u x B^(1-u) + A^(1-u) x B^u``.
 
     ``S(1/2)`` is ``2 A^(1/2) x B^(1/2)``, so the tensor statements read the
-    same terms as their Hadamard-sum counterparts.  ``means`` is the pair's
-    factored ``MeanPath`` where the statement takes means (WADA), else None.
+    same terms as their Hadamard-sum counterparts.
     """
 
-    def __init__(self, a: SymMatrix, b: SymMatrix, means: MeanPath | None):
-        super().__init__(means)
+    def __init__(self, a: SymMatrix, b: SymMatrix):
+        super().__init__()
         self.a, self.b = a, b
 
     def _S(self, u: float) -> SymMatrix:
@@ -604,12 +606,12 @@ def _both(*us: float) -> tuple[float, ...]:
     return tuple(v for u in us for v in (u, 1.0 - u))
 
 
-#: The ids whose terms hold the family's ``MeanPath`` (WADA, and every
+#: The ids whose builders read weighted-mean sums (WADA, and every
 #: family-shaped id except COR_BJ_IDENTITY, which reads plain powers), and
 #: the weights at which each builder reads ``mean_sum``: ``u`` and ``1 - u``
-#: for each ``S(u)`` of a Hadamard-sum builder.  ``_fill_mean_sums`` computes
-#: these for a whole stage at once; a weight missing here is still
-#: computed, by ``MeanPath.at``, when it is read.
+#: for each ``S(u)`` of a Hadamard-sum builder.  ``_fill_mean_sums``
+#: computes these for a whole stage at once, and they are the only sums a
+#: builder can read.
 _MEAN_WEIGHTS: dict[IneqId, Callable[[Any], tuple[float, ...]]] = {
     IneqId.WADA: lambda alpha: (0.5, float(alpha), 1.0 - float(alpha)),
     **dict.fromkeys(
@@ -709,9 +711,9 @@ def _build_stage(trials) -> list:
         if ineq in _MEAN_WEIGHTS and id(family) in failed:
             out[k] = _hypothesis(failed[id(family)])
         elif _REGISTRY[ineq].takes_pair:
-            terms[k] = _PairTerms(family.A_list[0], family.B_list[0], family._means)
+            terms[k] = _PairTerms(family.A_list[0], family.B_list[0])
         else:
-            terms[k] = _FamilyTerms(family, family._means)
+            terms[k] = _FamilyTerms(family)
     _fill_mean_sums(trials, terms)
     for k, (ineq, family, params, variant) in enumerate(trials):
         if terms[k] is None:
@@ -724,17 +726,17 @@ def _build_stage(trials) -> list:
 
 
 def _fill_mean_sums(trials, terms):
-    """Store in each trial's terms the mean sums that its builder reads
-    (``_MEAN_WEIGHTS``), with one ``MeanPath.sums`` call for the stage.  A
-    sum that fails is not stored: the builder's ``MeanPath.at`` raises its
-    error when it reads it."""
+    """Store in each trial's terms the mean sums of its family's
+    ``MeanPath`` that its builder reads (``_MEAN_WEIGHTS``), with one
+    ``MeanPath.sums`` call for the stage.  A sum that fails is stored as its
+    ``DomainError``, which ``mean_sum`` raises when the builder reads it."""
     wanted = []
-    for (ineq, _, params, _), t in zip(trials, terms):
+    for (ineq, family, params, _), t in zip(trials, terms):
         if t is not None and ineq in _MEAN_WEIGHTS:
-            wanted += ((t, u) for u in dict.fromkeys(_MEAN_WEIGHTS[ineq](params)))
-    for (t, u), total in zip(wanted, MeanPath.sums([(t.means, u) for t, u in wanted])):
-        if not isinstance(total, Exception):
-            t._sums[u] = total
+            wanted += ((t, family._means, u) for u in dict.fromkeys(_MEAN_WEIGHTS[ineq](params)))
+    totals = MeanPath.sums([(path, u) for _, path, u in wanted])
+    for (t, _, u), total in zip(wanted, totals):
+        t._sums[u] = total
 
 
 def _check(ineq, family, params, variant):
@@ -795,16 +797,10 @@ def evaluate_stage(trials, tol: float = DEFAULT_TOL) -> list:
     raises alone; any other exception propagates.  The mean-path
     factorizations and the Loewner gaps of all trials share one stacked
     eigendecomposition per dimension.  If a stacked call raises, the stage
-    is evaluated again one trial at a time, so only the failing trial
-    carries the error.
+    is evaluated again one trial at a time (``each_alone``), so only the
+    failing trial carries the error.
     """
-    trials = list(trials)
-    try:
-        return _evaluate_stage(trials, tol)
-    except _EVALUATION_ERRORS as exc:
-        if len(trials) == 1:
-            return [exc]
-        return [evaluate_stage([trial], tol)[0] for trial in trials]
+    return each_alone(partial(_evaluate_stage, tol=tol), trials, _EVALUATION_ERRORS)
 
 
 def _evaluate_stage(trials, tol):

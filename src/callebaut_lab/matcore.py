@@ -25,11 +25,12 @@ with one call each, ``MeanPath.stack`` factors the pairs of many mean paths
 with one call per dimension, ``MeanPath.sums`` sums many paths at many
 weights with one chain of products per dimension, and ``loewner_gaps``
 decomposes every difference and operand of many links the same way.
-``sym_eigen``, ``MeanPath(a, b)``, ``MeanPath.at``, ``geo_mean`` and
-``loewner_gap`` are their one-item cases.  NumPy hands each matrix of a
-stack to LAPACK alone, so a stacked call gives each matrix the bits of a
-one-matrix call on the installed build; ``tests/test_sampler.py`` checks
-that.
+``sym_eigen``, ``MeanPath(a, b)``, ``MeanPath.at`` and ``loewner_gap`` are
+their one-item cases.  NumPy hands each matrix of a stack to LAPACK alone,
+so a stacked call gives each matrix the bits of a one-matrix call on the
+installed build; ``tests/test_sampler.py`` checks that.  Stacked arithmetic
+that overflows is rejected by a finiteness check after it, without a NumPy
+warning first.
 """
 
 from __future__ import annotations
@@ -121,7 +122,10 @@ class SymMatrix:
             raise ShapeError(f"expected a stack of square matrices, got shape {arr.shape}")
         if arr.shape[1] < 1:
             raise ShapeError("dimension must be at least 1")
-        sym = (arr + arr.transpose(0, 2, 1)) / 2.0
+        # Entries near the float limit overflow when symmetrized; the
+        # finiteness check rejects them, so NumPy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = (arr + arr.transpose(0, 2, 1)) / 2.0
         if not np.isfinite(sym).all():
             raise DomainError("matrix entries must be finite")
         out = cls._views(sym)
@@ -359,8 +363,8 @@ class MeanPath:
     of every pair once, so that repeated weights reuse the factorization:
     ``at(alpha)`` is ``sum_j a_j #_alpha b_j``, one mean for one pair.
     ``stack`` factors the pairs of many paths together, with one stacked
-    call per dimension; ``MeanPath(a, b)`` and ``geo_mean`` are its one-item
-    cases.  ``sums`` computes many ``at`` requests together.
+    call per dimension; ``MeanPath(a, b)`` is its one-item case.  ``sums``
+    computes many ``at`` requests together.
     """
 
     __slots__ = ("_a_half", "_w", "_q")
@@ -408,8 +412,11 @@ class MeanPath:
             qt = qa.transpose(0, 2, 1)
             a_half = (qa * root[:, None, :]) @ qt
             a_inv_half = (qa * (1.0 / root)[:, None, :]) @ qt
-            inner = a_inv_half @ np.array([m.array for m in b]) @ a_inv_half
-            inner = inner + inner.transpose(0, 2, 1)
+            # An operand that overflows is rejected by the finiteness check
+            # below, so NumPy need not warn first.
+            with np.errstate(over="ignore", invalid="ignore"):
+                inner = a_inv_half @ np.array([m.array for m in b]) @ a_inv_half
+                inner = inner + inner.transpose(0, 2, 1)
             finite = np.isfinite(inner).all(axis=(1, 2))
             w, q = _eigh_stack(np.where(finite[:, None, None], inner, 2.0) / 2.0)
             good = (usable & finite & (w[:, 0] > 0.0)).tolist()
@@ -469,21 +476,24 @@ class MeanPath:
             ])
             q = np.concatenate([p._q for p in paths])
             a_half = np.concatenate([p._a_half for p in paths])
-            means = a_half @ ((q * powered[:, None, :]) @ q.transpose(0, 2, 1)) @ a_half
-            means = (means + means.transpose(0, 2, 1)) / 2.0
             by_n: dict[int, list[int]] = {}
             for k, n in enumerate(sizes):
                 by_n.setdefault(n, []).append(k)
-            for n, ks in by_n.items():
-                first = np.array([rows[k] for k in ks])
-                total = means[first]
-                for j in range(1, n):
-                    total = total + means[first + j]
-                # A mean that is not finite leaves its sum not finite, and
-                # ``at`` gives both the same error.
-                ok = np.isfinite(total).all(axis=(1, 2)).tolist()
-                for k, m, good in zip(ks, SymMatrix._views(total), ok):
-                    out[items[k][1]] = m if good else DomainError("matrix entries must be finite")
+            # A mean or a sum that overflows is rejected by the finiteness
+            # check below, so NumPy need not warn first.
+            with np.errstate(over="ignore", invalid="ignore"):
+                means = a_half @ ((q * powered[:, None, :]) @ q.transpose(0, 2, 1)) @ a_half
+                means = (means + means.transpose(0, 2, 1)) / 2.0
+                for n, ks in by_n.items():
+                    first = np.array([rows[k] for k in ks])
+                    total = means[first]
+                    for j in range(1, n):
+                        total = total + means[first + j]
+                    # A mean that is not finite leaves its sum not finite,
+                    # and ``at`` gives both the same error.
+                    ok = np.isfinite(total).all(axis=(1, 2)).tolist()
+                    for k, m, good in zip(ks, SymMatrix._views(total), ok):
+                        out[items[k][1]] = m if good else DomainError("matrix entries must be finite")
         return out
 
 
@@ -528,15 +538,6 @@ def require_positive_pairs(a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
         operand = _operand_failure(x, y)
         if operand is not None:
             raise DomainError(operand)
-
-
-def geo_mean(a: SymMatrix, b: SymMatrix, alpha: float) -> SymMatrix:
-    """Weighted geometric mean of positive-definite ``a`` and ``b``.
-
-    Equals ``a^(1-alpha) b^alpha`` for commuting inputs; ``alpha = 1/2`` is
-    the metric geometric mean.
-    """
-    return MeanPath((a,), (b,)).at(alpha)
 
 
 def loewner_gap(lhs: SymMatrix, rhs: SymMatrix, tol: float = DEFAULT_TOL) -> LoewnerGap:

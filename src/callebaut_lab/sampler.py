@@ -11,21 +11,20 @@ inside the band and conjugated by a Haar-distributed orthogonal matrix, so
 containment is exact by construction instead of approximate by rejection.
 
 Families are sampled in two stages.  The draw stage (``_draw``) draws each
-family in the ``docs/rng.md`` order on the family's own stream.  A window
-of many streams runs xoshiro256** as NumPy ``uint64`` lanes, one lane per
-stream, since a Python ``next_u64`` costs about a microsecond per word;
+family in the ``docs/rng.md`` order on the family's own stream.  Many
+streams drawn at once run xoshiro256** as NumPy ``uint64`` lanes, one lane
+per stream, since a Python ``next_u64`` costs about a microsecond per word;
 each stream's words sit at places fixed by the request's shape (a
 ``_Plan``), so the uniforms and Box-Muller pairs of all requests of one
 shape are converted together, in the expressions of ``RngState.normal``.
-The factor stage then handles every drawn matrix of
-one dimension at once: one QR of the stacked Gaussian matrices (Mezzadri's
-R-diagonal sign fix, Notices AMS 2007), one stacked rebuild, and one
-stacked eigendecomposition that is stored on each new matrix for band
-validation and the stacked weighted-mean factorization
-(``matcore.MeanPath.stack``).  At d <= 4 a LAPACK call costs more than its
-work, so ``sample_stages`` shares those calls across the families of a
-stage; ``sample_families`` is its one-stage case and ``sample_family`` and
-``spd_in_band`` its one-item cases.  The lanes give every stream the
+The factor stage then handles every drawn matrix of one dimension at once:
+one QR of the stacked Gaussian matrices (Mezzadri's R-diagonal sign fix,
+Notices AMS 2007), one stacked rebuild, and one stacked eigendecomposition
+that is stored on each new matrix for band validation and the stacked
+weighted-mean factorization (``matcore.MeanPath.stack``).  At d <= 4 a
+LAPACK call costs more than its work, so ``sample_families`` shares those
+calls across all the families it is asked for; ``sample_family`` and
+``spd_in_band`` are its one-item cases.  The lanes give every stream the
 numbers ``RngState`` gives it, and the stacked calls give each matrix the
 bits per-matrix calls would give; ``tests/test_sampler.py`` checks both on
 the installed build.
@@ -41,6 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CallebautLabError, DomainError, HypothesisError, ShapeError, SizeError
+from .errors import each_alone
 from .matcore import MAX_EIGEN_DIM, SymMatrix, sym_eigen
 
 _MASK = (1 << 64) - 1
@@ -545,34 +545,20 @@ def _family(n: int, d: int, band: SpectralBand, mats):
         return exc
 
 
-def _factor_alone(drawn):
-    """The matrices of one ``_draw`` result, or the error factoring them raises."""
-    try:
-        return _factor([drawn])[0]
-    except _SAMPLING_ERRORS as exc:
-        return exc
-
-
 def sample_families(requests: Sequence[tuple]) -> list:
     """``sample_family(*r)`` for each request ``r = (n, d, band, rng,
-    pin_extremes)``, sampled as one stage: ``sample_stages`` with one stage."""
-    return [f for stage in sample_stages(requests, max(1, len(requests))) for f in stage]
+    pin_extremes)``, sampled together.
 
-
-def sample_stages(requests: Sequence[tuple], size: int):
-    """``sample_families`` of ``size`` requests at a time, as an iterator.
-
-    The draw stage (``_draw``) draws every request at the start, each in
+    The draw stage (``_draw``) draws every request, each in
     ``sample_family``'s order on its own generator, so no family depends on
-    the others, and the streams of a wide window run as NumPy lanes.  Each
-    stage then builds the matrices of its families together (``_factor``):
-    one Haar QR and one eigendecomposition per dimension.  Only the draws
-    and one stage's families are held.  Item ``i`` of a stage is the family
-    of its request ``i``, or the package error or
+    the others, and the streams of many requests run as NumPy lanes.  The
+    factor stage (``_factor``) then builds the matrices of all families
+    together: one Haar QR and one eigendecomposition per dimension.  Item
+    ``i`` is the family of request ``i``, or the package error or
     ``numpy.linalg.LinAlgError`` that sampling it raised; any other
-    exception propagates.  If a stacked call raises, the stage is factored
-    again one family at a time, so only the failing family carries the
-    error.
+    exception propagates.  If a stacked call raises, the families are
+    factored again one at a time (``each_alone``), so only the failing
+    family carries the error.
     """
     items = {}
     for k, (n, d, band, rng, pin_extremes) in enumerate(requests):
@@ -580,21 +566,15 @@ def sample_stages(requests: Sequence[tuple], size: int):
             edges = ((band.M_lo, band.M_hi),) * n + ((band.m_lo, band.m_hi),) * n
             items[k] = (edges, d, rng, pin_extremes)
     drawn = dict(zip(items, _draw(list(items.values()))))
-    for start in range(0, len(requests), size):
-        stage = range(start, min(start + size, len(requests)))
-        ok = [k for k in stage if k in drawn and not isinstance(drawn[k], Exception)]
-        try:
-            mats = dict(zip(ok, _factor([drawn[k] for k in ok])))
-        except _SAMPLING_ERRORS:
-            mats = {k: _factor_alone(drawn[k]) for k in ok}
-        out = []
-        for k in stage:
-            n, d, band, _, _ = requests[k]
-            # Factored matrices, else the draw's error, else (n < 1) no
-            # matrices, which the family rejects.
-            got = mats.get(k, drawn.get(k, ()))
-            out.append(got if isinstance(got, Exception) else _family(n, d, band, got))
-        yield out
+    ok = [k for k, got in drawn.items() if not isinstance(got, Exception)]
+    mats = dict(zip(ok, each_alone(_factor, [drawn[k] for k in ok], _SAMPLING_ERRORS)))
+    out = []
+    for k, (n, d, band, _, _) in enumerate(requests):
+        # Factored matrices, else the draw's error, else (n < 1) no
+        # matrices, which the family rejects.
+        got = mats.get(k, drawn.get(k, ()))
+        out.append(got if isinstance(got, Exception) else _family(n, d, band, got))
+    return out
 
 
 #: Relative slack on each band edge in ``validate_band_containment``.

@@ -109,7 +109,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("workers", ["1"])
     def test_failing_stage_is_attributed_to_its_trial(self, monkeypatch, tmp_path, workers):
-        # Families are sampled in stages of SAMPLE_STAGE trials.  When the
+        # Families are sampled in stages of cli.STAGE trials.  When the
         # stacked eigendecomposition of a stage fails on one trial's matrix,
         # only that trial reports the error; every other line is unchanged.
         argv = ["verify", "--trials", "40", "--variant", "repaired", "--seed", "5",
@@ -273,24 +273,17 @@ class TestVerify:
         assert exc.value.code == cli.EXIT_CONFIG
 
     def test_report_does_not_depend_on_stage_size(self, monkeypatch, tmp_path):
-        # One trial per stage is the per-trial reference; 40 trials per id
-        # cross the default stage boundary.
-        argv = ["verify", "--trials", "40", "--variant", "repaired", "--seed", "5"]
-        staged, single = tmp_path / "staged.jsonl", tmp_path / "single.jsonl"
-        assert _run(argv + ["--out", str(staged)]) == cli.EXIT_OK
-        monkeypatch.setattr(cli, "SAMPLE_STAGE", 1)
-        assert _run(argv + ["--out", str(single)]) == cli.EXIT_OK
-        assert staged.read_bytes() == single.read_bytes()
-
-    def test_report_does_not_depend_on_draw_window(self, monkeypatch, tmp_path):
-        # 300 trials cross the default draw window; a window of one request
-        # draws each stream's words serially.
+        # 300 trials cross the default stage boundary, and their streams
+        # draw as lanes.  A stage of 1 runs each trial alone; a stage of 8,
+        # below sampler.LANE_MIN, draws each stream's words serially.
         argv = ["verify", "--trials", "50", "--variant", "repaired", "--seed", "5"]
-        lanes, serial = tmp_path / "lanes.jsonl", tmp_path / "serial.jsonl"
-        assert _run(argv + ["--out", str(lanes)]) == cli.EXIT_OK
-        monkeypatch.setattr(cli, "DRAW_WINDOW", 1)
-        assert _run(argv + ["--out", str(serial)]) == cli.EXIT_OK
-        assert lanes.read_bytes() == serial.read_bytes()
+        staged = tmp_path / "staged.jsonl"
+        assert _run(argv + ["--out", str(staged)]) == cli.EXIT_OK
+        for stage in (1, 8):
+            monkeypatch.setattr(cli, "STAGE", stage)
+            out = tmp_path / f"stage{stage}.jsonl"
+            assert _run(argv + ["--out", str(out)]) == cli.EXIT_OK
+            assert out.read_bytes() == staged.read_bytes()
 
 
 class TestFalsify:
@@ -323,33 +316,19 @@ class TestFalsify:
 
     @pytest.mark.parametrize("ineq", [IneqId.HAD_MAMAN, IneqId.TENSOR_TOOL])
     def test_best_line_does_not_depend_on_stage_size(self, monkeypatch, ineq):
-        # Budgets on both sides of the default stage boundaries, against one
-        # trial per stage as the per-trial reference.
-        budgets = (1, 31, 32, 33, 70)
+        # Budgets on both sides of the default stage boundary, drawn as
+        # lanes; a stage of 1 runs each trial alone, and a stage of 8, below
+        # sampler.LANE_MIN, draws each stream's words serially.
+        budgets = (1, 127, 128, 129, 300)
         config = cli.SuiteConfig(master_seed=1000)
 
         def best_lines():
             return [cli.run_falsify(ineq, Variant.PAPER_LITERAL, b, config) for b in budgets]
 
         staged = best_lines()
-        monkeypatch.setattr(cli, "SAMPLE_STAGE", 1)
-        assert best_lines() == staged
-
-    def test_best_line_does_not_depend_on_draw_window(self, monkeypatch):
-        # Budgets across the default draw window, drawn as lanes (the
-        # default), with one request per window (serial words), and with
-        # windows just wide enough for lanes.
-        budgets = (1, 33, 300)
-        config = cli.SuiteConfig(master_seed=1001)
-
-        def best_lines():
-            return [cli.run_falsify(IneqId.HAD_MAMAN, Variant.PAPER_LITERAL, b, config)
-                    for b in budgets]
-
-        lanes = best_lines()
-        for window in (1, 8):
-            monkeypatch.setattr(cli, "DRAW_WINDOW", window)
-            assert best_lines() == lanes
+        for stage in (1, 8):
+            monkeypatch.setattr(cli, "STAGE", stage)
+            assert best_lines() == staged
 
     def test_failing_trial_is_skipped_and_counted(self, monkeypatch, capsys):
         # A trial whose sampling fails is skipped: the best line is the one

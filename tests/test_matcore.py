@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from callebaut_lab.errors import DomainError, ShapeError, SizeError
 from callebaut_lab.matcore import (
     EIG_FLOOR,
+    MeanPath,
     SymMatrix,
     compress,
-    geo_mean,
     hadamard,
     kron,
     loewner_gap,
@@ -364,37 +364,42 @@ class TestExactResults:
                 kron(big, big)
 
 
+def _mean(a, b, alpha):
+    """The weighted geometric mean ``a #_alpha b`` of one pair."""
+    return MeanPath((a,), (b,)).at(alpha)
+
+
 class TestGeoMean:
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         a = _rand_spd(4, rng)
         for alpha in (0.0, 0.25, 0.5, 1.0):
-            g = geo_mean(a, a, alpha)
+            g = _mean(a, a, alpha)
             assert np.abs(g.array - a.array).max() <= 1e-10 * spectral_norm(a)
 
     def test_scalar_formula(self):
-        g = geo_mean(SymMatrix(np.array([[4.0]])), SymMatrix(np.array([[1.0]])), 0.75)
+        g = _mean(SymMatrix(np.array([[4.0]])), SymMatrix(np.array([[1.0]])), 0.75)
         assert abs(g.array[0, 0] - 4.0 ** 0.25) <= 1e-14
 
     def test_midpoint_symmetry(self):
         rng = np.random.default_rng(9)
         a, b = _rand_spd(5, rng), _rand_spd(5, rng)
-        g1 = geo_mean(a, b, 0.5)
-        g2 = geo_mean(b, a, 0.5)
+        g1 = _mean(a, b, 0.5)
+        g2 = _mean(b, a, 0.5)
         rel = np.abs(g1.array - g2.array).max() / spectral_norm(g1)
         assert rel <= 1e-10
 
     def test_endpoints(self):
         rng = np.random.default_rng(13)
         a, b = _rand_spd(4, rng), _rand_spd(4, rng)
-        assert np.abs(geo_mean(a, b, 0.0).array - a.array).max() <= 1e-10 * spectral_norm(a)
-        assert np.abs(geo_mean(a, b, 1.0).array - b.array).max() <= 1e-10 * spectral_norm(b)
+        assert np.abs(_mean(a, b, 0.0).array - a.array).max() <= 1e-10 * spectral_norm(a)
+        assert np.abs(_mean(a, b, 1.0).array - b.array).max() <= 1e-10 * spectral_norm(b)
 
     def test_diagonal_closed_form(self):
         a = SymMatrix.diagonal([2.0, 5.0, 1.0])
         b = SymMatrix.diagonal([3.0, 0.5, 4.0])
         for alpha in (0.25, 0.5, 0.8):
-            g = geo_mean(a, b, alpha)
+            g = _mean(a, b, alpha)
             expected = np.diag(
                 np.diag(a.array) ** (1 - alpha) * np.diag(b.array) ** alpha
             )
@@ -403,13 +408,13 @@ class TestGeoMean:
 
     def test_rejects_non_spd(self):
         with pytest.raises(DomainError):
-            geo_mean(SymMatrix.diagonal([1.0, -1.0]), SymMatrix.identity(2), 0.5)
+            _mean(SymMatrix.diagonal([1.0, -1.0]), SymMatrix.identity(2), 0.5)
         with pytest.raises(DomainError):
-            geo_mean(SymMatrix.identity(2), SymMatrix.diagonal([1.0, EIG_FLOOR / 10]), 0.5)
+            _mean(SymMatrix.identity(2), SymMatrix.diagonal([1.0, EIG_FLOOR / 10]), 0.5)
 
     def test_rejects_bad_weight(self):
         with pytest.raises(DomainError):
-            geo_mean(SymMatrix.identity(2), SymMatrix.identity(2), 1.5)
+            _mean(SymMatrix.identity(2), SymMatrix.identity(2), 1.5)
 
 
 class TestLoewnerGap:

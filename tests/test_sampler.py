@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from callebaut_lab.cli import DEFAULT_BANDS
-from callebaut_lab.errors import DomainError, HypothesisError, ShapeError
+from callebaut_lab.errors import DomainError, HypothesisError, ShapeError, each_alone
 from callebaut_lab.inequalities import (
     IneqId,
     Variant,
@@ -309,9 +310,9 @@ def _state(rng):
 
 
 def _window(seed):
-    """300 ``sample_family`` requests, more than a draw window of evaluation
-    stages: n in 1..3, d in 1..5, pinned and unpinned, across the default
-    bands; every fifth stream enters with a cached Gaussian (one
+    """300 ``sample_family`` requests, more than two default stages
+    (``cli.STAGE``): n in 1..3, d in 1..5, pinned and unpinned, across the
+    default bands; every fifth stream enters with a cached Gaussian (one
     ``normal()`` drawn first) and every seventh has drawn some words."""
     requests = []
     for k in range(300):
@@ -327,7 +328,7 @@ def _window(seed):
 
 
 class TestLaneDraws:
-    """``sample_families`` draws a wide window's streams as NumPy lanes.
+    """``sample_families`` draws many streams as NumPy lanes.
     Every spectrum and Gaussian, and the state and cached Gaussian each
     stream is left with, must be what ``RngState`` gives one value at a time."""
 
@@ -355,11 +356,6 @@ class TestLaneDraws:
         by_lanes = sample_families(lanes)
         assert by_words == by_lanes
         assert [_state(r[3]) for r in serial] == [_state(r[3]) for r in lanes]
-
-    def test_stages_equal_one_stage(self):
-        stages = list(sampler.sample_stages(_window(55), 32))
-        assert [len(s) for s in stages] == [32] * 9 + [12]
-        assert [f for s in stages for f in s] == sample_families(_window(55))
 
     def test_a_shared_stream_draws_in_request_order(self):
         band = DEFAULT_BANDS[2]
@@ -554,6 +550,33 @@ class TestStackedEvaluation:
         assert str(got[1]).startswith("left operand is not positive definite")
 
 
+    def test_a_failing_mean_sum_fails_its_trial_alone_and_in_a_stage(self):
+        # Each mean of diag(8e307, 8e307) with itself is finite; the sum of
+        # three overflows, at every weight.  The stored error is the trial's
+        # error, with no NumPy warning before it.
+        big = SymMatrix.diagonal([8e307, 8e307])
+        band = DEFAULT_BANDS[1]
+
+        def huge():
+            return FamilyInstance(n=3, dim=2, A_list=(big,) * 3, B_list=(big,) * 3, band=band)
+
+        ineq, pair = IneqId.CHAIN_34RF, WITNESS_PAIR
+        message = "matrix entries must be finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HypothesisError) as alone:
+                evaluate_inequality(ineq, huge(), pair)
+            assert str(alone.value) == message
+            good = sample_family(3, 2, band, derive_rng(58, 0))
+            got = evaluate_stage([
+                (ineq, huge(), pair, Variant.PAPER_LITERAL),
+                (ineq, good, pair, Variant.PAPER_LITERAL),
+            ])
+            assert isinstance(got[0], HypothesisError) and str(got[0]) == message
+            other = sample_family(3, 2, band, derive_rng(58, 0))
+            assert got[1] == evaluate_inequality(ineq, other, pair)
+
+
 class TestStackedMeanSums:
     """``MeanPath.sums`` computes many ``(path, weight)`` requests together;
     ``at`` is its one-request case.  Each sum must be the one-request sum
@@ -630,3 +653,36 @@ class TestPlainPowerStatement:
         assert isinstance(got[1], HypothesisError) and str(got[1]) == message
         assert got[0] == evaluate_inequality(ineq, other, pair)
         assert good._means is None and other._means is None
+
+
+class TestEachAlone:
+    """``errors.each_alone``, the one rule of the stacked stages: the
+    stacked results, or each item's own result or error."""
+
+    @staticmethod
+    def _inverses(calls, error=DomainError):
+        def stacked(items):
+            calls.append(list(items))
+            if 0 in items:
+                raise error(f"zero among {items}")
+            return [1.0 / x for x in items]
+
+        return stacked
+
+    def test_an_error_lands_in_place_of_its_item(self):
+        calls = []
+        stacked = self._inverses(calls)
+        assert each_alone(stacked, [1, 2, 4], DomainError) == [1.0, 0.5, 0.25]
+        assert calls == [[1, 2, 4]]
+        calls.clear()
+        got = each_alone(stacked, (1, 0, 4), DomainError)
+        assert got[0] == 1.0 and got[2] == 0.25
+        assert isinstance(got[1], DomainError) and str(got[1]) == "zero among [0]"
+        assert calls == [[1, 0, 4], [1], [0], [4]]
+
+    def test_any_other_error_propagates(self):
+        stacked = self._inverses([], error=ZeroDivisionError)
+        with pytest.raises(ZeroDivisionError):
+            each_alone(stacked, [1, 0, 4], DomainError)
+        with pytest.raises(ZeroDivisionError):
+            each_alone(stacked, [0], DomainError)
