@@ -7,7 +7,7 @@ import pytest
 from callebaut_lab import cli
 from callebaut_lab.errors import ConfigError, DomainError, HypothesisError
 from callebaut_lab.inequalities import REPAIRABLE, IneqId, Variant, build_links, params_dict
-from callebaut_lab.sampler import derive_rng, sample_family
+from callebaut_lab.sampler import LANE_MIN, derive_rng, sample_family
 from callebaut_lab.scalarcore import ExponentPair
 
 
@@ -273,17 +273,27 @@ class TestVerify:
         assert exc.value.code == cli.EXIT_CONFIG
 
     def test_report_does_not_depend_on_stage_size(self, monkeypatch, tmp_path):
-        # 300 trials cross the default stage boundary, and their streams
-        # draw as lanes.  A stage of 1 runs each trial alone; a stage of 8,
-        # below sampler.LANE_MIN, draws each stream's words serially.
+        # One trial per stage is the per-trial reference; 50 trials per id
+        # cross the default stage boundary.
         argv = ["verify", "--trials", "50", "--variant", "repaired", "--seed", "5"]
-        staged = tmp_path / "staged.jsonl"
+        staged, single = tmp_path / "staged.jsonl", tmp_path / "single.jsonl"
         assert _run(argv + ["--out", str(staged)]) == cli.EXIT_OK
-        for stage in (1, 8):
-            monkeypatch.setattr(cli, "STAGE", stage)
-            out = tmp_path / f"stage{stage}.jsonl"
+        monkeypatch.setattr(cli, "STAGE", 1)
+        assert _run(argv + ["--out", str(single)]) == cli.EXIT_OK
+        assert staged.read_bytes() == single.read_bytes()
+
+    def test_report_does_not_depend_on_draw_window(self, monkeypatch, tmp_path):
+        # A stage is also the sampler's draw window.  Below sampler.LANE_MIN
+        # requests each stream's words are drawn serially; at LANE_MIN the
+        # window is just wide enough for lanes.
+        argv = ["verify", "--trials", "50", "--variant", "repaired", "--seed", "5"]
+        lanes = tmp_path / "lanes.jsonl"
+        assert _run(argv + ["--out", str(lanes)]) == cli.EXIT_OK
+        for window in (8, LANE_MIN):
+            monkeypatch.setattr(cli, "STAGE", window)
+            out = tmp_path / f"window{window}.jsonl"
             assert _run(argv + ["--out", str(out)]) == cli.EXIT_OK
-            assert out.read_bytes() == staged.read_bytes()
+            assert out.read_bytes() == lanes.read_bytes()
 
 
 class TestFalsify:
@@ -316,9 +326,8 @@ class TestFalsify:
 
     @pytest.mark.parametrize("ineq", [IneqId.HAD_MAMAN, IneqId.TENSOR_TOOL])
     def test_best_line_does_not_depend_on_stage_size(self, monkeypatch, ineq):
-        # Budgets on both sides of the default stage boundary, drawn as
-        # lanes; a stage of 1 runs each trial alone, and a stage of 8, below
-        # sampler.LANE_MIN, draws each stream's words serially.
+        # Budgets on both sides of the default stage boundary, against one
+        # trial per stage as the per-trial reference.
         budgets = (1, 127, 128, 129, 300)
         config = cli.SuiteConfig(master_seed=1000)
 
@@ -326,9 +335,24 @@ class TestFalsify:
             return [cli.run_falsify(ineq, Variant.PAPER_LITERAL, b, config) for b in budgets]
 
         staged = best_lines()
-        for stage in (1, 8):
-            monkeypatch.setattr(cli, "STAGE", stage)
-            assert best_lines() == staged
+        monkeypatch.setattr(cli, "STAGE", 1)
+        assert best_lines() == staged
+
+    def test_best_line_does_not_depend_on_draw_window(self, monkeypatch):
+        # Budgets across the default draw window (the stage), drawn as lanes
+        # (the default), with windows below sampler.LANE_MIN (serial words),
+        # and with windows just wide enough for lanes.
+        budgets = (1, 33, 300)
+        config = cli.SuiteConfig(master_seed=1001)
+
+        def best_lines():
+            return [cli.run_falsify(ineq, Variant.PAPER_LITERAL, b, config)
+                    for ineq in (IneqId.HAD_MAMAN, IneqId.TENSOR_TOOL) for b in budgets]
+
+        lanes = best_lines()
+        for window in (8, LANE_MIN):
+            monkeypatch.setattr(cli, "STAGE", window)
+            assert best_lines() == lanes
 
     def test_failing_trial_is_skipped_and_counted(self, monkeypatch, capsys):
         # A trial whose sampling fails is skipped: the best line is the one
