@@ -35,13 +35,16 @@ class ConfigError(CallebautLabError, ValueError):
 
 def each_alone(stacked, items, errors):
     """``stacked(items)``, the list of one result per item, computed together;
-    if that call raises one of ``errors``, each item is computed again alone,
-    ``stacked([item])``, and an item whose call raises one of ``errors``
-    gets that error in its place.  Any other exception propagates.
+    if that call raises one of ``errors``, each half of the items is computed
+    the same way, down to single items, and an item whose call
+    ``stacked([item])`` raises one of ``errors`` gets that error in its
+    place.  Any other exception propagates.  One failing item among ``k``
+    costs about ``2 log2(k)`` stacked calls.
 
     This is the one rule of the stacked stages (``sampler.sample_families``,
     ``inequalities.evaluate_stage``): the stacked results, or every item's
-    own result or error as if it ran alone.
+    own result or error as if it ran alone.  A group that succeeds gives each
+    item its result alone, so halving changes no result.
     """
     items = list(items)
     try:
@@ -49,4 +52,5 @@ def each_alone(stacked, items, errors):
     except errors as exc:
         if len(items) == 1:
             return [exc]
-    return [each_alone(stacked, [item], errors)[0] for item in items]
+    half = len(items) // 2
+    return each_alone(stacked, items[:half], errors) + each_alone(stacked, items[half:], errors)

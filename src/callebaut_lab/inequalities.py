@@ -27,8 +27,9 @@ with ``LHS <= RHS`` claimed; ``terms`` is ``_PairTerms`` (the pair ``.a``,
 ``sum(A_j #_u B_j) o sum(A_j #_(1-u) B_j)`` for a family, so the refinement
 ``K^r' S(s) + c_mid (S(t) - S(1/2)) <= S(t)`` and its reverse each have one
 builder, which ``_BUILDERS`` binds to the tensor or the Hadamard-sum weight.
-Both subclass ``_Terms``, the one memo of ``S(u)`` (keyed by ``min(u, 1-u)``),
-which the oracle's scalar terms subclass too.
+Both subclass ``_Terms``, which holds the sums stored for the builder and
+the one memo of ``S(u)`` (keyed by ``min(u, 1-u)``), which the family terms
+and the oracle's scalar terms use; a pair's ``S(u)`` is a stored sum.
 ``evaluate_inequality`` and ``build_links`` take a ``FamilyInstance`` and
 nothing else; the pair-shaped statements (the tensor ones and WADA) need
 ``n = 1``, and every statement reads its band from the family.
@@ -39,13 +40,20 @@ band, then the condition of the parameter kind.
 ``evaluate_stage`` evaluates many trials together: the checks run trial by
 trial, then the weighted-mean factorizations of every family that needs them
 are made at once (``matcore.MeanPath.stack``) and stored on the family, then
-the weighted-mean sums the builders read (``_MEAN_WEIGHTS``) are computed at
-once (``matcore.MeanPath.sums``) and stored, each as its matrix or its
-error, then each trial's links are built from the stored sums, and then
+the sums the builders read are computed at once and stored on each trial's
+terms, each as its matrix or its error: the weighted-mean sums of
+``_MEAN_WEIGHTS`` (``matcore.MeanPath.sums``) and the sums of spectral
+powers of ``_POWER_SUMS`` (the tensor sums ``A^p x B^q + A^q x B^p`` and
+``A x B`` of TENSOR_TOOL, REV_TENSOR_DEAR and PROOF_CHAIN, and
+COR_BJ_IDENTITY's ``sum_j A_j^u``: one ``matcore.spectral_pow_stack`` per
+dimension, and the Kronecker products and sums on stacks).  Then each
+trial's builder makes only its linear combinations of the stored sums, and
 every link of every trial is measured at once (``matcore.loewner_gaps``).
-Every number is the one the trial gets alone; if a stacked call raises,
-``errors.each_alone`` evaluates each trial again alone.
-``evaluate_inequality`` and ``build_links`` are the one-trial cases.
+Every number is the one the trial gets alone, and a stored error is raised
+where the builder reads the sum; if a stacked call raises,
+``errors.each_alone`` evaluates the trials again in halves, down to each
+trial alone.  ``evaluate_inequality`` and ``build_links`` are the one-trial
+cases.
 
 Each registry entry names its ``ParamKind``: the parameter type, the values
 the sweep visits, the report form and any condition beyond the type.
@@ -54,10 +62,11 @@ the sweep visits, the report form and any condition beyond the type.
 reverse remark); ``ALPHA_BETA_KIND`` is the tensor proof's ``alpha = 2t-1``,
 ``beta = 2s-1`` for ``s != t``; ``ALPHA_KIND`` is WADA's weight in [0, 1] at
 step 1/8.  The tensor statements are sums of ``A^p x B^q + A^q x B^p``
-(``_swapped_kron``, which ``_PairTerms`` and PROOF_CHAIN share), and each
-statement family takes its Kantorovich weight ``K^(+-r')`` from one helper,
-``_tensor_weight`` or ``_hadamard_weight``.  The printed weight
-``K(M_lo^e / m_hi^e)^p`` is ``scalarcore.printed_weight`` everywhere.
+(stored under the key ``(p, q)``, which ``_PairTerms.S`` and PROOF_CHAIN
+both read), and each statement family takes its Kantorovich weight
+``K^(+-r')`` from one helper, ``_tensor_weight`` or ``_hadamard_weight``.
+The printed weight ``K(M_lo^e / m_hi^e)^p`` is ``scalarcore.printed_weight``
+everywhere.
 
 Operator means always go through the congruence form (``matcore.MeanPath``);
 scalar shortcuts exist only in the independent oracle module.
@@ -83,10 +92,11 @@ from .matcore import (
     SymMatrix,
     hadamard,
     kron,
+    kron_arrays,
     loewner_gaps,
     require_positive_pairs,
     spectral_norm,
-    spectral_pow,
+    spectral_pow_stack,
     sum_matrices,
     sym_eigen,
 )
@@ -216,14 +226,15 @@ class InequalityInfo:
 class _Terms:
     """A terms object: ``S(u)`` is symmetric in ``u <-> 1-u``, so it is
     computed once per ``min(u, 1-u)``, by the subclass's ``_S``, at the first
-    ``u`` asked for.  ``mean_sum(u)`` is the operands' weighted-mean sum at
-    weight ``u``, for the statements that take means: ``_fill_mean_sums``
-    stores it, or the ``DomainError`` computing it gave, at every weight in
-    ``_MEAN_WEIGHTS`` before the builder runs."""
+    ``u`` asked for.  ``stored(key)`` is a sum that the stage computed before
+    the builder runs, or raises the ``DomainError`` computing it gave: the
+    weighted-mean sum at weight ``key`` for the ids of ``_MEAN_WEIGHTS``
+    (``_fill_mean_sums``), or the sum of spectral powers ``key`` for the ids
+    of ``_POWER_SUMS`` (``_fill_power_sums``).  No id reads both."""
 
     def __init__(self):
         self._s = {}
-        self._sums: dict[float, SymMatrix | DomainError] = {}
+        self._stored: dict[Any, SymMatrix | DomainError] = {}
 
     def S(self, u: float):
         key = min(u, 1.0 - u)
@@ -231,8 +242,8 @@ class _Terms:
             self._s[key] = self._S(u)
         return self._s[key]
 
-    def mean_sum(self, u: float) -> SymMatrix:
-        total = self._sums[u]
+    def stored(self, key) -> SymMatrix:
+        total = self._stored[key]
         if isinstance(total, DomainError):
             raise total
         return total
@@ -251,22 +262,16 @@ class _FamilyTerms(_Terms):
         self.inst = inst
 
     def _S(self, u: float) -> SymMatrix:
-        return hadamard(self.mean_sum(u), self.mean_sum(1.0 - u))
+        return hadamard(self.stored(u), self.stored(1.0 - u))
 
     @property
     def top(self) -> SymMatrix:
         return hadamard(sum_matrices(self.inst.A_list), sum_matrices(self.inst.B_list))
 
 
-def _swapped_kron(a: SymMatrix, b: SymMatrix, p: float, q: float) -> SymMatrix:
-    """``A^p x B^q + A^q x B^p``."""
-    return kron(spectral_pow(a, p), spectral_pow(b, q)) + kron(
-        spectral_pow(a, q), spectral_pow(b, p)
-    )
-
-
 class _PairTerms(_Terms):
-    """Tensor terms of one pair: ``S(u) = A^u x B^(1-u) + A^(1-u) x B^u``.
+    """Tensor terms of one pair: ``S(u) = A^u x B^(1-u) + A^(1-u) x B^u``,
+    the stored sum ``(u, 1 - u)``.
 
     ``S(1/2)`` is ``2 A^(1/2) x B^(1/2)``, so the tensor statements read the
     same terms as their Hadamard-sum counterparts.
@@ -276,8 +281,8 @@ class _PairTerms(_Terms):
         super().__init__()
         self.a, self.b = a, b
 
-    def _S(self, u: float) -> SymMatrix:
-        return _swapped_kron(self.a, self.b, u, 1.0 - u)
+    def S(self, u: float) -> SymMatrix:
+        return self.stored((u, 1.0 - u))
 
 
 def _congruence_interval(band: SpectralBand, t: float) -> tuple[float, float]:
@@ -318,9 +323,9 @@ def _hadamard_weight(band, pair: ExponentPair, variant: Variant, sign: float) ->
 def _links_wada(terms: _PairTerms, band, alpha, variant):
     a, b = terms.a, terms.b
     alpha = float(alpha)
-    g = terms.mean_sum(0.5)
-    gl = terms.mean_sum(alpha)
-    gr = terms.mean_sum(1.0 - alpha)
+    g = terms.stored(0.5)
+    gl = terms.stored(alpha)
+    gr = terms.stored(1.0 - alpha)
     low = kron(g, g)
     mid = 0.5 * (kron(gl, gr) + kron(gr, gl))
     high = 0.5 * (kron(a, b) + kron(b, a))
@@ -388,15 +393,16 @@ def _links_proof_chain(terms: _PairTerms, band, params: ProofChainParams, varian
         SymMatrix(np.array([[worst[1]]])),
     )
 
-    # G_e = A^e x B^-e + swap, and H_e = A^(1+e) x B^(1-e) + swap.
-    g_al = _swapped_kron(a, b, al, -al)
+    # G_e = A^e x B^-e + swap, and H_e = A^(1+e) x B^(1-e) + swap; the
+    # stored sum None is A x B.
+    g_al = terms.stored((al, -al))
     ident = SymMatrix.identity(a.dim * b.dim)
-    lhs345 = kf * _swapped_kron(a, b, be, -be) + (1.0 - mu) * (g_al - 2.0 * ident)
+    lhs345 = kf * terms.stored((be, -be)) + (1.0 - mu) * (g_al - 2.0 * ident)
     link345 = ("ratio_powers", lhs345, g_al)
 
-    h_al = _swapped_kron(a, b, 1.0 + al, 1.0 - al)
-    lhs3456 = kf * _swapped_kron(a, b, 1.0 + be, 1.0 - be) + (1.0 - mu) * (
-        h_al - 2.0 * kron(a, b)
+    h_al = terms.stored((1.0 + al, 1.0 - al))
+    lhs3456 = kf * terms.stored((1.0 + be, 1.0 - be)) + (1.0 - mu) * (
+        h_al - 2.0 * terms.stored(None)
     )
     link3456 = ("shifted_powers", lhs3456, h_al)
     return [spectra_link, link345, link3456]
@@ -411,14 +417,12 @@ def _links_had_maman2(terms: _FamilyTerms, band, pair: ExponentPair, variant):
 
 
 def _links_cor_bj(terms: _FamilyTerms, band, pair: ExponentPair, variant):
-    # Lower family pinned to the identity: means become plain powers of A_j.
-    # No mean is factored, but a pair that could not enter one fails with
-    # the text the other Hadamard-sum statements give it.
+    # Lower family pinned to the identity: means become plain powers of A_j,
+    # and the stored sum u is sum_j A_j^u.  No mean is factored, but a pair
+    # that could not enter one fails with the text the other Hadamard-sum
+    # statements give it.
     require_positive_pairs(terms.inst.A_list, terms.inst.B_list)
-
-    def power_sum(u: float) -> SymMatrix:
-        return sum_matrices(spectral_pow(a, u) for a in terms.inst.A_list)
-
+    power_sum = terms.stored
     s, t = pair.s, pair.t
     s_s = hadamard(power_sum(1.0 - s), power_sum(s))
     s_t = hadamard(power_sum(1.0 - t), power_sum(t))
@@ -608,7 +612,7 @@ def _both(*us: float) -> tuple[float, ...]:
 
 #: The ids whose builders read weighted-mean sums (WADA, and every
 #: family-shaped id except COR_BJ_IDENTITY, which reads plain powers), and
-#: the weights at which each builder reads ``mean_sum``: ``u`` and ``1 - u``
+#: the weights at which each builder reads them: ``u`` and ``1 - u``
 #: for each ``S(u)`` of a Hadamard-sum builder.  ``_fill_mean_sums``
 #: computes these for a whole stage at once, and they are the only sums a
 #: builder can read.
@@ -621,6 +625,27 @@ _MEAN_WEIGHTS: dict[IneqId, Callable[[Any], tuple[float, ...]]] = {
     ),
     IneqId.HAD_MAMAN2: lambda pair: _both(pair.s, pair.t, 0.5, (3.0 - 2.0 * pair.s) / 4.0),
     IneqId.REV_T1_REMARK: lambda pair: _both(pair.s, 0.5),
+}
+
+#: The ids whose builders read spectral powers of their operands, and the
+#: sums of powers each reads, by key: for a pair, ``(p, q)`` is
+#: ``A^p x B^q + A^q x B^p`` (so ``S(u)`` is ``(u, 1 - u)``) and ``None``
+#: is ``A x B``; for COR_BJ_IDENTITY, ``u`` is ``sum_j A_j^u``.
+#: ``_fill_power_sums`` computes these for a whole stage at once, and they
+#: are the only powers a builder can read.
+_POWER_SUMS: dict[IneqId, Callable[[Any], tuple]] = {
+    **dict.fromkeys(
+        (IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR),
+        lambda pair: tuple((u, 1.0 - u) for u in (pair.s, pair.t, 0.5)),
+    ),
+    IneqId.PROOF_CHAIN: lambda c: (
+        (c.alpha, -c.alpha), (c.beta, -c.beta),
+        (1.0 + c.alpha, 1.0 - c.alpha), (1.0 + c.beta, 1.0 - c.beta), None,
+    ),
+    IneqId.COR_BJ_IDENTITY: lambda pair: (
+        1.0 - pair.s, pair.s, 1.0 - pair.t, pair.t, 0.5,
+        (1.0 + 2.0 * pair.s) / 4.0, (3.0 - 2.0 * pair.s) / 4.0,
+    ),
 }
 
 #: Ids that define a REPAIRED variant; requesting it elsewhere is an error.
@@ -715,6 +740,7 @@ def _build_stage(trials) -> list:
         else:
             terms[k] = _FamilyTerms(family)
     _fill_mean_sums(trials, terms)
+    _fill_power_sums(trials, terms)
     for k, (ineq, family, params, variant) in enumerate(trials):
         if terms[k] is None:
             continue
@@ -729,14 +755,104 @@ def _fill_mean_sums(trials, terms):
     """Store in each trial's terms the mean sums of its family's
     ``MeanPath`` that its builder reads (``_MEAN_WEIGHTS``), with one
     ``MeanPath.sums`` call for the stage.  A sum that fails is stored as its
-    ``DomainError``, which ``mean_sum`` raises when the builder reads it."""
+    ``DomainError``, which ``stored`` raises when the builder reads it."""
     wanted = []
     for (ineq, family, params, _), t in zip(trials, terms):
         if t is not None and ineq in _MEAN_WEIGHTS:
             wanted += ((t, family._means, u) for u in dict.fromkeys(_MEAN_WEIGHTS[ineq](params)))
     totals = MeanPath.sums([(path, u) for _, path, u in wanted])
     for (t, _, u), total in zip(wanted, totals):
-        t._sums[u] = total
+        t._stored[u] = total
+
+
+def _factors(pair: bool, n: int, key) -> tuple[tuple, tuple | None, int]:
+    """The factors of the power sum ``key`` of ``_POWER_SUMS``, in the order
+    the sum multiplies and adds them: their operands and exponents, and the
+    number of factors per product.  Operands 0 and 1 are a pair's ``A`` and
+    ``B``, operand ``j`` is a family's ``A_(j+1)``; the exponents ``None``
+    take every operand itself."""
+    if not pair:
+        return tuple(range(n)), (key,) * n, 1
+    if key is None:
+        return (0, 1), None, 2
+    p, q = key
+    return (0, 1, 0, 1), (p, q, q, p), 2
+
+
+def _fill_power_sums(trials, terms):
+    """Store in each trial's terms the power sums its builder reads
+    (``_POWER_SUMS``), computed together one dimension at a time: every
+    power with one ``spectral_pow_stack`` call, then, for each shape of
+    sum, every Kronecker product with one broadcast product and the sums
+    left to right on the stack.  Each sum is bit for bit the one that
+    ``spectral_pow``, ``kron`` and ``+`` give; a sum that fails is stored
+    as the ``DomainError`` they raise first (each product's factors in
+    order, then the product, then the sum), which ``stored`` raises when
+    the builder reads it."""
+    by_dim: dict[int, list] = {}
+    for (ineq, family, params, _), t in zip(trials, terms):
+        if t is not None and ineq in _POWER_SUMS:
+            by_dim.setdefault(family.dim, []).append((t, ineq, family, params))
+    for group in by_dim.values():
+        # Row r of the table is power r, and row ``len(ps) + i`` is operand
+        # ``mats[i]`` itself, written ``~i`` until the powers are counted.
+        mats, which, ps = [], [], []
+        by_shape: dict[tuple[int, int], list] = {}
+        operands = False
+        for t, ineq, family, params in group:
+            pair = _REGISTRY[ineq].takes_pair
+            first = len(mats)
+            mats += (family.A_list[0], family.B_list[0]) if pair else family.A_list
+            for key in dict.fromkeys(_POWER_SUMS[ineq](params)):
+                ops, exps, f = _factors(pair, family.n, key)
+                if exps is None:
+                    rows = [~(first + j) for j in ops]
+                    operands = True
+                else:
+                    rows = list(range(len(ps), len(ps) + len(ops)))
+                    which += [first + j for j in ops]
+                    ps += exps
+                by_shape.setdefault((len(ops) // f, f), []).append((t, key, rows))
+        table, failed = spectral_pow_stack(mats, which, ps)
+        if operands:
+            table = np.concatenate([table, [m.array for m in mats]])
+        bad = np.zeros(len(table), dtype=bool)
+        bad[list(failed)] = True
+        # A product or a sum that overflows is rejected by the finiteness
+        # checks below, so NumPy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (n, f), items in by_shape.items():
+                idx = np.array([rows for _, _, rows in items])
+                idx[idx < 0] = len(ps) - 1 - idx[idx < 0]
+                ok = ~bad[idx].any(axis=1)
+                finite = []
+                for j in range(0, n * f, f):
+                    term = table[idx[:, j]]
+                    if f == 2:
+                        term = kron_arrays(term, table[idx[:, j + 1]])
+                    finite.append(np.isfinite(term).all(axis=(1, 2)))
+                    total = term if j == 0 else total + term
+                ok &= np.logical_and.reduce(finite) & np.isfinite(total).all(axis=(1, 2))
+                ok = ok.tolist()
+                for k, ((t, key, rows), m) in enumerate(zip(items, SymMatrix._views(total))):
+                    if ok[k]:
+                        t._stored[key] = m
+                    else:
+                        t._stored[key] = _first_failure(rows, f, failed, [x[k] for x in finite])
+
+
+def _first_failure(rows, f, failed, finite) -> DomainError:
+    """The ``DomainError`` that a power sum raises first, given its factors'
+    table rows, ``f`` factors per product, the failing powers and whether
+    each product is finite: a factor's, in order, or a product's or the
+    sum's that is not finite."""
+    for j, product_finite in zip(range(0, len(rows), f), finite):
+        for r in rows[j : j + f]:
+            if r in failed:
+                return DomainError(str(failed[r]))
+        if not product_finite:
+            break
+    return DomainError("matrix entries must be finite")
 
 
 def _check(ineq, family, params, variant):
@@ -797,8 +913,8 @@ def evaluate_stage(trials, tol: float = DEFAULT_TOL) -> list:
     raises alone; any other exception propagates.  The mean-path
     factorizations and the Loewner gaps of all trials share one stacked
     eigendecomposition per dimension.  If a stacked call raises, the stage
-    is evaluated again one trial at a time (``each_alone``), so only the
-    failing trial carries the error.
+    is evaluated again in halves, down to one trial at a time
+    (``each_alone``), so only the failing trial carries the error.
     """
     return each_alone(partial(_evaluate_stage, tol=tol), trials, _EVALUATION_ERRORS)
 

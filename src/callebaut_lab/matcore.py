@@ -21,16 +21,21 @@ that are symmetric bit for bit by construction (sums, differences, scalings,
 Kronecker and Hadamard products, compressions) skip re-symmetrisation.
 Beyond those, the work on many equal-dimension matrices is stacked:
 ``SymMatrix.stack`` and ``sym_eigen_stack`` build and decompose many matrices
-with one call each, ``MeanPath.stack`` factors the pairs of many mean paths
-with one call per dimension, ``MeanPath.sums`` sums many paths at many
-weights with one chain of products per dimension, and ``loewner_gaps``
-decomposes every difference and operand of many links the same way.
-``sym_eigen``, ``MeanPath(a, b)``, ``MeanPath.at`` and ``loewner_gap`` are
-their one-item cases.  NumPy hands each matrix of a stack to LAPACK alone,
-so a stacked call gives each matrix the bits of a one-matrix call on the
-installed build; ``tests/test_sampler.py`` checks that.  Stacked arithmetic
-that overflows is rejected by a finiteness check after it, without a NumPy
-warning first.
+with one call each, ``spectral_pow_stack`` raises many matrices to many
+exponents with one ``np.power`` per exponent and one rebuild,
+``kron_arrays`` multiplies two stacks, ``MeanPath.stack`` factors the pairs
+of many mean paths with one call per dimension, ``MeanPath.sums`` sums many
+paths at many weights with one chain of products per dimension, and
+``loewner_gaps`` decomposes every difference and operand of many links the
+same way.  ``sym_eigen``, ``spectral_pow``, ``kron``, ``MeanPath(a, b)``,
+``MeanPath.at`` and ``loewner_gap`` are their one-item cases.  NumPy hands
+each matrix of a stack to LAPACK and BLAS alone, so a stacked call gives each
+matrix the bits of a one-matrix call on the installed build;
+``tests/test_sampler.py`` and ``tests/test_inequalities.py`` check that.
+Stacked arithmetic, and the public constructor's symmetrisation, reject
+entries that overflow by a finiteness check after them, without a NumPy
+warning first; the one-matrix arithmetic (``+``, ``-``, ``*``, ``kron``,
+``hadamard``) still warns before it raises.
 """
 
 from __future__ import annotations
@@ -88,7 +93,10 @@ class SymMatrix:
             raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ShapeError("dimension must be at least 1")
-        sym = (arr + arr.T) / 2.0
+        # Entries near the float limit overflow when symmetrized; the
+        # finiteness check rejects them, so NumPy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = (arr + arr.T) / 2.0
         if not np.isfinite(sym).all():
             raise DomainError("matrix entries must be finite")
         sym.flags.writeable = False
@@ -295,25 +303,65 @@ def _eigh_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, q
 
 
-def _rebuild(eigenvalues: np.ndarray, q: np.ndarray) -> SymMatrix:
-    return SymMatrix((q * eigenvalues) @ q.T)
-
-
 def spectral_pow(a: SymMatrix, p: float) -> SymMatrix:
     """Spectral power ``a^p`` through the eigendecomposition.
 
     Nonnegative integer powers are defined for any symmetric matrix; every
-    other exponent requires all eigenvalues ``>= EIG_FLOOR``.
+    other exponent requires all eigenvalues ``>= EIG_FLOOR``.  This is the
+    one-matrix case of :func:`spectral_pow_stack`.
     """
-    p = float(p)
-    eig = sym_eigen(a)
-    integer_power = p >= 0.0 and p.is_integer()
-    if not integer_power and eig.eigenvalues[0] < EIG_FLOOR:
-        raise DomainError(
-            f"spectral power {p} requires eigenvalues >= {EIG_FLOOR:g}; "
-            f"smallest is {eig.eigenvalues[0]:.6e}"
-        )
-    return _rebuild(np.power(eig.eigenvalues, p), eig.eigenvectors)
+    arr, failed = spectral_pow_stack((a,), (0,), (p,))
+    if failed:
+        raise failed[0]
+    return SymMatrix._views(arr)[0]
+
+
+def spectral_pow_stack(
+    mats: Sequence[SymMatrix], which: Sequence[int], ps: Sequence[float]
+) -> tuple[np.ndarray, dict[int, DomainError]]:
+    """``spectral_pow(mats[i], p)`` for each ``i, p`` of ``zip(which, ps)``,
+    for matrices of one dimension, computed together.
+
+    Returns a ``(k, d, d)`` array whose matrix ``r`` holds the entries of
+    request ``r``, and a dict from each request that fails to the
+    ``DomainError`` that ``spectral_pow`` raises for it (an eigenvalue below
+    the floor, or entries that are not finite); its matrix is then not
+    meaningful.  The requests of each exponent share one ``np.power`` over
+    the stored eigenvalues, with the exponent as a Python-float scalar (see
+    ``docs/rng.md``), and every request is rebuilt, ``(q * w^p) q^T``,
+    symmetrized exactly and checked for finiteness in one stacked step,
+    without a NumPy warning.  Each matrix is the one-request result bit for
+    bit on the installed build (``tests/test_inequalities.py`` checks that).
+    """
+    eig = sym_eigen_stack(mats)
+    which = np.asarray(which, dtype=np.intp)
+    w = np.array([e.eigenvalues for e in eig])[which]
+    q = np.array([e.eigenvectors for e in eig])[which]
+    exps = np.array(ps, dtype=np.float64)
+    order = np.argsort(exps, kind="stable")  # equal exponents become contiguous
+    ranked, ranked_w = exps[order], w[order]
+    cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(ranked)]
+    ranked = ranked.tolist()
+    powered = np.empty_like(w)
+    # A power or a rebuild that overflows is rejected by the finiteness
+    # check below, and a power below the floor is never returned.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        powered[order] = np.concatenate([
+            np.power(ranked_w[lo:hi], ranked[lo]) for lo, hi in zip(cuts, cuts[1:])
+        ])
+        x = (q * powered[:, None, :]) @ q.transpose(0, 2, 1)
+        x = (x + x.transpose(0, 2, 1)) / 2.0
+    below = (w[:, 0] < EIG_FLOOR) & ~((exps >= 0.0) & (exps == np.floor(exps)))
+    failed = {}
+    for r in np.flatnonzero(below | ~np.isfinite(x).all(axis=(1, 2))).tolist():
+        if below[r]:
+            failed[r] = DomainError(
+                f"spectral power {float(ps[r])} requires eigenvalues >= {EIG_FLOOR:g}; "
+                f"smallest is {w[r, 0]:.6e}"
+            )
+        else:
+            failed[r] = DomainError("matrix entries must be finite")
+    return x, failed
 
 
 def spectral_norm(a: SymMatrix) -> float:
@@ -329,10 +377,18 @@ def kron(a: SymMatrix, b: SymMatrix) -> SymMatrix:
         raise SizeError(
             f"Kronecker product dimension {out_dim} exceeds cap {KRON_DIM_CAP}"
         )
-    # Entry (i*db + k, j*db + l) is the one product a[i, j] * b[k, l], as in
-    # np.kron, without np.kron's per-call shape handling.
-    x, y = a.array, b.array
-    return SymMatrix._exact((x[:, None, :, None] * y[None, :, None, :]).reshape(out_dim, out_dim))
+    return SymMatrix._exact(kron_arrays(a.array, b.array))
+
+
+def kron_arrays(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kronecker products of two stacks of square matrices, ``(..., d, d)``
+    and ``(..., e, e)`` with equal leading shapes, as a ``(..., d*e, d*e)``
+    stack.  Entry ``(i*e + k, j*e + l)`` is the one product
+    ``x[i, j] * y[k, l]``, as in ``np.kron``, without ``np.kron``'s per-call
+    shape handling."""
+    *lead, d, _ = x.shape
+    e = y.shape[-1]
+    return (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(*lead, d * e, d * e)
 
 
 def hadamard(a: SymMatrix, b: SymMatrix) -> SymMatrix:

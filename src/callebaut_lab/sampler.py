@@ -557,8 +557,8 @@ def sample_families(requests: Sequence[tuple]) -> list:
     ``i`` is the family of request ``i``, or the package error or
     ``numpy.linalg.LinAlgError`` that sampling it raised; any other
     exception propagates.  If a stacked call raises, the families are
-    factored again one at a time (``each_alone``), so only the failing
-    family carries the error.
+    factored again in halves, down to one at a time (``each_alone``), so
+    only the failing family carries the error.
     """
     items = {}
     for k, (n, d, band, rng, pin_extremes) in enumerate(requests):

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from callebaut_lab.errors import HypothesisError, ShapeError, VariantError
+from callebaut_lab import inequalities
+from callebaut_lab.cli import DEFAULT_BANDS
+from callebaut_lab.errors import DomainError, HypothesisError, ShapeError, VariantError
 from callebaut_lab.inequalities import (
     ALPHA_BETA_KIND,
     ALPHA_KIND,
@@ -13,11 +17,26 @@ from callebaut_lab.inequalities import (
     Variant,
     build_links,
     evaluate_inequality,
+    evaluate_stage,
     inequality_info,
     list_inequalities,
 )
-from callebaut_lab.matcore import SymMatrix, kron, spectral_norm, spectral_pow
-from callebaut_lab.sampler import FamilyInstance, SpectralBand, derive_rng, sample_family
+from callebaut_lab.matcore import (
+    EIG_FLOOR,
+    SymMatrix,
+    kron,
+    spectral_norm,
+    spectral_pow,
+    sum_matrices,
+    sym_eigen,
+)
+from callebaut_lab.sampler import (
+    FamilyInstance,
+    SpectralBand,
+    derive_rng,
+    sample_families,
+    sample_family,
+)
 from callebaut_lab.scalarcore import (
     ExponentPair,
     ProofChainParams,
@@ -390,3 +409,176 @@ def test_every_kind_sweeps_only_values_it_admits():
     for kind in kinds:
         assert kind.values
         assert all(isinstance(p, kind.type) and kind.holds(p) for p in kind.values)
+
+
+def _reference_pow(a, p):
+    """The per-matrix spectral power that the stacked one replaced: the
+    floor check, ``np.power`` on one spectrum, one rebuild and the public
+    constructor's symmetrisation."""
+    p = float(p)
+    eig = sym_eigen(a)
+    if not (p >= 0.0 and p.is_integer()) and eig.eigenvalues[0] < EIG_FLOOR:
+        raise DomainError(
+            f"spectral power {p} requires eigenvalues >= {EIG_FLOOR:g}; "
+            f"smallest is {eig.eigenvalues[0]:.6e}"
+        )
+    q = eig.eigenvectors
+    return SymMatrix((q * np.power(eig.eigenvalues, p)) @ q.T)
+
+
+def _reference_kron(x, y):
+    return SymMatrix(np.kron(x.array, y.array))
+
+
+def _reference_sum(ineq, family, key):
+    """A power sum of ``_POWER_SUMS`` the per-trial way, one matrix at a time:
+    ``A^p x B^q + A^q x B^p``, ``A x B`` or ``sum_j A_j^u``."""
+    if ineq == IneqId.COR_BJ_IDENTITY:
+        return sum_matrices([_reference_pow(a, key) for a in family.A_list])
+    a, b = family.A_list[0], family.B_list[0]
+    if key is None:
+        return _reference_kron(a, b)
+    p, q = key
+    return _reference_kron(_reference_pow(a, p), _reference_pow(b, q)) + _reference_kron(
+        _reference_pow(a, q), _reference_pow(b, p)
+    )
+
+
+def _bits_or_text(value):
+    if isinstance(value, Exception):
+        return type(value), str(value)
+    return value.array.shape, value.array.tobytes()
+
+
+def _failing_power_families():
+    """Pairs and families whose power sums fail: a spectrum below the floor
+    on either side, powers that overflow, Kronecker products of finite
+    powers that overflow (after a factor below the floor, for PROOF_CHAIN's
+    ``A^alpha x B^-alpha``), and power sums whose sum overflows."""
+    def pair(a, b, band):
+        return FamilyInstance(n=1, dim=a.dim, A_list=(a,), B_list=(b,), band=band)
+
+    tiny = SpectralBand(1e-13, 1e-13, 1.0, 1.0)
+    huge = SpectralBand(1e190, 1e190, 1e200, 1e200)
+    big = SymMatrix.diagonal([8e307, 1.0])
+    return [
+        pair(SymMatrix.identity(2), SymMatrix.diagonal([1e-13, 1e-13]), tiny),
+        pair(SymMatrix.diagonal([1e-14, 1.0]), SymMatrix.diagonal([1e-13, 1.0]), tiny),
+        pair(1e200 * SymMatrix.identity(2), 1e190 * SymMatrix.identity(2), huge),
+        pair(1e200 * SymMatrix.identity(1), 1e160 * SymMatrix.identity(1), huge),
+        pair(SymMatrix.diagonal([1e300, 1.0]), SymMatrix.diagonal([1e-300, 1.0]), huge),
+        FamilyInstance(n=3, dim=2, A_list=(big,) * 3, B_list=(SymMatrix.identity(2),) * 3, band=huge),
+    ]
+
+
+class TestStackedPowerSums:
+    """``_fill_power_sums`` computes the power sums of a whole stage
+    together.  Each must be the per-trial sum, bit for bit, or fail with the
+    error the per-trial sum raises first; and a stage must build every
+    trial's links as the trial alone does."""
+
+    @staticmethod
+    def _stage():
+        specs, k = [], 0
+        for ineq in (IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR):
+            for variant in Variant:
+                for pair in ST_KIND.values:
+                    specs.append((ineq, 1, 1 + k % 4, pair, variant))
+                    k += 1
+        for params in ALPHA_BETA_KIND.values:
+            specs.append((IneqId.PROOF_CHAIN, 1, 1 + k % 4, params, Variant.PAPER_LITERAL))
+            k += 1
+        for pair in ST_KIND.values:
+            specs.append((IneqId.COR_BJ_IDENTITY, 1 + k % 3, 1 + (k // 3) % 4, pair, Variant.PAPER_LITERAL))
+            k += 1
+        families = sample_families([
+            (n, d, DEFAULT_BANDS[j % 3], derive_rng(61, j), j % 2 == 0)
+            for j, (_, n, d, _, _) in enumerate(specs)
+        ])
+        trials = [(ineq, f, params, variant)
+                  for (ineq, _, _, params, variant), f in zip(specs, families)]
+        for f in _failing_power_families():
+            for ineq in (IneqId.COR_BJ_IDENTITY,) if f.n > 1 else (
+                    IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR, IneqId.PROOF_CHAIN):
+                for params in inequality_info(ineq).kind.values[::5]:
+                    trials.append((ineq, f, params, Variant.PAPER_LITERAL))
+        # Mix the dimensions and ids across the stage (37 is prime to the
+        # number of trials, so this is a permutation).
+        assert len(trials) % 37
+        return [trials[(37 * i) % len(trials)] for i in range(len(trials))]
+
+    def test_stacked_sums_equal_the_per_trial_sums(self):
+        trials = self._stage()
+        terms = [inequalities._PairTerms(f.A_list[0], f.B_list[0])
+                 if inequality_info(ineq).takes_pair else inequalities._FamilyTerms(f)
+                 for ineq, f, _, _ in trials]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inequalities._fill_power_sums(trials, terms)
+        failures = 0
+        for (ineq, family, params, _), t in zip(trials, terms):
+            keys = inequalities._POWER_SUMS[ineq](params)
+            assert set(t._stored) == set(keys)
+            for key in keys:
+                try:
+                    with np.errstate(all="ignore"):
+                        expected = _reference_sum(ineq, family, key)
+                except DomainError as exc:
+                    expected = exc
+                    failures += 1
+                got = t._stored[key]
+                assert _bits_or_text(got) == _bits_or_text(expected), (ineq, params, key)
+                if not isinstance(got, Exception):
+                    assert not got.array.flags.writeable
+        assert failures > 50
+
+    def test_a_stage_builds_the_links_of_each_trial_alone(self):
+        # The builders' own arithmetic (here a Hadamard product of power
+        # sums near the float limit) is one matrix at a time and may warn.
+        trials = self._stage()
+        with np.errstate(all="ignore"):
+            staged = inequalities._build_stage(trials)
+        failed = 0
+        for trial, got in zip(trials, staged):
+            try:
+                with np.errstate(all="ignore"):
+                    alone = build_links(*trial)
+            except HypothesisError as exc:
+                assert isinstance(got, HypothesisError) and str(got) == str(exc)
+                assert trial[1].band not in DEFAULT_BANDS  # only the failing families
+                failed += 1
+                continue
+            assert [name for name, _, _ in got] == [name for name, _, _ in alone]
+            for (_, lhs, rhs), (_, lhs1, rhs1) in zip(got, alone):
+                assert _bits_or_text(lhs) == _bits_or_text(lhs1)
+                assert _bits_or_text(rhs) == _bits_or_text(rhs1)
+        assert failed > 100
+
+    @pytest.mark.parametrize("ineq, family, params, message", [
+        (IneqId.PROOF_CHAIN, _failing_power_families()[2], ProofChainParams(0.75, 0.5),
+         "matrix entries must be finite"),
+        (IneqId.TENSOR_TOOL, _failing_power_families()[0], WITNESS_PAIR,
+         "spectral power 0.25 requires eigenvalues >= 1e-12; smallest is 1.000000e-13"),
+    ], ids=["proof_chain_overflow", "tensor_tool_below_floor"])
+    def test_a_failing_power_fails_alike_alone_and_beside_a_sampled_family(
+        self, ineq, family, params, message
+    ):
+        # PROOF_CHAIN: A^(1 + alpha) = (1e200)^1.75 overflows, after the
+        # ratio-power link was built.  TENSOR_TOOL: B^(1 - s) needs B above
+        # the eigenvalue floor.  Neither warns.
+        band, variant = DEFAULT_BANDS[2], Variant.PAPER_LITERAL
+
+        def copy(f):
+            return FamilyInstance.from_dict(f.to_dict())
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HypothesisError) as alone:
+                evaluate_inequality(ineq, copy(family), params, variant)
+            assert str(alone.value) == message
+            good = sample_family(1, 3, band, derive_rng(62, 0))
+            got = evaluate_stage([(ineq, good, params, variant),
+                                  (ineq, copy(family), params, variant)])
+            assert isinstance(got[1], HypothesisError) and str(got[1]) == message
+            other = sample_family(1, 3, band, derive_rng(62, 0))
+            assert got[0] == evaluate_inequality(ineq, other, params, variant)

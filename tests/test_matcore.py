@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,12 @@ class TestSymMatrix:
         # Finite entries whose half-sum overflows must not be stored as inf.
         with np.errstate(over="ignore"), pytest.raises(DomainError):
             SymMatrix(np.array([[1e308, 1e308], [1e308, 1e308]]))
+
+    def test_overflowing_symmetrisation_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                SymMatrix(np.array([[1e308, 1e308], [1e308, 1e308]]))
 
     def test_readonly(self):
         m = SymMatrix.identity(2)

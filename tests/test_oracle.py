@@ -13,9 +13,11 @@ from callebaut_lab.inequalities import (
     ST_KIND,
     IneqId,
     Variant,
+    build_links,
     evaluate_inequality,
+    evaluate_stage,
 )
-from callebaut_lab.matcore import SymMatrix
+from callebaut_lab.matcore import SymMatrix, sym_eigen
 from callebaut_lab.oracle import (
     BUILTIN_WITNESSES,
     WitnessRecord,
@@ -26,7 +28,7 @@ from callebaut_lab.oracle import (
     replay_witnesses,
     scalar_min_gap,
 )
-from callebaut_lab.sampler import FamilyInstance, SpectralBand, derive_rng
+from callebaut_lab.sampler import FamilyInstance, SpectralBand, derive_rng, sample_family
 from callebaut_lab.scalarcore import ExponentPair, ProofChainParams, chain_callebaut_gaps
 
 BAND = SpectralBand(0.5, 1.0, 2.0, 8.0)
@@ -264,3 +266,31 @@ class TestWitnessReplay:
             m = min(l.gap.min_eig for l in report.links)
             s = scalar_min_gap(ineq, inst, pair)
             assert m == pytest.approx(s, abs=1e-10)
+
+
+def test_tensor_links_on_non_diagonal_pairs_match_their_eigenvalue_pairs():
+    # A sum of f(A) x g(B) is diagonal in Q_A x Q_B, so the smallest
+    # eigenvalue of a tensor link on a non-diagonal pair is the scalar
+    # gap on the diagonal pair of the two spectra (Horn & Johnson,
+    # Topics in Matrix Analysis, 4.2).
+    trials, k = [], 0
+    for band in DEFAULT_BANDS:
+        for ineq in (IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR):
+            for variant in Variant:
+                for pair in ST_KIND.values:
+                    family = sample_family(1, 2 + k % 3, band, derive_rng(93, k), k % 2 == 0)
+                    trials.append((ineq, family, pair, variant))
+                    k += 1
+    for (ineq, family, pair, variant), report in zip(trials, evaluate_stage(trials)):
+        a, b = family.A_list[0], family.B_list[0]
+        assert not (a.is_diagonal() and b.is_diagonal())
+        spectra = FamilyInstance(
+            n=1, dim=family.dim,
+            A_list=(SymMatrix.diagonal(sym_eigen(a).eigenvalues),),
+            B_list=(SymMatrix.diagonal(sym_eigen(b).eigenvalues),),
+            band=family.band,
+        )
+        expected = scalar_min_gap(ineq, spectra, pair, variant)
+        [(_, lhs, rhs)] = build_links(ineq, family, pair, variant)
+        scale = max(1.0, np.abs(lhs.array).max(), np.abs(rhs.array).max())
+        assert abs(report.gap.min_eig - expected) <= 1e-12 * scale, (ineq, pair, variant)

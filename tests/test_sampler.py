@@ -678,7 +678,26 @@ class TestEachAlone:
         got = each_alone(stacked, (1, 0, 4), DomainError)
         assert got[0] == 1.0 and got[2] == 0.25
         assert isinstance(got[1], DomainError) and str(got[1]) == "zero among [0]"
-        assert calls == [[1, 0, 4], [1], [0], [4]]
+        assert calls == [[1, 0, 4], [1], [0, 4], [0], [4]]
+
+    def test_one_failing_item_among_a_stage_is_found_by_halving(self):
+        # One failing item among 128 (cli.STAGE) takes 1 + 2 * log2(128)
+        # stacked calls, not 128 one-item calls, with the results of the
+        # all-alone rule.
+        for bad in (0, 37, 127):
+            items = [k + 1 for k in range(128)]
+            items[bad] = 0
+            calls = []
+            got = each_alone(self._inverses(calls), items, DomainError)
+            assert len(calls) <= 15
+            alone = []
+            for item in items:
+                try:
+                    alone.append(self._inverses([])([item])[0])
+                except DomainError as exc:
+                    alone.append(exc)
+            assert got[:bad] + got[bad + 1:] == alone[:bad] + alone[bad + 1:]
+            assert isinstance(got[bad], DomainError) and str(got[bad]) == str(alone[bad])
 
     def test_any_other_error_propagates(self):
         stacked = self._inverses([], error=ZeroDivisionError)
