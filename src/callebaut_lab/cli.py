@@ -35,7 +35,7 @@ from .inequalities import (
 from .matcore import DEFAULT_TOL
 from .oracle import BUILTIN_WITNESSES, dump_catalog, load_catalog, replay_witnesses
 from .oracle import WITNESS_FAMILY, WITNESS_PAIR
-from .sampler import RngState, SpectralBand, derive_rng, sample_families, spd_in_band
+from .sampler import RngState, SpectralBand, _stream_words, derive_rng, sample_families, spd_in_band
 from .scalarcore import ExponentPair
 
 EXIT_OK = 0
@@ -100,17 +100,19 @@ def _stable_hash(key: str) -> int:
 
 def _shuffled(points, key: str, tracked: int | None = None):
     """``points`` in a Fisher-Yates order seeded by ``key``, and the new
-    position of the item at position ``tracked`` (None if not given)."""
-    order = list(points)
+    position of the item at position ``tracked`` (None if not given).
+
+    For i = n - 1, ..., 1, item i swaps with item j = w mod (i + 1), w the
+    key's stream's next word (``docs/rng.md``, "Grid order").  The words
+    come as jump-ahead lanes (``sampler._stream_words``) and the j as one
+    ``uint64`` array; both are exact integer arithmetic."""
+    n = len(points)
     rng = derive_rng(0xA5A5_1234, _stable_hash(key))
-    for i in range(len(order) - 1, 0, -1):
-        j = rng.next_u64() % (i + 1)
-        order[i], order[j] = order[j], order[i]
-        if tracked == i:
-            tracked = j
-        elif tracked == j:
-            tracked = i
-    return order, tracked
+    js = _stream_words(rng, max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), js.tolist()):
+        perm[i], perm[j] = perm[j], perm[i]
+    return [points[k] for k in perm], None if tracked is None else perm.index(tracked)
 
 
 def grid_points(ineq: IneqId, config: SuiteConfig):

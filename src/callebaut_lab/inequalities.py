@@ -374,19 +374,22 @@ def _links_proof_chain(terms: _PairTerms, band, params: ProofChainParams, varian
 
     # Pointwise step on the spectrum of A^alpha x B^-alpha: the Kantorovich-
     # weighted two-term bound at each eigenvalue product, reported at the
-    # worst point as a 1x1 link.
+    # worst point as a 1x1 link.  The eigenvalues are NumPy floats, whose
+    # overflow warns where a Python float's power would raise; a non-finite
+    # value fails the link's finiteness check instead.
     wa = sym_eigen(a).eigenvalues
     wb = sym_eigen(b).eigenvalues
     worst = None
-    for la in wa:
-        for lb in wb:
-            x = la ** al * lb ** (-al)
-            lhs_val = kantorovich(x) ** params.r_prime * (x ** mu + x ** (-mu)) + (
-                1.0 - mu
-            ) * (x + 1.0 / x - 2.0)
-            rhs_val = x + 1.0 / x
-            if worst is None or rhs_val - lhs_val < worst[1] - worst[0]:
-                worst = (lhs_val, rhs_val)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for la in wa:
+            for lb in wb:
+                x = la ** al * lb ** (-al)
+                lhs_val = kantorovich(x) ** params.r_prime * (x ** mu + x ** (-mu)) + (
+                    1.0 - mu
+                ) * (x + 1.0 / x - 2.0)
+                rhs_val = x + 1.0 / x
+                if worst is None or rhs_val - lhs_val < worst[1] - worst[0]:
+                    worst = (lhs_val, rhs_val)
     spectra_link = (
         "pointwise_spectrum",
         SymMatrix(np.array([[worst[0]]])),

@@ -311,24 +311,22 @@ def _plan(m: int, d: int, spare: bool) -> _Plan:
                  np.array(pairs, dtype=np.intp).reshape(-1, 2), pos)
 
 
-def _lane_tops(rngs: Sequence[RngState], counts: Sequence[int]) -> np.ndarray:
-    """The top 53 bits ``x >> 11`` of the first ``counts[r]`` words ``x`` of
-    stream ``rngs[r]``, as row ``r`` of a ``(len(rngs), max(counts))``
-    ``uint64`` array (later entries of a shorter row come from the stream's
-    further words), and each stream advanced past its own words.
+def _lane_words(state: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """xoshiro256** on every column of the ``(4, lanes)`` ``uint64`` array
+    ``state`` at once, one NumPy lane per column: the first ``max(counts)``
+    output words of each lane, as a ``(steps, lanes)`` array, and the state
+    of lane ``r`` after its first ``counts[r]`` words, as column ``r`` of a
+    ``(4, lanes)`` array.  ``state`` is advanced in place.
 
-    xoshiro256** runs on every stream at once, one NumPy lane per stream,
-    with the state as the rows of one ``(4, lanes)`` array.  A step is six
-    whole-row operations: ``s2 ^= s0; s3 ^= s1`` as one, ``s1 << 17`` and
-    ``s3 << 45`` as one, ``s0 ^= s3; s1 ^= s2`` as one, ``s3 >>= 19``, and
-    one XOR of the two shifts into ``s2`` and ``s3`` (the halves of a
-    rotation share no bit, so XOR is OR there), after keeping ``s1``.  Each
-    output word is scrambled from its kept ``s1`` afterwards, in one pass.
-    Unsigned 64-bit NumPy arithmetic wraps modulo 2^64 as ``docs/rng.md``
-    requires.
+    A step is six whole-row operations: ``s2 ^= s0; s3 ^= s1`` as one,
+    ``s1 << 17`` and ``s3 << 45`` as one, ``s0 ^= s3; s1 ^= s2`` as one,
+    ``s3 >>= 19``, and one XOR of the two shifts into ``s2`` and ``s3`` (the
+    halves of a rotation share no bit, so XOR is OR there), after keeping
+    ``s1``.  Each output word is scrambled from its kept ``s1`` afterwards,
+    in one pass.  Unsigned 64-bit NumPy arithmetic wraps modulo 2^64 as
+    ``docs/rng.md`` requires.
     """
-    lanes, steps = len(rngs), max(counts)
-    state = np.array([(r._s0, r._s1, r._s2, r._s3) for r in rngs], dtype=np.uint64).T.copy()
+    lanes, steps = state.shape[1], max(counts)
     low, high, swapped, odd = state[:2], state[2:], state[3:1:-1], state[1::2]
     s1, s3 = state[1], state[3]
     kept = np.empty((steps, lanes), dtype=np.uint64)
@@ -336,7 +334,7 @@ def _lane_tops(rngs: Sequence[RngState], counts: Sequence[int]) -> np.ndarray:
     ends: dict[int, list[int]] = {}
     for r, count in enumerate(counts):
         ends.setdefault(count, []).append(r)
-    final = np.empty((4, lanes), dtype=np.uint64)
+    final = state.copy()
     for k in range(steps):
         kept[k] = s1
         high ^= low
@@ -347,16 +345,62 @@ def _lane_tops(rngs: Sequence[RngState], counts: Sequence[int]) -> np.ndarray:
         done = ends.get(k + 1)
         if done is not None:
             final[:, done] = state[:, done]
-    for r, words in zip(rngs, final.T.tolist()):
-        r._s0, r._s1, r._s2, r._s3 = words
     kept *= _U5
     spill = kept >> _U57
     kept <<= _U7
     kept |= spill
     del spill
     kept *= _U9
-    kept >>= _U11
-    return kept.T
+    return kept, final
+
+
+def _lane_tops(rngs: Sequence[RngState], counts: Sequence[int]) -> np.ndarray:
+    """The top 53 bits ``x >> 11`` of the first ``counts[r]`` words ``x`` of
+    stream ``rngs[r]``, as row ``r`` of a ``(len(rngs), max(counts))``
+    ``uint64`` array (later entries of a shorter row come from the stream's
+    further words), and each stream advanced past its own words: one
+    ``_lane_words`` lane per stream."""
+    state = np.array([(r._s0, r._s1, r._s2, r._s3) for r in rngs], dtype=np.uint64).T.copy()
+    words, final = _lane_words(state, counts)
+    for r, s in zip(rngs, final.T.tolist()):
+        r._s0, r._s1, r._s2, r._s3 = s
+    words >>= _U11
+    return words.T
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """T^64, the xoshiro256** state 64 steps on, as a read-only ``(256, 4)``
+    ``uint64`` table: row ``b`` is the image of the unit state whose only set
+    bit is bit ``b % 64`` of word ``b // 64``.  A step is made of XORs,
+    shifts and rotations, so it is linear over GF(2), and the state 64 steps
+    after any state is the XOR of the rows of its set bits."""
+    b = np.arange(256)
+    units = np.zeros((4, 256), dtype=np.uint64)
+    units[b // 64, b] = np.left_shift(np.uint64(1), (b % 64).astype(np.uint64))
+    table = _lane_words(units, [64] * 256)[1].T.copy()
+    table.flags.writeable = False
+    return table
+
+
+def _stream_words(rng: RngState, count: int) -> np.ndarray:
+    """The next ``count`` words of ``rng`` as a ``uint64`` array, with
+    ``rng`` advanced past them, as ``count`` calls of ``next_u64`` give.
+
+    The stream runs as ``_lane_words`` lanes of 64 consecutive words each:
+    lane ``l`` starts at T^(64 l) of the state, one ``_jump_table`` step on
+    from lane ``l - 1``, so about ``count / 64`` Python steps of NumPy work
+    give the words in stream order.  Every operation is exact integer
+    arithmetic."""
+    lanes = max(1, -(-count // 64))
+    starts = [np.array((rng._s0, rng._s1, rng._s2, rng._s3), dtype=np.uint64)]
+    for _ in range(1, lanes):
+        bits = np.unpackbits(starts[-1].astype("<u8").view(np.uint8), bitorder="little")
+        starts.append(np.bitwise_xor.reduce(_jump_table().compress(bits, axis=0), axis=0))
+    counts = [64] * (lanes - 1) + [count - 64 * (lanes - 1)]
+    words, final = _lane_words(np.array(starts).T.copy(), counts)
+    rng._s0, rng._s1, rng._s2, rng._s3 = final[:, -1].tolist()
+    return words.T.ravel()[:count]
 
 
 def _serial_tops(rngs: Sequence[RngState], counts: Sequence[int]) -> np.ndarray:

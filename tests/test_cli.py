@@ -6,13 +6,35 @@ import pytest
 
 from callebaut_lab import cli
 from callebaut_lab.errors import ConfigError, DomainError, HypothesisError
-from callebaut_lab.inequalities import REPAIRABLE, IneqId, Variant, build_links, params_dict
+from callebaut_lab.inequalities import (
+    REPAIRABLE,
+    IneqId,
+    Variant,
+    build_links,
+    inequality_info,
+    params_dict,
+)
 from callebaut_lab.sampler import LANE_MIN, derive_rng, sample_family
 from callebaut_lab.scalarcore import ExponentPair
 
 
 def _run(argv):
     return cli.main(argv)
+
+
+def _looped_shuffle(points, key, tracked=None):
+    """The grid shuffle one ``next_u64`` word at a time, the reference for
+    ``cli._shuffled``."""
+    order = list(points)
+    rng = derive_rng(0xA5A5_1234, cli._stable_hash(key))
+    for i in range(len(order) - 1, 0, -1):
+        j = rng.next_u64() % (i + 1)
+        order[i], order[j] = order[j], order[i]
+        if tracked == i:
+            tracked = j
+        elif tracked == j:
+            tracked = i
+    return order, tracked
 
 
 @pytest.fixture(scope="module")
@@ -204,8 +226,9 @@ class TestVerify:
         assert key == sorted(key)
 
     def test_sampling_keys_are_frozen(self, tiny_reports):
-        # Stream ids depend only on blake2b and the pure-Python grid shuffle,
-        # so this digest is the same on every machine and NumPy build.
+        # Stream ids depend only on blake2b and the grid shuffle, whose
+        # words and swaps are exact integer arithmetic, so this digest is
+        # the same on every machine and NumPy build.
         _, _, lines = tiny_reports
         keys = "".join(f"{l['id']} {l['variant']} {l['stream']}\n" for l in lines)
         assert hashlib.sha256(keys.encode()).hexdigest() == (
@@ -214,7 +237,8 @@ class TestVerify:
 
     def test_default_grid_is_frozen(self):
         # Every default grid point of every id, in sweep order, with its
-        # parameters in report form; pure Python, so the same on every build.
+        # parameters in report form; integer arithmetic only (the shuffle's
+        # lanes included), so the same on every build.
         config = cli.SuiteConfig()
         rows = [
             [ineq.value, list(band.as_tuple()), n, d, params_dict(ineq, params)]
@@ -226,6 +250,23 @@ class TestVerify:
         assert digest == (
             "28abc52889e5024d98bda1ff5ce5e169a79a872c7f71f498b3ed398fb113c177"
         )
+
+    @pytest.mark.parametrize("ineq", list(IneqId), ids=lambda i: i.value)
+    def test_grid_shuffle_equals_the_word_loop(self, ineq):
+        # Every id's grid in product order, shuffled with the witness, the
+        # ends and no item tracked, and its first one and two points.
+        info = inequality_info(ineq)
+        sizes = (1,) if info.takes_pair else cli.FAMILY_SIZES
+        points = [(band, n, d, p) for band in cli.DEFAULT_BANDS for n in sizes
+                  for d in cli.DIMS for p in info.kind.values]
+        witness = points.index(cli.WITNESS_POINT) if cli.WITNESS_POINT in points else None
+        for tracked in (None, 0, witness, len(points) - 1):
+            assert cli._shuffled(points, ineq.value, tracked) == _looped_shuffle(
+                points, ineq.value, tracked)
+        for head in (points[:1], points[:2]):
+            for tracked in (None, 0, len(head) - 1):
+                assert cli._shuffled(head, ineq.value, tracked) == _looped_shuffle(
+                    head, ineq.value, tracked)
 
     def test_byte_identical_reruns(self, tiny_reports, tmp_path):
         _, out, _ = tiny_reports

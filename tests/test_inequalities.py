@@ -559,13 +559,20 @@ class TestStackedPowerSums:
          "matrix entries must be finite"),
         (IneqId.TENSOR_TOOL, _failing_power_families()[0], WITNESS_PAIR,
          "spectral power 0.25 requires eigenvalues >= 1e-12; smallest is 1.000000e-13"),
-    ], ids=["proof_chain_overflow", "tensor_tool_below_floor"])
+        (IneqId.PROOF_CHAIN,
+         FamilyInstance(n=1, dim=1, A_list=(1e300 * SymMatrix.identity(1),),
+                        B_list=(1e-300 * SymMatrix.identity(1),),
+                        band=SpectralBand(1e-300, 1e-300, 1e300, 1e300)),
+         ProofChainParams(1.0, 0.625), "matrix entries must be finite"),
+    ], ids=["proof_chain_overflow", "tensor_tool_below_floor", "proof_chain_pointwise_overflow"])
     def test_a_failing_power_fails_alike_alone_and_beside_a_sampled_family(
         self, ineq, family, params, message
     ):
         # PROOF_CHAIN: A^(1 + alpha) = (1e200)^1.75 overflows, after the
         # ratio-power link was built.  TENSOR_TOOL: B^(1 - s) needs B above
-        # the eigenvalue floor.  Neither warns.
+        # the eigenvalue floor.  PROOF_CHAIN pointwise: the eigenvalue
+        # product x = 1e300^1 * (1e-300)^-1 overflows in the pointwise step.
+        # None warns.
         band, variant = DEFAULT_BANDS[2], Variant.PAPER_LITERAL
 
         def copy(f):
