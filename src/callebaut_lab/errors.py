@@ -42,9 +42,10 @@ def each_alone(stacked, items, errors):
     costs about ``2 log2(k)`` stacked calls.
 
     This is the one rule of the stacked stages (``sampler.sample_families``,
-    ``inequalities.evaluate_stage``): the stacked results, or every item's
-    own result or error as if it ran alone.  A group that succeeds gives each
-    item its result alone, so halving changes no result.
+    ``inequalities.evaluate_stage``): the stacked kernels return all their
+    results or raise, and only this function puts a stacked call's error in
+    the failing item's place.  A group that succeeds gives each item its
+    result alone, so halving changes no result.
     """
     items = list(items)
     try:

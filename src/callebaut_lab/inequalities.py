@@ -41,19 +41,20 @@ band, then the condition of the parameter kind.
 trial, then the weighted-mean factorizations of every family that needs them
 are made at once (``matcore.MeanPath.stack``) and stored on the family, then
 the sums the builders read are computed at once and stored on each trial's
-terms, each as its matrix or its error: the weighted-mean sums of
-``_MEAN_WEIGHTS`` (``matcore.MeanPath.sums``) and the sums of spectral
-powers of ``_POWER_SUMS`` (the tensor sums ``A^p x B^q + A^q x B^p`` and
-``A x B`` of TENSOR_TOOL, REV_TENSOR_DEAR and PROOF_CHAIN, and
-COR_BJ_IDENTITY's ``sum_j A_j^u``: one ``matcore.spectral_pow_stack`` per
-dimension, and the Kronecker products and sums on stacks).  Then each
-trial's builder makes only its linear combinations of the stored sums, and
-every link of every trial is measured at once (``matcore.loewner_gaps``).
-Every number is the one the trial gets alone, and a stored error is raised
-where the builder reads the sum; if a stacked call raises,
-``errors.each_alone`` evaluates the trials again in halves, down to each
-trial alone.  ``evaluate_inequality`` and ``build_links`` are the one-trial
-cases.
+terms: the weighted-mean sums of ``_MEAN_WEIGHTS`` (``matcore.MeanPath.sums``)
+and the sums of spectral powers of ``_POWER_SUMS`` (the tensor sums
+``A^p x B^q + A^q x B^p`` and ``A x B`` of TENSOR_TOOL, REV_TENSOR_DEAR and
+PROOF_CHAIN, and COR_BJ_IDENTITY's ``sum_j A_j^u``: one
+``matcore.spectral_pow_stack`` per dimension, and the Kronecker products and
+sums on stacks).  Then each trial's builder makes only its linear
+combinations of the stored sums, and every link of every trial is measured
+at once (``matcore.loewner_gaps``).  Every number is the one the trial gets
+alone.  A check or a builder that fails puts its error in its trial's place;
+a stacked step succeeds whole or raises, and then ``errors.each_alone``
+evaluates the trials again in halves, down to each trial alone.  So a trial
+reports its first failure in stage order: its checks, its mean path, its
+stored sums in declaration order, then its builder.  ``evaluate_inequality``
+and ``build_links`` are the one-trial cases.
 
 Each registry entry names its ``ParamKind``: the parameter type, the values
 the sweep visits, the report form and any condition beyond the type.
@@ -227,14 +228,14 @@ class _Terms:
     """A terms object: ``S(u)`` is symmetric in ``u <-> 1-u``, so it is
     computed once per ``min(u, 1-u)``, by the subclass's ``_S``, at the first
     ``u`` asked for.  ``stored(key)`` is a sum that the stage computed before
-    the builder runs, or raises the ``DomainError`` computing it gave: the
-    weighted-mean sum at weight ``key`` for the ids of ``_MEAN_WEIGHTS``
-    (``_fill_mean_sums``), or the sum of spectral powers ``key`` for the ids
-    of ``_POWER_SUMS`` (``_fill_power_sums``).  No id reads both."""
+    the builder runs: the weighted-mean sum at weight ``key`` for the ids of
+    ``_MEAN_WEIGHTS`` (``_fill_mean_sums``), or the sum of spectral powers
+    ``key`` for the ids of ``_POWER_SUMS`` (``_fill_power_sums``).  No id
+    reads both."""
 
     def __init__(self):
         self._s = {}
-        self._stored: dict[Any, SymMatrix | DomainError] = {}
+        self._stored: dict[Any, SymMatrix] = {}
 
     def S(self, u: float):
         key = min(u, 1.0 - u)
@@ -243,10 +244,7 @@ class _Terms:
         return self._s[key]
 
     def stored(self, key) -> SymMatrix:
-        total = self._stored[key]
-        if isinstance(total, DomainError):
-            raise total
-        return total
+        return self._stored[key]
 
 
 class _FamilyTerms(_Terms):
@@ -374,22 +372,21 @@ def _links_proof_chain(terms: _PairTerms, band, params: ProofChainParams, varian
 
     # Pointwise step on the spectrum of A^alpha x B^-alpha: the Kantorovich-
     # weighted two-term bound at each eigenvalue product, reported at the
-    # worst point as a 1x1 link.  The eigenvalues are NumPy floats, whose
-    # overflow warns where a Python float's power would raise; a non-finite
-    # value fails the link's finiteness check instead.
+    # worst point as a 1x1 link.  The eigenvalues are NumPy floats, so an
+    # overflow gives a non-finite value, which fails the link's finiteness
+    # check, where a Python float's power would raise.
     wa = sym_eigen(a).eigenvalues
     wb = sym_eigen(b).eigenvalues
     worst = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for la in wa:
-            for lb in wb:
-                x = la ** al * lb ** (-al)
-                lhs_val = kantorovich(x) ** params.r_prime * (x ** mu + x ** (-mu)) + (
-                    1.0 - mu
-                ) * (x + 1.0 / x - 2.0)
-                rhs_val = x + 1.0 / x
-                if worst is None or rhs_val - lhs_val < worst[1] - worst[0]:
-                    worst = (lhs_val, rhs_val)
+    for la in wa:
+        for lb in wb:
+            x = la ** al * lb ** (-al)
+            lhs_val = kantorovich(x) ** params.r_prime * (x ** mu + x ** (-mu)) + (
+                1.0 - mu
+            ) * (x + 1.0 / x - 2.0)
+            rhs_val = x + 1.0 / x
+            if worst is None or rhs_val - lhs_val < worst[1] - worst[0]:
+                worst = (lhs_val, rhs_val)
     spectra_link = (
         "pointwise_spectrum",
         SymMatrix(np.array([[worst[0]]])),
@@ -421,10 +418,7 @@ def _links_had_maman2(terms: _FamilyTerms, band, pair: ExponentPair, variant):
 
 def _links_cor_bj(terms: _FamilyTerms, band, pair: ExponentPair, variant):
     # Lower family pinned to the identity: means become plain powers of A_j,
-    # and the stored sum u is sum_j A_j^u.  No mean is factored, but a pair
-    # that could not enter one fails with the text the other Hadamard-sum
-    # statements give it.
-    require_positive_pairs(terms.inst.A_list, terms.inst.B_list)
+    # and the stored sum u is sum_j A_j^u.
     power_sum = terms.stored
     s, t = pair.s, pair.t
     s_s = hadamard(power_sum(1.0 - s), power_sum(s))
@@ -704,14 +698,11 @@ def _hypothesis(exc: Exception) -> Exception:
 
 def _build_stage(trials) -> list:
     """The links of each trial ``(ineq, family, params, variant)``, or the
-    error that building them raised (a ``DomainError`` as
-    ``HypothesisError``).
-
-    Each trial's checks run first, then the ``MeanPath`` of every checked
-    family in ``_MEAN_WEIGHTS`` that has none stored is factored, all together,
-    and stored on the family (``FamilyInstance._means``); then the mean sums
-    that the builders read are computed together (``_fill_mean_sums``); then
-    each builder runs.  An error of a stacked call propagates.
+    error that its checks or its builder raised, a ``DomainError`` as
+    ``HypothesisError``.  The stacked steps between them (the ``MeanPath``
+    of every family in ``_MEAN_WEIGHTS`` that has none stored, kept on the
+    family, then ``_fill_mean_sums`` and ``_fill_power_sums``) succeed
+    whole or raise, a ``DomainError`` as ``HypothesisError``.
     """
     out = []
     for trial in trials:
@@ -720,45 +711,48 @@ def _build_stage(trials) -> list:
             out.append(None)
         except _EVALUATION_ERRORS as exc:
             out.append(_hypothesis(exc))
+    terms = [
+        None if built is not None
+        else _PairTerms(family.A_list[0], family.B_list[0]) if _REGISTRY[ineq].takes_pair
+        else _FamilyTerms(family)
+        for (ineq, family, _, _), built in zip(trials, out)
+    ]
     todo = {
         id(family): family
-        for (ineq, family, _, _), built in zip(trials, out)
-        if built is None and ineq in _MEAN_WEIGHTS and family._means is None
+        for (ineq, family, _, _), t in zip(trials, terms)
+        if t is not None and ineq in _MEAN_WEIGHTS and family._means is None
     }
-    failed = {}
-    paths = MeanPath.stack([(f.A_list, f.B_list) for f in todo.values()])
-    for family, path in zip(todo.values(), paths):
-        if isinstance(path, Exception):
-            failed[id(family)] = path
-        else:
+    try:
+        paths = MeanPath.stack([(f.A_list, f.B_list) for f in todo.values()])
+        for family, path in zip(todo.values(), paths):
             object.__setattr__(family, "_means", path)
-    terms = [None] * len(trials)
-    for k, (ineq, family, _, _) in enumerate(trials):
-        if out[k] is not None:
-            continue
-        if ineq in _MEAN_WEIGHTS and id(family) in failed:
-            out[k] = _hypothesis(failed[id(family)])
-        elif _REGISTRY[ineq].takes_pair:
-            terms[k] = _PairTerms(family.A_list[0], family.B_list[0])
-        else:
-            terms[k] = _FamilyTerms(family)
-    _fill_mean_sums(trials, terms)
-    _fill_power_sums(trials, terms)
-    for k, (ineq, family, params, variant) in enumerate(trials):
-        if terms[k] is None:
-            continue
-        try:
-            out[k] = _BUILDERS[ineq](terms[k], family.band, params, variant)
-        except _EVALUATION_ERRORS as exc:
-            out[k] = _hypothesis(exc)
+        _fill_mean_sums(trials, terms)
+        _fill_power_sums(trials, terms)
+    except DomainError as exc:
+        raise _hypothesis(exc)
+    # A builder's matrix or NumPy-scalar arithmetic that overflows is
+    # rejected by a finiteness check, so NumPy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (ineq, family, params, variant) in enumerate(trials):
+            if terms[k] is None:
+                continue
+            try:
+                out[k] = _BUILDERS[ineq](terms[k], family.band, params, variant)
+            except _EVALUATION_ERRORS as exc:
+                out[k] = _hypothesis(exc)
+            except ArithmeticError as exc:
+                # A band constant in Python floats overflowed: a power raises
+                # OverflowError, a ratio whose denominator underflowed to 0
+                # raises ZeroDivisionError.
+                out[k] = HypothesisError(f"{ineq.value} overflows on this input: {exc}")
+                out[k].__cause__ = exc
     return out
 
 
 def _fill_mean_sums(trials, terms):
     """Store in each trial's terms the mean sums of its family's
     ``MeanPath`` that its builder reads (``_MEAN_WEIGHTS``), with one
-    ``MeanPath.sums`` call for the stage.  A sum that fails is stored as its
-    ``DomainError``, which ``stored`` raises when the builder reads it."""
+    ``MeanPath.sums`` call for the stage."""
     wanted = []
     for (ineq, family, params, _), t in zip(trials, terms):
         if t is not None and ineq in _MEAN_WEIGHTS:
@@ -788,10 +782,9 @@ def _fill_power_sums(trials, terms):
     power with one ``spectral_pow_stack`` call, then, for each shape of
     sum, every Kronecker product with one broadcast product and the sums
     left to right on the stack.  Each sum is bit for bit the one that
-    ``spectral_pow``, ``kron`` and ``+`` give; a sum that fails is stored
-    as the ``DomainError`` they raise first (each product's factors in
-    order, then the product, then the sum), which ``stored`` raises when
-    the builder reads it."""
+    ``spectral_pow``, ``kron`` and ``+`` give.  A power that fails raises its
+    ``DomainError`` (the first in declaration order), and a product or a
+    sum that is not finite raises the one that ``kron`` and ``+`` give."""
     by_dim: dict[int, list] = {}
     for (ineq, family, params, _), t in zip(trials, terms):
         if t is not None and ineq in _POWER_SUMS:
@@ -816,46 +809,25 @@ def _fill_power_sums(trials, terms):
                     which += [first + j for j in ops]
                     ps += exps
                 by_shape.setdefault((len(ops) // f, f), []).append((t, key, rows))
-        table, failed = spectral_pow_stack(mats, which, ps)
+        table = spectral_pow_stack(mats, which, ps)
         if operands:
             table = np.concatenate([table, [m.array for m in mats]])
-        bad = np.zeros(len(table), dtype=bool)
-        bad[list(failed)] = True
         # A product or a sum that overflows is rejected by the finiteness
-        # checks below, so NumPy need not warn first.
+        # check below, so NumPy need not warn first; a product that is not
+        # finite leaves its sum not finite.
         with np.errstate(over="ignore", invalid="ignore"):
             for (n, f), items in by_shape.items():
                 idx = np.array([rows for _, _, rows in items])
                 idx[idx < 0] = len(ps) - 1 - idx[idx < 0]
-                ok = ~bad[idx].any(axis=1)
-                finite = []
                 for j in range(0, n * f, f):
                     term = table[idx[:, j]]
                     if f == 2:
                         term = kron_arrays(term, table[idx[:, j + 1]])
-                    finite.append(np.isfinite(term).all(axis=(1, 2)))
                     total = term if j == 0 else total + term
-                ok &= np.logical_and.reduce(finite) & np.isfinite(total).all(axis=(1, 2))
-                ok = ok.tolist()
-                for k, ((t, key, rows), m) in enumerate(zip(items, SymMatrix._views(total))):
-                    if ok[k]:
-                        t._stored[key] = m
-                    else:
-                        t._stored[key] = _first_failure(rows, f, failed, [x[k] for x in finite])
-
-
-def _first_failure(rows, f, failed, finite) -> DomainError:
-    """The ``DomainError`` that a power sum raises first, given its factors'
-    table rows, ``f`` factors per product, the failing powers and whether
-    each product is finite: a factor's, in order, or a product's or the
-    sum's that is not finite."""
-    for j, product_finite in zip(range(0, len(rows), f), finite):
-        for r in rows[j : j + f]:
-            if r in failed:
-                return DomainError(str(failed[r]))
-        if not product_finite:
-            break
-    return DomainError("matrix entries must be finite")
+                if not np.isfinite(total).all():
+                    raise DomainError("matrix entries must be finite")
+                for (t, key, _), m in zip(items, SymMatrix._views(total)):
+                    t._stored[key] = m
 
 
 def _check(ineq, family, params, variant):
@@ -881,6 +853,10 @@ def _check(ineq, family, params, variant):
         validate_band_containment(family)
     if not kind.holds(params):
         raise HypothesisError(kind.violation.format(**kind.report(params)))
+    if not info.takes_pair and ineq not in _MEAN_WEIGHTS:
+        # COR_BJ_IDENTITY factors no mean, but a pair that could not enter
+        # one fails with the text the other Hadamard-sum statements give it.
+        require_positive_pairs(family.A_list, family.B_list)
 
 
 def params_dict(ineq: IneqId, params) -> dict:

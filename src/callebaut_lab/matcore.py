@@ -32,6 +32,8 @@ same way.  ``sym_eigen``, ``spectral_pow``, ``kron``, ``MeanPath(a, b)``,
 each matrix of a stack to LAPACK and BLAS alone, so a stacked call gives each
 matrix the bits of a one-matrix call on the installed build;
 ``tests/test_sampler.py`` and ``tests/test_inequalities.py`` check that.
+A stacked call returns all its results or raises the error of its first
+failing item; it never returns an error in an item's place.
 Stacked arithmetic, and the public constructor's symmetrisation, reject
 entries that overflow by a finiteness check after them, without a NumPy
 warning first; the one-matrix arithmetic (``+``, ``-``, ``*``, ``kron``,
@@ -310,28 +312,25 @@ def spectral_pow(a: SymMatrix, p: float) -> SymMatrix:
     other exponent requires all eigenvalues ``>= EIG_FLOOR``.  This is the
     one-matrix case of :func:`spectral_pow_stack`.
     """
-    arr, failed = spectral_pow_stack((a,), (0,), (p,))
-    if failed:
-        raise failed[0]
-    return SymMatrix._views(arr)[0]
+    return SymMatrix._views(spectral_pow_stack((a,), (0,), (p,)))[0]
 
 
 def spectral_pow_stack(
     mats: Sequence[SymMatrix], which: Sequence[int], ps: Sequence[float]
-) -> tuple[np.ndarray, dict[int, DomainError]]:
+) -> np.ndarray:
     """``spectral_pow(mats[i], p)`` for each ``i, p`` of ``zip(which, ps)``,
     for matrices of one dimension, computed together.
 
     Returns a ``(k, d, d)`` array whose matrix ``r`` holds the entries of
-    request ``r``, and a dict from each request that fails to the
-    ``DomainError`` that ``spectral_pow`` raises for it (an eigenvalue below
-    the floor, or entries that are not finite); its matrix is then not
-    meaningful.  The requests of each exponent share one ``np.power`` over
-    the stored eigenvalues, with the exponent as a Python-float scalar (see
-    ``docs/rng.md``), and every request is rebuilt, ``(q * w^p) q^T``,
-    symmetrized exactly and checked for finiteness in one stacked step,
-    without a NumPy warning.  Each matrix is the one-request result bit for
-    bit on the installed build (``tests/test_inequalities.py`` checks that).
+    request ``r``, or raises the ``DomainError`` of the first failing
+    request, in request order: an eigenvalue below the floor, or entries
+    that are not finite.  The requests of each exponent share one
+    ``np.power`` over the stored eigenvalues, with the exponent as a
+    Python-float scalar (see ``docs/rng.md``), and every request is rebuilt,
+    ``(q * w^p) q^T``, symmetrized exactly and checked for finiteness in
+    one stacked step, without a NumPy warning.  Each matrix is the
+    one-request result bit for bit on the installed build
+    (``tests/test_inequalities.py`` checks that).
     """
     eig = sym_eigen_stack(mats)
     which = np.asarray(which, dtype=np.intp)
@@ -352,16 +351,16 @@ def spectral_pow_stack(
         x = (q * powered[:, None, :]) @ q.transpose(0, 2, 1)
         x = (x + x.transpose(0, 2, 1)) / 2.0
     below = (w[:, 0] < EIG_FLOOR) & ~((exps >= 0.0) & (exps == np.floor(exps)))
-    failed = {}
-    for r in np.flatnonzero(below | ~np.isfinite(x).all(axis=(1, 2))).tolist():
+    bad = below | ~np.isfinite(x).all(axis=(1, 2))
+    if bad.any():
+        r = int(np.argmax(bad))
         if below[r]:
-            failed[r] = DomainError(
+            raise DomainError(
                 f"spectral power {float(ps[r])} requires eigenvalues >= {EIG_FLOOR:g}; "
                 f"smallest is {w[r, 0]:.6e}"
             )
-        else:
-            failed[r] = DomainError("matrix entries must be finite")
-    return x, failed
+        raise DomainError("matrix entries must be finite")
+    return x
 
 
 def spectral_norm(a: SymMatrix) -> float:
@@ -427,22 +426,21 @@ class MeanPath:
 
     def __init__(self, a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
         (path,) = MeanPath.stack([(a, b)])
-        if isinstance(path, Exception):
-            raise path
         self._a_half, self._w, self._q = path._a_half, path._w, path._q
 
     @classmethod
-    def stack(cls, groups: Sequence[tuple]) -> list:
+    def stack(cls, groups: Sequence[tuple]) -> list["MeanPath"]:
         """``[MeanPath(a, b) for a, b in groups]``, factored together.
 
         The pairs of all groups of one dimension share one stacked rebuild
         of ``a^(+-1/2)``, one stacked inner operand ``a^(-1/2) b a^(-1/2)``
         with its symmetrisation, and one eigendecomposition; each result is
-        the one a one-pair path computes, bit for bit.  Item ``i`` is the
-        path of group ``i``, or the ``DomainError`` of its first failing
-        pair, where each pair checks ``a``, then ``b``, then the inner
-        operand.  A ``ShapeError`` (pairs that do not match), ``SizeError``
-        or ``LinAlgError`` propagates.
+        the one a one-pair path computes, bit for bit.  A pair that cannot
+        be factored raises ``DomainError`` (the first such pair of the first
+        dimension that has one), where each pair checks ``a``, then ``b``,
+        then the inner operand.  A
+        ``ShapeError`` (pairs that do not match), ``SizeError`` or
+        ``LinAlgError`` propagates.
         """
         groups = [(tuple(a), tuple(b)) for a, b in groups]
         by_dim: dict[int, list[int]] = {}
@@ -461,8 +459,8 @@ class MeanPath:
             wa = np.array([e.eigenvalues for e in ea])
             qa = np.array([e.eigenvectors for e in ea])
             wb = np.array([e.eigenvalues[0] for e in sym_eigen_stack(b)])
-            # Pairs that fail the a or b check get a stand-in spectrum; their
-            # paths are never built.
+            # Pairs that fail the a or b check get a stand-in spectrum, so the
+            # inner operand of every other pair is still checked.
             usable = (wa[:, 0] >= EIG_FLOOR) & (wb >= EIG_FLOOR)
             root = np.sqrt(np.where(usable[:, None], wa, 1.0))
             qt = qa.transpose(0, 2, 1)
@@ -475,35 +473,29 @@ class MeanPath:
                 inner = inner + inner.transpose(0, 2, 1)
             finite = np.isfinite(inner).all(axis=(1, 2))
             w, q = _eigh_stack(np.where(finite[:, None, None], inner, 2.0) / 2.0)
-            good = (usable & finite & (w[:, 0] > 0.0)).tolist()
-            k = 0
-            for g in gs:
-                n = len(groups[g][0])
-                if all(good[k : k + n]):
-                    path = object.__new__(cls)
-                    path._a_half, path._w, path._q = a_half[k : k + n], w[k : k + n], q[k : k + n]
-                else:
-                    j = k + good[k : k + n].index(False)
-                    path = DomainError(_pair_failure(wa[j, 0], wb[j], finite[j], w[j, 0]))
-                out[g] = path
-                k += n
+            good = usable & finite & (w[:, 0] > 0.0)
+            if not good.all():
+                j = int(np.argmin(good))
+                raise DomainError(_pair_failure(wa[j, 0], wb[j], finite[j], w[j, 0]))
+            rows = [0, *accumulate(len(groups[g][0]) for g in gs)]
+            for g, lo, hi in zip(gs, rows, rows[1:]):
+                path = out[g] = object.__new__(cls)
+                path._a_half, path._w, path._q = a_half[lo:hi], w[lo:hi], q[lo:hi]
         return out
 
     def at(self, alpha: float) -> SymMatrix:
         """``sum_j a_j #_alpha b_j``, the means summed left to right; the
         one-request case of :meth:`sums`."""
         (total,) = MeanPath.sums(((self, alpha),))
-        if isinstance(total, Exception):
-            raise total
         return total
 
     @staticmethod
-    def sums(requests: Sequence[tuple]) -> list:
+    def sums(requests: Sequence[tuple]) -> list[SymMatrix]:
         """``[path.at(alpha) for path, alpha in requests]``, computed together.
 
-        Item ``i`` is the mean sum of request ``(path, alpha)``, or the
-        ``DomainError`` that ``at`` raises for it: a weight outside [0, 1],
-        or a sum that is not finite.  The requests of one dimension share
+        Item ``i`` is the mean sum of request ``(path, alpha)``.  A weight
+        outside [0, 1], or a sum that is not finite, raises ``DomainError``
+        for the whole call.  The requests of one dimension share
         one stacked chain of products; each distinct weight takes one
         ``np.power`` over the eigenvalues of all its requests, always with
         the weight as a Python-float scalar exponent (an array of exponents
@@ -515,10 +507,9 @@ class MeanPath:
         by_dim: dict[int, list[tuple[float, int]]] = {}
         for i, (path, alpha) in enumerate(requests):
             alpha = float(alpha)
-            if 0.0 <= alpha <= 1.0:
-                by_dim.setdefault(path._w.shape[1], []).append((alpha, i))
-            else:
-                out[i] = DomainError(f"mean weight must lie in [0, 1], got {alpha}")
+            if not 0.0 <= alpha <= 1.0:
+                raise DomainError(f"mean weight must lie in [0, 1], got {alpha}")
+            by_dim.setdefault(path._w.shape[1], []).append((alpha, i))
         for items in by_dim.values():
             items.sort()  # equal weights become contiguous rows
             paths = [requests[i][0] for _, i in items]
@@ -545,42 +536,30 @@ class MeanPath:
                     total = means[first]
                     for j in range(1, n):
                         total = total + means[first + j]
-                    # A mean that is not finite leaves its sum not finite,
-                    # and ``at`` gives both the same error.
-                    ok = np.isfinite(total).all(axis=(1, 2)).tolist()
-                    for k, m, good in zip(ks, SymMatrix._views(total), ok):
-                        out[items[k][1]] = m if good else DomainError("matrix entries must be finite")
+                    # A mean that is not finite leaves its sum not finite.
+                    if not np.isfinite(total).all():
+                        raise DomainError("matrix entries must be finite")
+                    for k, m in zip(ks, SymMatrix._views(total)):
+                        out[items[k][1]] = m
         return out
 
 
-def _operand_failure(a_min: float, b_min: float) -> str | None:
-    """Why a pair with these smallest eigenvalues cannot enter a mean, if
-    one of its operands is not positive definite."""
+def _pair_failure(a_min: float, b_min: float, finite: bool = True, inner_min: float = 1.0) -> str | None:
+    """Why one pair of a mean path cannot be factored, if it cannot: the
+    first of its checks, in order, that fails.  At their defaults, the
+    inner operand's checks pass."""
     if a_min < EIG_FLOOR:
-        return (
-            f"left operand is not positive definite "
-            f"(min eigenvalue {a_min:.6e} < {EIG_FLOOR:g})"
-        )
+        return f"left operand is not positive definite (min eigenvalue {a_min:.6e} < {EIG_FLOOR:g})"
     if b_min < EIG_FLOOR:
-        return (
-            f"right operand is not positive definite "
-            f"(min eigenvalue {b_min:.6e} < {EIG_FLOOR:g})"
-        )
-    return None
-
-
-def _pair_failure(a_min: float, b_min: float, finite: bool, inner_min: float) -> str:
-    """Why one pair of a mean path cannot be factored: the first of its
-    checks, in order, that fails."""
-    operand = _operand_failure(a_min, b_min)
-    if operand is not None:
-        return operand
+        return f"right operand is not positive definite (min eigenvalue {b_min:.6e} < {EIG_FLOOR:g})"
     if not finite:
         return "matrix entries must be finite"
-    return (
-        "congruence-transformed operand lost positivity "
-        f"(min eigenvalue {inner_min:.6e}); inputs are too ill-conditioned"
-    )
+    if not inner_min > 0.0:
+        return (
+            "congruence-transformed operand lost positivity "
+            f"(min eigenvalue {inner_min:.6e}); inputs are too ill-conditioned"
+        )
+    return None
 
 
 def require_positive_pairs(a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
@@ -591,9 +570,9 @@ def require_positive_pairs(a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
     a_min = [e.eigenvalues[0] for e in sym_eigen_stack(a)]
     b_min = [e.eigenvalues[0] for e in sym_eigen_stack(b)]
     for x, y in zip(a_min, b_min):
-        operand = _operand_failure(x, y)
-        if operand is not None:
-            raise DomainError(operand)
+        failure = _pair_failure(x, y)
+        if failure is not None:
+            raise DomainError(failure)
 
 
 def loewner_gap(lhs: SymMatrix, rhs: SymMatrix, tol: float = DEFAULT_TOL) -> LoewnerGap:

@@ -307,12 +307,16 @@ class WitnessRecord:
 
         Raises ``KeyError``, ``TypeError`` or ``ValueError`` when ``d`` is not
         a complete record: a field is missing, the id or variant is unknown,
+        the id takes no ``ExponentPair`` (a record's params are ``(s, t)``),
         ``FamilyInstance.from_dict`` rejects the instance, or ``ExponentPair``
         rejects the params.
         """
-        params = d["params"]
+        ineq, params = IneqId(d["id"]), d["params"]
+        kind = inequality_info(ineq).kind
+        if kind.type is not ExponentPair:
+            raise ValueError(f"{ineq.value} takes {kind.type.__name__} parameters, not (s, t)")
         return WitnessRecord(
-            ineq=IneqId(d["id"]),
+            ineq=ineq,
             variant=Variant(d["variant"]),
             family=FamilyInstance.from_dict(d),
             pair=ExponentPair(float(params["s"]), float(params["t"])),

@@ -527,15 +527,15 @@ class TestWitness:
 
 
     def test_unevaluable_record_is_failed_replay(self, tmp_path, capsys):
-        path = tmp_path / "wada.jsonl"
+        path = tmp_path / "outside.jsonl"
         _run(["witness", "--export", str(path)])
         record = json.loads(path.read_text().splitlines()[0])
-        record["id"] = "WADA"  # a pair statement that takes a weight, not (s, t)
+        record["band"] = [1.0, 1.0, 2.0, 3.0]  # loads, but A = [4] leaves the band
         path.write_text(json.dumps(record) + "\n")
         capsys.readouterr()
         assert _run(["witness", "--replay", str(path)]) == cli.EXIT_VIOLATION
         out = capsys.readouterr().out
-        assert "[FAIL] WADA/paper" in out and "1 failed" in out
+        assert "[FAIL] TENSOR_TOOL/paper" in out and "violates the band" in out and "1 failed" in out
 
     def test_failed_replay_names_its_reason(self, tmp_path, capsys):
         path = tmp_path / "offdiag.jsonl"
@@ -568,10 +568,13 @@ class TestWitness:
             lambda r: json.dumps({**r, "band": [1.0, 4.0, 4.0, 4.0]}),
             lambda r: json.dumps({**r, "params": {"s": 0.25, "t": 1.0}}),
             lambda r: json.dumps({**r, "n": 1.9, "dim": 1.5}),
+            lambda r: json.dumps({**r, "id": "PROOF_CHAIN", "params": {"s": 0.1875, "t": 0.0}}),
+            lambda r: json.dumps({**r, "id": "WADA"}),
         ],
         ids=[
             "bad_json", "unknown_id", "missing_s", "ragged_matrix",
             "n_mismatch", "bad_band", "off_branch", "fractional_size",
+            "proof_chain_params", "wada_params",
         ],
     )
     def test_malformed_catalog_line_is_config_error(self, tmp_path, capsys, line):

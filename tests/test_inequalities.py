@@ -5,7 +5,7 @@ import pytest
 
 from callebaut_lab import inequalities
 from callebaut_lab.cli import DEFAULT_BANDS
-from callebaut_lab.errors import DomainError, HypothesisError, ShapeError, VariantError
+from callebaut_lab.errors import DomainError, HypothesisError, ShapeError, VariantError, each_alone
 from callebaut_lab.inequalities import (
     ALPHA_BETA_KIND,
     ALPHA_KIND,
@@ -444,6 +444,33 @@ def _reference_sum(ineq, family, key):
     )
 
 
+def _power_factors(ineq, family, key):
+    """The ``(matrix, exponent)`` factors of a power sum of ``_POWER_SUMS``,
+    in the order the per-trial sum raises them."""
+    if ineq == IneqId.COR_BJ_IDENTITY:
+        return [(a, key) for a in family.A_list]
+    if key is None:
+        return []
+    a, b = family.A_list[0], family.B_list[0]
+    p, q = key
+    return [(a, p), (b, q), (a, q), (b, p)]
+
+
+def _reference_sums(ineq, family, params):
+    """The power sums of one trial the per-trial way, by key, or the error
+    that the trial alone raises: its first power that fails, in declaration
+    order, else its first product or sum that is not finite."""
+    keys = dict.fromkeys(inequalities._POWER_SUMS[ineq](params))
+    try:
+        with np.errstate(all="ignore"):
+            for key in keys:
+                for m, p in _power_factors(ineq, family, key):
+                    _reference_pow(m, p)
+            return {key: _reference_sum(ineq, family, key) for key in keys}
+    except DomainError as exc:
+        return exc
+
+
 def _bits_or_text(value):
     if isinstance(value, Exception):
         return type(value), str(value)
@@ -471,11 +498,35 @@ def _failing_power_families():
     ]
 
 
+def _fails_alike_alone_and_beside_a_sampled_trial(ineq, family, params, variant, message):
+    """``family`` fails with ``message``, alone and in a stage after a
+    sampled family, without a NumPy warning; the sampled trial gets the
+    report it gets alone.  Returns the error of the trial alone."""
+    band = DEFAULT_BANDS[2]
+
+    def copy(f):
+        return FamilyInstance.from_dict(f.to_dict())
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HypothesisError) as alone:
+            evaluate_inequality(ineq, copy(family), params, variant)
+        assert str(alone.value) == message
+        good = sample_family(1, 3, band, derive_rng(62, 0))
+        got = evaluate_stage([(ineq, good, params, variant),
+                              (ineq, copy(family), params, variant)])
+        assert type(got[1]) is HypothesisError and str(got[1]) == message
+        other = sample_family(1, 3, band, derive_rng(62, 0))
+        assert got[0] == evaluate_inequality(ineq, other, params, variant)
+    return alone.value
+
+
 class TestStackedPowerSums:
     """``_fill_power_sums`` computes the power sums of a whole stage
-    together.  Each must be the per-trial sum, bit for bit, or fail with the
-    error the per-trial sum raises first; and a stage must build every
-    trial's links as the trial alone does."""
+    together, and succeeds whole or raises.  Each sum must be the per-trial
+    sum, bit for bit, and a trial alone must raise the error its per-trial
+    sums raise first; and a stage must give every trial the links, report
+    or error that the trial gets alone."""
 
     @staticmethod
     def _stage():
@@ -502,49 +553,73 @@ class TestStackedPowerSums:
                     IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR, IneqId.PROOF_CHAIN):
                 for params in inequality_info(ineq).kind.values[::5]:
                     trials.append((ineq, f, params, Variant.PAPER_LITERAL))
+        # The other per-trial failures of a stage: a mean path with a
+        # non-positive B_2, the diag(8e307, 1) family whose mean sum at
+        # weight 1 - t = 0 overflows, and COR_BJ_IDENTITY's non-positive A_2
+        # (a check).  None of these ids reads the band.
+        two, odd = SymMatrix.identity(2), SymMatrix.diagonal([1.0, -1.0])
+        off_band = SpectralBand(0.25, 0.5, 8.0, 9.0)
+        non_pd_b = FamilyInstance(n=2, dim=2, A_list=(two, two), B_list=(two, odd), band=off_band)
+        non_pd_a = FamilyInstance(n=2, dim=2, A_list=(two, odd), B_list=(two, two), band=off_band)
+        at_t1 = [p for p in ST_KIND.values if p.t == 1.0]
+        for ineq in (IneqId.CHAIN_34RF, IneqId.HAD_MAMAN2):
+            for params in ST_KIND.values[::5]:
+                trials.append((ineq, non_pd_b, params, Variant.PAPER_LITERAL))
+            for params in at_t1:
+                trials.append((ineq, _failing_power_families()[5], params, Variant.PAPER_LITERAL))
+        for params in ST_KIND.values[::5]:
+            trials.append((IneqId.COR_BJ_IDENTITY, non_pd_a, params, Variant.PAPER_LITERAL))
         # Mix the dimensions and ids across the stage (37 is prime to the
         # number of trials, so this is a permutation).
         assert len(trials) % 37
         return [trials[(37 * i) % len(trials)] for i in range(len(trials))]
 
-    def test_stacked_sums_equal_the_per_trial_sums(self):
-        trials = self._stage()
+    @staticmethod
+    def _fill(trials):
         terms = [inequalities._PairTerms(f.A_list[0], f.B_list[0])
                  if inequality_info(ineq).takes_pair else inequalities._FamilyTerms(f)
                  for ineq, f, _, _ in trials]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             inequalities._fill_power_sums(trials, terms)
-        failures = 0
-        for (ineq, family, params, _), t in zip(trials, terms):
-            keys = inequalities._POWER_SUMS[ineq](params)
-            assert set(t._stored) == set(keys)
-            for key in keys:
-                try:
-                    with np.errstate(all="ignore"):
-                        expected = _reference_sum(ineq, family, key)
-                except DomainError as exc:
-                    expected = exc
-                    failures += 1
+        return terms
+
+    def test_stacked_sums_equal_the_per_trial_sums(self):
+        trials = [t for t in self._stage() if t[0] in inequalities._POWER_SUMS]
+        expected = [_reference_sums(ineq, f, params) for ineq, f, params, _ in trials]
+        # The stage holds failing trials, so the stacked fill raises.
+        with pytest.raises(DomainError):
+            self._fill(trials)
+        good = [t for t, e in zip(trials, expected) if not isinstance(e, Exception)]
+        sums = [e for e in expected if not isinstance(e, Exception)]
+        for (ineq, _, params, _), t, want in zip(good, self._fill(good), sums):
+            assert set(t._stored) == set(want)
+            for key, total in want.items():
                 got = t._stored[key]
-                assert _bits_or_text(got) == _bits_or_text(expected), (ineq, params, key)
-                if not isinstance(got, Exception):
-                    assert not got.array.flags.writeable
+                assert _bits_or_text(got) == _bits_or_text(total), (ineq, params, key)
+                assert not got.array.flags.writeable
+        failures = 0
+        for trial, want in zip(trials, expected):
+            if isinstance(want, Exception):
+                with pytest.raises(DomainError) as alone:
+                    self._fill([trial])
+                assert str(alone.value) == str(want), (trial[0], trial[2])
+                failures += 1
         assert failures > 50
 
     def test_a_stage_builds_the_links_of_each_trial_alone(self):
-        # The builders' own arithmetic (here a Hadamard product of power
-        # sums near the float limit) is one matrix at a time and may warn.
         trials = self._stage()
-        with np.errstate(all="ignore"):
-            staged = inequalities._build_stage(trials)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            staged = each_alone(inequalities._build_stage, trials, inequalities._EVALUATION_ERRORS)
         failed = 0
         for trial, got in zip(trials, staged):
             try:
-                with np.errstate(all="ignore"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
                     alone = build_links(*trial)
             except HypothesisError as exc:
-                assert isinstance(got, HypothesisError) and str(got) == str(exc)
+                assert type(got) is HypothesisError and str(got) == str(exc)
                 assert trial[1].band not in DEFAULT_BANDS  # only the failing families
                 failed += 1
                 continue
@@ -553,6 +628,30 @@ class TestStackedPowerSums:
                 assert _bits_or_text(lhs) == _bits_or_text(lhs1)
                 assert _bits_or_text(rhs) == _bits_or_text(rhs1)
         assert failed > 100
+
+    def test_a_stage_gives_each_trial_its_lone_report_or_error(self):
+        # Each trial alone runs on a fresh copy of its family, so nothing it
+        # reads was computed by the stage.
+        trials = self._stage()
+        messages = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            staged = evaluate_stage(trials)
+            for (ineq, family, params, variant), got in zip(trials, staged):
+                copy = FamilyInstance.from_dict(family.to_dict())
+                try:
+                    alone = evaluate_inequality(ineq, copy, params, variant)
+                except HypothesisError as exc:
+                    assert type(got) is HypothesisError and str(got) == str(exc)
+                    messages.add(str(exc))
+                    continue
+                assert repr(got) == repr(alone)
+        # The stage holds every kind of per-trial failure: a check, a mean
+        # path, a mean sum or a power sum.
+        for reason in ("violates the band", "left operand is not positive definite",
+                       "right operand is not positive definite",
+                       "matrix entries must be finite", "requires eigenvalues >= 1e-12"):
+            assert any(reason in m for m in messages), reason
 
     @pytest.mark.parametrize("ineq, family, params, message", [
         (IneqId.PROOF_CHAIN, _failing_power_families()[2], ProofChainParams(0.75, 0.5),
@@ -563,29 +662,43 @@ class TestStackedPowerSums:
          FamilyInstance(n=1, dim=1, A_list=(1e300 * SymMatrix.identity(1),),
                         B_list=(1e-300 * SymMatrix.identity(1),),
                         band=SpectralBand(1e-300, 1e-300, 1e300, 1e300)),
-         ProofChainParams(1.0, 0.625), "matrix entries must be finite"),
+         ProofChainParams(1.0, 0.625),
+         "spectral power -1.0 requires eigenvalues >= 1e-12; smallest is 1.000000e-300"),
     ], ids=["proof_chain_overflow", "tensor_tool_below_floor", "proof_chain_pointwise_overflow"])
     def test_a_failing_power_fails_alike_alone_and_beside_a_sampled_family(
         self, ineq, family, params, message
     ):
-        # PROOF_CHAIN: A^(1 + alpha) = (1e200)^1.75 overflows, after the
-        # ratio-power link was built.  TENSOR_TOOL: B^(1 - s) needs B above
-        # the eigenvalue floor.  PROOF_CHAIN pointwise: the eigenvalue
-        # product x = 1e300^1 * (1e-300)^-1 overflows in the pointwise step.
-        # None warns.
-        band, variant = DEFAULT_BANDS[2], Variant.PAPER_LITERAL
+        # PROOF_CHAIN: A^(1 + alpha) = (1e200)^1.75 overflows.  TENSOR_TOOL:
+        # B^(1 - s) needs B above the eigenvalue floor.  PROOF_CHAIN
+        # pointwise: the builder's eigenvalue product 1e300^1 * (1e-300)^-1
+        # would overflow, but the stacked powers come first, and B^-1 needs
+        # B = 1e-300 above the floor.
+        _fails_alike_alone_and_beside_a_sampled_trial(
+            ineq, family, params, Variant.PAPER_LITERAL, message
+        )
 
-        def copy(f):
-            return FamilyInstance.from_dict(f.to_dict())
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(HypothesisError) as alone:
-                evaluate_inequality(ineq, copy(family), params, variant)
-            assert str(alone.value) == message
-            good = sample_family(1, 3, band, derive_rng(62, 0))
-            got = evaluate_stage([(ineq, good, params, variant),
-                                  (ineq, copy(family), params, variant)])
-            assert isinstance(got[1], HypothesisError) and str(got[1]) == message
-            other = sample_family(1, 3, band, derive_rng(62, 0))
-            assert got[0] == evaluate_inequality(ineq, other, params, variant)
+    @pytest.mark.parametrize("ineq, family, params, variant, message", [
+        (IneqId.PROOF_CHAIN,
+         FamilyInstance(n=1, dim=1, A_list=(1e-290 * SymMatrix.identity(1),),
+                        B_list=(1e-310 * SymMatrix.identity(1),),
+                        band=SpectralBand(1e-310, 1e-310, 1e-290, 1e-290)),
+         ProofChainParams(-1.0, -0.625), Variant.PAPER_LITERAL,
+         "spectral power -1.0 requires eigenvalues >= 1e-12; smallest is 1.000000e-290"),
+        (IneqId.HAD_MAMAN,
+         FamilyInstance(n=1, dim=1, A_list=(0.4 * SymMatrix.identity(1),),
+                        B_list=(0.3 * SymMatrix.identity(1),),
+                        band=SpectralBand(5e-324, 0.3, 0.4, 0.4)),
+         WITNESS_PAIR, Variant.REPAIRED,
+         "HAD_MAMAN overflows on this input: float division by zero"),
+    ], ids=["printed_weight_after_the_powers", "congruence_interval"])
+    def test_a_band_constant_that_overflows_fails_alike_alone_and_beside_a_sampled_trial(
+        self, ineq, family, params, variant, message
+    ):
+        # PROOF_CHAIN: the printed weight's m_hi^alpha = (1e-310)^-1
+        # overflows a Python float, but the builder does not run: A^-1 fails
+        # first, in the stacked powers.  HAD_MAMAN repaired: m_lo * M_lo =
+        # 5e-324 * 0.4 underflows to 0, so the congruence interval's ratio
+        # raises ZeroDivisionError in the builder.
+        err = _fails_alike_alone_and_beside_a_sampled_trial(ineq, family, params, variant, message)
+        if variant == Variant.REPAIRED:
+            assert type(err.__cause__) is ZeroDivisionError

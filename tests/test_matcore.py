@@ -17,6 +17,7 @@ from callebaut_lab.matcore import (
     loewner_gap,
     spectral_norm,
     spectral_pow,
+    spectral_pow_stack,
     sym_eigen,
     sym_eigen_stack,
 )
@@ -261,6 +262,15 @@ class TestSpectralPow:
         with pytest.raises(DomainError):
             spectral_pow(SymMatrix.diagonal([0.0, 2.0]), -1.0)
 
+    def test_stack_raises_the_first_failing_request(self):
+        # The requests are ranked by exponent inside; the error is still the
+        # first failing request's, in request order.
+        mats = (SymMatrix.diagonal([1e-13, 2.0]), SymMatrix.diagonal([1e200, 2.0]))
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            spectral_pow_stack(mats, (1, 1, 0), (1.0, 2.0, 0.5))
+        with pytest.raises(DomainError, match=r"^spectral power 0.5 requires eigenvalues >= 1e-12; "):
+            spectral_pow_stack(mats, (1, 0, 1), (1.0, 0.5, 2.0))
+
 
 class TestKronHadamardCompress:
     def test_kron_identities(self):
@@ -418,6 +428,14 @@ class TestGeoMean:
             _mean(SymMatrix.diagonal([1.0, -1.0]), SymMatrix.identity(2), 0.5)
         with pytest.raises(DomainError):
             _mean(SymMatrix.identity(2), SymMatrix.diagonal([1.0, EIG_FLOOR / 10]), 0.5)
+
+    def test_stack_raises_the_first_failing_pair(self):
+        one, odd = SymMatrix.identity(2), SymMatrix.diagonal([1.0, -1.0])
+        groups = [((one,), (one,)), ((one, one), (one, odd)), ((odd,), (one,))]
+        with pytest.raises(DomainError, match="^right operand is not positive definite"):
+            MeanPath.stack(groups)
+        with pytest.raises(DomainError, match="^left operand is not positive definite"):
+            MeanPath.stack(groups[::-1])
 
     def test_rejects_bad_weight(self):
         with pytest.raises(DomainError):

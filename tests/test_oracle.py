@@ -256,6 +256,19 @@ class TestWitnessReplay:
             with pytest.raises(ConfigError, match="finite"):
                 load_catalog(path)
 
+    @pytest.mark.parametrize("ineq, params, kind", [
+        ("PROOF_CHAIN", {"s": 0.1875, "t": 0.0}, "ProofChainParams"),
+        ("WADA", {"s": 0.75, "t": 1.0}, "Real"),
+    ])
+    def test_a_record_of_an_id_without_exponent_pairs_fails_to_load(self, tmp_path, ineq, params, kind):
+        # A record's params are (s, t); these ids take other parameters, so
+        # the line could never replay.
+        record = {**BUILTIN_WITNESSES[0].to_dict(), "id": ineq, "params": params}
+        path = tmp_path / "other_kind.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ConfigError, match=f"{ineq} takes {kind} parameters, not \\(s, t\\)"):
+            load_catalog(path)
+
     def test_scalar_min_gap_matches_matrix_on_diagonals(self):
         # scalar_min_gap is the minimum absolute gap over links and entries;
         # on diagonal instances that equals the minimum link min_eig.

@@ -569,8 +569,8 @@ class TestStackedEvaluation:
 
     def test_a_failing_mean_sum_fails_its_trial_alone_and_in_a_stage(self):
         # Each mean of diag(8e307, 8e307) with itself is finite; the sum of
-        # three overflows, at every weight.  The stored error is the trial's
-        # error, with no NumPy warning before it.
+        # three overflows, at every weight.  The error the stacked sums raise
+        # is the trial's error, with no NumPy warning before it.
         big = SymMatrix.diagonal([8e307, 8e307])
         band = DEFAULT_BANDS[1]
 
@@ -621,23 +621,27 @@ class TestStackedMeanSums:
                 (total,) = MeanPath.sums([(path, u)])
                 assert _same_bits(total.array, reference)
 
-    def test_a_failing_request_keeps_its_error_in_place(self):
+    def test_a_failing_request_raises_its_error(self):
         good = MeanPath.stack([(f.A_list, f.B_list) for f in (
             sample_family(2, 2, DEFAULT_BANDS[0], derive_rng(56, 0)),
         )])[0]
         # Each mean is finite; the sum of the three at weight 0 overflows.
         huge = SymMatrix.diagonal([8e307, 1.0])
         wide = MeanPath((huge,) * 3, (SymMatrix.identity(2),) * 3)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(DomainError) as alone:
                 wide.at(0.0)
-            got = MeanPath.sums([(good, 0.5), (wide, 0.0), (good, 1.5), (wide, 1.0), (good, 0.25)])
-        assert isinstance(got[1], DomainError) and str(got[1]) == str(alone.value)
-        assert str(got[1]) == "matrix entries must be finite"
-        assert isinstance(got[2], DomainError) and "mean weight must lie in [0, 1]" in str(got[2])
-        assert _same_bits(got[3].array, wide.at(1.0).array)
+            assert str(alone.value) == "matrix entries must be finite"
+            with pytest.raises(DomainError) as stacked:
+                MeanPath.sums([(good, 0.5), (wide, 0.0), (wide, 1.0), (good, 0.25)])
+            assert str(stacked.value) == str(alone.value)
+            with pytest.raises(DomainError, match=r"^mean weight must lie in \[0, 1\], got 1.5$"):
+                MeanPath.sums([(good, 0.5), (good, 1.5), (wide, 1.0)])
+            got = MeanPath.sums([(good, 0.5), (wide, 1.0), (good, 0.25)])
         assert _same_bits(got[0].array, good.at(0.5).array)
-        assert _same_bits(got[4].array, good.at(0.25).array)
+        assert _same_bits(got[1].array, wide.at(1.0).array)
+        assert _same_bits(got[2].array, good.at(0.25).array)
 
 
 class TestPlainPowerStatement:
