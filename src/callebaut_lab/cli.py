@@ -56,7 +56,7 @@ FAMILY_SIZES = (1, 2, 3)
 #: ``_staged``: ``sampler.sample_families`` runs their streams as NumPy
 #: lanes, which pay only when many streams draw at once, and one Haar QR
 #: and one eigendecomposition per dimension; ``inequalities.evaluate_stage``
-#: runs one mean-path and one link-gap eigendecomposition per dimension.  A
+#: builds each (id, variant, dimension) group's links once, on stacks.  A
 #: stage's draws, families, links and reports are held until the caller
 #: has read them, so this bounds the memory that staging adds.  At 256,
 #: ``falsify``'s peak RSS was 0.6 MB higher than at 128, with no speed

@@ -1,76 +1,18 @@
-"""Registry of the operator inequalities under test.
+"""Registry of the operator inequalities under test, their link builders
+and their evaluation.
 
-Each id encodes one operator statement built from weighted geometric means,
-Hadamard and Kronecker products, and Kantorovich factors; ``evaluate_inequality``
-measures its signed Loewner gaps link by link.  Ids whose printed constants are
-numerically falsifiable carry a second, derivation-consistent REPAIRED variant
-alongside the PAPER_LITERAL one:
-
-* ``TENSOR_TOOL`` / ``REV_TENSOR_DEAR``: the Kantorovich argument becomes
-  ``(M/m)^|t-1/2|`` (the substitution that halves operators also halves the
-  band exponent), and the reverse coefficient becomes ``(t+s-1)/(t-1/2)``.
-* ``HAD_MAMAN`` / ``REV_HAD_MAINTH`` / ``REV_T1_REMARK``: the congruence-
-  transformed operands live on a spectrum interval that contains 1, so the
-  uniform Kantorovich factor collapses to 1 (computed through
-  ``kantorovich_min_over_interval``); reverses also take the repaired
-  coefficient.
-* ``PROP_HBOUNDS``: the literal two-sided bound adds bare scalars, read here
-  as multiples of the identity; the repaired form carries the scalar bound on
-  the squared mean-sum term, which is what the congruence argument produces.
-
-Each statement is defined once: by its registry entry and by its link builder
-in ``_BUILDERS``.  Every builder has the signature
-``(terms, band, params, variant)`` and returns ``(name, LHS, RHS)`` triples
-with ``LHS <= RHS`` claimed; ``terms`` is ``_PairTerms`` (the pair ``.a``,
-``.b``) for pair-shaped statements and ``_FamilyTerms`` otherwise.  Both give
-``S(u)``: ``A^u x B^(1-u) + A^(1-u) x B^u`` for a pair and
-``sum(A_j #_u B_j) o sum(A_j #_(1-u) B_j)`` for a family, so the refinement
-``K^r' S(s) + c_mid (S(t) - S(1/2)) <= S(t)`` and its reverse each have one
-builder, which ``_BUILDERS`` binds to the tensor or the Hadamard-sum weight.
-Both subclass ``_Terms``, which holds the sums stored for the builder and
-the one memo of ``S(u)`` (keyed by ``min(u, 1-u)``), which the family terms
-and the oracle's scalar terms use; a pair's ``S(u)`` is a stored sum.
-``evaluate_inequality`` and ``build_links`` take a ``FamilyInstance`` and
-nothing else; the pair-shaped statements (the tensor ones and WADA) need
-``n = 1``, and every statement reads its band from the family.
-``build_links`` reads the entry and runs the same checks for every id before
-it calls the builder: the variant, the parameter type, the operand shape, the
-band, then the condition of the parameter kind.
-
-``evaluate_stage`` evaluates many trials together: the checks run trial by
-trial, then the weighted-mean factorizations of every family that needs them
-are made at once (``matcore.MeanPath.stack``) and stored on the family, then
-the sums the builders read are computed at once and stored on each trial's
-terms: the weighted-mean sums of ``_MEAN_WEIGHTS`` (``matcore.MeanPath.sums``)
-and the sums of spectral powers of ``_POWER_SUMS`` (the tensor sums
-``A^p x B^q + A^q x B^p`` and ``A x B`` of TENSOR_TOOL, REV_TENSOR_DEAR and
-PROOF_CHAIN, and COR_BJ_IDENTITY's ``sum_j A_j^u``: one
-``matcore.spectral_pow_stack`` per dimension, and the Kronecker products and
-sums on stacks).  Then each trial's builder makes only its linear
-combinations of the stored sums, and every link of every trial is measured
-at once (``matcore.loewner_gaps``).  Every number is the one the trial gets
-alone.  A check or a builder that fails puts its error in its trial's place;
-a stacked step succeeds whole or raises, and then ``errors.each_alone``
-evaluates the trials again in halves, down to each trial alone.  So a trial
-reports its first failure in stage order: its checks, its mean path, its
-stored sums in declaration order, then its builder.  ``evaluate_inequality``
-and ``build_links`` are the one-trial cases.
-
-Each registry entry names its ``ParamKind``: the parameter type, the values
-the sweep visits, the report form and any condition beyond the type.
-``ST_KIND`` is ``(s, t)`` on either branch (``1 >= t >= s > 1/2`` or
-``0 <= t <= s < 1/2``) at step 1/16; ``ST_T1_KIND`` fixes ``t = 1`` (the
-reverse remark); ``ALPHA_BETA_KIND`` is the tensor proof's ``alpha = 2t-1``,
-``beta = 2s-1`` for ``s != t``; ``ALPHA_KIND`` is WADA's weight in [0, 1] at
-step 1/8.  The tensor statements are sums of ``A^p x B^q + A^q x B^p``
-(stored under the key ``(p, q)``, which ``_PairTerms.S`` and PROOF_CHAIN
-both read), and each statement family takes its Kantorovich weight
-``K^(+-r')`` from one helper, ``_tensor_weight`` or ``_hadamard_weight``.
-The printed weight ``K(M_lo^e / m_hi^e)^p`` is ``scalarcore.printed_weight``
-everywhere.
-
-Operator means always go through the congruence form (``matcore.MeanPath``);
-scalar shortcuts exist only in the independent oracle module.
+Each statement is defined once: by its registry entry and by its builder in
+``_BUILDERS``.  A builder takes a ``_Group``, the built trials of one stage
+that share an id, a variant and a dimension.  It computes its per-trial
+constants (weights and coefficients) in Python, one trial at a time, and
+makes its ``(name, LHS, RHS)`` links, with ``LHS <= RHS`` claimed, as
+``(k, D, D)`` stacks from the sums the stage stored, with the constants as
+``(k, 1, 1)`` columns.  Each expression keeps the association and order of
+the one-matrix form, so every entry is the one the trial gets alone.
+PROP_HBOUNDS reads the literal bound's bare scalars as multiples of the
+identity; its repaired form carries the scalar bound on ``S(1/2)``.  README
+describes the variants, the parameter kinds, stacked evaluation and its one
+failure rule.
 """
 
 from __future__ import annotations
@@ -79,7 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from typing import Any, Callable
 
 import numpy as np
@@ -91,14 +33,10 @@ from .matcore import (
     LoewnerGap,
     MeanPath,
     SymMatrix,
-    hadamard,
-    kron,
     kron_arrays,
     loewner_gaps,
     require_positive_pairs,
-    spectral_norm,
     spectral_pow_stack,
-    sum_matrices,
     sym_eigen,
 )
 from .sampler import FamilyInstance, SpectralBand, validate_band_containment
@@ -177,7 +115,7 @@ class ParamKind:
     violation: str = ""
 
 
-# The parameter kinds; the module docstring describes each one.
+# The parameter kinds; README describes each one.
 _HIGH = tuple(k / 16 for k in range(9, 17))  # 1/2 < u <= 1
 _LOW = tuple(k / 16 for k in range(8))  # 0 <= u < 1/2
 ST_KIND = ParamKind(
@@ -224,63 +162,92 @@ class InequalityInfo:
     kind: ParamKind
 
 
-class _Terms:
-    """A terms object: ``S(u)`` is symmetric in ``u <-> 1-u``, so it is
-    computed once per ``min(u, 1-u)``, by the subclass's ``_S``, at the first
-    ``u`` asked for.  ``stored(key)`` is a sum that the stage computed before
-    the builder runs: the weighted-mean sum at weight ``key`` for the ids of
-    ``_MEAN_WEIGHTS`` (``_fill_mean_sums``), or the sum of spectral powers
-    ``key`` for the ids of ``_POWER_SUMS`` (``_fill_power_sums``).  No id
-    reads both."""
+class _Sums:
+    """The sums a stage stored for its builders, kept for one evaluation:
+    blocks of ``(r, D, D)`` stacks per dimension ``D``, and the place of
+    the sum of each ``(trial, key)``."""
 
     def __init__(self):
-        self._s = {}
-        self._stored: dict[Any, SymMatrix] = {}
+        self._blocks: dict[int, list] = {}
+        self._rows: dict = {}
+        self._tables: dict = {}
 
-    def S(self, u: float):
-        key = min(u, 1.0 - u)
-        if key not in self._s:
-            self._s[key] = self._S(u)
-        return self._s[key]
+    def add(self, block: np.ndarray, keys):
+        """Store ``block[r]`` as the sum of ``keys[r]``."""
+        d = block.shape[-1]
+        blocks = self._blocks.setdefault(d, [])
+        first = sum(map(len, blocks))
+        self._rows.update((key, (d, r)) for r, key in enumerate(keys, first))
+        blocks.append(block)
 
-    def stored(self, key) -> SymMatrix:
-        return self._stored[key]
-
-
-class _FamilyTerms(_Terms):
-    """Hadamard-sum terms of one family instance.
-
-    ``S(u)`` is the Hadamard product of the u- and (1-u)-weighted mean sums;
-    ``S(1/2)`` is the squared mean-sum and ``top`` the Hadamard product of the
-    plain sums.
-    """
-
-    def __init__(self, inst: FamilyInstance):
-        super().__init__()
-        self.inst = inst
-
-    def _S(self, u: float) -> SymMatrix:
-        return hadamard(self.stored(u), self.stored(1.0 - u))
-
-    @property
-    def top(self) -> SymMatrix:
-        return hadamard(sum_matrices(self.inst.A_list), sum_matrices(self.inst.B_list))
+    def gather(self, keys) -> np.ndarray:
+        """The stored sums of ``keys``, one dimension, as a new stack."""
+        rows = [self._rows[key] for key in keys]
+        d = rows[0][0]
+        if d not in self._tables:
+            self._tables[d] = np.concatenate(self._blocks[d])
+        return self._tables[d].take([r for _, r in rows], axis=0)
 
 
-class _PairTerms(_Terms):
-    """Tensor terms of one pair: ``S(u) = A^u x B^(1-u) + A^(1-u) x B^u``,
-    the stored sum ``(u, 1 - u)``.
+class _Failed(Exception):
+    """``args[0]``: the errors of a group's trials whose constants raised,
+    by stage index; ``_build_stage`` builds the group again without them."""
 
-    ``S(1/2)`` is ``2 A^(1/2) x B^(1/2)``, so the tensor statements read the
-    same terms as their Hadamard-sum counterparts.
-    """
 
-    def __init__(self, a: SymMatrix, b: SymMatrix):
-        super().__init__()
-        self.a, self.b = a, b
+class _Group:
+    """The trials ``ks`` of one stage that share an id, a variant and a
+    dimension, as their builder reads them: one row per trial.  ``S(u)`` is
+    ``A^u x B^(1-u) + A^(1-u) x B^u`` for a pair (the stored sum ``(u, 1 -
+    u)``) and ``sum(A_j #_u B_j) o sum(A_j #_(1-u) B_j)`` for a family."""
 
-    def S(self, u: float) -> SymMatrix:
-        return self.stored((u, 1.0 - u))
+    def __init__(self, ineq, variant, ks, trials, sums: _Sums):
+        self.ineq, self.variant, self.ks, self._sums = ineq, variant, ks, sums
+        self.params = [trials[k][2] for k in ks]
+        self.families = [trials[k][1] for k in ks]
+        self.dim = self.families[0].dim
+
+    def cols(self, fn):
+        """``fn(params, family)`` of each trial as a ``(k, 1, 1)`` column,
+        or one column per item when ``fn`` returns a tuple.  A trial whose
+        ``fn`` raises fails with its error, an overflow of a Python float
+        as ``HypothesisError``: this raises ``_Failed`` with every such
+        trial's error."""
+        values, errors = [], {}
+        for k, p, f in zip(self.ks, self.params, self.families):
+            try:
+                values.append(fn(p, f))
+            except _EVALUATION_ERRORS as exc:
+                errors[k] = _hypothesis(exc)
+            except ArithmeticError as exc:  # a power overflowed, a ratio's denominator underflowed
+                errors[k] = HypothesisError(f"{self.ineq.value} overflows on this input: {exc}")
+                errors[k].__cause__ = exc
+        if errors:
+            raise _Failed(errors)
+        arr = np.array(values, dtype=np.float64)
+        return arr[:, None, None] if arr.ndim == 1 else tuple(arr.T[:, :, None, None])
+
+    def sums(self, key) -> np.ndarray:
+        """The stored sum ``key(params)`` of each trial."""
+        return self._sums.gather([(k, key(p)) for k, p in zip(self.ks, self.params)])
+
+    def S(self, u) -> np.ndarray:
+        """``S(u(params))`` of each trial.  A family's ``S`` that is not
+        finite raises ``DomainError`` here, where a builder reads it, before
+        any constant that the builder computes after it."""
+        us = [u(p) for p in self.params]
+        if _REGISTRY[self.ineq].takes_pair:
+            return self._sums.gather([(k, (x, 1.0 - x)) for k, x in zip(self.ks, us)])
+        both = self._sums.gather([(k, x) for k, x in zip(self.ks, us)]
+                                 + [(k, 1.0 - x) for k, x in zip(self.ks, us)])
+        out = both[: len(us)] * both[len(us) :]
+        if not np.isfinite(out).all():
+            raise DomainError("matrix entries must be finite")
+        return out
+
+    def plain(self, side: str) -> np.ndarray:
+        """``sum_j A_j`` (``side="A_list"``) or ``sum_j B_j`` of each trial,
+        summed left to right; a pair's ``A`` or ``B``."""
+        return np.array([reduce(np.add, [m.array for m in getattr(f, side)]) for f in self.families])
 
 
 def _congruence_interval(band: SpectralBand, t: float) -> tuple[float, float]:
@@ -313,70 +280,68 @@ def _hadamard_weight(band, pair: ExponentPair, variant: Variant, sign: float) ->
 
 
 # --- link builders -----------------------------------------------------------
-# Each builder takes (terms, band, params, variant) and returns a list of
-# (link_name, LHS, RHS) with LHS <= RHS claimed.  The refinement and its
-# reverse serve a pair and a family alike; ``_BUILDERS`` binds each id's weight.
+# Each builder takes a ``_Group`` and returns its (link_name, LHS, RHS) stacks,
+# LHS <= RHS claimed; ``_BUILDERS`` binds the refinement's and reverse's weight.
 
 
-def _links_wada(terms: _PairTerms, band, alpha, variant):
-    a, b = terms.a, terms.b
-    alpha = float(alpha)
-    g = terms.stored(0.5)
-    gl = terms.stored(alpha)
-    gr = terms.stored(1.0 - alpha)
-    low = kron(g, g)
-    mid = 0.5 * (kron(gl, gr) + kron(gr, gl))
-    high = 0.5 * (kron(a, b) + kron(b, a))
+def _links_wada(g: _Group):
+    a, b = g.plain("A_list"), g.plain("B_list")
+    mid_g = g.sums(lambda alpha: 0.5)
+    gl = g.sums(float)
+    gr = g.sums(lambda alpha: 1.0 - float(alpha))
+    low = kron_arrays(mid_g, mid_g)
+    mid = (kron_arrays(gl, gr) + kron_arrays(gr, gl)) * 0.5
+    high = (kron_arrays(a, b) + kron_arrays(b, a)) * 0.5
     return [("geo_vs_mix", low, mid), ("mix_vs_sum", mid, high)]
 
 
-def _links_chain_34rf(terms: _FamilyTerms, band, pair: ExponentPair, variant):
-    return [
-        ("geo_vs_s", terms.S(0.5), terms.S(pair.s)),
-        ("s_vs_t", terms.S(pair.s), terms.S(pair.t)),
-        ("t_vs_sums", terms.S(pair.t), terms.top),
-    ]
+def _links_chain_34rf(g: _Group):
+    l0, ss, st = g.S(lambda p: 0.5), g.S(lambda p: p.s), g.S(lambda p: p.t)
+    top = g.plain("A_list") * g.plain("B_list")
+    return [("geo_vs_s", l0, ss), ("s_vs_t", ss, st), ("t_vs_sums", st, top)]
 
 
-def _links_moj_mo(terms: _FamilyTerms, band, pair: ExponentPair, variant):
+def _moj_mo_coefficient(pair: ExponentPair, family) -> float:
     if abs(pair.s - 0.5) < DELTA_HALF:
         raise HypothesisError(
             f"s = {pair.s} lies within {DELTA_HALF:g} of 1/2; the middle coefficient "
             "(t-s)/(s-1/2) is undefined there"
         )
-    c = (pair.t - pair.s) / (pair.s - 0.5)
-    ss, l0 = terms.S(pair.s), terms.S(0.5)
+    return (pair.t - pair.s) / (pair.s - 0.5)
+
+
+def _links_moj_mo(g: _Group):
+    c = g.cols(_moj_mo_coefficient)
+    ss, l0 = g.S(lambda p: p.s), g.S(lambda p: 0.5)
     mid = ss + c * (ss - l0)
-    return [("s_vs_mid", ss, mid), ("mid_vs_t", mid, terms.S(pair.t))]
+    return [("s_vs_mid", ss, mid), ("mid_vs_t", mid, g.S(lambda p: p.t))]
 
 
-def _links_refinement(weight, terms, band, pair: ExponentPair, variant: Variant):
+def _links_refinement(weight, g: _Group):
     """``K^r' S(s) + c_mid (S(t) - S(1/2)) <= S(t)`` with the id's ``weight``."""
-    ss, st, l0 = terms.S(pair.s), terms.S(pair.t), terms.S(0.5)
-    lhs = weight(band, pair, variant, 1.0) * ss + pair.c_mid * (st - l0)
-    return [("main", lhs, st)]
+    ss, st, l0 = g.S(lambda p: p.s), g.S(lambda p: p.t), g.S(lambda p: 0.5)
+    kf, c_mid = g.cols(lambda p, f: (weight(f.band, p, g.variant, 1.0), p.c_mid))
+    return [("main", kf * ss + c_mid * (st - l0), st)]
 
 
-def _links_reverse(weight, terms, band, pair: ExponentPair, variant: Variant):
+def _links_reverse(weight, g: _Group):
     """``S(t) <= K^-r' S(s) + c_rev (S(t) - S(1/2))`` with the id's ``weight``."""
-    coeff = pair.c_rev_repair if variant == Variant.REPAIRED else pair.c_rev_paper
-    ss, st, l0 = terms.S(pair.s), terms.S(pair.t), terms.S(0.5)
-    rhs = weight(band, pair, variant, -1.0) * ss + coeff * (st - l0)
-    return [("main", st, rhs)]
+    repaired = g.variant == Variant.REPAIRED
+    ss, st, l0 = g.S(lambda p: p.s), g.S(lambda p: p.t), g.S(lambda p: 0.5)
+    coeff, kf = g.cols(lambda p, f: (
+        p.c_rev_repair if repaired else p.c_rev_paper, weight(f.band, p, g.variant, -1.0)))
+    return [("main", st, kf * ss + coeff * (st - l0))]
 
 
-def _links_proof_chain(terms: _PairTerms, band, params: ProofChainParams, variant):
-    a, b = terms.a, terms.b
-    al, be, mu = params.alpha, params.beta, params.mu
-    kf = printed_weight(band, al, params.r_prime)
-
-    # Pointwise step on the spectrum of A^alpha x B^-alpha: the Kantorovich-
-    # weighted two-term bound at each eigenvalue product, reported at the
-    # worst point as a 1x1 link.  The eigenvalues are NumPy floats, so an
-    # overflow gives a non-finite value, which fails the link's finiteness
-    # check, where a Python float's power would raise.
-    wa = sym_eigen(a).eigenvalues
-    wb = sym_eigen(b).eigenvalues
+def _pointwise(params: ProofChainParams, family) -> tuple[float, float]:
+    """PROOF_CHAIN's pointwise step on the spectrum of ``A^alpha x
+    B^-alpha``: the Kantorovich-weighted two-term bound at each eigenvalue
+    product, as ``(lhs, rhs)`` at the worst point.  The eigenvalues are
+    NumPy floats, so an overflow gives a non-finite value, which fails the
+    link's finiteness check, where a Python float's power would raise."""
+    al, mu = params.alpha, params.mu
+    wa = sym_eigen(family.A_list[0]).eigenvalues
+    wb = sym_eigen(family.B_list[0]).eigenvalues
     worst = None
     for la in wa:
         for lb in wb:
@@ -387,75 +352,92 @@ def _links_proof_chain(terms: _PairTerms, band, params: ProofChainParams, varian
             rhs_val = x + 1.0 / x
             if worst is None or rhs_val - lhs_val < worst[1] - worst[0]:
                 worst = (lhs_val, rhs_val)
-    spectra_link = (
-        "pointwise_spectrum",
-        SymMatrix(np.array([[worst[0]]])),
-        SymMatrix(np.array([[worst[1]]])),
-    )
+    return worst
+
+
+def _links_proof_chain(g: _Group):
+    kf = g.cols(lambda c, f: printed_weight(f.band, c.alpha, c.r_prime))
+    lhs_pt, rhs_pt = g.cols(_pointwise)
+    # The public constructor's symmetrisation of a 1x1 link: a bitwise
+    # no-op, except that an entry above half the float limit overflows.
+    spectra_link = ("pointwise_spectrum", (lhs_pt + lhs_pt) / 2.0, (rhs_pt + rhs_pt) / 2.0)
+    one_mu = g.cols(lambda c, f: 1.0 - c.mu)
 
     # G_e = A^e x B^-e + swap, and H_e = A^(1+e) x B^(1-e) + swap; the
     # stored sum None is A x B.
-    g_al = terms.stored((al, -al))
-    ident = SymMatrix.identity(a.dim * b.dim)
-    lhs345 = kf * terms.stored((be, -be)) + (1.0 - mu) * (g_al - 2.0 * ident)
-    link345 = ("ratio_powers", lhs345, g_al)
-
-    h_al = terms.stored((1.0 + al, 1.0 - al))
-    lhs3456 = kf * terms.stored((1.0 + be, 1.0 - be)) + (1.0 - mu) * (
-        h_al - 2.0 * terms.stored(None)
+    g_al = g.sums(lambda c: (c.alpha, -c.alpha))
+    ident = np.eye(g.dim * g.dim)
+    lhs345 = kf * g.sums(lambda c: (c.beta, -c.beta)) + one_mu * (g_al - ident * 2.0)
+    h_al = g.sums(lambda c: (1.0 + c.alpha, 1.0 - c.alpha))
+    lhs3456 = kf * g.sums(lambda c: (1.0 + c.beta, 1.0 - c.beta)) + one_mu * (
+        h_al - g.sums(lambda c: None) * 2.0
     )
-    link3456 = ("shifted_powers", lhs3456, h_al)
-    return [spectra_link, link345, link3456]
+    return [spectra_link, ("ratio_powers", lhs345, g_al), ("shifted_powers", lhs3456, h_al)]
 
 
-def _links_had_maman2(terms: _FamilyTerms, band, pair: ExponentPair, variant):
-    ss, st, l0 = terms.S(pair.s), terms.S(pair.t), terms.S(0.5)
-    bracket = ss + l0 - 2.0 * terms.S((3.0 - 2.0 * pair.s) / 4.0)
-    lhs = ss + pair.c_mid * (ss - l0) + pair.r_prime_st * bracket
-    zero = SymMatrix.zero(ss.dim)
-    return [("main", lhs, st), ("bracket_psd", zero, bracket)]
+def _links_had_maman2(g: _Group):
+    c_mid, r_prime = g.cols(lambda p, f: (p.c_mid, p.r_prime_st))
+    ss, st, l0 = g.S(lambda p: p.s), g.S(lambda p: p.t), g.S(lambda p: 0.5)
+    bracket = ss + l0 - g.S(lambda p: (3.0 - 2.0 * p.s) / 4.0) * 2.0
+    lhs = ss + c_mid * (ss - l0) + r_prime * bracket
+    return [("main", lhs, st), ("bracket_psd", np.zeros_like(bracket), bracket)]
 
 
-def _links_cor_bj(terms: _FamilyTerms, band, pair: ExponentPair, variant):
+def _links_cor_bj(g: _Group):
     # Lower family pinned to the identity: means become plain powers of A_j,
     # and the stored sum u is sum_j A_j^u.
-    power_sum = terms.stored
-    s, t = pair.s, pair.t
-    s_s = hadamard(power_sum(1.0 - s), power_sum(s))
-    s_t = hadamard(power_sum(1.0 - t), power_sum(t))
-    root = power_sum(0.5)
-    l0 = hadamard(root, root)
-    t_mid = hadamard(power_sum((1.0 + 2.0 * s) / 4.0), power_sum((3.0 - 2.0 * s) / 4.0))
-    lhs = s_s + pair.c_mid * (s_s - l0) + pair.r_prime_st * (s_s + l0 - 2.0 * t_mid)
+    c_mid, r_prime = g.cols(lambda p, f: (p.c_mid, p.r_prime_st))
+    power_sum = g.sums
+    s_s = power_sum(lambda p: 1.0 - p.s) * power_sum(lambda p: p.s)
+    s_t = power_sum(lambda p: 1.0 - p.t) * power_sum(lambda p: p.t)
+    root = power_sum(lambda p: 0.5)
+    l0 = root * root
+    t_mid = power_sum(lambda p: (1.0 + 2.0 * p.s) / 4.0) * power_sum(
+        lambda p: (3.0 - 2.0 * p.s) / 4.0
+    )
+    lhs = s_s + c_mid * (s_s - l0) + r_prime * (s_s + l0 - t_mid * 2.0)
     return [("main", lhs, s_t)]
 
 
-def _links_rev_t1(terms: _FamilyTerms, band, pair: ExponentPair, variant: Variant):
-    kf = _hadamard_weight(band, pair, variant, -1.0)
-    coeff = 2.0 * pair.s if variant == Variant.REPAIRED else 2.0 * pair.s - 1.0
-    ss, l0, top = terms.S(pair.s), terms.S(0.5), terms.top
-    rhs = kf * ss + coeff * (top - l0)
-    return [("main", top, rhs)]
+def _links_rev_t1(g: _Group):
+    repaired = g.variant == Variant.REPAIRED
+    kf, coeff = g.cols(lambda p, f: (
+        _hadamard_weight(f.band, p, g.variant, -1.0), 2.0 * p.s if repaired else 2.0 * p.s - 1.0))
+    ss, l0 = g.S(lambda p: p.s), g.S(lambda p: 0.5)
+    top = g.plain("A_list") * g.plain("B_list")
+    return [("main", top, kf * ss + coeff * (top - l0))]
 
 
-def _links_prop_hbounds(terms: _FamilyTerms, band, pair: ExponentPair, variant: Variant):
-    ss, st = terms.S(pair.s), terms.S(pair.t)
-    if variant == Variant.PAPER_LITERAL:
-        kf = kantorovich(band.h ** (2.0 * pair.t - 1.0)) ** pair.r_prime_st
-        ident = SymMatrix.identity(ss.dim)
-        low_term = (math.sqrt(band.h) - math.sqrt(1.0 / band.h)) ** 2
-        high_term = (math.sqrt(band.h_prime) - math.sqrt(1.0 / band.h_prime)) ** 2
-        lower_lhs = kf * ss + pair.c_mid * low_term * ident
-        upper_rhs = (1.0 / kf) * ss + pair.c_rev_paper * high_term * ident
-        return [("lower", lower_lhs, st), ("upper", st, upper_rhs)]
-    # Repaired: the transformed spectrum interval contains 1, so the lower
-    # scalar term collapses to 0 and the factor to 1; the upper scalar bound
-    # rides on the squared mean-sum, which is what the congruence produces.
-    lo, hi = _congruence_interval(band, pair.t)
+def _hbounds_paper(pair: ExponentPair, family) -> tuple[float, ...]:
+    """The literal PROP_HBOUNDS constants: ``K^r'``, the lower scalar term,
+    ``K^-r'`` and the upper scalar term."""
+    band = family.band
+    kf = kantorovich(band.h ** (2.0 * pair.t - 1.0)) ** pair.r_prime_st
+    low_term = (math.sqrt(band.h) - math.sqrt(1.0 / band.h)) ** 2
+    high_term = (math.sqrt(band.h_prime) - math.sqrt(1.0 / band.h_prime)) ** 2
+    return kf, pair.c_mid * low_term, 1.0 / kf, pair.c_rev_paper * high_term
+
+
+def _hbounds_repaired(pair: ExponentPair, family) -> tuple[float, ...]:
+    """The repaired PROP_HBOUNDS constants: the transformed spectrum interval
+    contains 1, so the lower scalar term is 0 and the factor 1, and the upper
+    scalar bound rides on ``S(1/2)``, as the congruence produces."""
+    lo, hi = _congruence_interval(family.band, pair.t)
     kf = kantorovich_min_over_interval(lo, hi) ** pair.r_prime_st
-    l0 = terms.S(0.5)
     up_term = (math.sqrt(hi) - math.sqrt(1.0 / hi)) ** 2
-    upper_rhs = (1.0 / kf) * ss + pair.c_rev_repair * up_term * l0
+    return kf, 1.0 / kf, pair.c_rev_repair * up_term
+
+
+def _links_prop_hbounds(g: _Group):
+    ss, st = g.S(lambda p: p.s), g.S(lambda p: p.t)
+    if g.variant == Variant.PAPER_LITERAL:
+        kf, low, inv_kf, high = g.cols(_hbounds_paper)
+        ident = np.eye(g.dim)
+        lower_lhs = kf * ss + low * ident
+        upper_rhs = inv_kf * ss + high * ident
+        return [("lower", lower_lhs, st), ("upper", st, upper_rhs)]
+    kf, inv_kf, up = g.cols(_hbounds_repaired)
+    upper_rhs = inv_kf * ss + up * g.S(lambda p: 0.5)
     return [("lower", kf * ss, st), ("upper", st, upper_rhs)]
 
 
@@ -679,11 +661,13 @@ def build_links(
     Shared by ``evaluate_inequality`` and the oracle's diagonal cross-check so
     that both see the identical matrix path.  Positivity failures inside the
     matrix algebra are statement-hypothesis violations at this boundary.
+    This is the one-trial case of the stage's builders.
     """
-    (links,) = _build_stage([(ineq, family, params, variant)])
-    if isinstance(links, Exception):
-        raise links
-    return links
+    out, groups = _build_stage([(ineq, family, params, variant)])
+    if out[0] is not None:
+        raise out[0]
+    ((_, links),) = groups
+    return [(name, SymMatrix._exact(lhs[0]), SymMatrix._exact(rhs[0])) for name, lhs, rhs in links]
 
 
 def _hypothesis(exc: Exception) -> Exception:
@@ -696,13 +680,15 @@ def _hypothesis(exc: Exception) -> Exception:
     return err
 
 
-def _build_stage(trials) -> list:
-    """The links of each trial ``(ineq, family, params, variant)``, or the
-    error that its checks or its builder raised, a ``DomainError`` as
-    ``HypothesisError``.  The stacked steps between them (the ``MeanPath``
-    of every family in ``_MEAN_WEIGHTS`` that has none stored, kept on the
-    family, then ``_fill_mean_sums`` and ``_fill_power_sums``) succeed
-    whole or raise, a ``DomainError`` as ``HypothesisError``.
+def _build_stage(trials) -> tuple[list, list]:
+    """The links of the trials ``(ineq, family, params, variant)``, built
+    together: ``(out, groups)``.  ``out[k]`` is the error of trial ``k``'s
+    checks or builder constants, a ``DomainError`` as ``HypothesisError``,
+    or ``None``; a group ``(ks, links)`` holds ``(name, lhs, rhs)`` stacks
+    whose row ``r`` is trial ``ks[r]``'s.  The stacked steps (the families'
+    missing ``MeanPath``, kept on each family, the stored sums, and each
+    group's links, checked for finiteness) succeed whole or raise, a
+    ``DomainError`` as ``HypothesisError``.
     """
     out = []
     for trial in trials:
@@ -711,55 +697,56 @@ def _build_stage(trials) -> list:
             out.append(None)
         except _EVALUATION_ERRORS as exc:
             out.append(_hypothesis(exc))
-    terms = [
-        None if built is not None
-        else _PairTerms(family.A_list[0], family.B_list[0]) if _REGISTRY[ineq].takes_pair
-        else _FamilyTerms(family)
-        for (ineq, family, _, _), built in zip(trials, out)
-    ]
+    built = [k for k, err in enumerate(out) if err is None]
     todo = {
-        id(family): family
-        for (ineq, family, _, _), t in zip(trials, terms)
-        if t is not None and ineq in _MEAN_WEIGHTS and family._means is None
+        id(trials[k][1]): trials[k][1]
+        for k in built
+        if trials[k][0] in _MEAN_WEIGHTS and trials[k][1]._means is None
     }
+    by_group: dict[tuple, list[int]] = {}
+    for k in built:
+        ineq, family, _, variant = trials[k]
+        by_group.setdefault((ineq, variant, family.dim), []).append(k)
+    sums, groups = _Sums(), []
     try:
         paths = MeanPath.stack([(f.A_list, f.B_list) for f in todo.values()])
         for family, path in zip(todo.values(), paths):
             object.__setattr__(family, "_means", path)
-        _fill_mean_sums(trials, terms)
-        _fill_power_sums(trials, terms)
+        _fill_mean_sums(trials, built, sums)
+        _fill_power_sums(trials, built, sums)
+        # A link that overflows is rejected by the finiteness check below,
+        # so NumPy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (ineq, variant, _), ks in by_group.items():
+                while ks:
+                    try:
+                        links = _BUILDERS[ineq](_Group(ineq, variant, ks, trials, sums))
+                    except _Failed as failed:
+                        for k, exc in failed.args[0].items():
+                            out[k] = exc
+                        ks = [k for k in ks if out[k] is None]
+                        continue
+                    for _, lhs, rhs in links:
+                        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+                            raise DomainError("matrix entries must be finite")
+                    groups.append((ks, links))
+                    break
     except DomainError as exc:
         raise _hypothesis(exc)
-    # A builder's matrix or NumPy-scalar arithmetic that overflows is
-    # rejected by a finiteness check, so NumPy need not warn first.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, (ineq, family, params, variant) in enumerate(trials):
-            if terms[k] is None:
-                continue
-            try:
-                out[k] = _BUILDERS[ineq](terms[k], family.band, params, variant)
-            except _EVALUATION_ERRORS as exc:
-                out[k] = _hypothesis(exc)
-            except ArithmeticError as exc:
-                # A band constant in Python floats overflowed: a power raises
-                # OverflowError, a ratio whose denominator underflowed to 0
-                # raises ZeroDivisionError.
-                out[k] = HypothesisError(f"{ineq.value} overflows on this input: {exc}")
-                out[k].__cause__ = exc
-    return out
+    return out, groups
 
 
-def _fill_mean_sums(trials, terms):
-    """Store in each trial's terms the mean sums of its family's
-    ``MeanPath`` that its builder reads (``_MEAN_WEIGHTS``), with one
-    ``MeanPath.sums`` call for the stage."""
-    wanted = []
-    for (ineq, family, params, _), t in zip(trials, terms):
-        if t is not None and ineq in _MEAN_WEIGHTS:
-            wanted += ((t, family._means, u) for u in dict.fromkeys(_MEAN_WEIGHTS[ineq](params)))
-    totals = MeanPath.sums([(path, u) for _, path, u in wanted])
-    for (t, _, u), total in zip(wanted, totals):
-        t._stored[u] = total
+def _fill_mean_sums(trials, built, sums: _Sums):
+    """Store the mean sums each trial's builder reads (``_MEAN_WEIGHTS``),
+    with one ``MeanPath.sums`` call for the stage."""
+    wanted = [
+        (k, u)
+        for k in built
+        if trials[k][0] in _MEAN_WEIGHTS
+        for u in dict.fromkeys(_MEAN_WEIGHTS[trials[k][0]](trials[k][2]))
+    ]
+    for total, idx in MeanPath.sums([(trials[k][1]._means, u) for k, u in wanted]):
+        sums.add(total, [wanted[i] for i in idx])
 
 
 def _factors(pair: bool, n: int, key) -> tuple[tuple, tuple | None, int]:
@@ -776,26 +763,27 @@ def _factors(pair: bool, n: int, key) -> tuple[tuple, tuple | None, int]:
     return (0, 1, 0, 1), (p, q, q, p), 2
 
 
-def _fill_power_sums(trials, terms):
-    """Store in each trial's terms the power sums its builder reads
-    (``_POWER_SUMS``), computed together one dimension at a time: every
-    power with one ``spectral_pow_stack`` call, then, for each shape of
-    sum, every Kronecker product with one broadcast product and the sums
-    left to right on the stack.  Each sum is bit for bit the one that
+def _fill_power_sums(trials, built, sums: _Sums):
+    """Store the power sums each trial's builder reads (``_POWER_SUMS``),
+    computed together one dimension at a time: every power with one
+    ``spectral_pow_stack`` call, then, for each shape of sum, every
+    Kronecker product with one broadcast product and the sums left to
+    right on the stack.  Each sum is bit for bit the one that
     ``spectral_pow``, ``kron`` and ``+`` give.  A power that fails raises its
     ``DomainError`` (the first in declaration order), and a product or a
     sum that is not finite raises the one that ``kron`` and ``+`` give."""
-    by_dim: dict[int, list] = {}
-    for (ineq, family, params, _), t in zip(trials, terms):
-        if t is not None and ineq in _POWER_SUMS:
-            by_dim.setdefault(family.dim, []).append((t, ineq, family, params))
+    by_dim: dict[int, list[int]] = {}
+    for k in built:
+        if trials[k][0] in _POWER_SUMS:
+            by_dim.setdefault(trials[k][1].dim, []).append(k)
     for group in by_dim.values():
         # Row r of the table is power r, and row ``len(ps) + i`` is operand
         # ``mats[i]`` itself, written ``~i`` until the powers are counted.
         mats, which, ps = [], [], []
         by_shape: dict[tuple[int, int], list] = {}
         operands = False
-        for t, ineq, family, params in group:
+        for k in group:
+            ineq, family, params, _ = trials[k]
             pair = _REGISTRY[ineq].takes_pair
             first = len(mats)
             mats += (family.A_list[0], family.B_list[0]) if pair else family.A_list
@@ -808,7 +796,7 @@ def _fill_power_sums(trials, terms):
                     rows = list(range(len(ps), len(ps) + len(ops)))
                     which += [first + j for j in ops]
                     ps += exps
-                by_shape.setdefault((len(ops) // f, f), []).append((t, key, rows))
+                by_shape.setdefault((len(ops) // f, f), []).append(((k, key), rows))
         table = spectral_pow_stack(mats, which, ps)
         if operands:
             table = np.concatenate([table, [m.array for m in mats]])
@@ -817,7 +805,7 @@ def _fill_power_sums(trials, terms):
         # finite leaves its sum not finite.
         with np.errstate(over="ignore", invalid="ignore"):
             for (n, f), items in by_shape.items():
-                idx = np.array([rows for _, _, rows in items])
+                idx = np.array([rows for _, rows in items])
                 idx[idx < 0] = len(ps) - 1 - idx[idx < 0]
                 for j in range(0, n * f, f):
                     term = table[idx[:, j]]
@@ -826,8 +814,7 @@ def _fill_power_sums(trials, terms):
                     total = term if j == 0 else total + term
                 if not np.isfinite(total).all():
                     raise DomainError("matrix entries must be finite")
-                for (t, key, _), m in zip(items, SymMatrix._views(total)):
-                    t._stored[key] = m
+                sums.add(total, [key for key, _ in items])
 
 
 def _check(ineq, family, params, variant):
@@ -899,28 +886,21 @@ def evaluate_stage(trials, tol: float = DEFAULT_TOL) -> list:
 
 
 def _evaluate_stage(trials, tol):
-    out = _build_stage(trials)
-    built = [k for k, links in enumerate(out) if not isinstance(links, Exception)]
-    gaps = iter(loewner_gaps([(lhs, rhs) for k in built for _, lhs, rhs in out[k]], tol))
-    for k in built:
-        ineq, family, params, variant = trials[k]
-        links = out[k]
-        reports = tuple(LinkReport(name, next(gaps)) for name, _, _ in links)
-        # The worst link is the first with the smallest relative gap; its
-        # operands were decomposed with the gaps, so their norms are stored.
-        w = min(range(len(reports)), key=lambda i: reports[i].gap.rel_gap)
-        _, worst_lhs, worst_rhs = links[w]
-        gap = reports[w].gap
-        pdict = params_dict(ineq, params)
-        witness = None if gap.satisfied else {"params": pdict, **family.to_dict()}
-        out[k] = IneqReport(
-            ineq=ineq,
-            variant=variant,
-            params=pdict,
-            links=reports,
-            gap=gap,
-            lhs_norm=spectral_norm(worst_lhs),
-            rhs_norm=spectral_norm(worst_rhs),
-            witness=witness,
-        )
+    out, groups = _build_stage(trials)
+    measured = loewner_gaps([(lhs, rhs, ks) for ks, links in groups for _, lhs, rhs in links], tol)
+    for ks, links in groups:
+        for k in ks:
+            ineq, family, params, variant = trials[k]
+            gaps, w, lhs_norm, rhs_norm = measured[k]
+            pdict = params_dict(ineq, params)
+            out[k] = IneqReport(
+                ineq=ineq,
+                variant=variant,
+                params=pdict,
+                links=tuple(LinkReport(name, gap) for (name, _, _), gap in zip(links, gaps)),
+                gap=gaps[w],
+                lhs_norm=lhs_norm,
+                rhs_norm=rhs_norm,
+                witness=None if gaps[w].satisfied else {"params": pdict, **family.to_dict()},
+            )
     return out

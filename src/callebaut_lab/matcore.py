@@ -1,50 +1,27 @@
 """Dense real symmetric matrix algebra.
 
-Everything the inequality registry needs at the matrix level lives here:
-a deterministic eigendecomposition (LAPACK's symmetric solver through
+A deterministic eigendecomposition (LAPACK's symmetric solver through
 ``numpy.linalg.eigh``, with a fixed order and sign convention), spectral
-functions (fractional powers), Kronecker and Hadamard products, the
-compression that maps a tensor product onto the Hadamard product, weighted
-geometric means in congruence form, and signed Loewner-gap measurement.
-
-Every operation returns the same result for the same input.  The one piece
-of state is a memo: ``sym_eigen`` stores the read-only decomposition it
-computes on the ``SymMatrix`` it was given, and later calls on that instance
-return it.  A ``SymMatrix`` never changes after construction and the solver
-is deterministic, so a stored result is bit-identical to a recomputed one.
-
-The lab's matrices are small (d <= 16, mostly d <= 4), where the Python-level
-cost of a call outweighs LAPACK's work.  Three shortcuts keep that cost down,
-each bit-identical to the general route: ``sym_eigen`` answers 1x1 inputs in
-closed form and fixes eigenvector signs with one vector multiply, and results
-that are symmetric bit for bit by construction (sums, differences, scalings,
-Kronecker and Hadamard products, compressions) skip re-symmetrisation.
-Beyond those, the work on many equal-dimension matrices is stacked:
-``SymMatrix.stack`` and ``sym_eigen_stack`` build and decompose many matrices
-with one call each, ``spectral_pow_stack`` raises many matrices to many
-exponents with one ``np.power`` per exponent and one rebuild,
-``kron_arrays`` multiplies two stacks, ``MeanPath.stack`` factors the pairs
-of many mean paths with one call per dimension, ``MeanPath.sums`` sums many
-paths at many weights with one chain of products per dimension, and
-``loewner_gaps`` decomposes every difference and operand of many links the
-same way.  ``sym_eigen``, ``spectral_pow``, ``kron``, ``MeanPath(a, b)``,
-``MeanPath.at`` and ``loewner_gap`` are their one-item cases.  NumPy hands
-each matrix of a stack to LAPACK and BLAS alone, so a stacked call gives each
-matrix the bits of a one-matrix call on the installed build;
-``tests/test_sampler.py`` and ``tests/test_inequalities.py`` check that.
-A stacked call returns all its results or raises the error of its first
-failing item; it never returns an error in an item's place.
-Stacked arithmetic, and the public constructor's symmetrisation, reject
-entries that overflow by a finiteness check after them, without a NumPy
-warning first; the one-matrix arithmetic (``+``, ``-``, ``*``, ``kron``,
-``hadamard``) still warns before it raises.
+powers, Kronecker and Hadamard products, the compression that maps a tensor
+product onto the Hadamard product, weighted geometric means in congruence
+form, and signed Loewner-gap measurement.  README ("Eigensolver and
+benchmarks", "Stacked evaluation") describes the solver's conventions, the
+memo ``sym_eigen`` keeps on each ``SymMatrix``, and the stacked forms:
+``sym_eigen_stack``, ``spectral_pow_stack``, ``kron_arrays``,
+``MeanPath.stack``, ``MeanPath.sums`` and ``loewner_gaps``, whose
+one-item cases are ``sym_eigen``, ``spectral_pow``, ``kron``,
+``MeanPath(a, b)``, ``MeanPath.at`` and ``loewner_gap``.  A stacked call
+gives each item the bits of a one-item call on the installed build, and
+returns all its results or raises the error of its first failing item.
+Arithmetic that overflows, stacked or on one matrix, is rejected by a
+finiteness check after it, without a NumPy warning first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -180,16 +157,22 @@ class SymMatrix:
         off = self.array - np.diag(np.diagonal(self.array))
         return not np.any(off)
 
+    # Arithmetic that overflows is rejected by ``_exact``'s finiteness
+    # check, so NumPy need not warn first.
+
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_same_dim(other)
-        return SymMatrix._exact(self.array + other.array)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return SymMatrix._exact(self.array + other.array)
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_same_dim(other)
-        return SymMatrix._exact(self.array - other.array)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return SymMatrix._exact(self.array - other.array)
 
     def __mul__(self, scalar: float) -> "SymMatrix":
-        return SymMatrix._exact(self.array * float(scalar))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return SymMatrix._exact(self.array * float(scalar))
 
     __rmul__ = __mul__
 
@@ -236,13 +219,8 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
     that its first nonzero component is positive.  Deterministic for fixed
     input on a fixed NumPy/LAPACK build.  Raises :class:`SizeError` above
     ``MAX_EIGEN_DIM`` and ``numpy.linalg.LinAlgError`` if LAPACK fails to
-    converge, which does not happen for finite input in practice.
-
-    A 1x1 input is answered without LAPACK, as LAPACK's own ``n = 1`` branch
-    does: the eigenvalue is the entry (``-0.0`` included) and the
-    eigenvector is ``[[1.0]]``.  The signs are fixed by multiplying every
-    column by ``+1.0`` or ``-1.0``, which is exact; the leading entry is
-    read from the first row unless that row has a zero.
+    converge, which does not happen for finite input in practice.  README
+    describes the 1x1 shortcut and the exact sign flip.
 
     The result is computed once per ``SymMatrix`` instance: it is stored on
     ``a`` and every later call on ``a`` returns that same read-only object.
@@ -376,7 +354,8 @@ def kron(a: SymMatrix, b: SymMatrix) -> SymMatrix:
         raise SizeError(
             f"Kronecker product dimension {out_dim} exceeds cap {KRON_DIM_CAP}"
         )
-    return SymMatrix._exact(kron_arrays(a.array, b.array))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SymMatrix._exact(kron_arrays(a.array, b.array))
 
 
 def kron_arrays(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -394,7 +373,8 @@ def hadamard(a: SymMatrix, b: SymMatrix) -> SymMatrix:
     """Entrywise (Hadamard) product of equal-dimension matrices."""
     if a.dim != b.dim:
         raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return SymMatrix._exact(a.array * b.array)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SymMatrix._exact(a.array * b.array)
 
 
 def compress(t: SymMatrix, d: int) -> SymMatrix:
@@ -486,24 +466,24 @@ class MeanPath:
     def at(self, alpha: float) -> SymMatrix:
         """``sum_j a_j #_alpha b_j``, the means summed left to right; the
         one-request case of :meth:`sums`."""
-        (total,) = MeanPath.sums(((self, alpha),))
-        return total
+        ((total, _),) = MeanPath.sums(((self, alpha),))
+        return SymMatrix._views(total)[0]
 
     @staticmethod
-    def sums(requests: Sequence[tuple]) -> list[SymMatrix]:
-        """``[path.at(alpha) for path, alpha in requests]``, computed together.
+    def sums(requests: Sequence[tuple]) -> list[tuple[np.ndarray, list[int]]]:
+        """The mean sums of the requests ``(path, alpha)`` as blocks
+        ``(total, idx)``: ``total[r]`` is the sum of request ``idx[r]``.
 
-        Item ``i`` is the mean sum of request ``(path, alpha)``.  A weight
-        outside [0, 1], or a sum that is not finite, raises ``DomainError``
-        for the whole call.  The requests of one dimension share
-        one stacked chain of products; each distinct weight takes one
+        A weight outside [0, 1], or a sum that is not finite, raises
+        ``DomainError`` for the whole call.  The requests of one dimension
+        share one stacked chain of products; each distinct weight takes one
         ``np.power`` over the eigenvalues of all its requests, always with
         the weight as a Python-float scalar exponent (an array of exponents
         may take another code path, see ``docs/rng.md``); and the requests
-        with the same number of pairs are summed left to right together.
-        Each result is bit for bit the one-request result.
+        with the same number of pairs are summed left to right together, as
+        one block.  Each result is bit for bit the one-request result.
         """
-        out = [None] * len(requests)
+        blocks = []
         by_dim: dict[int, list[tuple[float, int]]] = {}
         for i, (path, alpha) in enumerate(requests):
             alpha = float(alpha)
@@ -539,9 +519,8 @@ class MeanPath:
                     # A mean that is not finite leaves its sum not finite.
                     if not np.isfinite(total).all():
                         raise DomainError("matrix entries must be finite")
-                    for k, m in zip(ks, SymMatrix._views(total)):
-                        out[items[k][1]] = m
-        return out
+                    blocks.append((total, [items[k][1] for k in ks]))
+        return blocks
 
 
 def _pair_failure(a_min: float, b_min: float, finite: bool = True, inner_min: float = 1.0) -> str | None:
@@ -578,41 +557,68 @@ def require_positive_pairs(a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
 def loewner_gap(lhs: SymMatrix, rhs: SymMatrix, tol: float = DEFAULT_TOL) -> LoewnerGap:
     """Measure the signed gap of ``lhs <= rhs`` in the Loewner order; the
     one-link case of :func:`loewner_gaps`."""
-    return loewner_gaps(((lhs, rhs),), tol)[0]
+    return loewner_gaps([(lhs.array[None], rhs.array[None], [0])], tol)[0][0][0]
 
 
-def loewner_gaps(links: Sequence[tuple[SymMatrix, SymMatrix]], tol: float = DEFAULT_TOL) -> list[LoewnerGap]:
-    """``[loewner_gap(lhs, rhs, tol) for lhs, rhs in links]``, measured together.
+def loewner_gaps(links: Sequence[tuple], tol: float = DEFAULT_TOL) -> dict:
+    """The gaps of many links, measured together, and the operand norms of
+    each owner's worst link.
 
-    Every difference ``rhs - lhs``, right side and left side is decomposed
-    with one ``sym_eigen_stack`` call per dimension, and each decomposition
-    is stored on its matrix, so the operand norms of every link are known
-    afterwards.  Each gap is the one a one-link call measures, bit for bit.
+    Each item of ``links`` is ``(lhs, rhs, owners)``: two ``(k, D, D)``
+    stacks and the owner of each row.  An owner's links are its rows in
+    the order of ``links``.  Returns ``{owner: (gaps, worst, lhs_norm,
+    rhs_norm)}``: the ``LoewnerGap`` of each of its links, the index of
+    the first link with the smallest ``rel_gap``, and the spectral norms
+    of that link's operands.  Per dimension, every difference ``rhs - lhs``
+    is formed in one subtraction (a difference that is not finite raises
+    ``DomainError``), and the differences and the right sides are
+    decomposed with one ``_eigh_stack`` call each; a left side is
+    decomposed only for its owner's worst link.  Each number is the one a
+    one-link call measures, bit for bit.
     """
-    diffs = []
-    for lhs, rhs in links:
-        if lhs.dim != rhs.dim:
-            raise ShapeError(f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
-        diffs.append(rhs - lhs)
-    by_dim: dict[int, list[SymMatrix]] = {}
-    for m in (*diffs, *(rhs for _, rhs in links), *(lhs for lhs, _ in links)):
-        by_dim.setdefault(m.dim, []).append(m)
-    for mats in by_dim.values():
-        sym_eigen_stack(mats)
-    gaps = []
-    for diff, (_, rhs) in zip(diffs, links):
-        min_eig = float(sym_eigen(diff).eigenvalues[0])
-        rel = min_eig / max(1.0, spectral_norm(rhs))
-        gaps.append(LoewnerGap(min_eig=min_eig, rel_gap=rel, satisfied=rel >= -tol))
-    return gaps
+    by_dim: dict[int, list] = {}
+    rows: dict = {}  # owner -> [(dimension, row)] of its links, in order
+    for lhs, rhs, owners in links:
+        if lhs.shape != rhs.shape:
+            raise ShapeError(f"dimension mismatch: {lhs.shape[-1]} vs {rhs.shape[-1]}")
+        d = lhs.shape[-1]
+        items = by_dim.setdefault(d, [])
+        first = sum(len(x) for x, _ in items)
+        for r, owner in enumerate(owners, first):
+            rows.setdefault(owner, []).append((d, r))
+        items.append((lhs, rhs))
+    lhs = {d: np.concatenate([x[0] for x in items]) for d, items in by_dim.items()}
+    rhs = {d: np.concatenate([x[1] for x in items]) for d, items in by_dim.items()}
+    # A difference that overflows is rejected by the finiteness check, so
+    # NumPy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = {d: rhs[d] - lhs[d] for d in by_dim}
+    if not all(np.isfinite(x).all() for x in diff.values()):
+        raise DomainError("matrix entries must be finite")
+    min_eig, norm, rel, sat = {}, {}, {}, {}
+    for d in by_dim:
+        rhs_norm = _norms(_eigh_stack(rhs[d])[0])
+        low = _eigh_stack(diff[d])[0][:, 0]
+        ratio = low / np.maximum(1.0, rhs_norm)
+        min_eig[d], rel[d], sat[d], norm[d] = (
+            low.tolist(), ratio.tolist(), (ratio >= -tol).tolist(), rhs_norm.tolist())
+    worst, wanted = {}, {}
+    for owner, at in rows.items():
+        gaps = [rel[d][r] for d, r in at]
+        worst[owner] = gaps.index(min(gaps))
+        wanted.setdefault(at[worst[owner]][0], []).append(owner)
+    lhs_norm = {}
+    for d, owners in wanted.items():
+        w = _eigh_stack(lhs[d][[rows[o][worst[o]][1] for o in owners]])[0]
+        lhs_norm.update(zip(owners, _norms(w).tolist()))
+    out = {}
+    for owner, at in rows.items():
+        gaps = tuple(LoewnerGap(min_eig[d][r], rel[d][r], sat[d][r]) for d, r in at)
+        d, r = at[worst[owner]]
+        out[owner] = (gaps, worst[owner], lhs_norm[owner], norm[d][r])
+    return out
 
 
-def sum_matrices(mats: Iterable[SymMatrix]) -> SymMatrix:
-    """Sum a non-empty sequence of equal-dimension symmetric matrices."""
-    mats = list(mats)
-    if not mats:
-        raise ShapeError("cannot sum an empty sequence of matrices")
-    total = mats[0]
-    for m in mats[1:]:
-        total = total + m
-    return total
+def _norms(w: np.ndarray) -> np.ndarray:
+    """Spectral norms ``max(|w_0|, |w_-1|)`` of rows of ascending eigenvalues."""
+    return np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))

@@ -23,10 +23,9 @@ for exact-half exponents, so it is meaningfully more accurate than the matrix
 arithmetic it cross-checks.
 
 Where the independence lies: the scalar algebra (``fsum``, ``oracle_pow``,
-the ``_S`` of ``_ScalarTerms`` and ``_ScalarPairTerms`` and each statement's
-combination of terms) is re-derived here.  Only the memo is shared: both
-terms classes subclass ``inequalities._Terms``, which stores ``S(u)`` under
-``min(u, 1-u)`` and derives no term itself.  The Kantorovich weights
+the ``_S`` of ``_ScalarTerms`` and ``_ScalarPairTerms``, their memo
+``_Memo`` and each statement's combination of terms) is re-derived here.
+The Kantorovich weights
 ``K^(+-r')`` mostly are not re-derived: they are scalars of the band and the
 exponents, and for the Hadamard and tensor statements the oracle takes them
 from the same helpers as the link builders (``_hadamard_weight``,
@@ -54,7 +53,6 @@ from .inequalities import (
     _congruence_interval,
     _hadamard_weight,
     _tensor_weight,
-    _Terms,
     build_links,
     evaluate_inequality,
     inequality_info,
@@ -94,7 +92,22 @@ def _wsum(x, y, u: float) -> float:
     return fsum(oracle_pow(xi, 1.0 - u) * oracle_pow(yi, u) for xi, yi in zip(x, y))
 
 
-class _ScalarTerms(_Terms):
+class _Memo:
+    """``S(u)`` is symmetric in ``u <-> 1-u``, so it is computed once per
+    ``min(u, 1-u)``, by the subclass's ``_S``, at the first ``u`` asked
+    for."""
+
+    def __init__(self):
+        self._s = {}
+
+    def S(self, u: float) -> float:
+        key = min(u, 1.0 - u)
+        if key not in self._s:
+            self._s[key] = self._S(u)
+        return self._s[key]
+
+
+class _ScalarTerms(_Memo):
     """Scalar mirror of the family terms for one diagonal entry."""
 
     def __init__(self, x, y):
@@ -109,7 +122,7 @@ class _ScalarTerms(_Terms):
         return fsum(self.x) * fsum(self.y)
 
 
-class _ScalarPairTerms(_Terms):
+class _ScalarPairTerms(_Memo):
     """Scalar mirror of the pair terms at one entry pair ``(a, b)``:
     ``S(u) = a^u b^(1-u) + a^(1-u) b^u``."""
 

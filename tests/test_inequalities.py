@@ -1,3 +1,6 @@
+import functools
+import math
+import operator
 import warnings
 
 import numpy as np
@@ -5,7 +8,14 @@ import pytest
 
 from callebaut_lab import inequalities
 from callebaut_lab.cli import DEFAULT_BANDS
-from callebaut_lab.errors import DomainError, HypothesisError, ShapeError, VariantError, each_alone
+from callebaut_lab.errors import (
+    CallebautLabError,
+    DomainError,
+    HypothesisError,
+    ShapeError,
+    VariantError,
+    each_alone,
+)
 from callebaut_lab.inequalities import (
     ALPHA_BETA_KIND,
     ALPHA_KIND,
@@ -23,11 +33,12 @@ from callebaut_lab.inequalities import (
 )
 from callebaut_lab.matcore import (
     EIG_FLOOR,
+    MeanPath,
     SymMatrix,
+    hadamard,
     kron,
     spectral_norm,
     spectral_pow,
-    sum_matrices,
     sym_eigen,
 )
 from callebaut_lab.sampler import (
@@ -41,6 +52,7 @@ from callebaut_lab.scalarcore import (
     ExponentPair,
     ProofChainParams,
     kantorovich,
+    kantorovich_min_over_interval,
     printed_weight,
 )
 
@@ -411,6 +423,11 @@ def test_every_kind_sweeps_only_values_it_admits():
         assert all(isinstance(p, kind.type) and kind.holds(p) for p in kind.values)
 
 
+def sum_matrices(mats):
+    """``mats[0] + mats[1] + ...``, left to right, one ``SymMatrix`` at a time."""
+    return functools.reduce(operator.add, mats)
+
+
 def _reference_pow(a, p):
     """The per-matrix spectral power that the stacked one replaced: the
     floor check, ``np.power`` on one spectrum, one rebuild and the public
@@ -472,9 +489,22 @@ def _reference_sums(ineq, family, params):
 
 
 def _bits_or_text(value):
+    """An error's type and text, or a ``SymMatrix``'s or an array's shape
+    and bytes."""
     if isinstance(value, Exception):
         return type(value), str(value)
-    return value.array.shape, value.array.tobytes()
+    arr = np.ascontiguousarray(getattr(value, "array", value))
+    return arr.shape, arr.tobytes()
+
+
+def _links_by_trial(trials):
+    """``_build_stage``'s links as one list per trial, row by row, or the
+    trial's error: the form ``each_alone`` reads."""
+    out, groups = inequalities._build_stage(trials)
+    for ks, links in groups:
+        for r, k in enumerate(ks):
+            out[k] = [(name, lhs[r], rhs[r]) for name, lhs, rhs in links]
+    return out
 
 
 def _failing_power_families():
@@ -576,13 +606,11 @@ class TestStackedPowerSums:
 
     @staticmethod
     def _fill(trials):
-        terms = [inequalities._PairTerms(f.A_list[0], f.B_list[0])
-                 if inequality_info(ineq).takes_pair else inequalities._FamilyTerms(f)
-                 for ineq, f, _, _ in trials]
+        sums = inequalities._Sums()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            inequalities._fill_power_sums(trials, terms)
-        return terms
+            inequalities._fill_power_sums(trials, range(len(trials)), sums)
+        return sums
 
     def test_stacked_sums_equal_the_per_trial_sums(self):
         trials = [t for t in self._stage() if t[0] in inequalities._POWER_SUMS]
@@ -591,13 +619,13 @@ class TestStackedPowerSums:
         with pytest.raises(DomainError):
             self._fill(trials)
         good = [t for t, e in zip(trials, expected) if not isinstance(e, Exception)]
-        sums = [e for e in expected if not isinstance(e, Exception)]
-        for (ineq, _, params, _), t, want in zip(good, self._fill(good), sums):
-            assert set(t._stored) == set(want)
+        sums = self._fill(good)
+        want_all = [e for e in expected if not isinstance(e, Exception)]
+        assert set(sums._rows) == {(k, key) for k, want in enumerate(want_all) for key in want}
+        for k, ((ineq, _, params, _), want) in enumerate(zip(good, want_all)):
             for key, total in want.items():
-                got = t._stored[key]
+                (got,) = sums.gather([(k, key)])
                 assert _bits_or_text(got) == _bits_or_text(total), (ineq, params, key)
-                assert not got.array.flags.writeable
         failures = 0
         for trial, want in zip(trials, expected):
             if isinstance(want, Exception):
@@ -611,7 +639,7 @@ class TestStackedPowerSums:
         trials = self._stage()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            staged = each_alone(inequalities._build_stage, trials, inequalities._EVALUATION_ERRORS)
+            staged = each_alone(_links_by_trial, trials, inequalities._EVALUATION_ERRORS)
         failed = 0
         for trial, got in zip(trials, staged):
             try:
@@ -702,3 +730,197 @@ class TestStackedPowerSums:
         err = _fails_alike_alone_and_beside_a_sampled_trial(ineq, family, params, variant, message)
         if variant == Variant.REPAIRED:
             assert type(err.__cause__) is ZeroDivisionError
+
+    @pytest.mark.parametrize("ineq, params, message", [
+        (IneqId.HAD_MAMAN, ExponentPair(0.75, 0.875), "matrix entries must be finite"),
+        (IneqId.REV_HAD_MAINTH, ExponentPair(0.75, 0.875), "matrix entries must be finite"),
+        (IneqId.PROP_HBOUNDS, ExponentPair(0.75, 0.875), "matrix entries must be finite"),
+        (IneqId.REV_T1_REMARK, WITNESS_PAIR,
+         "REV_T1_REMARK overflows on this input: float division by zero"),
+    ], ids=lambda v: v.value if isinstance(v, IneqId) else None)
+    def test_a_builder_fails_on_what_it_reads_first(self, ineq, params, message):
+        # S(s) is about 9 A B = 2.2e308 and overflows, and the repaired band
+        # constant divides by m_lo * M_lo, which underflows to 0.  The
+        # refinement, its reverse and PROP_HBOUNDS read S(s) before their
+        # constants; REV_T1_REMARK computes its weight first.
+        a, b = 8e307 * SymMatrix.identity(1), 0.3 * SymMatrix.identity(1)
+        family = FamilyInstance(n=3, dim=1, A_list=(a,) * 3, B_list=(b,) * 3,
+                                band=SpectralBand(5e-324, 0.3, 0.4, 1e308))
+        _fails_alike_alone_and_beside_a_sampled_trial(ineq, family, params, Variant.REPAIRED, message)
+
+
+def _reference_weight(ineq, band, pair, variant, sign):
+    """The Kantorovich weight ``K^(sign r')`` of the refinement and its
+    reverse, written out: the printed one, or the repaired tensor or
+    Hadamard-sum one."""
+    power = sign * pair.r_prime_st
+    if variant == Variant.PAPER_LITERAL:
+        return printed_weight(band, 2.0 * pair.t - 1.0, power)
+    if inequality_info(ineq).takes_pair:
+        return kantorovich((band.M_lo / band.m_hi) ** abs(pair.t - 0.5)) ** power
+    lo, hi = inequalities._congruence_interval(band, pair.t)
+    return kantorovich_min_over_interval(lo, hi) ** power
+
+
+def _reference_links(ineq, family, params, variant):
+    """The links of one statement, one ``SymMatrix`` at a time, from the
+    one-item primitives: ``MeanPath(...).at`` for the mean sums,
+    ``_reference_sum`` for the power sums, and ``+``, ``-``, scalar ``*``,
+    ``kron`` and ``hadamard`` for the rest, in the statement's order."""
+    a, b, band = family.A_list[0], family.B_list[0], family.band
+    if ineq in inequalities._MEAN_WEIGHTS:
+        path = MeanPath(family.A_list, family.B_list)
+
+    def S(u):
+        if inequality_info(ineq).takes_pair:
+            return _reference_sum(ineq, family, (u, 1.0 - u))
+        return hadamard(path.at(u), path.at(1.0 - u))
+
+    def top():
+        return hadamard(sum_matrices(family.A_list), sum_matrices(family.B_list))
+
+    if ineq == IneqId.WADA:
+        alpha = float(params)
+        g, gl, gr = path.at(0.5), path.at(alpha), path.at(1.0 - alpha)
+        mid = 0.5 * (kron(gl, gr) + kron(gr, gl))
+        return [("geo_vs_mix", kron(g, g), mid), ("mix_vs_sum", mid, 0.5 * (kron(a, b) + kron(b, a)))]
+    if ineq == IneqId.PROOF_CHAIN:
+        al, be, mu = params.alpha, params.beta, params.mu
+        kf = printed_weight(band, al, params.r_prime)
+        worst = None
+        for la in sym_eigen(a).eigenvalues:
+            for lb in sym_eigen(b).eigenvalues:
+                x = la ** al * lb ** (-al)
+                lhs = kantorovich(x) ** params.r_prime * (x ** mu + x ** (-mu)) + (1.0 - mu) * (
+                    x + 1.0 / x - 2.0)
+                rhs = x + 1.0 / x
+                if worst is None or rhs - lhs < worst[1] - worst[0]:
+                    worst = (lhs, rhs)
+
+        def power(key):
+            return _reference_sum(ineq, family, key)
+
+        g_al, h_al = power((al, -al)), power((1.0 + al, 1.0 - al))
+        ident = SymMatrix.identity(a.dim * b.dim)
+        return [
+            ("pointwise_spectrum", SymMatrix(np.array([[worst[0]]])), SymMatrix(np.array([[worst[1]]]))),
+            ("ratio_powers", kf * power((be, -be)) + (1.0 - mu) * (g_al - 2.0 * ident), g_al),
+            ("shifted_powers",
+             kf * power((1.0 + be, 1.0 - be)) + (1.0 - mu) * (h_al - 2.0 * power(None)), h_al),
+        ]
+    s, t = params.s, params.t
+    if ineq == IneqId.CHAIN_34RF:
+        return [("geo_vs_s", S(0.5), S(s)), ("s_vs_t", S(s), S(t)), ("t_vs_sums", S(t), top())]
+    if ineq == IneqId.MOJ_MO:
+        mid = S(s) + (t - s) / (s - 0.5) * (S(s) - S(0.5))
+        return [("s_vs_mid", S(s), mid), ("mid_vs_t", mid, S(t))]
+    if ineq in (IneqId.TENSOR_TOOL, IneqId.HAD_MAMAN):
+        kf = _reference_weight(ineq, band, params, variant, 1.0)
+        return [("main", kf * S(s) + params.c_mid * (S(t) - S(0.5)), S(t))]
+    if ineq in (IneqId.REV_TENSOR_DEAR, IneqId.REV_HAD_MAINTH):
+        coeff = params.c_rev_repair if variant == Variant.REPAIRED else params.c_rev_paper
+        kf = _reference_weight(ineq, band, params, variant, -1.0)
+        return [("main", S(t), kf * S(s) + coeff * (S(t) - S(0.5)))]
+    if ineq == IneqId.HAD_MAMAN2:
+        bracket = S(s) + S(0.5) - 2.0 * S((3.0 - 2.0 * s) / 4.0)
+        lhs = S(s) + params.c_mid * (S(s) - S(0.5)) + params.r_prime_st * bracket
+        return [("main", lhs, S(t)), ("bracket_psd", SymMatrix.zero(a.dim), bracket)]
+    if ineq == IneqId.COR_BJ_IDENTITY:
+        def P(u):
+            return _reference_sum(ineq, family, u)
+
+        s_s, l0 = hadamard(P(1.0 - s), P(s)), hadamard(P(0.5), P(0.5))
+        t_mid = hadamard(P((1.0 + 2.0 * s) / 4.0), P((3.0 - 2.0 * s) / 4.0))
+        lhs = s_s + params.c_mid * (s_s - l0) + params.r_prime_st * (s_s + l0 - 2.0 * t_mid)
+        return [("main", lhs, hadamard(P(1.0 - t), P(t)))]
+    if ineq == IneqId.REV_T1_REMARK:
+        kf = _reference_weight(ineq, band, params, variant, -1.0)
+        coeff = 2.0 * s if variant == Variant.REPAIRED else 2.0 * s - 1.0
+        return [("main", top(), kf * S(s) + coeff * (top() - S(0.5)))]
+    assert ineq == IneqId.PROP_HBOUNDS
+    if variant == Variant.PAPER_LITERAL:
+        kf = kantorovich(band.h ** (2.0 * t - 1.0)) ** params.r_prime_st
+        low = (math.sqrt(band.h) - math.sqrt(1.0 / band.h)) ** 2
+        high = (math.sqrt(band.h_prime) - math.sqrt(1.0 / band.h_prime)) ** 2
+        ident = SymMatrix.identity(a.dim)
+        return [("lower", kf * S(s) + params.c_mid * low * ident, S(t)),
+                ("upper", S(t), (1.0 / kf) * S(s) + params.c_rev_paper * high * ident)]
+    lo, hi = inequalities._congruence_interval(band, t)
+    kf = kantorovich_min_over_interval(lo, hi) ** params.r_prime_st
+    up = (math.sqrt(hi) - math.sqrt(1.0 / hi)) ** 2
+    return [("lower", kf * S(s), S(t)),
+            ("upper", S(t), (1.0 / kf) * S(s) + params.c_rev_repair * up * S(0.5))]
+
+
+def _mixed_stage():
+    """Every (id, variant) at d = 1-4 and n = 1-3 (n = 1 for the pair ids)
+    on sampled families, with failing trials among them: non-positive
+    operands, the overflowing powers and sums of ``TestStackedPowerSums``,
+    MOJ_MO with s near 1/2, and a band constant that overflows."""
+    trials, k = [], 0
+    for info in list_inequalities():
+        for variant in info.variants:
+            for d in (1, 2, 3, 4):
+                for n in (1,) if info.takes_pair else (1, 2, 3):
+                    params = info.kind.values[(5 * k) % len(info.kind.values)]
+                    family = sample_family(n, d, DEFAULT_BANDS[k % 3], derive_rng(63, k), k % 2 == 0)
+                    trials.append((info.ineq, family, params, variant))
+                    k += 1
+    paper = Variant.PAPER_LITERAL
+    two, odd = SymMatrix.identity(2), SymMatrix.diagonal([1.0, -1.0])
+    off_band = SpectralBand(0.25, 0.5, 8.0, 9.0)
+    non_pd_b = FamilyInstance(n=2, dim=2, A_list=(two, two), B_list=(two, odd), band=off_band)
+    non_pd_a = FamilyInstance(n=2, dim=2, A_list=(two, odd), B_list=(two, two), band=off_band)
+    trials += [(IneqId.CHAIN_34RF, non_pd_b, WITNESS_PAIR, paper),
+               (IneqId.COR_BJ_IDENTITY, non_pd_a, WITNESS_PAIR, paper)]
+    failing = _failing_power_families()
+    for f in failing[:5]:
+        trials += [(IneqId.TENSOR_TOOL, f, ST_KIND.values[3], paper),
+                   (IneqId.REV_TENSOR_DEAR, f, ST_KIND.values[40], paper),
+                   (IneqId.PROOF_CHAIN, f, ALPHA_BETA_KIND.values[7], paper)]
+    for ineq in (IneqId.COR_BJ_IDENTITY, IneqId.CHAIN_34RF, IneqId.HAD_MAMAN2):
+        trials.append((ineq, failing[5], ExponentPair(0.75, 1.0), paper))
+    near_half = sample_family(2, 3, DEFAULT_BANDS[1], derive_rng(64, 0))
+    trials.append((IneqId.MOJ_MO, near_half, ExponentPair(0.5 + 1e-9, 1.0), paper))
+    tiny_band = FamilyInstance(n=1, dim=1, A_list=(0.4 * SymMatrix.identity(1),),
+                               B_list=(0.3 * SymMatrix.identity(1),),
+                               band=SpectralBand(5e-324, 0.3, 0.4, 0.4))
+    for ineq in (IneqId.HAD_MAMAN, IneqId.REV_HAD_MAINTH, IneqId.REV_T1_REMARK, IneqId.PROP_HBOUNDS):
+        trials.append((ineq, tiny_band, WITNESS_PAIR, Variant.REPAIRED))
+    assert len(trials) % 37
+    return [trials[(37 * i) % len(trials)] for i in range(len(trials))]
+
+
+def test_a_mixed_stage_gives_each_trial_its_lone_links_and_report():
+    # Each trial alone runs on fresh copies of its family, so nothing it
+    # reads was computed by the stage.
+    def copy(f):
+        return FamilyInstance.from_dict(f.to_dict())
+
+    trials = _mixed_stage()
+    messages = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        staged_links = each_alone(_links_by_trial, trials, inequalities._EVALUATION_ERRORS)
+        staged = evaluate_stage(trials)
+        for (ineq, family, params, variant), links, got in zip(trials, staged_links, staged):
+            try:
+                alone_links = build_links(ineq, copy(family), params, variant)
+            except CallebautLabError as exc:
+                with pytest.raises(type(exc)) as alone:
+                    evaluate_inequality(ineq, copy(family), params, variant)
+                for err in (links, got, alone.value):
+                    assert type(err) is type(exc) and str(err) == str(exc)
+                messages.add(str(exc))
+                continue
+            assert repr(got) == repr(evaluate_inequality(ineq, copy(family), params, variant))
+            reference = _reference_links(ineq, copy(family), params, variant)
+            assert [n for n, _, _ in links] == [n for n, _, _ in alone_links] == [
+                n for n, _, _ in reference]
+            for (_, *ops), (_, *ops_alone), (_, *ops_ref) in zip(links, alone_links, reference):
+                for x, y, z in zip(ops, ops_alone, ops_ref):
+                    assert _bits_or_text(x) == _bits_or_text(y) == _bits_or_text(z), (ineq, params)
+    for reason in ("not positive definite", "matrix entries must be finite",
+                   "requires eigenvalues >= 1e-12", "of 1/2; the middle coefficient",
+                   "overflows on this input: float division by zero"):
+        assert any(reason in m for m in messages), reason

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from callebaut_lab import matcore
 from callebaut_lab.errors import DomainError, ShapeError, SizeError
 from callebaut_lab.matcore import (
     EIG_FLOOR,
@@ -15,6 +16,7 @@ from callebaut_lab.matcore import (
     hadamard,
     kron,
     loewner_gap,
+    loewner_gaps,
     spectral_norm,
     spectral_pow,
     spectral_pow_stack,
@@ -366,19 +368,18 @@ class TestExactResults:
                 )
 
     def test_overflow_raises(self):
+        # Without a NumPy warning first: the finiteness check rejects it.
         x = SymMatrix.diagonal([8e307, 1.0])
+        a = SymMatrix(np.array([[8e307]]))
         big = x + x
-        with np.errstate(over="ignore"):
-            with pytest.raises(DomainError):
-                big + x
-            with pytest.raises(DomainError):
-                big - (-1.0) * x
-            with pytest.raises(DomainError):
-                big * 10.0
-            with pytest.raises(DomainError):
-                hadamard(big, big)
-            with pytest.raises(DomainError):
-                kron(big, big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for overflow in (lambda: big + x, lambda: big - (-1.0) * x, lambda: big * 10.0,
+                             lambda: hadamard(big, big), lambda: kron(big, big),
+                             lambda: a + a + a, lambda: 10.0 * a, lambda: hadamard(a, a),
+                             lambda: kron(a, a)):
+                with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+                    overflow()
 
 
 def _mean(a, b, alpha):
@@ -471,6 +472,62 @@ class TestLoewnerGap:
             back_max = sym_eigen(lhs - rhs).eigenvalues[-1]
             scale = max(1.0, spectral_norm(rhs))
             assert abs(fwd + back_max) <= 1e-12 * scale
+
+    def test_stacks_match_eigh_and_decompose_only_the_worst_left_sides(self, monkeypatch):
+        rng = np.random.default_rng(31)
+
+        def sym(k, d):
+            x = rng.standard_normal((k, d, d))
+            return x + x.transpose(0, 2, 1)
+
+        # Owner 2's first and last links tie exactly (dyadic diagonal
+        # entries, norms below 1) with different left sides: the first is
+        # its worst link.
+        tie_lhs = np.array([np.diag([0.5, 0.25]), np.diag([0.625, 0.25])])
+        tie_rhs = np.array([np.diag([0.25, 0.5]), np.diag([0.375, 0.5])])
+        a_lhs, a_rhs, c_lhs, c_rhs = sym(3, 2), sym(3, 2), sym(3, 2), sym(3, 2)
+        a_lhs[2], a_rhs[2], c_lhs[2], c_rhs[2] = tie_lhs[0], tie_rhs[0], tie_lhs[1], tie_rhs[1]
+        b_rhs = sym(2, 3)
+        b_rhs[1] += 100.0 * np.eye(3)  # owner 2's middle link holds with room
+        links = [(a_lhs, a_rhs, [0, 1, 2]), (sym(2, 3), b_rhs, [0, 2]),
+                 (c_lhs, c_rhs, [0, 1, 2]), (sym(1, 1), sym(1, 1), [1])]
+        seen = []
+        real = matcore._eigh_stack
+
+        def counting(arr):
+            seen.extend(np.array(arr))
+            return real(arr)
+
+        monkeypatch.setattr(matcore, "_eigh_stack", counting)
+        got = loewner_gaps(links, tol=1e-9)
+        owned = {}
+        for lhs, rhs, owners in links:
+            for r, owner in enumerate(owners):
+                owned.setdefault(owner, []).append((lhs[r], rhs[r]))
+        assert sorted(got) == [0, 1, 2]
+        for owner, pairs in owned.items():
+            gaps, worst, lhs_norm, rhs_norm = got[owner]
+            rels = []
+            for (lhs, rhs), gap in zip(pairs, gaps):
+                w_rhs = np.linalg.eigh(rhs)[0]
+                norm = max(abs(w_rhs[0]), abs(w_rhs[-1]))
+                min_eig = np.linalg.eigh(rhs - lhs)[0][0]
+                assert gap.min_eig.hex() == float(min_eig).hex()
+                assert gap.rel_gap.hex() == float(min_eig / max(1.0, norm)).hex()
+                assert gap.satisfied == (gap.rel_gap >= -1e-9)
+                rels.append(gap.rel_gap)
+            assert worst == rels.index(min(rels))
+            lhs, rhs = pairs[worst]
+            w_lhs, w_rhs = np.linalg.eigh(lhs)[0], np.linalg.eigh(rhs)[0]
+            assert lhs_norm.hex() == float(max(abs(w_lhs[0]), abs(w_lhs[-1]))).hex()
+            assert rhs_norm.hex() == float(max(abs(w_rhs[0]), abs(w_rhs[-1]))).hex()
+        assert got[2][1] == 0 and got[2][0][0].rel_gap == got[2][0][2].rel_gap
+        # Every difference and right side, and one left side per owner.
+        assert len(seen) == 2 * 9 + 3
+        decomposed = {x.tobytes() for x in seen}
+        for owner, pairs in owned.items():
+            for i, (lhs, _) in enumerate(pairs):
+                assert (lhs.tobytes() in decomposed) == (i == got[owner][1]), (owner, i)
 
     def test_tolerance_semantics(self):
         lhs = SymMatrix.identity(2)
