@@ -22,12 +22,12 @@ one QR of the stacked Gaussian matrices (Mezzadri's R-diagonal sign fix,
 Notices AMS 2007), one stacked rebuild, and one stacked eigendecomposition
 that is stored on each new matrix for band validation and the stacked
 weighted-mean factorization (``matcore.MeanPath.stack``).  At d <= 4 a
-LAPACK call costs more than its work, so ``sample_families`` shares those
-calls across all the families it is asked for; ``sample_family`` and
-``spd_in_band`` are its one-item cases.  The lanes give every stream the
-numbers ``RngState`` gives it, and the stacked calls give each matrix the
-bits per-matrix calls would give; ``tests/test_sampler.py`` checks both on
-the installed build.
+LAPACK call costs more than its work, so ``sample_families`` and
+``sample_matrices`` share those calls across all the families or matrices
+they are asked for; ``sample_family`` and ``spd_in_band`` are their
+one-item cases.  The lanes give every stream the numbers ``RngState``
+gives it, and the stacked calls give each matrix the bits per-matrix calls
+would give; ``tests/test_sampler.py`` checks both on the installed build.
 """
 
 from __future__ import annotations
@@ -551,11 +551,12 @@ def spd_in_band(
     Eigenvalues are i.i.d. uniform on the interval (sorted ascending); with
     ``pin_extremes`` and ``d >= 2`` the smallest is set to ``lo`` and the
     largest to ``hi``, which is where Kantorovich-type violations live.
+    This is the one-request case of ``sample_matrices``.
     """
-    (drawn,) = _draw([(((lo, hi),), d, rng, pin_extremes)])
-    if isinstance(drawn, Exception):
-        raise drawn
-    return _factor([drawn])[0][0]
+    (matrix,) = sample_matrices([(d, lo, hi, rng, pin_extremes)])
+    if isinstance(matrix, Exception):
+        raise matrix
+    return matrix
 
 
 def sample_family(
@@ -589,36 +590,54 @@ def _family(n: int, d: int, band: SpectralBand, mats):
         return exc
 
 
+def _sample(items) -> list:
+    """The matrices of each ``_draw`` item, drawn (``_draw``) and then
+    factored (``_factor``) together, or the package error or
+    ``numpy.linalg.LinAlgError`` that sampling the item raised; any other
+    exception propagates.  If a stacked factor call raises, the items are
+    factored again in halves, down to one at a time (``each_alone``), so
+    only the failing item carries the error."""
+    drawn = _draw(items)
+    ok = [k for k, got in enumerate(drawn) if not isinstance(got, Exception)]
+    for k, mats in zip(ok, each_alone(_factor, [drawn[k] for k in ok], _SAMPLING_ERRORS)):
+        drawn[k] = mats
+    return drawn
+
+
 def sample_families(requests: Sequence[tuple]) -> list:
     """``sample_family(*r)`` for each request ``r = (n, d, band, rng,
-    pin_extremes)``, sampled together.
+    pin_extremes)``, sampled together (``_sample``).
 
-    The draw stage (``_draw``) draws every request, each in
-    ``sample_family``'s order on its own generator, so no family depends on
-    the others, and the streams of many requests run as NumPy lanes.  The
-    factor stage (``_factor``) then builds the matrices of all families
-    together: one Haar QR and one eigendecomposition per dimension.  Item
-    ``i`` is the family of request ``i``, or the package error or
-    ``numpy.linalg.LinAlgError`` that sampling it raised; any other
-    exception propagates.  If a stacked call raises, the families are
-    factored again in halves, down to one at a time (``each_alone``), so
-    only the failing family carries the error.
+    Every request draws in ``sample_family``'s order on its own generator,
+    so no family depends on the others, and the streams of many requests
+    run as NumPy lanes; the matrices of all families share one Haar QR and
+    one eigendecomposition per dimension.  Item ``i`` is the family of
+    request ``i``, or the package error or ``numpy.linalg.LinAlgError``
+    that sampling it raised; any other exception propagates.
     """
     items = {}
     for k, (n, d, band, rng, pin_extremes) in enumerate(requests):
         if n >= 1:
             edges = ((band.M_lo, band.M_hi),) * n + ((band.m_lo, band.m_hi),) * n
             items[k] = (edges, d, rng, pin_extremes)
-    drawn = dict(zip(items, _draw(list(items.values()))))
-    ok = [k for k, got in drawn.items() if not isinstance(got, Exception)]
-    mats = dict(zip(ok, each_alone(_factor, [drawn[k] for k in ok], _SAMPLING_ERRORS)))
+    mats = dict(zip(items, _sample(list(items.values()))))
     out = []
     for k, (n, d, band, _, _) in enumerate(requests):
-        # Factored matrices, else the draw's error, else (n < 1) no
+        # Factored matrices, else the sampling error, else (n < 1) no
         # matrices, which the family rejects.
-        got = mats.get(k, drawn.get(k, ()))
+        got = mats.get(k, ())
         out.append(got if isinstance(got, Exception) else _family(n, d, band, got))
     return out
+
+
+def sample_matrices(requests: Sequence[tuple]) -> list:
+    """``spd_in_band(*r)`` for each request ``r = (d, lo, hi, rng,
+    pin_extremes)``, sampled together (``_sample``), as ``sample_families``
+    samples families.  Item ``i`` is the matrix of request ``i``, or the
+    package error or ``numpy.linalg.LinAlgError`` that sampling it raised;
+    any other exception propagates."""
+    drawn = _sample([(((lo, hi),), d, rng, pin) for d, lo, hi, rng, pin in requests])
+    return [got if isinstance(got, Exception) else got[0] for got in drawn]
 
 
 #: Relative slack on each band edge in ``validate_band_containment``.

@@ -14,7 +14,7 @@ from callebaut_lab.inequalities import (
     inequality_info,
     params_dict,
 )
-from callebaut_lab.sampler import LANE_MIN, derive_rng, sample_family
+from callebaut_lab.sampler import LANE_MIN, derive_rng, sample_family, spd_in_band
 from callebaut_lab.scalarcore import ExponentPair
 
 
@@ -440,21 +440,112 @@ class TestFalsify:
         assert got.err == "skipped 5 failing trials or refinement steps\n"
 
     def test_failing_refinement_step_is_not_better(self, monkeypatch, capsys):
+        # Budget 20 fits one stage (cli.STAGE), so every later evaluate_stage
+        # call evaluates refinement steps; each of those steps fails.
         argv = ["falsify", "--id", "HAD_MAMAN", "--budget", "20", "--seed", "3"]
+        stage = cli.evaluate_stage
+        calls = []
 
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("boom")
+        def failing(trials, tol):
+            calls.append(len(trials))
+            if len(calls) == 1:
+                return stage(trials, tol)
+            return [np.linalg.LinAlgError("boom") for _ in trials]
 
-        monkeypatch.setattr(cli, "evaluate_inequality", failing)
+        monkeypatch.setattr(cli, "evaluate_stage", failing)
         assert _run(argv) == cli.EXIT_OK
         got = capsys.readouterr()
+        assert calls[0] == 20 and sum(calls[1:]) == cli.REFINE_STEPS
         assert got.err == "skipped 50 failing trials or refinement steps\n"
         best = json.loads(got.out.strip().splitlines()[-1])
         assert best["trial"] >= 0  # no refinement step won
+        calls.clear()
         best_budget, failed = cli.run_falsify(
             IneqId.HAD_MAMAN, Variant.PAPER_LITERAL, 20, cli.SuiteConfig(master_seed=3)
         )
         assert failed == 50 and best_budget == best
+
+    @staticmethod
+    def _refine_outputs(monkeypatch, capsys, argvs):
+        """(exit code, stdout, stderr) of each falsify run, and the number
+        of refinement steps built in each."""
+        step = cli._refine_step
+        built = []
+
+        def counted(*args):
+            built[-1] += 1
+            return step(*args)
+
+        monkeypatch.setattr(cli, "_refine_step", counted)
+        out = []
+        for argv in argvs:
+            built.append(0)
+            rc = _run(argv)
+            got = capsys.readouterr()
+            out.append((rc, got.out, got.err))
+        return out, built
+
+    @pytest.mark.parametrize(
+        "ineq, variant",
+        [(ineq, variant)
+         for ineq in (IneqId.HAD_MAMAN, IneqId.TENSOR_TOOL, IneqId.CHAIN_34RF, IneqId.REV_T1_REMARK)
+         for variant in inequality_info(ineq).variants],
+    )
+    def test_best_line_does_not_depend_on_refine_chunk(self, monkeypatch, capsys, ineq, variant):
+        # One step per chunk is the serial refinement.  At small budgets the
+        # best is poor, so steps improve often and chunks start again from a
+        # new best; the default chunk then builds steps it discards.
+        argvs = [["falsify", "--id", ineq.value, "--variant", variant.value,
+                  "--budget", str(b), "--seed", "1000"] for b in (1, 20, 200)]
+        chunked, built = self._refine_outputs(monkeypatch, capsys, argvs)
+        monkeypatch.setattr(cli, "REFINE_CHUNK", 1)
+        serial, serial_built = self._refine_outputs(monkeypatch, capsys, argvs)
+        assert serial == chunked
+        assert serial_built == [cli.REFINE_STEPS] * 3
+        assert max(built) > cli.REFINE_STEPS
+
+    def test_discarded_failing_step_is_counted_once(self, monkeypatch, capsys):
+        # A matrix redraw that fails, built first in a chunk after an
+        # improving step: that build is discarded, and the step fails again
+        # from the new best.  It is counted once, as in the serial run.
+        ineq, variant, seed, budget = IneqId.HAD_MAMAN, Variant.PAPER_LITERAL, 3, 20
+        config = cli.SuiteConfig(master_seed=seed)
+        step, run_falsify = cli._refine_step, cli.run_falsify
+        builds = []
+
+        def recorded(config, ineq, variant, s, point):
+            builds.append((s, point))
+            return step(config, ineq, variant, s, point)
+
+        monkeypatch.setattr(cli, "_refine_step", recorded)
+        clean = run_falsify(ineq, variant, budget, config)
+        counts = [s for s, _ in builds]
+        # The first redraw of dimension >= 2 that is built more than once.
+        for s, point in builds:
+            redraw = step(config, ineq, variant, s, point)[2]
+            if redraw is not None and redraw[2][0] >= 2 and counts.count(s) > 1:
+                break
+        else:
+            pytest.fail("no discarded redraw of dimension >= 2")
+        poisoned = spd_in_band(*redraw[2]).array.tobytes()
+        eigh = np.linalg.eigh
+
+        def failing_eigh(a):
+            if any(x.tobytes() == poisoned for x in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("boom")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        builds.clear()
+        chunked = run_falsify(ineq, variant, budget, config)
+        assert [b for b, _ in builds].count(s) > 1
+        assert chunked[1] == clean[1] + 1 == 1
+        argv = ["falsify", "--id", ineq.value, "--budget", str(budget), "--seed", str(seed)]
+        (printed,), _ = self._refine_outputs(monkeypatch, capsys, [argv])
+        assert printed[2] == "skipped 1 failing trials or refinement steps\n"
+        monkeypatch.setattr(cli, "REFINE_CHUNK", 1)
+        assert run_falsify(ineq, variant, budget, config) == chunked
+        assert self._refine_outputs(monkeypatch, capsys, [argv])[0] == [printed]
 
     @pytest.mark.parametrize("budget", ["0", "1"])
     def test_repaired_undefined_is_config_error(self, budget):

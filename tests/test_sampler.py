@@ -28,6 +28,7 @@ from callebaut_lab.sampler import (
     haar_orthogonal,
     sample_families,
     sample_family,
+    sample_matrices,
     spd_in_band,
     validate_band_containment,
 )
@@ -305,6 +306,54 @@ class TestStackedSampling:
         assert isinstance(got[1], ShapeError) and isinstance(got[2], ShapeError)
         assert got[0] == sample_family(1, 2, band, derive_rng(36, 0))
         assert got[3] == sample_family(2, 3, band, derive_rng(36, 3), True)
+
+    @staticmethod
+    def _matrix_requests(seed):
+        """40 ``spd_in_band`` argument tuples: d in 1..5, pinned and
+        unpinned, two intervals; every third stream enters with a cached
+        Gaussian.  More than ``LANE_MIN`` streams, so the words run as
+        lanes."""
+        requests = []
+        for k in range(40):
+            rng = derive_rng(seed, k)
+            if k % 3 == 0:
+                rng.normal()
+            requests.append((1 + k % 5, 0.5, 3.0 + k % 2, rng, k % 4 < 2))
+        return requests
+
+    def test_stacked_matrices_equal_the_loop(self):
+        requests = self._matrix_requests(37)
+        got = sample_matrices(requests)
+        for m, (d, lo, hi, rng, pin), (*_, ref, _) in zip(got, requests, self._matrix_requests(37)):
+            arr, ew, ev = _looped_spd(d, lo, hi, ref, pin)
+            eig = sym_eigen(m)
+            assert _same_bits(m.array, arr)
+            assert _same_bits(eig.eigenvalues, ew) and _same_bits(eig.eigenvectors, ev)
+            assert _state(rng) == _state(ref)
+
+    def test_a_failing_matrix_carries_its_own_error(self, monkeypatch):
+        clean = sample_matrices(self._matrix_requests(38))
+        bad = 6  # d = 2
+        poisoned = clean[bad].array.tobytes()
+        eigh = np.linalg.eigh
+
+        def failing_eigh(a):
+            if any(x.tobytes() == poisoned for x in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        requests = self._matrix_requests(38)
+        requests[1] = (2, 3.0, 1.0, derive_rng(38, 1), False)  # lo > hi
+        requests[2] = (0, 0.5, 3.0, derive_rng(38, 2), False)
+        got = sample_matrices(requests)
+        assert isinstance(got[bad], np.linalg.LinAlgError)
+        assert isinstance(got[1], DomainError) and isinstance(got[2], ShapeError)
+        for k, (m, ref) in enumerate(zip(got, clean)):
+            if k not in (1, 2, bad):
+                assert m == ref
+        with pytest.raises(np.linalg.LinAlgError):
+            spd_in_band(*self._matrix_requests(38)[bad])
 
 
 def _state(rng):
