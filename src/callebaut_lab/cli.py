@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from itertools import groupby, islice
+from itertools import groupby, islice, product
 from typing import NamedTuple
 
 import numpy as np
@@ -114,32 +115,39 @@ def _shuffled(points, key: str, tracked: int | None = None):
     return [points[k] for k in perm], None if tracked is None else perm.index(tracked)
 
 
-def grid_points(ineq: IneqId, config: SuiteConfig):
-    """Deterministic sweep points for one id: (band, n, d, params), where
-    params is one of the values of the statement's ``ParamKind``.
-
-    The grid is ``DEFAULT_BANDS`` x ``FAMILY_SIZES`` x ``DIMS`` x the kind's
-    values; ``config`` is not read, and the argument stays because the
-    benchmark calls ``grid_points(ineq, config)``.  The witness grid point
-    leads every sweep that can express it, so the default suite always
-    revisits the recorded counterexamples.
-    """
+def _axes(ineq: IneqId):
+    """An id's grid axes; pair-shaped ids take n = 1 only."""
     info = inequality_info(ineq)
-    sizes = (1,) if info.takes_pair else FAMILY_SIZES
-    values = info.kind.values
-    points = [(band, n, d, p) for band in DEFAULT_BANDS for n in sizes
-              for d in DIMS for p in values]
-    # The witness's place in the product, found axis by axis.
-    band, n, d, pair = WITNESS_POINT
+    return DEFAULT_BANDS, (1,) if info.takes_pair else FAMILY_SIZES, DIMS, info.kind.values
+
+
+@functools.cache
+def _grid_order(ineq: IneqId) -> np.ndarray:
+    """``ineq``'s sweep order as read-only positions in product order:
+    ``_shuffled`` on ``range(n)``, the witness point moved to the head."""
+    axes = _axes(ineq)
+    witness = 0  # the witness's place in the product, found axis by axis
     try:
-        witness = (((DEFAULT_BANDS.index(band) * len(sizes) + sizes.index(n)) * len(DIMS)
-                    + DIMS.index(d)) * len(values) + values.index(pair))
+        for axis, value in zip(axes, WITNESS_POINT):
+            witness = witness * len(axis) + axis.index(value)
     except ValueError:
         witness = None
-    ordered, witness = _shuffled(points, ineq.value, witness)
+    order, witness = _shuffled(range(math.prod(map(len, axes))), ineq.value, witness)
     if witness is not None:
-        ordered.insert(0, ordered.pop(witness))
-    return ordered
+        order.insert(0, order.pop(witness))
+    order = np.array(order, dtype=np.uint16)
+    order.flags.writeable = False
+    return order
+
+
+def grid_points(ineq: IneqId, config: SuiteConfig):
+    """Sweep points (band, n, d, params) for one id, params a value of its
+    ``ParamKind``, as a new list: the product of ``_axes`` in the order of
+    ``_grid_order``, so the witness grid point leads every sweep that can
+    express it.  ``config`` is not read; the benchmark passes it.
+    """
+    points = list(product(*_axes(ineq)))
+    return [points[k] for k in _grid_order(ineq).tolist()]
 
 
 def _combos(config: SuiteConfig):
@@ -435,12 +443,13 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
     count as better.
 
     The steps run in chunks of ``REFINE_CHUNK``: each chunk's steps are
-    built from the best at its start, sampled together
-    (``sample_matrices``) and evaluated together (``evaluate_stage``), and
-    read in step order.  The first step that beats the best is taken, and
-    the steps after it are discarded and run again, in the next chunk, from
-    the new best.  A step's numbers depend only on its stream and on the
-    best it starts from, so the result is that of one step at a time.
+    built from the best at its start, its redraws not yet sampled are
+    sampled together (``sample_matrices``), and its steps are evaluated
+    together (``evaluate_stage``) and read in step order.  The first step
+    that beats the best is taken, and the steps after it are discarded and
+    run again, in the next chunk, from the new best.  A step's numbers
+    depend only on its stream and on the best it starts from, so the
+    result is that of one step at a time.
     """
     config.validate()
     if budget < 0:
@@ -480,19 +489,24 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
         else:
             raise report
 
+    # A redraw depends only on its stream and the best's band and dimension,
+    # which no step changes, so it is sampled once, when first built.
+    redrawn = {}
     step = 0
     while best is not None and step < REFINE_STEPS:
         chunk = [
             _refine_step(config, ineq, variant, s, best[2])
             for s in range(step, min(step + REFINE_CHUNK, REFINE_STEPS))
         ]
-        drawn = iter(sample_matrices([redraw[2] for *_, redraw in chunk if redraw]))
+        todo = {s: redraw[2] for s, (*_, redraw) in enumerate(chunk, step)
+                if redraw and s not in redrawn}
+        redrawn.update(zip(todo, sample_matrices(list(todo.values()))))
         steps = []  # (stream, point, family or its sampling error)
-        for stream, point, redraw in chunk:
+        for s, (stream, point, redraw) in enumerate(chunk, step):
             instance = best[3]
             if redraw:
                 attr, j, _ = redraw
-                matrix = next(drawn)
+                matrix = redrawn[s]
                 if isinstance(matrix, Exception):
                     instance = matrix
                 else:

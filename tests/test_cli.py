@@ -268,6 +268,53 @@ class TestVerify:
                 assert cli._shuffled(head, ineq.value, tracked) == _looped_shuffle(
                     head, ineq.value, tracked)
 
+    def test_each_grid_is_shuffled_once_per_process(self, monkeypatch):
+        # The order depends on the id alone: two sweeps and a search after
+        # them shuffle each id's grid once.
+        shuffled = cli._shuffled
+        keys = []
+
+        def counted(points, key, tracked=None):
+            keys.append(key)
+            return shuffled(points, key, tracked)
+
+        monkeypatch.setattr(cli, "_shuffled", counted)
+        cli._grid_order.cache_clear()
+        for seed in (1, 2):
+            cli.run_verify(cli.SuiteConfig(master_seed=seed, trials=1))
+        cli.run_falsify(IneqId.HAD_MAMAN, Variant.PAPER_LITERAL, 1, cli.SuiteConfig())
+        assert sorted(keys) == sorted(ineq.value for ineq in IneqId)
+
+    def test_grid_lists_are_not_shared(self):
+        ineq = IneqId.HAD_MAMAN
+        first = cli.grid_points(ineq, cli.SuiteConfig())
+        expected = list(first)
+        first.reverse()
+        first[0] = None
+        assert cli.grid_points(ineq, cli.SuiteConfig()) == expected
+
+    def test_cached_grid_order_is_read_only(self):
+        for ineq in IneqId:
+            order = cli._grid_order(ineq)
+            assert not order.flags.writeable
+            with pytest.raises(ValueError):
+                order[0] = order[-1]
+            assert sorted(order.tolist()) == list(range(len(order)))
+
+    def test_grid_rebuilds_to_the_frozen_digest(self):
+        config = cli.SuiteConfig()
+        cli._grid_order.cache_clear()
+        rows = [
+            [ineq.value, list(band.as_tuple()), n, d, params_dict(ineq, params)]
+            for ineq in IneqId
+            for band, n, d, params in cli.grid_points(ineq, config)
+        ]
+        assert cli._grid_order.cache_info().currsize == len(IneqId)
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == (
+            "28abc52889e5024d98bda1ff5ce5e169a79a872c7f71f498b3ed398fb113c177"
+        )
+
     def test_byte_identical_reruns(self, tiny_reports, tmp_path):
         _, out, _ = tiny_reports
         out2 = tmp_path / "again.jsonl"
@@ -546,6 +593,46 @@ class TestFalsify:
         monkeypatch.setattr(cli, "REFINE_CHUNK", 1)
         assert run_falsify(ineq, variant, budget, config) == chunked
         assert self._refine_outputs(monkeypatch, capsys, [argv])[0] == [printed]
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["sampled", "failing"])
+    def test_each_redraw_is_sampled_once(self, monkeypatch, fails):
+        # A chunk that an improving step cuts short builds its later steps
+        # again from the new best.  Their redraws, or the errors sampling
+        # them raised, are kept: no step is sampled twice, and the result
+        # and failure count are those of one step at a time.
+        step, sample = cli._refine_step, cli.sample_matrices
+        requests, built, sampled = {}, [], []
+
+        def recorded(config, ineq, variant, s, point):
+            got = step(config, ineq, variant, s, point)
+            built.append(s)
+            if got[2] is not None:
+                requests[id(got[2][2])] = (s, got[2][2])  # held, so ids stay unique
+            return got
+
+        def counted(reqs):
+            sampled.extend(requests[id(r)][0] for r in reqs)
+            got = sample(reqs)
+            return [np.linalg.LinAlgError("boom") for _ in got] if fails else got
+
+        monkeypatch.setattr(cli, "_refine_step", recorded)
+        monkeypatch.setattr(cli, "sample_matrices", counted)
+        config = cli.SuiteConfig(master_seed=1000)
+        chunks = (cli.REFINE_CHUNK, 1)
+        for ineq in (IneqId.HAD_MAMAN, IneqId.TENSOR_TOOL):
+            for budget in (1, 20, 200):
+                results = []
+                for chunk in chunks:
+                    monkeypatch.setattr(cli, "REFINE_CHUNK", chunk)
+                    built.clear()
+                    sampled.clear()
+                    requests.clear()
+                    results.append(cli.run_falsify(ineq, Variant.PAPER_LITERAL, budget, config))
+                    redraws = {s for s, _ in requests.values()}
+                    assert sorted(sampled) == sorted(redraws)
+                    if chunk > 1 and budget == 1 and not fails:
+                        assert any(built.count(s) > 1 for s in redraws)
+                assert results[0] == results[1]
 
     @pytest.mark.parametrize("budget", ["0", "1"])
     def test_repaired_undefined_is_config_error(self, budget):
