@@ -685,9 +685,9 @@ def _build_stage(trials) -> tuple[list, list]:
     together: ``(out, groups)``.  ``out[k]`` is the error of trial ``k``'s
     checks or builder constants, a ``DomainError`` as ``HypothesisError``,
     or ``None``; a group ``(ks, links)`` holds ``(name, lhs, rhs)`` stacks
-    whose row ``r`` is trial ``ks[r]``'s.  The stacked steps (the families'
-    missing ``MeanPath``, kept on each family, the stored sums, and each
-    group's links, checked for finiteness) succeed whole or raise, a
+    whose row ``r`` is trial ``ks[r]``'s.  The stacked steps (one
+    ``MeanPath`` per distinct family that takes means, the stored sums, and
+    each group's links, checked for finiteness) succeed whole or raise, a
     ``DomainError`` as ``HypothesisError``.
     """
     out = []
@@ -698,21 +698,15 @@ def _build_stage(trials) -> tuple[list, list]:
         except _EVALUATION_ERRORS as exc:
             out.append(_hypothesis(exc))
     built = [k for k, err in enumerate(out) if err is None]
-    todo = {
-        id(trials[k][1]): trials[k][1]
-        for k in built
-        if trials[k][0] in _MEAN_WEIGHTS and trials[k][1]._means is None
-    }
+    families = {id(trials[k][1]): trials[k][1] for k in built if trials[k][0] in _MEAN_WEIGHTS}
     by_group: dict[tuple, list[int]] = {}
     for k in built:
         ineq, family, _, variant = trials[k]
         by_group.setdefault((ineq, variant, family.dim), []).append(k)
     sums, groups = _Sums(), []
     try:
-        paths = MeanPath.stack([(f.A_list, f.B_list) for f in todo.values()])
-        for family, path in zip(todo.values(), paths):
-            object.__setattr__(family, "_means", path)
-        _fill_mean_sums(trials, built, sums)
+        paths = MeanPath.stack([(f.A_list, f.B_list) for f in families.values()])
+        _fill_mean_sums(trials, built, sums, dict(zip(families, paths)))
         _fill_power_sums(trials, built, sums)
         # A link that overflows is rejected by the finiteness check below,
         # so NumPy need not warn first.
@@ -736,16 +730,17 @@ def _build_stage(trials) -> tuple[list, list]:
     return out, groups
 
 
-def _fill_mean_sums(trials, built, sums: _Sums):
+def _fill_mean_sums(trials, built, sums: _Sums, paths: dict):
     """Store the mean sums each trial's builder reads (``_MEAN_WEIGHTS``),
-    with one ``MeanPath.sums`` call for the stage."""
+    with one ``MeanPath.sums`` call for the stage; ``paths`` maps the
+    ``id`` of each family to its ``MeanPath``."""
     wanted = [
         (k, u)
         for k in built
         if trials[k][0] in _MEAN_WEIGHTS
         for u in dict.fromkeys(_MEAN_WEIGHTS[trials[k][0]](trials[k][2]))
     ]
-    for total, idx in MeanPath.sums([(trials[k][1]._means, u) for k, u in wanted]):
+    for total, idx in MeanPath.sums([(paths[id(trials[k][1])], u) for k, u in wanted]):
         sums.add(total, [wanted[i] for i in idx])
 
 

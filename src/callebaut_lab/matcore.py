@@ -6,7 +6,7 @@ powers, Kronecker and Hadamard products, the compression that maps a tensor
 product onto the Hadamard product, weighted geometric means in congruence
 form, and signed Loewner-gap measurement.  README ("Eigensolver and
 benchmarks", "Stacked evaluation") describes the solver's conventions, the
-memo ``sym_eigen`` keeps on each ``SymMatrix``, and the stacked forms:
+decomposition a ``SymMatrix.stack`` matrix carries, and the stacked forms:
 ``sym_eigen_stack``, ``spectral_pow_stack``, ``kron_arrays``,
 ``MeanPath.stack``, ``MeanPath.sums`` and ``loewner_gaps``, whose
 one-item cases are ``sym_eigen``, ``spectral_pow``, ``kron``,
@@ -48,22 +48,23 @@ class SymMatrix:
 
     Every instance holds a private, read-only, finite ``float64`` array with
     ``entries[i][j] == entries[j][i]`` bitwise.  Two routes establish that
-    invariant.  The public constructor symmetrizes its input exactly,
-    ``(X + X^T) / 2``, and rejects non-finite results (including overflow of
-    the sum).  Operations whose fresh result is already symmetric bit for bit
-    (``+``, ``-``, scalar ``*``, ``kron``, ``hadamard``, ``compress``) use the
-    private ``_exact``, which checks finiteness only: on such an array the
-    symmetrization is a bitwise no-op.
+    invariant.  The public constructor and ``stack`` symmetrize their input
+    exactly, ``(X + X^T) / 2``, and reject non-finite results (including
+    overflow of the sum).  Operations whose fresh result is already
+    symmetric bit for bit (``+``, ``-``, scalar ``*``, ``kron``,
+    ``hadamard``, ``compress``) use the private ``_exact``, which checks
+    finiteness only: on such an array the symmetrization is a bitwise no-op.
 
-    Equality compares entries exactly; instances are not hashable.
-    ``sym_eigen`` memoises its result on the instance, outside the dataclass
-    fields, so equality and ``repr`` ignore it.
+    Equality compares entries exactly; instances are not hashable.  A
+    matrix built by ``stack`` also carries the decomposition computed with
+    its stack, outside the dataclass fields, so equality and ``repr`` ignore
+    it.  Nothing is written to an instance after its constructor returns.
     """
 
     array: np.ndarray
 
-    #: The decomposition ``sym_eigen`` stored on this instance, if any.  Left
-    #: unannotated so that it is not a dataclass field.
+    #: The decomposition ``stack`` computed with this matrix, if it built
+    #: it.  Left unannotated so that it is not a dataclass field.
     _eigen = None
 
     def __post_init__(self):
@@ -72,14 +73,7 @@ class SymMatrix:
             raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ShapeError("dimension must be at least 1")
-        # Entries near the float limit overflow when symmetrized; the
-        # finiteness check rejects them, so NumPy need not warn first.
-        with np.errstate(over="ignore", invalid="ignore"):
-            sym = (arr + arr.T) / 2.0
-        if not np.isfinite(sym).all():
-            raise DomainError("matrix entries must be finite")
-        sym.flags.writeable = False
-        object.__setattr__(self, "array", sym)
+        object.__setattr__(self, "array", _symmetrized(arr))
 
     @classmethod
     def _exact(cls, arr: np.ndarray) -> "SymMatrix":
@@ -100,23 +94,20 @@ class SymMatrix:
         """``[SymMatrix(x) for x in arrays]`` for a ``(k, d, d)`` stack, built
         in one pass: the same exact symmetrisation and finiteness check, run
         once on the whole stack.  Each instance holds a read-only view of one
-        shared result array.  The stack is also decomposed with one call and
-        each result stored, as ``sym_eigen_stack`` would: the one caller, the
-        sampler, needs every decomposition.
+        shared result array.  The stack is also decomposed with one call, and
+        each instance carries its result, the one ``sym_eigen`` computes: the
+        one caller, the sampler, needs every decomposition.
         """
         arr = np.asarray(arrays, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ShapeError(f"expected a stack of square matrices, got shape {arr.shape}")
         if arr.shape[1] < 1:
             raise ShapeError("dimension must be at least 1")
-        # Entries near the float limit overflow when symmetrized; the
-        # finiteness check rejects them, so NumPy need not warn first.
-        with np.errstate(over="ignore", invalid="ignore"):
-            sym = (arr + arr.transpose(0, 2, 1)) / 2.0
-        if not np.isfinite(sym).all():
-            raise DomainError("matrix entries must be finite")
+        sym = _symmetrized(arr)
+        w, q = _eigh_stack(sym)
         out = cls._views(sym)
-        _store_eigen(out, sym)
+        for m, wi, qi in zip(out, w, q):
+            object.__setattr__(m, "_eigen", EigenDecomposition(wi, qi))
         return out
 
     @classmethod
@@ -181,6 +172,20 @@ class SymMatrix:
             raise ShapeError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
 
+def _symmetrized(arr: np.ndarray) -> np.ndarray:
+    """``(X + X^T) / 2`` of every matrix ``X`` of ``arr`` (its last two
+    axes), exactly, as a fresh read-only array; entries that are not finite
+    raise ``DomainError``."""
+    # Entries near the float limit overflow when symmetrized; the finiteness
+    # check rejects them, so NumPy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (arr + np.swapaxes(arr, -1, -2)) / 2.0
+    if not np.isfinite(sym).all():
+        raise DomainError("matrix entries must be finite")
+    sym.flags.writeable = False
+    return sym
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues (ascending) and the matching orthogonal eigenvector matrix.
@@ -222,9 +227,9 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
     converge, which does not happen for finite input in practice.  README
     describes the 1x1 shortcut and the exact sign flip.
 
-    The result is computed once per ``SymMatrix`` instance: it is stored on
-    ``a`` and every later call on ``a`` returns that same read-only object.
-    This is the one-matrix case of :func:`sym_eigen_stack`.
+    A matrix built by ``SymMatrix.stack`` returns the decomposition computed
+    with its stack; any other is decomposed on each call, and nothing is
+    stored.  This is the one-matrix case of :func:`sym_eigen_stack`.
     """
     if a._eigen is not None:
         return a._eigen
@@ -235,29 +240,22 @@ def sym_eigen_stack(mats: Sequence[SymMatrix]) -> list[EigenDecomposition]:
     """``[sym_eigen(m) for m in mats]`` for equal-dimension matrices, with
     one LAPACK call for all of them.
 
-    Matrices whose decomposition is already stored keep it; the rest (each
-    instance once) are stacked, solved by one ``numpy.linalg.eigh`` call and
-    signed by the ``sym_eigen`` rule, and each result is stored on its
-    matrix.  The symmetric solver treats every matrix of a stack alone, so
-    each result is bit-identical to the one-matrix call on the installed
-    NumPy/LAPACK build (``tests/test_sampler.py`` checks that).
+    A matrix built by ``SymMatrix.stack`` gives the decomposition it
+    carries; the rest are stacked, solved by one ``numpy.linalg.eigh`` call
+    and signed by the ``sym_eigen`` rule, and nothing is stored.  The
+    symmetric solver treats every matrix of a stack alone, so each result is
+    bit-identical to the one-matrix call on the installed NumPy/LAPACK build
+    (``tests/test_sampler.py`` checks that).
     """
-    todo = list({id(m): m for m in mats if m._eigen is None}.values())
+    todo = [m for m in mats if m._eigen is None]
+    fresh = iter(())
     if todo:
         d = todo[0].dim
         for m in todo:
             if m.dim != d:
                 raise ShapeError(f"dimension mismatch: {d} vs {m.dim}")
-        _store_eigen(todo, np.stack([m.array for m in todo]))
-    return [m._eigen for m in mats]
-
-
-def _store_eigen(mats: Sequence[SymMatrix], arr: np.ndarray):
-    """Decompose the stack ``arr`` of the matrices ``mats`` with one call and
-    store each result on its matrix."""
-    w, q = _eigh_stack(arr)
-    for m, wi, qi in zip(mats, w, q):
-        object.__setattr__(m, "_eigen", EigenDecomposition(wi, qi))
+        fresh = map(EigenDecomposition, *_eigh_stack(np.stack([m.array for m in todo])))
+    return [next(fresh) if m._eigen is None else m._eigen for m in mats]
 
 
 def _eigh_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,8 +301,7 @@ def spectral_pow_stack(
     request ``r``, or raises the ``DomainError`` of the first failing
     request, in request order: an eigenvalue below the floor, or entries
     that are not finite.  The requests of each exponent share one
-    ``np.power`` over the stored eigenvalues, with the exponent as a
-    Python-float scalar (see ``docs/rng.md``), and every request is rebuilt,
+    ``np.power`` (``_powers``), and every request is rebuilt,
     ``(q * w^p) q^T``, symmetrized exactly and checked for finiteness in
     one stacked step, without a NumPy warning.  Each matrix is the
     one-request result bit for bit on the installed build
@@ -315,17 +312,10 @@ def spectral_pow_stack(
     w = np.array([e.eigenvalues for e in eig])[which]
     q = np.array([e.eigenvectors for e in eig])[which]
     exps = np.array(ps, dtype=np.float64)
-    order = np.argsort(exps, kind="stable")  # equal exponents become contiguous
-    ranked, ranked_w = exps[order], w[order]
-    cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(ranked)]
-    ranked = ranked.tolist()
-    powered = np.empty_like(w)
     # A power or a rebuild that overflows is rejected by the finiteness
     # check below, and a power below the floor is never returned.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        powered[order] = np.concatenate([
-            np.power(ranked_w[lo:hi], ranked[lo]) for lo, hi in zip(cuts, cuts[1:])
-        ])
+        powered = _powers(w, exps)
         x = (q * powered[:, None, :]) @ q.transpose(0, 2, 1)
         x = (x + x.transpose(0, 2, 1)) / 2.0
     below = (w[:, 0] < EIG_FLOOR) & ~((exps >= 0.0) & (exps == np.floor(exps)))
@@ -339,6 +329,22 @@ def spectral_pow_stack(
             )
         raise DomainError("matrix entries must be finite")
     return x
+
+
+def _powers(w: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """``w[r] ** exps[r]`` for each row ``r`` of ``w``, with one ``np.power``
+    per distinct exponent over all its rows, the exponent always a
+    Python-float scalar (an array of exponents may take another code path,
+    see ``docs/rng.md``)."""
+    order = np.argsort(exps, kind="stable")  # equal exponents become contiguous
+    ranked, ranked_w = exps[order], w[order]
+    cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(ranked)]
+    ranked = ranked.tolist()
+    out = np.empty_like(w)
+    out[order] = np.concatenate([
+        np.power(ranked_w[lo:hi], ranked[lo]) for lo, hi in zip(cuts, cuts[1:])
+    ])
+    return out
 
 
 def spectral_norm(a: SymMatrix) -> float:
@@ -477,11 +483,10 @@ class MeanPath:
         A weight outside [0, 1], or a sum that is not finite, raises
         ``DomainError`` for the whole call.  The requests of one dimension
         share one stacked chain of products; each distinct weight takes one
-        ``np.power`` over the eigenvalues of all its requests, always with
-        the weight as a Python-float scalar exponent (an array of exponents
-        may take another code path, see ``docs/rng.md``); and the requests
-        with the same number of pairs are summed left to right together, as
-        one block.  Each result is bit for bit the one-request result.
+        ``np.power`` over the eigenvalues of all its requests (``_powers``);
+        and the requests with the same number of pairs are summed left to
+        right together, as one block.  Each result is bit for bit the
+        one-request result.
         """
         blocks = []
         by_dim: dict[int, list[tuple[float, int]]] = {}
@@ -491,16 +496,11 @@ class MeanPath:
                 raise DomainError(f"mean weight must lie in [0, 1], got {alpha}")
             by_dim.setdefault(path._w.shape[1], []).append((alpha, i))
         for items in by_dim.values():
-            items.sort()  # equal weights become contiguous rows
             paths = [requests[i][0] for _, i in items]
             sizes = [len(p._w) for p in paths]
             rows = [0, *accumulate(sizes)]
             w = np.concatenate([p._w for p in paths])
-            cuts = [k for k in range(len(items)) if k == 0 or items[k][0] != items[k - 1][0]]
-            cuts.append(len(items))
-            powered = np.concatenate([
-                np.power(w[rows[lo] : rows[hi]], items[lo][0]) for lo, hi in zip(cuts, cuts[1:])
-            ])
+            powered = _powers(w, np.repeat([alpha for alpha, _ in items], sizes))
             q = np.concatenate([p._q for p in paths])
             a_half = np.concatenate([p._a_half for p in paths])
             by_n: dict[int, list[int]] = {}
@@ -544,8 +544,8 @@ def _pair_failure(a_min: float, b_min: float, finite: bool = True, inner_min: fl
 def require_positive_pairs(a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
     """Raise the ``DomainError`` that ``MeanPath(a, b)`` raises for the first
     pair whose ``a`` or ``b`` is not positive definite, without factoring
-    any pair: the smallest eigenvalues come from each matrix's stored
-    decomposition, or from one stacked call per side."""
+    any pair: the smallest eigenvalues come from the decomposition each
+    sampled matrix carries, or from one stacked call per side."""
     a_min = [e.eigenvalues[0] for e in sym_eigen_stack(a)]
     b_min = [e.eigenvalues[0] for e in sym_eigen_stack(b)]
     for x, y in zip(a_min, b_min):

@@ -20,9 +20,9 @@ shape are converted together, in the expressions of ``RngState.normal``.
 The factor stage then handles every drawn matrix of one dimension at once:
 one QR of the stacked Gaussian matrices (Mezzadri's R-diagonal sign fix,
 Notices AMS 2007), one stacked rebuild, and one stacked eigendecomposition
-that is stored on each new matrix for band validation and the stacked
-weighted-mean factorization (``matcore.MeanPath.stack``).  At d <= 4 a
-LAPACK call costs more than its work, so ``sample_families`` and
+that each new matrix carries (``SymMatrix.stack``) for band validation and
+the stacked weighted-mean factorization (``matcore.MeanPath.stack``).  At
+d <= 4 a LAPACK call costs more than its work, so ``sample_families`` and
 ``sample_matrices`` share those calls across all the families or matrices
 they are asked for; ``sample_family`` and ``spd_in_band`` are their
 one-item cases.  The lanes give every stream the numbers ``RngState``
@@ -182,11 +182,8 @@ def _whole(d: dict, key: str) -> int:
 class FamilyInstance:
     """Sequences ``A_1..A_n`` (upper band) and ``B_1..B_n`` (lower band).
 
-    Equality and ``repr`` compare the fields only.  The evaluator stores the
-    family's factored ``matcore.MeanPath`` on the instance, outside the
-    fields, the way ``sym_eigen`` stores a decomposition on a ``SymMatrix``:
-    the matrices never change and the factorization is deterministic, so a
-    stored path is bit-identical to a recomputed one.
+    Equality and ``repr`` compare the fields, and nothing else is stored on
+    an instance: each evaluation factors the mean path it needs.
     """
 
     n: int
@@ -194,10 +191,6 @@ class FamilyInstance:
     A_list: tuple[SymMatrix, ...]
     B_list: tuple[SymMatrix, ...]
     band: SpectralBand
-
-    #: The factored ``MeanPath`` of the pairs, once the evaluator has made
-    #: it.  Left unannotated so that it is not a dataclass field.
-    _means = None
 
     def __post_init__(self):
         if not isinstance(self.band, SpectralBand):
@@ -236,16 +229,13 @@ class FamilyInstance:
         matrix is ragged, non-numeric, non-square or non-finite, or ``n`` and
         ``dim`` disagree with the matrices.
         """
-        # Entries near the float limit overflow when symmetrized; the
-        # finiteness check rejects them, so NumPy need not warn first.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return FamilyInstance(
-                n=_whole(d, "n"),
-                dim=_whole(d, "dim"),
-                A_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in d["A_list"]),
-                B_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in d["B_list"]),
-                band=SpectralBand(*map(float, d["band"])),
-            )
+        return FamilyInstance(
+            n=_whole(d, "n"),
+            dim=_whole(d, "dim"),
+            A_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in d["A_list"]),
+            B_list=tuple(SymMatrix(np.array(m, dtype=float)) for m in d["B_list"]),
+            band=SpectralBand(*map(float, d["band"])),
+        )
 
 
 def _check_dim(d: int):
@@ -522,8 +512,8 @@ def _factor(draws) -> list[list[SymMatrix]]:
     """The matrices of each ``_draw`` result ``(w, g)``, in order.
 
     All matrices of one dimension share one Haar QR, one stacked rebuild
-    ``(q * w) @ q^T`` and one eigendecomposition, which is stored on each
-    matrix for band validation and ``MeanPath.stack``.
+    ``(q * w) @ q^T`` and one eigendecomposition, which each matrix carries
+    for band validation and ``MeanPath.stack``.
     """
     by_dim: dict[int, list[int]] = {}
     for k, (w, _) in enumerate(draws):

@@ -81,8 +81,8 @@ class ScalarParams(_OpenParams):
     fails once ``a/b`` underflows to 0) stays in each statement that uses it.
 
     Immutable, and slotted (no instance ``__dict__``).  Construction runs
-    once per sampled tuple, so it avoids per-field ``object.__setattr__``
-    calls, which cost more than the fields themselves: ``__new__`` fills a
+    once per sampled tuple, so it avoids a frozen dataclass's per-field
+    stores, which cost more than the fields themselves: ``__new__`` fills a
     plain :class:`_OpenParams` by ordinary attribute stores and then swaps
     its class to ``ScalarParams``, whose ``__setattr__`` always raises.
     ``repr``, ``==``, ``hash``, ``copy`` and ``pickle`` see ``(a, b, nu)``

@@ -41,6 +41,11 @@ def _bits_equal(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+def _attributes(obj):
+    """The instance attributes of ``obj``, each by the identity of its value."""
+    return {name: id(value) for name, value in vars(obj).items()}
+
+
 def _reference_eigen(arr):
     """``eigh`` with each column's first nonzero entry found by search and
     negative columns flipped under a mask."""
@@ -92,9 +97,9 @@ class TestSymMatrix:
 
     def test_equality_ignores_memoised_decomposition(self):
         rng = np.random.default_rng(8)
-        a = _rand_sym(3, rng)
+        (a,) = SymMatrix.stack(rng.standard_normal((1, 3, 3)))
         b = SymMatrix(a.array.copy())
-        sym_eigen(a)
+        assert a._eigen is not None and b._eigen is None
         assert a == b and b == a
         assert a != a * 2.0
 
@@ -139,14 +144,26 @@ class TestSymEigen:
         assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
 
     def test_memoised_on_the_instance(self):
+        # A matrix built by ``SymMatrix.stack`` returns the decomposition
+        # computed with its stack.  A publicly built one is decomposed on
+        # each call, to the same bits, and nothing is written to it.
         rng = np.random.default_rng(4)
         a = _rand_sym(5, rng)
-        before = repr(a)
+        before, attributes = repr(a), _attributes(a)
         e = sym_eigen(a)
-        assert sym_eigen(a) is e
-        assert repr(a) == before
+        again = sym_eigen(a)
+        assert _bits_equal(again.eigenvalues, e.eigenvalues)
+        assert _bits_equal(again.eigenvectors, e.eigenvectors)
+        assert repr(a) == before and _attributes(a) == attributes
+        assert a._eigen is None
         assert not e.eigenvalues.flags.writeable
         assert not e.eigenvectors.flags.writeable
+        (s,) = SymMatrix.stack(a.array[None])
+        attributes = _attributes(s)
+        assert sym_eigen(s) is s._eigen and sym_eigen_stack([a, s])[1] is s._eigen
+        assert _bits_equal(s._eigen.eigenvalues, e.eigenvalues)
+        assert _bits_equal(s._eigen.eigenvectors, e.eigenvectors)
+        assert _attributes(s) == attributes
 
     @pytest.mark.parametrize("x", [0.0, -0.0, 1e-300, 1e300, -2.5, 5e-324])
     def test_1x1_matches_lapack(self, x):
@@ -192,18 +209,25 @@ class TestSymEigen:
             stacked = sym_eigen_stack(mats)
             for m, e in zip(mats, stacked):
                 w, q = _reference_eigen(m.array)
-                assert sym_eigen(m) is e
+                one = sym_eigen(m)
+                assert _bits_equal(one.eigenvalues, e.eigenvalues)
+                assert _bits_equal(one.eigenvectors, e.eigenvectors)
                 assert _bits_equal(e.eigenvalues, w)
                 assert _bits_equal(e.eigenvectors, q)
                 assert not e.eigenvalues.flags.writeable
                 assert not e.eigenvectors.flags.writeable
 
     def test_stack_keeps_stored_results(self):
+        # Matrices built by ``SymMatrix.stack`` keep the decomposition of
+        # their stack; the others are decomposed by the ``sym_eigen`` rule.
         rng = np.random.default_rng(24)
-        a, b = _rand_sym(3, rng), _rand_sym(3, rng)
-        ea = sym_eigen(a)
-        got = sym_eigen_stack([a, b])
-        assert got[0] is ea and got[1] is sym_eigen(b)
+        a, b = SymMatrix.stack(rng.standard_normal((2, 3, 3)))
+        c = _rand_sym(3, rng)
+        got = sym_eigen_stack([a, c, b])
+        assert got[0] is a._eigen and got[2] is b._eigen
+        w, q = _reference_eigen(c.array)
+        assert _bits_equal(got[1].eigenvalues, w) and _bits_equal(got[1].eigenvectors, q)
+        assert c._eigen is None
         ones = [SymMatrix(np.array([[x]])) for x in (2.0, -0.0)]
         assert [e.eigenvalues[0] for e in sym_eigen_stack(ones)] == [2.0, -0.0]
         with pytest.raises(ShapeError):

@@ -480,6 +480,11 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
+def _attributes(obj):
+    """The instance attributes of ``obj``, each by the identity of its value."""
+    return {name: id(value) for name, value in vars(obj).items()}
+
+
 def _stage_trials(seed):
     """Trials ``(ineq, family, params, variant)`` of one mixed stage, built on
     fresh generators: every (id, variant) combo at d = 1..4 (n = 1..3 for the
@@ -507,7 +512,7 @@ class TestStackedEvaluation:
 
     def test_stage_equals_the_loop(self):
         staged = evaluate_stage(_stage_trials(37))
-        alone = _stage_trials(37)  # fresh families: no stored factorization
+        alone = _stage_trials(37)  # the same trials, sampled again
         assert len(staged) == len(alone) > 18 * 4
         for got, trial in zip(staged, alone):
             ref = evaluate_inequality(*trial)
@@ -528,6 +533,17 @@ class TestStackedEvaluation:
                 assert _bits(g.gap.min_eig) == _bits(w_diff[0])
                 assert _bits(g.gap.rel_gap) == _bits(w_diff[0] / max(1.0, norm))
         assert any(r.witness is not None for r in staged)
+
+    def test_evaluation_writes_nothing_to_its_inputs(self):
+        # Evaluating a stage of sampled and ``from_dict`` families changes no
+        # attribute of any family or matrix: values are final at construction.
+        trials = _stage_trials(39)
+        families = [family for _, family, _, _ in trials]
+        matrices = [m for f in families for m in f.A_list + f.B_list]
+        assert any(m._eigen is None for m in matrices)  # the from_dict ones
+        before = [_attributes(v) for v in families + matrices]
+        evaluate_stage(trials)
+        assert [_attributes(v) for v in families + matrices] == before
 
     def test_stacked_mean_path_sums_equal_the_pair_loop(self):
         families = sample_families(_requests(38))
@@ -712,7 +728,18 @@ class TestPlainPowerStatement:
         ("B_list", "right operand is not positive definite (min eigenvalue -1.000000e+00 < 1e-12)"),
         ("A_list", "left operand is not positive definite (min eigenvalue -1.000000e+00 < 1e-12)"),
     ])
-    def test_a_non_positive_operand_fails_alike_alone_and_in_a_stage(self, side, message):
+    def test_a_non_positive_operand_fails_alike_alone_and_in_a_stage(
+        self, side, message, monkeypatch
+    ):
+        factored = []
+        stack = MeanPath.stack
+
+        def spy(groups):
+            groups = [(tuple(a), tuple(b)) for a, b in groups]
+            factored.extend(groups)
+            return stack(groups)
+
+        monkeypatch.setattr(MeanPath, "stack", spy)
         band = DEFAULT_BANDS[1]
         good = sample_family(2, 2, band, derive_rng(57, 0))
         mats = getattr(good, side)
@@ -732,7 +759,8 @@ class TestPlainPowerStatement:
         ])
         assert isinstance(got[1], HypothesisError) and str(got[1]) == message
         assert got[0] == evaluate_inequality(ineq, other, pair)
-        assert good._means is None and other._means is None
+        # Only the mean path built above factored a pair: no evaluation did.
+        assert factored == [(bad.A_list, bad.B_list)]
 
 
 class TestEachAlone:
