@@ -354,7 +354,8 @@ def write_report(lines, summary: RunSummary, out_path: str) -> str:
     return csv_path
 
 
-def _print_summary(summary: RunSummary, stream=sys.stdout):
+def _print_summary(summary: RunSummary, stream=None):
+    """Print the summary table to ``stream``, by default ``sys.stdout`` as it is at the call."""
     print(f"{'id':<18} {'variant':<9} {'evaluated':>9} {'satisfied':>9} {'violated':>8}  min_rel_gap", file=stream)
     for (ineq, variant), c in sorted(summary.per_combo.items()):
         print(
@@ -432,24 +433,18 @@ def _refine_step(config: SuiteConfig, ineq: IneqId, variant: Variant, step: int,
 
 
 def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig):
-    """Randomized counterexample search with band-edge pinning.
-
-    Draws ``budget`` pinned instances over the sweep grid, then locally
-    perturbs the best candidate for ``REFINE_STEPS`` steps (matrix redraws
-    and exponent nudges), each taken from the best so far.  Returns the
+    """Randomized counterexample search with band-edge pinning: ``budget``
+    pinned instances over the sweep grid, then ``REFINE_STEPS`` matrix
+    redraws and exponent nudges, each from the best so far.  Returns the
     most negative report line found (None when no trial was evaluated) and
     the number of budget trials and refinement steps that raised one of
     ``_TRIAL_ERRORS``: such a trial is skipped, and such a step does not
     count as better.
 
-    The steps run in chunks of ``REFINE_CHUNK``: each chunk's steps are
-    built from the best at its start, its redraws not yet sampled are
-    sampled together (``sample_matrices``), and its steps are evaluated
-    together (``evaluate_stage``) and read in step order.  The first step
-    that beats the best is taken, and the steps after it are discarded and
-    run again, in the next chunk, from the new best.  A step's numbers
-    depend only on its stream and on the best it starts from, so the
-    result is that of one step at a time.
+    The steps run in chunks of ``REFINE_CHUNK``, built from the best at the
+    chunk's start, sampled and evaluated together, and read in step order;
+    the steps after the first one that beats the best run again from the
+    new best, so the result is that of one step at a time.
     """
     config.validate()
     if budget < 0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial, reduce
 from typing import Any, Callable
@@ -37,9 +37,9 @@ from .matcore import (
     loewner_gaps,
     require_positive_pairs,
     spectral_pow_stack,
-    sym_eigen,
+    sym_eigen_stack,
 )
-from .sampler import FamilyInstance, SpectralBand, validate_band_containment
+from .sampler import FamilyInstance, SpectralBand, _band_failures
 from .scalarcore import (
     DELTA_HALF,
     ExponentPair,
@@ -83,8 +83,9 @@ class IneqReport:
     """Evaluation outcome for one (id, variant, instance, params) quadruple.
 
     ``gap`` is the worst link by relative gap, and ``lhs_norm``/``rhs_norm``
-    are the spectral norms of that link's operands; ``witness`` serializes the
-    instance exactly when the inequality is not satisfied.
+    are the spectral norms of that link's operands.  ``witness``, built when
+    read from the family the report keeps outside equality and ``repr``,
+    serializes the instance exactly when the inequality is not satisfied.
     """
 
     ineq: IneqId
@@ -94,11 +95,15 @@ class IneqReport:
     gap: LoewnerGap
     lhs_norm: float
     rhs_norm: float
-    witness: dict | None
+    family: FamilyInstance = field(compare=False, repr=False)
 
     @property
     def satisfied(self) -> bool:
         return self.gap.satisfied
+
+    @property
+    def witness(self) -> dict | None:
+        return None if self.gap.satisfied else {"params": self.params, **self.family.to_dict()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,15 +338,14 @@ def _links_reverse(weight, g: _Group):
     return [("main", st, kf * ss + coeff * (st - l0))]
 
 
-def _pointwise(params: ProofChainParams, family) -> tuple[float, float]:
+def _pointwise(params: ProofChainParams, wa: np.ndarray, wb: np.ndarray) -> tuple[float, float]:
     """PROOF_CHAIN's pointwise step on the spectrum of ``A^alpha x
-    B^-alpha``: the Kantorovich-weighted two-term bound at each eigenvalue
-    product, as ``(lhs, rhs)`` at the worst point.  The eigenvalues are
-    NumPy floats, so an overflow gives a non-finite value, which fails the
-    link's finiteness check, where a Python float's power would raise."""
+    B^-alpha``, from the eigenvalues ``wa`` of ``A`` and ``wb`` of ``B``:
+    the Kantorovich-weighted two-term bound at each eigenvalue product, as
+    ``(lhs, rhs)`` at the worst point.  The eigenvalues are NumPy floats,
+    so an overflow gives a non-finite value, which fails the link's
+    finiteness check, where a Python float's power would raise."""
     al, mu = params.alpha, params.mu
-    wa = sym_eigen(family.A_list[0]).eigenvalues
-    wb = sym_eigen(family.B_list[0]).eigenvalues
     worst = None
     for la in wa:
         for lb in wb:
@@ -357,7 +361,9 @@ def _pointwise(params: ProofChainParams, family) -> tuple[float, float]:
 
 def _links_proof_chain(g: _Group):
     kf = g.cols(lambda c, f: printed_weight(f.band, c.alpha, c.r_prime))
-    lhs_pt, rhs_pt = g.cols(_pointwise)
+    eig = sym_eigen_stack([m for f in g.families for m in (f.A_list[0], f.B_list[0])])
+    spectra = {id(f): (a.eigenvalues, b.eigenvalues) for f, a, b in zip(g.families, eig[::2], eig[1::2])}
+    lhs_pt, rhs_pt = g.cols(lambda c, f: _pointwise(c, *spectra[id(f)]))
     # The public constructor's symmetrisation of a 1x1 link: a bitwise
     # no-op, except that an entry above half the float limit overflows.
     spectra_link = ("pointwise_spectrum", (lhs_pt + lhs_pt) / 2.0, (rhs_pt + rhs_pt) / 2.0)
@@ -690,10 +696,14 @@ def _build_stage(trials) -> tuple[list, list]:
     each group's links, checked for finiteness) succeed whole or raise, a
     ``DomainError`` as ``HypothesisError``.
     """
+    # Every band check of the stage runs on one stack per dimension.
+    banded = {id(f): f for ineq, f, _, _ in trials
+              if isinstance(f, FamilyInstance) and _REGISTRY[ineq].needs_band}
+    bands = dict(zip(banded, _band_failures(list(banded.values()))))
     out = []
     for trial in trials:
         try:
-            _check(*trial)
+            _check(*trial, bands.get(id(trial[1])))
             out.append(None)
         except _EVALUATION_ERRORS as exc:
             out.append(_hypothesis(exc))
@@ -812,8 +822,8 @@ def _fill_power_sums(trials, built, sums: _Sums):
                 sums.add(total, [key for key, _ in items])
 
 
-def _check(ineq, family, params, variant):
-    """The checks that every id passes before its builder runs."""
+def _check(ineq, family, params, variant, band_failure):
+    """The checks every id passes before its builder runs, given the family's ``_band_failures`` text."""
     info = _REGISTRY[ineq]
     if variant not in info.variants:
         raise VariantError(f"{ineq.value} defines no {variant.value} variant")
@@ -831,8 +841,8 @@ def _check(ineq, family, params, variant):
         raise HypothesisError(
             f"pair-shaped statement needs a single pair, got n = {family.n}"
         )
-    if info.needs_band:
-        validate_band_containment(family)
+    if info.needs_band and band_failure is not None:
+        raise HypothesisError(band_failure)
     if not kind.holds(params):
         raise HypothesisError(kind.violation.format(**kind.report(params)))
     if not info.takes_pair and ineq not in _MEAN_WEIGHTS:
@@ -887,15 +897,14 @@ def _evaluate_stage(trials, tol):
         for k in ks:
             ineq, family, params, variant = trials[k]
             gaps, w, lhs_norm, rhs_norm = measured[k]
-            pdict = params_dict(ineq, params)
             out[k] = IneqReport(
                 ineq=ineq,
                 variant=variant,
-                params=pdict,
+                params=params_dict(ineq, params),
                 links=tuple(LinkReport(name, gap) for (name, _, _), gap in zip(links, gaps)),
                 gap=gaps[w],
                 lhs_norm=lhs_norm,
                 rhs_norm=rhs_norm,
-                witness=None if gaps[w].satisfied else {"params": pdict, **family.to_dict()},
+                family=family,
             )
     return out

@@ -5,22 +5,20 @@ A deterministic eigendecomposition (LAPACK's symmetric solver through
 powers, Kronecker and Hadamard products, the compression that maps a tensor
 product onto the Hadamard product, weighted geometric means in congruence
 form, and signed Loewner-gap measurement.  README ("Eigensolver and
-benchmarks", "Stacked evaluation") describes the solver's conventions, the
-decomposition a ``SymMatrix.stack`` matrix carries, and the stacked forms:
-``sym_eigen_stack``, ``spectral_pow_stack``, ``kron_arrays``,
-``MeanPath.stack``, ``MeanPath.sums`` and ``loewner_gaps``, whose
-one-item cases are ``sym_eigen``, ``spectral_pow``, ``kron``,
-``MeanPath(a, b)``, ``MeanPath.at`` and ``loewner_gap``.  A stacked call
-gives each item the bits of a one-item call on the installed build, and
-returns all its results or raises the error of its first failing item.
-Arithmetic that overflows, stacked or on one matrix, is rejected by a
-finiteness check after it, without a NumPy warning first.
+benchmarks", "Stacked evaluation") describes the conventions and the
+stacked forms (``sym_eigen_stack``, ``spectral_pow_stack``,
+``kron_arrays``, ``MeanPath.stack``, ``MeanPath.sums``, ``loewner_gaps``),
+which read the spectra and entries of many matrices through ``_gather``,
+one ``take`` per source stack.  A stacked call gives each item the bits of
+its one-item case on the installed build, and returns all its results or
+raises the error of its first failing item.  Arithmetic that overflows is
+rejected by a finiteness check after it, without a NumPy warning first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -56,16 +54,20 @@ class SymMatrix:
     finiteness only: on such an array the symmetrization is a bitwise no-op.
 
     Equality compares entries exactly; instances are not hashable.  A
-    matrix built by ``stack`` also carries the decomposition computed with
-    its stack, outside the dataclass fields, so equality and ``repr`` ignore
-    it.  Nothing is written to an instance after its constructor returns.
+    matrix built by ``stack`` also holds a reference to its stack's arrays
+    and its row there, outside the dataclass fields, so equality and
+    ``repr`` ignore them.  Nothing is written to an instance after its
+    constructor returns.
     """
 
     array: np.ndarray
 
-    #: The decomposition ``stack`` computed with this matrix, if it built
-    #: it.  Left unannotated so that it is not a dataclass field.
-    _eigen = None
+    #: The read-only ``(entries, eigenvalues, eigenvectors)`` of the
+    #: ``stack`` call that built this matrix, and its row in them; None for
+    #: any other matrix.  Left unannotated so that they are not dataclass
+    #: fields.
+    _stack = None
+    _row = None
 
     def __post_init__(self):
         arr = np.asarray(self.array, dtype=np.float64)
@@ -93,10 +95,9 @@ class SymMatrix:
     def stack(cls, arrays: np.ndarray) -> list["SymMatrix"]:
         """``[SymMatrix(x) for x in arrays]`` for a ``(k, d, d)`` stack, built
         in one pass: the same exact symmetrisation and finiteness check, run
-        once on the whole stack.  Each instance holds a read-only view of one
-        shared result array.  The stack is also decomposed with one call, and
-        each instance carries its result, the one ``sym_eigen`` computes: the
-        one caller, the sampler, needs every decomposition.
+        once on the whole stack, and one decomposition of the stack, which
+        the one caller, the sampler, needs whole.  Each instance holds a view
+        of the shared entries and refers to the stack's arrays and its row.
         """
         arr = np.asarray(arrays, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -104,22 +105,11 @@ class SymMatrix:
         if arr.shape[1] < 1:
             raise ShapeError("dimension must be at least 1")
         sym = _symmetrized(arr)
-        w, q = _eigh_stack(sym)
-        out = cls._views(sym)
-        for m, wi, qi in zip(out, w, q):
-            object.__setattr__(m, "_eigen", EigenDecomposition(wi, qi))
-        return out
-
-    @classmethod
-    def _views(cls, arr: np.ndarray) -> list["SymMatrix"]:
-        """One instance per matrix of a fresh ``(k, d, d)`` stack whose
-        matrices the caller guarantees finite and symmetric bit for bit; each
-        holds a read-only view of ``arr``."""
-        arr.flags.writeable = False
+        stack = (sym, *_eigh_stack(sym))
         out = []
-        for x in arr:
+        for row, x in enumerate(sym):
             m = object.__new__(cls)
-            object.__setattr__(m, "array", x)
+            vars(m).update(array=x, _stack=stack, _row=row)
             out.append(m)
         return out
 
@@ -227,35 +217,63 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
     converge, which does not happen for finite input in practice.  README
     describes the 1x1 shortcut and the exact sign flip.
 
-    A matrix built by ``SymMatrix.stack`` returns the decomposition computed
-    with its stack; any other is decomposed on each call, and nothing is
-    stored.  This is the one-matrix case of :func:`sym_eigen_stack`.
+    A matrix built by ``SymMatrix.stack`` gives its row of its stack's
+    arrays, any other is decomposed, as a new ``EigenDecomposition`` on each
+    call; nothing is stored.  The one-matrix case of :func:`sym_eigen_stack`.
     """
-    if a._eigen is not None:
-        return a._eigen
+    if a._stack is not None:
+        return EigenDecomposition(a._stack[1][a._row], a._stack[2][a._row])
     return sym_eigen_stack((a,))[0]
 
 
 def sym_eigen_stack(mats: Sequence[SymMatrix]) -> list[EigenDecomposition]:
-    """``[sym_eigen(m) for m in mats]`` for equal-dimension matrices, with
-    one LAPACK call for all of them.
-
-    A matrix built by ``SymMatrix.stack`` gives the decomposition it
-    carries; the rest are stacked, solved by one ``numpy.linalg.eigh`` call
-    and signed by the ``sym_eigen`` rule, and nothing is stored.  The
+    """``[sym_eigen(m) for m in mats]`` for equal-dimension matrices, read
+    together (``_gather``): with one ``take`` per source stack, and one
+    LAPACK call for the matrices that no ``SymMatrix.stack`` built.  The
     symmetric solver treats every matrix of a stack alone, so each result is
     bit-identical to the one-matrix call on the installed NumPy/LAPACK build
     (``tests/test_sampler.py`` checks that).
     """
-    todo = [m for m in mats if m._eigen is None]
-    fresh = iter(())
-    if todo:
-        d = todo[0].dim
-        for m in todo:
-            if m.dim != d:
-                raise ShapeError(f"dimension mismatch: {d} vs {m.dim}")
-        fresh = map(EigenDecomposition, *_eigh_stack(np.stack([m.array for m in todo])))
-    return [next(fresh) if m._eigen is None else m._eigen for m in mats]
+    if not mats:
+        return []
+    w, q = _gather(mats, "wq")
+    w.flags.writeable = q.flags.writeable = False
+    return list(map(EigenDecomposition, w, q))
+
+
+def _gather(mats: Sequence[SymMatrix], parts: str) -> list[np.ndarray]:
+    """The entries ``x`` ``(k, d, d)``, eigenvalues ``w`` ``(k, d)`` or
+    eigenvectors ``q`` ``(k, d, d)`` of ``k`` equal-dimension matrices, one
+    array for each letter of ``parts``, row ``r`` for ``mats[r]``.
+
+    Matrices built by ``SymMatrix.stack`` are read from their stacks' arrays
+    with one ``take`` per source stack and part; the others are stacked and
+    decomposed by one ``_eigh_stack`` call.  Nothing is stored.
+    """
+    keys = ["xwq".index(p) for p in parts]
+    stack = mats[0]._stack
+    if stack is not None and all(m._stack is stack for m in mats):
+        rows = [m._row for m in mats]
+        return [stack[i].take(rows, axis=0) for i in keys]
+    d = mats[0].dim
+    sources: dict = {}  # id of a stack, or of None -> (its arrays, rows, places in mats)
+    for r, m in enumerate(mats):
+        if m.dim != d:
+            raise ShapeError(f"dimension mismatch: {d} vs {m.dim}")
+        src = sources.setdefault(id(m._stack), (m._stack, [], []))
+        src[1].append(m._row)
+        src[2].append(r)
+    if id(None) in sources:
+        places = sources.pop(id(None))[2]
+        x = np.stack([mats[r].array for r in places])
+        sources[None] = ((x, *_eigh_stack(x)), slice(None), places)
+    out = []
+    for i in keys:
+        part = np.empty((len(mats), d) if i == 1 else (len(mats), d, d))
+        for arrays, rows, places in sources.values():
+            part[places] = arrays[i][rows]
+        out.append(part)
+    return out
 
 
 def _eigh_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +306,7 @@ def spectral_pow(a: SymMatrix, p: float) -> SymMatrix:
     other exponent requires all eigenvalues ``>= EIG_FLOOR``.  This is the
     one-matrix case of :func:`spectral_pow_stack`.
     """
-    return SymMatrix._views(spectral_pow_stack((a,), (0,), (p,)))[0]
+    return SymMatrix._exact(spectral_pow_stack((a,), (0,), (p,))[0])
 
 
 def spectral_pow_stack(
@@ -307,10 +325,8 @@ def spectral_pow_stack(
     one-request result bit for bit on the installed build
     (``tests/test_inequalities.py`` checks that).
     """
-    eig = sym_eigen_stack(mats)
     which = np.asarray(which, dtype=np.intp)
-    w = np.array([e.eigenvalues for e in eig])[which]
-    q = np.array([e.eigenvectors for e in eig])[which]
+    w, q = (part[which] for part in _gather(mats, "wq"))
     exps = np.array(ps, dtype=np.float64)
     # A power or a rebuild that overflows is rejected by the finiteness
     # check below, and a power below the floor is never returned.
@@ -405,46 +421,47 @@ class MeanPath:
     ``at(alpha)`` is ``sum_j a_j #_alpha b_j``, one mean for one pair.
     ``stack`` factors the pairs of many paths together, with one stacked
     call per dimension; ``MeanPath(a, b)`` is its one-item case.  ``sums``
-    computes many ``at`` requests together.
+    computes many ``at`` requests together.  A path holds its row range in
+    the base arrays its ``stack`` call computed for the whole dimension.
     """
 
-    __slots__ = ("_a_half", "_w", "_q")
+    __slots__ = ("_base", "_rows")
 
     def __init__(self, a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
         (path,) = MeanPath.stack([(a, b)])
-        self._a_half, self._w, self._q = path._a_half, path._w, path._q
+        self._base, self._rows = path._base, path._rows
 
     @classmethod
     def stack(cls, groups: Sequence[tuple]) -> list["MeanPath"]:
         """``[MeanPath(a, b) for a, b in groups]``, factored together.
 
-        The pairs of all groups of one dimension share one stacked rebuild
-        of ``a^(+-1/2)``, one stacked inner operand ``a^(-1/2) b a^(-1/2)``
-        with its symmetrisation, and one eigendecomposition; each result is
-        the one a one-pair path computes, bit for bit.  A pair that cannot
-        be factored raises ``DomainError`` (the first such pair of the first
-        dimension that has one), where each pair checks ``a``, then ``b``,
-        then the inner operand.  A
-        ``ShapeError`` (pairs that do not match), ``SizeError`` or
-        ``LinAlgError`` propagates.
+        The pairs of all groups of one dimension share one read of their
+        spectra (``_gather``), one stacked rebuild of ``a^(+-1/2)``, one
+        stacked inner operand ``a^(-1/2) b a^(-1/2)`` with its
+        symmetrisation, and one eigendecomposition; each result is the one a
+        one-pair path computes, bit for bit.  A pair that cannot be factored
+        raises ``DomainError`` (the first such pair of the first dimension
+        that has one), where each pair checks ``a``, then ``b``, then the
+        inner operand.  A ``ShapeError`` (pairs that do not match),
+        ``SizeError`` or ``LinAlgError`` propagates.
         """
         groups = [(tuple(a), tuple(b)) for a, b in groups]
         by_dim: dict[int, list[int]] = {}
         for g, (a, b) in enumerate(groups):
             if not a or len(a) != len(b):
                 raise ShapeError(f"a mean path needs pairs, got {len(a)} and {len(b)} matrices")
+            d = a[0].dim
             for x, y in zip(a, b):
-                if x.dim != y.dim or x.dim != a[0].dim:
+                if x.dim != d or y.dim != d:
                     raise ShapeError(f"dimension mismatch: {x.dim} vs {y.dim}")
-            by_dim.setdefault(a[0].dim, []).append(g)
+            by_dim.setdefault(d, []).append(g)
         out = [None] * len(groups)
         for gs in by_dim.values():
             a = [m for g in gs for m in groups[g][0]]
             b = [m for g in gs for m in groups[g][1]]
-            ea = sym_eigen_stack(a)
-            wa = np.array([e.eigenvalues for e in ea])
-            qa = np.array([e.eigenvectors for e in ea])
-            wb = np.array([e.eigenvalues[0] for e in sym_eigen_stack(b)])
+            wa, qa = _gather(a, "wq")
+            wb, xb = _gather(b, "wx")
+            wb = wb[:, 0]
             # Pairs that fail the a or b check get a stand-in spectrum, so the
             # inner operand of every other pair is still checked.
             usable = (wa[:, 0] >= EIG_FLOOR) & (wb >= EIG_FLOOR)
@@ -455,7 +472,7 @@ class MeanPath:
             # An operand that overflows is rejected by the finiteness check
             # below, so NumPy need not warn first.
             with np.errstate(over="ignore", invalid="ignore"):
-                inner = a_inv_half @ np.array([m.array for m in b]) @ a_inv_half
+                inner = a_inv_half @ xb @ a_inv_half
                 inner = inner + inner.transpose(0, 2, 1)
             finite = np.isfinite(inner).all(axis=(1, 2))
             w, q = _eigh_stack(np.where(finite[:, None, None], inner, 2.0) / 2.0)
@@ -463,17 +480,18 @@ class MeanPath:
             if not good.all():
                 j = int(np.argmin(good))
                 raise DomainError(_pair_failure(wa[j, 0], wb[j], finite[j], w[j, 0]))
+            base = (a_half, w, q)
             rows = [0, *accumulate(len(groups[g][0]) for g in gs)]
             for g, lo, hi in zip(gs, rows, rows[1:]):
                 path = out[g] = object.__new__(cls)
-                path._a_half, path._w, path._q = a_half[lo:hi], w[lo:hi], q[lo:hi]
+                path._base, path._rows = base, range(lo, hi)
         return out
 
     def at(self, alpha: float) -> SymMatrix:
         """``sum_j a_j #_alpha b_j``, the means summed left to right; the
         one-request case of :meth:`sums`."""
         ((total, _),) = MeanPath.sums(((self, alpha),))
-        return SymMatrix._views(total)[0]
+        return SymMatrix._exact(total[0])
 
     @staticmethod
     def sums(requests: Sequence[tuple]) -> list[tuple[np.ndarray, list[int]]]:
@@ -481,45 +499,47 @@ class MeanPath:
         ``(total, idx)``: ``total[r]`` is the sum of request ``idx[r]``.
 
         A weight outside [0, 1], or a sum that is not finite, raises
-        ``DomainError`` for the whole call.  The requests of one dimension
-        share one stacked chain of products; each distinct weight takes one
-        ``np.power`` over the eigenvalues of all its requests (``_powers``);
-        and the requests with the same number of pairs are summed left to
-        right together, as one block.  Each result is bit for bit the
-        one-request result.
+        ``DomainError`` for the whole call.  The requests on the paths of one
+        ``stack`` call and dimension read their rows of the paths' base
+        arrays with one index and share one stacked chain of products; each
+        distinct weight takes one ``np.power`` over the eigenvalues of all
+        its requests (``_powers``); and the requests with the same number of
+        pairs are summed left to right together, as one block.  Each result
+        is bit for bit the one-request result.
         """
-        blocks = []
-        by_dim: dict[int, list[tuple[float, int]]] = {}
+        by_base: dict[int, tuple] = {}  # id of a base -> (base, weights, rows, requests)
         for i, (path, alpha) in enumerate(requests):
             alpha = float(alpha)
             if not 0.0 <= alpha <= 1.0:
                 raise DomainError(f"mean weight must lie in [0, 1], got {alpha}")
-            by_dim.setdefault(path._w.shape[1], []).append((alpha, i))
-        for items in by_dim.values():
-            paths = [requests[i][0] for _, i in items]
-            sizes = [len(p._w) for p in paths]
-            rows = [0, *accumulate(sizes)]
-            w = np.concatenate([p._w for p in paths])
-            powered = _powers(w, np.repeat([alpha for alpha, _ in items], sizes))
-            q = np.concatenate([p._q for p in paths])
-            a_half = np.concatenate([p._a_half for p in paths])
-            by_n: dict[int, list[int]] = {}
-            for k, n in enumerate(sizes):
-                by_n.setdefault(n, []).append(k)
+            got = by_base.get(id(path._base))
+            if got is None:
+                got = by_base[id(path._base)] = (path._base, [], [], [])
+            got[1].append(alpha)
+            got[2].append(path._rows)
+            got[3].append(i)
+        blocks = []
+        for base, alphas, rows, ids in by_base.values():
+            idx = np.fromiter(chain.from_iterable(rows), np.intp)
+            sizes, ids = np.array(list(map(len, rows))), np.array(ids)
+            a_half, w, q = (part[idx] for part in base)
+            powered = _powers(w, np.repeat(alphas, sizes))
+            starts = np.cumsum(sizes) - sizes
             # A mean or a sum that overflows is rejected by the finiteness
             # check below, so NumPy need not warn first.
             with np.errstate(over="ignore", invalid="ignore"):
                 means = a_half @ ((q * powered[:, None, :]) @ q.transpose(0, 2, 1)) @ a_half
                 means = (means + means.transpose(0, 2, 1)) / 2.0
-                for n, ks in by_n.items():
-                    first = np.array([rows[k] for k in ks])
+                for n in dict.fromkeys(sizes.tolist()):
+                    ks = np.flatnonzero(sizes == n)
+                    first = starts[ks]
                     total = means[first]
                     for j in range(1, n):
                         total = total + means[first + j]
                     # A mean that is not finite leaves its sum not finite.
                     if not np.isfinite(total).all():
                         raise DomainError("matrix entries must be finite")
-                    blocks.append((total, [items[k][1] for k in ks]))
+                    blocks.append((total, ids[ks].tolist()))
         return blocks
 
 
@@ -544,10 +564,9 @@ def _pair_failure(a_min: float, b_min: float, finite: bool = True, inner_min: fl
 def require_positive_pairs(a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
     """Raise the ``DomainError`` that ``MeanPath(a, b)`` raises for the first
     pair whose ``a`` or ``b`` is not positive definite, without factoring
-    any pair: the smallest eigenvalues come from the decomposition each
-    sampled matrix carries, or from one stacked call per side."""
-    a_min = [e.eigenvalues[0] for e in sym_eigen_stack(a)]
-    b_min = [e.eigenvalues[0] for e in sym_eigen_stack(b)]
+    any pair: the smallest eigenvalues of each side are read together
+    (``_gather``), from their stacks or by one LAPACK call."""
+    a_min, b_min = (_gather(side, "w")[0][:, 0].tolist() for side in (a, b))
     for x, y in zip(a_min, b_min):
         failure = _pair_failure(x, y)
         if failure is not None:

@@ -2,46 +2,37 @@
 
 Randomness comes from explicit ``(master_seed, stream_id)`` pairs: splitmix64
 expands the pair into the state of a xoshiro256** generator, uniform doubles
-take the top 53 bits, and Gaussians come from Box-Muller.  The exact bit-level
-recipe is written down in ``docs/rng.md`` so that any run can be reproduced
-from its report lines alone.
+take the top 53 bits, and Gaussians come from Box-Muller (``docs/rng.md``
+gives the bit-level recipe).  A matrix is its drawn spectrum conjugated by a
+Haar orthogonal matrix, so band containment holds by construction.
 
-Matrices with a prescribed spectrum are built directly: eigenvalues are drawn
-inside the band and conjugated by a Haar-distributed orthogonal matrix, so
-containment is exact by construction instead of approximate by rejection.
-
-Families are sampled in two stages.  The draw stage (``_draw``) draws each
-family in the ``docs/rng.md`` order on the family's own stream.  Many
-streams drawn at once run xoshiro256** as NumPy ``uint64`` lanes, one lane
-per stream, since a Python ``next_u64`` costs about a microsecond per word;
-each stream's words sit at places fixed by the request's shape (a
-``_Plan``), so the uniforms and Box-Muller pairs of all requests of one
-shape are converted together, in the expressions of ``RngState.normal``.
-The factor stage then handles every drawn matrix of one dimension at once:
-one QR of the stacked Gaussian matrices (Mezzadri's R-diagonal sign fix,
-Notices AMS 2007), one stacked rebuild, and one stacked eigendecomposition
-that each new matrix carries (``SymMatrix.stack``) for band validation and
-the stacked weighted-mean factorization (``matcore.MeanPath.stack``).  At
-d <= 4 a LAPACK call costs more than its work, so ``sample_families`` and
-``sample_matrices`` share those calls across all the families or matrices
-they are asked for; ``sample_family`` and ``spd_in_band`` are their
-one-item cases.  The lanes give every stream the numbers ``RngState``
-gives it, and the stacked calls give each matrix the bits per-matrix calls
-would give; ``tests/test_sampler.py`` checks both on the installed build.
+``sample_families`` and ``sample_matrices`` (whose one-item cases are
+``sample_family`` and ``spd_in_band``) draw many requests together: their
+streams run as NumPy ``uint64`` lanes (``_draw``), and the drawn matrices of
+one dimension share one Haar QR (Mezzadri's R-diagonal sign fix, Notices AMS
+2007), one rebuild and one eigendecomposition (``_factor``,
+``SymMatrix.stack``).  Each new matrix refers to its stack's arrays and its
+row, which band validation (``_band_failures``) and
+``matcore.MeanPath.stack`` read by index.  README ("Stacked sampling")
+describes the stages; ``tests/test_sampler.py`` checks that every stream
+gets the numbers ``RngState`` gives it, and every matrix the bits of
+per-matrix calls, on the installed build.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CallebautLabError, DomainError, HypothesisError, ShapeError, SizeError
 from .errors import each_alone
-from .matcore import MAX_EIGEN_DIM, SymMatrix, sym_eigen
+from .matcore import MAX_EIGEN_DIM, SymMatrix, _gather
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -428,14 +419,9 @@ def _draw(items) -> list:
     Gaussian carried across its matrices and written back.  Items that
     share a stream run in successive rounds, in item order.  In a round,
     the items with the same matrix count, dimension, pinning and cached
-    Gaussian share one ``_Plan``, and their uniforms are converted
-    together: the top 53 bits of a word and their scaling by 2^-53 are
-    exact in ``float64``, and ``lo + (hi - lo) * u`` is the same two IEEE
-    operations in NumPy as in Python.  Box-Muller runs on the group's pairs
-    in the expressions of ``RngState.normal``, with ``math``'s logarithm,
-    cosine and sine, one value at a time, and NumPy's correctly rounded
-    square root.  So every number is the one ``RngState.uniform_in`` and
-    ``normal`` give.
+    Gaussian share one ``_Plan`` and are converted together
+    (``_draw_round``, whose comments give the exact steps), so every number
+    is the one ``RngState.uniform_in`` and ``normal`` give.
     """
     out = [None] * len(items)
     rounds: list[list[int]] = []
@@ -512,8 +498,8 @@ def _factor(draws) -> list[list[SymMatrix]]:
     """The matrices of each ``_draw`` result ``(w, g)``, in order.
 
     All matrices of one dimension share one Haar QR, one stacked rebuild
-    ``(q * w) @ q^T`` and one eigendecomposition, which each matrix carries
-    for band validation and ``MeanPath.stack``.
+    ``(q * w) @ q^T`` and one eigendecomposition, whose arrays each matrix
+    refers to, for band validation and ``MeanPath.stack``.
     """
     by_dim: dict[int, list[int]] = {}
     for k, (w, _) in enumerate(draws):
@@ -635,16 +621,36 @@ BAND_REL_SLACK = 1e-10
 
 
 def validate_band_containment(inst: FamilyInstance):
-    """Check every family spectrum against the band (hypothesis error if not)."""
-    b = inst.band
-    for label, mats, lo, hi in (
-        ("A", inst.A_list, b.M_lo, b.M_hi),
-        ("B", inst.B_list, b.m_lo, b.m_hi),
-    ):
-        for j, m in enumerate(mats):
-            w = sym_eigen(m).eigenvalues
-            if w[0] < lo * (1 - BAND_REL_SLACK) or w[-1] > hi * (1 + BAND_REL_SLACK):
-                raise HypothesisError(
-                    f"{label}_{j + 1} spectrum [{w[0]:.6g}, {w[-1]:.6g}] violates "
-                    f"the band [{lo}, {hi}]"
-                )
+    """Check every family spectrum against the band: ``HypothesisError`` for
+    the first matrix outside it, A's first (one-family ``_band_failures``)."""
+    (failure,) = _band_failures([inst])
+    if failure is not None:
+        raise HypothesisError(failure)
+
+
+def _band_failures(families: Sequence[FamilyInstance]) -> list:
+    """The text of the error ``validate_band_containment`` raises for each
+    family, or None.  The spectra of each dimension's matrices are read
+    together (``matcore._gather``) and checked on one stack."""
+    out = [None] * len(families)
+    by_dim: dict[int, list[int]] = {}
+    for k, f in enumerate(families):
+        by_dim.setdefault(f.dim, []).append(k)
+    for ks in by_dim.values():
+        mats, lo, hi = [], [], []
+        for k in ks:
+            f, b = families[k], families[k].band
+            mats += (*f.A_list, *f.B_list)
+            lo += [b.M_lo] * f.n + [b.m_lo] * f.n
+            hi += [b.M_hi] * f.n + [b.m_hi] * f.n
+        (w,) = _gather(mats, "w")
+        bad = (w[:, 0] < np.array(lo) * (1 - BAND_REL_SLACK)) | (w[:, -1] > np.array(hi) * (1 + BAND_REL_SLACK))
+        firsts = [0, *accumulate(2 * families[k].n for k in ks)]
+        for r in np.flatnonzero(bad).tolist():
+            i = bisect_right(firsts, r) - 1
+            f, j = families[ks[i]], r - firsts[i]
+            if out[ks[i]] is None:
+                label = "A" if j < f.n else "B"
+                out[ks[i]] = (f"{label}_{j % f.n + 1} spectrum [{w[r, 0]:.6g}, {w[r, -1]:.6g}] "
+                              f"violates the band [{lo[r]}, {hi[r]}]")
+    return out

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -382,6 +384,18 @@ class TestVerify:
             out = tmp_path / f"window{window}.jsonl"
             assert _run(argv + ["--out", str(out)]) == cli.EXIT_OK
             assert out.read_bytes() == lanes.read_bytes()
+
+    def test_summary_table_follows_redirected_stdout(self, tmp_path):
+        # The table goes to ``sys.stdout`` as it is when verify prints, so a
+        # redirect made after import captures it with the report line.
+        out = io.StringIO()
+        argv = ["verify", "--trials", "1", "--variant", "repaired", "--out", str(tmp_path / "r.jsonl")]
+        with contextlib.redirect_stdout(out):
+            assert _run(argv) == cli.EXIT_OK
+        lines = out.getvalue().splitlines()
+        assert lines[0].split() == ["id", "variant", "evaluated", "satisfied", "violated", "min_rel_gap"]
+        assert len(lines) == 1 + len(REPAIRABLE) + 2
+        assert lines[-2].startswith("verdict: PASS") and lines[-1].startswith("report: ")
 
 
 class TestFalsify:

@@ -97,10 +97,12 @@ class TestSymMatrix:
 
     def test_equality_ignores_memoised_decomposition(self):
         rng = np.random.default_rng(8)
+        # A stacked matrix refers to its stack's arrays, a public one does
+        # not; equality and ``repr`` read the entries only.
         (a,) = SymMatrix.stack(rng.standard_normal((1, 3, 3)))
         b = SymMatrix(a.array.copy())
-        assert a._eigen is not None and b._eigen is None
-        assert a == b and b == a
+        assert a._stack is not None and b._stack is None
+        assert a == b and b == a and repr(a) == repr(b)
         assert a != a * 2.0
 
 
@@ -144,9 +146,9 @@ class TestSymEigen:
         assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
 
     def test_memoised_on_the_instance(self):
-        # A matrix built by ``SymMatrix.stack`` returns the decomposition
-        # computed with its stack.  A publicly built one is decomposed on
-        # each call, to the same bits, and nothing is written to it.
+        # A matrix built by ``SymMatrix.stack`` reads its decomposition from
+        # its stack's arrays, a publicly built one is decomposed on each
+        # call: both give the same bits, read-only, and neither is written to.
         rng = np.random.default_rng(4)
         a = _rand_sym(5, rng)
         before, attributes = repr(a), _attributes(a)
@@ -155,14 +157,16 @@ class TestSymEigen:
         assert _bits_equal(again.eigenvalues, e.eigenvalues)
         assert _bits_equal(again.eigenvectors, e.eigenvectors)
         assert repr(a) == before and _attributes(a) == attributes
-        assert a._eigen is None
+        assert a._stack is None
         assert not e.eigenvalues.flags.writeable
         assert not e.eigenvectors.flags.writeable
         (s,) = SymMatrix.stack(a.array[None])
         attributes = _attributes(s)
-        assert sym_eigen(s) is s._eigen and sym_eigen_stack([a, s])[1] is s._eigen
-        assert _bits_equal(s._eigen.eigenvalues, e.eigenvalues)
-        assert _bits_equal(s._eigen.eigenvectors, e.eigenvectors)
+        for got in (sym_eigen(s), sym_eigen(s), *sym_eigen_stack([a, s])):
+            assert _bits_equal(got.eigenvalues, e.eigenvalues)
+            assert _bits_equal(got.eigenvectors, e.eigenvectors)
+            assert not got.eigenvalues.flags.writeable
+            assert not got.eigenvectors.flags.writeable
         assert _attributes(s) == attributes
 
     @pytest.mark.parametrize("x", [0.0, -0.0, 1e-300, 1e300, -2.5, 5e-324])
@@ -218,16 +222,21 @@ class TestSymEigen:
                 assert not e.eigenvectors.flags.writeable
 
     def test_stack_keeps_stored_results(self):
-        # Matrices built by ``SymMatrix.stack`` keep the decomposition of
-        # their stack; the others are decomposed by the ``sym_eigen`` rule.
+        # Matrices built by ``SymMatrix.stack`` give their rows of their
+        # stacks' arrays; the others are decomposed by the ``sym_eigen`` rule.
         rng = np.random.default_rng(24)
         a, b = SymMatrix.stack(rng.standard_normal((2, 3, 3)))
+        (d,) = SymMatrix.stack(rng.standard_normal((1, 3, 3)))
         c = _rand_sym(3, rng)
-        got = sym_eigen_stack([a, c, b])
-        assert got[0] is a._eigen and got[2] is b._eigen
+        got = sym_eigen_stack([a, c, d, b])
+        for m, e in zip((a, d, b), (got[0], got[2], got[3])):
+            w, q = _reference_eigen(m.array)
+            assert _bits_equal(e.eigenvalues, w) and _bits_equal(e.eigenvectors, q)
+            assert _bits_equal(e.eigenvalues, m._stack[1][m._row])
+            assert _bits_equal(e.eigenvectors, m._stack[2][m._row])
         w, q = _reference_eigen(c.array)
         assert _bits_equal(got[1].eigenvalues, w) and _bits_equal(got[1].eigenvectors, q)
-        assert c._eigen is None
+        assert c._stack is None
         ones = [SymMatrix(np.array([[x]])) for x in (2.0, -0.0)]
         assert [e.eigenvalues[0] for e in sym_eigen_stack(ones)] == [2.0, -0.0]
         with pytest.raises(ShapeError):

@@ -16,6 +16,7 @@ from callebaut_lab.inequalities import (
     build_links,
     evaluate_inequality,
     evaluate_stage,
+    inequality_info,
     list_inequalities,
 )
 from callebaut_lab.matcore import MeanPath, SymMatrix, sym_eigen
@@ -172,6 +173,32 @@ class TestFamilies:
         with pytest.raises(HypothesisError, match="band"):
             validate_band_containment(inst)
 
+    def test_containment_names_the_first_matrix_outside(self):
+        # The second B leaves the band: alone and in a stage, from stacked
+        # and from public matrices, the error names it; with A_1 outside
+        # too, A_1 is named first; and B_1 is named when it is outside.
+        band = SpectralBand(1.0, 2.0, 4.0, 8.0)
+        diag = [np.diag(w) for w in ([4.0, 8.0], [5.0, 6.0], [1.0, 2.0], [1.5, 3.0], [3.0, 8.0])]
+        pair = inequality_info(IneqId.HAD_MAMAN).kind.values[0]
+        assert inequality_info(IneqId.HAD_MAMAN).needs_band
+        good = sample_family(2, 2, band, derive_rng(58, 0))
+        for mats in (SymMatrix.stack(np.array(diag)), [SymMatrix(x) for x in diag]):
+            b_out = FamilyInstance(2, 2, tuple(mats[:2]), tuple(mats[2:4]), band)
+            a_out = FamilyInstance(2, 2, (mats[4], mats[1]), tuple(mats[2:4]), band)
+            b1_out = FamilyInstance(2, 2, tuple(mats[:2]), (mats[3], mats[2]), band)
+            texts = ["B_2 spectrum [1.5, 3] violates the band [1.0, 2.0]",
+                     "A_1 spectrum [3, 8] violates the band [4.0, 8.0]",
+                     "B_1 spectrum [1.5, 3] violates the band [1.0, 2.0]"]
+            for inst, text in zip((b_out, a_out, b1_out), texts):
+                with pytest.raises(HypothesisError) as err:
+                    validate_band_containment(inst)
+                assert str(err.value) == text
+            stage = (good, b_out, a_out, b1_out, good)
+            reports = evaluate_stage([(IneqId.HAD_MAMAN, f, pair, Variant.PAPER_LITERAL) for f in stage])
+            assert [str(r) for r in reports[1:4]] == texts
+            assert all(isinstance(r, HypothesisError) for r in reports[1:4])
+            assert reports[0] == reports[4] and not isinstance(reports[0], Exception)
+
     @pytest.mark.parametrize("size", [1.9, True, math.inf, "1"], ids=repr)
     def test_dict_sizes_must_be_whole_numbers(self, size):
         # int() would read 1.9 and True as 1; 1.0 is a whole number and reads.
@@ -243,8 +270,8 @@ class TestStackedSampling:
         for (n, d, band, rng, pin), family in zip(_requests(31), families):
             looped = _looped_family(n, d, band, rng, pin)
             for m, (arr, ew, ev) in zip(family.A_list + family.B_list, looped):
-                if d >= 2:
-                    assert m._eigen is not None  # stored by the sampler
+                # The sampler's matrices refer to their stack and row.
+                assert _same_bits(m._stack[0][m._row], m.array)
                 eig = sym_eigen(m)
                 mismatches += not (
                     _same_bits(m.array, arr)
@@ -540,9 +567,32 @@ class TestStackedEvaluation:
         trials = _stage_trials(39)
         families = [family for _, family, _, _ in trials]
         matrices = [m for f in families for m in f.A_list + f.B_list]
-        assert any(m._eigen is None for m in matrices)  # the from_dict ones
+        assert any(m._stack is None for m in matrices)  # the from_dict ones
         before = [_attributes(v) for v in families + matrices]
         evaluate_stage(trials)
+        assert [_attributes(v) for v in families + matrices] == before
+
+    def test_a_refinement_chunk_writes_nothing_and_builds_witnesses_on_read(self):
+        # Families that mix a sampled family's matrices with redrawn ones, as
+        # ``falsify``'s refinement steps do, and a public copy: evaluating
+        # them and reading every witness changes no attribute of a family or
+        # matrix, and each witness is the JSON form of its trial.
+        band = DEFAULT_BANDS[1]
+        base = sample_family(2, 3, band, derive_rng(59, 0), True)
+        redrawn = sample_matrices([(3, band.M_lo, band.M_hi, derive_rng(59, k), True) for k in (1, 2, 3)])
+        families = [dataclasses.replace(base, A_list=(m, base.A_list[1])) for m in redrawn]
+        families += [base, FamilyInstance.from_dict(base.to_dict())]
+        values = inequality_info(IneqId.HAD_MAMAN).kind.values
+        trials = [(IneqId.HAD_MAMAN, f, values[k % len(values)], Variant.PAPER_LITERAL)
+                  for k, f in enumerate(families * 4)]
+        matrices = [m for f in families for m in f.A_list + f.B_list]
+        before = [_attributes(v) for v in families + matrices]
+        reports = evaluate_stage(trials)
+        assert any(not r.satisfied for r in reports) and any(r.satisfied for r in reports)
+        for r, (_, family, _, _) in zip(reports, trials):
+            expected = None if r.satisfied else {"params": r.params, **family.to_dict()}
+            assert r.witness == expected and r.witness == expected
+            assert r.family is family and "family" not in repr(r)
         assert [_attributes(v) for v in families + matrices] == before
 
     def test_stacked_mean_path_sums_equal_the_pair_loop(self):
@@ -695,6 +745,34 @@ class TestStackedMeanSums:
                     reference = reference + _looped_mean(a.array, b.array, u)
                 (total,) = self._sums([(path, u)])
                 assert _same_bits(total, reference)
+
+    def test_mixed_sources_equal_the_one_path_results(self):
+        # One ``MeanPath.stack`` and one ``MeanPath.sums`` call over pairs
+        # whose matrices come from two ``SymMatrix.stack`` calls (two
+        # ``sample_matrices`` calls) and from the public constructor, as
+        # ``falsify``'s refinement chunks mix them.
+        band = DEFAULT_BANDS[2]
+        draw = lambda seed: sample_matrices(
+            [(3, band.M_lo, band.M_hi, derive_rng(seed, k), k % 2 == 0) for k in range(3)]
+            + [(3, band.m_lo, band.m_hi, derive_rng(seed, 3 + k), k % 2 == 1) for k in range(3)])
+        first, second = draw(60), draw(61)
+        public = [SymMatrix(first[2].array + 0.0), SymMatrix(second[5].array + 0.0)]
+        assert first[0]._stack is not second[0]._stack and public[0]._stack is None
+        groups = [
+            ((first[0], second[0]), (first[3], public[1])),
+            ((public[0],), (second[3],)),
+            ((second[1], first[1], second[2]), (second[4], first[4], first[5])),
+        ]
+        paths = MeanPath.stack(groups)
+        weights = (0.0, 0.3125, 0.5, 0.875, 1.0)
+        requests = [(p, u) for p in paths for u in weights]
+        got = self._sums(requests)
+        for (path, u), total, (a, b) in zip(requests, got, [g for g in groups for _ in weights]):
+            assert _same_bits(total, MeanPath(a, b).at(u).array)
+            reference = _looped_mean(a[0].array, b[0].array, u)
+            for x, y in zip(a[1:], b[1:]):
+                reference = reference + _looped_mean(x.array, y.array, u)
+            assert _same_bits(total, reference)
 
     def test_a_failing_request_raises_its_error(self):
         good = MeanPath.stack([(f.A_list, f.B_list) for f in (
