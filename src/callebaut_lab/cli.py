@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CallebautLabError, ConfigError, DomainError, HypothesisError
+from .errors import CallebautLabError, ConfigError
 from .inequalities import (
     IneqId,
     REPAIRABLE,
@@ -243,12 +243,6 @@ def _evaluated(trials, tol: float) -> list:
     return reports
 
 
-#: Failures of one trial that end neither run: ``run_verify`` reports the
-#: trial as an error line and counts it as unexpected, and ``run_falsify``
-#: skips it and counts it.
-_TRIAL_ERRORS = (HypothesisError, DomainError, np.linalg.LinAlgError)
-
-
 def _run_trial(config: SuiteConfig, job: _Job, report):
     """Report line of one verify trial from its report."""
     return {
@@ -271,8 +265,9 @@ def _run_trial(config: SuiteConfig, job: _Job, report):
 def run_verify(config: SuiteConfig):
     """Run the verification suite; returns (RunSummary, report lines).
 
-    Trials are sampled and evaluated in stages (``_staged``); a trial that
-    raised is reported as an error line.
+    Trials are sampled and evaluated in stages (``_staged``); a trial whose
+    report is an error (one of ``errors.ITEM_ERRORS``) is reported as an
+    error line and counted as unexpected.
     """
     config.validate()
     started = time.perf_counter()
@@ -296,16 +291,14 @@ def run_verify(config: SuiteConfig):
 
     lines = []
     for job, _, report in _staged(work(), config.tol):
-        try:
-            if isinstance(report, Exception):
-                raise report
-            lines.append(_run_trial(config, job, report))
-        except _TRIAL_ERRORS as exc:
+        if isinstance(report, Exception):
             pdict = params_dict(job.ineq, job.point[3])
             lines.append({
                 **_head(config, job.stream, job.point, job.ineq, job.variant, pdict),
-                "error": f"{type(exc).__name__}: {exc}",
+                "error": f"{type(report).__name__}: {report}",
             })
+        else:
+            lines.append(_run_trial(config, job, report))
 
     lines.sort(key=lambda l: (l["id"], l["variant"], l["stream"]))
 
@@ -437,9 +430,9 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
     pinned instances over the sweep grid, then ``REFINE_STEPS`` matrix
     redraws and exponent nudges, each from the best so far.  Returns the
     most negative report line found (None when no trial was evaluated) and
-    the number of budget trials and refinement steps that raised one of
-    ``_TRIAL_ERRORS``: such a trial is skipped, and such a step does not
-    count as better.
+    the number of budget trials and refinement steps whose report is an
+    error (one of ``errors.ITEM_ERRORS``): such a trial is skipped, and
+    such a step does not count as better.
 
     The steps run in chunks of ``REFINE_CHUNK``, built from the best at the
     chunk's start, sampled and evaluated together, and read in step order;
@@ -477,12 +470,10 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
             yield (b, stream, point), (n, d, band, rng, True), (ineq, point[3], variant)
 
     for (b, stream, point), instance, report in _staged(work(), config.tol):
-        if not isinstance(report, Exception):
-            consider(point, instance, b, stream, report)
-        elif isinstance(report, _TRIAL_ERRORS):
+        if isinstance(report, Exception):
             failed += 1
         else:
-            raise report
+            consider(point, instance, b, stream, report)
 
     # A redraw depends only on its stream and the best's band and dimension,
     # which no step changes, so it is sampled once, when first built.
@@ -513,8 +504,6 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
         for (stream, point, instance), report in zip(steps, _evaluated(trials, config.tol)):
             step += 1
             if isinstance(report, Exception):
-                if not isinstance(report, _TRIAL_ERRORS):
-                    raise report
                 failed += 1
             elif report.gap.rel_gap < best[0]:
                 consider(point, instance, -1, stream, report)

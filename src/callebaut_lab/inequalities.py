@@ -4,7 +4,8 @@ and their evaluation.
 Each statement is defined once: by its registry entry and by its builder in
 ``_BUILDERS``.  A builder takes a ``_Group``, the built trials of one stage
 that share an id, a variant and a dimension.  It computes its per-trial
-constants (weights and coefficients) in Python, one trial at a time, and
+constants (weights and coefficients) in Python, one trial at a time (a
+constant that raises fails the stage, like any stacked step), and
 makes its ``(name, LHS, RHS)`` links, with ``LHS <= RHS`` claimed, as
 ``(k, D, D)`` stacks from the sums the stage stored, with the constants as
 ``(k, 1, 1)`` columns.  Each expression keeps the association and order of
@@ -26,13 +27,14 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import CallebautLabError, DomainError, HypothesisError, ShapeError, VariantError
+from .errors import ITEM_ERRORS, DomainError, HypothesisError, ShapeError, VariantError
 from .errors import each_alone
 from .matcore import (
     DEFAULT_TOL,
     LoewnerGap,
     MeanPath,
     SymMatrix,
+    _finite,
     kron_arrays,
     loewner_gaps,
     require_positive_pairs,
@@ -194,14 +196,10 @@ class _Sums:
         return self._tables[d].take([r for _, r in rows], axis=0)
 
 
-class _Failed(Exception):
-    """``args[0]``: the errors of a group's trials whose constants raised,
-    by stage index; ``_build_stage`` builds the group again without them."""
-
-
 class _Group:
     """The trials ``ks`` of one stage that share an id, a variant and a
-    dimension, as their builder reads them: one row per trial.  ``S(u)`` is
+    dimension, as their builder reads them: each read gives one row per
+    trial or raises.  ``S(u)`` is
     ``A^u x B^(1-u) + A^(1-u) x B^u`` for a pair (the stored sum ``(u, 1 -
     u)``) and ``sum(A_j #_u B_j) o sum(A_j #_(1-u) B_j)`` for a family."""
 
@@ -213,21 +211,13 @@ class _Group:
 
     def cols(self, fn):
         """``fn(params, family)`` of each trial as a ``(k, 1, 1)`` column,
-        or one column per item when ``fn`` returns a tuple.  A trial whose
-        ``fn`` raises fails with its error, an overflow of a Python float
-        as ``HypothesisError``: this raises ``_Failed`` with every such
-        trial's error."""
-        values, errors = [], {}
-        for k, p, f in zip(self.ks, self.params, self.families):
-            try:
-                values.append(fn(p, f))
-            except _EVALUATION_ERRORS as exc:
-                errors[k] = _hypothesis(exc)
-            except ArithmeticError as exc:  # a power overflowed, a ratio's denominator underflowed
-                errors[k] = HypothesisError(f"{self.ineq.value} overflows on this input: {exc}")
-                errors[k].__cause__ = exc
-        if errors:
-            raise _Failed(errors)
+        or one column per item when ``fn`` returns a tuple.  The first
+        trial whose ``fn`` raises fails the group, an overflow of a Python
+        float as ``HypothesisError``."""
+        try:
+            values = [fn(p, f) for p, f in zip(self.params, self.families)]
+        except ArithmeticError as exc:  # a power overflowed, a ratio's denominator underflowed
+            raise HypothesisError(f"{self.ineq.value} overflows on this input: {exc}") from exc
         arr = np.array(values, dtype=np.float64)
         return arr[:, None, None] if arr.ndim == 1 else tuple(arr.T[:, :, None, None])
 
@@ -244,10 +234,7 @@ class _Group:
             return self._sums.gather([(k, (x, 1.0 - x)) for k, x in zip(self.ks, us)])
         both = self._sums.gather([(k, x) for k, x in zip(self.ks, us)]
                                  + [(k, 1.0 - x) for k, x in zip(self.ks, us)])
-        out = both[: len(us)] * both[len(us) :]
-        if not np.isfinite(out).all():
-            raise DomainError("matrix entries must be finite")
-        return out
+        return _finite(both[: len(us)] * both[len(us) :])
 
     def plain(self, side: str) -> np.ndarray:
         """``sum_j A_j`` (``side="A_list"``) or ``sum_j B_j`` of each trial,
@@ -369,14 +356,13 @@ def _links_proof_chain(g: _Group):
     spectra_link = ("pointwise_spectrum", (lhs_pt + lhs_pt) / 2.0, (rhs_pt + rhs_pt) / 2.0)
     one_mu = g.cols(lambda c, f: 1.0 - c.mu)
 
-    # G_e = A^e x B^-e + swap, and H_e = A^(1+e) x B^(1-e) + swap; the
-    # stored sum None is A x B.
+    # G_e = A^e x B^-e + swap, and H_e = A^(1+e) x B^(1-e) + swap.
     g_al = g.sums(lambda c: (c.alpha, -c.alpha))
     ident = np.eye(g.dim * g.dim)
     lhs345 = kf * g.sums(lambda c: (c.beta, -c.beta)) + one_mu * (g_al - ident * 2.0)
     h_al = g.sums(lambda c: (1.0 + c.alpha, 1.0 - c.alpha))
     lhs3456 = kf * g.sums(lambda c: (1.0 + c.beta, 1.0 - c.beta)) + one_mu * (
-        h_al - g.sums(lambda c: None) * 2.0
+        h_al - kron_arrays(g.plain("A_list"), g.plain("B_list")) * 2.0
     )
     return [spectra_link, ("ratio_powers", lhs345, g_al), ("shifted_powers", lhs3456, h_al)]
 
@@ -614,8 +600,8 @@ _MEAN_WEIGHTS: dict[IneqId, Callable[[Any], tuple[float, ...]]] = {
 
 #: The ids whose builders read spectral powers of their operands, and the
 #: sums of powers each reads, by key: for a pair, ``(p, q)`` is
-#: ``A^p x B^q + A^q x B^p`` (so ``S(u)`` is ``(u, 1 - u)``) and ``None``
-#: is ``A x B``; for COR_BJ_IDENTITY, ``u`` is ``sum_j A_j^u``.
+#: ``A^p x B^q + A^q x B^p`` (so ``S(u)`` is ``(u, 1 - u)``); for
+#: COR_BJ_IDENTITY, ``u`` is ``sum_j A_j^u``.
 #: ``_fill_power_sums`` computes these for a whole stage at once, and they
 #: are the only powers a builder can read.
 _POWER_SUMS: dict[IneqId, Callable[[Any], tuple]] = {
@@ -625,7 +611,7 @@ _POWER_SUMS: dict[IneqId, Callable[[Any], tuple]] = {
     ),
     IneqId.PROOF_CHAIN: lambda c: (
         (c.alpha, -c.alpha), (c.beta, -c.beta),
-        (1.0 + c.alpha, 1.0 - c.alpha), (1.0 + c.beta, 1.0 - c.beta), None,
+        (1.0 + c.alpha, 1.0 - c.alpha), (1.0 + c.beta, 1.0 - c.beta),
     ),
     IneqId.COR_BJ_IDENTITY: lambda pair: (
         1.0 - pair.s, pair.s, 1.0 - pair.t, pair.t, 0.5,
@@ -640,11 +626,6 @@ REPAIRABLE = frozenset(
 
 #: Hadamard-sum ids, i.e. the family-shaped ones.
 HADAMARD_SUM_IDS = tuple(i for i in IneqId if not _REGISTRY[i].takes_pair)
-
-#: What building or measuring one trial can raise: the package's own errors
-#: and a LAPACK failure.  ``evaluate_stage`` returns these in the trial's
-#: place; any other exception propagates.
-_EVALUATION_ERRORS = (CallebautLabError, np.linalg.LinAlgError)
 
 
 def list_inequalities() -> tuple[InequalityInfo, ...]:
@@ -689,12 +670,12 @@ def _hypothesis(exc: Exception) -> Exception:
 def _build_stage(trials) -> tuple[list, list]:
     """The links of the trials ``(ineq, family, params, variant)``, built
     together: ``(out, groups)``.  ``out[k]`` is the error of trial ``k``'s
-    checks or builder constants, a ``DomainError`` as ``HypothesisError``,
-    or ``None``; a group ``(ks, links)`` holds ``(name, lhs, rhs)`` stacks
-    whose row ``r`` is trial ``ks[r]``'s.  The stacked steps (one
-    ``MeanPath`` per distinct family that takes means, the stored sums, and
-    each group's links, checked for finiteness) succeed whole or raise, a
-    ``DomainError`` as ``HypothesisError``.
+    checks, a ``DomainError`` as ``HypothesisError``, or ``None``; a group
+    ``(ks, links)`` holds ``(name, lhs, rhs)`` stacks whose row ``r`` is
+    trial ``ks[r]``'s.  The stacked steps succeed whole or raise, a
+    ``DomainError`` as ``HypothesisError``: one ``MeanPath`` per distinct
+    family that takes means, the stored sums, and each group's builder,
+    its per-trial constants included, and links, checked for finiteness.
     """
     # Every band check of the stage runs on one stack per dimension.
     banded = {id(f): f for ineq, f, _, _ in trials
@@ -705,7 +686,7 @@ def _build_stage(trials) -> tuple[list, list]:
         try:
             _check(*trial, bands.get(id(trial[1])))
             out.append(None)
-        except _EVALUATION_ERRORS as exc:
+        except ITEM_ERRORS as exc:
             out.append(_hypothesis(exc))
     built = [k for k, err in enumerate(out) if err is None]
     families = {id(trials[k][1]): trials[k][1] for k in built if trials[k][0] in _MEAN_WEIGHTS}
@@ -718,23 +699,10 @@ def _build_stage(trials) -> tuple[list, list]:
         paths = MeanPath.stack([(f.A_list, f.B_list) for f in families.values()])
         _fill_mean_sums(trials, built, sums, dict(zip(families, paths)))
         _fill_power_sums(trials, built, sums)
-        # A link that overflows is rejected by the finiteness check below,
-        # so NumPy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
             for (ineq, variant, _), ks in by_group.items():
-                while ks:
-                    try:
-                        links = _BUILDERS[ineq](_Group(ineq, variant, ks, trials, sums))
-                    except _Failed as failed:
-                        for k, exc in failed.args[0].items():
-                            out[k] = exc
-                        ks = [k for k in ks if out[k] is None]
-                        continue
-                    for _, lhs, rhs in links:
-                        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
-                            raise DomainError("matrix entries must be finite")
-                    groups.append((ks, links))
-                    break
+                links = _BUILDERS[ineq](_Group(ineq, variant, ks, trials, sums))
+                groups.append((ks, [(name, _finite(lhs), _finite(rhs)) for name, lhs, rhs in links]))
     except DomainError as exc:
         raise _hypothesis(exc)
     return out, groups
@@ -754,16 +722,13 @@ def _fill_mean_sums(trials, built, sums: _Sums, paths: dict):
         sums.add(total, [wanted[i] for i in idx])
 
 
-def _factors(pair: bool, n: int, key) -> tuple[tuple, tuple | None, int]:
+def _factors(pair: bool, n: int, key) -> tuple[tuple, tuple, int]:
     """The factors of the power sum ``key`` of ``_POWER_SUMS``, in the order
     the sum multiplies and adds them: their operands and exponents, and the
     number of factors per product.  Operands 0 and 1 are a pair's ``A`` and
-    ``B``, operand ``j`` is a family's ``A_(j+1)``; the exponents ``None``
-    take every operand itself."""
+    ``B``, operand ``j`` is a family's ``A_(j+1)``."""
     if not pair:
         return tuple(range(n)), (key,) * n, 1
-    if key is None:
-        return (0, 1), None, 2
     p, q = key
     return (0, 1, 0, 1), (p, q, q, p), 2
 
@@ -782,11 +747,9 @@ def _fill_power_sums(trials, built, sums: _Sums):
         if trials[k][0] in _POWER_SUMS:
             by_dim.setdefault(trials[k][1].dim, []).append(k)
     for group in by_dim.values():
-        # Row r of the table is power r, and row ``len(ps) + i`` is operand
-        # ``mats[i]`` itself, written ``~i`` until the powers are counted.
+        # Row r of the table is power r.
         mats, which, ps = [], [], []
         by_shape: dict[tuple[int, int], list] = {}
-        operands = False
         for k in group:
             ineq, family, params, _ = trials[k]
             pair = _REGISTRY[ineq].takes_pair
@@ -794,32 +757,20 @@ def _fill_power_sums(trials, built, sums: _Sums):
             mats += (family.A_list[0], family.B_list[0]) if pair else family.A_list
             for key in dict.fromkeys(_POWER_SUMS[ineq](params)):
                 ops, exps, f = _factors(pair, family.n, key)
-                if exps is None:
-                    rows = [~(first + j) for j in ops]
-                    operands = True
-                else:
-                    rows = list(range(len(ps), len(ps) + len(ops)))
-                    which += [first + j for j in ops]
-                    ps += exps
+                rows = list(range(len(ps), len(ps) + len(ops)))
+                which += [first + j for j in ops]
+                ps += exps
                 by_shape.setdefault((len(ops) // f, f), []).append(((k, key), rows))
         table = spectral_pow_stack(mats, which, ps)
-        if operands:
-            table = np.concatenate([table, [m.array for m in mats]])
-        # A product or a sum that overflows is rejected by the finiteness
-        # check below, so NumPy need not warn first; a product that is not
-        # finite leaves its sum not finite.
         with np.errstate(over="ignore", invalid="ignore"):
             for (n, f), items in by_shape.items():
                 idx = np.array([rows for _, rows in items])
-                idx[idx < 0] = len(ps) - 1 - idx[idx < 0]
                 for j in range(0, n * f, f):
                     term = table[idx[:, j]]
                     if f == 2:
                         term = kron_arrays(term, table[idx[:, j + 1]])
                     total = term if j == 0 else total + term
-                if not np.isfinite(total).all():
-                    raise DomainError("matrix entries must be finite")
-                sums.add(total, [key for key, _ in items])
+                sums.add(_finite(total), [key for key, _ in items])
 
 
 def _check(ineq, family, params, variant, band_failure):
@@ -879,15 +830,16 @@ def evaluate_stage(trials, tol: float = DEFAULT_TOL) -> list:
     """``evaluate_inequality(*t, tol=tol)`` for each trial ``t = (ineq,
     family, params, variant)``, evaluated together.
 
-    Item ``i`` is the report of trial ``i``, or the package error or
-    ``numpy.linalg.LinAlgError`` that evaluating it raised, with the text it
+    Item ``i`` is the report of trial ``i``, or the error of
+    ``errors.ITEM_ERRORS`` that evaluating it raised, with the text it
     raises alone; any other exception propagates.  The mean-path
     factorizations and the Loewner gaps of all trials share one stacked
-    eigendecomposition per dimension.  If a stacked call raises, the stage
-    is evaluated again in halves, down to one trial at a time
-    (``each_alone``), so only the failing trial carries the error.
+    eigendecomposition per dimension.  If a stacked step raises, a
+    builder's per-trial constant included, the stage is evaluated again in
+    halves, down to one trial at a time (``each_alone``), so only the
+    failing trial carries the error.
     """
-    return each_alone(partial(_evaluate_stage, tol=tol), trials, _EVALUATION_ERRORS)
+    return each_alone(partial(_evaluate_stage, tol=tol), trials)
 
 
 def _evaluate_stage(trials, tol):

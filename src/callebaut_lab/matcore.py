@@ -12,7 +12,8 @@ which read the spectra and entries of many matrices through ``_gather``,
 one ``take`` per source stack.  A stacked call gives each item the bits of
 its one-item case on the installed build, and returns all its results or
 raises the error of its first failing item.  Arithmetic that overflows is
-rejected by a finiteness check after it, without a NumPy warning first.
+rejected by one finiteness check after it (``_finite``), without a NumPy
+warning first.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ class SymMatrix:
         The caller owns ``arr`` and guarantees its shape and exact symmetry;
         only finiteness is checked here.
         """
-        if not np.isfinite(arr).all():
-            raise DomainError("matrix entries must be finite")
+        _finite(arr)
         arr.flags.writeable = False
         m = object.__new__(cls)
         object.__setattr__(m, "array", arr)
@@ -138,9 +138,6 @@ class SymMatrix:
         off = self.array - np.diag(np.diagonal(self.array))
         return not np.any(off)
 
-    # Arithmetic that overflows is rejected by ``_exact``'s finiteness
-    # check, so NumPy need not warn first.
-
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_same_dim(other)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -166,14 +163,24 @@ def _symmetrized(arr: np.ndarray) -> np.ndarray:
     """``(X + X^T) / 2`` of every matrix ``X`` of ``arr`` (its last two
     axes), exactly, as a fresh read-only array; entries that are not finite
     raise ``DomainError``."""
-    # Entries near the float limit overflow when symmetrized; the finiteness
-    # check rejects them, so NumPy need not warn first.
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = (arr + np.swapaxes(arr, -1, -2)) / 2.0
-    if not np.isfinite(sym).all():
-        raise DomainError("matrix entries must be finite")
+        sym = _finite((arr + np.swapaxes(arr, -1, -2)) / 2.0)
     sym.flags.writeable = False
     return sym
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    """``x``, if every entry is finite; else ``DomainError``.
+
+    This is the one finiteness check of the matrix arithmetic.  The
+    arithmetic before it runs under ``np.errstate(over="ignore",
+    invalid="ignore")``: an entry that overflows, or a product or sum of
+    entries that are not finite, leaves an entry that is not finite, which
+    this check rejects, so NumPy need not warn first.
+    """
+    if not np.isfinite(x).all():
+        raise DomainError("matrix entries must be finite")
+    return x
 
 
 @dataclass(frozen=True)
@@ -217,12 +224,11 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
     converge, which does not happen for finite input in practice.  README
     describes the 1x1 shortcut and the exact sign flip.
 
-    A matrix built by ``SymMatrix.stack`` gives its row of its stack's
-    arrays, any other is decomposed, as a new ``EigenDecomposition`` on each
-    call; nothing is stored.  The one-matrix case of :func:`sym_eigen_stack`.
+    The one-matrix case of :func:`sym_eigen_stack`: a matrix built by
+    ``SymMatrix.stack`` gives a copy of its row of its stack's arrays, any
+    other is decomposed, as a new ``EigenDecomposition`` on each call;
+    nothing is stored.
     """
-    if a._stack is not None:
-        return EigenDecomposition(a._stack[1][a._row], a._stack[2][a._row])
     return sym_eigen_stack((a,))[0]
 
 
@@ -328,8 +334,7 @@ def spectral_pow_stack(
     which = np.asarray(which, dtype=np.intp)
     w, q = (part[which] for part in _gather(mats, "wq"))
     exps = np.array(ps, dtype=np.float64)
-    # A power or a rebuild that overflows is rejected by the finiteness
-    # check below, and a power below the floor is never returned.
+    # A power below the floor is never returned.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         powered = _powers(w, exps)
         x = (q * powered[:, None, :]) @ q.transpose(0, 2, 1)
@@ -343,7 +348,7 @@ def spectral_pow_stack(
                 f"spectral power {float(ps[r])} requires eigenvalues >= {EIG_FLOOR:g}; "
                 f"smallest is {w[r, 0]:.6e}"
             )
-        raise DomainError("matrix entries must be finite")
+        _finite(x[r])
     return x
 
 
@@ -469,8 +474,6 @@ class MeanPath:
             qt = qa.transpose(0, 2, 1)
             a_half = (qa * root[:, None, :]) @ qt
             a_inv_half = (qa * (1.0 / root)[:, None, :]) @ qt
-            # An operand that overflows is rejected by the finiteness check
-            # below, so NumPy need not warn first.
             with np.errstate(over="ignore", invalid="ignore"):
                 inner = a_inv_half @ xb @ a_inv_half
                 inner = inner + inner.transpose(0, 2, 1)
@@ -479,7 +482,7 @@ class MeanPath:
             good = usable & finite & (w[:, 0] > 0.0)
             if not good.all():
                 j = int(np.argmin(good))
-                raise DomainError(_pair_failure(wa[j, 0], wb[j], finite[j], w[j, 0]))
+                _check_pair(wa[j, 0], wb[j], inner[j], w[j, 0])
             base = (a_half, w, q)
             rows = [0, *accumulate(len(groups[g][0]) for g in gs)]
             for g, lo, hi in zip(gs, rows, rows[1:]):
@@ -525,8 +528,6 @@ class MeanPath:
             a_half, w, q = (part[idx] for part in base)
             powered = _powers(w, np.repeat(alphas, sizes))
             starts = np.cumsum(sizes) - sizes
-            # A mean or a sum that overflows is rejected by the finiteness
-            # check below, so NumPy need not warn first.
             with np.errstate(over="ignore", invalid="ignore"):
                 means = a_half @ ((q * powered[:, None, :]) @ q.transpose(0, 2, 1)) @ a_half
                 means = (means + means.transpose(0, 2, 1)) / 2.0
@@ -536,29 +537,25 @@ class MeanPath:
                     total = means[first]
                     for j in range(1, n):
                         total = total + means[first + j]
-                    # A mean that is not finite leaves its sum not finite.
-                    if not np.isfinite(total).all():
-                        raise DomainError("matrix entries must be finite")
-                    blocks.append((total, ids[ks].tolist()))
+                    blocks.append((_finite(total), ids[ks].tolist()))
         return blocks
 
 
-def _pair_failure(a_min: float, b_min: float, finite: bool = True, inner_min: float = 1.0) -> str | None:
-    """Why one pair of a mean path cannot be factored, if it cannot: the
-    first of its checks, in order, that fails.  At their defaults, the
-    inner operand's checks pass."""
+def _check_pair(a_min: float, b_min: float, inner: np.ndarray | None = None, inner_min: float = 1.0):
+    """Raise the ``DomainError`` of the first check of one mean-path pair,
+    in order, that fails: ``a``, ``b``, then the inner operand's entries
+    and positivity.  At their defaults, the inner operand's checks pass."""
     if a_min < EIG_FLOOR:
-        return f"left operand is not positive definite (min eigenvalue {a_min:.6e} < {EIG_FLOOR:g})"
+        raise DomainError(f"left operand is not positive definite (min eigenvalue {a_min:.6e} < {EIG_FLOOR:g})")
     if b_min < EIG_FLOOR:
-        return f"right operand is not positive definite (min eigenvalue {b_min:.6e} < {EIG_FLOOR:g})"
-    if not finite:
-        return "matrix entries must be finite"
+        raise DomainError(f"right operand is not positive definite (min eigenvalue {b_min:.6e} < {EIG_FLOOR:g})")
+    if inner is not None:
+        _finite(inner)
     if not inner_min > 0.0:
-        return (
+        raise DomainError(
             "congruence-transformed operand lost positivity "
             f"(min eigenvalue {inner_min:.6e}); inputs are too ill-conditioned"
         )
-    return None
 
 
 def require_positive_pairs(a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
@@ -568,9 +565,7 @@ def require_positive_pairs(a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
     (``_gather``), from their stacks or by one LAPACK call."""
     a_min, b_min = (_gather(side, "w")[0][:, 0].tolist() for side in (a, b))
     for x, y in zip(a_min, b_min):
-        failure = _pair_failure(x, y)
-        if failure is not None:
-            raise DomainError(failure)
+        _check_pair(x, y)
 
 
 def loewner_gap(lhs: SymMatrix, rhs: SymMatrix, tol: float = DEFAULT_TOL) -> LoewnerGap:
@@ -608,12 +603,8 @@ def loewner_gaps(links: Sequence[tuple], tol: float = DEFAULT_TOL) -> dict:
         items.append((lhs, rhs))
     lhs = {d: np.concatenate([x[0] for x in items]) for d, items in by_dim.items()}
     rhs = {d: np.concatenate([x[1] for x in items]) for d, items in by_dim.items()}
-    # A difference that overflows is rejected by the finiteness check, so
-    # NumPy need not warn first.
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = {d: rhs[d] - lhs[d] for d in by_dim}
-    if not all(np.isfinite(x).all() for x in diff.values()):
-        raise DomainError("matrix entries must be finite")
+        diff = {d: _finite(rhs[d] - lhs[d]) for d in by_dim}
     min_eig, norm, rel, sat = {}, {}, {}, {}
     for d in by_dim:
         rhs_norm = _norms(_eigh_stack(rhs[d])[0])

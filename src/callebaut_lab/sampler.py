@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CallebautLabError, DomainError, HypothesisError, ShapeError, SizeError
+from .errors import ITEM_ERRORS, DomainError, HypothesisError, ShapeError, SizeError
 from .errors import each_alone
 from .matcore import MAX_EIGEN_DIM, SymMatrix, _gather
 
@@ -429,7 +429,7 @@ def _draw(items) -> list:
     for k, (edges, d, rng, _) in enumerate(items):
         try:
             _check_request(edges, d)
-        except _SAMPLING_ERRORS as exc:
+        except ITEM_ERRORS as exc:
             out[k] = exc
             continue
         r = seen[id(rng)] = seen.get(id(rng), -1) + 1
@@ -549,12 +549,6 @@ def sample_family(
     return family
 
 
-#: What sampling one family can raise: the package's own errors (a bad
-#: request, a non-finite matrix) and a LAPACK failure.  ``sample_families``
-#: returns these in the failing family's place.
-_SAMPLING_ERRORS = (CallebautLabError, np.linalg.LinAlgError)
-
-
 def _family(n: int, d: int, band: SpectralBand, mats):
     """The family of one request's matrices, or the error that building it
     raises."""
@@ -562,20 +556,19 @@ def _family(n: int, d: int, band: SpectralBand, mats):
         return FamilyInstance(
             n=n, dim=d, A_list=tuple(mats[:n]), B_list=tuple(mats[n:]), band=band
         )
-    except _SAMPLING_ERRORS as exc:
+    except ITEM_ERRORS as exc:
         return exc
 
 
 def _sample(items) -> list:
     """The matrices of each ``_draw`` item, drawn (``_draw``) and then
-    factored (``_factor``) together, or the package error or
-    ``numpy.linalg.LinAlgError`` that sampling the item raised; any other
-    exception propagates.  If a stacked factor call raises, the items are
+    factored (``_factor``) together, or the error of ``errors.ITEM_ERRORS``
+    that sampling the item raised; any other exception propagates.  If a stacked factor call raises, the items are
     factored again in halves, down to one at a time (``each_alone``), so
     only the failing item carries the error."""
     drawn = _draw(items)
     ok = [k for k, got in enumerate(drawn) if not isinstance(got, Exception)]
-    for k, mats in zip(ok, each_alone(_factor, [drawn[k] for k in ok], _SAMPLING_ERRORS)):
+    for k, mats in zip(ok, each_alone(_factor, [drawn[k] for k in ok])):
         drawn[k] = mats
     return drawn
 
@@ -588,8 +581,9 @@ def sample_families(requests: Sequence[tuple]) -> list:
     so no family depends on the others, and the streams of many requests
     run as NumPy lanes; the matrices of all families share one Haar QR and
     one eigendecomposition per dimension.  Item ``i`` is the family of
-    request ``i``, or the package error or ``numpy.linalg.LinAlgError``
-    that sampling it raised; any other exception propagates.
+    request ``i``, or the error of ``errors.ITEM_ERRORS`` that sampling it
+    raised, the one it raises alone (``each_alone``); any other exception
+    propagates.
     """
     items = {}
     for k, (n, d, band, rng, pin_extremes) in enumerate(requests):
@@ -610,8 +604,8 @@ def sample_matrices(requests: Sequence[tuple]) -> list:
     """``spd_in_band(*r)`` for each request ``r = (d, lo, hi, rng,
     pin_extremes)``, sampled together (``_sample``), as ``sample_families``
     samples families.  Item ``i`` is the matrix of request ``i``, or the
-    package error or ``numpy.linalg.LinAlgError`` that sampling it raised;
-    any other exception propagates."""
+    error of ``errors.ITEM_ERRORS`` that sampling it raised; any other
+    exception propagates."""
     drawn = _sample([(((lo, hi),), d, rng, pin) for d, lo, hi, rng, pin in requests])
     return [got if isinstance(got, Exception) else got[0] for got in drawn]
 

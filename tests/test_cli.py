@@ -102,14 +102,19 @@ class TestVerify:
         argv = ["verify", "--trials", "2", "--variant", "repaired", "--seed", "5"]
         clean = tmp_path / "clean.jsonl"
         assert _run(argv + ["--out", str(clean)]) == cli.EXIT_OK
-        run_trial = cli._run_trial
+        evaluated, seen = cli._evaluated, []
 
-        def failing(config, job, family):
-            if job.ineq == IneqId.HAD_MAMAN and job.trial == 1:
-                raise error("boom")
-            return run_trial(config, job, family)
+        # The second HAD_MAMAN trial evaluated is trial 1: its report is the error.
+        def failing(trials, tol):
+            reports = evaluated(trials, tol)
+            for k, trial in enumerate(trials):
+                if trial[0] == IneqId.HAD_MAMAN:
+                    seen.append(k)
+                    if len(seen) == 2:
+                        reports[k] = error("boom")
+            return reports
 
-        monkeypatch.setattr(cli, "_run_trial", failing)
+        monkeypatch.setattr(cli, "_evaluated", failing)
         out = tmp_path / "failing.jsonl"
         assert _run(argv + ["--out", str(out)]) == cli.EXIT_VIOLATION
         expected = clean.read_text().splitlines()

@@ -449,12 +449,10 @@ def _reference_kron(x, y):
 
 def _reference_sum(ineq, family, key):
     """A power sum of ``_POWER_SUMS`` the per-trial way, one matrix at a time:
-    ``A^p x B^q + A^q x B^p``, ``A x B`` or ``sum_j A_j^u``."""
+    ``A^p x B^q + A^q x B^p`` or ``sum_j A_j^u``."""
     if ineq == IneqId.COR_BJ_IDENTITY:
         return sum_matrices([_reference_pow(a, key) for a in family.A_list])
     a, b = family.A_list[0], family.B_list[0]
-    if key is None:
-        return _reference_kron(a, b)
     p, q = key
     return _reference_kron(_reference_pow(a, p), _reference_pow(b, q)) + _reference_kron(
         _reference_pow(a, q), _reference_pow(b, p)
@@ -466,8 +464,6 @@ def _power_factors(ineq, family, key):
     in the order the per-trial sum raises them."""
     if ineq == IneqId.COR_BJ_IDENTITY:
         return [(a, key) for a in family.A_list]
-    if key is None:
-        return []
     a, b = family.A_list[0], family.B_list[0]
     p, q = key
     return [(a, p), (b, q), (a, q), (b, p)]
@@ -639,7 +635,7 @@ class TestStackedPowerSums:
         trials = self._stage()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            staged = each_alone(_links_by_trial, trials, inequalities._EVALUATION_ERRORS)
+            staged = each_alone(_links_by_trial, trials)
         failed = 0
         for trial, got in zip(trials, staged):
             try:
@@ -806,7 +802,8 @@ def _reference_links(ineq, family, params, variant):
             ("pointwise_spectrum", SymMatrix(np.array([[worst[0]]])), SymMatrix(np.array([[worst[1]]]))),
             ("ratio_powers", kf * power((be, -be)) + (1.0 - mu) * (g_al - 2.0 * ident), g_al),
             ("shifted_powers",
-             kf * power((1.0 + be, 1.0 - be)) + (1.0 - mu) * (h_al - 2.0 * power(None)), h_al),
+             kf * power((1.0 + be, 1.0 - be)) + (1.0 - mu) * (h_al - 2.0 * _reference_kron(a, b)),
+             h_al),
         ]
     s, t = params.s, params.t
     if ineq == IneqId.CHAIN_34RF:
@@ -901,7 +898,7 @@ def test_a_mixed_stage_gives_each_trial_its_lone_links_and_report():
     messages = set()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        staged_links = each_alone(_links_by_trial, trials, inequalities._EVALUATION_ERRORS)
+        staged_links = each_alone(_links_by_trial, trials)
         staged = evaluate_stage(trials)
         for (ineq, family, params, variant), links, got in zip(trials, staged_links, staged):
             try:
@@ -924,3 +921,47 @@ def test_a_mixed_stage_gives_each_trial_its_lone_links_and_report():
                    "requires eigenvalues >= 1e-12", "of 1/2; the middle coefficient",
                    "overflows on this input: float division by zero"):
         assert any(reason in m for m in messages), reason
+
+
+def test_a_failing_builder_constant_is_found_by_halving(monkeypatch):
+    # A builder constant that raises fails its stage whole, like every
+    # stacked step: 128 sampled trials (a cli.STAGE) and one HAD_MAMAN
+    # repaired trial whose band constant divides by m_lo * M_lo = 5e-324 *
+    # 0.4, which underflows to 0.  Halving (each_alone) finds it in at most
+    # 2 * ceil(log2(129)) + 1 = 17 stage evaluations.
+    def copy(f):
+        return FamilyInstance.from_dict(f.to_dict())
+
+    combos = [(info, v) for info in list_inequalities() for v in info.variants]
+    trials = []
+    for k in range(128):
+        info, variant = combos[k % len(combos)]
+        n = 1 if info.takes_pair else 1 + k % 3
+        family = sample_family(n, 1 + k % 4, DEFAULT_BANDS[k % 3], derive_rng(65, k), k % 2 == 0)
+        trials.append((info.ineq, family, info.kind.values[(5 * k) % len(info.kind.values)], variant))
+    bad = 77
+    tiny_band = FamilyInstance(n=1, dim=1, A_list=(0.4 * SymMatrix.identity(1),),
+                               B_list=(0.3 * SymMatrix.identity(1),),
+                               band=SpectralBand(5e-324, 0.3, 0.4, 0.4))
+    trials.insert(bad, (IneqId.HAD_MAMAN, tiny_band, WITNESS_PAIR, Variant.REPAIRED))
+    calls = []
+    stage = inequalities._evaluate_stage
+
+    def counted(ts, tol):
+        calls.append(len(ts))
+        return stage(ts, tol)
+
+    monkeypatch.setattr(inequalities, "_evaluate_stage", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate_stage(trials)
+        assert calls[0] == 129 and 1 < len(calls) <= 17
+        with pytest.raises(HypothesisError) as alone:
+            evaluate_inequality(*trials[bad][:2], WITNESS_PAIR, Variant.REPAIRED)
+        assert str(alone.value) == "HAD_MAMAN overflows on this input: float division by zero"
+        assert type(alone.value.__cause__) is ZeroDivisionError
+        assert type(got[bad]) is HypothesisError and str(got[bad]) == str(alone.value)
+        assert type(got[bad].__cause__) is ZeroDivisionError
+        for k, (ineq, family, params, variant) in enumerate(trials):
+            if k != bad:
+                assert repr(got[k]) == repr(evaluate_inequality(ineq, copy(family), params, variant))

@@ -858,10 +858,10 @@ class TestEachAlone:
     def test_an_error_lands_in_place_of_its_item(self):
         calls = []
         stacked = self._inverses(calls)
-        assert each_alone(stacked, [1, 2, 4], DomainError) == [1.0, 0.5, 0.25]
+        assert each_alone(stacked, [1, 2, 4]) == [1.0, 0.5, 0.25]
         assert calls == [[1, 2, 4]]
         calls.clear()
-        got = each_alone(stacked, (1, 0, 4), DomainError)
+        got = each_alone(stacked, (1, 0, 4))
         assert got[0] == 1.0 and got[2] == 0.25
         assert isinstance(got[1], DomainError) and str(got[1]) == "zero among [0]"
         assert calls == [[1, 0, 4], [1], [0, 4], [0], [4]]
@@ -874,7 +874,7 @@ class TestEachAlone:
             items = [k + 1 for k in range(128)]
             items[bad] = 0
             calls = []
-            got = each_alone(self._inverses(calls), items, DomainError)
+            got = each_alone(self._inverses(calls), items)
             assert len(calls) <= 15
             alone = []
             for item in items:
@@ -888,6 +888,6 @@ class TestEachAlone:
     def test_any_other_error_propagates(self):
         stacked = self._inverses([], error=ZeroDivisionError)
         with pytest.raises(ZeroDivisionError):
-            each_alone(stacked, [1, 0, 4], DomainError)
+            each_alone(stacked, [1, 0, 4])
         with pytest.raises(ZeroDivisionError):
-            each_alone(stacked, [0], DomainError)
+            each_alone(stacked, [0])
