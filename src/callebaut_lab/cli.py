@@ -30,7 +30,6 @@ from .inequalities import (
     evaluate_stage,
     inequality_info,
     list_inequalities,
-    params_dict,
 )
 from .matcore import DEFAULT_TOL
 from .oracle import BUILTIN_WITNESSES, dump_catalog, load_catalog, replay_witnesses
@@ -206,7 +205,7 @@ class _Job(NamedTuple):
 def _trial_stream(ineq: IneqId, variant: Variant, point, trial: int) -> int:
     """Stream id of one verify trial, keyed by its grid coordinates."""
     band, n, d, params = point
-    param_key = ",".join(f"{k}={v!r}" for k, v in params_dict(ineq, params).items())
+    param_key = ",".join(f"{k}={v!r}" for k, v in inequality_info(ineq).kind.report(params).items())
     key = f"{ineq.value}|{variant.value}|{band.as_tuple()}|n={n}|d={d}|{param_key}|trial={trial}"
     return _stable_hash(key)
 
@@ -292,7 +291,7 @@ def run_verify(config: SuiteConfig):
     lines = []
     for job, _, report in _staged(work(), config.tol):
         if isinstance(report, Exception):
-            pdict = params_dict(job.ineq, job.point[3])
+            pdict = inequality_info(job.ineq).kind.report(job.point[3])
             lines.append({
                 **_head(config, job.stream, job.point, job.ineq, job.variant, pdict),
                 "error": f"{type(report).__name__}: {report}",

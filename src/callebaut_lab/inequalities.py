@@ -1,8 +1,9 @@
 """Registry of the operator inequalities under test, their link builders
 and their evaluation.
 
-Each statement is defined once: by its registry entry and by its builder in
-``_BUILDERS``.  A builder takes a ``_Group``, the built trials of one stage
+Each statement is defined once, by its registry record: its text, variants,
+hypotheses and parameter kind, its link builder and the sums the builder
+reads.  A builder takes a ``_Group``, the built trials of one stage
 that share an id, a variant and a dimension.  It computes its per-trial
 constants (weights and coefficients) in Python, one trial at a time (a
 constant that raises fails the stage, like any stacked step), and
@@ -160,6 +161,13 @@ ALPHA_KIND = ParamKind(
 
 @dataclass(frozen=True)
 class InequalityInfo:
+    """One statement's record.  Outside ``==`` and ``repr`` it holds the
+    link builder and the keys of the sums it reads for ``(params,
+    variant)``, the only sums a stage stores for it: mean weights
+    (``means``, ``u`` and ``1 - u`` for each family ``S(u)``) or power sums
+    (``powers``: a pair's ``(p, q)`` is ``A^p x B^q + A^q x B^p``, so its
+    ``S(u)`` is ``(u, 1 - u)``; COR_BJ_IDENTITY's ``u`` is ``sum_j A_j^u``)."""
+
     ineq: IneqId
     description: str
     variants: tuple[Variant, ...]
@@ -167,6 +175,9 @@ class InequalityInfo:
     takes_pair: bool
     needs_band: bool
     kind: ParamKind
+    build: Callable[[_Group], list] = field(compare=False, repr=False)
+    means: Callable[[Any, Variant], tuple] | None = field(default=None, compare=False, repr=False)
+    powers: Callable[[Any, Variant], tuple] | None = field(default=None, compare=False, repr=False)
 
 
 class _Sums:
@@ -203,8 +214,8 @@ class _Group:
     ``A^u x B^(1-u) + A^(1-u) x B^u`` for a pair (the stored sum ``(u, 1 -
     u)``) and ``sum(A_j #_u B_j) o sum(A_j #_(1-u) B_j)`` for a family."""
 
-    def __init__(self, ineq, variant, ks, trials, sums: _Sums):
-        self.ineq, self.variant, self.ks, self._sums = ineq, variant, ks, sums
+    def __init__(self, info: InequalityInfo, variant, ks, trials, sums: _Sums):
+        self.info, self.variant, self.ks, self._sums = info, variant, ks, sums
         self.params = [trials[k][2] for k in ks]
         self.families = [trials[k][1] for k in ks]
         self.dim = self.families[0].dim
@@ -217,7 +228,7 @@ class _Group:
         try:
             values = [fn(p, f) for p, f in zip(self.params, self.families)]
         except ArithmeticError as exc:  # a power overflowed, a ratio's denominator underflowed
-            raise HypothesisError(f"{self.ineq.value} overflows on this input: {exc}") from exc
+            raise HypothesisError(f"{self.info.ineq.value} overflows on this input: {exc}") from exc
         arr = np.array(values, dtype=np.float64)
         return arr[:, None, None] if arr.ndim == 1 else tuple(arr.T[:, :, None, None])
 
@@ -230,7 +241,7 @@ class _Group:
         finite raises ``DomainError`` here, where a builder reads it, before
         any constant that the builder computes after it."""
         us = [u(p) for p in self.params]
-        if _REGISTRY[self.ineq].takes_pair:
+        if self.info.takes_pair:
             return self._sums.gather([(k, (x, 1.0 - x)) for k, x in zip(self.ks, us)])
         both = self._sums.gather([(k, x) for k, x in zip(self.ks, us)]
                                  + [(k, 1.0 - x) for k, x in zip(self.ks, us)])
@@ -273,7 +284,7 @@ def _hadamard_weight(band, pair: ExponentPair, variant: Variant, sign: float) ->
 
 # --- link builders -----------------------------------------------------------
 # Each builder takes a ``_Group`` and returns its (link_name, LHS, RHS) stacks,
-# LHS <= RHS claimed; ``_BUILDERS`` binds the refinement's and reverse's weight.
+# LHS <= RHS claimed; the registry binds the refinement's and reverse's weight.
 
 
 def _links_wada(g: _Group):
@@ -435,6 +446,12 @@ def _links_prop_hbounds(g: _Group):
 
 # --- registry ----------------------------------------------------------------
 
+
+def _both(*us: float) -> tuple[float, ...]:
+    """The weights ``u`` and ``1 - u`` that ``S(u)`` reads, for each ``u``."""
+    return tuple(v for u in us for v in (u, 1.0 - u))
+
+
 _REGISTRY: dict[IneqId, InequalityInfo] = {
     info.ineq: info
     for info in (
@@ -446,6 +463,8 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             takes_pair=True,
             needs_band=False,
             kind=ALPHA_KIND,
+            build=_links_wada,
+            means=lambda alpha, variant: (0.5, float(alpha), 1.0 - float(alpha)),
         ),
         InequalityInfo(
             IneqId.CHAIN_34RF,
@@ -455,6 +474,8 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             takes_pair=False,
             needs_band=False,
             kind=ST_KIND,
+            build=_links_chain_34rf,
+            means=lambda pair, variant: _both(pair.s, pair.t, 0.5),
         ),
         InequalityInfo(
             IneqId.MOJ_MO,
@@ -464,6 +485,8 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             takes_pair=False,
             needs_band=False,
             kind=ST_KIND,
+            build=_links_moj_mo,
+            means=lambda pair, variant: _both(pair.s, pair.t, 0.5),
         ),
         InequalityInfo(
             IneqId.TENSOR_TOOL,
@@ -474,6 +497,8 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             takes_pair=True,
             needs_band=True,
             kind=ST_KIND,
+            build=partial(_links_refinement, _tensor_weight),
+            powers=lambda pair, variant: tuple((u, 1.0 - u) for u in (pair.s, pair.t, 0.5)),
         ),
         InequalityInfo(
             IneqId.PROOF_CHAIN,
@@ -485,6 +510,11 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             takes_pair=True,
             needs_band=True,
             kind=ALPHA_BETA_KIND,
+            build=_links_proof_chain,
+            powers=lambda c, variant: (
+                (c.alpha, -c.alpha), (c.beta, -c.beta),
+                (1.0 + c.alpha, 1.0 - c.alpha), (1.0 + c.beta, 1.0 - c.beta),
+            ),
         ),
         InequalityInfo(
             IneqId.HAD_MAMAN,
@@ -495,6 +525,8 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             takes_pair=False,
             needs_band=True,
             kind=ST_KIND,
+            build=partial(_links_refinement, _hadamard_weight),
+            means=lambda pair, variant: _both(pair.s, pair.t, 0.5),
         ),
         InequalityInfo(
             IneqId.HAD_MAMAN2,
@@ -505,6 +537,8 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             takes_pair=False,
             needs_band=False,
             kind=ST_KIND,
+            build=_links_had_maman2,
+            means=lambda pair, variant: _both(pair.s, pair.t, 0.5, (3.0 - 2.0 * pair.s) / 4.0),
         ),
         InequalityInfo(
             IneqId.COR_BJ_IDENTITY,
@@ -516,6 +550,11 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             takes_pair=False,
             needs_band=False,
             kind=ST_KIND,
+            build=_links_cor_bj,
+            powers=lambda pair, variant: (
+                1.0 - pair.s, pair.s, 1.0 - pair.t, pair.t, 0.5,
+                (1.0 + 2.0 * pair.s) / 4.0, (3.0 - 2.0 * pair.s) / 4.0,
+            ),
         ),
         InequalityInfo(
             IneqId.REV_TENSOR_DEAR,
@@ -526,6 +565,8 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             takes_pair=True,
             needs_band=True,
             kind=ST_KIND,
+            build=partial(_links_reverse, _tensor_weight),
+            powers=lambda pair, variant: tuple((u, 1.0 - u) for u in (pair.s, pair.t, 0.5)),
         ),
         InequalityInfo(
             IneqId.REV_HAD_MAINTH,
@@ -535,6 +576,8 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             takes_pair=False,
             needs_band=True,
             kind=ST_KIND,
+            build=partial(_links_reverse, _hadamard_weight),
+            means=lambda pair, variant: _both(pair.s, pair.t, 0.5),
         ),
         InequalityInfo(
             IneqId.REV_T1_REMARK,
@@ -545,6 +588,8 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             takes_pair=False,
             needs_band=True,
             kind=ST_T1_KIND,
+            build=_links_rev_t1,
+            means=lambda pair, variant: _both(pair.s, 0.5),
         ),
         InequalityInfo(
             IneqId.PROP_HBOUNDS,
@@ -555,69 +600,14 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
             takes_pair=False,
             needs_band=True,
             kind=ST_KIND,
+            build=_links_prop_hbounds,
+            # Only the repaired form reads S(1/2).
+            means=lambda pair, variant: (
+                _both(pair.s, pair.t, 0.5) if variant == Variant.REPAIRED else _both(pair.s, pair.t)),
         ),
     )
 }
 
-
-_BUILDERS = {
-    IneqId.WADA: _links_wada,
-    IneqId.CHAIN_34RF: _links_chain_34rf,
-    IneqId.MOJ_MO: _links_moj_mo,
-    IneqId.TENSOR_TOOL: partial(_links_refinement, _tensor_weight),
-    IneqId.PROOF_CHAIN: _links_proof_chain,
-    IneqId.HAD_MAMAN: partial(_links_refinement, _hadamard_weight),
-    IneqId.HAD_MAMAN2: _links_had_maman2,
-    IneqId.COR_BJ_IDENTITY: _links_cor_bj,
-    IneqId.REV_TENSOR_DEAR: partial(_links_reverse, _tensor_weight),
-    IneqId.REV_HAD_MAINTH: partial(_links_reverse, _hadamard_weight),
-    IneqId.REV_T1_REMARK: _links_rev_t1,
-    IneqId.PROP_HBOUNDS: _links_prop_hbounds,
-}
-
-
-def _both(*us: float) -> tuple[float, ...]:
-    """The weights ``u`` and ``1 - u`` that ``S(u)`` reads, for each ``u``."""
-    return tuple(v for u in us for v in (u, 1.0 - u))
-
-
-#: The ids whose builders read weighted-mean sums (WADA, and every
-#: family-shaped id except COR_BJ_IDENTITY, which reads plain powers), and
-#: the weights at which each builder reads them: ``u`` and ``1 - u``
-#: for each ``S(u)`` of a Hadamard-sum builder.  ``_fill_mean_sums``
-#: computes these for a whole stage at once, and they are the only sums a
-#: builder can read.
-_MEAN_WEIGHTS: dict[IneqId, Callable[[Any], tuple[float, ...]]] = {
-    IneqId.WADA: lambda alpha: (0.5, float(alpha), 1.0 - float(alpha)),
-    **dict.fromkeys(
-        (IneqId.CHAIN_34RF, IneqId.MOJ_MO, IneqId.HAD_MAMAN, IneqId.REV_HAD_MAINTH,
-         IneqId.PROP_HBOUNDS),
-        lambda pair: _both(pair.s, pair.t, 0.5),
-    ),
-    IneqId.HAD_MAMAN2: lambda pair: _both(pair.s, pair.t, 0.5, (3.0 - 2.0 * pair.s) / 4.0),
-    IneqId.REV_T1_REMARK: lambda pair: _both(pair.s, 0.5),
-}
-
-#: The ids whose builders read spectral powers of their operands, and the
-#: sums of powers each reads, by key: for a pair, ``(p, q)`` is
-#: ``A^p x B^q + A^q x B^p`` (so ``S(u)`` is ``(u, 1 - u)``); for
-#: COR_BJ_IDENTITY, ``u`` is ``sum_j A_j^u``.
-#: ``_fill_power_sums`` computes these for a whole stage at once, and they
-#: are the only powers a builder can read.
-_POWER_SUMS: dict[IneqId, Callable[[Any], tuple]] = {
-    **dict.fromkeys(
-        (IneqId.TENSOR_TOOL, IneqId.REV_TENSOR_DEAR),
-        lambda pair: tuple((u, 1.0 - u) for u in (pair.s, pair.t, 0.5)),
-    ),
-    IneqId.PROOF_CHAIN: lambda c: (
-        (c.alpha, -c.alpha), (c.beta, -c.beta),
-        (1.0 + c.alpha, 1.0 - c.alpha), (1.0 + c.beta, 1.0 - c.beta),
-    ),
-    IneqId.COR_BJ_IDENTITY: lambda pair: (
-        1.0 - pair.s, pair.s, 1.0 - pair.t, pair.t, 0.5,
-        (1.0 + 2.0 * pair.s) / 4.0, (3.0 - 2.0 * pair.s) / 4.0,
-    ),
-}
 
 #: Ids that define a REPAIRED variant; requesting it elsewhere is an error.
 REPAIRABLE = frozenset(
@@ -653,7 +643,7 @@ def build_links(
     out, groups = _build_stage([(ineq, family, params, variant)])
     if out[0] is not None:
         raise out[0]
-    ((_, links),) = groups
+    ((_, _, links),) = groups
     return [(name, SymMatrix._exact(lhs[0]), SymMatrix._exact(rhs[0])) for name, lhs, rhs in links]
 
 
@@ -671,91 +661,94 @@ def _build_stage(trials) -> tuple[list, list]:
     """The links of the trials ``(ineq, family, params, variant)``, built
     together: ``(out, groups)``.  ``out[k]`` is the error of trial ``k``'s
     checks, a ``DomainError`` as ``HypothesisError``, or ``None``; a group
-    ``(ks, links)`` holds ``(name, lhs, rhs)`` stacks whose row ``r`` is
-    trial ``ks[r]``'s.  The stacked steps succeed whole or raise, a
-    ``DomainError`` as ``HypothesisError``: one ``MeanPath`` per distinct
-    family that takes means, the stored sums, and each group's builder,
-    its per-trial constants included, and links, checked for finiteness.
+    ``(info, ks, links)`` holds the record of its id and ``(name, lhs,
+    rhs)`` stacks whose row ``r`` is trial ``ks[r]``'s.  The stacked steps
+    succeed whole or raise, a ``DomainError`` as ``HypothesisError``: one
+    ``MeanPath`` per distinct family that takes means, the stored sums, and
+    each group's builder, its per-trial constants included, and links,
+    checked for finiteness.
     """
+    # Each trial's record is looked up once; every later step reads
+    # (info, family, params, variant).
+    staged = [(_REGISTRY[ineq], family, params, variant) for ineq, family, params, variant in trials]
     # Every band check of the stage runs on one stack per dimension.
-    banded = {id(f): f for ineq, f, _, _ in trials
-              if isinstance(f, FamilyInstance) and _REGISTRY[ineq].needs_band}
+    banded = {id(f): f for info, f, _, _ in staged
+              if isinstance(f, FamilyInstance) and info.needs_band}
     bands = dict(zip(banded, _band_failures(list(banded.values()))))
     out = []
-    for trial in trials:
+    for trial in staged:
         try:
             _check(*trial, bands.get(id(trial[1])))
             out.append(None)
         except ITEM_ERRORS as exc:
             out.append(_hypothesis(exc))
     built = [k for k, err in enumerate(out) if err is None]
-    families = {id(trials[k][1]): trials[k][1] for k in built if trials[k][0] in _MEAN_WEIGHTS}
+    families = {id(staged[k][1]): staged[k][1] for k in built if staged[k][0].means}
     by_group: dict[tuple, list[int]] = {}
     for k in built:
-        ineq, family, _, variant = trials[k]
-        by_group.setdefault((ineq, variant, family.dim), []).append(k)
+        info, family, _, variant = staged[k]
+        # Keyed by names: a member key would hash through Enum.__hash__.
+        by_group.setdefault((info.ineq._name_, variant._name_, family.dim), []).append(k)
     sums, groups = _Sums(), []
     try:
         paths = MeanPath.stack([(f.A_list, f.B_list) for f in families.values()])
-        _fill_mean_sums(trials, built, sums, dict(zip(families, paths)))
-        _fill_power_sums(trials, built, sums)
+        _fill_mean_sums(staged, built, sums, dict(zip(families, paths)))
+        _fill_power_sums(staged, built, sums)
         with np.errstate(over="ignore", invalid="ignore"):
-            for (ineq, variant, _), ks in by_group.items():
-                links = _BUILDERS[ineq](_Group(ineq, variant, ks, trials, sums))
-                groups.append((ks, [(name, _finite(lhs), _finite(rhs)) for name, lhs, rhs in links]))
+            for ks in by_group.values():
+                info, _, _, variant = staged[ks[0]]
+                links = info.build(_Group(info, variant, ks, staged, sums))
+                groups.append((info, ks, [(name, _finite(lhs), _finite(rhs)) for name, lhs, rhs in links]))
     except DomainError as exc:
         raise _hypothesis(exc)
     return out, groups
 
 
-def _fill_mean_sums(trials, built, sums: _Sums, paths: dict):
-    """Store the mean sums each trial's builder reads (``_MEAN_WEIGHTS``),
-    with one ``MeanPath.sums`` call for the stage; ``paths`` maps the
-    ``id`` of each family to its ``MeanPath``."""
-    wanted = [
-        (k, u)
-        for k in built
-        if trials[k][0] in _MEAN_WEIGHTS
-        for u in dict.fromkeys(_MEAN_WEIGHTS[trials[k][0]](trials[k][2]))
-    ]
-    for total, idx in MeanPath.sums([(paths[id(trials[k][1])], u) for k, u in wanted]):
+def _fill_mean_sums(staged, built, sums: _Sums, paths: dict):
+    """Store the mean sums each trial ``(info, family, params, variant)``
+    reads (its record's ``means``), with one ``MeanPath.sums`` call for the
+    stage; ``paths`` maps the ``id`` of each family to its ``MeanPath``."""
+    wanted = [(k, u) for k in built if staged[k][0].means
+              for u in dict.fromkeys(staged[k][0].means(*staged[k][2:]))]
+    for total, idx in MeanPath.sums([(paths[id(staged[k][1])], u) for k, u in wanted]):
         sums.add(total, [wanted[i] for i in idx])
 
 
 def _factors(pair: bool, n: int, key) -> tuple[tuple, tuple, int]:
-    """The factors of the power sum ``key`` of ``_POWER_SUMS``, in the order
-    the sum multiplies and adds them: their operands and exponents, and the
-    number of factors per product.  Operands 0 and 1 are a pair's ``A`` and
-    ``B``, operand ``j`` is a family's ``A_(j+1)``."""
+    """The factors of the power sum ``key`` of a record's ``powers``, in the
+    order the sum multiplies and adds them: their operands and exponents,
+    and the number of factors per product.  Operands 0 and 1 are a pair's
+    ``A`` and ``B``, operand ``j`` is a family's ``A_(j+1)``."""
     if not pair:
         return tuple(range(n)), (key,) * n, 1
     p, q = key
     return (0, 1, 0, 1), (p, q, q, p), 2
 
 
-def _fill_power_sums(trials, built, sums: _Sums):
-    """Store the power sums each trial's builder reads (``_POWER_SUMS``),
-    computed together one dimension at a time: every power with one
-    ``spectral_pow_stack`` call, then, for each shape of sum, every
-    Kronecker product with one broadcast product and the sums left to
-    right on the stack.  Each sum is bit for bit the one that
-    ``spectral_pow``, ``kron`` and ``+`` give.  A power that fails raises its
-    ``DomainError`` (the first in declaration order), and a product or a
-    sum that is not finite raises the one that ``kron`` and ``+`` give."""
+def _fill_power_sums(staged, built, sums: _Sums):
+    """Store the power sums each trial ``(info, family, params, variant)``
+    reads (its record's ``powers``), computed together one dimension at a
+    time: every power with one ``spectral_pow_stack`` call, then, for each
+    shape of sum, every Kronecker product with one broadcast product and
+    the sums left to right on the stack.  Each sum is bit for bit the one
+    that ``spectral_pow``, ``kron`` and ``+`` give.  A power that fails
+    raises its ``DomainError`` (the first in the order of ``powers``), and
+    a product or a sum that is not finite raises the one that ``kron`` and
+    ``+`` give."""
     by_dim: dict[int, list[int]] = {}
     for k in built:
-        if trials[k][0] in _POWER_SUMS:
-            by_dim.setdefault(trials[k][1].dim, []).append(k)
+        if staged[k][0].powers:
+            by_dim.setdefault(staged[k][1].dim, []).append(k)
     for group in by_dim.values():
         # Row r of the table is power r.
         mats, which, ps = [], [], []
         by_shape: dict[tuple[int, int], list] = {}
         for k in group:
-            ineq, family, params, _ = trials[k]
-            pair = _REGISTRY[ineq].takes_pair
+            info, family, params, variant = staged[k]
+            pair = info.takes_pair
             first = len(mats)
             mats += (family.A_list[0], family.B_list[0]) if pair else family.A_list
-            for key in dict.fromkeys(_POWER_SUMS[ineq](params)):
+            for key in dict.fromkeys(info.powers(params, variant)):
                 ops, exps, f = _factors(pair, family.n, key)
                 rows = list(range(len(ps), len(ps) + len(ops)))
                 which += [first + j for j in ops]
@@ -773,12 +766,11 @@ def _fill_power_sums(trials, built, sums: _Sums):
                 sums.add(_finite(total), [key for key, _ in items])
 
 
-def _check(ineq, family, params, variant, band_failure):
+def _check(info: InequalityInfo, family, params, variant, band_failure):
     """The checks every id passes before its builder runs, given the family's ``_band_failures`` text."""
-    info = _REGISTRY[ineq]
+    ineq, kind = info.ineq, info.kind
     if variant not in info.variants:
         raise VariantError(f"{ineq.value} defines no {variant.value} variant")
-    kind = info.kind
     if not isinstance(params, kind.type):
         raise HypothesisError(
             f"{ineq.value} takes {kind.type.__name__} parameters, "
@@ -796,15 +788,10 @@ def _check(ineq, family, params, variant, band_failure):
         raise HypothesisError(band_failure)
     if not kind.holds(params):
         raise HypothesisError(kind.violation.format(**kind.report(params)))
-    if not info.takes_pair and ineq not in _MEAN_WEIGHTS:
+    if not info.takes_pair and not info.means:
         # COR_BJ_IDENTITY factors no mean, but a pair that could not enter
         # one fails with the text the other Hadamard-sum statements give it.
         require_positive_pairs(family.A_list, family.B_list)
-
-
-def params_dict(ineq: IneqId, params) -> dict:
-    """Report form of a statement's parameters, given by its ``ParamKind``."""
-    return _REGISTRY[ineq].kind.report(params)
 
 
 def evaluate_inequality(
@@ -844,15 +831,15 @@ def evaluate_stage(trials, tol: float = DEFAULT_TOL) -> list:
 
 def _evaluate_stage(trials, tol):
     out, groups = _build_stage(trials)
-    measured = loewner_gaps([(lhs, rhs, ks) for ks, links in groups for _, lhs, rhs in links], tol)
-    for ks, links in groups:
+    measured = loewner_gaps([(lhs, rhs, ks) for _, ks, links in groups for _, lhs, rhs in links], tol)
+    for info, ks, links in groups:
         for k in ks:
-            ineq, family, params, variant = trials[k]
+            _, family, params, variant = trials[k]
             gaps, w, lhs_norm, rhs_norm = measured[k]
             out[k] = IneqReport(
-                ineq=ineq,
+                ineq=info.ineq,
                 variant=variant,
-                params=params_dict(ineq, params),
+                params=info.kind.report(params),
                 links=tuple(LinkReport(name, gap) for (name, _, _), gap in zip(links, gaps)),
                 gap=gaps[w],
                 lhs_norm=lhs_norm,

@@ -240,8 +240,6 @@ def sym_eigen_stack(mats: Sequence[SymMatrix]) -> list[EigenDecomposition]:
     bit-identical to the one-matrix call on the installed NumPy/LAPACK build
     (``tests/test_sampler.py`` checks that).
     """
-    if not mats:
-        return []
     w, q = _gather(mats, "wq")
     w.flags.writeable = q.flags.writeable = False
     return list(map(EigenDecomposition, w, q))
@@ -254,9 +252,12 @@ def _gather(mats: Sequence[SymMatrix], parts: str) -> list[np.ndarray]:
 
     Matrices built by ``SymMatrix.stack`` are read from their stacks' arrays
     with one ``take`` per source stack and part; the others are stacked and
-    decomposed by one ``_eigh_stack`` call.  Nothing is stored.
+    decomposed by one ``_eigh_stack`` call; no matrices give empty arrays.
+    Nothing is stored.
     """
     keys = ["xwq".index(p) for p in parts]
+    if not mats:
+        return [np.empty((0, 0) if i == 1 else (0, 0, 0)) for i in keys]
     stack = mats[0]._stack
     if stack is not None and all(m._stack is stack for m in mats):
         rows = [m._row for m in mats]
@@ -333,6 +334,8 @@ def spectral_pow_stack(
     """
     which = np.asarray(which, dtype=np.intp)
     w, q = (part[which] for part in _gather(mats, "wq"))
+    if not len(which):
+        return q  # no requests: an empty (0, d, d) stack
     exps = np.array(ps, dtype=np.float64)
     # A power below the floor is never returned.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -453,13 +456,7 @@ class MeanPath:
         groups = [(tuple(a), tuple(b)) for a, b in groups]
         by_dim: dict[int, list[int]] = {}
         for g, (a, b) in enumerate(groups):
-            if not a or len(a) != len(b):
-                raise ShapeError(f"a mean path needs pairs, got {len(a)} and {len(b)} matrices")
-            d = a[0].dim
-            for x, y in zip(a, b):
-                if x.dim != d or y.dim != d:
-                    raise ShapeError(f"dimension mismatch: {x.dim} vs {y.dim}")
-            by_dim.setdefault(d, []).append(g)
+            by_dim.setdefault(_require_pairs(a, b), []).append(g)
         out = [None] * len(groups)
         for gs in by_dim.values():
             a = [m for g in gs for m in groups[g][0]]
@@ -558,11 +555,24 @@ def _check_pair(a_min: float, b_min: float, inner: np.ndarray | None = None, inn
         )
 
 
+def _require_pairs(a: Sequence[SymMatrix], b: Sequence[SymMatrix]) -> int:
+    """The dimension of the pairs ``zip(a, b)``, or the ``ShapeError`` of
+    ``MeanPath(a, b)`` unless they are at least one pair of one dimension."""
+    if not a or len(a) != len(b):
+        raise ShapeError(f"a mean path needs pairs, got {len(a)} and {len(b)} matrices")
+    d = a[0].dim
+    for x, y in zip(a, b):
+        if x.dim != d or y.dim != d:
+            raise ShapeError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    return d
+
+
 def require_positive_pairs(a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
-    """Raise the ``DomainError`` that ``MeanPath(a, b)`` raises for the first
-    pair whose ``a`` or ``b`` is not positive definite, without factoring
-    any pair: the smallest eigenvalues of each side are read together
-    (``_gather``), from their stacks or by one LAPACK call."""
+    """Raise the error of ``MeanPath(a, b)`` for sides that are not pairs or
+    for the first pair whose ``a`` or ``b`` is not positive definite,
+    without factoring any pair: the smallest eigenvalues of each side are
+    read together (``_gather``), from their stacks or by one LAPACK call."""
+    _require_pairs(a, b)
     a_min, b_min = (_gather(side, "w")[0][:, 0].tolist() for side in (a, b))
     for x, y in zip(a_min, b_min):
         _check_pair(x, y)

@@ -11,9 +11,11 @@ import pytest
 from callebaut_lab import cli
 from callebaut_lab.inequalities import (
     HADAMARD_SUM_IDS,
+    REPAIRABLE,
     IneqId,
     Variant,
     evaluate_inequality,
+    list_inequalities,
 )
 from callebaut_lab.matcore import SymMatrix, compress, hadamard, kron, spectral_pow, sym_eigen
 from callebaut_lab.oracle import diagonal_equivalence, replay_witnesses
@@ -333,3 +335,26 @@ def test_criterion_8_determinism_and_budget(default_suite, tmp_path):
         f"reports identical: {identical}, csv identical: {csv1 == csv2}, "
         f"wall times {elapsed1:.1f}s / {elapsed2:.1f}s < 60s",
     )
+
+
+def test_default_sweep_verdict_table(default_suite):
+    # The default sweep's verdicts, as integers: the report's bytes hold on
+    # one LAPACK build only (README, "Where bit-exactness holds"), these
+    # counts wherever no gap changes its sign.
+    rc, _, lines, _ = default_suite
+    tally = {}
+    for line in lines:
+        counts = tally.setdefault((line["id"], line["variant"]), [0, 0])
+        counts[0 if line["satisfied"] else 1] += 1
+    satisfied = {"HAD_MAMAN": 46, "PROP_HBOUNDS": 44, "REV_HAD_MAINTH": 48,
+                 "REV_T1_REMARK": 23, "REV_TENSOR_DEAR": 71, "TENSOR_TOOL": 76}
+    expected = {}
+    for info in list_inequalities():
+        for v in info.variants:
+            ok = satisfied.get(info.ineq.value, 200) if v == Variant.PAPER_LITERAL else 200
+            expected[(info.ineq.value, v.value)] = [ok, 200 - ok]
+    assert tally == expected
+    findings = sum(bad for (ineq, variant), (_, bad) in tally.items()
+                   if variant == "paper" and IneqId(ineq) in REPAIRABLE)
+    unexpected = sum(bad for _, bad in tally.values()) - findings
+    assert (rc, unexpected, findings) == (0, 0, 892)

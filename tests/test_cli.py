@@ -14,7 +14,6 @@ from callebaut_lab.inequalities import (
     Variant,
     build_links,
     inequality_info,
-    params_dict,
 )
 from callebaut_lab.sampler import LANE_MIN, derive_rng, sample_family, spd_in_band
 from callebaut_lab.scalarcore import ExponentPair
@@ -248,7 +247,7 @@ class TestVerify:
         # lanes included), so the same on every build.
         config = cli.SuiteConfig()
         rows = [
-            [ineq.value, list(band.as_tuple()), n, d, params_dict(ineq, params)]
+            [ineq.value, list(band.as_tuple()), n, d, inequality_info(ineq).kind.report(params)]
             for ineq in IneqId
             for band, n, d, params in cli.grid_points(ineq, config)
         ]
@@ -312,7 +311,7 @@ class TestVerify:
         config = cli.SuiteConfig()
         cli._grid_order.cache_clear()
         rows = [
-            [ineq.value, list(band.as_tuple()), n, d, params_dict(ineq, params)]
+            [ineq.value, list(band.as_tuple()), n, d, inequality_info(ineq).kind.report(params)]
             for ineq in IneqId
             for band, n, d, params in cli.grid_points(ineq, config)
         ]
@@ -798,6 +797,12 @@ class TestListAndConfig:
         for ineq in IneqId:
             assert ineq.value in out
         assert "paper+repaired" in out and "[paper]" in out
+
+    def test_list_output_is_frozen(self, capsys):
+        # The listing is text only, so its bytes hold on every build.
+        assert _run(["list"]) == cli.EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "851559609f28b1ba6efd5ce15d9642f6dab86469e5d3348ca7c90284ebf055ec"
 
     def test_bad_trials_is_config_error(self, tmp_path):
         rc = _run(["verify", "--trials", "0", "--out", str(tmp_path / "x.jsonl")])

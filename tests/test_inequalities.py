@@ -448,7 +448,7 @@ def _reference_kron(x, y):
 
 
 def _reference_sum(ineq, family, key):
-    """A power sum of ``_POWER_SUMS`` the per-trial way, one matrix at a time:
+    """A power sum of a record's ``powers`` the per-trial way, one matrix at a time:
     ``A^p x B^q + A^q x B^p`` or ``sum_j A_j^u``."""
     if ineq == IneqId.COR_BJ_IDENTITY:
         return sum_matrices([_reference_pow(a, key) for a in family.A_list])
@@ -460,7 +460,7 @@ def _reference_sum(ineq, family, key):
 
 
 def _power_factors(ineq, family, key):
-    """The ``(matrix, exponent)`` factors of a power sum of ``_POWER_SUMS``,
+    """The ``(matrix, exponent)`` factors of a power sum of a record's ``powers``,
     in the order the per-trial sum raises them."""
     if ineq == IneqId.COR_BJ_IDENTITY:
         return [(a, key) for a in family.A_list]
@@ -469,11 +469,12 @@ def _power_factors(ineq, family, key):
     return [(a, p), (b, q), (a, q), (b, p)]
 
 
-def _reference_sums(ineq, family, params):
+def _reference_sums(ineq, family, params, variant):
     """The power sums of one trial the per-trial way, by key, or the error
-    that the trial alone raises: its first power that fails, in declaration
-    order, else its first product or sum that is not finite."""
-    keys = dict.fromkeys(inequalities._POWER_SUMS[ineq](params))
+    that the trial alone raises: its first power that fails, in the order of
+    its record's ``powers``, else its first product or sum that is not
+    finite."""
+    keys = dict.fromkeys(inequality_info(ineq).powers(params, variant))
     try:
         with np.errstate(all="ignore"):
             for key in keys:
@@ -497,7 +498,7 @@ def _links_by_trial(trials):
     """``_build_stage``'s links as one list per trial, row by row, or the
     trial's error: the form ``each_alone`` reads."""
     out, groups = inequalities._build_stage(trials)
-    for ks, links in groups:
+    for _, ks, links in groups:
         for r, k in enumerate(ks):
             out[k] = [(name, lhs[r], rhs[r]) for name, lhs, rhs in links]
     return out
@@ -602,15 +603,16 @@ class TestStackedPowerSums:
 
     @staticmethod
     def _fill(trials):
+        staged = [(inequality_info(ineq), f, p, v) for ineq, f, p, v in trials]
         sums = inequalities._Sums()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            inequalities._fill_power_sums(trials, range(len(trials)), sums)
+            inequalities._fill_power_sums(staged, range(len(trials)), sums)
         return sums
 
     def test_stacked_sums_equal_the_per_trial_sums(self):
-        trials = [t for t in self._stage() if t[0] in inequalities._POWER_SUMS]
-        expected = [_reference_sums(ineq, f, params) for ineq, f, params, _ in trials]
+        trials = [t for t in self._stage() if inequality_info(t[0]).powers]
+        expected = [_reference_sums(*t) for t in trials]
         # The stage holds failing trials, so the stacked fill raises.
         with pytest.raises(DomainError):
             self._fill(trials)
@@ -745,6 +747,39 @@ class TestStackedPowerSums:
         _fails_alike_alone_and_beside_a_sampled_trial(ineq, family, params, Variant.REPAIRED, message)
 
 
+@pytest.mark.parametrize("ineq, variant", [
+    pytest.param(info.ineq, v, id=f"{info.ineq.value}-{v.value}")
+    for info in list_inequalities() for v in info.variants
+])
+def test_a_stage_stores_the_sums_its_builder_reads(monkeypatch, ineq, variant):
+    # Every sum a stage stores for a trial (its record's means or powers)
+    # is read by the trial's builder, and every sum the builder reads was
+    # stored: none is computed in vain, and none is missing.
+    stored, read = set(), set()
+    add, gather = inequalities._Sums.add, inequalities._Sums.gather
+
+    def recording_add(self, block, keys):
+        stored.update(keys)
+        return add(self, block, keys)
+
+    def recording_gather(self, keys):
+        read.update(keys)
+        return gather(self, keys)
+
+    monkeypatch.setattr(inequalities._Sums, "add", recording_add)
+    monkeypatch.setattr(inequalities._Sums, "gather", recording_gather)
+    info = inequality_info(ineq)
+    trials = [
+        (ineq, sample_family(1 if info.takes_pair else 1 + k % 3, 1 + k % 3,
+                             DEFAULT_BANDS[k % 3], derive_rng(66, k)), params, variant)
+        for k, params in enumerate(info.kind.values)
+    ]
+    out, groups = inequalities._build_stage(trials)
+    assert out == [None] * len(trials) and groups
+    assert {k for k, _ in stored} == set(range(len(trials)))
+    assert stored == read
+
+
 def _reference_weight(ineq, band, pair, variant, sign):
     """The Kantorovich weight ``K^(sign r')`` of the refinement and its
     reverse, written out: the printed one, or the repaired tensor or
@@ -764,7 +799,7 @@ def _reference_links(ineq, family, params, variant):
     ``_reference_sum`` for the power sums, and ``+``, ``-``, scalar ``*``,
     ``kron`` and ``hadamard`` for the rest, in the statement's order."""
     a, b, band = family.A_list[0], family.B_list[0], family.band
-    if ineq in inequalities._MEAN_WEIGHTS:
+    if inequality_info(ineq).means:
         path = MeanPath(family.A_list, family.B_list)
 
     def S(u):

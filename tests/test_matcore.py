@@ -17,6 +17,7 @@ from callebaut_lab.matcore import (
     kron,
     loewner_gap,
     loewner_gaps,
+    require_positive_pairs,
     spectral_norm,
     spectral_pow,
     spectral_pow_stack,
@@ -474,6 +475,37 @@ class TestGeoMean:
     def test_rejects_bad_weight(self):
         with pytest.raises(DomainError):
             _mean(SymMatrix.identity(2), SymMatrix.identity(2), 1.5)
+
+
+class TestPairsAndEmptyInput:
+    """``require_positive_pairs(a, b)`` raises the error ``MeanPath(a, b)``
+    raises, and the stacked readers take no matrices."""
+
+    one, odd = SymMatrix.identity(2), SymMatrix.diagonal([1.0, -1.0])
+
+    @pytest.mark.parametrize("a, b", [
+        ((one, odd), (one,)),
+        ((one,), ()),
+        ((), ()),
+        ((one,), (SymMatrix.identity(3),)),
+        ((one, SymMatrix.identity(3)), (one, one)),
+        ((one, odd), (one, one)),
+        ((one, one), (one, odd)),
+    ], ids=["longer_a", "empty_b", "empty", "b_dimension", "a_dimension", "non_pd_a", "non_pd_b"])
+    def test_require_positive_pairs_raises_the_mean_path_error(self, a, b):
+        with pytest.raises((ShapeError, DomainError)) as want:
+            MeanPath(a, b)
+        with pytest.raises(type(want.value)) as got:
+            require_positive_pairs(a, b)
+        assert str(got.value) == str(want.value)
+
+    def test_no_matrices_give_empty_results(self):
+        assert [part.shape for part in matcore._gather([], "xwq")] == [(0, 0, 0), (0, 0), (0, 0, 0)]
+        assert sym_eigen_stack([]) == []
+        assert spectral_pow_stack([], [], []).shape == (0, 0, 0)
+        assert spectral_pow_stack([self.one], [], []).shape == (0, 2, 2)
+        assert MeanPath.sums([]) == []
+        assert loewner_gaps([]) == {}
 
 
 class TestLoewnerGap:
