@@ -1,9 +1,6 @@
 """Command-line harness: verification sweeps, falsification search, witness
-replay/export, and the registry listing.
-
-Exit codes: 0 = pass (literal-form findings are expected and do not fail the
-run unless --strict), 2 = unexpected violation, failed verify trial or witness
-mismatch, 64 = bad configuration or unusable output path.
+replay/export, and the registry listing.  README "Reports" gives the report
+lines and the exit codes.
 """
 
 from __future__ import annotations
@@ -165,41 +162,37 @@ def _stream(config: SuiteConfig, key: str):
     return stream, derive_rng(config.master_seed, stream)
 
 
-def _head(config: SuiteConfig, stream: int, point, ineq: IneqId, variant: Variant,
-          pdict: dict) -> dict:
-    """The report-line fields that say which trial ran; a trial that raised
-    reports these and its error."""
-    band, n, d, _ = point
-    return {
-        "id": ineq.value,
-        "variant": variant.value,
-        "seed": config.master_seed,
-        "stream": stream,
-        "n": n,
-        "dim": d,
-        "band": list(band.as_tuple()),
-        "params": pdict,
-    }
-
-
-def _line(config: SuiteConfig, stream: int, point, report) -> dict:
-    """The report-line fields that verify and falsify share."""
-    return {
-        **_head(config, stream, point, report.ineq, report.variant, report.params),
-        "min_eig": report.gap.min_eig,
-        "rel_gap": report.gap.rel_gap,
-        "satisfied": report.satisfied,
-    }
-
-
 class _Job(NamedTuple):
-    """One verify trial: its statement, grid point, index and stream id."""
+    """One trial: its statement, grid point, index and stream id.  The index
+    is a verify trial's place in its sweep, a ``falsify`` budget trial's in
+    the budget, and -1 for a ``falsify`` refinement step."""
 
     ineq: IneqId
     variant: Variant
     point: tuple
     trial: int
     stream: int
+
+
+def _line(config: SuiteConfig, job: _Job, report) -> dict:
+    """The fields of every report line, from ``id`` to ``params``, then the
+    gap of ``report``, or its error when ``report`` is one."""
+    band, n, d, params = job.point
+    line = {
+        "id": job.ineq.value,
+        "variant": job.variant.value,
+        "seed": config.master_seed,
+        "stream": job.stream,
+        "n": n,
+        "dim": d,
+        "band": list(band.as_tuple()),
+        "params": inequality_info(job.ineq).kind.report(params),
+    }
+    if isinstance(report, Exception):
+        line["error"] = f"{type(report).__name__}: {report}"
+    else:
+        line.update(min_eig=report.gap.min_eig, rel_gap=report.gap.rel_gap, satisfied=report.satisfied)
+    return line
 
 
 def _trial_stream(ineq: IneqId, variant: Variant, point, trial: int) -> int:
@@ -211,11 +204,10 @@ def _trial_stream(ineq: IneqId, variant: Variant, point, trial: int) -> int:
 
 
 def _staged(work, tol: float):
-    """``(item, family, report)`` for each ``(item, request, (ineq, params,
-    variant))`` of the iterable ``work``, in order, where ``request`` is a
-    ``sample_families`` request.
+    """``(job, family, report)`` for each ``(job, request)`` of the iterable
+    ``work``, in order, where ``request`` is a ``sample_families`` request.
 
-    ``STAGE`` items at a time are sampled together (``sample_families``)
+    ``STAGE`` jobs at a time are sampled together (``sample_families``)
     and then evaluated together (``evaluate_stage``).  A family that could
     not be sampled is the error ``sample_families`` put in its place, and
     its report is that same error; a trial that raised has its error as its
@@ -225,10 +217,10 @@ def _staged(work, tol: float):
     """
     work = iter(work)
     while stage := list(islice(work, STAGE)):
-        items, requests, specs = zip(*stage)
+        jobs, requests = zip(*stage)
         families = sample_families(requests)
-        trials = [(ineq, f, params, variant) for f, (ineq, params, variant) in zip(families, specs)]
-        yield from zip(items, families, _evaluated(trials, tol))
+        trials = [(j.ineq, f, j.point[3], j.variant) for j, f in zip(jobs, families)]
+        yield from zip(jobs, families, _evaluated(trials, tol))
 
 
 def _evaluated(trials, tol: float) -> list:
@@ -243,31 +235,30 @@ def _evaluated(trials, tol: float) -> list:
 
 
 def _run_trial(config: SuiteConfig, job: _Job, report):
-    """Report line of one verify trial from its report."""
-    return {
-        **_line(config, job.stream, job.point, report),
-        "links": [
-            {
-                "name": l.name,
-                "min_eig": l.gap.min_eig,
-                "rel_gap": l.gap.rel_gap,
-                "satisfied": l.gap.satisfied,
-            }
-            for l in report.links
-        ],
-        "lhs_norm": report.lhs_norm,
-        "rhs_norm": report.rhs_norm,
-        "witness": report.witness,
-    }
+    """Report line of one verify trial: ``_line``, then, unless ``report``
+    is an error, the links, the operand norms and the witness."""
+    line = _line(config, job, report)
+    if not isinstance(report, Exception):
+        line.update(
+            links=[
+                {
+                    "name": l.name,
+                    "min_eig": l.gap.min_eig,
+                    "rel_gap": l.gap.rel_gap,
+                    "satisfied": l.gap.satisfied,
+                }
+                for l in report.links
+            ],
+            lhs_norm=report.lhs_norm,
+            rhs_norm=report.rhs_norm,
+            witness=report.witness,
+        )
+    return line
 
 
 def run_verify(config: SuiteConfig):
-    """Run the verification suite; returns (RunSummary, report lines).
-
-    Trials are sampled and evaluated in stages (``_staged``); a trial whose
-    report is an error (one of ``errors.ITEM_ERRORS``) is reported as an
-    error line and counted as unexpected.
-    """
+    """Run the verification suite in stages (``_staged``); returns
+    (RunSummary, report lines)."""
     config.validate()
     started = time.perf_counter()
 
@@ -282,23 +273,9 @@ def run_verify(config: SuiteConfig):
                     band, n, d, _ = point
                     stream = _trial_stream(ineq, variant, point, k)
                     rng = derive_rng(config.master_seed, stream)
-                    yield (
-                        _Job(ineq, variant, point, k, stream),
-                        (n, d, band, rng, False),
-                        (ineq, point[3], variant),
-                    )
+                    yield _Job(ineq, variant, point, k, stream), (n, d, band, rng, False)
 
-    lines = []
-    for job, _, report in _staged(work(), config.tol):
-        if isinstance(report, Exception):
-            pdict = inequality_info(job.ineq).kind.report(job.point[3])
-            lines.append({
-                **_head(config, job.stream, job.point, job.ineq, job.variant, pdict),
-                "error": f"{type(report).__name__}: {report}",
-            })
-        else:
-            lines.append(_run_trial(config, job, report))
-
+    lines = [_run_trial(config, job, report) for job, _, report in _staged(work(), config.tol)]
     lines.sort(key=lambda l: (l["id"], l["variant"], l["stream"]))
 
     summary = RunSummary()
@@ -371,6 +348,8 @@ def cmd_verify(args) -> int:
         variant=args.variant,
         strict=args.strict,
     )
+    config.validate()
+    open(args.out, "a").close()  # an unusable report path fails before the first trial
     summary, lines = run_verify(config)
     csv_path = write_report(lines, summary, args.out)
     _print_summary(summary)
@@ -427,16 +406,12 @@ def _refine_step(config: SuiteConfig, ineq: IneqId, variant: Variant, step: int,
 def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig):
     """Randomized counterexample search with band-edge pinning: ``budget``
     pinned instances over the sweep grid, then ``REFINE_STEPS`` matrix
-    redraws and exponent nudges, each from the best so far.  Returns the
-    most negative report line found (None when no trial was evaluated) and
-    the number of budget trials and refinement steps whose report is an
-    error (one of ``errors.ITEM_ERRORS``): such a trial is skipped, and
-    such a step does not count as better.
-
-    The steps run in chunks of ``REFINE_CHUNK``, built from the best at the
-    chunk's start, sampled and evaluated together, and read in step order;
-    the steps after the first one that beats the best run again from the
-    new best, so the result is that of one step at a time.
+    redraws and exponent nudges, each from the best so far, in chunks of
+    ``REFINE_CHUNK``.  Returns the line of the most negative report found
+    (``_line``, the trial index and the instance; None when no trial was
+    evaluated) and the number of budget trials and refinement steps whose
+    report is an error: such a trial is skipped, and such a step does not
+    count as better.
     """
     config.validate()
     if budget < 0:
@@ -444,21 +419,8 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
     if variant == Variant.REPAIRED and ineq not in REPAIRABLE:
         raise ConfigError(f"{ineq.value} defines no repaired variant")
     points = grid_points(ineq, config)
-    best = None  # (rel_gap, line, point, instance)
+    best = None  # (rel_gap, job, instance, report)
     failed = 0
-
-    def consider(point, instance, trial, stream, report):
-        nonlocal best
-        if best is None or report.gap.rel_gap < best[0]:
-            line = {
-                **_line(config, stream, point, report),
-                "trial": trial,
-                "instance": {
-                    "A_list": [m.array.tolist() for m in instance.A_list],
-                    "B_list": [m.array.tolist() for m in instance.B_list],
-                },
-            }
-            best = (report.gap.rel_gap, line, point, instance)
 
     def work():
         # Each trial draws its grid point from its own stream, then its family.
@@ -466,13 +428,13 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
             stream, rng = _stream(config, f"falsify|{ineq.value}|{variant.value}|trial={b}")
             point = points[rng.next_u64() % len(points)]
             band, n, d, _ = point
-            yield (b, stream, point), (n, d, band, rng, True), (ineq, point[3], variant)
+            yield _Job(ineq, variant, point, b, stream), (n, d, band, rng, True)
 
-    for (b, stream, point), instance, report in _staged(work(), config.tol):
+    for job, instance, report in _staged(work(), config.tol):
         if isinstance(report, Exception):
             failed += 1
-        else:
-            consider(point, instance, b, stream, report)
+        elif best is None or report.gap.rel_gap < best[0]:
+            best = (report.gap.rel_gap, job, instance, report)
 
     # A redraw depends only on its stream and the best's band and dimension,
     # which no step changes, so it is sampled once, when first built.
@@ -480,15 +442,15 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
     step = 0
     while best is not None and step < REFINE_STEPS:
         chunk = [
-            _refine_step(config, ineq, variant, s, best[2])
+            _refine_step(config, ineq, variant, s, best[1].point)
             for s in range(step, min(step + REFINE_CHUNK, REFINE_STEPS))
         ]
         todo = {s: redraw[2] for s, (*_, redraw) in enumerate(chunk, step)
                 if redraw and s not in redrawn}
         redrawn.update(zip(todo, sample_matrices(list(todo.values()))))
-        steps = []  # (stream, point, family or its sampling error)
+        steps = []  # (job, family or its sampling error)
         for s, (stream, point, redraw) in enumerate(chunk, step):
-            instance = best[3]
+            instance = best[2]
             if redraw:
                 attr, j, _ = redraw
                 matrix = redrawn[s]
@@ -498,16 +460,20 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
                     mats = list(getattr(instance, attr))
                     mats[j] = matrix
                     instance = replace(instance, **{attr: tuple(mats)})
-            steps.append((stream, point, instance))
-        trials = [(ineq, instance, point[3], variant) for _, point, instance in steps]
-        for (stream, point, instance), report in zip(steps, _evaluated(trials, config.tol)):
+            steps.append((_Job(ineq, variant, point, -1, stream), instance))
+        trials = [(ineq, instance, job.point[3], variant) for job, instance in steps]
+        for (job, instance), report in zip(steps, _evaluated(trials, config.tol)):
             step += 1
             if isinstance(report, Exception):
                 failed += 1
             elif report.gap.rel_gap < best[0]:
-                consider(point, instance, -1, stream, report)
+                best = (report.gap.rel_gap, job, instance, report)
                 break
-    return (best[1] if best is not None else None), failed
+    if best is None:
+        return None, failed
+    _, job, family, report = best
+    instance = {attr: [m.array.tolist() for m in getattr(family, attr)] for attr in ("A_list", "B_list")}
+    return {**_line(config, job, report), "trial": job.trial, "instance": instance}, failed
 
 
 def cmd_falsify(args) -> int:
@@ -529,10 +495,11 @@ def cmd_falsify(args) -> int:
             return EXIT_VIOLATION
         print("empty result: budget is 0")
         return EXIT_OK
-    print(json.dumps(best, sort_keys=True))
+    text = json.dumps(best, sort_keys=True)
+    print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(best, sort_keys=True) + "\n")
+            fh.write(text + "\n")
     return EXIT_OK
 
 

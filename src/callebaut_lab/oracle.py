@@ -433,20 +433,20 @@ def dump_catalog(records, path):
 def load_catalog(path) -> list[WitnessRecord]:
     """Read a line-delimited witness catalog (empty file gives zero records).
 
-    A line that is not a complete record raises ``ConfigError`` naming the
-    path and the line number.
+    A line that is not a complete UTF-8 record raises ``ConfigError``
+    naming the path and the line number.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at \n, \r and \r\n, as text mode reads
+    for lineno, line in enumerate(lines, 1):
+        try:
+            line = line.decode("utf-8").strip()
+            if line:
                 records.append(WitnessRecord.from_dict(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: not a witness record "
-                    f"({type(exc).__name__}: {exc})"
-                ) from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: not a witness record "
+                f"({type(exc).__name__}: {exc})"
+            ) from None
     return records

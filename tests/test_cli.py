@@ -683,6 +683,24 @@ class TestFalsify:
         best = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert best["params"]["t"] == 1.0
 
+    @pytest.mark.parametrize(
+        "ineq, budget, seed, refined",
+        [("WADA", 3, 4, False), ("HAD_MAMAN", 3, -5, True)],
+        ids=["budget_trial", "refinement_step"],
+    )
+    def test_best_line_schema(self, capsys, ineq, budget, seed, refined):
+        # The best line is a verify line's head and gap, the index of the
+        # trial that found it (-1 for a refinement step) and its instance.
+        rc = _run(["falsify", "--id", ineq, "--budget", str(budget), "--seed", str(seed)])
+        assert rc == cli.EXIT_OK
+        best = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        head = {"id", "variant", "seed", "stream", "n", "dim", "band", "params"}
+        assert set(best) == head | {"min_eig", "rel_gap", "satisfied", "trial", "instance"}
+        assert (best["trial"] == -1) == refined and best["trial"] < budget
+        assert set(best["instance"]) == {"A_list", "B_list"}
+        for mats in best["instance"].values():
+            assert np.array(mats).shape == (best["n"], best["dim"], best["dim"])
+
     def test_deterministic(self, capsys, tmp_path):
         out1, out2 = tmp_path / "f1.json", tmp_path / "f2.json"
         _run(["falsify", "--id", "TENSOR_TOOL", "--budget", "30", "--seed", "4",
@@ -782,6 +800,25 @@ class TestWitness:
         assert _run(["witness", "--replay", str(path)]) == cli.EXIT_CONFIG
         assert f"{path}:2: not a witness record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lineno", [1, 2])
+    def test_non_utf8_catalog_is_config_error(self, tmp_path, capsys, lineno):
+        path = tmp_path / "utf16.jsonl"
+        _run(["witness", "--export", str(path)])
+        good = path.read_bytes().splitlines()[0]
+        path.write_bytes(b"\xff\xfe" if lineno == 1 else good + b"\n\xff\xfe\n")
+        capsys.readouterr()
+        assert _run(["witness", "--replay", str(path)]) == cli.EXIT_CONFIG
+        assert f"{path}:{lineno}: not a witness record (UnicodeDecodeError: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_catalog_lines_end_at_any_newline(self, tmp_path, capsys, end):
+        path = tmp_path / "cat.jsonl"
+        _run(["witness", "--export", str(path)])
+        path.write_bytes(end.join(path.read_bytes().splitlines()) + end)
+        capsys.readouterr()
+        assert _run(["witness", "--replay", str(path)]) == cli.EXIT_OK
+        assert "7 passed, 0 failed" in capsys.readouterr().out
+
     def test_export_bytes_are_frozen(self, tmp_path):
         path = tmp_path / "cat.jsonl"
         assert _run(["witness", "--export", str(path)]) == cli.EXIT_OK
@@ -827,6 +864,30 @@ class TestListAndConfig:
         out = str(tmp_path / "x.jsonl")
         assert _run([*argv, "--tol", tol, "--out", out]) == cli.EXIT_CONFIG
 
-    def test_unwritable_out_is_io_error(self):
+    def test_unwritable_out_is_io_error(self, monkeypatch, capsys):
+        # The report path is opened before the first trial is sampled, and
+        # only after the configuration is checked.
+        def sampled(requests):
+            raise AssertionError("a trial was sampled")
+
+        monkeypatch.setattr(cli, "sample_families", sampled)
         rc = _run(["verify", "--trials", "1", "--out", "/no/such/dir/report.jsonl"])
         assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        rc = _run(["verify", "--trials", "0", "--out", "/no/such/dir/report.jsonl"])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: trials must be >= 1")
+
+    def test_out_check_keeps_an_existing_report(self, monkeypatch, tmp_path):
+        # Checking the path does not truncate a report that a run which
+        # then fails would otherwise have lost.
+        out = tmp_path / "kept.jsonl"
+        out.write_text("earlier report\n")
+
+        def interrupted(requests):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "sample_families", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _run(["verify", "--trials", "1", "--out", str(out)])
+        assert out.read_text() == "earlier report\n"
