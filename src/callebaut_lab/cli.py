@@ -31,7 +31,7 @@ from .inequalities import (
 from .matcore import DEFAULT_TOL
 from .oracle import BUILTIN_WITNESSES, dump_catalog, load_catalog, replay_witnesses
 from .oracle import WITNESS_FAMILY, WITNESS_PAIR
-from .sampler import RngState, SpectralBand, _stream_words, derive_rng, sample_families, sample_matrices
+from .sampler import RngState, SpectralBand, derive_rng, sample_families, sample_matrices
 from .scalarcore import ExponentPair
 
 EXIT_OK = 0
@@ -99,14 +99,12 @@ def _shuffled(points, key: str, tracked: int | None = None):
     position of the item at position ``tracked`` (None if not given).
 
     For i = n - 1, ..., 1, item i swaps with item j = w mod (i + 1), w the
-    key's stream's next word (``docs/rng.md``, "Grid order").  The words
-    come as jump-ahead lanes (``sampler._stream_words``) and the j as one
-    ``uint64`` array; both are exact integer arithmetic."""
+    key's stream's next ``next_u64`` word (``docs/rng.md``, "Grid order")."""
     n = len(points)
-    rng = derive_rng(0xA5A5_1234, _stable_hash(key))
-    js = _stream_words(rng, max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+    nxt = derive_rng(0xA5A5_1234, _stable_hash(key)).next_u64
     perm = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), js.tolist()):
+    for i in range(n - 1, 0, -1):
+        j = nxt() % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return [points[k] for k in perm], None if tracked is None else perm.index(tracked)
 
@@ -307,12 +305,17 @@ def run_verify(config: SuiteConfig):
     return summary, lines
 
 
+def _csv_path(out_path: str) -> str:
+    """The CSV summary path of the JSONL report ``out_path``."""
+    return out_path.removesuffix(".jsonl") + ".summary.csv"
+
+
 def write_report(lines, summary: RunSummary, out_path: str) -> str:
     """Write the JSONL report plus its CSV summary table; returns the CSV path."""
     with open(out_path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
-    csv_path = out_path + ".summary.csv" if not out_path.endswith(".jsonl") else out_path[: -len(".jsonl")] + ".summary.csv"
+    csv_path = _csv_path(out_path)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "variant", "evaluated", "satisfied", "violated", "min_rel_gap"])
@@ -349,7 +352,8 @@ def cmd_verify(args) -> int:
         strict=args.strict,
     )
     config.validate()
-    open(args.out, "a").close()  # an unusable report path fails before the first trial
+    for path in (args.out, _csv_path(args.out)):
+        open(path, "a").close()  # an unusable report path fails before the first trial
     summary, lines = run_verify(config)
     csv_path = write_report(lines, summary, args.out)
     _print_summary(summary)
@@ -485,6 +489,8 @@ def cmd_falsify(args) -> int:
         ) from None
     variant = Variant.PAPER_LITERAL if args.variant == "paper" else Variant.REPAIRED
     config = SuiteConfig(master_seed=args.seed, tol=args.tol)
+    if args.out:
+        open(args.out, "a").close()  # an unusable --out path fails before the search
     best, failed = run_falsify(ineq, variant, args.budget, config)
     if failed:
         # stdout's last line stays the best line.

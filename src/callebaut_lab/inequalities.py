@@ -36,11 +36,11 @@ from .matcore import (
     MeanPath,
     SymMatrix,
     _finite,
+    _gather,
     kron_arrays,
     loewner_gaps,
     require_positive_pairs,
     spectral_pow_stack,
-    sym_eigen_stack,
 )
 from .sampler import FamilyInstance, SpectralBand, _band_failures
 from .scalarcore import (
@@ -359,8 +359,8 @@ def _pointwise(params: ProofChainParams, wa: np.ndarray, wb: np.ndarray) -> tupl
 
 def _links_proof_chain(g: _Group):
     kf = g.cols(lambda c, f: printed_weight(f.band, c.alpha, c.r_prime))
-    eig = sym_eigen_stack([m for f in g.families for m in (f.A_list[0], f.B_list[0])])
-    spectra = {id(f): (a.eigenvalues, b.eigenvalues) for f, a, b in zip(g.families, eig[::2], eig[1::2])}
+    (w,) = _gather([m for f in g.families for m in (f.A_list[0], f.B_list[0])], "w")
+    spectra = {id(f): (wa, wb) for f, wa, wb in zip(g.families, w[::2], w[1::2])}
     lhs_pt, rhs_pt = g.cols(lambda c, f: _pointwise(c, *spectra[id(f)]))
     # The public constructor's symmetrisation of a 1x1 link: a bitwise
     # no-op, except that an entry above half the float limit overflows.

@@ -8,7 +8,9 @@ Haar orthogonal matrix, so band containment holds by construction.
 
 ``sample_families`` and ``sample_matrices`` (whose one-item cases are
 ``sample_family`` and ``spd_in_band``) draw many requests together: their
-streams run as NumPy ``uint64`` lanes (``_draw``), and the drawn matrices of
+streams' words come from ``RngState.next_u64`` one stream at a time
+(``_serial_tops``) or, from ``LANE_MIN`` streams on, from every stream at
+once as NumPy ``uint64`` lanes (``_lane_tops``), and the drawn matrices of
 one dimension share one Haar QR (Mezzadri's R-diagonal sign fix, Notices AMS
 2007), one rebuild and one eigendecomposition (``_factor``,
 ``SymMatrix.stack``).  Each new matrix refers to its stack's arrays and its
@@ -39,7 +41,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
 _EPS = 2.0 ** -53
 
-# The ``uint64`` constants of the lane generator (``_lane_tops``).
+# The ``uint64`` shifts and multipliers of the lane generator (``_lane_tops``).
 _U5, _U7, _U9, _U11, _U19, _U57 = (np.uint64(c) for c in (5, 7, 9, 11, 19, 57))
 _SHIFTS = np.array([[17], [45]], dtype=np.uint64)
 
@@ -292,21 +294,23 @@ def _plan(m: int, d: int, spare: bool) -> _Plan:
                  np.array(pairs, dtype=np.intp).reshape(-1, 2), pos)
 
 
-def _lane_words(state: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """xoshiro256** on every column of the ``(4, lanes)`` ``uint64`` array
-    ``state`` at once, one NumPy lane per column: the first ``max(counts)``
-    output words of each lane, as a ``(steps, lanes)`` array, and the state
-    of lane ``r`` after its first ``counts[r]`` words, as column ``r`` of a
-    ``(4, lanes)`` array.  ``state`` is advanced in place.
+def _lane_tops(rngs: Sequence[RngState], counts: Sequence[int]) -> np.ndarray:
+    """The top 53 bits ``x >> 11`` of the first ``counts[r]`` words ``x`` of
+    stream ``rngs[r]``, as row ``r`` of a ``(len(rngs), max(counts))``
+    ``uint64`` array (later entries of a shorter row come from the stream's
+    further words), and each stream advanced past its own words.
 
-    A step is six whole-row operations: ``s2 ^= s0; s3 ^= s1`` as one,
-    ``s1 << 17`` and ``s3 << 45`` as one, ``s0 ^= s3; s1 ^= s2`` as one,
-    ``s3 >>= 19``, and one XOR of the two shifts into ``s2`` and ``s3`` (the
-    halves of a rotation share no bit, so XOR is OR there), after keeping
-    ``s1``.  Each output word is scrambled from its kept ``s1`` afterwards,
-    in one pass.  Unsigned 64-bit NumPy arithmetic wraps modulo 2^64 as
-    ``docs/rng.md`` requires.
+    xoshiro256** runs on every stream at once, one NumPy lane per column of
+    a ``(4, lanes)`` ``uint64`` state.  A step is six whole-row operations:
+    ``s2 ^= s0; s3 ^= s1`` as one, ``s1 << 17`` and ``s3 << 45`` as one,
+    ``s0 ^= s3; s1 ^= s2`` as one, ``s3 >>= 19``, and one XOR of the two
+    shifts into ``s2`` and ``s3`` (the halves of a rotation share no bit,
+    so XOR is OR there), after keeping ``s1``.  A stream's state is written
+    back after its last step.  Each output word is scrambled from its kept
+    ``s1`` afterwards, in one pass.  Unsigned 64-bit NumPy arithmetic wraps
+    modulo 2^64 as ``docs/rng.md`` requires.
     """
+    state = np.array([(r._s0, r._s1, r._s2, r._s3) for r in rngs], dtype=np.uint64).T.copy()
     lanes, steps = state.shape[1], max(counts)
     low, high, swapped, odd = state[:2], state[2:], state[3:1:-1], state[1::2]
     s1, s3 = state[1], state[3]
@@ -315,7 +319,6 @@ def _lane_words(state: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, n
     ends: dict[int, list[int]] = {}
     for r, count in enumerate(counts):
         ends.setdefault(count, []).append(r)
-    final = state.copy()
     for k in range(steps):
         kept[k] = s1
         high ^= low
@@ -325,63 +328,16 @@ def _lane_words(state: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, n
         high ^= shifted
         done = ends.get(k + 1)
         if done is not None:
-            final[:, done] = state[:, done]
+            for r, s in zip(done, state[:, done].T.tolist()):
+                rngs[r]._s0, rngs[r]._s1, rngs[r]._s2, rngs[r]._s3 = s
     kept *= _U5
     spill = kept >> _U57
     kept <<= _U7
     kept |= spill
     del spill
     kept *= _U9
-    return kept, final
-
-
-def _lane_tops(rngs: Sequence[RngState], counts: Sequence[int]) -> np.ndarray:
-    """The top 53 bits ``x >> 11`` of the first ``counts[r]`` words ``x`` of
-    stream ``rngs[r]``, as row ``r`` of a ``(len(rngs), max(counts))``
-    ``uint64`` array (later entries of a shorter row come from the stream's
-    further words), and each stream advanced past its own words: one
-    ``_lane_words`` lane per stream."""
-    state = np.array([(r._s0, r._s1, r._s2, r._s3) for r in rngs], dtype=np.uint64).T.copy()
-    words, final = _lane_words(state, counts)
-    for r, s in zip(rngs, final.T.tolist()):
-        r._s0, r._s1, r._s2, r._s3 = s
-    words >>= _U11
-    return words.T
-
-
-@functools.cache
-def _jump_table() -> np.ndarray:
-    """T^64, the xoshiro256** state 64 steps on, as a read-only ``(256, 4)``
-    ``uint64`` table: row ``b`` is the image of the unit state whose only set
-    bit is bit ``b % 64`` of word ``b // 64``.  A step is made of XORs,
-    shifts and rotations, so it is linear over GF(2), and the state 64 steps
-    after any state is the XOR of the rows of its set bits."""
-    b = np.arange(256)
-    units = np.zeros((4, 256), dtype=np.uint64)
-    units[b // 64, b] = np.left_shift(np.uint64(1), (b % 64).astype(np.uint64))
-    table = _lane_words(units, [64] * 256)[1].T.copy()
-    table.flags.writeable = False
-    return table
-
-
-def _stream_words(rng: RngState, count: int) -> np.ndarray:
-    """The next ``count`` words of ``rng`` as a ``uint64`` array, with
-    ``rng`` advanced past them, as ``count`` calls of ``next_u64`` give.
-
-    The stream runs as ``_lane_words`` lanes of 64 consecutive words each:
-    lane ``l`` starts at T^(64 l) of the state, one ``_jump_table`` step on
-    from lane ``l - 1``, so about ``count / 64`` Python steps of NumPy work
-    give the words in stream order.  Every operation is exact integer
-    arithmetic."""
-    lanes = max(1, -(-count // 64))
-    starts = [np.array((rng._s0, rng._s1, rng._s2, rng._s3), dtype=np.uint64)]
-    for _ in range(1, lanes):
-        bits = np.unpackbits(starts[-1].astype("<u8").view(np.uint8), bitorder="little")
-        starts.append(np.bitwise_xor.reduce(_jump_table().compress(bits, axis=0), axis=0))
-    counts = [64] * (lanes - 1) + [count - 64 * (lanes - 1)]
-    words, final = _lane_words(np.array(starts).T.copy(), counts)
-    rng._s0, rng._s1, rng._s2, rng._s3 = final[:, -1].tolist()
-    return words.T.ravel()[:count]
+    kept >>= _U11
+    return kept.T
 
 
 def _serial_tops(rngs: Sequence[RngState], counts: Sequence[int]) -> np.ndarray:

@@ -243,8 +243,8 @@ class TestVerify:
 
     def test_default_grid_is_frozen(self):
         # Every default grid point of every id, in sweep order, with its
-        # parameters in report form; integer arithmetic only (the shuffle's
-        # lanes included), so the same on every build.
+        # parameters in report form; integer arithmetic only, so the same on
+        # every build.
         config = cli.SuiteConfig()
         rows = [
             [ineq.value, list(band.as_tuple()), n, d, inequality_info(ineq).kind.report(params)]
@@ -864,9 +864,10 @@ class TestListAndConfig:
         out = str(tmp_path / "x.jsonl")
         assert _run([*argv, "--tol", tol, "--out", out]) == cli.EXIT_CONFIG
 
-    def test_unwritable_out_is_io_error(self, monkeypatch, capsys):
-        # The report path is opened before the first trial is sampled, and
-        # only after the configuration is checked.
+    def test_unwritable_out_is_io_error(self, monkeypatch, capsys, tmp_path):
+        # The report path, its CSV summary path and falsify's --out path are
+        # opened before the first trial is sampled, and only after the
+        # configuration is checked.
         def sampled(requests):
             raise AssertionError("a trial was sampled")
 
@@ -877,6 +878,16 @@ class TestListAndConfig:
         rc = _run(["verify", "--trials", "0", "--out", "/no/such/dir/report.jsonl"])
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: trials must be >= 1")
+        (tmp_path / "r.summary.csv").mkdir()
+        rc = _run(["verify", "--trials", "20", "--out", str(tmp_path / "r.jsonl")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert (tmp_path / "r.jsonl").read_bytes() == b""
+        rc = _run(["falsify", "--id", "HAD_MAMAN", "--budget", "2000", "--out", "/no/such/dir/best.json"])
+        assert rc == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("i/o error: ")
 
     def test_out_check_keeps_an_existing_report(self, monkeypatch, tmp_path):
         # Checking the path does not truncate a report that a run which

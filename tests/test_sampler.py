@@ -446,23 +446,6 @@ class TestLaneDraws:
         assert got[-1] == sample_family(1, 3, band, alone, False)
         assert _state(rng) == _state(alone)
 
-    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 2591, 5000])
-    def test_stream_words_equal_next_u64(self, count):
-        # The jump-ahead lanes give the words and the final state of
-        # ``count`` next_u64 calls, on a new stream and on one that has
-        # drawn words and holds a cached Gaussian.
-        for drawn in (0, 3):
-            rng, ref = derive_rng(55, count), derive_rng(55, count)
-            for r in (rng, ref):
-                for _ in range(drawn):
-                    r.next_u64()
-                if drawn:
-                    r.normal()
-            words = sampler._stream_words(rng, count)
-            assert words.dtype == np.uint64
-            assert words.tolist() == [ref.next_u64() for _ in range(count)]
-            assert _state(rng) == _state(ref)
-
     def test_spd_in_band_keeps_the_stream(self):
         for k in range(20):
             d = 1 + k % 5
