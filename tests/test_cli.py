@@ -864,25 +864,38 @@ class TestListAndConfig:
         out = str(tmp_path / "x.jsonl")
         assert _run([*argv, "--tol", tol, "--out", out]) == cli.EXIT_CONFIG
 
-    def test_unwritable_out_is_io_error(self, monkeypatch, capsys, tmp_path):
-        # The report path, its CSV summary path and falsify's --out path are
-        # opened before the first trial is sampled, and only after the
-        # configuration is checked.
+    @staticmethod
+    def _no_sampling(monkeypatch):
         def sampled(requests):
             raise AssertionError("a trial was sampled")
 
         monkeypatch.setattr(cli, "sample_families", sampled)
+
+    def test_unwritable_out_is_io_error(self, monkeypatch, capsys):
+        # The report path is opened before the first trial is sampled, and
+        # only after the configuration is checked.
+        self._no_sampling(monkeypatch)
         rc = _run(["verify", "--trials", "1", "--out", "/no/such/dir/report.jsonl"])
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("i/o error: ")
         rc = _run(["verify", "--trials", "0", "--out", "/no/such/dir/report.jsonl"])
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: trials must be >= 1")
+
+    def test_unwritable_summary_is_io_error_before_sampling(self, monkeypatch, capsys, tmp_path):
+        # The CSV summary path (cli._csv_path) is checked with the report
+        # path, before the first trial, and the report stays empty.
+        self._no_sampling(monkeypatch)
         (tmp_path / "r.summary.csv").mkdir()
         rc = _run(["verify", "--trials", "20", "--out", str(tmp_path / "r.jsonl")])
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("i/o error: ")
         assert (tmp_path / "r.jsonl").read_bytes() == b""
+
+    def test_unwritable_falsify_out_is_io_error_before_search(self, monkeypatch, capsys):
+        # falsify opens --out before its search: no trial is sampled and no
+        # best line is printed.
+        self._no_sampling(monkeypatch)
         rc = _run(["falsify", "--id", "HAD_MAMAN", "--budget", "2000", "--out", "/no/such/dir/best.json"])
         assert rc == cli.EXIT_CONFIG
         out, err = capsys.readouterr()

@@ -446,6 +446,33 @@ class TestLaneDraws:
         assert got[-1] == sample_family(1, 3, band, alone, False)
         assert _state(rng) == _state(alone)
 
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 2591, 5000])
+    def test_lane_tops_equal_serial_tops(self, count):
+        # LANE_MIN streams whose counts end on different steps, up to
+        # ``count``: each row's first counts[r] tops are the next_u64 words
+        # shifted by 11, and each stream is left where the serial draw
+        # leaves it, new streams and ones that have drawn words and hold a
+        # cached Gaussian alike.
+        streams = sampler.LANE_MIN
+        counts = [(count * k) // (streams - 1) for k in range(streams)]
+        lanes, serial = [], []
+        for k in range(streams):
+            rng, ref = derive_rng(55, k), derive_rng(55, k)
+            for r in (rng, ref):
+                for _ in range(k % 3):
+                    r.next_u64()
+                if k % 2:
+                    r.normal()
+            lanes.append(rng)
+            serial.append(ref)
+        got = sampler._lane_tops(lanes, counts)
+        want = sampler._serial_tops(serial, counts)
+        assert got.dtype == np.uint64
+        assert got.shape == want.shape == (streams, count)
+        for row, ref_row, n in zip(got.tolist(), want.tolist(), counts):
+            assert row[:n] == ref_row[:n]
+        assert [_state(r) for r in lanes] == [_state(r) for r in serial]
+
     def test_spd_in_band_keeps_the_stream(self):
         for k in range(20):
             d = 1 + k % 5
