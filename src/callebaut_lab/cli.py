@@ -54,10 +54,15 @@ FAMILY_SIZES = (1, 2, 3)
 #: and one eigendecomposition per dimension; ``inequalities.evaluate_stage``
 #: builds each (id, variant, dimension) group's links once, on stacks.  A
 #: stage's draws, families, links and reports are held until the caller
-#: has read them, so this bounds the memory that staging adds.  At 256,
-#: ``falsify``'s peak RSS was 0.6 MB higher than at 128, with no speed
-#: difference seen.
-STAGE = 128
+#: has read them, so this bounds the memory that staging adds.  Each stage
+#: also pays a fixed cost, per-dimension set-up in the stacked steps and
+#: about 120 lane-draw steps, whatever its size.  On a 2-vCPU host, 256
+#: against 128 ran the benchmark's ``sweep`` unit (216 trials) as one stage
+#: and a 500-trial ``falsify`` budget as two, and read 18 % and 9 % more
+#: ``ops_per_s``.  512 read the same on ``sweep`` and 8 % more on
+#: ``falsify``, but that search's peak RSS rose 1.1 MB on HAD_MAMAN and
+#: 2.7 MB on PROOF_CHAIN, and default ``verify``'s 1.7 MB.
+STAGE = 256
 
 #: Grid point that reproduces the recorded witnesses; kept at the head of
 #: every relevant sweep.
@@ -142,6 +147,17 @@ def grid_points(ineq: IneqId, config: SuiteConfig):
     """
     points = list(product(*_axes(ineq)))
     return [points[k] for k in _grid_order(ineq).tolist()]
+
+
+def _sweep_points(ineq: IneqId, trials: int) -> list:
+    """The grid point of each verify trial ``k < trials``: point ``k % n``
+    of ``grid_points``, n the grid's size.  Only the ``min(trials, n)``
+    points read are built, each from its position in product order."""
+    order = _grid_order(ineq)
+    axes = _axes(ineq)
+    digits = np.unravel_index(order[:trials], [len(axis) for axis in axes])
+    head = list(zip(*([axis[i] for i in d.tolist()] for axis, d in zip(axes, digits))))
+    return [head[k % len(order)] for k in range(trials)]
 
 
 def _combos(config: SuiteConfig):
@@ -261,13 +277,12 @@ def run_verify(config: SuiteConfig):
     started = time.perf_counter()
 
     def work():
-        # _combos lists each id's variants together, so one grid serves them
-        # all; only the current id's grid is held.
+        # _combos lists each id's variants together, so one list of sweep
+        # points serves them all; only the current id's list is held.
         for ineq, id_combos in groupby(_combos(config), key=lambda c: c[0]):
-            points = grid_points(ineq, config)
+            points = _sweep_points(ineq, config.trials)
             for _, variant in id_combos:
-                for k in range(config.trials):
-                    point = points[k % len(points)]
+                for k, point in enumerate(points):
                     band, n, d, _ = point
                     stream = _trial_stream(ineq, variant, point, k)
                     rng = derive_rng(config.master_seed, stream)
@@ -407,6 +422,16 @@ def _refine_step(config: SuiteConfig, ineq: IneqId, variant: Variant, step: int,
     return stream, point, (attr, j, (d, lo, hi, rng, True))
 
 
+def _check_search(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig):
+    """Raise ``ConfigError`` unless ``run_falsify`` can search with these
+    arguments."""
+    config.validate()
+    if budget < 0:
+        raise ConfigError(f"budget must be >= 0, got {budget}")
+    if variant == Variant.REPAIRED and ineq not in REPAIRABLE:
+        raise ConfigError(f"{ineq.value} defines no repaired variant")
+
+
 def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig):
     """Randomized counterexample search with band-edge pinning: ``budget``
     pinned instances over the sweep grid, then ``REFINE_STEPS`` matrix
@@ -417,11 +442,7 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
     report is an error: such a trial is skipped, and such a step does not
     count as better.
     """
-    config.validate()
-    if budget < 0:
-        raise ConfigError(f"budget must be >= 0, got {budget}")
-    if variant == Variant.REPAIRED and ineq not in REPAIRABLE:
-        raise ConfigError(f"{ineq.value} defines no repaired variant")
+    _check_search(ineq, variant, budget, config)
     points = grid_points(ineq, config)
     best = None  # (rel_gap, job, instance, report)
     failed = 0
@@ -490,6 +511,7 @@ def cmd_falsify(args) -> int:
     variant = Variant.PAPER_LITERAL if args.variant == "paper" else Variant.REPAIRED
     config = SuiteConfig(master_seed=args.seed, tol=args.tol)
     if args.out:
+        _check_search(ineq, variant, args.budget, config)  # a bad setting is reported first
         open(args.out, "a").close()  # an unusable --out path fails before the search
     best, failed = run_falsify(ineq, variant, args.budget, config)
     if failed:

@@ -291,6 +291,16 @@ class TestVerify:
         cli.run_falsify(IneqId.HAD_MAMAN, Variant.PAPER_LITERAL, 1, cli.SuiteConfig())
         assert sorted(keys) == sorted(ineq.value for ineq in IneqId)
 
+    @pytest.mark.parametrize("ineq", list(IneqId), ids=lambda i: i.value)
+    def test_sweep_reads_grid_point_k_mod_n(self, ineq):
+        # verify builds only the grid points it reads, from their product
+        # positions; trial k reads grid_points' point k % n, below, at and
+        # beyond the grid's size n.
+        grid = cli.grid_points(ineq, cli.SuiteConfig())
+        n = len(grid)
+        for trials in (1, 12, n - 1, n, n + 1, 2 * n + 5):
+            assert cli._sweep_points(ineq, trials) == [grid[k % n] for k in range(trials)]
+
     def test_grid_lists_are_not_shared(self):
         ineq = IneqId.HAD_MAMAN
         first = cli.grid_points(ineq, cli.SuiteConfig())
@@ -370,6 +380,7 @@ class TestVerify:
         # One trial per stage is the per-trial reference; 50 trials per id
         # cross the default stage boundary.
         argv = ["verify", "--trials", "50", "--variant", "repaired", "--seed", "5"]
+        assert 50 * len(REPAIRABLE) > cli.STAGE
         staged, single = tmp_path / "staged.jsonl", tmp_path / "single.jsonl"
         assert _run(argv + ["--out", str(staged)]) == cli.EXIT_OK
         monkeypatch.setattr(cli, "STAGE", 1)
@@ -434,7 +445,7 @@ class TestFalsify:
     def test_best_line_does_not_depend_on_stage_size(self, monkeypatch, ineq):
         # Budgets on both sides of the default stage boundary, against one
         # trial per stage as the per-trial reference.
-        budgets = (1, 127, 128, 129, 300)
+        budgets = (1, cli.STAGE - 1, cli.STAGE, cli.STAGE + 1)
         config = cli.SuiteConfig(master_seed=1000)
 
         def best_lines():
@@ -449,6 +460,7 @@ class TestFalsify:
         # (the default), with windows below sampler.LANE_MIN (serial words),
         # and with windows just wide enough for lanes.
         budgets = (1, 33, 300)
+        assert budgets[-1] > cli.STAGE
         config = cli.SuiteConfig(master_seed=1001)
 
         def best_lines():
@@ -508,6 +520,7 @@ class TestFalsify:
         # Budget 20 fits one stage (cli.STAGE), so every later evaluate_stage
         # call evaluates refinement steps; each of those steps fails.
         argv = ["falsify", "--id", "HAD_MAMAN", "--budget", "20", "--seed", "3"]
+        assert 20 <= cli.STAGE
         stage = cli.evaluate_stage
         calls = []
 
@@ -901,6 +914,25 @@ class TestListAndConfig:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("i/o error: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--id", "HAD_MAMAN", "--budget", "-1"], "budget must be >= 0, got -1"),
+            (["--id", "WADA", "--variant", "repaired", "--budget", "5"],
+             "WADA defines no repaired variant"),
+        ],
+        ids=["negative_budget", "no_repaired_variant"],
+    )
+    def test_falsify_setting_is_checked_before_out(self, monkeypatch, capsys, argv, message):
+        # A bad budget or variant is a configuration error even when --out
+        # is unusable too: the search's settings are checked before the path.
+        self._no_sampling(monkeypatch)
+        rc = _run(["falsify", *argv, "--out", "/no/such/dir/x.json"])
+        assert rc == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {message}\n"
 
     def test_out_check_keeps_an_existing_report(self, monkeypatch, tmp_path):
         # Checking the path does not truncate a report that a run which

@@ -960,7 +960,7 @@ def test_a_mixed_stage_gives_each_trial_its_lone_links_and_report():
 
 def test_a_failing_builder_constant_is_found_by_halving(monkeypatch):
     # A builder constant that raises fails its stage whole, like every
-    # stacked step: 128 sampled trials (a cli.STAGE) and one HAD_MAMAN
+    # stacked step: a stage of 128 sampled trials and one HAD_MAMAN
     # repaired trial whose band constant divides by m_lo * M_lo = 5e-324 *
     # 0.4, which underflows to 0.  Halving (each_alone) finds it in at most
     # 2 * ceil(log2(129)) + 1 = 17 stage evaluations.

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from callebaut_lab.cli import DEFAULT_BANDS
+from callebaut_lab.cli import DEFAULT_BANDS, STAGE
 from callebaut_lab.errors import DomainError, HypothesisError, ShapeError, each_alone
 from callebaut_lab.inequalities import (
     IneqId,
@@ -388,7 +388,7 @@ def _state(rng):
 
 
 def _window(seed):
-    """300 ``sample_family`` requests, more than two default stages
+    """300 ``sample_family`` requests, more than a default stage
     (``cli.STAGE``): n in 1..3, d in 1..5, pinned and unpinned, across the
     default bands; every fifth stream enters with a cached Gaussian (one
     ``normal()`` drawn first) and every seventh has drawn some words."""
@@ -402,6 +402,7 @@ def _window(seed):
             for _ in range(k % 4):
                 rng.next_u64()
         requests.append((n, d, DEFAULT_BANDS[k % 3], rng, pin))
+    assert len(requests) > STAGE
     return requests
 
 
@@ -877,8 +878,8 @@ class TestEachAlone:
         assert calls == [[1, 0, 4], [1], [0, 4], [0], [4]]
 
     def test_one_failing_item_among_a_stage_is_found_by_halving(self):
-        # One failing item among 128 (cli.STAGE) takes 1 + 2 * log2(128)
-        # stacked calls, not 128 one-item calls, with the results of the
+        # One failing item among 128 takes 1 + 2 * log2(128) stacked
+        # calls, not 128 one-item calls, with the results of the
         # all-alone rule.
         for bad in (0, 37, 127):
             items = [k + 1 for k in range(128)]
