@@ -14,7 +14,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from itertools import groupby, islice, product
+from itertools import groupby, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -139,25 +139,21 @@ def _grid_order(ineq: IneqId) -> np.ndarray:
     return order
 
 
+def _points(ineq: IneqId, positions) -> list:
+    """The grid points (band, n, d, params) at ``positions`` in the product
+    of ``_axes``, as a new list."""
+    axes = _axes(ineq)
+    digits = np.unravel_index(positions, [len(axis) for axis in axes])
+    return list(zip(*([axis[i] for i in d.tolist()] for axis, d in zip(axes, digits))))
+
+
 def grid_points(ineq: IneqId, config: SuiteConfig):
     """Sweep points (band, n, d, params) for one id, params a value of its
     ``ParamKind``, as a new list: the product of ``_axes`` in the order of
     ``_grid_order``, so the witness grid point leads every sweep that can
     express it.  ``config`` is not read; the benchmark passes it.
     """
-    points = list(product(*_axes(ineq)))
-    return [points[k] for k in _grid_order(ineq).tolist()]
-
-
-def _sweep_points(ineq: IneqId, trials: int) -> list:
-    """The grid point of each verify trial ``k < trials``: point ``k % n``
-    of ``grid_points``, n the grid's size.  Only the ``min(trials, n)``
-    points read are built, each from its position in product order."""
-    order = _grid_order(ineq)
-    axes = _axes(ineq)
-    digits = np.unravel_index(order[:trials], [len(axis) for axis in axes])
-    head = list(zip(*([axis[i] for i in d.tolist()] for axis, d in zip(axes, digits))))
-    return [head[k % len(order)] for k in range(trials)]
+    return _points(ineq, _grid_order(ineq))
 
 
 def _combos(config: SuiteConfig):
@@ -277,12 +273,13 @@ def run_verify(config: SuiteConfig):
     started = time.perf_counter()
 
     def work():
-        # _combos lists each id's variants together, so one list of sweep
-        # points serves them all; only the current id's list is held.
+        # _combos lists each id's variants together, so one list of the
+        # grid points read serves them all; only the current id's is held.
         for ineq, id_combos in groupby(_combos(config), key=lambda c: c[0]):
-            points = _sweep_points(ineq, config.trials)
+            points = _points(ineq, _grid_order(ineq)[: config.trials])
             for _, variant in id_combos:
-                for k, point in enumerate(points):
+                for k in range(config.trials):
+                    point = points[k % len(points)]
                     band, n, d, _ = point
                     stream = _trial_stream(ineq, variant, point, k)
                     rng = derive_rng(config.master_seed, stream)

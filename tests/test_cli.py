@@ -292,14 +292,22 @@ class TestVerify:
         assert sorted(keys) == sorted(ineq.value for ineq in IneqId)
 
     @pytest.mark.parametrize("ineq", list(IneqId), ids=lambda i: i.value)
-    def test_sweep_reads_grid_point_k_mod_n(self, ineq):
-        # verify builds only the grid points it reads, from their product
-        # positions; trial k reads grid_points' point k % n, below, at and
-        # beyond the grid's size n.
+    def test_sweep_reads_grid_point_k_mod_n(self, monkeypatch, ineq):
+        # verify builds only the grid points it reads; trial k reads
+        # grid_points' point k % n, below, at and beyond the grid's size n.
         grid = cli.grid_points(ineq, cli.SuiteConfig())
         n = len(grid)
-        for trials in (1, 12, n - 1, n, n + 1, 2 * n + 5):
-            assert cli._sweep_points(ineq, trials) == [grid[k % n] for k in range(trials)]
+        read = []
+
+        def points_read(work, tol):
+            read.append([job.point for job, _ in work])
+            return []
+
+        monkeypatch.setattr(cli, "_combos", lambda config: [(ineq, Variant.PAPER_LITERAL)])
+        monkeypatch.setattr(cli, "_staged", points_read)
+        for trials in (1, 12, n - 1, n, n + 1):
+            cli.run_verify(cli.SuiteConfig(trials=trials))
+            assert read.pop() == [grid[k % n] for k in range(trials)]
 
     def test_grid_lists_are_not_shared(self):
         ineq = IneqId.HAD_MAMAN
@@ -443,9 +451,9 @@ class TestFalsify:
 
     @pytest.mark.parametrize("ineq", [IneqId.HAD_MAMAN, IneqId.TENSOR_TOOL])
     def test_best_line_does_not_depend_on_stage_size(self, monkeypatch, ineq):
-        # Budgets on both sides of the default stage boundary, against one
-        # trial per stage as the per-trial reference.
-        budgets = (1, cli.STAGE - 1, cli.STAGE, cli.STAGE + 1)
+        # Budgets on both sides of the default stage boundary, and one that
+        # crosses two, against one trial per stage as the per-trial reference.
+        budgets = (1, cli.STAGE - 1, cli.STAGE, cli.STAGE + 1, 2 * cli.STAGE + 1)
         config = cli.SuiteConfig(master_seed=1000)
 
         def best_lines():
