@@ -31,7 +31,7 @@ from .inequalities import (
 from .matcore import DEFAULT_TOL
 from .oracle import BUILTIN_WITNESSES, dump_catalog, load_catalog, replay_witnesses
 from .oracle import WITNESS_FAMILY, WITNESS_PAIR
-from .sampler import RngState, SpectralBand, derive_rng, sample_families, sample_matrices
+from .sampler import RngState, SpectralBand, derive_rng, derive_rngs, sample_families, sample_matrices
 from .scalarcore import ExponentPair
 
 EXIT_OK = 0
@@ -49,20 +49,21 @@ DIMS = (1, 2, 3, 4)
 FAMILY_SIZES = (1, 2, 3)
 
 #: Trials that are sampled and then evaluated together, the unit of
-#: ``_staged``: ``sampler.sample_families`` runs their streams as NumPy
-#: lanes, which pay only when many streams draw at once, and one Haar QR
-#: and one eigendecomposition per dimension; ``inequalities.evaluate_stage``
-#: builds each (id, variant, dimension) group's links once, on stacks.  A
-#: stage's draws, families, links and reports are held until the caller
-#: has read them, so this bounds the memory that staging adds.  Each stage
-#: also pays a fixed cost, per-dimension set-up in the stacked steps and
-#: about 120 lane-draw steps, whatever its size.  On a 2-vCPU host, 256
-#: against 128 ran the benchmark's ``sweep`` unit (216 trials) as one stage
-#: and a 500-trial ``falsify`` budget as two, and read 18 % and 9 % more
-#: ``ops_per_s``.  512 read the same on ``sweep`` and 8 % more on
-#: ``falsify``, but that search's peak RSS rose 1.1 MB on HAD_MAMAN and
-#: 2.7 MB on PROOF_CHAIN, and default ``verify``'s 1.7 MB.
-STAGE = 256
+#: ``_staged``: ``sampler.derive_rngs`` seeds their streams and
+#: ``sampler.sample_families`` draws them as NumPy lanes, which pay only
+#: when many streams run at once, and one Haar QR and one
+#: eigendecomposition per dimension; ``inequalities.evaluate_stage`` builds
+#: each (id, variant, dimension) group's links once, on stacks.  A stage's
+#: draws, families, links and reports are held until the caller has read
+#: them, so this bounds the memory that staging adds.  Each stage also pays
+#: a fixed cost, per-dimension set-up in the stacked steps and about 120
+#: lane-draw steps, whatever its size.  512 runs the benchmark's ``sweep``
+#: unit (216 trials) and a 500-trial ``falsify`` budget as one stage each.
+#: Against 256, on a 2-vCPU host, peak RSS over 10 searches or runs in one
+#: process rose 38.9 -> 39.9 MB on HAD_MAMAN ``falsify``, 40.5 -> 43.5 MB
+#: on PROOF_CHAIN and 46.6 -> 49.2 MB on default ``verify``, and not on
+#: ``sweep``; ``SymMatrix`` slots took that back to 39.7, 43.4 and 48.3 MB.
+STAGE = 512
 
 #: Grid point that reproduces the recorded witnesses; kept at the head of
 #: every relevant sweep.
@@ -213,22 +214,29 @@ def _trial_stream(ineq: IneqId, variant: Variant, point, trial: int) -> int:
     return _stable_hash(key)
 
 
-def _staged(work, tol: float):
-    """``(job, family, report)`` for each ``(job, request)`` of the iterable
-    ``work``, in order, where ``request`` is a ``sample_families`` request.
+def _stages(items):
+    """The iterable ``items`` as lists of ``STAGE`` items, the last shorter."""
+    items = iter(items)
+    while stage := list(islice(items, STAGE)):
+        yield stage
 
-    ``STAGE`` jobs at a time are sampled together (``sample_families``)
-    and then evaluated together (``evaluate_stage``).  A family that could
-    not be sampled is the error ``sample_families`` put in its place, and
-    its report is that same error; a trial that raised has its error as its
-    report.  ``work`` is read one stage ahead of the caller; every request
-    draws from its own stream and every trial is measured as it would be
-    alone, so the stage size changes no number.
+
+def _staged(stages, pin: bool, tol: float):
+    """``(job, family, report)`` for each ``(job, rng)`` of each stage of
+    the iterable ``stages``, in order, where the family is ``job``'s grid
+    point's, drawn from ``rng`` (band-edge pinned if ``pin``).
+
+    A stage's families are sampled together (``sample_families``) and then
+    evaluated together (``evaluate_stage``).  A family that could not be
+    sampled is the error ``sample_families`` put in its place, and its
+    report is that same error; a trial that raised has its error as its
+    report.  Each stage is read after the caller has read the previous
+    one's results; every family draws from its own stream and every trial
+    is measured as it would be alone, so the stage size changes no number.
     """
-    work = iter(work)
-    while stage := list(islice(work, STAGE)):
-        jobs, requests = zip(*stage)
-        families = sample_families(requests)
+    for stage in stages:
+        jobs = [job for job, _ in stage]
+        families = sample_families([(j.point[1], j.point[2], j.point[0], rng, pin) for j, rng in stage])
         trials = [(j.ineq, f, j.point[3], j.variant) for j, f in zip(jobs, families)]
         yield from zip(jobs, families, _evaluated(trials, tol))
 
@@ -272,7 +280,7 @@ def run_verify(config: SuiteConfig):
     config.validate()
     started = time.perf_counter()
 
-    def work():
+    def jobs():
         # _combos lists each id's variants together, so one list of the
         # grid points read serves them all; only the current id's is held.
         for ineq, id_combos in groupby(_combos(config), key=lambda c: c[0]):
@@ -280,12 +288,15 @@ def run_verify(config: SuiteConfig):
             for _, variant in id_combos:
                 for k in range(config.trials):
                     point = points[k % len(points)]
-                    band, n, d, _ = point
-                    stream = _trial_stream(ineq, variant, point, k)
-                    rng = derive_rng(config.master_seed, stream)
-                    yield _Job(ineq, variant, point, k, stream), (n, d, band, rng, False)
+                    yield _Job(ineq, variant, point, k, _trial_stream(ineq, variant, point, k))
 
-    lines = [_run_trial(config, job, report) for job, _, report in _staged(work(), config.tol)]
+    def stages():
+        # A stage's streams are seeded together, across its combos.
+        for stage in _stages(jobs()):
+            yield list(zip(stage, derive_rngs(config.master_seed, [job.stream for job in stage])))
+
+    staged = _staged(stages(), False, config.tol)
+    lines = [_run_trial(config, job, report) for job, _, report in staged]
     lines.sort(key=lambda l: (l["id"], l["variant"], l["stream"]))
 
     summary = RunSummary()
@@ -440,19 +451,20 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
     count as better.
     """
     _check_search(ineq, variant, budget, config)
-    points = grid_points(ineq, config)
+    order = _grid_order(ineq)
     best = None  # (rel_gap, job, instance, report)
     failed = 0
 
-    def work():
-        # Each trial draws its grid point from its own stream, then its family.
-        for b in range(budget):
-            stream, rng = _stream(config, f"falsify|{ineq.value}|{variant.value}|trial={b}")
-            point = points[rng.next_u64() % len(points)]
-            band, n, d, _ = point
-            yield _Job(ineq, variant, point, b, stream), (n, d, band, rng, True)
+    def stages():
+        # Each trial draws its grid point from its own stream, then its
+        # family; a stage seeds its streams and builds its points together.
+        for trials in _stages(range(budget)):
+            streams = [_stable_hash(f"falsify|{ineq.value}|{variant.value}|trial={b}") for b in trials]
+            rngs = derive_rngs(config.master_seed, streams)
+            points = _points(ineq, order[[rng.next_u64() % len(order) for rng in rngs]])
+            yield [(_Job(ineq, variant, p, b, s), rng) for p, b, s, rng in zip(points, trials, streams, rngs)]
 
-    for job, instance, report in _staged(work(), config.tol):
+    for job, instance, report in _staged(stages(), True, config.tol):
         if isinstance(report, Exception):
             failed += 1
         elif best is None or report.gap.rel_gap < best[0]:
@@ -612,9 +624,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: ``parse_args`` reads the
+    parser and returns a new namespace, so every call parses alike."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -452,8 +452,10 @@ def _both(*us: float) -> tuple[float, ...]:
     return tuple(v for u in us for v in (u, 1.0 - u))
 
 
-_REGISTRY: dict[IneqId, InequalityInfo] = {
-    info.ineq: info
+#: Each id's record, keyed by member name: a member key would hash
+#: through Python-level ``Enum.__hash__`` on every lookup.
+_REGISTRY: dict[str, InequalityInfo] = {
+    info.ineq._name_: info
     for info in (
         InequalityInfo(
             IneqId.WADA,
@@ -611,20 +613,20 @@ _REGISTRY: dict[IneqId, InequalityInfo] = {
 
 #: Ids that define a REPAIRED variant; requesting it elsewhere is an error.
 REPAIRABLE = frozenset(
-    i for i, info in _REGISTRY.items() if Variant.REPAIRED in info.variants
+    info.ineq for info in _REGISTRY.values() if Variant.REPAIRED in info.variants
 )
 
 #: Hadamard-sum ids, i.e. the family-shaped ones.
-HADAMARD_SUM_IDS = tuple(i for i in IneqId if not _REGISTRY[i].takes_pair)
+HADAMARD_SUM_IDS = tuple(i for i in IneqId if not _REGISTRY[i._name_].takes_pair)
 
 
 def list_inequalities() -> tuple[InequalityInfo, ...]:
     """Static registry dump, one entry per operator inequality id."""
-    return tuple(_REGISTRY[i] for i in IneqId)
+    return tuple(_REGISTRY[i._name_] for i in IneqId)
 
 
 def inequality_info(ineq: IneqId) -> InequalityInfo:
-    return _REGISTRY[ineq]
+    return _REGISTRY[ineq._name_]
 
 
 def build_links(
@@ -670,7 +672,7 @@ def _build_stage(trials) -> tuple[list, list]:
     """
     # Each trial's record is looked up once; every later step reads
     # (info, family, params, variant).
-    staged = [(_REGISTRY[ineq], family, params, variant) for ineq, family, params, variant in trials]
+    staged = [(_REGISTRY[ineq._name_], family, params, variant) for ineq, family, params, variant in trials]
     # Every band check of the stage runs on one stack per dimension.
     banded = {id(f): f for info, f, _, _ in staged
               if isinstance(f, FamilyInstance) and info.needs_band}

@@ -58,17 +58,16 @@ class SymMatrix:
     matrix built by ``stack`` also holds a reference to its stack's arrays
     and its row there, outside the dataclass fields, so equality and
     ``repr`` ignore them.  Nothing is written to an instance after its
-    constructor returns.
+    constructor returns.  Instances have slots, not a ``__dict__``; copies
+    and pickles carry all three slots, with the arrays read-only.
     """
 
-    array: np.ndarray
+    #: ``_stack`` and ``_row`` are the read-only ``(entries, eigenvalues,
+    #: eigenvectors)`` of the ``stack`` call that built this matrix and its
+    #: row in them, None for any other matrix; they are not dataclass fields.
+    __slots__ = ("array", "_stack", "_row")
 
-    #: The read-only ``(entries, eigenvalues, eigenvectors)`` of the
-    #: ``stack`` call that built this matrix, and its row in them; None for
-    #: any other matrix.  Left unannotated so that they are not dataclass
-    #: fields.
-    _stack = None
-    _row = None
+    array: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.array, dtype=np.float64)
@@ -76,7 +75,23 @@ class SymMatrix:
             raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ShapeError("dimension must be at least 1")
-        object.__setattr__(self, "array", _symmetrized(arr))
+        self._fill(_symmetrized(arr))
+
+    def _fill(self, array: np.ndarray, stack: tuple | None = None, row: int | None = None):
+        """Set the three slots of a new instance; returns it."""
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_row", row)
+        return self
+
+    def __getstate__(self):
+        return self.array, self._stack, self._row
+
+    def __setstate__(self, state):
+        # A deep copy or an unpickled array is writeable; make it read-only.
+        for x in (state[0], *(state[1] or ())):
+            x.flags.writeable = False
+        self._fill(*state)
 
     @classmethod
     def _exact(cls, arr: np.ndarray) -> "SymMatrix":
@@ -87,9 +102,7 @@ class SymMatrix:
         """
         _finite(arr)
         arr.flags.writeable = False
-        m = object.__new__(cls)
-        object.__setattr__(m, "array", arr)
-        return m
+        return object.__new__(cls)._fill(arr)
 
     @classmethod
     def stack(cls, arrays: np.ndarray) -> list["SymMatrix"]:
@@ -106,12 +119,7 @@ class SymMatrix:
             raise ShapeError("dimension must be at least 1")
         sym = _symmetrized(arr)
         stack = (sym, *_eigh_stack(sym))
-        out = []
-        for row, x in enumerate(sym):
-            m = object.__new__(cls)
-            vars(m).update(array=x, _stack=stack, _row=row)
-            out.append(m)
-        return out
+        return [object.__new__(cls)._fill(x, stack, row) for row, x in enumerate(sym)]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -45,6 +45,14 @@ _EPS = 2.0 ** -53
 _U5, _U7, _U9, _U11, _U19, _U57 = (np.uint64(c) for c in (5, 7, 9, 11, 19, 57))
 _SHIFTS = np.array([[17], [45]], dtype=np.uint64)
 
+# The ``uint64`` constants of the lane seeding (``derive_rngs``): the
+# splitmix64 shifts and multipliers, GOLDEN, and k * GOLDEN for k = 1..4.
+_U27, _U30, _U31 = (np.uint64(c) for c in (27, 30, 31))
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_UGOLDEN = np.uint64(_GOLDEN)
+_GOLDENS = tuple(k * _GOLDEN for k in range(1, 5))
+_UGOLDENS = np.array([[g & _MASK] for g in _GOLDENS], dtype=np.uint64)
+
 
 def _mix64(z: int) -> int:
     """splitmix64 output mix."""
@@ -109,14 +117,44 @@ def derive_rng(master_seed: int, stream_id: int) -> RngState:
 
     Identical arguments give an identical stream regardless of evaluation
     order; distinct stream ids decorrelate through two splitmix64 mixes.
+    This is the one-stream case of ``derive_rngs``.
     """
-    z = _mix64(master_seed & _MASK)
-    z = _mix64((z ^ (((stream_id & _MASK) * _GOLDEN) & _MASK)) + _GOLDEN)
-    s = []
-    for _ in range(4):
-        z = (z + _GOLDEN) & _MASK
-        s.append(_mix64(z))
-    return RngState(*s)
+    (rng,) = derive_rngs(master_seed, (stream_id,))
+    return rng
+
+
+def _mix_lanes(z: np.ndarray) -> np.ndarray:
+    """``_mix64`` on every entry of the ``uint64`` array ``z``, in place."""
+    z ^= z >> _U30
+    z *= _MIX1
+    z ^= z >> _U27
+    z *= _MIX2
+    z ^= z >> _U31
+    return z
+
+
+def derive_rngs(master_seed: int, stream_ids: Sequence[int]) -> list[RngState]:
+    """``derive_rng(master_seed, s)`` for each ``s`` of ``stream_ids``, in
+    order, with the master seed mixed once.
+
+    From ``LANE_MIN`` streams on, the stream mix and the four state words
+    run on every stream at once as NumPy ``uint64`` lanes, whose arithmetic
+    wraps modulo 2^64 as ``docs/rng.md`` requires; below it, on Python ints,
+    one stream at a time.  ``RngState`` applies the all-zero guard.
+    """
+    base = _mix64(master_seed & _MASK)
+    if len(stream_ids) < LANE_MIN:
+        out = []
+        for stream_id in stream_ids:
+            z = _mix64((base ^ (((stream_id & _MASK) * _GOLDEN) & _MASK)) + _GOLDEN)
+            out.append(RngState(*[_mix64(z + g) for g in _GOLDENS]))
+        return out
+    z = np.array([s & _MASK for s in stream_ids], dtype=np.uint64)
+    z *= _UGOLDEN
+    z ^= np.uint64(base)
+    z += _UGOLDEN
+    words = _mix_lanes(_UGOLDENS + _mix_lanes(z))  # (4, lanes)
+    return [RngState(*s) for s in words.T.tolist()]
 
 
 @dataclass(frozen=True)

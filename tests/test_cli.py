@@ -299,8 +299,8 @@ class TestVerify:
         n = len(grid)
         read = []
 
-        def points_read(work, tol):
-            read.append([job.point for job, _ in work])
+        def points_read(stages, pin, tol):
+            read.append([job.point for stage in stages for job, _ in stage])
             return []
 
         monkeypatch.setattr(cli, "_combos", lambda config: [(ineq, Variant.PAPER_LITERAL)])
@@ -385,10 +385,10 @@ class TestVerify:
         assert exc.value.code == cli.EXIT_CONFIG
 
     def test_report_does_not_depend_on_stage_size(self, monkeypatch, tmp_path):
-        # One trial per stage is the per-trial reference; 50 trials per id
+        # One trial per stage is the per-trial reference; 100 trials per id
         # cross the default stage boundary.
-        argv = ["verify", "--trials", "50", "--variant", "repaired", "--seed", "5"]
-        assert 50 * len(REPAIRABLE) > cli.STAGE
+        argv = ["verify", "--trials", "100", "--variant", "repaired", "--seed", "5"]
+        assert 100 * len(REPAIRABLE) > cli.STAGE
         staged, single = tmp_path / "staged.jsonl", tmp_path / "single.jsonl"
         assert _run(argv + ["--out", str(staged)]) == cli.EXIT_OK
         monkeypatch.setattr(cli, "STAGE", 1)
@@ -463,11 +463,35 @@ class TestFalsify:
         monkeypatch.setattr(cli, "STAGE", 1)
         assert best_lines() == staged
 
+    @pytest.mark.parametrize("ineq", [IneqId.HAD_MAMAN, IneqId.WADA])
+    def test_budget_trial_reads_the_grid_point_of_its_first_word(self, monkeypatch, ineq):
+        # falsify builds only the grid points its trials pick: budget trial b
+        # reads grid_points' point w mod n, w the first word of its stream,
+        # and samples on from the second word, across a stage boundary.
+        grid = cli.grid_points(ineq, cli.SuiteConfig())
+        config = cli.SuiteConfig(master_seed=4)
+        read = []
+
+        def jobs_read(stages, pin, tol):
+            assert pin
+            read.extend(item for stage in stages for item in stage)
+            return []
+
+        monkeypatch.setattr(cli, "_staged", jobs_read)
+        budget = cli.STAGE + 3
+        assert cli.run_falsify(ineq, Variant.PAPER_LITERAL, budget, config) == (None, 0)
+        assert [job.trial for job, _ in read] == list(range(budget))
+        for job, rng in read:
+            stream, ref = cli._stream(config, f"falsify|{ineq.value}|paper|trial={job.trial}")
+            assert (job.ineq, job.variant, job.stream) == (ineq, Variant.PAPER_LITERAL, stream)
+            assert job.point == grid[ref.next_u64() % len(grid)]
+            assert (rng._s0, rng._s1, rng._s2, rng._s3) == (ref._s0, ref._s1, ref._s2, ref._s3)
+
     def test_best_line_does_not_depend_on_draw_window(self, monkeypatch):
         # Budgets across the default draw window (the stage), drawn as lanes
         # (the default), with windows below sampler.LANE_MIN (serial words),
         # and with windows just wide enough for lanes.
-        budgets = (1, 33, 300)
+        budgets = (1, 33, 600)
         assert budgets[-1] > cli.STAGE
         config = cli.SuiteConfig(master_seed=1001)
 
@@ -870,6 +894,18 @@ class TestListAndConfig:
         with pytest.raises(SystemExit) as exc:
             _run(["verify", "--no-such-flag"])
         assert exc.value.code == cli.EXIT_CONFIG
+
+    def test_one_parser_per_process_parses_like_a_fresh_one(self, capsys):
+        # main builds its parser once; an error exit and other subcommands
+        # in between leave each parse equal to a fresh parser's.
+        argv = ["falsify", "--id", "HAD_MAMAN", "--budget", "3", "--seed", "2"]
+        assert cli._parser() is cli._parser()
+        fresh = cli.build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            _run(["verify", "--workers", "2"])
+        assert _run(["list"]) == cli.EXIT_OK
+        again = cli._parser().parse_args(argv)
+        assert vars(again) == vars(fresh) and again is not fresh
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     @pytest.mark.parametrize(

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -43,8 +46,10 @@ def _bits_equal(x, y):
 
 
 def _attributes(obj):
-    """The instance attributes of ``obj``, each by the identity of its value."""
-    return {name: id(value) for name, value in vars(obj).items()}
+    """The instance attributes of ``obj``, its slots or its ``__dict__``, each
+    by the identity of its value."""
+    names = getattr(obj, "__slots__", None) or vars(obj)
+    return {name: id(getattr(obj, name)) for name in names}
 
 
 def _reference_eigen(arr):
@@ -105,6 +110,33 @@ class TestSymMatrix:
         assert a._stack is not None and b._stack is None
         assert a == b and b == a and repr(a) == repr(b)
         assert a != a * 2.0
+
+    def test_slots_survive_copy_deepcopy_and_pickle(self):
+        # Instances have slots, no __dict__.  A copy, a deep copy and a
+        # pickle round trip of a stacked and of a public matrix keep every
+        # slot: equal entries, the same repr, read-only arrays, a stacked
+        # matrix's row and its decomposition's bits, and assignment is refused.
+        rng = np.random.default_rng(9)
+        stacked = SymMatrix.stack(rng.standard_normal((3, 4, 4)))[1]
+        public = _rand_sym(3, rng)
+        for m in (stacked, public):
+            assert not hasattr(m, "__dict__")
+            e = sym_eigen(m)
+            for c in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+                assert type(c) is SymMatrix and not hasattr(c, "__dict__")
+                assert c == m and repr(c) == repr(m)
+                assert c._row == m._row and (c._stack is None) == (m._stack is None)
+                assert not c.array.flags.writeable
+                for x in c._stack or ():
+                    assert not x.flags.writeable
+                got = sym_eigen(c)
+                assert _bits_equal(got.eigenvalues, e.eigenvalues)
+                assert _bits_equal(got.eigenvectors, e.eigenvectors)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    c.array = m.array
+        deep = copy.deepcopy(stacked)
+        assert deep.array is not stacked.array and deep._stack[0] is not stacked._stack[0]
+        assert copy.copy(stacked)._stack is stacked._stack
 
 
 class TestSymEigen:

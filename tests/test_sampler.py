@@ -65,6 +65,61 @@ class TestRng:
         assert abs(mean) < 0.05 and 0.9 < var < 1.1
 
 
+_M64, _GOLDEN = (1 << 64) - 1, 0x9E3779B97F4A7C15
+
+
+def _docs_mix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _docs_state(master_seed, stream_id):
+    """The four state words of ``docs/rng.md``'s "Stream derivation", on
+    Python ints, one mix at a time."""
+    z = _docs_mix64(master_seed & _M64)
+    z = _docs_mix64(((z ^ ((stream_id * _GOLDEN) & _M64)) + _GOLDEN) & _M64)
+    words = []
+    for _ in range(4):
+        z = (z + _GOLDEN) & _M64
+        words.append(_docs_mix64(z))
+    return tuple(words)
+
+
+class TestDeriveRngs:
+    """``derive_rngs`` seeds many streams at once, on lanes from
+    ``LANE_MIN`` streams on: every stream must get ``derive_rng``'s state."""
+
+    @pytest.mark.parametrize("master_seed", [0, 1, (1 << 64) - 1])
+    @pytest.mark.parametrize("count", [1, sampler.LANE_MIN - 1, sampler.LANE_MIN, 600])
+    def test_every_stream_gets_derive_rngs_words(self, master_seed, count):
+        edges = [0, 1 << 63, (1 << 64) - 1]
+        ids = (edges + [(k * 0x2545F4914F6CDD1D) & _M64 for k in range(count)])[:count]
+        rngs = sampler.derive_rngs(master_seed, ids)
+        assert len(rngs) == count and len({id(r) for r in rngs}) == count
+        for stream_id, rng in zip(ids, rngs):
+            alone = derive_rng(master_seed, stream_id)
+            assert _state(rng) == _state(alone) == (*_docs_state(master_seed, stream_id), None)
+            assert [rng.next_u64() for _ in range(4)] == [alone.next_u64() for _ in range(4)]
+
+    def test_ids_are_read_modulo_2_to_the_64(self):
+        # As in derive_rng, on both paths.
+        for count in (1, sampler.LANE_MIN):
+            got = sampler.derive_rngs(7, [-1, 1 << 64, (1 << 65) + 3] * count)
+            want = sampler.derive_rngs(7, [(1 << 64) - 1, 0, 3] * count)
+            assert [_state(r) for r in got] == [_state(r) for r in want]
+
+    def test_all_zero_guard_applies_on_both_paths(self, monkeypatch):
+        # With every mix forced to 0 each state would be all zero, which
+        # xoshiro256** cannot leave; RngState puts GOLDEN in its first word.
+        monkeypatch.setattr(sampler, "_mix64", lambda z: 0)
+        monkeypatch.setattr(sampler, "_mix_lanes", lambda z: z & np.uint64(0))
+        for count in (1, sampler.LANE_MIN - 1, sampler.LANE_MIN, 600):
+            rngs = sampler.derive_rngs(3, range(count))
+            assert {_state(r) for r in rngs} == {(_GOLDEN, 0, 0, 0, None)}
+        assert _state(derive_rng(3, 4)) == (_GOLDEN, 0, 0, 0, None)
+
+
 class TestHaar:
     def test_dim_one_is_sign(self):
         q = haar_orthogonal(1, derive_rng(1, 1))
@@ -388,12 +443,12 @@ def _state(rng):
 
 
 def _window(seed):
-    """300 ``sample_family`` requests, more than a default stage
+    """600 ``sample_family`` requests, more than a default stage
     (``cli.STAGE``): n in 1..3, d in 1..5, pinned and unpinned, across the
     default bands; every fifth stream enters with a cached Gaussian (one
     ``normal()`` drawn first) and every seventh has drawn some words."""
     requests = []
-    for k in range(300):
+    for k in range(600):
         n, d, pin = 1 + k % 3, 1 + (k // 3) % 5, (k // 15) % 2 == 0
         rng = derive_rng(seed, k)
         if k % 5 == 0:
@@ -519,8 +574,10 @@ def _bits(x):
 
 
 def _attributes(obj):
-    """The instance attributes of ``obj``, each by the identity of its value."""
-    return {name: id(value) for name, value in vars(obj).items()}
+    """The instance attributes of ``obj``, its slots or its ``__dict__``, each
+    by the identity of its value."""
+    names = getattr(obj, "__slots__", None) or vars(obj)
+    return {name: id(getattr(obj, name)) for name in names}
 
 
 def _stage_trials(seed):
