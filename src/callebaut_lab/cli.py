@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import groupby, islice
 from typing import NamedTuple
 
@@ -31,7 +31,8 @@ from .inequalities import (
 from .matcore import DEFAULT_TOL
 from .oracle import BUILTIN_WITNESSES, dump_catalog, load_catalog, replay_witnesses
 from .oracle import WITNESS_FAMILY, WITNESS_PAIR
-from .sampler import RngState, SpectralBand, derive_rng, derive_rngs, sample_families, sample_matrices
+from .sampler import FamilyInstance, RngState, SpectralBand, derive_rng, derive_rngs, sample_families
+from .sampler import sample_matrices
 from .scalarcore import ExponentPair
 
 EXIT_OK = 0
@@ -455,11 +456,13 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
     best = None  # (rel_gap, job, instance, report)
     failed = 0
 
+    key = f"falsify|{ineq.value}|{variant.value}|trial="  # a budget trial's stream key, less its index
+
     def stages():
         # Each trial draws its grid point from its own stream, then its
         # family; a stage seeds its streams and builds its points together.
         for trials in _stages(range(budget)):
-            streams = [_stable_hash(f"falsify|{ineq.value}|{variant.value}|trial={b}") for b in trials]
+            streams = [_stable_hash(f"{key}{b}") for b in trials]
             rngs = derive_rngs(config.master_seed, streams)
             points = _points(ineq, order[[rng.next_u64() % len(order) for rng in rngs]])
             yield [(_Job(ineq, variant, p, b, s), rng) for p, b, s, rng in zip(points, trials, streams, rngs)]
@@ -493,7 +496,9 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
                 else:
                     mats = list(getattr(instance, attr))
                     mats[j] = matrix
-                    instance = replace(instance, **{attr: tuple(mats)})
+                    a, b = (tuple(mats), instance.B_list) if attr == "A_list" else (instance.A_list, tuple(mats))
+                    # The redrawn matrix has the family's dimension: no field needs a check.
+                    instance = FamilyInstance._of(instance.n, instance.dim, a, b, instance.band)
             steps.append((_Job(ineq, variant, point, -1, stream), instance))
         trials = [(ineq, instance, job.point[3], variant) for job, instance in steps]
         for (job, instance), report in zip(steps, _evaluated(trials, config.tol)):

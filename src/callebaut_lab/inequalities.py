@@ -2,19 +2,20 @@
 and their evaluation.
 
 Each statement is defined once, by its registry record: its text, variants,
-hypotheses and parameter kind, its link builder and the sums the builder
-reads.  A builder takes a ``_Group``, the built trials of one stage
-that share an id, a variant and a dimension.  It computes its per-trial
-constants (weights and coefficients) in Python, one trial at a time (a
-constant that raises fails the stage, like any stacked step), and
-makes its ``(name, LHS, RHS)`` links, with ``LHS <= RHS`` claimed, as
-``(k, D, D)`` stacks from the sums the stage stored, with the constants as
-``(k, 1, 1)`` columns.  Each expression keeps the association and order of
-the one-matrix form, so every entry is the one the trial gets alone.
-PROP_HBOUNDS reads the literal bound's bare scalars as multiples of the
-identity; its repaired form carries the scalar bound on ``S(1/2)``.  README
-describes the variants, the parameter kinds, stacked evaluation and its one
-failure rule.
+hypotheses and parameter kind, its link builder and the weights of the
+sums the builder reads, each declared once by name.  A builder takes a
+``_Group``, the built trials of one stage that share an id, a variant and
+a dimension.  It reads the sums the stage stored for the group's weight
+columns by name, computes its per-trial constants (Kantorovich weights and
+coefficients) in Python, one trial at a time (a constant that raises fails
+the stage, like any stacked step), and makes its ``(name, LHS, RHS)``
+links, with ``LHS <= RHS`` claimed, as ``(k, D, D)`` stacks, with the
+constants as ``(k, 1, 1)`` columns.  Each expression keeps the association
+and order of the one-matrix form, so every entry is the one the trial gets
+alone.  PROP_HBOUNDS reads the literal bound's bare scalars as multiples of
+the identity; its repaired form carries the scalar bound on ``S(1/2)``.
+README describes the variants, the parameter kinds, stacked evaluation and
+its one failure rule.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial, reduce
+from operator import attrgetter
 from typing import Any, Callable
 
 import numpy as np
@@ -51,6 +53,8 @@ from .scalarcore import (
     kantorovich_min_over_interval,
     printed_weight,
 )
+
+_new = object.__new__
 
 
 class IneqId(Enum):
@@ -80,6 +84,17 @@ class LinkReport:
     name: str
     gap: LoewnerGap
 
+    @staticmethod
+    def _of(name: str, gap: LoewnerGap) -> "LinkReport":
+        """``LinkReport(name, gap)``, its ``__dict__`` filled by plain stores
+        in field order rather than the frozen dataclass's per-field
+        ``object.__setattr__``: an equal instance."""
+        link = _new(LinkReport)
+        fields = link.__dict__
+        fields["name"] = name
+        fields["gap"] = gap
+        return link
+
 
 @dataclass(frozen=True)
 class IneqReport:
@@ -99,6 +114,23 @@ class IneqReport:
     lhs_norm: float
     rhs_norm: float
     family: FamilyInstance = field(compare=False, repr=False)
+
+    @staticmethod
+    def _of(ineq, variant, params, links, gap, lhs_norm, rhs_norm, family) -> "IneqReport":
+        """``IneqReport(...)`` of the fields in their order, filled into its
+        ``__dict__`` by plain stores rather than the frozen dataclass's
+        per-field ``object.__setattr__``: an equal instance."""
+        report = _new(IneqReport)
+        fields = report.__dict__
+        fields["ineq"] = ineq
+        fields["variant"] = variant
+        fields["params"] = params
+        fields["links"] = links
+        fields["gap"] = gap
+        fields["lhs_norm"] = lhs_norm
+        fields["rhs_norm"] = rhs_norm
+        fields["family"] = family
+        return report
 
     @property
     def satisfied(self) -> bool:
@@ -160,13 +192,33 @@ ALPHA_KIND = ParamKind(
 
 
 @dataclass(frozen=True)
+class Weights:
+    """The stored sums one variant's builder reads, each weight declared
+    once, by name.  The builder reads a name of ``S`` as ``g.S(name)``, the
+    paper's ``S(u)`` at the declared ``u``, and a name of ``sums`` as
+    ``g.sums(name)``, the stored sum at the declared weight itself.  A
+    weight is a float, or a function of the trial's params that gives one
+    (a pair's power sum in ``sums``: a ``(p, q)`` tuple).  The record's
+    ``source`` says what a weight stores; README, "Stacked links", lists
+    the forms."""
+
+    S: dict = field(default_factory=dict)
+    sums: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class InequalityInfo:
     """One statement's record.  Outside ``==`` and ``repr`` it holds the
-    link builder and the keys of the sums it reads for ``(params,
-    variant)``, the only sums a stage stores for it: mean weights
-    (``means``, ``u`` and ``1 - u`` for each family ``S(u)``) or power sums
-    (``powers``: a pair's ``(p, q)`` is ``A^p x B^q + A^q x B^p``, so its
-    ``S(u)`` is ``(u, 1 - u)``; COR_BJ_IDENTITY's ``u`` is ``sum_j A_j^u``)."""
+    link builder and the weights of the sums it reads, the only sums a
+    stage stores for it, declared once by name (``Weights``): ``weights``
+    is one ``Weights`` for every variant, or a dict of one per variant, and
+    the record keeps it as a dict keyed by the variant's member name.
+
+    ``source`` is ``"means"``, the mean sums ``sum_j A_j #_w B_j``, whose
+    ``S(u)`` is the Hadamard product of the sums at ``u`` and ``1 - u``; or
+    ``"powers"``, ``A^p x B^q + A^q x B^p`` of a pair at ``(p, q)``, whose
+    ``S(u)`` is the sum at ``(u, 1 - u)``, and ``sum_j A_j^u`` of a family
+    at ``u`` (COR_BJ_IDENTITY, which reads no ``S``)."""
 
     ineq: IneqId
     description: str
@@ -176,49 +228,73 @@ class InequalityInfo:
     needs_band: bool
     kind: ParamKind
     build: Callable[[_Group], list] = field(compare=False, repr=False)
-    means: Callable[[Any, Variant], tuple] | None = field(default=None, compare=False, repr=False)
-    powers: Callable[[Any, Variant], tuple] | None = field(default=None, compare=False, repr=False)
+    source: str = field(default="means", compare=False, repr=False)
+    weights: Any = field(default_factory=Weights, compare=False, repr=False)
+
+    def __post_init__(self):
+        each = self.weights if isinstance(self.weights, dict) else dict.fromkeys(self.variants, self.weights)
+        object.__setattr__(self, "weights", {v._name_: w for v, w in each.items()})
 
 
-class _Sums:
-    """The sums a stage stored for its builders, kept for one evaluation:
-    blocks of ``(r, D, D)`` stacks per dimension ``D``, and the place of
-    the sum of each ``(trial, key)``."""
+class UndeclaredWeightError(LookupError):
+    """A builder read a weight name that its record does not declare for
+    the variant; a defect of the registry, not of a trial."""
 
-    def __init__(self):
-        self._blocks: dict[int, list] = {}
-        self._rows: dict = {}
-        self._tables: dict = {}
 
-    def add(self, block: np.ndarray, keys):
-        """Store ``block[r]`` as the sum of ``keys[r]``."""
-        d = block.shape[-1]
-        blocks = self._blocks.setdefault(d, [])
-        first = sum(map(len, blocks))
-        self._rows.update((key, (d, r)) for r, key in enumerate(keys, first))
-        blocks.append(block)
-
-    def gather(self, keys) -> np.ndarray:
-        """The stored sums of ``keys``, one dimension, as a new stack."""
-        rows = [self._rows[key] for key in keys]
-        d = rows[0][0]
-        if d not in self._tables:
-            self._tables[d] = np.concatenate(self._blocks[d])
-        return self._tables[d].take([r for _, r in rows], axis=0)
+def _column(weight, params) -> np.ndarray:
+    """A declared weight of every trial, one row per trial."""
+    if callable(weight):
+        return np.array(list(map(weight, params)), dtype=np.float64)
+    return np.full(len(params), weight, dtype=np.float64)
 
 
 class _Group:
     """The trials ``ks`` of one stage that share an id, a variant and a
     dimension, as their builder reads them: each read gives one row per
-    trial or raises.  ``S(u)`` is
-    ``A^u x B^(1-u) + A^(1-u) x B^u`` for a pair (the stored sum ``(u, 1 -
-    u)``) and ``sum(A_j #_u B_j) o sum(A_j #_(1-u) B_j)`` for a family."""
+    trial or raises.
 
-    def __init__(self, info: InequalityInfo, variant, ks, trials, sums: _Sums):
-        self.info, self.variant, self.ks, self._sums = info, variant, ks, sums
+    The group evaluates each declared weight of its record once, as a
+    column with one row per trial, and keeps the distinct columns
+    (``columns``): a column equal to another bit for bit on every row, as
+    ``1/2`` and ``1 - 1/2`` are, is kept once.  The stage stores one
+    ``(k, D, D)`` sum per column in ``stored``, and ``S`` and ``sums`` read
+    them by name."""
+
+    def __init__(self, info: InequalityInfo, variant, ks, trials):
+        self.info, self.variant, self.ks = info, variant, ks
         self.params = [trials[k][2] for k in ks]
         self.families = [trials[k][1] for k in ks]
         self.dim = self.families[0].dim
+        self.columns: list[np.ndarray] = []
+        self.stored = None
+        self._at: dict[tuple, Any] = {}  # (read, name) -> the place of its column(s)
+        seen: dict[bytes, int] = {}
+
+        def place(col):
+            key = col.tobytes()
+            if key not in seen:
+                seen[key] = len(self.columns)
+                self.columns.append(col)
+            return seen[key]
+
+        weights = info.weights[variant._name_]
+        for name, weight in weights.S.items():
+            u = _column(weight, self.params)
+            if info.source == "means":
+                self._at["S", name] = (place(u), place(1.0 - u))
+            else:
+                self._at["S", name] = place(np.stack([u, 1.0 - u], axis=1))
+        for name, weight in weights.sums.items():
+            self._at["sums", name] = place(_column(weight, self.params))
+
+    def _place(self, read: str, name: str):
+        try:
+            return self._at[read, name]
+        except KeyError:
+            raise UndeclaredWeightError(
+                f"{self.info.ineq.value}/{self.variant.value} reads {read}({name!r}), "
+                "which its record does not declare"
+            ) from None
 
     def cols(self, fn):
         """``fn(params, family)`` of each trial as a ``(k, 1, 1)`` column,
@@ -232,20 +308,21 @@ class _Group:
         arr = np.array(values, dtype=np.float64)
         return arr[:, None, None] if arr.ndim == 1 else tuple(arr.T[:, :, None, None])
 
-    def sums(self, key) -> np.ndarray:
-        """The stored sum ``key(params)`` of each trial."""
-        return self._sums.gather([(k, key(p)) for k, p in zip(self.ks, self.params)])
+    def sums(self, name: str) -> np.ndarray:
+        """The stored sum of the declared weight ``name`` of each trial."""
+        return self.stored[self._place("sums", name)]
 
-    def S(self, u) -> np.ndarray:
-        """``S(u(params))`` of each trial.  A family's ``S`` that is not
-        finite raises ``DomainError`` here, where a builder reads it, before
-        any constant that the builder computes after it."""
-        us = [u(p) for p in self.params]
-        if self.info.takes_pair:
-            return self._sums.gather([(k, (x, 1.0 - x)) for k, x in zip(self.ks, us)])
-        both = self._sums.gather([(k, x) for k, x in zip(self.ks, us)]
-                                 + [(k, 1.0 - x) for k, x in zip(self.ks, us)])
-        return _finite(both[: len(us)] * both[len(us) :])
+    def S(self, name: str) -> np.ndarray:
+        """``S(u)`` of each trial, ``u`` the declared weight ``name``:
+        ``A^u x B^(1-u) + A^(1-u) x B^u`` for a pair (the stored sum ``(u, 1 -
+        u)``) and ``sum(A_j #_u B_j) o sum(A_j #_(1-u) B_j)`` for a family.
+        A family's ``S`` that is not finite raises ``DomainError`` here,
+        where a builder reads it, before any constant that the builder
+        computes after it."""
+        at = self._place("S", name)
+        if isinstance(at, tuple):
+            return _finite(self.stored[at[0]] * self.stored[at[1]])
+        return self.stored[at]
 
     def plain(self, side: str) -> np.ndarray:
         """``sum_j A_j`` (``side="A_list"``) or ``sum_j B_j`` of each trial,
@@ -289,9 +366,7 @@ def _hadamard_weight(band, pair: ExponentPair, variant: Variant, sign: float) ->
 
 def _links_wada(g: _Group):
     a, b = g.plain("A_list"), g.plain("B_list")
-    mid_g = g.sums(lambda alpha: 0.5)
-    gl = g.sums(float)
-    gr = g.sums(lambda alpha: 1.0 - float(alpha))
+    mid_g, gl, gr = g.sums("half"), g.sums("alpha"), g.sums("rest")
     low = kron_arrays(mid_g, mid_g)
     mid = (kron_arrays(gl, gr) + kron_arrays(gr, gl)) * 0.5
     high = (kron_arrays(a, b) + kron_arrays(b, a)) * 0.5
@@ -299,7 +374,7 @@ def _links_wada(g: _Group):
 
 
 def _links_chain_34rf(g: _Group):
-    l0, ss, st = g.S(lambda p: 0.5), g.S(lambda p: p.s), g.S(lambda p: p.t)
+    l0, ss, st = g.S("half"), g.S("s"), g.S("t")
     top = g.plain("A_list") * g.plain("B_list")
     return [("geo_vs_s", l0, ss), ("s_vs_t", ss, st), ("t_vs_sums", st, top)]
 
@@ -315,14 +390,14 @@ def _moj_mo_coefficient(pair: ExponentPair, family) -> float:
 
 def _links_moj_mo(g: _Group):
     c = g.cols(_moj_mo_coefficient)
-    ss, l0 = g.S(lambda p: p.s), g.S(lambda p: 0.5)
+    ss, l0 = g.S("s"), g.S("half")
     mid = ss + c * (ss - l0)
-    return [("s_vs_mid", ss, mid), ("mid_vs_t", mid, g.S(lambda p: p.t))]
+    return [("s_vs_mid", ss, mid), ("mid_vs_t", mid, g.S("t"))]
 
 
 def _links_refinement(weight, g: _Group):
     """``K^r' S(s) + c_mid (S(t) - S(1/2)) <= S(t)`` with the id's ``weight``."""
-    ss, st, l0 = g.S(lambda p: p.s), g.S(lambda p: p.t), g.S(lambda p: 0.5)
+    ss, st, l0 = g.S("s"), g.S("t"), g.S("half")
     kf, c_mid = g.cols(lambda p, f: (weight(f.band, p, g.variant, 1.0), p.c_mid))
     return [("main", kf * ss + c_mid * (st - l0), st)]
 
@@ -330,7 +405,7 @@ def _links_refinement(weight, g: _Group):
 def _links_reverse(weight, g: _Group):
     """``S(t) <= K^-r' S(s) + c_rev (S(t) - S(1/2))`` with the id's ``weight``."""
     repaired = g.variant == Variant.REPAIRED
-    ss, st, l0 = g.S(lambda p: p.s), g.S(lambda p: p.t), g.S(lambda p: 0.5)
+    ss, st, l0 = g.S("s"), g.S("t"), g.S("half")
     coeff, kf = g.cols(lambda p, f: (
         p.c_rev_repair if repaired else p.c_rev_paper, weight(f.band, p, g.variant, -1.0)))
     return [("main", st, kf * ss + coeff * (st - l0))]
@@ -368,11 +443,11 @@ def _links_proof_chain(g: _Group):
     one_mu = g.cols(lambda c, f: 1.0 - c.mu)
 
     # G_e = A^e x B^-e + swap, and H_e = A^(1+e) x B^(1-e) + swap.
-    g_al = g.sums(lambda c: (c.alpha, -c.alpha))
+    g_al = g.sums("alpha")
     ident = np.eye(g.dim * g.dim)
-    lhs345 = kf * g.sums(lambda c: (c.beta, -c.beta)) + one_mu * (g_al - ident * 2.0)
-    h_al = g.sums(lambda c: (1.0 + c.alpha, 1.0 - c.alpha))
-    lhs3456 = kf * g.sums(lambda c: (1.0 + c.beta, 1.0 - c.beta)) + one_mu * (
+    lhs345 = kf * g.sums("beta") + one_mu * (g_al - ident * 2.0)
+    h_al = g.sums("alpha_shifted")
+    lhs3456 = kf * g.sums("beta_shifted") + one_mu * (
         h_al - kron_arrays(g.plain("A_list"), g.plain("B_list")) * 2.0
     )
     return [spectra_link, ("ratio_powers", lhs345, g_al), ("shifted_powers", lhs3456, h_al)]
@@ -380,24 +455,22 @@ def _links_proof_chain(g: _Group):
 
 def _links_had_maman2(g: _Group):
     c_mid, r_prime = g.cols(lambda p, f: (p.c_mid, p.r_prime_st))
-    ss, st, l0 = g.S(lambda p: p.s), g.S(lambda p: p.t), g.S(lambda p: 0.5)
-    bracket = ss + l0 - g.S(lambda p: (3.0 - 2.0 * p.s) / 4.0) * 2.0
+    ss, st, l0 = g.S("s"), g.S("t"), g.S("half")
+    bracket = ss + l0 - g.S("quarter") * 2.0
     lhs = ss + c_mid * (ss - l0) + r_prime * bracket
     return [("main", lhs, st), ("bracket_psd", np.zeros_like(bracket), bracket)]
 
 
 def _links_cor_bj(g: _Group):
     # Lower family pinned to the identity: means become plain powers of A_j,
-    # and the stored sum u is sum_j A_j^u.
+    # and the stored sum at u is sum_j A_j^u.
     c_mid, r_prime = g.cols(lambda p, f: (p.c_mid, p.r_prime_st))
     power_sum = g.sums
-    s_s = power_sum(lambda p: 1.0 - p.s) * power_sum(lambda p: p.s)
-    s_t = power_sum(lambda p: 1.0 - p.t) * power_sum(lambda p: p.t)
-    root = power_sum(lambda p: 0.5)
+    s_s = power_sum("s_rest") * power_sum("s")
+    s_t = power_sum("t_rest") * power_sum("t")
+    root = power_sum("half")
     l0 = root * root
-    t_mid = power_sum(lambda p: (1.0 + 2.0 * p.s) / 4.0) * power_sum(
-        lambda p: (3.0 - 2.0 * p.s) / 4.0
-    )
+    t_mid = power_sum("quarter_rest") * power_sum("quarter")
     lhs = s_s + c_mid * (s_s - l0) + r_prime * (s_s + l0 - t_mid * 2.0)
     return [("main", lhs, s_t)]
 
@@ -406,7 +479,7 @@ def _links_rev_t1(g: _Group):
     repaired = g.variant == Variant.REPAIRED
     kf, coeff = g.cols(lambda p, f: (
         _hadamard_weight(f.band, p, g.variant, -1.0), 2.0 * p.s if repaired else 2.0 * p.s - 1.0))
-    ss, l0 = g.S(lambda p: p.s), g.S(lambda p: 0.5)
+    ss, l0 = g.S("s"), g.S("half")
     top = g.plain("A_list") * g.plain("B_list")
     return [("main", top, kf * ss + coeff * (top - l0))]
 
@@ -432,7 +505,7 @@ def _hbounds_repaired(pair: ExponentPair, family) -> tuple[float, ...]:
 
 
 def _links_prop_hbounds(g: _Group):
-    ss, st = g.S(lambda p: p.s), g.S(lambda p: p.t)
+    ss, st = g.S("s"), g.S("t")
     if g.variant == Variant.PAPER_LITERAL:
         kf, low, inv_kf, high = g.cols(_hbounds_paper)
         ident = np.eye(g.dim)
@@ -440,16 +513,22 @@ def _links_prop_hbounds(g: _Group):
         upper_rhs = inv_kf * ss + high * ident
         return [("lower", lower_lhs, st), ("upper", st, upper_rhs)]
     kf, inv_kf, up = g.cols(_hbounds_repaired)
-    upper_rhs = inv_kf * ss + up * g.S(lambda p: 0.5)
+    upper_rhs = inv_kf * ss + up * g.S("half")
     return [("lower", kf * ss, st), ("upper", st, upper_rhs)]
 
 
 # --- registry ----------------------------------------------------------------
 
 
-def _both(*us: float) -> tuple[float, ...]:
-    """The weights ``u`` and ``1 - u`` that ``S(u)`` reads, for each ``u``."""
-    return tuple(v for u in us for v in (u, 1.0 - u))
+#: The weights ``S(s)``, ``S(t)`` and ``S(1/2)`` of an ``ExponentPair``
+#: statement, and its ``S(s)`` and ``S(t)`` alone.
+_S_ST = {"s": attrgetter("s"), "t": attrgetter("t")}
+_S_ST_HALF = Weights(S={**_S_ST, "half": 0.5})
+
+
+def _quarter(pair: ExponentPair) -> float:
+    """The quarter weight ``(3 - 2s)/4`` of the bracket statements."""
+    return (3.0 - 2.0 * pair.s) / 4.0
 
 
 #: Each id's record, keyed by member name: a member key would hash
@@ -466,7 +545,7 @@ _REGISTRY: dict[str, InequalityInfo] = {
             needs_band=False,
             kind=ALPHA_KIND,
             build=_links_wada,
-            means=lambda alpha, variant: (0.5, float(alpha), 1.0 - float(alpha)),
+            weights=Weights(sums={"half": 0.5, "alpha": float, "rest": lambda alpha: 1.0 - float(alpha)}),
         ),
         InequalityInfo(
             IneqId.CHAIN_34RF,
@@ -477,7 +556,7 @@ _REGISTRY: dict[str, InequalityInfo] = {
             needs_band=False,
             kind=ST_KIND,
             build=_links_chain_34rf,
-            means=lambda pair, variant: _both(pair.s, pair.t, 0.5),
+            weights=_S_ST_HALF,
         ),
         InequalityInfo(
             IneqId.MOJ_MO,
@@ -488,7 +567,7 @@ _REGISTRY: dict[str, InequalityInfo] = {
             needs_band=False,
             kind=ST_KIND,
             build=_links_moj_mo,
-            means=lambda pair, variant: _both(pair.s, pair.t, 0.5),
+            weights=_S_ST_HALF,
         ),
         InequalityInfo(
             IneqId.TENSOR_TOOL,
@@ -500,7 +579,8 @@ _REGISTRY: dict[str, InequalityInfo] = {
             needs_band=True,
             kind=ST_KIND,
             build=partial(_links_refinement, _tensor_weight),
-            powers=lambda pair, variant: tuple((u, 1.0 - u) for u in (pair.s, pair.t, 0.5)),
+            source="powers",
+            weights=_S_ST_HALF,
         ),
         InequalityInfo(
             IneqId.PROOF_CHAIN,
@@ -513,10 +593,13 @@ _REGISTRY: dict[str, InequalityInfo] = {
             needs_band=True,
             kind=ALPHA_BETA_KIND,
             build=_links_proof_chain,
-            powers=lambda c, variant: (
-                (c.alpha, -c.alpha), (c.beta, -c.beta),
-                (1.0 + c.alpha, 1.0 - c.alpha), (1.0 + c.beta, 1.0 - c.beta),
-            ),
+            source="powers",
+            weights=Weights(sums={
+                "alpha": lambda c: (c.alpha, -c.alpha),
+                "beta": lambda c: (c.beta, -c.beta),
+                "alpha_shifted": lambda c: (1.0 + c.alpha, 1.0 - c.alpha),
+                "beta_shifted": lambda c: (1.0 + c.beta, 1.0 - c.beta),
+            }),
         ),
         InequalityInfo(
             IneqId.HAD_MAMAN,
@@ -528,7 +611,7 @@ _REGISTRY: dict[str, InequalityInfo] = {
             needs_band=True,
             kind=ST_KIND,
             build=partial(_links_refinement, _hadamard_weight),
-            means=lambda pair, variant: _both(pair.s, pair.t, 0.5),
+            weights=_S_ST_HALF,
         ),
         InequalityInfo(
             IneqId.HAD_MAMAN2,
@@ -540,7 +623,7 @@ _REGISTRY: dict[str, InequalityInfo] = {
             needs_band=False,
             kind=ST_KIND,
             build=_links_had_maman2,
-            means=lambda pair, variant: _both(pair.s, pair.t, 0.5, (3.0 - 2.0 * pair.s) / 4.0),
+            weights=Weights(S={**_S_ST_HALF.S, "quarter": _quarter}),
         ),
         InequalityInfo(
             IneqId.COR_BJ_IDENTITY,
@@ -553,10 +636,16 @@ _REGISTRY: dict[str, InequalityInfo] = {
             needs_band=False,
             kind=ST_KIND,
             build=_links_cor_bj,
-            powers=lambda pair, variant: (
-                1.0 - pair.s, pair.s, 1.0 - pair.t, pair.t, 0.5,
-                (1.0 + 2.0 * pair.s) / 4.0, (3.0 - 2.0 * pair.s) / 4.0,
-            ),
+            source="powers",
+            weights=Weights(sums={
+                "s_rest": lambda pair: 1.0 - pair.s,
+                "s": attrgetter("s"),
+                "t_rest": lambda pair: 1.0 - pair.t,
+                "t": attrgetter("t"),
+                "half": 0.5,
+                "quarter_rest": lambda pair: (1.0 + 2.0 * pair.s) / 4.0,
+                "quarter": _quarter,
+            }),
         ),
         InequalityInfo(
             IneqId.REV_TENSOR_DEAR,
@@ -568,7 +657,8 @@ _REGISTRY: dict[str, InequalityInfo] = {
             needs_band=True,
             kind=ST_KIND,
             build=partial(_links_reverse, _tensor_weight),
-            powers=lambda pair, variant: tuple((u, 1.0 - u) for u in (pair.s, pair.t, 0.5)),
+            source="powers",
+            weights=_S_ST_HALF,
         ),
         InequalityInfo(
             IneqId.REV_HAD_MAINTH,
@@ -579,7 +669,7 @@ _REGISTRY: dict[str, InequalityInfo] = {
             needs_band=True,
             kind=ST_KIND,
             build=partial(_links_reverse, _hadamard_weight),
-            means=lambda pair, variant: _both(pair.s, pair.t, 0.5),
+            weights=_S_ST_HALF,
         ),
         InequalityInfo(
             IneqId.REV_T1_REMARK,
@@ -591,7 +681,7 @@ _REGISTRY: dict[str, InequalityInfo] = {
             needs_band=True,
             kind=ST_T1_KIND,
             build=_links_rev_t1,
-            means=lambda pair, variant: _both(pair.s, 0.5),
+            weights=Weights(S={"s": attrgetter("s"), "half": 0.5}),
         ),
         InequalityInfo(
             IneqId.PROP_HBOUNDS,
@@ -604,8 +694,7 @@ _REGISTRY: dict[str, InequalityInfo] = {
             kind=ST_KIND,
             build=_links_prop_hbounds,
             # Only the repaired form reads S(1/2).
-            means=lambda pair, variant: (
-                _both(pair.s, pair.t, 0.5) if variant == Variant.REPAIRED else _both(pair.s, pair.t)),
+            weights={Variant.PAPER_LITERAL: Weights(S=_S_ST), Variant.REPAIRED: _S_ST_HALF},
         ),
     )
 }
@@ -666,9 +755,9 @@ def _build_stage(trials) -> tuple[list, list]:
     ``(info, ks, links)`` holds the record of its id and ``(name, lhs,
     rhs)`` stacks whose row ``r`` is trial ``ks[r]``'s.  The stacked steps
     succeed whole or raise, a ``DomainError`` as ``HypothesisError``: one
-    ``MeanPath`` per distinct family that takes means, the stored sums, and
-    each group's builder, its per-trial constants included, and links,
-    checked for finiteness.
+    ``MeanPath`` per distinct family that takes means, the stored sums of
+    every group's weight columns, and each group's builder, its per-trial
+    constants included, and links, checked for finiteness.
     """
     # Each trial's record is looked up once; every later step reads
     # (info, family, params, variant).
@@ -684,88 +773,103 @@ def _build_stage(trials) -> tuple[list, list]:
             out.append(None)
         except ITEM_ERRORS as exc:
             out.append(_hypothesis(exc))
-    built = [k for k, err in enumerate(out) if err is None]
-    families = {id(staged[k][1]): staged[k][1] for k in built if staged[k][0].means}
     by_group: dict[tuple, list[int]] = {}
-    for k in built:
-        info, family, _, variant = staged[k]
-        # Keyed by names: a member key would hash through Enum.__hash__.
-        by_group.setdefault((info.ineq._name_, variant._name_, family.dim), []).append(k)
-    sums, groups = _Sums(), []
+    for k, err in enumerate(out):
+        if err is None:
+            info, family, _, variant = staged[k]
+            # Keyed by names: a member key would hash through Enum.__hash__.
+            by_group.setdefault((info.ineq._name_, variant._name_, family.dim), []).append(k)
+    built = []
     try:
-        paths = MeanPath.stack([(f.A_list, f.B_list) for f in families.values()])
-        _fill_mean_sums(staged, built, sums, dict(zip(families, paths)))
-        _fill_power_sums(staged, built, sums)
+        groups = [_Group(staged[ks[0]][0], staged[ks[0]][3], ks, staged) for ks in by_group.values()]
+        means = [g for g in groups if g.info.source == "means"]
+        _fill_mean_sums(means)
+        _fill_power_sums([g for g in groups if g.info.source == "powers"])
         with np.errstate(over="ignore", invalid="ignore"):
-            for ks in by_group.values():
-                info, _, _, variant = staged[ks[0]]
-                links = info.build(_Group(info, variant, ks, staged, sums))
-                groups.append((info, ks, [(name, _finite(lhs), _finite(rhs)) for name, lhs, rhs in links]))
+            for g in groups:
+                links = g.info.build(g)
+                built.append((g.info, g.ks, [(name, _finite(lhs), _finite(rhs)) for name, lhs, rhs in links]))
     except DomainError as exc:
         raise _hypothesis(exc)
-    return out, groups
+    return out, built
 
 
-def _fill_mean_sums(staged, built, sums: _Sums, paths: dict):
-    """Store the mean sums each trial ``(info, family, params, variant)``
-    reads (its record's ``means``), with one ``MeanPath.sums`` call for the
-    stage; ``paths`` maps the ``id`` of each family to its ``MeanPath``."""
-    wanted = [(k, u) for k in built if staged[k][0].means
-              for u in dict.fromkeys(staged[k][0].means(*staged[k][2:]))]
-    for total, idx in MeanPath.sums([(paths[id(staged[k][1])], u) for k, u in wanted]):
-        sums.add(total, [wanted[i] for i in idx])
+def _fill_mean_sums(groups: list[_Group]):
+    """Store the mean sums of each group's weight columns, with one
+    ``MeanPath`` per distinct family (one ``MeanPath.stack`` call) and one
+    ``MeanPath.sums`` call for all the groups."""
+    families = {id(f): f for g in groups for f in g.families}
+    paths = dict(zip(families, MeanPath.stack([(f.A_list, f.B_list) for f in families.values()])))
+    items = [([paths[id(f)] for f in g.families], g.columns) for g in groups]
+    for g, stored in zip(groups, MeanPath.sums(items)):
+        g.stored = stored
 
 
-def _factors(pair: bool, n: int, key) -> tuple[tuple, tuple, int]:
-    """The factors of the power sum ``key`` of a record's ``powers``, in the
-    order the sum multiplies and adds them: their operands and exponents,
-    and the number of factors per product.  Operands 0 and 1 are a pair's
-    ``A`` and ``B``, operand ``j`` is a family's ``A_(j+1)``."""
-    if not pair:
-        return tuple(range(n)), (key,) * n, 1
-    p, q = key
-    return (0, 1, 0, 1), (p, q, q, p), 2
-
-
-def _fill_power_sums(staged, built, sums: _Sums):
-    """Store the power sums each trial ``(info, family, params, variant)``
-    reads (its record's ``powers``), computed together one dimension at a
-    time: every power with one ``spectral_pow_stack`` call, then, for each
-    shape of sum, every Kronecker product with one broadcast product and
-    the sums left to right on the stack.  Each sum is bit for bit the one
+def _fill_power_sums(groups: list[_Group]):
+    """Store the power sums of each group's weight columns, computed
+    together one dimension at a time: every power with one
+    ``spectral_pow_stack`` call, then, for each shape of sum, every
+    Kronecker product with one broadcast product and the sums left to right
+    on the stack.  A pair's column ``(p, q)`` is ``A^p x B^q + A^q x B^p``,
+    a family's ``u`` is ``sum_j A_j^u``, and each sum is bit for bit the one
     that ``spectral_pow``, ``kron`` and ``+`` give.  A power that fails
-    raises its ``DomainError`` (the first in the order of ``powers``), and
-    a product or a sum that is not finite raises the one that ``kron`` and
-    ``+`` give."""
-    by_dim: dict[int, list[int]] = {}
-    for k in built:
-        if staged[k][0].powers:
-            by_dim.setdefault(staged[k][1].dim, []).append(k)
-    for group in by_dim.values():
-        # Row r of the table is power r.
+    raises its ``DomainError`` (for one trial, the first in the order of
+    its record's weights and the sum's factors), and a product or a sum
+    that is not finite raises the one that ``kron`` and ``+`` give."""
+    by_dim: dict[int, list[_Group]] = {}
+    for g in groups:
+        by_dim.setdefault(g.dim, []).append(g)
+    for gs in by_dim.values():
+        # Request r of the table is power ps[r] of mats[which[r]].
         mats, which, ps = [], [], []
-        by_shape: dict[tuple[int, int], list] = {}
-        for k in group:
-            info, family, params, variant = staged[k]
-            pair = info.takes_pair
-            first = len(mats)
-            mats += (family.A_list[0], family.B_list[0]) if pair else family.A_list
-            for key in dict.fromkeys(info.powers(params, variant)):
-                ops, exps, f = _factors(pair, family.n, key)
-                rows = list(range(len(ps), len(ps) + len(ops)))
-                which += [first + j for j in ops]
-                ps += exps
-                by_shape.setdefault((len(ops) // f, f), []).append(((k, key), rows))
-        table = spectral_pow_stack(mats, which, ps)
+        by_shape: dict[tuple[int, int], list] = {}  # (terms, factors) -> [(stored, its rows, requests)]
+        count = 0
+        for g in gs:
+            first, k = len(mats), len(g.ks)
+            if g.info.takes_pair:
+                d = g.dim * g.dim
+                a = first + 2 * np.arange(k)
+                for f in g.families:
+                    mats += (f.A_list[0], f.B_list[0])
+            else:
+                d = g.dim
+                ns = np.fromiter((f.n for f in g.families), np.intp, k)
+                ops = first + np.arange(ns.sum())
+                starts = np.cumsum(ns) - ns
+                for f in g.families:
+                    mats += f.A_list
+            g.stored = np.empty((len(g.columns), k, d, d))
+            for stored, col in zip(g.stored, g.columns):
+                if g.info.takes_pair:
+                    # A^p x B^q + A^q x B^p: factor j of row r is request count + j k + r.
+                    p, q = col.T
+                    which += (a, a + 1, a, a + 1)
+                    ps += (p, q, q, p)
+                    by_shape.setdefault((2, 2), []).append(
+                        (stored, slice(None), count + np.arange(4) * k + np.arange(k)[:, None]))
+                    count += 4 * k
+                else:
+                    which.append(ops)
+                    ps.append(np.repeat(col, ns))
+                    for n in dict.fromkeys(ns.tolist()):
+                        rs = np.flatnonzero(ns == n)
+                        by_shape.setdefault((n, 1), []).append(
+                            (stored, rs, count + starts[rs][:, None] + np.arange(n)))
+                    count += len(ops)
+        table = spectral_pow_stack(mats, np.concatenate(which), np.concatenate(ps))
         with np.errstate(over="ignore", invalid="ignore"):
             for (n, f), items in by_shape.items():
-                idx = np.array([rows for _, rows in items])
+                idx = np.concatenate([requests for _, _, requests in items])
                 for j in range(0, n * f, f):
                     term = table[idx[:, j]]
                     if f == 2:
                         term = kron_arrays(term, table[idx[:, j + 1]])
                     total = term if j == 0 else total + term
-                sums.add(_finite(total), [key for key, _ in items])
+                _finite(total)
+                at = 0
+                for stored, rows, requests in items:
+                    stored[rows] = total[at : at + len(requests)]
+                    at += len(requests)
 
 
 def _check(info: InequalityInfo, family, params, variant, band_failure):
@@ -790,7 +894,7 @@ def _check(info: InequalityInfo, family, params, variant, band_failure):
         raise HypothesisError(band_failure)
     if not kind.holds(params):
         raise HypothesisError(kind.violation.format(**kind.report(params)))
-    if not info.takes_pair and not info.means:
+    if not info.takes_pair and info.source == "powers":
         # COR_BJ_IDENTITY factors no mean, but a pair that could not enter
         # one fails with the text the other Hadamard-sum statements give it.
         require_positive_pairs(family.A_list, family.B_list)
@@ -834,18 +938,12 @@ def evaluate_stage(trials, tol: float = DEFAULT_TOL) -> list:
 def _evaluate_stage(trials, tol):
     out, groups = _build_stage(trials)
     measured = loewner_gaps([(lhs, rhs, ks) for _, ks, links in groups for _, lhs, rhs in links], tol)
+    new_link, new_report = LinkReport._of, IneqReport._of
     for info, ks, links in groups:
+        names, report = [name for name, _, _ in links], info.kind.report
         for k in ks:
             _, family, params, variant = trials[k]
             gaps, w, lhs_norm, rhs_norm = measured[k]
-            out[k] = IneqReport(
-                ineq=info.ineq,
-                variant=variant,
-                params=info.kind.report(params),
-                links=tuple(LinkReport(name, gap) for (name, _, _), gap in zip(links, gaps)),
-                gap=gaps[w],
-                lhs_norm=lhs_norm,
-                rhs_norm=rhs_norm,
-                family=family,
-            )
+            out[k] = new_report(info.ineq, variant, report(params), tuple(map(new_link, names, gaps)),
+                                gaps[w], lhs_norm, rhs_norm, family)
     return out

@@ -19,12 +19,14 @@ warning first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ShapeError, SizeError
+
+_new = object.__new__
 
 #: Eigenvalues below this floor disqualify a matrix from fractional powers
 #: and geometric means.  Inputs are rejected, never regularized: silently
@@ -41,8 +43,19 @@ KRON_DIM_CAP = 4096
 DEFAULT_TOL = 1e-9
 
 
+class _SymSlots:
+    """The slots of a ``SymMatrix``, which ``SymMatrix._of`` fills by plain
+    stores before it makes the instance a ``SymMatrix``."""
+
+    #: ``_stack`` and ``_row`` are the read-only ``(entries, eigenvalues,
+    #: eigenvectors)`` of the ``SymMatrix.stack`` call that built a matrix
+    #: and its row in them, None for any other matrix; they are not
+    #: dataclass fields.
+    __slots__ = ("array", "_stack", "_row")
+
+
 @dataclass(frozen=True, eq=False)
-class SymMatrix:
+class SymMatrix(_SymSlots):
     """Real symmetric matrix with value semantics.
 
     Every instance holds a private, read-only, finite ``float64`` array with
@@ -60,12 +73,11 @@ class SymMatrix:
     ``repr`` ignore them.  Nothing is written to an instance after its
     constructor returns.  Instances have slots, not a ``__dict__``; copies
     and pickles carry all three slots, with the arrays read-only.
+    ``_exact`` and ``stack`` build their instances through ``_of``, which
+    skips the frozen dataclass's per-slot ``object.__setattr__``.
     """
 
-    #: ``_stack`` and ``_row`` are the read-only ``(entries, eigenvalues,
-    #: eigenvectors)`` of the ``stack`` call that built this matrix and its
-    #: row in them, None for any other matrix; they are not dataclass fields.
-    __slots__ = ("array", "_stack", "_row")
+    __slots__ = ()
 
     array: np.ndarray
 
@@ -78,11 +90,11 @@ class SymMatrix:
         self._fill(_symmetrized(arr))
 
     def _fill(self, array: np.ndarray, stack: tuple | None = None, row: int | None = None):
-        """Set the three slots of a new instance; returns it."""
+        """Set the three slots of an instance that the dataclass machinery
+        made (``__init__``, ``copy``, ``pickle``)."""
         object.__setattr__(self, "array", array)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_row", row)
-        return self
 
     def __getstate__(self):
         return self.array, self._stack, self._row
@@ -102,7 +114,7 @@ class SymMatrix:
         """
         _finite(arr)
         arr.flags.writeable = False
-        return object.__new__(cls)._fill(arr)
+        return SymMatrix._of(arr, None, None)
 
     @classmethod
     def stack(cls, arrays: np.ndarray) -> list["SymMatrix"]:
@@ -119,7 +131,20 @@ class SymMatrix:
             raise ShapeError("dimension must be at least 1")
         sym = _symmetrized(arr)
         stack = (sym, *_eigh_stack(sym))
-        return [object.__new__(cls)._fill(x, stack, row) for row, x in enumerate(sym)]
+        return list(map(SymMatrix._of, sym, repeat(stack), range(len(sym))))
+
+    @staticmethod
+    def _of(array: np.ndarray, stack: tuple | None, row: int | None) -> "SymMatrix":
+        """The ``SymMatrix`` of an array that its caller checked, with its
+        stack and row: a bare ``_SymSlots`` filled by plain slot stores,
+        then given the class ``SymMatrix`` (the two have the same slots),
+        the trick ``scalarcore.ScalarParams`` uses."""
+        m = _new(_SymSlots)
+        m.array = array
+        m._stack = stack
+        m._row = row
+        m.__class__ = SymMatrix
+        return m
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -220,6 +245,18 @@ class LoewnerGap:
     min_eig: float
     rel_gap: float
     satisfied: bool
+
+    @staticmethod
+    def _of(min_eig: float, rel_gap: float, satisfied: bool) -> "LoewnerGap":
+        """``LoewnerGap(min_eig, rel_gap, satisfied)`` with its ``__dict__``
+        filled in field order by plain stores, not the frozen dataclass's
+        per-field ``object.__setattr__``: an equal instance."""
+        gap = _new(LoewnerGap)
+        fields = gap.__dict__
+        fields["min_eig"] = min_eig
+        fields["rel_gap"] = rel_gap
+        fields["satisfied"] = satisfied
+        return gap
 
 
 def sym_eigen(a: SymMatrix) -> EigenDecomposition:
@@ -364,18 +401,20 @@ def spectral_pow_stack(
 
 
 def _powers(w: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """``w[r] ** exps[r]`` for each row ``r`` of ``w``, with one ``np.power``
-    per distinct exponent over all its rows, the exponent always a
-    Python-float scalar (an array of exponents may take another code path,
-    see ``docs/rng.md``)."""
-    order = np.argsort(exps, kind="stable")  # equal exponents become contiguous
+    """``w[r] ** exps[r]`` for each entry or row ``r`` of ``w``, with one
+    ``np.power`` per distinct exponent over all its entries or rows, the
+    exponent always a Python-float scalar (an array of exponents may take
+    another code path, see ``docs/rng.md``)."""
+    # Equal exponents become contiguous; each value is raised alone, so the
+    # order within a run, which an unstable sort leaves open, moves no bit.
+    order = np.argsort(exps)
     ranked, ranked_w = exps[order], w[order]
     cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(ranked)]
-    ranked = ranked.tolist()
     out = np.empty_like(w)
-    out[order] = np.concatenate([
-        np.power(ranked_w[lo:hi], ranked[lo]) for lo, hi in zip(cuts, cuts[1:])
-    ])
+    if len(ranked):
+        out[order] = np.concatenate([
+            np.power(ranked_w[lo:hi], p) for lo, hi, p in zip(cuts, cuts[1:], ranked[cuts[:-1]].tolist())
+        ])
     return out
 
 
@@ -498,53 +537,73 @@ class MeanPath:
     def at(self, alpha: float) -> SymMatrix:
         """``sum_j a_j #_alpha b_j``, the means summed left to right; the
         one-request case of :meth:`sums`."""
-        ((total, _),) = MeanPath.sums(((self, alpha),))
-        return SymMatrix._exact(total[0])
+        (total,) = MeanPath.sums([([self], [[alpha]])])
+        return SymMatrix._exact(total[0, 0])
 
     @staticmethod
-    def sums(requests: Sequence[tuple]) -> list[tuple[np.ndarray, list[int]]]:
-        """The mean sums of the requests ``(path, alpha)`` as blocks
-        ``(total, idx)``: ``total[r]`` is the sum of request ``idx[r]``.
+    def sums(items: Sequence[tuple]) -> list[np.ndarray]:
+        """The mean sums of each item ``(paths, weights)``: ``paths`` holds
+        ``k >= 1`` paths of one ``stack`` call and dimension ``d``, and
+        ``weights`` is an ``(m, k)`` array whose row ``i`` gives each path a
+        weight.  Returns one ``(m, k, d, d)`` stack per item, whose matrix
+        ``[i, r]`` is ``paths[r].at(weights[i, r])``.
 
-        A weight outside [0, 1], or a sum that is not finite, raises
-        ``DomainError`` for the whole call.  The requests on the paths of one
-        ``stack`` call and dimension read their rows of the paths' base
-        arrays with one index and share one stacked chain of products; each
-        distinct weight takes one ``np.power`` over the eigenvalues of all
-        its requests (``_powers``); and the requests with the same number of
-        pairs are summed left to right together, as one block.  Each result
-        is bit for bit the one-request result.
+        A weight outside [0, 1] (the first, in item, row and path order), or
+        a sum that is not finite, raises ``DomainError`` for the whole call;
+        paths of two ``stack`` calls or dimensions in one item raise
+        ``ShapeError``.  Each item's row index into its paths' base arrays
+        is built once, for all its weights; the requests on one base share
+        one stacked chain of products; each distinct weight takes one
+        ``np.power`` over the eigenvalues of all its requests, of every
+        dimension, flattened (``_powers``); and the requests with the same
+        number of pairs are summed left to right together.  Each result is
+        bit for bit the one-request result.
         """
-        by_base: dict[int, tuple] = {}  # id of a base -> (base, weights, rows, requests)
-        for i, (path, alpha) in enumerate(requests):
-            alpha = float(alpha)
-            if not 0.0 <= alpha <= 1.0:
-                raise DomainError(f"mean weight must lie in [0, 1], got {alpha}")
-            got = by_base.get(id(path._base))
-            if got is None:
-                got = by_base[id(path._base)] = (path._base, [], [], [])
-            got[1].append(alpha)
-            got[2].append(path._rows)
-            got[3].append(i)
-        blocks = []
-        for base, alphas, rows, ids in by_base.values():
-            idx = np.fromiter(chain.from_iterable(rows), np.intp)
-            sizes, ids = np.array(list(map(len, rows))), np.array(ids)
-            a_half, w, q = (part[idx] for part in base)
-            powered = _powers(w, np.repeat(alphas, sizes))
+        by_base: dict[int, list] = {}  # id of a base -> [base, [rows], [sizes], [weights], [(item, m, k)]]
+        for item, (paths, weights) in enumerate(items):
+            weights = np.asarray(weights, dtype=np.float64)
+            bad = ~((weights >= 0.0) & (weights <= 1.0))
+            if bad.any():
+                raise DomainError(f"mean weight must lie in [0, 1], got {float(weights.flat[np.argmax(bad)])}")
+            base = paths[0]._base
+            if any(p._base is not base for p in paths):
+                raise ShapeError("the paths of one item must come from one MeanPath.stack call and dimension")
+            rows = [p._rows for p in paths]
+            m = len(weights)
+            got = by_base.setdefault(id(base), [base, [], [], [], []])
+            got[1].append(np.tile(np.fromiter(chain.from_iterable(rows), np.intp), m))
+            got[2].append(np.tile(np.fromiter(map(len, rows), np.intp, len(rows)), m))
+            got[3].append(weights.ravel())
+            got[4].append((item, m, len(paths)))
+        blocks = [(base, np.concatenate(rows), np.concatenate(sizes), np.concatenate(ws), places)
+                  for base, rows, sizes, ws, places in by_base.values()]
+        # Every dimension's eigenvalues as one flat run, with their weights.
+        eigs = [base[1][rows] for base, rows, *_ in blocks]
+        powered = _powers(
+            np.concatenate([w.ravel() for w in eigs] or [[]]),
+            np.concatenate([np.repeat(ws, sizes * w.shape[1]) for (_, _, sizes, ws, _), w in zip(blocks, eigs)] or [[]]),
+        )
+        out = [None] * len(items)
+        at = 0
+        for (base, rows, sizes, _, places), w in zip(blocks, eigs):
+            a_half, q = base[0][rows], base[2][rows]
+            p, at = powered[at : at + w.size].reshape(w.shape), at + w.size
             starts = np.cumsum(sizes) - sizes
             with np.errstate(over="ignore", invalid="ignore"):
-                means = a_half @ ((q * powered[:, None, :]) @ q.transpose(0, 2, 1)) @ a_half
+                means = a_half @ ((q * p[:, None, :]) @ q.transpose(0, 2, 1)) @ a_half
                 means = (means + means.transpose(0, 2, 1)) / 2.0
+                totals = np.empty((len(sizes), *means.shape[1:]))
                 for n in dict.fromkeys(sizes.tolist()):
                     ks = np.flatnonzero(sizes == n)
                     first = starts[ks]
                     total = means[first]
                     for j in range(1, n):
                         total = total + means[first + j]
-                    blocks.append((_finite(total), ids[ks].tolist()))
-        return blocks
-
+                    totals[ks] = total
+            _finite(totals)
+            for (item, m, k), lo in zip(places, accumulate((m * k for _, m, k in places), initial=0)):
+                out[item] = totals[lo : lo + m * k].reshape(m, k, *totals.shape[1:])
+        return out
 
 def _check_pair(a_min: float, b_min: float, inner: np.ndarray | None = None, inner_min: float = 1.0):
     """Raise the ``DomainError`` of the first check of one mean-path pair,
@@ -639,11 +698,11 @@ def loewner_gaps(links: Sequence[tuple], tol: float = DEFAULT_TOL) -> dict:
     for d, owners in wanted.items():
         w = _eigh_stack(lhs[d][[rows[o][worst[o]][1] for o in owners]])[0]
         lhs_norm.update(zip(owners, _norms(w).tolist()))
+    gaps = {d: list(map(LoewnerGap._of, min_eig[d], rel[d], sat[d])) for d in by_dim}
     out = {}
     for owner, at in rows.items():
-        gaps = tuple(LoewnerGap(min_eig[d][r], rel[d][r], sat[d][r]) for d, r in at)
         d, r = at[worst[owner]]
-        out[owner] = (gaps, worst[owner], lhs_norm[owner], norm[d][r])
+        out[owner] = (tuple([gaps[d][r] for d, r in at]), worst[owner], lhs_norm[owner], norm[d][r])
     return out
 
 

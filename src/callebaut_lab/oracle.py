@@ -321,20 +321,27 @@ class WitnessRecord:
         Raises ``KeyError``, ``TypeError`` or ``ValueError`` when ``d`` is not
         a complete record: a field is missing, the id or variant is unknown,
         the id takes no ``ExponentPair`` (a record's params are ``(s, t)``),
-        ``FamilyInstance.from_dict`` rejects the instance, or ``ExponentPair``
-        rejects the params.
+        ``FamilyInstance.from_dict`` rejects the instance, ``ExponentPair``
+        rejects the params, the expected gap is not finite, or the tolerance
+        is not finite and ``>= 0`` (an infinite one passes any gap, and a
+        negative or NaN one fails every replay).
         """
         ineq, params = IneqId(d["id"]), d["params"]
         kind = inequality_info(ineq).kind
         if kind.type is not ExponentPair:
             raise ValueError(f"{ineq.value} takes {kind.type.__name__} parameters, not (s, t)")
+        expected_gap, tolerance = float(d["expected_gap"]), float(d["tolerance"])
+        if not math.isfinite(expected_gap):
+            raise ValueError(f"expected_gap must be finite, got {expected_gap}")
+        if not (math.isfinite(tolerance) and tolerance >= 0.0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
         return WitnessRecord(
             ineq=ineq,
             variant=Variant(d["variant"]),
             family=FamilyInstance.from_dict(d),
             pair=ExponentPair(float(params["s"]), float(params["t"])),
-            expected_gap=float(d["expected_gap"]),
-            tolerance=float(d["tolerance"]),
+            expected_gap=expected_gap,
+            tolerance=tolerance,
         )
 
 

@@ -37,6 +37,7 @@ from .errors import each_alone
 from .matcore import MAX_EIGEN_DIM, SymMatrix, _gather
 
 _MASK = (1 << 64) - 1
+_new = object.__new__
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
 _EPS = 2.0 ** -53
@@ -214,7 +215,9 @@ class FamilyInstance:
     """Sequences ``A_1..A_n`` (upper band) and ``B_1..B_n`` (lower band).
 
     Equality and ``repr`` compare the fields, and nothing else is stored on
-    an instance: each evaluation factors the mean path it needs.
+    an instance: each evaluation factors the mean path it needs.  The
+    public constructor checks the fields; the sampler builds its families
+    through ``_of``, which skips what its stacks guarantee.
     """
 
     n: int
@@ -238,6 +241,22 @@ class FamilyInstance:
                 raise ShapeError(
                     f"family dimension mismatch: expected {self.dim}, got {m.dim}"
                 )
+
+    @staticmethod
+    def _of(n: int, dim: int, A_list: tuple, B_list: tuple, band: SpectralBand) -> "FamilyInstance":
+        """``FamilyInstance(n, dim, A_list, B_list, band)`` for fields that
+        are already right: ``n >= 1`` matrices per side, all of dimension
+        ``dim``, and a ``SpectralBand``.  Its ``__dict__`` is filled in
+        field order by plain stores, not the frozen dataclass's per-field
+        ``object.__setattr__``, and nothing is checked: an equal instance."""
+        family = _new(FamilyInstance)
+        fields = family.__dict__
+        fields["n"] = n
+        fields["dim"] = dim
+        fields["A_list"] = A_list
+        fields["B_list"] = B_list
+        fields["band"] = band
+        return family
 
     def to_dict(self) -> dict:
         """The JSON form of the instance, shared by report witnesses and
@@ -545,13 +564,15 @@ def sample_family(
 
 def _family(n: int, d: int, band: SpectralBand, mats):
     """The family of one request's matrices, or the error that building it
-    raises."""
+    raises.  Sampled matrices (``n >= 1``) are ``n`` per side, of dimension
+    ``d``, so only the band is checked; with none, the public constructor
+    rejects the family."""
     try:
-        return FamilyInstance(
-            n=n, dim=d, A_list=tuple(mats[:n]), B_list=tuple(mats[n:]), band=band
-        )
+        if n < 1 or not isinstance(band, SpectralBand):
+            return FamilyInstance(n=n, dim=d, A_list=tuple(mats[:n]), B_list=tuple(mats[n:]), band=band)
     except ITEM_ERRORS as exc:
         return exc
+    return FamilyInstance._of(n, d, tuple(mats[:n]), tuple(mats[n:]), band)
 
 
 def _sample(items) -> list:

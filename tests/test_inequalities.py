@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import functools
 import math
 import operator
+import pickle
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ from callebaut_lab.cli import DEFAULT_BANDS
 from callebaut_lab.errors import (
     CallebautLabError,
     DomainError,
+    ITEM_ERRORS,
     HypothesisError,
     ShapeError,
     VariantError,
@@ -21,10 +25,13 @@ from callebaut_lab.inequalities import (
     ALPHA_KIND,
     HADAMARD_SUM_IDS,
     IneqId,
+    IneqReport,
+    LinkReport,
     REPAIRABLE,
     ST_KIND,
     ST_T1_KIND,
     Variant,
+    Weights,
     build_links,
     evaluate_inequality,
     evaluate_stage,
@@ -33,6 +40,7 @@ from callebaut_lab.inequalities import (
 )
 from callebaut_lab.matcore import (
     EIG_FLOOR,
+    LoewnerGap,
     MeanPath,
     SymMatrix,
     hadamard,
@@ -448,7 +456,7 @@ def _reference_kron(x, y):
 
 
 def _reference_sum(ineq, family, key):
-    """A power sum of a record's ``powers`` the per-trial way, one matrix at a time:
+    """A power sum of a record's weights the per-trial way, one matrix at a time:
     ``A^p x B^q + A^q x B^p`` or ``sum_j A_j^u``."""
     if ineq == IneqId.COR_BJ_IDENTITY:
         return sum_matrices([_reference_pow(a, key) for a in family.A_list])
@@ -460,7 +468,7 @@ def _reference_sum(ineq, family, key):
 
 
 def _power_factors(ineq, family, key):
-    """The ``(matrix, exponent)`` factors of a power sum of a record's ``powers``,
+    """The ``(matrix, exponent)`` factors of a power sum of a record's weights,
     in the order the per-trial sum raises them."""
     if ineq == IneqId.COR_BJ_IDENTITY:
         return [(a, key) for a in family.A_list]
@@ -469,18 +477,32 @@ def _power_factors(ineq, family, key):
     return [(a, p), (b, q), (a, q), (b, p)]
 
 
+def _declared_keys(ineq, params, variant):
+    """The stored sum of each weight name that a trial's record declares:
+    ``(u, 1 - u)`` for a pair's ``S`` name, the weight itself for a
+    ``sums`` name (a pair's ``(p, q)``, a family's ``u``)."""
+    weights = inequality_info(ineq).weights[variant._name_]
+
+    def value(weight):
+        return weight(params) if callable(weight) else weight
+
+    keys = {name: (value(w), 1.0 - value(w)) for name, w in weights.S.items()}
+    keys.update((name, value(w)) for name, w in weights.sums.items())
+    return keys
+
+
 def _reference_sums(ineq, family, params, variant):
-    """The power sums of one trial the per-trial way, by key, or the error
-    that the trial alone raises: its first power that fails, in the order of
-    its record's ``powers``, else its first product or sum that is not
-    finite."""
-    keys = dict.fromkeys(inequality_info(ineq).powers(params, variant))
+    """The power sums of one trial the per-trial way, by weight name, or
+    the error that the trial alone raises: its first power that fails, in
+    the order of its record's weights, else its first product or sum that
+    is not finite."""
+    names = _declared_keys(ineq, params, variant)
     try:
         with np.errstate(all="ignore"):
-            for key in keys:
+            for key in dict.fromkeys(names.values()):
                 for m, p in _power_factors(ineq, family, key):
                     _reference_pow(m, p)
-            return {key: _reference_sum(ineq, family, key) for key in keys}
+            return {name: _reference_sum(ineq, family, key) for name, key in names.items()}
     except DomainError as exc:
         return exc
 
@@ -603,27 +625,44 @@ class TestStackedPowerSums:
 
     @staticmethod
     def _fill(trials):
+        """The stage's groups of ``trials`` (by id, variant and dimension),
+        their power sums stored by one ``_fill_power_sums`` call, and the
+        place of each trial: its group and row."""
         staged = [(inequality_info(ineq), f, p, v) for ineq, f, p, v in trials]
-        sums = inequalities._Sums()
+        by_group = {}
+        for k, (info, f, _, v) in enumerate(staged):
+            by_group.setdefault((info.ineq, v, f.dim), []).append(k)
+        groups = [inequalities._Group(staged[ks[0]][0], staged[ks[0]][3], ks, staged)
+                  for ks in by_group.values()]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            inequalities._fill_power_sums(staged, range(len(trials)), sums)
-        return sums
+            inequalities._fill_power_sums(groups)
+        return groups, {k: (g, r) for g in groups for r, k in enumerate(g.ks)}
+
+    @staticmethod
+    def _stored(group, name):
+        """The stored sum of the weight ``name``, read as its builder reads it."""
+        return group.S(name) if ("S", name) in group._at else group.sums(name)
 
     def test_stacked_sums_equal_the_per_trial_sums(self):
-        trials = [t for t in self._stage() if inequality_info(t[0]).powers]
+        trials = [t for t in self._stage() if inequality_info(t[0]).source == "powers"]
         expected = [_reference_sums(*t) for t in trials]
         # The stage holds failing trials, so the stacked fill raises.
         with pytest.raises(DomainError):
             self._fill(trials)
         good = [t for t, e in zip(trials, expected) if not isinstance(e, Exception)]
-        sums = self._fill(good)
+        groups, place = self._fill(good)
         want_all = [e for e in expected if not isinstance(e, Exception)]
-        assert set(sums._rows) == {(k, key) for k, want in enumerate(want_all) for key in want}
+        # Each group stores one sum per distinct weight column of the names
+        # its record declares, and a row per trial.
+        for g in groups:
+            assert {name for _, name in g._at} == set(want_all[g.ks[0]])
+            assert g.stored.shape[:2] == (len(g.columns), len(g.ks))
         for k, ((ineq, _, params, _), want) in enumerate(zip(good, want_all)):
-            for key, total in want.items():
-                (got,) = sums.gather([(k, key)])
-                assert _bits_or_text(got) == _bits_or_text(total), (ineq, params, key)
+            g, r = place[k]
+            for name, total in want.items():
+                got = self._stored(g, name)[r]
+                assert _bits_or_text(got) == _bits_or_text(total), (ineq, params, name)
         failures = 0
         for trial, want in zip(trials, expected):
             if isinstance(want, Exception):
@@ -752,22 +791,28 @@ class TestStackedPowerSums:
     for info in list_inequalities() for v in info.variants
 ])
 def test_a_stage_stores_the_sums_its_builder_reads(monkeypatch, ineq, variant):
-    # Every sum a stage stores for a trial (its record's means or powers)
-    # is read by the trial's builder, and every sum the builder reads was
-    # stored: none is computed in vain, and none is missing.
-    stored, read = set(), set()
-    add, gather = inequalities._Sums.add, inequalities._Sums.gather
+    # Every weight a stage stores a sum for (its record's declared names)
+    # is read by the trial's builder, and every name the builder reads was
+    # declared: none is computed in vain, and none is missing.
+    stored, read, built = set(), set(), []
+    init, S, sums = inequalities._Group.__init__, inequalities._Group.S, inequalities._Group.sums
 
-    def recording_add(self, block, keys):
-        stored.update(keys)
-        return add(self, block, keys)
+    def recording_init(self, *args):
+        init(self, *args)
+        stored.update(self._at)
+        built.append(self)
 
-    def recording_gather(self, keys):
-        read.update(keys)
-        return gather(self, keys)
+    def recording_S(self, name):
+        read.add(("S", name))
+        return S(self, name)
 
-    monkeypatch.setattr(inequalities._Sums, "add", recording_add)
-    monkeypatch.setattr(inequalities._Sums, "gather", recording_gather)
+    def recording_sums(self, name):
+        read.add(("sums", name))
+        return sums(self, name)
+
+    monkeypatch.setattr(inequalities._Group, "__init__", recording_init)
+    monkeypatch.setattr(inequalities._Group, "S", recording_S)
+    monkeypatch.setattr(inequalities._Group, "sums", recording_sums)
     info = inequality_info(ineq)
     trials = [
         (ineq, sample_family(1 if info.takes_pair else 1 + k % 3, 1 + k % 3,
@@ -776,8 +821,43 @@ def test_a_stage_stores_the_sums_its_builder_reads(monkeypatch, ineq, variant):
     ]
     out, groups = inequalities._build_stage(trials)
     assert out == [None] * len(trials) and groups
-    assert {k for k, _ in stored} == set(range(len(trials)))
+    declared = info.weights[variant._name_]
+    assert stored == {("S", name) for name in declared.S} | {("sums", name) for name in declared.sums}
     assert stored == read
+    # Every trial has its row in its group's stored sums.
+    assert sorted(k for g in built for k in g.ks) == list(range(len(trials)))
+    assert all(g.stored.shape[:2] == (len(g.columns), len(g.ks)) for g in built)
+
+
+def test_reading_an_undeclared_weight_raises_a_named_error(monkeypatch):
+    # A builder that reads a name its record does not declare fails the
+    # stage with UndeclaredWeightError, which no trial absorbs, not with a
+    # KeyError from inside the store.
+    info = inequality_info(IneqId.PROP_HBOUNDS)
+    family = sample_family(2, 2, DEFAULT_BANDS[1], derive_rng(67, 0))
+    pair = ST_KIND.values[0]
+    monkeypatch.setitem(inequalities._REGISTRY, "PROP_HBOUNDS", dataclasses.replace(info, weights=Weights(
+        S={"s": lambda p: p.s, "t": lambda p: p.t})))
+    # The paper form reads S(s) and S(t) only; the repaired form also S(1/2).
+    evaluate_inequality(IneqId.PROP_HBOUNDS, family, pair, Variant.PAPER_LITERAL)
+    with pytest.raises(inequalities.UndeclaredWeightError,
+                       match=r"^PROP_HBOUNDS/repaired reads S\('half'\), which its record does not declare$"):
+        evaluate_stage([(IneqId.PROP_HBOUNDS, family, pair, Variant.REPAIRED)])
+    assert not issubclass(inequalities.UndeclaredWeightError, ITEM_ERRORS)
+
+
+def test_equal_weight_columns_are_stored_once():
+    # S(1/2) reads the mean sums at 1/2 and 1 - 1/2, one column; S(s) and
+    # S(t) share their columns only where s == t on every row.
+    family = sample_family(2, 2, DEFAULT_BANDS[1], derive_rng(68, 0))
+    trials = [(IneqId.HAD_MAMAN, family, pair, Variant.PAPER_LITERAL)
+              for pair in (ExponentPair(0.625, 0.75), ExponentPair(0.75, 0.75))]
+    staged = [(inequality_info(i), f, p, v) for i, f, p, v in trials]
+    both = inequalities._Group(staged[0][0], Variant.PAPER_LITERAL, [0, 1], staged)
+    assert len(both.columns) == 5 and both._at["S", "half"] == (4, 4)
+    equal = inequalities._Group(staged[0][0], Variant.PAPER_LITERAL, [1], staged)
+    assert len(equal.columns) == 3
+    assert equal._at["S", "s"] == equal._at["S", "t"] == (0, 1)
 
 
 def _reference_weight(ineq, band, pair, variant, sign):
@@ -799,7 +879,7 @@ def _reference_links(ineq, family, params, variant):
     ``_reference_sum`` for the power sums, and ``+``, ``-``, scalar ``*``,
     ``kron`` and ``hadamard`` for the rest, in the statement's order."""
     a, b, band = family.A_list[0], family.B_list[0], family.band
-    if inequality_info(ineq).means:
+    if inequality_info(ineq).source == "means":
         path = MeanPath(family.A_list, family.B_list)
 
     def S(u):
@@ -1000,3 +1080,47 @@ def test_a_failing_builder_constant_is_found_by_halving(monkeypatch):
         for k, (ineq, family, params, variant) in enumerate(trials):
             if k != bad:
                 assert repr(got[k]) == repr(evaluate_inequality(ineq, copy(family), params, variant))
+
+
+def _records():
+    """``(public, private)`` of each record that a stage builds through a
+    private constructor, with the same fields."""
+    entries = np.array([[2.0, 0.5], [0.5, 1.0]])
+    a, b = SymMatrix(entries), SymMatrix(np.eye(2))
+    (stacked,) = SymMatrix.stack(entries[None])
+    gap = (-0.5, -0.25, False)
+    band = DEFAULT_BANDS[1]
+    matrices = (2, 2, (a, a), (b, b), band)
+    link = ("main", LoewnerGap(*gap))
+    family = FamilyInstance(*matrices)
+    report = (IneqId.HAD_MAMAN, Variant.PAPER_LITERAL, {"s": 0.75, "t": 1.0},
+              (LinkReport(*link),), LoewnerGap(*gap), 2.0, 3.0, family)
+    return [
+        pytest.param(SymMatrix(entries), SymMatrix._of(a.array, None, None), id="SymMatrix"),
+        pytest.param(SymMatrix(entries), stacked, id="SymMatrix.stack"),
+        pytest.param(LoewnerGap(*gap), LoewnerGap._of(*gap), id="LoewnerGap"),
+        pytest.param(FamilyInstance(*matrices), FamilyInstance._of(*matrices), id="FamilyInstance"),
+        pytest.param(LinkReport(*link), LinkReport._of(*link), id="LinkReport"),
+        pytest.param(IneqReport(*report), IneqReport._of(*report), id="IneqReport"),
+    ]
+
+
+@pytest.mark.parametrize("public, private", _records())
+def test_a_private_constructor_builds_what_the_public_one_builds(public, private):
+    assert type(private) is type(public)
+    assert private == public and repr(private) == repr(public)
+    fields = [f.name for f in dataclasses.fields(public)]
+    if hasattr(public, "__dict__"):
+        # The same fields, stored in the same order, and nothing else.
+        assert list(vars(private)) == list(vars(public)) == fields
+    else:
+        assert not hasattr(private, "__dict__")
+    for copy_of in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)), dataclasses.replace):
+        a, b = copy_of(public), copy_of(private)
+        assert type(a) is type(b) is type(public)
+        assert a == b == public and repr(a) == repr(b)
+    if hasattr(public, "__dict__"):
+        assert pickle.dumps(private) == pickle.dumps(public)
+    for record in (public, private):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, fields[0], None)

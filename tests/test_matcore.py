@@ -46,9 +46,9 @@ def _bits_equal(x, y):
 
 
 def _attributes(obj):
-    """The instance attributes of ``obj``, its slots or its ``__dict__``, each
-    by the identity of its value."""
-    names = getattr(obj, "__slots__", None) or vars(obj)
+    """The instance attributes of ``obj``, its slots (its class's and its
+    bases') or its ``__dict__``, each by the identity of its value."""
+    names = [n for c in type(obj).__mro__ for n in getattr(c, "__slots__", ())] or vars(obj)
     return {name: id(getattr(obj, name)) for name in names}
 
 

@@ -269,6 +269,35 @@ class TestWitnessReplay:
         with pytest.raises(ConfigError, match=f"{ineq} takes {kind} parameters, not \\(s, t\\)"):
             load_catalog(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("tolerance", math.inf, "tolerance must be finite and >= 0, got inf"),
+        ("tolerance", -math.inf, "tolerance must be finite and >= 0, got -inf"),
+        ("tolerance", math.nan, "tolerance must be finite and >= 0, got nan"),
+        ("tolerance", -1e-9, "tolerance must be finite and >= 0, got -1e-09"),
+        ("expected_gap", math.inf, "expected_gap must be finite, got inf"),
+        ("expected_gap", -math.inf, "expected_gap must be finite, got -inf"),
+        ("expected_gap", math.nan, "expected_gap must be finite, got nan"),
+    ])
+    def test_a_tolerance_or_gap_that_cannot_replay_fails_to_load(self, tmp_path, field, value, message):
+        # json writes these as Infinity, -Infinity and NaN, and reads them
+        # back.  An infinite tolerance passed every replay (a matrix gap of
+        # -0.18 against an expected 123), and a negative or NaN one failed
+        # every replay with no reason given.
+        record = {**BUILTIN_WITNESSES[0].to_dict(), "A_list": [[[3.0]]], "band": [1.0, 1.0, 2.0, 4.0],
+                  "expected_gap": 123.0, "tolerance": 1e-9, field: value}
+        path = tmp_path / "bad_tolerance.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ConfigError, match=f"^{path}:1: not a witness record \\(ValueError: {message}\\)$"):
+            load_catalog(path)
+
+    def test_a_zero_tolerance_loads_and_asks_for_the_exact_gap(self, tmp_path):
+        # Both paths miss HAD_MAMAN/repaired's 0 by one ulp of 4.
+        record = {**BUILTIN_WITNESSES[3].to_dict(), "tolerance": 0.0}
+        path = tmp_path / "exact.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        (loaded,) = load_catalog(path)
+        assert loaded.tolerance == 0.0 and not replay_witnesses([loaded])[0].passed
+
     def test_scalar_min_gap_matches_matrix_on_diagonals(self):
         # scalar_min_gap is the minimum absolute gap over links and entries;
         # on diagonal instances that equals the minimum link min_eig.

@@ -574,9 +574,9 @@ def _bits(x):
 
 
 def _attributes(obj):
-    """The instance attributes of ``obj``, its slots or its ``__dict__``, each
-    by the identity of its value."""
-    names = getattr(obj, "__slots__", None) or vars(obj)
+    """The instance attributes of ``obj``, its slots (its class's and its
+    bases') or its ``__dict__``, each by the identity of its value."""
+    names = [n for c in type(obj).__mro__ for n in getattr(c, "__slots__", ())] or vars(obj)
     return {name: id(getattr(obj, name)) for name in names}
 
 
@@ -780,18 +780,15 @@ class TestStackedEvaluation:
 
 
 class TestStackedMeanSums:
-    """``MeanPath.sums`` computes many ``(path, weight)`` requests together,
-    as blocks; ``at`` is its one-request case.  Each sum must be the
-    one-request sum and the per-pair reference, bit for bit."""
+    """``MeanPath.sums`` computes the weights of many items ``(paths,
+    weights)`` together; ``at`` is its one-request case.  Each sum must be
+    the one-request sum and the per-pair reference, bit for bit."""
 
     @staticmethod
     def _sums(requests):
-        """``MeanPath.sums``, one array per request."""
-        out = [None] * len(requests)
-        for total, idx in MeanPath.sums(requests):
-            for i, x in zip(idx, total):
-                out[i] = x
-        return out
+        """``MeanPath.sums`` of the ``(path, weight)`` requests, each one
+        item, in one call: one array per request."""
+        return [total[0, 0] for total in MeanPath.sums([([path], [[u]]) for path, u in requests])]
 
     WEIGHTS = tuple(k / 16 for k in range(17)) + tuple((3.0 - 2.0 * k / 16) / 4.0 for k in range(9, 17))
 
@@ -805,6 +802,17 @@ class TestStackedMeanSums:
         got = self._sums(requests[::-1])[::-1]  # any request order
         for (path, u), total in zip(requests, got):
             assert _same_bits(total, path.at(u).array)
+        # One item per dimension, every weight for every path, each row of
+        # weights in another order.
+        by_dim = {}
+        for f, path in zip(families, paths):
+            by_dim.setdefault(f.dim, []).append(path)
+        rows = [np.roll(self.WEIGHTS, i) for i in range(len(self.WEIGHTS))]
+        items = [(ps, np.array(rows)[:, : len(ps)]) for ps in by_dim.values()]
+        for (ps, weights), totals in zip(items, MeanPath.sums(items)):
+            assert totals.shape[:2] == weights.shape
+            for i, r in np.ndindex(weights.shape):
+                assert _same_bits(totals[i, r], ps[r].at(weights[i, r]).array)
         for f, path in zip(families, paths):
             pairs = list(zip(f.A_list, f.B_list))
             for u in (0.5, 0.3125, 0.6875, 0.625):
@@ -855,10 +863,12 @@ class TestStackedMeanSums:
                 wide.at(0.0)
             assert str(alone.value) == "matrix entries must be finite"
             with pytest.raises(DomainError) as stacked:
-                MeanPath.sums([(good, 0.5), (wide, 0.0), (wide, 1.0), (good, 0.25)])
+                MeanPath.sums([([good], [[0.5]]), ([wide], [[0.0], [1.0]]), ([good], [[0.25]])])
             assert str(stacked.value) == str(alone.value)
             with pytest.raises(DomainError, match=r"^mean weight must lie in \[0, 1\], got 1.5$"):
-                MeanPath.sums([(good, 0.5), (good, 1.5), (wide, 1.0)])
+                MeanPath.sums([([good], [[0.5], [1.5]]), ([wide], [[1.0]])])
+            with pytest.raises(ShapeError, match="one MeanPath.stack call and dimension"):
+                MeanPath.sums([([good, wide], [[0.5, 0.5]])])
             got = self._sums([(good, 0.5), (wide, 1.0), (good, 0.25)])
         assert _same_bits(got[0], good.at(0.5).array)
         assert _same_bits(got[1], wide.at(1.0).array)
