@@ -31,8 +31,8 @@ from .inequalities import (
 from .matcore import DEFAULT_TOL
 from .oracle import BUILTIN_WITNESSES, dump_catalog, load_catalog, replay_witnesses
 from .oracle import WITNESS_FAMILY, WITNESS_PAIR
-from .sampler import FamilyInstance, RngState, SpectralBand, derive_rng, derive_rngs, sample_families
-from .sampler import sample_matrices
+from .sampler import FamilyInstance, SpectralBand, derive_rng, derive_rngs, derive_streams, next_words
+from .sampler import sample_families, sample_matrices
 from .scalarcore import ExponentPair
 
 EXIT_OK = 0
@@ -166,12 +166,6 @@ def _combos(config: SuiteConfig):
         if config.variant in ("repaired", "both") and ineq in REPAIRABLE:
             combos.append((ineq, Variant.REPAIRED))
     return combos
-
-
-def _stream(config: SuiteConfig, key: str):
-    """Stream id of a sampling key and the generator it seeds."""
-    stream = _stable_hash(key)
-    return stream, derive_rng(config.master_seed, stream)
 
 
 class _Job(NamedTuple):
@@ -385,11 +379,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if summary.verdict == "PASS" else EXIT_VIOLATION
 
 
-def _mutate_st(pair: ExponentPair, rng: RngState, step: float) -> ExponentPair:
-    """Nudge one exponent by +-step, staying on an admissible branch."""
-    for _ in range(8):
-        ds = (rng.next_u64() % 3 - 1) * step
-        dt = (rng.next_u64() % 3 - 1) * step
+#: Words an exponent nudge (``_mutate_st``) reads at most: two per try.
+NUDGE_WORDS = 16
+
+
+def _mutate_st(pair: ExponentPair, next_u64, step: float) -> ExponentPair:
+    """Nudge one exponent by +-step, staying on an admissible branch; each
+    try reads two words from ``next_u64`` (a stream's ``next_u64``, or a
+    replay of its words)."""
+    for _ in range(NUDGE_WORDS // 2):
+        ds = (next_u64() % 3 - 1) * step
+        dt = (next_u64() % 3 - 1) * step
         try:
             return ExponentPair(pair.s + ds, pair.t + dt)
         except CallebautLabError:
@@ -411,24 +411,60 @@ REFINE_STEPS = 50
 REFINE_CHUNK = 12
 
 
-def _refine_step(config: SuiteConfig, ineq: IneqId, variant: Variant, step: int, point):
-    """Refinement step ``step`` from the best's grid point: its stream, its
-    point, and for a matrix redraw the redrawn side, index and
-    ``sample_matrices`` request (else None).  The step draws from its own
-    stream, so it depends only on the best it starts from."""
-    stream, rng = _stream(config, f"refine|{ineq.value}|{variant.value}|step={step}")
+class _Step(NamedTuple):
+    """The draws of one refinement step, from its own stream: the stream
+    id, and either the ``NUDGE_WORDS`` words an exponent nudge reads
+    (``redraw`` None) or the redrawn side, index and ``sample_matrices``
+    request."""
+
+    stream: int
+    words: tuple | None
+    redraw: tuple | None
+
+
+def _refine_plan(config: SuiteConfig, ineq: IneqId, variant: Variant, point) -> list[_Step]:
+    """The ``_Step`` of every refinement step from a best at ``point``.
+
+    A step's draws depend only on its stream and on the best's band, size
+    and dimension (no step changes them) and parameter kind, so they are
+    drawn once, for every step: the ``REFINE_STEPS`` streams are seeded
+    together with the words that pick each step (``derive_streams``), a
+    uniform that chooses a nudge for ``ExponentPair`` params, then a
+    redraw's index and side, and the later words of every nudge are drawn
+    together (``next_words``)."""
     band, n, d, params = point
-    if isinstance(params, ExponentPair) and rng.uniform() < 0.5:
-        p2 = _mutate_st(params, rng, 1.0 / 32.0)
-        if not inequality_info(ineq).kind.holds(p2):
-            p2 = params
-        return stream, (band, n, d, p2), None
-    j = rng.next_u64() % n
-    if rng.next_u64() % 2 == 0:
-        attr, lo, hi = "A_list", band.M_lo, band.M_hi
-    else:
-        attr, lo, hi = "B_list", band.m_lo, band.m_hi
-    return stream, point, (attr, j, (d, lo, hi, rng, True))
+    key = f"refine|{ineq.value}|{variant.value}|step="
+    streams = [_stable_hash(f"{key}{s}") for s in range(REFINE_STEPS)]
+    nudging = isinstance(params, ExponentPair)
+    rngs, words = derive_streams(config.master_seed, streams, 3 if nudging else 2)
+    words = words.tolist()
+    # RngState.uniform() < 0.5, from the first word.
+    nudges = [s for s, w in enumerate(words) if nudging and (w[0] >> 11) * 2.0 ** -53 < 0.5]
+    tails = dict(zip(nudges, next_words([rngs[s] for s in nudges], NUDGE_WORDS - 2).tolist()))
+    plan = []
+    for s, (stream, rng, w) in enumerate(zip(streams, rngs, words)):
+        if s in tails:
+            plan.append(_Step(stream, (*w[1:], *tails[s]), None))
+            continue
+        j, side = w[-2:]
+        if side % 2 == 0:
+            attr, lo, hi = "A_list", band.M_lo, band.M_hi
+        else:
+            attr, lo, hi = "B_list", band.m_lo, band.m_hi
+        plan.append(_Step(stream, None, (attr, j % n, (d, lo, hi, rng, True))))
+    return plan
+
+
+def _refine_step(ineq: IneqId, step: _Step, point):
+    """``step`` from the best's grid point: the point it evaluates, and
+    for a matrix redraw the redrawn side and index (else None)."""
+    if step.redraw is not None:
+        return point, step.redraw[:2]
+    band, n, d, params = point
+    p2 = _mutate_st(params, iter(step.words).__next__, 1.0 / 32.0)
+    if not inequality_info(ineq).kind.holds(p2):
+        p2 = params
+    return (band, n, d, p2), None
 
 
 def _check_search(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig):
@@ -445,11 +481,14 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
     """Randomized counterexample search with band-edge pinning: ``budget``
     pinned instances over the sweep grid, then ``REFINE_STEPS`` matrix
     redraws and exponent nudges, each from the best so far, in chunks of
-    ``REFINE_CHUNK``.  Returns the line of the most negative report found
-    (``_line``, the trial index and the instance; None when no trial was
-    evaluated) and the number of budget trials and refinement steps whose
-    report is an error: such a trial is skipped, and such a step does not
-    count as better.
+    ``REFINE_CHUNK``.  A budget stage seeds its streams and draws their
+    grid-position words at once (``derive_streams``); the refinement's
+    draws are made once (``_refine_plan``), and its redraws sampled by one
+    ``sample_matrices`` call, before the first chunk.  Returns the line of
+    the most negative report found (``_line``, the trial index and the
+    instance; None when no trial was evaluated) and the number of budget
+    trials and refinement steps whose report is an error: such a trial is
+    skipped, and such a step does not count as better.
     """
     _check_search(ineq, variant, budget, config)
     order = _grid_order(ineq)
@@ -459,12 +498,13 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
     key = f"falsify|{ineq.value}|{variant.value}|trial="  # a budget trial's stream key, less its index
 
     def stages():
-        # Each trial draws its grid point from its own stream, then its
-        # family; a stage seeds its streams and builds its points together.
+        # Each trial draws its grid point from its own stream's first word,
+        # then its family; a stage seeds its streams, draws their first
+        # words and builds its points together.
         for trials in _stages(range(budget)):
             streams = [_stable_hash(f"{key}{b}") for b in trials]
-            rngs = derive_rngs(config.master_seed, streams)
-            points = _points(ineq, order[[rng.next_u64() % len(order) for rng in rngs]])
+            rngs, words = derive_streams(config.master_seed, streams, 1)
+            points = _points(ineq, order[(words[:, 0] % np.uint64(len(order))).astype(np.intp)])
             yield [(_Job(ineq, variant, p, b, s), rng) for p, b, s, rng in zip(points, trials, streams, rngs)]
 
     for job, instance, report in _staged(stages(), True, config.tol):
@@ -473,23 +513,20 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
         elif best is None or report.gap.rel_gap < best[0]:
             best = (report.gap.rel_gap, job, instance, report)
 
-    # A redraw depends only on its stream and the best's band and dimension,
-    # which no step changes, so it is sampled once, when first built.
-    redrawn = {}
+    if best is not None:
+        # Every step is built once at least, so every redraw is sampled,
+        # once, by one call.
+        plan = _refine_plan(config, ineq, variant, best[1].point)
+        redraws = [s for s, st in enumerate(plan) if st.redraw]
+        redrawn = dict(zip(redraws, sample_matrices([plan[s].redraw[2] for s in redraws])))
     step = 0
     while best is not None and step < REFINE_STEPS:
-        chunk = [
-            _refine_step(config, ineq, variant, s, best[1].point)
-            for s in range(step, min(step + REFINE_CHUNK, REFINE_STEPS))
-        ]
-        todo = {s: redraw[2] for s, (*_, redraw) in enumerate(chunk, step)
-                if redraw and s not in redrawn}
-        redrawn.update(zip(todo, sample_matrices(list(todo.values()))))
         steps = []  # (job, family or its sampling error)
-        for s, (stream, point, redraw) in enumerate(chunk, step):
+        for s in range(step, min(step + REFINE_CHUNK, REFINE_STEPS)):
+            point, redraw = _refine_step(ineq, plan[s], best[1].point)
             instance = best[2]
             if redraw:
-                attr, j, _ = redraw
+                attr, j = redraw
                 matrix = redrawn[s]
                 if isinstance(matrix, Exception):
                     instance = matrix
@@ -499,7 +536,7 @@ def run_falsify(ineq: IneqId, variant: Variant, budget: int, config: SuiteConfig
                     a, b = (tuple(mats), instance.B_list) if attr == "A_list" else (instance.A_list, tuple(mats))
                     # The redrawn matrix has the family's dimension: no field needs a check.
                     instance = FamilyInstance._of(instance.n, instance.dim, a, b, instance.band)
-            steps.append((_Job(ineq, variant, point, -1, stream), instance))
+            steps.append((_Job(ineq, variant, point, -1, plan[s].stream), instance))
         trials = [(ineq, instance, job.point[3], variant) for job, instance in steps]
         for (job, instance), report in zip(steps, _evaluated(trials, config.tol)):
             step += 1

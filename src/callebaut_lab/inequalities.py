@@ -35,16 +35,19 @@ from .errors import each_alone
 from .matcore import (
     DEFAULT_TOL,
     LoewnerGap,
-    MeanPath,
     SymMatrix,
     _finite,
     _gather,
+    _mean_base,
+    _mean_sums,
+    _mean_weights,
+    _runs,
     kron_arrays,
     loewner_gaps,
     require_positive_pairs,
     spectral_pow_stack,
 )
-from .sampler import FamilyInstance, SpectralBand, _band_failures
+from .sampler import FamilyInstance, SpectralBand, _band_failures, _family_parts, _sizes
 from .scalarcore import (
     DELTA_HALF,
     ExponentPair,
@@ -754,10 +757,11 @@ def _build_stage(trials) -> tuple[list, list]:
     checks, a ``DomainError`` as ``HypothesisError``, or ``None``; a group
     ``(info, ks, links)`` holds the record of its id and ``(name, lhs,
     rhs)`` stacks whose row ``r`` is trial ``ks[r]``'s.  The stacked steps
-    succeed whole or raise, a ``DomainError`` as ``HypothesisError``: one
-    ``MeanPath`` per distinct family that takes means, the stored sums of
-    every group's weight columns, and each group's builder, its per-trial
-    constants included, and links, checked for finiteness.
+    succeed whole or raise, a ``DomainError`` as ``HypothesisError``: the
+    band checks of every family (``_band_failures``, once for the stage),
+    one mean-path factoring per distinct family that takes means, the
+    stored sums of every group's weight columns, and each group's builder,
+    its per-trial constants included, and links, checked for finiteness.
     """
     # Each trial's record is looked up once; every later step reads
     # (info, family, params, variant).
@@ -795,14 +799,35 @@ def _build_stage(trials) -> tuple[list, list]:
 
 
 def _fill_mean_sums(groups: list[_Group]):
-    """Store the mean sums of each group's weight columns, with one
-    ``MeanPath`` per distinct family (one ``MeanPath.stack`` call) and one
-    ``MeanPath.sums`` call for all the groups."""
-    families = {id(f): f for g in groups for f in g.families}
-    paths = dict(zip(families, MeanPath.stack([(f.A_list, f.B_list) for f in families.values()])))
-    items = [([paths[id(f)] for f in g.families], g.columns) for g in groups]
-    for g, stored in zip(groups, MeanPath.sums(items)):
-        g.stored = stored
+    """Store the mean sums of each group's weight columns.  The distinct
+    families of each dimension are factored together: their spectra are
+    read at once (``_family_parts``) and their pairs factored by one
+    ``matcore._mean_base`` call (the checks of ``MeanPath.stack``, whose
+    shapes a ``FamilyInstance`` already guarantees); then one
+    ``matcore._mean_sums`` call computes every group's columns, with each
+    request's rows found from its family's first pair and size by array
+    arithmetic."""
+    by_dim: dict[int, dict] = {}  # dimension -> {id of a family: the family}, distinct
+    for g in groups:
+        by_dim.setdefault(g.dim, {}).update(zip(map(id, g.families), g.families))
+    bases = {}
+    for d, fams in by_dim.items():
+        place = dict(zip(fams, range(len(fams))))
+        fams = list(fams.values())
+        w, q, x = _family_parts(fams, "wqx")
+        ns = _sizes(fams)
+        a = _runs(2 * (np.cumsum(ns) - ns), ns)  # the rows of the A's; each B follows its family's A's by n
+        b = a + np.repeat(ns, ns)
+        bases[d] = (_mean_base(w[a], q[a], w[b, 0], x[b]), np.cumsum(ns) - ns, ns, place)
+    blocks = []
+    for g in groups:
+        base, firsts, ns, place = bases[g.dim]
+        at = np.fromiter(map(place.__getitem__, map(id, g.families)), np.intp, len(g.families))
+        m = len(g.columns)
+        sizes = np.tile(ns[at], m)
+        blocks.append((base, _runs(np.tile(firsts[at], m), sizes), sizes, _mean_weights(np.concatenate(g.columns))))
+    for g, totals in zip(groups, _mean_sums(blocks)):
+        g.stored = totals.reshape(len(g.columns), len(g.ks), *totals.shape[1:])
 
 
 def _fill_power_sums(groups: list[_Group]):
@@ -936,14 +961,21 @@ def evaluate_stage(trials, tol: float = DEFAULT_TOL) -> list:
 
 
 def _evaluate_stage(trials, tol):
+    """The reports of ``evaluate_stage``: the links of every group measured
+    by one ``matcore.loewner_gaps`` call, each trial's owner number its index,
+    then one report per trial."""
     out, groups = _build_stage(trials)
-    measured = loewner_gaps([(lhs, rhs, ks) for _, ks, links in groups for _, lhs, rhs in links], tol)
+    gaps, worst, lhs_norm, rhs_norm = loewner_gaps(
+        [(lhs, rhs, ks) for _, ks, links in groups for _, lhs, rhs in links], len(trials), tol)
     new_link, new_report = LinkReport._of, IneqReport._of
+    at = 0
     for info, ks, links in groups:
-        names, report = [name for name, _, _ in links], info.kind.report
-        for k in ks:
-            _, family, params, variant = trials[k]
-            gaps, w, lhs_norm, rhs_norm = measured[k]
-            out[k] = new_report(info.ineq, variant, report(params), tuple(map(new_link, names, gaps)),
-                                gaps[w], lhs_norm, rhs_norm, family)
+        names, report, k = [name for name, _, _ in links], info.kind.report, len(ks)
+        # Trial r's gaps: row r of each of its links, in link order.
+        mine = zip(*[gaps[at + i * k : at + (i + 1) * k] for i in range(len(links))])
+        at += len(links) * k
+        for t, own in zip(ks, mine):
+            _, family, params, variant = trials[t]
+            out[t] = new_report(info.ineq, variant, report(params), tuple(map(new_link, names, own)),
+                                own[worst[t]], lhs_norm[t], rhs_norm[t], family)
     return out

@@ -9,9 +9,11 @@ benchmarks", "Stacked evaluation") describes the conventions and the
 stacked forms (``sym_eigen_stack``, ``spectral_pow_stack``,
 ``kron_arrays``, ``MeanPath.stack``, ``MeanPath.sums``, ``loewner_gaps``),
 which read the spectra and entries of many matrices through ``_gather``,
-one ``take`` per source stack.  A stacked call gives each item the bits of
-its one-item case on the installed build, and returns all its results or
-raises the error of its first failing item.  Arithmetic that overflows is
+one ``take`` per source stack.  The evaluation stage calls the mean-path
+kernels (``_mean_base``, ``_mean_sums``) on arrays it reads itself.  A
+stacked call gives each item the bits of its one-item case on the
+installed build, and returns all its results or raises the error of its
+first failing item.  Arithmetic that overflows is
 rejected by one finiteness check after it (``_finite``), without a NumPy
 warning first.
 """
@@ -19,7 +21,7 @@ warning first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from typing import Sequence
 
 import numpy as np
@@ -491,14 +493,12 @@ class MeanPath:
         """``[MeanPath(a, b) for a, b in groups]``, factored together.
 
         The pairs of all groups of one dimension share one read of their
-        spectra (``_gather``), one stacked rebuild of ``a^(+-1/2)``, one
-        stacked inner operand ``a^(-1/2) b a^(-1/2)`` with its
-        symmetrisation, and one eigendecomposition; each result is the one a
-        one-pair path computes, bit for bit.  A pair that cannot be factored
-        raises ``DomainError`` (the first such pair of the first dimension
-        that has one), where each pair checks ``a``, then ``b``, then the
-        inner operand.  A ``ShapeError`` (pairs that do not match),
-        ``SizeError`` or ``LinAlgError`` propagates.
+        spectra (``_gather``) and one ``_mean_base`` call; each result is
+        the one a one-pair path computes, bit for bit.  A pair that cannot
+        be factored raises ``DomainError`` (the first such pair of the first
+        dimension that has one), where each pair checks ``a``, then ``b``,
+        then the inner operand.  A ``ShapeError`` (pairs that do not
+        match), ``SizeError`` or ``LinAlgError`` propagates.
         """
         groups = [(tuple(a), tuple(b)) for a, b in groups]
         by_dim: dict[int, list[int]] = {}
@@ -506,28 +506,9 @@ class MeanPath:
             by_dim.setdefault(_require_pairs(a, b), []).append(g)
         out = [None] * len(groups)
         for gs in by_dim.values():
-            a = [m for g in gs for m in groups[g][0]]
-            b = [m for g in gs for m in groups[g][1]]
-            wa, qa = _gather(a, "wq")
-            wb, xb = _gather(b, "wx")
-            wb = wb[:, 0]
-            # Pairs that fail the a or b check get a stand-in spectrum, so the
-            # inner operand of every other pair is still checked.
-            usable = (wa[:, 0] >= EIG_FLOOR) & (wb >= EIG_FLOOR)
-            root = np.sqrt(np.where(usable[:, None], wa, 1.0))
-            qt = qa.transpose(0, 2, 1)
-            a_half = (qa * root[:, None, :]) @ qt
-            a_inv_half = (qa * (1.0 / root)[:, None, :]) @ qt
-            with np.errstate(over="ignore", invalid="ignore"):
-                inner = a_inv_half @ xb @ a_inv_half
-                inner = inner + inner.transpose(0, 2, 1)
-            finite = np.isfinite(inner).all(axis=(1, 2))
-            w, q = _eigh_stack(np.where(finite[:, None, None], inner, 2.0) / 2.0)
-            good = usable & finite & (w[:, 0] > 0.0)
-            if not good.all():
-                j = int(np.argmin(good))
-                _check_pair(wa[j, 0], wb[j], inner[j], w[j, 0])
-            base = (a_half, w, q)
+            wa, qa = _gather([m for g in gs for m in groups[g][0]], "wq")
+            wb, xb = _gather([m for g in gs for m in groups[g][1]], "wx")
+            base = _mean_base(wa, qa, wb[:, 0], xb)
             rows = [0, *accumulate(len(groups[g][0]) for g in gs)]
             for g, lo, hi in zip(gs, rows, rows[1:]):
                 path = out[g] = object.__new__(cls)
@@ -552,58 +533,122 @@ class MeanPath:
         a sum that is not finite, raises ``DomainError`` for the whole call;
         paths of two ``stack`` calls or dimensions in one item raise
         ``ShapeError``.  Each item's row index into its paths' base arrays
-        is built once, for all its weights; the requests on one base share
-        one stacked chain of products; each distinct weight takes one
-        ``np.power`` over the eigenvalues of all its requests, of every
-        dimension, flattened (``_powers``); and the requests with the same
-        number of pairs are summed left to right together.  Each result is
-        bit for bit the one-request result.
+        is built once, from each path's first row and size, for all its
+        weights, and ``_mean_sums`` computes every request of the call
+        together.
         """
-        by_base: dict[int, list] = {}  # id of a base -> [base, [rows], [sizes], [weights], [(item, m, k)]]
-        for item, (paths, weights) in enumerate(items):
-            weights = np.asarray(weights, dtype=np.float64)
-            bad = ~((weights >= 0.0) & (weights <= 1.0))
-            if bad.any():
-                raise DomainError(f"mean weight must lie in [0, 1], got {float(weights.flat[np.argmax(bad)])}")
+        blocks = []
+        for paths, weights in items:
+            weights = _mean_weights(weights)
             base = paths[0]._base
             if any(p._base is not base for p in paths):
                 raise ShapeError("the paths of one item must come from one MeanPath.stack call and dimension")
-            rows = [p._rows for p in paths]
-            m = len(weights)
-            got = by_base.setdefault(id(base), [base, [], [], [], []])
-            got[1].append(np.tile(np.fromiter(chain.from_iterable(rows), np.intp), m))
-            got[2].append(np.tile(np.fromiter(map(len, rows), np.intp, len(rows)), m))
-            got[3].append(weights.ravel())
-            got[4].append((item, m, len(paths)))
-        blocks = [(base, np.concatenate(rows), np.concatenate(sizes), np.concatenate(ws), places)
-                  for base, rows, sizes, ws, places in by_base.values()]
-        # Every dimension's eigenvalues as one flat run, with their weights.
-        eigs = [base[1][rows] for base, rows, *_ in blocks]
-        powered = _powers(
-            np.concatenate([w.ravel() for w in eigs] or [[]]),
-            np.concatenate([np.repeat(ws, sizes * w.shape[1]) for (_, _, sizes, ws, _), w in zip(blocks, eigs)] or [[]]),
-        )
-        out = [None] * len(items)
-        at = 0
-        for (base, rows, sizes, _, places), w in zip(blocks, eigs):
-            a_half, q = base[0][rows], base[2][rows]
-            p, at = powered[at : at + w.size].reshape(w.shape), at + w.size
-            starts = np.cumsum(sizes) - sizes
-            with np.errstate(over="ignore", invalid="ignore"):
-                means = a_half @ ((q * p[:, None, :]) @ q.transpose(0, 2, 1)) @ a_half
-                means = (means + means.transpose(0, 2, 1)) / 2.0
-                totals = np.empty((len(sizes), *means.shape[1:]))
-                for n in dict.fromkeys(sizes.tolist()):
-                    ks = np.flatnonzero(sizes == n)
-                    first = starts[ks]
-                    total = means[first]
-                    for j in range(1, n):
-                        total = total + means[first + j]
-                    totals[ks] = total
-            _finite(totals)
-            for (item, m, k), lo in zip(places, accumulate((m * k for _, m, k in places), initial=0)):
-                out[item] = totals[lo : lo + m * k].reshape(m, k, *totals.shape[1:])
-        return out
+            k, m = len(paths), len(weights)
+            starts = np.fromiter((p._rows.start for p in paths), np.intp, k)
+            sizes = np.fromiter((len(p._rows) for p in paths), np.intp, k)
+            sizes = np.tile(sizes, m)
+            blocks.append((base, _runs(np.tile(starts, m), sizes), sizes, weights.ravel()))
+        return [totals.reshape(len(w), len(p), *totals.shape[1:])
+                for (p, w), totals in zip(items, _mean_sums(blocks))]
+
+
+def _mean_weights(weights) -> np.ndarray:
+    """``weights`` as a ``float64`` array, or the ``DomainError`` of its
+    first weight outside [0, 1]."""
+    weights = np.asarray(weights, dtype=np.float64)
+    bad = ~((weights >= 0.0) & (weights <= 1.0))
+    if bad.any():
+        raise DomainError(f"mean weight must lie in [0, 1], got {float(weights.flat[np.argmax(bad)])}")
+    return weights
+
+
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``start, start + 1, ..., start + size - 1`` for each ``start, size``
+    of ``zip(starts, sizes)``, concatenated, as one ``intp`` array."""
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum(), dtype=np.intp)
+
+
+def _mean_base(wa: np.ndarray, qa: np.ndarray, wb: np.ndarray, xb: np.ndarray) -> tuple:
+    """The base arrays ``(a^(1/2), w, q)`` of the pairs ``(a_j, b_j)`` of
+    one dimension, from the eigenvalues ``wa`` and eigenvectors ``qa`` of
+    the ``a_j``, the smallest eigenvalue ``wb`` and the entries ``xb`` of
+    the ``b_j``: ``w, q`` decompose the inner operand ``a^(-1/2) b
+    a^(-1/2)``.  One stacked rebuild of ``a^(+-1/2)``, one stacked inner
+    operand with its symmetrisation and one eigendecomposition serve every
+    pair; the first pair that cannot be factored raises its
+    ``DomainError`` (``_check_pair``)."""
+    # Pairs that fail the a or b check get a stand-in spectrum, so the
+    # inner operand of every other pair is still checked.
+    usable = (wa[:, 0] >= EIG_FLOOR) & (wb >= EIG_FLOOR)
+    root = np.sqrt(np.where(usable[:, None], wa, 1.0))
+    qt = qa.transpose(0, 2, 1)
+    a_half = (qa * root[:, None, :]) @ qt
+    a_inv_half = (qa * (1.0 / root)[:, None, :]) @ qt
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = a_inv_half @ xb @ a_inv_half
+        inner = inner + inner.transpose(0, 2, 1)
+    finite = np.isfinite(inner).all(axis=(1, 2))
+    w, q = _eigh_stack(np.where(finite[:, None, None], inner, 2.0) / 2.0)
+    good = usable & finite & (w[:, 0] > 0.0)
+    if not good.all():
+        j = int(np.argmin(good))
+        _check_pair(wa[j, 0], wb[j], inner[j], w[j, 0])
+    return a_half, w, q
+
+
+def _mean_sums(blocks: Sequence[tuple]) -> list[np.ndarray]:
+    """The mean sums of each block ``(base, rows, sizes, weights)``: request
+    ``i`` sums the ``sizes[i]`` pairs at the next rows of ``rows`` in the
+    ``_mean_base`` arrays ``base``, each at the weight ``weights[i]`` (in
+    [0, 1]).  Returns one ``(requests, d, d)`` stack per block.
+
+    The blocks on one base share one stacked chain of products; each
+    distinct weight takes one ``np.power`` over the eigenvalues of all its
+    requests, of every dimension, flattened (``_powers``); and the requests
+    with the same number of pairs are summed left to right together.  A
+    sum that is not finite raises ``DomainError``.  Each result is bit for
+    bit the one-request result.
+    """
+    by_base: dict[int, list] = {}  # id of a base -> [base, [rows], [sizes], [weights], [blocks]]
+    for b, (base, rows, sizes, weights) in enumerate(blocks):
+        got = by_base.setdefault(id(base), [base, [], [], [], []])
+        got[1].append(rows)
+        got[2].append(sizes)
+        got[3].append(weights)
+        got[4].append(b)
+    merged = [(base, np.concatenate(rows), np.concatenate(sizes), np.concatenate(ws), places)
+              for base, rows, sizes, ws, places in by_base.values()]
+    # Every dimension's eigenvalues as one flat run, with their weights.
+    eigs = [base[1][rows] for base, rows, *_ in merged]
+    powered = _powers(
+        np.concatenate([w.ravel() for w in eigs] or [[]]),
+        np.concatenate([np.repeat(ws, sizes * w.shape[1]) for (_, _, sizes, ws, _), w in zip(merged, eigs)] or [[]]),
+    )
+    out = [None] * len(blocks)
+    at = 0
+    for (base, rows, sizes, _, places), w in zip(merged, eigs):
+        a_half, q = base[0][rows], base[2][rows]
+        p, at = powered[at : at + w.size].reshape(w.shape), at + w.size
+        starts = np.cumsum(sizes) - sizes
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = a_half @ ((q * p[:, None, :]) @ q.transpose(0, 2, 1)) @ a_half
+            means = (means + means.transpose(0, 2, 1)) / 2.0
+            totals = np.empty((len(sizes), *means.shape[1:]))
+            for n in dict.fromkeys(sizes.tolist()):
+                ks = np.flatnonzero(sizes == n)
+                first = starts[ks]
+                total = means[first]
+                for j in range(1, n):
+                    total = total + means[first + j]
+                totals[ks] = total
+        _finite(totals)
+        lo = 0
+        for b in places:
+            hi = lo + len(blocks[b][2])
+            out[b] = totals[lo:hi]
+            lo = hi
+    return out
+
 
 def _check_pair(a_min: float, b_min: float, inner: np.ndarray | None = None, inner_min: float = 1.0):
     """Raise the ``DomainError`` of the first check of one mean-path pair,
@@ -648,62 +693,75 @@ def require_positive_pairs(a: Sequence[SymMatrix], b: Sequence[SymMatrix]):
 def loewner_gap(lhs: SymMatrix, rhs: SymMatrix, tol: float = DEFAULT_TOL) -> LoewnerGap:
     """Measure the signed gap of ``lhs <= rhs`` in the Loewner order; the
     one-link case of :func:`loewner_gaps`."""
-    return loewner_gaps([(lhs.array[None], rhs.array[None], [0])], tol)[0][0][0]
+    return loewner_gaps([(lhs.array[None], rhs.array[None], [0])], 1, tol)[0][0]
 
 
-def loewner_gaps(links: Sequence[tuple], tol: float = DEFAULT_TOL) -> dict:
+def loewner_gaps(links: Sequence[tuple], owners: int, tol: float = DEFAULT_TOL) -> tuple[list, list, list, list]:
     """The gaps of many links, measured together, and the operand norms of
     each owner's worst link.
 
-    Each item of ``links`` is ``(lhs, rhs, owners)``: two ``(k, D, D)``
-    stacks and the owner of each row.  An owner's links are its rows in
-    the order of ``links``.  Returns ``{owner: (gaps, worst, lhs_norm,
-    rhs_norm)}``: the ``LoewnerGap`` of each of its links, the index of
-    the first link with the smallest ``rel_gap``, and the spectral norms
-    of that link's operands.  Per dimension, every difference ``rhs - lhs``
-    is formed in one subtraction (a difference that is not finite raises
-    ``DomainError``), and the differences and the right sides are
-    decomposed with one ``_eigh_stack`` call each; a left side is
-    decomposed only for its owner's worst link.  Each number is the one a
-    one-link call measures, bit for bit.
+    Each item of ``links`` is ``(lhs, rhs, codes)``: two ``(k, D, D)``
+    stacks and the owner of each row, a number in ``range(owners)``; an
+    owner's links are its rows in the order of ``links``.  Returns
+    ``(gaps, worst, lhs_norm, rhs_norm)``: the ``LoewnerGap`` of every
+    link, in the order of ``links`` and their rows, and for each owner the
+    index among its own links of the first with the smallest ``rel_gap``
+    and the spectral norms of that link's operands (0 for a number that
+    owns no link).
+
+    Per dimension, every difference ``rhs - lhs`` is formed in one
+    subtraction (a difference that is not finite raises ``DomainError``,
+    before any decomposition), and the differences and the right sides are
+    decomposed with one ``_eigh_stack`` call each.  Each owner's worst link
+    is found on the whole table at once (one stable sort by owner, then
+    ``rel_gap``), and a left side is decomposed only for its owner's worst
+    link.  Each number is the one a one-link call measures, bit for bit.
     """
-    by_dim: dict[int, list] = {}
-    rows: dict = {}  # owner -> [(dimension, row)] of its links, in order
-    for lhs, rhs, owners in links:
+    by_dim: dict[int, list] = {}  # dimension -> [(lhs, rhs, first place)]
+    total = 0
+    for lhs, rhs, _ in links:
         if lhs.shape != rhs.shape:
             raise ShapeError(f"dimension mismatch: {lhs.shape[-1]} vs {rhs.shape[-1]}")
-        d = lhs.shape[-1]
-        items = by_dim.setdefault(d, [])
-        first = sum(len(x) for x, _ in items)
-        for r, owner in enumerate(owners, first):
-            rows.setdefault(owner, []).append((d, r))
-        items.append((lhs, rhs))
-    lhs = {d: np.concatenate([x[0] for x in items]) for d, items in by_dim.items()}
-    rhs = {d: np.concatenate([x[1] for x in items]) for d, items in by_dim.items()}
+        by_dim.setdefault(lhs.shape[-1], []).append((lhs, rhs, total))
+        total += len(lhs)
+    if not total:
+        return [], [0] * owners, [0.0] * owners, [0.0] * owners
+    code = np.concatenate([np.asarray(c, dtype=np.intp) for _, _, c in links])
+    stacks = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = {d: _finite(rhs[d] - lhs[d]) for d in by_dim}
-    min_eig, norm, rel, sat = {}, {}, {}, {}
-    for d in by_dim:
-        rhs_norm = _norms(_eigh_stack(rhs[d])[0])
-        low = _eigh_stack(diff[d])[0][:, 0]
-        ratio = low / np.maximum(1.0, rhs_norm)
-        min_eig[d], rel[d], sat[d], norm[d] = (
-            low.tolist(), ratio.tolist(), (ratio >= -tol).tolist(), rhs_norm.tolist())
-    worst, wanted = {}, {}
-    for owner, at in rows.items():
-        gaps = [rel[d][r] for d, r in at]
-        worst[owner] = gaps.index(min(gaps))
-        wanted.setdefault(at[worst[owner]][0], []).append(owner)
-    lhs_norm = {}
-    for d, owners in wanted.items():
-        w = _eigh_stack(lhs[d][[rows[o][worst[o]][1] for o in owners]])[0]
-        lhs_norm.update(zip(owners, _norms(w).tolist()))
-    gaps = {d: list(map(LoewnerGap._of, min_eig[d], rel[d], sat[d])) for d in by_dim}
-    out = {}
-    for owner, at in rows.items():
-        d, r = at[worst[owner]]
-        out[owner] = (tuple([gaps[d][r] for d, r in at]), worst[owner], lhs_norm[owner], norm[d][r])
-    return out
+        for d, items in by_dim.items():
+            lhs = np.concatenate([x for x, _, _ in items])
+            rhs = np.concatenate([y for _, y, _ in items])
+            places = np.concatenate([np.arange(at, at + len(x)) for x, _, at in items])
+            stacks[d] = (lhs, rhs, _finite(rhs - lhs), places)
+    min_eig, rel, rhs_norm = np.empty(total), np.empty(total), np.empty(total)
+    dim_of, row_of = np.empty(total, dtype=np.intp), np.empty(total, dtype=np.intp)
+    for d, (_, rhs, diff, places) in stacks.items():
+        norm = _norms(_eigh_stack(rhs)[0])
+        low = _eigh_stack(diff)[0][:, 0]
+        min_eig[places], rel[places], rhs_norm[places] = low, low / np.maximum(1.0, norm), norm
+        dim_of[places], row_of[places] = d, np.arange(len(places))
+    gaps = list(map(LoewnerGap._of, min_eig.tolist(), rel.tolist(), (rel >= -tol).tolist()))
+    # Each owner's first link of smallest rel_gap leads its run of the
+    # stable sort by (owner, rel_gap); its place among the owner's links is
+    # its rank in the stable sort by owner less the owner's first rank.
+    ranked = np.lexsort((rel, code))
+    lead = np.ones(total, dtype=bool)
+    lead[1:] = code[ranked[1:]] != code[ranked[:-1]]
+    at = ranked[lead]
+    of = code[at]
+    rank = np.empty(total, dtype=np.intp)
+    rank[np.argsort(code, kind="stable")] = np.arange(total)
+    counts = np.bincount(code, minlength=owners)
+    worst = np.zeros(owners, dtype=np.intp)
+    worst[of] = rank[at] - (np.cumsum(counts) - counts)[of]
+    lhs_norm, rhs_worst = np.zeros(owners), np.zeros(owners)
+    rhs_worst[of] = rhs_norm[at]
+    for d, (lhs, *_) in stacks.items():
+        mine = dim_of[at] == d
+        if mine.any():
+            lhs_norm[of[mine]] = _norms(_eigh_stack(lhs[row_of[at[mine]]])[0])
+    return gaps, worst.tolist(), lhs_norm.tolist(), rhs_worst.tolist()
 
 
 def _norms(w: np.ndarray) -> np.ndarray:

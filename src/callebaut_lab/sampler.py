@@ -9,8 +9,9 @@ Haar orthogonal matrix, so band containment holds by construction.
 ``sample_families`` and ``sample_matrices`` (whose one-item cases are
 ``sample_family`` and ``spd_in_band``) draw many requests together: their
 streams' words come from ``RngState.next_u64`` one stream at a time
-(``_serial_tops``) or, from ``LANE_MIN`` streams on, from every stream at
-once as NumPy ``uint64`` lanes (``_lane_tops``), and the drawn matrices of
+(``_serial_words``) or, from ``LANE_MIN`` streams on, from every stream at
+once as NumPy ``uint64`` lanes (``_lane_words``), both through
+``next_words``, and the drawn matrices of
 one dimension share one Haar QR (Mezzadri's R-diagonal sign fix, Notices AMS
 2007), one rebuild and one eigendecomposition (``_factor``,
 ``SymMatrix.stack``).  Each new matrix refers to its stack's arrays and its
@@ -25,16 +26,15 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ITEM_ERRORS, DomainError, HypothesisError, ShapeError, SizeError
 from .errors import each_alone
-from .matcore import MAX_EIGEN_DIM, SymMatrix, _gather
+from .matcore import MAX_EIGEN_DIM, SymMatrix, _gather, _runs
 
 _MASK = (1 << 64) - 1
 _new = object.__new__
@@ -42,7 +42,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
 _EPS = 2.0 ** -53
 
-# The ``uint64`` shifts and multipliers of the lane generator (``_lane_tops``).
+# The ``uint64`` shifts and multipliers of the lane generator (``_lane_words``).
 _U5, _U7, _U9, _U11, _U19, _U57 = (np.uint64(c) for c in (5, 7, 9, 11, 19, 57))
 _SHIFTS = np.array([[17], [45]], dtype=np.uint64)
 
@@ -139,23 +139,66 @@ def derive_rngs(master_seed: int, stream_ids: Sequence[int]) -> list[RngState]:
     order, with the master seed mixed once.
 
     From ``LANE_MIN`` streams on, the stream mix and the four state words
-    run on every stream at once as NumPy ``uint64`` lanes, whose arithmetic
-    wraps modulo 2^64 as ``docs/rng.md`` requires; below it, on Python ints,
-    one stream at a time.  ``RngState`` applies the all-zero guard.
+    run on every stream at once as NumPy ``uint64`` lanes (``_seed_lanes``),
+    whose arithmetic wraps modulo 2^64 as ``docs/rng.md`` requires; below
+    it, on Python ints, one stream at a time.  ``RngState`` applies the
+    all-zero guard.
     """
-    base = _mix64(master_seed & _MASK)
     if len(stream_ids) < LANE_MIN:
+        base = _mix64(master_seed & _MASK)
         out = []
         for stream_id in stream_ids:
             z = _mix64((base ^ (((stream_id & _MASK) * _GOLDEN) & _MASK)) + _GOLDEN)
             out.append(RngState(*[_mix64(z + g) for g in _GOLDENS]))
         return out
+    return [RngState(*s) for s in _seed_lanes(master_seed, stream_ids).T.tolist()]
+
+
+def _seed_lanes(master_seed: int, stream_ids: Sequence[int]) -> np.ndarray:
+    """The ``(4, lanes)`` ``uint64`` states of ``derive_rng(master_seed,
+    s)`` for each ``s`` of ``stream_ids``, one lane each, with the all-zero
+    guard applied."""
     z = np.array([s & _MASK for s in stream_ids], dtype=np.uint64)
     z *= _UGOLDEN
-    z ^= np.uint64(base)
+    z ^= np.uint64(_mix64(master_seed & _MASK))
     z += _UGOLDEN
-    words = _mix_lanes(_UGOLDENS + _mix_lanes(z))  # (4, lanes)
-    return [RngState(*s) for s in words.T.tolist()]
+    state = _mix_lanes(_UGOLDENS + _mix_lanes(z))
+    state[0, ~state.any(axis=0)] = _UGOLDEN
+    return state
+
+
+def derive_streams(master_seed: int, stream_ids: Sequence[int], count: int) -> tuple[list[RngState], np.ndarray]:
+    """``derive_rngs(master_seed, stream_ids)`` and the first ``count``
+    words ``next_u64`` gives on each stream, as row ``r`` of a
+    ``(len(stream_ids), count)`` ``uint64`` array, each generator left
+    after its words.
+
+    From ``LANE_MIN`` streams on, the words are drawn on the lanes that
+    seeded the streams (``_lane_words``), and each generator is made once,
+    after them; below it, each stream draws from ``RngState.next_u64``.
+    """
+    if len(stream_ids) < LANE_MIN:
+        rngs = derive_rngs(master_seed, stream_ids)
+        return rngs, next_words(rngs, count)
+    state = _seed_lanes(master_seed, stream_ids)
+    words = _lane_words(state, count)
+    return [RngState(*s) for s in state.T.tolist()], words
+
+
+def next_words(rngs: Sequence[RngState], counts: Sequence[int] | int) -> np.ndarray:
+    """The next ``counts[r]`` words ``next_u64`` gives on stream
+    ``rngs[r]`` (an int ``counts`` for every stream), as row ``r`` of a
+    ``(len(rngs), max(counts))`` ``uint64`` array, each stream advanced
+    past its own words: on lanes (``_lane_words``) from ``LANE_MIN``
+    streams on, else one stream at a time (``_serial_words``).  Entries
+    past a stream's count are its further words on lanes, zero otherwise."""
+    if len(rngs) < LANE_MIN:
+        return _serial_words(rngs, counts)
+    state = np.array([(r._s0, r._s1, r._s2, r._s3) for r in rngs], dtype=np.uint64).T.copy()
+    words = _lane_words(state, counts)
+    for r, s in zip(rngs, state.T.tolist()):
+        r._s0, r._s1, r._s2, r._s3 = s
+    return words
 
 
 @dataclass(frozen=True)
@@ -214,10 +257,14 @@ def _whole(d: dict, key: str) -> int:
 class FamilyInstance:
     """Sequences ``A_1..A_n`` (upper band) and ``B_1..B_n`` (lower band).
 
-    Equality and ``repr`` compare the fields, and nothing else is stored on
-    an instance: each evaluation factors the mean path it needs.  The
-    public constructor checks the fields; the sampler builds its families
-    through ``_of``, which skips what its stacks guarantee.
+    Equality and ``repr`` compare the fields, and each evaluation factors
+    the mean path it needs.  The public constructor checks the fields; the
+    sampler builds its families through ``_of``, which skips what its
+    stacks guarantee.  A family the sampler drew also holds ``_block``,
+    outside the fields (so equality and ``repr`` ignore it), as a matrix of
+    ``SymMatrix.stack`` holds its stack: the arrays of the stack that holds
+    its matrices, ``A_1..A_n`` then ``B_1..B_n``, as consecutive rows, and
+    the first row.  It is None (the class default) for any other family.
     """
 
     n: int
@@ -225,6 +272,8 @@ class FamilyInstance:
     A_list: tuple[SymMatrix, ...]
     B_list: tuple[SymMatrix, ...]
     band: SpectralBand
+
+    _block = None
 
     def __post_init__(self):
         if not isinstance(self.band, SpectralBand):
@@ -243,12 +292,14 @@ class FamilyInstance:
                 )
 
     @staticmethod
-    def _of(n: int, dim: int, A_list: tuple, B_list: tuple, band: SpectralBand) -> "FamilyInstance":
+    def _of(n: int, dim: int, A_list: tuple, B_list: tuple, band: SpectralBand,
+            block: tuple | None = None) -> "FamilyInstance":
         """``FamilyInstance(n, dim, A_list, B_list, band)`` for fields that
         are already right: ``n >= 1`` matrices per side, all of dimension
         ``dim``, and a ``SpectralBand``.  Its ``__dict__`` is filled in
         field order by plain stores, not the frozen dataclass's per-field
-        ``object.__setattr__``, and nothing is checked: an equal instance."""
+        ``object.__setattr__``, and nothing is checked: an equal instance.
+        The sampler passes the ``block`` its matrices sit in, stored last."""
         family = _new(FamilyInstance)
         fields = family.__dict__
         fields["n"] = n
@@ -256,6 +307,8 @@ class FamilyInstance:
         fields["A_list"] = A_list
         fields["B_list"] = B_list
         fields["band"] = band
+        if block is not None:
+            fields["_block"] = block
         return family
 
     def to_dict(self) -> dict:
@@ -351,31 +404,33 @@ def _plan(m: int, d: int, spare: bool) -> _Plan:
                  np.array(pairs, dtype=np.intp).reshape(-1, 2), pos)
 
 
-def _lane_tops(rngs: Sequence[RngState], counts: Sequence[int]) -> np.ndarray:
-    """The top 53 bits ``x >> 11`` of the first ``counts[r]`` words ``x`` of
-    stream ``rngs[r]``, as row ``r`` of a ``(len(rngs), max(counts))``
-    ``uint64`` array (later entries of a shorter row come from the stream's
-    further words), and each stream advanced past its own words.
+def _lane_words(state: np.ndarray, counts: Sequence[int] | int) -> np.ndarray:
+    """The first ``counts[r]`` words of lane ``r`` of the ``(4, lanes)``
+    ``uint64`` xoshiro256** state, as row ``r`` of a ``(lanes,
+    max(counts))`` ``uint64`` array (later entries of a shorter row come
+    from the lane's further words), each lane of ``state`` advanced in
+    place past its own words; an int ``counts`` is every lane's count.
 
-    xoshiro256** runs on every stream at once, one NumPy lane per column of
-    a ``(4, lanes)`` ``uint64`` state.  A step is six whole-row operations:
-    ``s2 ^= s0; s3 ^= s1`` as one, ``s1 << 17`` and ``s3 << 45`` as one,
-    ``s0 ^= s3; s1 ^= s2`` as one, ``s3 >>= 19``, and one XOR of the two
-    shifts into ``s2`` and ``s3`` (the halves of a rotation share no bit,
-    so XOR is OR there), after keeping ``s1``.  A stream's state is written
-    back after its last step.  Each output word is scrambled from its kept
-    ``s1`` afterwards, in one pass.  Unsigned 64-bit NumPy arithmetic wraps
-    modulo 2^64 as ``docs/rng.md`` requires.
+    xoshiro256** runs on every lane at once.  A step is six whole-row
+    operations: ``s2 ^= s0; s3 ^= s1`` as one, ``s1 << 17`` and ``s3 << 45``
+    as one, ``s0 ^= s3; s1 ^= s2`` as one, ``s3 >>= 19``, and one XOR of the
+    two shifts into ``s2`` and ``s3`` (the halves of a rotation share no
+    bit, so XOR is OR there), after keeping ``s1``.  A lane's state is kept
+    after its last step and put back at the end.  Each output word is
+    scrambled from its kept ``s1`` afterwards, in one pass.  Unsigned
+    64-bit NumPy arithmetic wraps modulo 2^64 as ``docs/rng.md`` requires.
     """
-    state = np.array([(r._s0, r._s1, r._s2, r._s3) for r in rngs], dtype=np.uint64).T.copy()
-    lanes, steps = state.shape[1], max(counts)
+    uniform = isinstance(counts, int)
+    lanes, steps = state.shape[1], counts if uniform else max(counts, default=0)
     low, high, swapped, odd = state[:2], state[2:], state[3:1:-1], state[1::2]
     s1, s3 = state[1], state[3]
     kept = np.empty((steps, lanes), dtype=np.uint64)
     shifted = np.empty((2, lanes), dtype=np.uint64)
     ends: dict[int, list[int]] = {}
-    for r, count in enumerate(counts):
-        ends.setdefault(count, []).append(r)
+    for r, count in enumerate(() if uniform else counts):
+        if count < steps:
+            ends.setdefault(count, []).append(r)
+    saved = [(ends[0], state[:, ends[0]].copy())] if 0 in ends else []
     for k in range(steps):
         kept[k] = s1
         high ^= low
@@ -385,33 +440,36 @@ def _lane_tops(rngs: Sequence[RngState], counts: Sequence[int]) -> np.ndarray:
         high ^= shifted
         done = ends.get(k + 1)
         if done is not None:
-            for r, s in zip(done, state[:, done].T.tolist()):
-                rngs[r]._s0, rngs[r]._s1, rngs[r]._s2, rngs[r]._s3 = s
+            saved.append((done, state[:, done].copy()))
+    for done, s in saved:
+        state[:, done] = s
     kept *= _U5
     spill = kept >> _U57
     kept <<= _U7
     kept |= spill
     del spill
     kept *= _U9
-    kept >>= _U11
     return kept.T
 
 
-def _serial_tops(rngs: Sequence[RngState], counts: Sequence[int]) -> np.ndarray:
-    """``_lane_tops`` from ``RngState.next_u64``, one stream at a time;
+def _serial_words(rngs: Sequence[RngState], counts: Sequence[int] | int) -> np.ndarray:
+    """``next_words`` from ``RngState.next_u64``, one stream at a time;
     entries past a stream's count are zero."""
-    width = max(counts)
-    tops = []
+    if isinstance(counts, int):
+        counts = [counts] * len(rngs)
+    width = max(counts, default=0)
+    words = []
     for rng, count in zip(rngs, counts):
         nxt = rng.next_u64
-        tops.append([nxt() >> 11 for _ in range(count)] + [0] * (width - count))
-    return np.array(tops, dtype=np.uint64)
+        words.append([nxt() for _ in range(count)] + [0] * (width - count))
+    return np.array(words, dtype=np.uint64).reshape(len(rngs), width)
 
 
 def _check_request(edges, d: int):
     """The checks of one draw request, matrix by matrix, as ``spd_in_band``
     makes them; a repeated band edge gives the same outcome again, so each
-    distinct edge is checked once."""
+    distinct edge is checked once.  ``_draw`` calls it once per distinct
+    ``(edges, d)`` that passes."""
     for lo, hi in dict.fromkeys(edges):
         if not 0.0 < lo <= hi:
             raise DomainError(f"need 0 < lo <= hi, got ({lo}, {hi})")
@@ -434,17 +492,23 @@ def _draw(items) -> list:
     the items with the same matrix count, dimension, pinning and cached
     Gaussian share one ``_Plan`` and are converted together
     (``_draw_round``, whose comments give the exact steps), so every number
-    is the one ``RngState.uniform_in`` and ``normal`` give.
+    is the one ``RngState.uniform_in`` and ``normal`` give.  The checks
+    run once for each distinct ``(edges, d)`` (by the identity of the
+    edges) that passes; a request that fails them is checked, and gets its
+    own error, each time.
     """
     out = [None] * len(items)
     rounds: list[list[int]] = []
     seen: dict[int, int] = {}
+    passed = set()
     for k, (edges, d, rng, _) in enumerate(items):
-        try:
-            _check_request(edges, d)
-        except ITEM_ERRORS as exc:
-            out[k] = exc
-            continue
+        if (id(edges), d) not in passed:
+            try:
+                _check_request(edges, d)
+            except ITEM_ERRORS as exc:
+                out[k] = exc
+                continue
+            passed.add((id(edges), d))
         r = seen[id(rng)] = seen.get(id(rng), -1) + 1
         if r == len(rounds):
             rounds.append([])
@@ -464,13 +528,14 @@ def _draw_round(items, ks: list[int], out: list):
         groups.setdefault(key, []).append(k)
     rngs = [items[k][2] for g in groups.values() for k in g]
     counts = [_plan(m, d, spare).words for (m, d, _, spare), g in groups.items() for _ in g]
-    top = (_lane_tops if len(rngs) >= LANE_MIN else _serial_tops)(rngs, counts)
+    top = next_words(rngs, counts)
+    top >>= _U11  # the top 53 bits of each word
     start = 0
     for (m, d, pin, spare), g in groups.items():
         plan = _plan(m, d, spare)
         rows = top[start : start + len(g)]
         start += len(g)
-        edges = np.array([items[k][0] for k in g])  # (lanes, m, 2)
+        edges = _edge_rows(items, g)  # (lanes, m, 2)
         lo = edges[:, :, :1]
         # lo + (hi - lo) * u, with u = top 2^-53 exact (top < 2^53 converts
         # exactly); IEEE products and sums commute, so the in-place order
@@ -507,12 +572,29 @@ def _draw_round(items, ks: list[int], out: list):
             out[k] = (wk, gk)
 
 
-def _factor(draws) -> list[list[SymMatrix]]:
-    """The matrices of each ``_draw`` result ``(w, g)``, in order.
+def _edge_rows(items, g: list[int]) -> np.ndarray:
+    """The ``(len(g), m, 2)`` array of the edges of the items ``g``, each
+    distinct edges object (by identity) converted once."""
+    index: dict[int, int] = {}
+    distinct, at = [], []
+    for k in g:
+        edges = items[k][0]
+        i = index.get(id(edges))
+        if i is None:
+            i = index[id(edges)] = len(distinct)
+            distinct.append(edges)
+        at.append(i)
+    return np.array(distinct)[at]
+
+
+def _factor(draws) -> list[tuple]:
+    """The matrices of each ``_draw`` result ``(w, g)``, in order, as
+    ``(matrices, row)``: a tuple of its matrices and the row of the first
+    in their stack, where the others follow it.
 
     All matrices of one dimension share one Haar QR, one stacked rebuild
     ``(q * w) @ q^T`` and one eigendecomposition, whose arrays each matrix
-    refers to, for band validation and ``MeanPath.stack``.
+    refers to, for band validation and the mean paths.
     """
     by_dim: dict[int, list[int]] = {}
     for k, (w, _) in enumerate(draws):
@@ -525,10 +607,12 @@ def _factor(draws) -> list[list[SymMatrix]]:
         else:
             q = _haar_stack(np.concatenate([draws[k][1] for k in ks]))
             mats = SymMatrix.stack((q * w[:, None, :]) @ q.transpose(0, 2, 1))
+        mats = tuple(mats)
         start = 0
         for k in ks:
-            out[k] = mats[start : start + len(draws[k][0])]
-            start += len(draws[k][0])
+            m = len(draws[k][0])
+            out[k] = (mats[start : start + m], start)
+            start += m
     return out
 
 
@@ -562,17 +646,14 @@ def sample_family(
     return family
 
 
-def _family(n: int, d: int, band: SpectralBand, mats):
-    """The family of one request's matrices, or the error that building it
-    raises.  Sampled matrices (``n >= 1``) are ``n`` per side, of dimension
-    ``d``, so only the band is checked; with none, the public constructor
-    rejects the family."""
+def _checked_family(n: int, d: int, band, mats: tuple):
+    """The public constructor's family of one request's matrices, or the
+    error it raises: for no matrices (``n < 1``) or a band that is not a
+    ``SpectralBand``, which ``sample_families`` does not build itself."""
     try:
-        if n < 1 or not isinstance(band, SpectralBand):
-            return FamilyInstance(n=n, dim=d, A_list=tuple(mats[:n]), B_list=tuple(mats[n:]), band=band)
+        return FamilyInstance(n=n, dim=d, A_list=mats[:n], B_list=mats[n:], band=band)
     except ITEM_ERRORS as exc:
         return exc
-    return FamilyInstance._of(n, d, tuple(mats[:n]), tuple(mats[n:]), band)
 
 
 def _sample(items) -> list:
@@ -599,19 +680,36 @@ def sample_families(requests: Sequence[tuple]) -> list:
     request ``i``, or the error of ``errors.ITEM_ERRORS`` that sampling it
     raised, the one it raises alone (``each_alone``); any other exception
     propagates.
+
+    Requests with the same band object and ``n`` share one edges tuple, so
+    ``_draw`` checks each distinct ``(band, n, d)`` once.  A sampled family
+    (``n >= 1`` matrices per side, all of dimension ``d``, on a
+    ``SpectralBand``) is built by ``FamilyInstance._of`` with its
+    ``_block``, which nothing checks again.
     """
     items = {}
+    edges_of: dict[tuple, tuple] = {}
     for k, (n, d, band, rng, pin_extremes) in enumerate(requests):
         if n >= 1:
-            edges = ((band.M_lo, band.M_hi),) * n + ((band.m_lo, band.m_hi),) * n
+            edges = edges_of.get((id(band), n))
+            if edges is None:
+                edges = edges_of[id(band), n] = ((band.M_lo, band.M_hi),) * n + ((band.m_lo, band.m_hi),) * n
             items[k] = (edges, d, rng, pin_extremes)
-    mats = dict(zip(items, _sample(list(items.values()))))
+    drawn = dict(zip(items, _sample(list(items.values()))))
+    new = FamilyInstance._of
     out = []
     for k, (n, d, band, _, _) in enumerate(requests):
         # Factored matrices, else the sampling error, else (n < 1) no
         # matrices, which the family rejects.
-        got = mats.get(k, ())
-        out.append(got if isinstance(got, Exception) else _family(n, d, band, got))
+        got = drawn.get(k, ((), 0))
+        if isinstance(got, Exception):
+            out.append(got)
+            continue
+        mats, row = got
+        if n < 1 or not isinstance(band, SpectralBand):
+            out.append(_checked_family(n, d, band, mats))
+        else:
+            out.append(new(n, d, mats[:n], mats[n:], band, (mats[0]._stack, row)))
     return out
 
 
@@ -622,7 +720,7 @@ def sample_matrices(requests: Sequence[tuple]) -> list:
     error of ``errors.ITEM_ERRORS`` that sampling it raised; any other
     exception propagates."""
     drawn = _sample([(((lo, hi),), d, rng, pin) for d, lo, hi, rng, pin in requests])
-    return [got if isinstance(got, Exception) else got[0] for got in drawn]
+    return [got if isinstance(got, Exception) else got[0][0] for got in drawn]
 
 
 #: Relative slack on each band edge in ``validate_band_containment``.
@@ -639,27 +737,63 @@ def validate_band_containment(inst: FamilyInstance):
 
 def _band_failures(families: Sequence[FamilyInstance]) -> list:
     """The text of the error ``validate_band_containment`` raises for each
-    family, or None.  The spectra of each dimension's matrices are read
-    together (``matcore._gather``) and checked on one stack."""
-    out = [None] * len(families)
+    family, or None.  The smallest and largest eigenvalue of every matrix
+    are read per dimension (``_family_parts``, one take for families
+    sampled together), and the whole stage is checked at once: the extreme
+    eigenvalues of each family's A's and of its B's (one ``reduceat`` per
+    end) against its band's edges, from one table row per distinct band
+    object.  Only a family that fails is read matrix by matrix, for the
+    first matrix outside the band."""
+    if not families:
+        return []
     by_dim: dict[int, list[int]] = {}
     for k, f in enumerate(families):
         by_dim.setdefault(f.dim, []).append(k)
-    for ks in by_dim.values():
-        mats, lo, hi = [], [], []
-        for k in ks:
-            f, b = families[k], families[k].band
-            mats += (*f.A_list, *f.B_list)
-            lo += [b.M_lo] * f.n + [b.m_lo] * f.n
-            hi += [b.M_hi] * f.n + [b.m_hi] * f.n
-        (w,) = _gather(mats, "w")
-        bad = (w[:, 0] < np.array(lo) * (1 - BAND_REL_SLACK)) | (w[:, -1] > np.array(hi) * (1 + BAND_REL_SLACK))
-        firsts = [0, *accumulate(2 * families[k].n for k in ks)]
-        for r in np.flatnonzero(bad).tolist():
-            i = bisect_right(firsts, r) - 1
-            f, j = families[ks[i]], r - firsts[i]
-            if out[ks[i]] is None:
-                label = "A" if j < f.n else "B"
-                out[ks[i]] = (f"{label}_{j % f.n + 1} spectrum [{w[r, 0]:.6g}, {w[r, -1]:.6g}] "
-                              f"violates the band [{lo[r]}, {hi[r]}]")
+    order = [k for ks in by_dim.values() for k in ks]
+    fams = [families[k] for k in order]
+    # Each matrix's smallest and largest eigenvalue, in the order of fams.
+    ends = np.concatenate([_family_parts([families[k] for k in ks], "w")[0][:, [0, -1]]
+                           for ks in by_dim.values()])
+    # One table row per distinct band object, and each family's row.
+    bands = list(map(attrgetter("band"), fams))
+    distinct = dict(zip(map(id, bands), bands))
+    place = dict(zip(distinct, range(len(distinct))))
+    at = np.fromiter(map(place.__getitem__, map(id, bands)), np.intp, len(bands))
+    edges = np.array([b.as_tuple() for b in distinct.values()])[at]  # m_lo, m_hi, M_lo, M_hi
+    # A family's A's, then its B's, are consecutive rows of ends, one
+    # segment each, checked against (M_lo, M_hi), then (m_lo, m_hi).
+    sizes = _sizes(fams)
+    segments = np.repeat(np.cumsum(2 * sizes) - 2 * sizes, 2)
+    segments[1::2] += sizes
+    bad = ((np.minimum.reduceat(ends[:, 0], segments) < edges[:, [2, 0]].ravel() * (1 - BAND_REL_SLACK))
+           | (np.maximum.reduceat(ends[:, 1], segments) > edges[:, [3, 1]].ravel() * (1 + BAND_REL_SLACK)))
+    out = [None] * len(families)
+    for i in dict.fromkeys((np.flatnonzero(bad) // 2).tolist()):
+        f, first = fams[i], int(segments[2 * i])
+        b = f.band
+        for j in range(2 * f.n):
+            label, lo, hi = ("A", b.M_lo, b.M_hi) if j < f.n else ("B", b.m_lo, b.m_hi)
+            w_min, w_max = ends[first + j]
+            if w_min < lo * (1 - BAND_REL_SLACK) or w_max > hi * (1 + BAND_REL_SLACK):
+                out[order[i]] = (f"{label}_{j % f.n + 1} spectrum [{w_min:.6g}, {w_max:.6g}] "
+                                 f"violates the band [{lo}, {hi}]")
+                break
     return out
+
+
+def _family_parts(families: Sequence[FamilyInstance], parts: str) -> list[np.ndarray]:
+    """``matcore._gather`` of every matrix of ``families`` (of one
+    dimension), each family's ``A_1..A_n`` then ``B_1..B_n``, in order.
+    When every family was sampled onto one stack (its ``_block``), the rows
+    are read with one take per part, without a Python step per matrix."""
+    blocks = list(map(attrgetter("_block"), families))
+    if blocks and None not in blocks and len(set(map(id, map(itemgetter(0), blocks)))) == 1:
+        sizes = 2 * _sizes(families)
+        rows = _runs(np.fromiter(map(itemgetter(1), blocks), np.intp, len(blocks)), sizes)
+        return [blocks[0][0]["xwq".index(p)].take(rows, axis=0) for p in parts]
+    return _gather([m for f in families for m in (*f.A_list, *f.B_list)], parts)
+
+
+def _sizes(families: Sequence[FamilyInstance]) -> np.ndarray:
+    """The ``n`` of each family, as an ``intp`` array."""
+    return np.fromiter(map(attrgetter("n"), families), np.intp, len(families))

@@ -421,6 +421,12 @@ class TestVerify:
         assert lines[-2].startswith("verdict: PASS") and lines[-1].startswith("report: ")
 
 
+def _stream(config, key: str):
+    """The stream id of a sampling key, and a fresh generator on it."""
+    stream = cli._stable_hash(key)
+    return stream, derive_rng(config.master_seed, stream)
+
+
 class TestFalsify:
     def test_finds_maman_violation(self, capsys):
         rc = _run(["falsify", "--id", "HAD_MAMAN", "--variant", "paper",
@@ -482,7 +488,7 @@ class TestFalsify:
         assert cli.run_falsify(ineq, Variant.PAPER_LITERAL, budget, config) == (None, 0)
         assert [job.trial for job, _ in read] == list(range(budget))
         for job, rng in read:
-            stream, ref = cli._stream(config, f"falsify|{ineq.value}|paper|trial={job.trial}")
+            stream, ref = _stream(config, f"falsify|{ineq.value}|paper|trial={job.trial}")
             assert (job.ineq, job.variant, job.stream) == (ineq, Variant.PAPER_LITERAL, stream)
             assert job.point == grid[ref.next_u64() % len(grid)]
             assert (rng._s0, rng._s1, rng._s2, rng._s3) == (ref._s0, ref._s1, ref._s2, ref._s3)
@@ -516,7 +522,7 @@ class TestFalsify:
         for b in range(40):
             if b == best["trial"]:
                 continue
-            stream, rng = cli._stream(cli.SuiteConfig(master_seed=3), f"falsify|HAD_MAMAN|paper|trial={b}")
+            stream, rng = _stream(cli.SuiteConfig(master_seed=3), f"falsify|HAD_MAMAN|paper|trial={b}")
             band, n, d, _ = points[rng.next_u64() % len(points)]
             if d >= 2:
                 break
@@ -620,24 +626,30 @@ class TestFalsify:
         # from the new best.  It is counted once, as in the serial run.
         ineq, variant, seed, budget = IneqId.HAD_MAMAN, Variant.PAPER_LITERAL, 3, 20
         config = cli.SuiteConfig(master_seed=seed)
-        step, run_falsify = cli._refine_step, cli.run_falsify
-        builds = []
+        step, plan_of, run_falsify = cli._refine_step, cli._refine_plan, cli.run_falsify
+        builds, plans = [], []
 
-        def recorded(config, ineq, variant, s, point):
-            builds.append((s, point))
-            return step(config, ineq, variant, s, point)
+        def recorded(ineq, st, point):
+            builds.append(st.stream)
+            return step(ineq, st, point)
+
+        def planned(*args):
+            plans.append((args, plan_of(*args)))
+            return plans[-1][1]
 
         monkeypatch.setattr(cli, "_refine_step", recorded)
+        monkeypatch.setattr(cli, "_refine_plan", planned)
         clean = run_falsify(ineq, variant, budget, config)
-        counts = [s for s, _ in builds]
+        ((args, plan),) = plans
         # The first redraw of dimension >= 2 that is built more than once.
-        for s, point in builds:
-            redraw = step(config, ineq, variant, s, point)[2]
-            if redraw is not None and redraw[2][0] >= 2 and counts.count(s) > 1:
+        for st in plan:
+            if st.redraw is not None and st.redraw[2][0] >= 2 and builds.count(st.stream) > 1:
                 break
         else:
             pytest.fail("no discarded redraw of dimension >= 2")
-        poisoned = spd_in_band(*redraw[2]).array.tobytes()
+        # Its matrix, from a fresh plan: the search's generators have drawn.
+        (fresh,) = [f for f in plan_of(*args) if f.stream == st.stream]
+        poisoned = spd_in_band(*fresh.redraw[2]).array.tobytes()
         eigh = np.linalg.eigh
 
         def failing_eigh(a):
@@ -648,7 +660,7 @@ class TestFalsify:
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         builds.clear()
         chunked = run_falsify(ineq, variant, budget, config)
-        assert [b for b, _ in builds].count(s) > 1
+        assert builds.count(st.stream) > 1
         assert chunked[1] == clean[1] + 1 == 1
         argv = ["falsify", "--id", ineq.value, "--budget", str(budget), "--seed", str(seed)]
         (printed,), _ = self._refine_outputs(monkeypatch, capsys, [argv])
@@ -661,23 +673,28 @@ class TestFalsify:
     def test_each_redraw_is_sampled_once(self, monkeypatch, fails):
         # A chunk that an improving step cuts short builds its later steps
         # again from the new best.  Their redraws, or the errors sampling
-        # them raised, are kept: no step is sampled twice, and the result
-        # and failure count are those of one step at a time.
-        step, sample = cli._refine_step, cli.sample_matrices
+        # them raised, are kept: every redraw is sampled, once, and the
+        # result and failure count are those of one step at a time.
+        step, plan_of, sample = cli._refine_step, cli._refine_plan, cli.sample_matrices
         requests, built, sampled = {}, [], []
 
-        def recorded(config, ineq, variant, s, point):
-            got = step(config, ineq, variant, s, point)
-            built.append(s)
-            if got[2] is not None:
-                requests[id(got[2][2])] = (s, got[2][2])  # held, so ids stay unique
-            return got
+        def planned(*args):
+            plan = plan_of(*args)
+            for st in plan:
+                if st.redraw is not None:
+                    requests[id(st.redraw[2])] = (st.stream, st.redraw[2])  # held, so ids stay unique
+            return plan
+
+        def recorded(ineq, st, point):
+            built.append(st.stream)
+            return step(ineq, st, point)
 
         def counted(reqs):
             sampled.extend(requests[id(r)][0] for r in reqs)
             got = sample(reqs)
             return [np.linalg.LinAlgError("boom") for _ in got] if fails else got
 
+        monkeypatch.setattr(cli, "_refine_plan", planned)
         monkeypatch.setattr(cli, "_refine_step", recorded)
         monkeypatch.setattr(cli, "sample_matrices", counted)
         config = cli.SuiteConfig(master_seed=1000)
@@ -692,7 +709,8 @@ class TestFalsify:
                     requests.clear()
                     results.append(cli.run_falsify(ineq, Variant.PAPER_LITERAL, budget, config))
                     redraws = {s for s, _ in requests.values()}
-                    assert sorted(sampled) == sorted(redraws)
+                    assert redraws and sorted(sampled) == sorted(redraws)
+                    assert redraws <= set(built)
                     if chunk > 1 and budget == 1 and not fails:
                         assert any(built.count(s) > 1 for s in redraws)
                 assert results[0] == results[1]
@@ -716,10 +734,37 @@ class TestFalsify:
         got = []
         for stream in range(4):
             pair = ExponentPair(start[0] / 32, start[1] / 32)
-            pair = cli._mutate_st(pair, derive_rng(5, stream), 1.0 / 32.0)
+            pair = cli._mutate_st(pair, derive_rng(5, stream).next_u64, 1.0 / 32.0)
             assert isinstance(pair, ExponentPair)
             got.append((pair.s * 32, pair.t * 32))
         assert got == expected
+
+    @pytest.mark.parametrize("ineq", [IneqId.HAD_MAMAN, IneqId.TENSOR_TOOL, IneqId.WADA, IneqId.PROOF_CHAIN])
+    def test_the_refinement_plan_draws_what_each_step_draws_alone(self, ineq):
+        # One seeding for all REFINE_STEPS streams: each step's stream,
+        # choice, nudge words and redraw request (its generator where one
+        # fresh stream per step leaves it) are the step's own.
+        config, variant = cli.SuiteConfig(master_seed=6), Variant.PAPER_LITERAL
+        for point in cli.grid_points(ineq, config)[:3]:
+            band, n, d, params = point
+            plan = cli._refine_plan(config, ineq, variant, point)
+            assert len(plan) == cli.REFINE_STEPS
+            kinds = set()
+            for s, step in enumerate(plan):
+                stream, rng = _stream(config, f"refine|{ineq.value}|{variant.value}|step={s}")
+                assert step.stream == stream
+                if isinstance(params, ExponentPair) and rng.uniform() < 0.5:
+                    assert step.redraw is None
+                    assert list(step.words) == [rng.next_u64() for _ in range(cli.NUDGE_WORDS)]
+                    kinds.add("nudge")
+                    continue
+                j, side = rng.next_u64() % n, rng.next_u64() % 2
+                attr, jj, (dd, lo, hi, r, pin) = step.redraw
+                assert step.words is None and (attr, jj, dd, pin) == (("A_list", "B_list")[side], j, d, True)
+                assert (lo, hi) == ((band.M_lo, band.M_hi) if side == 0 else (band.m_lo, band.m_hi))
+                assert (r._s0, r._s1, r._s2, r._s3, r._spare) == (rng._s0, rng._s1, rng._s2, rng._s3, rng._spare)
+                kinds.add("redraw")
+            assert kinds == ({"nudge", "redraw"} if isinstance(params, ExponentPair) else {"redraw"})
 
     def test_t1_statement_keeps_t_equal_one(self, capsys):
         # The refinement nudges (s, t); REV_T1_REMARK must stay at t = 1.

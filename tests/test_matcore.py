@@ -537,7 +537,7 @@ class TestPairsAndEmptyInput:
         assert spectral_pow_stack([], [], []).shape == (0, 0, 0)
         assert spectral_pow_stack([self.one], [], []).shape == (0, 2, 2)
         assert MeanPath.sums([]) == []
-        assert loewner_gaps([]) == {}
+        assert loewner_gaps([], 0) == ([], [], [], [])
 
 
 class TestLoewnerGap:
@@ -596,7 +596,11 @@ class TestLoewnerGap:
             return real(arr)
 
         monkeypatch.setattr(matcore, "_eigh_stack", counting)
-        got = loewner_gaps(links, tol=1e-9)
+        gaps, worst, lhs_norms, rhs_norms = loewner_gaps(links, 3, tol=1e-9)
+        # Each owner's gaps, in the order of its links, and its worst link.
+        codes = [owner for _, _, owners in links for owner in owners]
+        got = {owner: (tuple(g for g, c in zip(gaps, codes) if c == owner), worst[owner],
+                       lhs_norms[owner], rhs_norms[owner]) for owner in set(codes)}
         owned = {}
         for lhs, rhs, owners in links:
             for r, owner in enumerate(owners):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from callebaut_lab.cli import DEFAULT_BANDS, STAGE
-from callebaut_lab.errors import DomainError, HypothesisError, ShapeError, each_alone
+from callebaut_lab.errors import DomainError, HypothesisError, ShapeError, SizeError, each_alone
 from callebaut_lab.inequalities import (
     IneqId,
     Variant,
@@ -503,12 +503,12 @@ class TestLaneDraws:
         assert _state(rng) == _state(alone)
 
     @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 2591, 5000])
-    def test_lane_tops_equal_serial_tops(self, count):
+    def test_lane_words_equal_serial_words(self, count):
         # LANE_MIN streams whose counts end on different steps, up to
-        # ``count``: each row's first counts[r] tops are the next_u64 words
-        # shifted by 11, and each stream is left where the serial draw
-        # leaves it, new streams and ones that have drawn words and hold a
-        # cached Gaussian alike.
+        # ``count``: each row's first counts[r] words are the next_u64
+        # words, and each stream is left where the serial draw leaves it,
+        # new streams and ones that have drawn words and hold a cached
+        # Gaussian alike.
         streams = sampler.LANE_MIN
         counts = [(count * k) // (streams - 1) for k in range(streams)]
         lanes, serial = [], []
@@ -521,8 +521,8 @@ class TestLaneDraws:
                     r.normal()
             lanes.append(rng)
             serial.append(ref)
-        got = sampler._lane_tops(lanes, counts)
-        want = sampler._serial_tops(serial, counts)
+        got = sampler.next_words(lanes, counts)
+        want = sampler._serial_words(serial, counts)
         assert got.dtype == np.uint64
         assert got.shape == want.shape == (streams, count)
         for row, ref_row, n in zip(got.tolist(), want.tolist(), counts):
@@ -969,3 +969,202 @@ class TestEachAlone:
             each_alone(stacked, [1, 0, 4])
         with pytest.raises(ZeroDivisionError):
             each_alone(stacked, [0])
+
+
+class TestStreamWords:
+    """``derive_streams`` seeds many streams and draws their first words on
+    the same lanes, and ``next_words`` draws the next words of many
+    streams: every word must be the one ``RngState.next_u64`` gives, and
+    every stream must go on as the serial one does."""
+
+    SIZES = [1, sampler.LANE_MIN - 1, sampler.LANE_MIN, 500, STAGE, STAGE + 1]
+
+    @staticmethod
+    def _ids(size):
+        return [(k * 0x2545F4914F6CDD1D + 3) & _M64 for k in range(size)]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_derive_streams_words_are_next_u64(self, size, count):
+        ids = self._ids(size)
+        rngs, words = sampler.derive_streams(11, ids, count)
+        assert words.dtype == np.uint64 and words.shape == (size, count)
+        assert len({id(r) for r in rngs}) == size
+        for stream_id, rng, row in zip(ids, rngs, words.tolist()):
+            ref = derive_rng(11, stream_id)
+            assert row == [ref.next_u64() for _ in range(count)]
+            assert _state(rng) == _state(ref)
+            assert [rng.next_u64() for _ in range(3)] == [ref.next_u64() for _ in range(3)]
+            assert rng.normal() == ref.normal()
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_next_words_are_next_u64(self, size):
+        # Streams that have drawn words, some holding a cached Gaussian,
+        # which the words leave in place.
+        rngs, refs = [], []
+        for k, stream_id in enumerate(self._ids(size)):
+            pair = derive_rng(12, stream_id), derive_rng(12, stream_id)
+            for r in pair:
+                for _ in range(k % 3):
+                    r.next_u64()
+                if k % 2:
+                    r.normal()
+            rngs.append(pair[0])
+            refs.append(pair[1])
+        words = sampler.next_words(rngs, 14)
+        assert words.dtype == np.uint64 and words.shape == (size, 14)
+        for rng, ref, row in zip(rngs, refs, words.tolist()):
+            assert row == [ref.next_u64() for _ in range(14)]
+            assert _state(rng) == _state(ref)
+            assert [rng.normal() for _ in range(3)] == [ref.normal() for _ in range(3)]
+
+    def test_all_zero_guard_applies_before_the_words(self, monkeypatch):
+        # With every mix forced to 0 each state is (GOLDEN, 0, 0, 0) before
+        # the first word, on both paths.
+        monkeypatch.setattr(sampler, "_mix64", lambda z: 0)
+        monkeypatch.setattr(sampler, "_mix_lanes", lambda z: z & np.uint64(0))
+        for size in (1, sampler.LANE_MIN):
+            rngs, words = sampler.derive_streams(3, range(size), 2)
+            ref = sampler.RngState(_GOLDEN, 0, 0, 0)
+            want = [ref.next_u64(), ref.next_u64()]
+            assert words.tolist() == [want] * size
+            assert {_state(r) for r in rngs} == {_state(ref)}
+
+
+def _sampled_stage(seed, count=9, d=2):
+    """``count`` families of dimension ``d`` sampled by one call, n = 1..3,
+    across the default bands: one stack, each family holding its block."""
+    return sample_families([(1 + k % 3, d, DEFAULT_BANDS[k % 3], derive_rng(seed, k), k % 2 == 0)
+                            for k in range(count)])
+
+
+class TestStageWideChecks:
+    """The band checks, the mean-path factoring and the pair checks of a
+    stage run once on stacks; one failing family or pair, first, in the
+    middle or last, must fail with the text its one-item call gives, and no
+    other item may fail."""
+
+    PLACES = [0, 4, 8]
+
+    def test_a_sampled_family_refers_to_its_rows(self):
+        families = _sampled_stage(81)
+        stack = families[0]._block[0]
+        for f in families:
+            block_stack, row = f._block
+            assert block_stack is stack
+            for j, m in enumerate(f.A_list + f.B_list):
+                assert m._stack is stack and m._row == row + j
+        # The block is outside the fields: a copy through the public
+        # constructor is equal and has none.
+        again = dataclasses.replace(families[0])
+        assert again == families[0] and again._block is None
+        assert repr(again) == repr(families[0])
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one_stack", "mixed"])
+    def test_family_parts_are_the_gathered_matrices(self, mixed):
+        families = _sampled_stage(82)
+        if mixed:  # a family of another stack and one of none
+            families[3] = sample_family(2, 2, DEFAULT_BANDS[0], derive_rng(83, 0))
+            families[5] = FamilyInstance.from_dict(families[5].to_dict())
+        got = sampler._family_parts(families, "xwq")
+        want = sampler._gather([m for f in families for m in (*f.A_list, *f.B_list)], "xwq")
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
+
+    @pytest.mark.parametrize("bad_d", [0, sampler.MAX_EIGEN_DIM + 1])
+    def test_a_request_is_checked_for_its_own_dimension(self, bad_d):
+        # Requests on one band and n share their edges and their check,
+        # but not across dimensions: a bad dimension after a good one
+        # fails as it does alone.
+        band = DEFAULT_BANDS[1]
+
+        def requests():
+            reqs = [(2, 2, band, derive_rng(88, k), True) for k in range(3)]
+            reqs.insert(1, (2, bad_d, band, derive_rng(88, 9), True))
+            return reqs
+
+        got = sample_families(requests())
+        with pytest.raises((ShapeError, SizeError)) as alone:
+            sample_family(*requests()[1])
+        assert type(got[1]) is type(alone.value) and str(got[1]) == str(alone.value)
+        for k in (0, 2, 3):
+            assert got[k] == sample_family(*requests()[k])
+
+    @staticmethod
+    def _out_of_band(family, place):
+        """``family`` on a band that its matrix ``place % (2n)`` violates,
+        on the same stack when ``family`` was sampled."""
+        m_lo, m_hi, M_lo, M_hi = family.band.as_tuple()
+        j = place % (2 * family.n)
+        if j < family.n:  # an A: raise the upper band's floor above it
+            band = SpectralBand(m_lo, m_hi, M_hi * 2.0, M_hi * 4.0)
+        else:  # a B: drop the lower band's ceiling below it
+            band = SpectralBand(m_lo / 8.0, m_lo / 4.0, M_lo, M_hi)
+        return FamilyInstance._of(family.n, family.dim, family.A_list, family.B_list, band, family._block)
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("blocked", [True, False], ids=["on_the_stack", "alone"])
+    def test_an_out_of_band_family_fails_as_alone(self, place, blocked):
+        families = _sampled_stage(84) + [sample_family(1, 3, DEFAULT_BANDS[1], derive_rng(85, 0))]
+        bad = self._out_of_band(families[place], place)
+        if not blocked:
+            bad = FamilyInstance(bad.n, bad.dim, bad.A_list, bad.B_list, bad.band)
+        families[place] = bad
+        (alone,) = sampler._band_failures([bad])
+        assert alone is not None and "violates the band" in alone
+        with pytest.raises(HypothesisError) as err:
+            validate_band_containment(bad)
+        assert str(err.value) == alone
+        assert sampler._band_failures(families) == [alone if k == place else None for k in range(len(families))]
+        trials = [(IneqId.HAD_MAMAN, f, WITNESS_PAIR, Variant.PAPER_LITERAL) for f in families]
+        got = evaluate_stage(trials)
+        for k, (report, trial) in enumerate(zip(got, trials)):
+            if k == place:
+                assert type(report) is HypothesisError and str(report) == alone
+            else:
+                assert report == evaluate_inequality(*trial)
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("side", ["A_list", "B_list"])
+    def test_a_non_positive_pair_fails_as_alone(self, place, side):
+        # CHAIN_34RF takes means and no band, so the pair reaches the
+        # mean-path factoring of the stage.
+        families = _sampled_stage(86)
+        good = families[place]
+        mats = list(getattr(good, side))
+        mats[-1] = SymMatrix.diagonal([1.0, -1.0])
+        families[place] = dataclasses.replace(good, **{side: tuple(mats)})
+        trials = [(IneqId.CHAIN_34RF, f, WITNESS_PAIR, Variant.PAPER_LITERAL) for f in families]
+        with pytest.raises(HypothesisError) as alone:
+            evaluate_inequality(*trials[place])
+        assert "not positive definite" in str(alone.value)
+        with pytest.raises(DomainError) as path:
+            MeanPath(families[place].A_list, families[place].B_list)
+        assert str(path.value) == str(alone.value)
+        got = evaluate_stage(trials)
+        for k, (report, trial) in enumerate(zip(got, trials)):
+            if k == place:
+                assert type(report) is HypothesisError and str(report) == str(alone.value)
+            else:
+                assert report == evaluate_inequality(*trial)
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("mismatch", ["longer_a", "other_dimension"])
+    def test_a_mismatched_pair_fails_as_alone(self, place, mismatch):
+        families = _sampled_stage(87)
+        groups = [(f.A_list, f.B_list) for f in families]
+        a, b = groups[place]
+        if mismatch == "longer_a":
+            groups[place] = (a + a[:1], b)
+        else:
+            groups[place] = (a[:-1] + (SymMatrix.identity(3),), b)
+        with pytest.raises(ShapeError) as alone:
+            MeanPath(*groups[place])
+        with pytest.raises(ShapeError) as stacked:
+            MeanPath.stack(groups)
+        assert str(stacked.value) == str(alone.value)
+        # Without it, the stack holds every other pair's one-item path.
+        del groups[place]
+        paths = MeanPath.stack(groups)
+        for path, (a, b) in zip(paths, groups):
+            assert _same_bits(path.at(0.25).array, MeanPath(a, b).at(0.25).array)
